@@ -153,10 +153,9 @@ pub fn run_surrogate_dse(
     }
 
     let predicted_pareto_configs = pareto_front_indices(&preds);
-    let truth = sim.truth_objectives(space);
     let measured_pareto: Vec<[f64; N_OBJECTIVES]> = predicted_pareto_configs
         .iter()
-        .filter_map(|&i| truth[i])
+        .filter_map(|&i| sim.truth_objective(space, i))
         .collect();
 
     Ok(SurrogateResult {

@@ -184,9 +184,10 @@ pub fn run_nsga2(
         .collect();
     let front = pareto_front_indices(&final_objs);
     let pareto_configs: Vec<usize> = front.iter().map(|&i| population[i]).collect();
-    let truth = sim.truth_objectives(space);
-    let measured_pareto: Vec<[f64; N_OBJECTIVES]> =
-        pareto_configs.iter().filter_map(|&c| truth[c]).collect();
+    let measured_pareto: Vec<[f64; N_OBJECTIVES]> = pareto_configs
+        .iter()
+        .filter_map(|&c| sim.truth_objective(space, c))
+        .collect();
 
     Ok(Nsga2Result {
         pareto_configs,

@@ -7,7 +7,9 @@ use gp::kernel::{Matern52Ard, Matern52Grouped};
 use gp::multifidelity::{
     FidelityData, LinearMultiFidelityGp, MultiFidelityConfig, NonLinearMultiFidelityGp,
 };
-use gp::{FitStats, GpConfig, HyperoptOptions, MultiTaskGp, MultiTaskPrediction};
+use gp::{
+    FitStats, GpConfig, GpError, HyperoptOptions, MultiTaskGp, MultiTaskPrediction, Prediction,
+};
 use linalg::{Matrix, Workspace};
 
 /// Per-fit options from hyperopt settings the caller holds: the shared
@@ -338,17 +340,11 @@ impl FidelityModelStack {
         };
         let mut uppers: Vec<CorrelatedLevel> = Vec::with_capacity(N_FIDELITIES - 1);
         for f in 1..N_FIDELITIES {
-            // Lower-fidelity posterior means at this fidelity's inputs,
-            // through the levels fitted so far.
-            let prevs: Vec<MultiTaskPrediction> = {
-                use rayon::prelude::*;
-                let (base, uppers) = (&base, &uppers[..]);
-                data.xs[f]
-                    .par_iter()
-                    .with_min_len(8)
-                    .map(|x| predict_nonlinear(base, uppers, f - 1, x, ws))
-                    .collect::<Result<_, _>>()?
-            };
+            // Lower-fidelity posterior means at this fidelity's inputs: one
+            // batched pass through the levels fitted so far.
+            let prevs = chain_batch(&base, &uppers, &data.xs[f], ws)?
+                .pop()
+                .ok_or_else(no_chain_level)?;
             // Per-objective linear backbone.
             let mut rhos = vec![1.0; N_OBJECTIVES];
             for (obj, rho) in rhos.iter_mut().enumerate() {
@@ -536,9 +532,7 @@ impl FidelityModelStack {
     }
 
     /// [`FidelityModelStack::predict`] with an explicit buffer arena: the
-    /// correlated variants route every per-point triangular solve through
-    /// `ws` (the independent variants' solves are single vectors and are left
-    /// alone). Bit-identical to [`FidelityModelStack::predict`].
+    /// batch of one of [`FidelityModelStack::predict_batch_in`].
     ///
     /// # Errors
     ///
@@ -549,43 +543,11 @@ impl FidelityModelStack {
         x: &[f64],
         ws: &Workspace,
     ) -> Result<MultiTaskPrediction, CmmfError> {
-        if f >= N_FIDELITIES {
-            return Err(CmmfError::Internal {
-                reason: format!("fidelity {f} out of range"),
-            });
-        }
-        match self {
-            FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
-                predict_nonlinear(base, uppers, f, x, ws)
-            }
-            FidelityModelStack::CorrelatedPlain(models) => Ok(models[f].predict_in(x, ws)?),
-            FidelityModelStack::IndependentLinear(per_obj) => {
-                let mut mean = Vec::with_capacity(N_OBJECTIVES);
-                let mut vars = Vec::with_capacity(N_OBJECTIVES);
-                for m in per_obj {
-                    let p = m.predict(f, x)?;
-                    mean.push(p.mean);
-                    vars.push(p.var);
-                }
-                Ok(MultiTaskPrediction {
-                    mean,
-                    cov: Matrix::from_diag(&vars),
-                })
-            }
-            FidelityModelStack::IndependentNonlinear(per_obj) => {
-                let mut mean = Vec::with_capacity(N_OBJECTIVES);
-                let mut vars = Vec::with_capacity(N_OBJECTIVES);
-                for m in per_obj {
-                    let p = m.predict(f, x)?;
-                    mean.push(p.mean);
-                    vars.push(p.var);
-                }
-                Ok(MultiTaskPrediction {
-                    mean,
-                    cov: Matrix::from_diag(&vars),
-                })
-            }
-        }
+        self.predict_batch_in(f, &[x.to_vec()], ws)?
+            .pop()
+            .ok_or_else(|| CmmfError::Internal {
+                reason: "batch prediction returned nothing for one query".into(),
+            })
     }
 
     /// Joint posteriors at fidelity `f` for many encoded inputs at once.
@@ -604,14 +566,15 @@ impl FidelityModelStack {
 
     /// [`FidelityModelStack::predict_batch`] with an explicit buffer arena.
     ///
-    /// The correlated variants gain real batching: the plain stack runs one
+    /// The correlated variants batch for real: the plain stack runs one
     /// chunked [`MultiTaskGp::predict_batch_in`], and the non-linear chain
     /// propagates level-synchronously — all points' sigma points are stacked
     /// into a single level-GP batch per level, so each traversal of a level's
     /// `nM × nM` factor serves a wide column block instead of one sigma point
-    /// (see `propagate_unscented_batch`). The independent variants fall back
-    /// to the per-point path. Bit-identical to per-point prediction in every
-    /// variant.
+    /// (see `propagate_unscented_batch`). The independent variants predict
+    /// point by point. Every chunk and level prediction is bitwise-pinned to
+    /// its single-query form, so a point's posterior does not depend on the
+    /// batch it arrives in.
     ///
     /// # Errors
     ///
@@ -629,18 +592,48 @@ impl FidelityModelStack {
         }
         match self {
             FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
-                let mut preds = base.predict_batch_in(xs, ws)?;
-                for level in uppers.iter().take(f) {
-                    preds = propagate_unscented_batch(level, xs, &preds, ws)?;
-                }
-                Ok(preds)
+                chain_batch(base, &uppers[..f.min(uppers.len())], xs, ws)?
+                    .pop()
+                    .ok_or_else(no_chain_level)
             }
             FidelityModelStack::CorrelatedPlain(models) => Ok(models[f].predict_batch_in(xs, ws)?),
-            FidelityModelStack::IndependentLinear(_)
-            | FidelityModelStack::IndependentNonlinear(_) => {
-                xs.iter().map(|x| self.predict_in(f, x, ws)).collect()
-            }
+            FidelityModelStack::IndependentLinear(per_obj) => Ok(xs
+                .iter()
+                .map(|x| diagonal(per_obj.iter().map(|m| m.predict(f, x))))
+                .collect::<Result<_, _>>()?),
+            FidelityModelStack::IndependentNonlinear(per_obj) => Ok(xs
+                .iter()
+                .map(|x| diagonal(per_obj.iter().map(|m| m.predict(f, x))))
+                .collect::<Result<_, _>>()?),
         }
+    }
+
+    /// Joint posteriors at *every* fidelity for many encoded inputs:
+    /// `out[i][f]` is the fidelity-`f` posterior at `xs[i]`. The paper's
+    /// stack answers all fidelities from one pass up its chain — the base
+    /// batch once, then each level's unscented propagation of the fidelity
+    /// below — instead of recomputing the lower fidelities per fidelity; the
+    /// other variants predict each fidelity in turn. Bit-identical to
+    /// [`FidelityModelStack::predict`] at every `(f, x)` — the acquisition
+    /// step's candidate caches are built through it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FidelityModelStack::predict`].
+    pub fn predict_all_in(
+        &self,
+        xs: &[Vec<f64>],
+        ws: &Workspace,
+    ) -> Result<Vec<Vec<MultiTaskPrediction>>, CmmfError> {
+        let levels = match self {
+            FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
+                chain_batch(base, uppers, xs, ws)?
+            }
+            _ => (0..N_FIDELITIES)
+                .map(|f| self.predict_batch_in(f, xs, ws))
+                .collect::<Result<_, _>>()?,
+        };
+        Ok(per_point(levels, xs.len()))
     }
 
     /// Learned objective-correlation matrix at fidelity `f`, if this stack is
@@ -703,49 +696,81 @@ impl FidelityModelStack {
     }
 }
 
-/// Pushes a Gaussian belief about the lower fidelity's objectives through one
-/// [`CorrelatedLevel`] with the unscented transform (λ = 1): sigma points of
-/// the lower posterior are mapped through `ρ ⊙ v + z([x, v])` and
-/// moment-matched. Without this, the chain's high-fidelity variance collapses
-/// and the acquisition stops escalating fidelities.
-/// Nonlinear-chain prediction at fidelity `f`: the base GP's posterior
-/// propagated through the first `f` correlated levels. Shared by
-/// [`FidelityModelStack::predict`] and the fit loop (which predicts through a
-/// partially built chain while fitting the next level, so it cannot hold a
-/// complete stack yet).
-fn predict_nonlinear(
+/// Posteriors of the correlated non-linear chain for many encoded inputs at
+/// once, one batch per fidelity (lowest first): the base GP's batch, then
+/// each level's unscented propagation of the fidelity below. Shared by
+/// prediction (the whole chain or a prefix of it) and the fit loop, which
+/// predicts through the levels fitted so far while fitting the next and so
+/// cannot hold a complete stack yet.
+fn chain_batch(
     base: &MultiTaskGp<Matern52Ard>,
     uppers: &[CorrelatedLevel],
-    f: usize,
-    x: &[f64],
+    xs: &[Vec<f64>],
     ws: &Workspace,
-) -> Result<MultiTaskPrediction, CmmfError> {
-    let mut pred = base.predict_in(x, ws)?;
-    for level in uppers.iter().take(f) {
-        pred = propagate_unscented(level, x, &pred, ws)?;
+) -> Result<Vec<Vec<MultiTaskPrediction>>, CmmfError> {
+    let mut levels = Vec::with_capacity(uppers.len() + 1);
+    let mut preds = base.predict_batch_in(xs, ws)?;
+    for level in uppers {
+        let next = propagate_unscented_batch(level, xs, &preds, ws)?;
+        levels.push(std::mem::replace(&mut preds, next));
     }
-    Ok(pred)
+    levels.push(preds);
+    Ok(levels)
 }
 
-fn propagate_unscented(
-    level: &CorrelatedLevel,
-    x: &[f64],
-    lower: &MultiTaskPrediction,
-    ws: &Workspace,
-) -> Result<MultiTaskPrediction, CmmfError> {
-    let mut out = propagate_unscented_batch(level, &[x.to_vec()], std::slice::from_ref(lower), ws)?;
-    out.pop().ok_or_else(|| CmmfError::Internal {
-        reason: "unscented propagation returned no prediction for one query".into(),
+/// The error for a [`chain_batch`] pass without levels, which cannot happen:
+/// every pass yields at least the base batch.
+fn no_chain_level() -> CmmfError {
+    CmmfError::Internal {
+        reason: "fidelity chain pass returned no level".into(),
+    }
+}
+
+/// Transposes per-fidelity batches (`levels[f][i]`) into per-point rows
+/// (`out[i][f]`).
+fn per_point(levels: Vec<Vec<MultiTaskPrediction>>, n: usize) -> Vec<Vec<MultiTaskPrediction>> {
+    let mut out: Vec<Vec<MultiTaskPrediction>> =
+        (0..n).map(|_| Vec::with_capacity(levels.len())).collect();
+    for level in levels {
+        for (row, p) in out.iter_mut().zip(level) {
+            row.push(p);
+        }
+    }
+    out
+}
+
+/// One independent-objectives posterior: per-objective means with a
+/// diagonal covariance.
+fn diagonal(
+    per_obj: impl Iterator<Item = Result<Prediction, GpError>>,
+) -> Result<MultiTaskPrediction, GpError> {
+    let mut mean = Vec::with_capacity(N_OBJECTIVES);
+    let mut vars = Vec::with_capacity(N_OBJECTIVES);
+    for p in per_obj {
+        let p = p?;
+        mean.push(p.mean);
+        vars.push(p.var);
+    }
+    Ok(MultiTaskPrediction {
+        mean,
+        cov: Matrix::from_diag(&vars),
     })
 }
 
-/// Batched form of [`propagate_unscented`]: every query point's sigma points
-/// are stacked into one level-GP query list, so the expensive triangular
-/// solves against the level's `nM × nM` factor run as wide column blocks
-/// instead of one sweep per sigma point. The per-point sigma construction and
-/// moment-matching are the single-point code verbatim, and the batched level
-/// prediction is bitwise-pinned to its per-point form, so this is
-/// bit-identical to mapping [`propagate_unscented`] over the points.
+/// Pushes a Gaussian belief about the lower fidelity's objectives through one
+/// [`CorrelatedLevel`] with the unscented transform (λ = 1), for many query
+/// points at once: sigma points of each lower posterior are mapped through
+/// `ρ ⊙ v + z([x, v])` and moment-matched. Without this, the chain's
+/// high-fidelity variance collapses and the acquisition stops escalating
+/// fidelities.
+///
+/// Every query point's sigma points are stacked into one level-GP query
+/// list, so the expensive triangular solves against the level's `nM × nM`
+/// factor run as wide column blocks instead of one sweep per sigma point.
+/// The per-point sigma construction and moment-matching do not look across
+/// points, and the batched level prediction is bitwise-pinned to its
+/// per-point form, so a point's result does not depend on the batch it
+/// arrives in.
 fn propagate_unscented_batch(
     level: &CorrelatedLevel,
     xs: &[Vec<f64>],
@@ -887,32 +912,44 @@ mod tests {
     fn predict_batch_matches_predict_bitwise_in_every_variant() {
         // The batched stack prediction (level-synchronous sigma-point
         // stacking for the non-linear chain, chunked GP batches for the
-        // plain one) must reproduce the per-point path bit for bit — the
-        // optimizer's candidate caches are built through it.
+        // plain one) and the all-fidelity chain pass must both reproduce the
+        // per-point path bit for bit — the optimizer's candidate caches are
+        // built through the latter. 19 points span several GP chunks and
+        // split across workers.
         let data = synthetic();
         let cfg = quick_cfg();
-        let xs: Vec<Vec<f64>> = (0..7).map(|i| vec![0.05 + 0.13 * i as f64]).collect();
+        let xs: Vec<Vec<f64>> = (0..19).map(|i| vec![0.05 + 0.05 * i as f64]).collect();
+        let same_bits = |a: &MultiTaskPrediction, b: &MultiTaskPrediction, label: &str| {
+            assert_eq!(a.mean.len(), b.mean.len(), "{label}: objectives");
+            for (am, bm) in a.mean.iter().zip(&b.mean) {
+                assert_eq!(am.to_bits(), bm.to_bits(), "{label}: mean");
+            }
+            for i in 0..N_OBJECTIVES {
+                for j in 0..N_OBJECTIVES {
+                    assert_eq!(
+                        a.cov[(i, j)].to_bits(),
+                        b.cov[(i, j)].to_bits(),
+                        "{label}: cov ({i},{j})"
+                    );
+                }
+            }
+        };
         for variant in all_variants() {
             let stack = FidelityModelStack::fit(variant, &data, &cfg, None, FitMode::Optimize)
                 .unwrap_or_else(|e| panic!("{}: {e}", variant.name()));
+            let all = stack
+                .predict_all_in(&xs, Workspace::off())
+                .expect("chain pass predicts");
+            assert_eq!(all.len(), xs.len(), "{}", variant.name());
             for f in 0..N_FIDELITIES {
                 let batch = stack.predict_batch(f, &xs).expect("batch predicts");
                 assert_eq!(batch.len(), xs.len());
-                for (x, b) in xs.iter().zip(&batch) {
+                for (i, x) in xs.iter().enumerate() {
                     let p = stack.predict(f, x).expect("predicts");
-                    for (bm, pm) in b.mean.iter().zip(&p.mean) {
-                        assert_eq!(bm.to_bits(), pm.to_bits(), "{} f={f}", variant.name());
-                    }
-                    for i in 0..N_OBJECTIVES {
-                        for j in 0..N_OBJECTIVES {
-                            assert_eq!(
-                                b.cov[(i, j)].to_bits(),
-                                p.cov[(i, j)].to_bits(),
-                                "{} f={f}",
-                                variant.name()
-                            );
-                        }
-                    }
+                    let label = format!("{} f={f} x={x:?}", variant.name());
+                    same_bits(&batch[i], &p, &format!("{label} batch"));
+                    assert_eq!(all[i].len(), N_FIDELITIES, "{label}");
+                    same_bits(&all[i][f], &p, &format!("{label} chain pass"));
                 }
             }
         }

@@ -96,10 +96,16 @@ pub struct CmmfConfig {
     pub async_slots: usize,
     /// Worker threads for the parallel hot paths (candidate scoring, EIPV
     /// Monte-Carlo sampling, kernel-matrix assembly, batch prediction);
-    /// 0 uses all hardware threads. Every parallel reduction combines its
-    /// per-element results in source order, so **any thread count yields a
-    /// bit-identical [`RunResult`]** — see DESIGN.md, "Determinism &
-    /// parallelism".
+    /// 0 inherits the ambient default (an enclosing
+    /// `rayon::ThreadPool::install`, a process-wide `build_global` such as
+    /// the harnesses' `--threads`, or else all hardware threads). Inside the
+    /// `cmmf-serve` daemon the field is not the job's to set: each session
+    /// runs at its share of the cores among the workers busy when it starts,
+    /// `max(1, hardware threads / busy workers)`, so a lone session uses
+    /// every core and concurrent sessions do not oversubscribe the host. Every
+    /// parallel reduction combines its per-element results in source order,
+    /// so **any thread count yields a bit-identical [`RunResult`]** — see
+    /// DESIGN.md, "Determinism & parallelism".
     pub threads: usize,
     /// Recycle the surrogate layer's large buffers (Gram matrices, joint
     /// covariances, Cholesky factors, solve scratch) through a run-scoped
@@ -785,19 +791,11 @@ impl<'a> LoopState<'a> {
             .with_min_len(8)
             .map(|&c| space.encode(c))
             .collect();
-        // One batched stack prediction per fidelity (wide column blocks per
-        // factor traversal), transposed back to the per-candidate layout the
-        // scorers index. Bit-identical to per-candidate `predict_in` calls.
-        let ws = &self.ws;
-        let f0 = stack.predict_batch_in(0, &encoded, ws)?;
-        let f1 = stack.predict_batch_in(1, &encoded, ws)?;
-        let f2 = stack.predict_batch_in(2, &encoded, ws)?;
-        let preds: Vec<Vec<MultiTaskPrediction>> = f0
-            .into_iter()
-            .zip(f1)
-            .zip(f2)
-            .map(|((a, b), c)| vec![a, b, c])
-            .collect();
+        // One batched pass up the fidelity chain answers all three
+        // fidelities (each reuses the one below), in the per-candidate
+        // layout the scorers index. Bit-identical to per-candidate
+        // `predict_in` calls.
+        let preds = stack.predict_all_in(&encoded, &self.ws)?;
         // On the indexed path the predictive-covariance factors are also
         // per-step invariants: factor each candidate's M x M covariance
         // once and share it across scoring slots (the naive path factors
@@ -1008,10 +1006,9 @@ impl<'a> LoopState<'a> {
             }
         }
 
-        let truth = sim.truth_objectives(space);
         let mut measured: Vec<Vec<f64>> = proposed
             .iter()
-            .filter_map(|&c| truth[c].map(|t| t.to_vec()))
+            .filter_map(|&c| sim.truth_objective(space, c).map(|t| t.to_vec()))
             .collect();
         // Distinct proposals can share ground-truth objectives (and a config
         // can be both evaluated and model-proposed); keep one copy each.

@@ -1,0 +1,150 @@
+//! Cross-commit golden pin: digests of the `RunResult` of one small campaign
+//! each of the paper's method, the FPL18 baseline, and the asynchronous
+//! scheduler with two slots.
+//!
+//! Every other bit-identity contract in the workspace compares two paths of
+//! the *same* build (serial vs. parallel, extend vs. refit, resumed vs.
+//! uninterrupted), so a drift that both paths share would pass all of them.
+//! These constants were recorded before the candidate-preparation, thread-share
+//! and ground-truth-lookup rewrites and must survive any change that claims to
+//! be result-transparent. A change that deliberately alters results (a new
+//! model, a different acquisition) re-records them and says so.
+//!
+//! The digests cover IEEE-754 bit patterns produced through the platform's
+//! `libm` (`exp`, `ln`, `sqrt`, …); they were recorded on x86-64 Linux.
+
+use cmmf::{AsyncOptimizer, CmmfConfig, ModelVariant, Optimizer, RunResult};
+use fidelity_sim::{FlowSimulator, SimParams};
+use gp::GpConfig;
+use hls_model::benchmarks::{self, Benchmark};
+
+/// Per-field digests of one `RunResult`, so a failure names the field that
+/// drifted.
+#[derive(Debug, PartialEq, Eq)]
+struct Digest {
+    candidate_set: u64,
+    evaluated_configs: u64,
+    measured_pareto: u64,
+    sim_seconds_bits: u64,
+    hv_history: u64,
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn digest(r: &RunResult) -> Digest {
+    Digest {
+        candidate_set: fnv(r.candidate_set.iter().flat_map(|c| {
+            [
+                c.config as u64,
+                c.stage.index() as u64,
+                c.acquisition.to_bits(),
+            ]
+        })),
+        evaluated_configs: fnv(r.evaluated_configs.iter().map(|&c| c as u64)),
+        measured_pareto: fnv(r
+            .measured_pareto
+            .iter()
+            .flat_map(|p| p.iter().map(|v| v.to_bits()))),
+        sim_seconds_bits: r.sim_seconds.to_bits(),
+        hv_history: fnv(r
+            .hv_history
+            .iter()
+            .flat_map(|hv| hv.iter().map(|v| v.to_bits()))),
+    }
+}
+
+/// A small campaign: short budget, small pools, a cheap hyperparameter
+/// search, and the shipped final-prediction pool (so `finish`'s
+/// model-based proposals are pinned too).
+fn small_cfg(variant: ModelVariant, seed: u64, async_slots: usize) -> CmmfConfig {
+    CmmfConfig {
+        n_iter: 6,
+        candidate_pool: 40,
+        mc_samples: 8,
+        refit_every: 3,
+        variant,
+        async_slots,
+        gp: GpConfig {
+            restarts: 0,
+            max_evals: 60,
+            ..Default::default()
+        },
+        seed,
+        ..Default::default()
+    }
+}
+
+fn problem() -> (hls_model::DesignSpace, FlowSimulator) {
+    let b = Benchmark::SpmvCrs;
+    (
+        benchmarks::build(b)
+            .expect("benchmark builds")
+            .pruned_space()
+            .expect("space prunes"),
+        FlowSimulator::new(SimParams::for_benchmark(b)),
+    )
+}
+
+#[test]
+fn ours_campaign_matches_the_recorded_digest() {
+    let (space, sim) = problem();
+    let r = Optimizer::new(small_cfg(ModelVariant::paper(), 41, 0))
+        .run(&space, &sim)
+        .expect("campaign runs");
+    assert_eq!(
+        digest(&r),
+        Digest {
+            candidate_set: 16_353_449_466_198_830_429,
+            evaluated_configs: 12_144_834_789_544_024_438,
+            measured_pareto: 13_302_378_008_049_169_802,
+            sim_seconds_bits: 4_667_337_975_347_068_439,
+            hv_history: 9_621_827_326_053_574_464,
+        }
+    );
+}
+
+#[test]
+fn fpl18_campaign_matches_the_recorded_digest() {
+    let (space, sim) = problem();
+    let r = Optimizer::new(small_cfg(ModelVariant::fpl18(), 42, 0))
+        .run(&space, &sim)
+        .expect("campaign runs");
+    assert_eq!(
+        digest(&r),
+        Digest {
+            candidate_set: 7_211_838_438_509_222_181,
+            evaluated_configs: 1_324_666_276_497_402_920,
+            measured_pareto: 13_461_442_890_603_049_723,
+            sim_seconds_bits: 4_668_676_578_076_774_348,
+            hv_history: 9_716_376_439_266_149_859,
+        }
+    );
+}
+
+#[test]
+fn async_two_slot_campaign_matches_the_recorded_digest() {
+    let (space, sim) = problem();
+    let r = AsyncOptimizer::new(small_cfg(ModelVariant::paper(), 43, 2))
+        .run(&space, &sim)
+        .expect("campaign runs");
+    assert_eq!(
+        digest(&r),
+        Digest {
+            candidate_set: 4_251_352_768_446_732_941,
+            evaluated_configs: 758_584_023_172_116_811,
+            measured_pareto: 4_912_382_816_618_901_049,
+            sim_seconds_bits: 4_666_568_866_212_579_039,
+            hv_history: 11_442_869_826_828_881_719,
+        }
+    );
+}

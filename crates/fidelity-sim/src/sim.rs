@@ -238,22 +238,34 @@ impl FlowSimulator {
     /// Ground-truth (post-implementation, noise-free) objectives for every
     /// configuration; `None` marks invalid designs. This is how the
     /// experiments obtain the *real* Pareto front that ADRS is measured
-    /// against.
+    /// against. Entry `i` is [`FlowSimulator::truth_objective`] of `i`; a
+    /// caller that needs only a few configurations should ask for those.
     pub fn truth_objectives(&self, space: &DesignSpace) -> Vec<Option<[f64; N_OBJECTIVES]>> {
         (0..space.len())
-            .map(|i| {
-                let resolved = space.resolve(i);
-                let truth = self.ground_truth(space.kernel(), &resolved);
-                let x = space.encode(i);
-                let routing_margin = 0.92 + 0.04 * self.bias_field(&x, 3);
-                if truth.util > routing_margin.min(1.0) {
-                    None
-                } else {
-                    let r = self.noiseless_impl_report(&truth);
-                    Some(r.objectives())
-                }
-            })
+            .map(|i| self.truth_objective(space, i))
             .collect()
+    }
+
+    /// Ground-truth (post-implementation, noise-free) objectives of
+    /// configuration `config`, or `None` if the design is invalid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config >= space.len()`.
+    pub fn truth_objective(
+        &self,
+        space: &DesignSpace,
+        config: usize,
+    ) -> Option<[f64; N_OBJECTIVES]> {
+        let resolved = space.resolve(config);
+        let truth = self.ground_truth(space.kernel(), &resolved);
+        let x = space.encode(config);
+        let routing_margin = 0.92 + 0.04 * self.bias_field(&x, 3);
+        if truth.util > routing_margin.min(1.0) {
+            None
+        } else {
+            Some(self.noiseless_impl_report(&truth).objectives())
+        }
     }
 
     // ---------------------------------------------------------------------
@@ -580,6 +592,20 @@ mod tests {
                     b.name()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn per_config_truth_matches_the_whole_space_bitwise() {
+        // SPMV_CRS is small and holds both valid and invalid designs, so the
+        // `None` entries are compared too.
+        let (space, sim) = setup(Benchmark::SpmvCrs);
+        let all = sim.truth_objectives(&space);
+        assert_eq!(all.len(), space.len());
+        assert!(all.iter().any(Option::is_none) && all.iter().any(Option::is_some));
+        let bits = |t: Option<[f64; N_OBJECTIVES]>| t.map(|o| o.map(f64::to_bits));
+        for (i, t) in all.iter().enumerate() {
+            assert_eq!(bits(sim.truth_objective(&space, i)), bits(*t), "config {i}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The three call-graph-aware passes: `S1` panic-reachability, `S2`
 //! lock-order, and `S3` contract-coverage.
 //!
-//! All three consume the [`CallGraph`](crate::graph::CallGraph) built by the
+//! All three consume the [`CallGraph`] built by the
 //! engine and emit ordinary [`Finding`]s, which then flow through the same
 //! suppression machinery as the token rules. Determinism matters as much
 //! here as in the code being linted: every loop below walks sorted

@@ -46,12 +46,25 @@ pub fn weakly_dominates(a: &[f64], b: &[f64]) -> bool {
 ///
 /// Duplicated points are all kept (none strictly dominates its copy).
 pub fn pareto_front_indices(points: &[Vec<f64>]) -> Vec<usize> {
+    // Each point is first tried against the last dominator found: points
+    // near each other in the input tend to share one, so most dominated
+    // points are rejected without a scan of every point. A point the hint
+    // does not dominate still gets the full scan, so the result is the
+    // exhaustive one.
+    let mut last = None;
     (0..points.len())
         .filter(|&i| {
-            !points
-                .iter()
-                .enumerate()
-                .any(|(j, other)| j != i && dominates(other, &points[i]))
+            let dominated_by = |j: usize| j != i && dominates(&points[j], &points[i]);
+            if last.is_some_and(dominated_by) {
+                return false;
+            }
+            match (0..points.len()).find(|&j| dominated_by(j)) {
+                Some(j) => {
+                    last = Some(j);
+                    false
+                }
+                None => true,
+            }
         })
         .collect()
 }

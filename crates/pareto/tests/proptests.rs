@@ -138,9 +138,11 @@ proptest! {
 
     #[test]
     fn front_indices_point_at_nondominated(pts in points(16, 3)) {
-        for &i in &pareto_front_indices(&pts) {
-            prop_assert!(!pts.iter().any(|other| dominates(other, &pts[i])));
-        }
+        // Exactly the points nothing dominates, in input order.
+        let brute: Vec<usize> = (0..pts.len())
+            .filter(|&i| !pts.iter().any(|other| dominates(other, &pts[i])))
+            .collect();
+        prop_assert_eq!(pareto_front_indices(&pts), brute);
     }
 
     #[test]

@@ -30,9 +30,16 @@
 //!    per-step candidate fan-out.
 //!
 //! Threads are spawned per terminal operation rather than kept in a
-//! work-stealing pool. For this workspace's chunky tasks (GP predictions,
-//! Monte-Carlo acquisition scoring, covariance assembly) spawn overhead is
-//! noise; `with_min_len` guards the fine-grained cases.
+//! work-stealing pool. A spawning call costs about 40–50 µs on a 2-vCPU
+//! x86-64 host, more when the cores are busy. A Table-I optimizer step
+//! (10–25 ms of GP fitting, prediction and Monte-Carlo scoring) makes about
+//! ten such calls, so there spawns cost a few percent. They matter when the
+//! work per call is small or every core is already busy: a quick daemon
+//! session makes about 70 spawning calls, and with several sessions running
+//! at once a spawn buys no parallelism, only contention. Callers in that
+//! position run at fewer threads (the `cmmf-serve` daemon divides the cores
+//! among the sessions running when a session starts); `with_min_len` guards
+//! the fine-grained calls.
 
 use std::cell::Cell;
 use std::ops::Range;

@@ -76,6 +76,9 @@ struct State {
 #[derive(Debug)]
 struct Shared {
     cfg: EngineConfig,
+    /// The host's hardware threads, shared out among running sessions (see
+    /// [`session_threads`]).
+    hardware: usize,
     state: Mutex<State>,
     /// Signals workers: queue grew or stop was set.
     wake: Condvar,
@@ -109,7 +112,9 @@ impl Engine {
     pub fn start(cfg: EngineConfig) -> Result<Engine, ServeError> {
         fs::create_dir_all(&cfg.root).map_err(|e| ServeError::storage(&cfg.root, e))?;
         let workers = cfg.workers.max(1);
+        let hardware = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let shared = Arc::new(Shared {
+            hardware,
             cfg,
             state: Mutex::new(State::default()),
             wake: Condvar::new(),
@@ -425,7 +430,7 @@ impl Drop for Engine {
 /// a hard kill loses at most a step).
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let (key, spec) = {
+        let (key, spec, threads) = {
             let mut state = lock_state(shared);
             loop {
                 if let Some(key) = state.queue.pop_front() {
@@ -433,7 +438,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                         Some(entry) => {
                             entry.state = SessionState::Running;
                             let spec = entry.spec.clone();
-                            break (key, spec);
+                            let busy = busy_workers(&state, shared.cfg.workers);
+                            break (key, spec, session_threads(shared.hardware, busy));
                         }
                         None => continue,
                     }
@@ -448,7 +454,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_session(shared, &key, &spec)
+            run_session(shared, &key, &spec, threads)
         }));
         let new_state = match outcome {
             Ok(Ok(())) => SessionState::Finished,
@@ -480,9 +486,39 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Workers that are busy once the idle ones have taken what is queued: the
+/// running sessions (the one just picked included) plus the queued ones, at
+/// most `workers`.
+fn busy_workers(state: &State, workers: usize) -> usize {
+    let running = state
+        .sessions
+        .values()
+        .filter(|e| matches!(e.state, SessionState::Running))
+        .count();
+    (running + state.queue.len()).min(workers)
+}
+
+/// The threads a session may use: its share of the host's `hardware`
+/// threads among the `busy` workers when it starts, `max(1, hardware /
+/// max(1, busy))`. A session that starts alone gets every core; with every
+/// worker busy the sessions together stay within the cores, so no session's
+/// parallel calls pay for thread spawns that only contend with the other
+/// workers' sessions. The share is fixed for the session's run.
+/// Result-transparent: any thread count yields a bit-identical run, and
+/// `CmmfConfig::threads` is excluded from checkpoint fingerprints, so a
+/// session resumes under a different share.
+fn session_threads(hardware: usize, busy: usize) -> usize {
+    (hardware / busy.max(1)).max(1)
+}
+
 /// Runs one session to completion: journal (recovered + appended),
 /// checkpointed optimizer run (auto-resuming), result manifest.
-fn run_session(shared: &Arc<Shared>, key: &SessionKey, spec: &JobSpec) -> Result<(), ServeError> {
+fn run_session(
+    shared: &Arc<Shared>,
+    key: &SessionKey,
+    spec: &JobSpec,
+    threads: usize,
+) -> Result<(), ServeError> {
     let paths = SessionPaths::new(&shared.cfg.root, &key.0, &key.1);
     // `append_recovered` truncates a torn final line (a kill mid-write)
     // before reopening the journal in append mode, so one file accumulates
@@ -495,6 +531,7 @@ fn run_session(shared: &Arc<Shared>, key: &SessionKey, spec: &JobSpec) -> Result
         key: key.clone(),
     };
     let mut cfg = spec.to_config();
+    cfg.threads = threads;
     cfg.tracer = TracerHandle::new(Arc::new(tracer));
     let (space, sim) = spec.build_problem()?;
     let ckpt = paths.checkpoint();
@@ -538,5 +575,56 @@ impl Tracer for FanoutTracer {
 
     fn flush(&self) {
         self.journal.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{busy_workers, session_threads, SessionEntry, State};
+    use crate::job::{JobSpec, Problem};
+    use crate::session::SessionState;
+    use hls_model::benchmarks::Benchmark;
+
+    #[test]
+    fn each_busy_worker_gets_its_share_of_the_cores() {
+        // (hardware threads, busy workers) -> threads per session.
+        for (hardware, busy, share) in [(2, 2, 1), (8, 2, 4), (1, 4, 1), (6, 4, 1), (4, 0, 4)] {
+            assert_eq!(
+                session_threads(hardware, busy),
+                share,
+                "{hardware} threads, {busy} busy workers"
+            );
+        }
+    }
+
+    #[test]
+    fn busy_workers_counts_running_and_queued_sessions_up_to_the_pool() {
+        fn add(state: &mut State, name: &str, session_state: SessionState) {
+            let key = ("t".to_string(), name.to_string());
+            if session_state == SessionState::Queued {
+                state.queue.push_back(key.clone());
+            }
+            let spec = JobSpec::new("t", name, Problem::Benchmark(Benchmark::Gemm));
+            let entry = SessionEntry {
+                spec,
+                state: session_state,
+                subscribers: Vec::new(),
+            };
+            state.sessions.insert(key, entry);
+        }
+        let mut state = State::default();
+        add(&mut state, "done", SessionState::Finished);
+        let failed = SessionState::Failed {
+            message: "boom".into(),
+        };
+        add(&mut state, "broken", failed);
+        add(&mut state, "lone", SessionState::Running);
+        // A lone session on an otherwise idle pool: every core is its own.
+        assert_eq!(busy_workers(&state, 2), 1);
+        add(&mut state, "next", SessionState::Queued);
+        add(&mut state, "later", SessionState::Queued);
+        // The queue will occupy the idle workers, but no more than the pool.
+        assert_eq!(busy_workers(&state, 2), 2);
+        assert_eq!(busy_workers(&state, 8), 3);
     }
 }
