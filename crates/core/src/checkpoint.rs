@@ -131,18 +131,16 @@ impl RunCheckpoint {
     /// The configuration fingerprint a checkpoint of `cfg` carries: every
     /// field that can influence the result, formatted deterministically
     /// (floats as bit patterns). `threads` and `tracer` are deliberately
-    /// absent — both are result-transparent. `warm_start_hyperopt` and
-    /// `mixed_precision` are also absent: they steer only the hyperparameter
-    /// *search*, and restore replays the full Optimize chain from step 0
-    /// under the resuming process's flags, so a checkpoint stays loadable
-    /// when they differ.
+    /// absent — both are result-transparent. `warm_start_hyperopt` is also
+    /// absent: it steers only the hyperparameter *search*, and restore
+    /// replays the fit chain under the resuming process's flag, so a
+    /// checkpoint stays loadable when it differs.
     pub fn fingerprint_of(cfg: &CmmfConfig) -> String {
         format!(
             "v{CHECKPOINT_VERSION};n_init={};n_init_syn={};n_init_impl={};n_iter={};\
              variant={:?};use_cost_penalty={};cost_exponent={:#x};candidate_pool={};\
              mc_samples={};batch_size={};batch_parallel_tools={};final_prediction_pool={};\
-             escalate_threshold={:#x};refit_every={};incremental={};indexed_eipv={};\
-             async_slots={};gp={:?};seed={}",
+             escalate_threshold={:#x};refit_every={};async_slots={};gp={:?};seed={}",
             cfg.n_init,
             cfg.n_init_syn,
             cfg.n_init_impl,
@@ -157,8 +155,6 @@ impl RunCheckpoint {
             cfg.final_prediction_pool,
             cfg.escalate_threshold.to_bits(),
             cfg.refit_every,
-            cfg.incremental,
-            cfg.indexed_eipv,
             cfg.async_slots,
             cfg.gp,
             cfg.seed,

@@ -9,11 +9,12 @@
 //! Two evaluation paths share the same sampler:
 //!
 //! * the naive path ([`eipv_correlated_mc`], [`eipv_correlated_mc_seeded`])
-//!   recomputes [`pareto::hypervolume_contribution`] from scratch per draw;
+//!   recomputes [`pareto::hypervolume_contribution`] from scratch per draw —
+//!   the reference the scorer is tested against, and what the Fig. 4 and
+//!   Fig. 6 harnesses plot;
 //! * [`EipvScorer`] builds the Eq. 7–8 grid-cell decomposition of the front
 //!   **once** ([`pareto::FrontIndex`]) and answers each draw in
-//!   `O(m·log F)` — the path the optimizer uses
-//!   ([`crate::CmmfConfig::indexed_eipv`]).
+//!   `O(m·log F)` — the path the optimizer uses.
 //!
 //! The same decomposition makes the independent-marginal EIPV of the FPL18
 //! baseline *exact*: [`eipv_independent_cells`] integrates Eq. 8 in closed
@@ -492,6 +493,47 @@ mod tests {
                 (naive - fast).abs() <= 1e-12,
                 "seed={seed}: naive={naive} fast={fast}"
             );
+        }
+
+        // The optimizer's shape: three objectives, fronts of 8 to 128
+        // points, correlated 3×3 posteriors (`A·Aᵀ` plus a diagonal jitter).
+        let reference = vec![1.2; 3];
+        for f in [8usize, 32, 128] {
+            let mut rng = StdRng::seed_from_u64(23 + f as u64);
+            // Points on the unit simplex are mutually non-dominated; the
+            // jitter keeps coordinates from colliding.
+            let front: Vec<Vec<f64>> = (0..f)
+                .map(|_| {
+                    let raw: Vec<f64> = (0..3).map(|_| rng.random_range(0.05..1.0)).collect();
+                    let s: f64 = raw.iter().sum();
+                    raw.iter()
+                        .map(|v| v / s + rng.random_range(-1e-4..1e-4))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                pareto::pareto_front(&front).len(),
+                f,
+                "simplex points are non-dominated"
+            );
+            let scorer = EipvScorer::new(&front, &reference);
+            for i in 0..16u64 {
+                let mean: Vec<f64> = (0..3).map(|_| rng.random_range(0.1..0.9)).collect();
+                let a = Matrix::from_fn(3, 3, |_, _| rng.random_range(-0.12..0.12));
+                let cov = Matrix::from_fn(3, 3, |r, c| {
+                    let dot: f64 = (0..3).map(|k| a[(r, k)] * a[(c, k)]).sum();
+                    dot + if r == c { 0.01 } else { 0.0 }
+                });
+                let p = pred(mean, cov);
+                let chol = Cholesky::new(&p.cov).ok();
+                let seed = 1000 + i;
+                let naive = eipv_correlated_mc_seeded(&p, &front, &reference, 24, seed);
+                let fast = scorer.eipv_mc_seeded(&p, chol.as_ref(), 24, seed);
+                assert!(
+                    (naive - fast).abs() <= 1e-9 * naive.abs().max(1e-12),
+                    "F={f} pred={i}: naive={naive} fast={fast}"
+                );
+            }
         }
     }
 

@@ -16,6 +16,11 @@ pub enum CmmfError {
     Model(gp::GpError),
     /// Design-space construction failed.
     Space(hls_model::ModelError),
+    /// A configuration value is out of its range (e.g. `refit_every = 0`).
+    InvalidConfig {
+        /// Which value, and what it must be.
+        reason: String,
+    },
     /// An internal invariant was violated (a bug, please report).
     Internal {
         /// Description of the violated invariant.
@@ -41,6 +46,7 @@ impl fmt::Display for CmmfError {
             ),
             CmmfError::Model(e) => write!(f, "surrogate model failure: {e}"),
             CmmfError::Space(e) => write!(f, "design space failure: {e}"),
+            CmmfError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             CmmfError::Internal { reason } => write!(f, "internal invariant violated: {reason}"),
             CmmfError::Checkpoint { reason } => write!(f, "checkpoint failure: {reason}"),
         }

@@ -10,16 +10,7 @@ use gp::multifidelity::{
 use gp::{
     FitStats, GpConfig, GpError, HyperoptOptions, MultiTaskGp, MultiTaskPrediction, Prediction,
 };
-use linalg::{Matrix, Workspace};
-
-/// Per-fit options from hyperopt settings the caller holds: the shared
-/// tolerance/precision knobs of `hopts` with the warm seed swapped in.
-fn opts_with(hopts: &HyperoptOptions, seed: Option<&[f64]>) -> HyperoptOptions {
-    HyperoptOptions {
-        warm_start: seed.map(<[f64]>::to_vec),
-        ..hopts.clone()
-    }
-}
+use linalg::Matrix;
 
 /// Number of fidelities (hls, syn, impl).
 pub const N_FIDELITIES: usize = 3;
@@ -79,7 +70,9 @@ pub enum FitMode {
     /// Full fit: re-run the marginal-likelihood hyperparameter search.
     Optimize,
     /// Reuse the previous stack's hyperparameters but rebuild every kernel
-    /// matrix and Cholesky factor from scratch.
+    /// matrix and Cholesky factor from scratch — the reference
+    /// [`FitMode::Extend`] is pinned against; the optimizer loop never
+    /// selects it.
     Refit,
     /// Reuse the previous stack's hyperparameters *and* its cached kernel
     /// matrices/factors, extending them with only the new rows
@@ -108,9 +101,8 @@ impl FitMode {
 
 /// How one [`FidelityModelStack::fit_with`] call should run: the previous
 /// stack + fit mode of [`FidelityModelStack::fit`], plus the cross-step
-/// hyperopt controls the optimizer loop owns
-/// ([`CmmfConfig::warm_start_hyperopt`](crate::CmmfConfig) and
-/// [`CmmfConfig::mixed_precision`](crate::CmmfConfig)).
+/// warm start the optimizer loop owns
+/// ([`CmmfConfig::warm_start_hyperopt`](crate::CmmfConfig)).
 #[derive(Debug, Clone, Copy)]
 pub struct StackFitOptions<'a> {
     /// The previous iteration's stack, if any — the hyperparameter source for
@@ -121,25 +113,20 @@ pub struct StackFitOptions<'a> {
     pub mode: FitMode,
     /// Seed every Optimize-mode hyperparameter search from the matching
     /// sub-model's accepted optimum in `previous`, shedding its restarts when
-    /// the seed already converges (see [`gp::Gp::fit_opts_in`]). Changes the
+    /// the seed already converges (see [`gp::Gp::fit_opts`]). Changes the
     /// searched hyperparameters (never the model structure); ADRS-neutral by
     /// the optimizer's contract tests.
     pub warm_start: bool,
-    /// Route hyperparameter-search NLL evaluations through the toleranced
-    /// f32-screen ([`linalg::mixed`]); the accepted model itself is always
-    /// factorized in f64.
-    pub mixed_precision: bool,
 }
 
 impl<'a> StackFitOptions<'a> {
-    /// Options equivalent to the plain [`FidelityModelStack::fit_in`] call:
-    /// no warm starting, full-f64 search.
+    /// Options equivalent to the plain [`FidelityModelStack::fit`] call: no
+    /// warm starting.
     pub fn new(previous: Option<&'a FidelityModelStack>, mode: FitMode) -> Self {
         StackFitOptions {
             previous,
             mode,
             warm_start: false,
-            mixed_precision: false,
         }
     }
 }
@@ -227,42 +214,14 @@ impl FidelityModelStack {
         previous: Option<&FidelityModelStack>,
         mode: FitMode,
     ) -> Result<Self, CmmfError> {
-        Self::fit_in(variant, data, gp_cfg, previous, mode, Workspace::off())
+        Self::fit_with(variant, data, gp_cfg, &StackFitOptions::new(previous, mode))
     }
 
-    /// [`FidelityModelStack::fit`] with an explicit buffer arena shared by
-    /// every underlying GP fit in the stack (see [`gp::Gp::fit_in`]): the
-    /// Gram/joint-covariance/factor buffers that each fidelity's
-    /// marginal-likelihood search churns through are recycled instead of
-    /// reallocated. Bit-identical to [`FidelityModelStack::fit`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FidelityModelStack::fit`].
-    pub fn fit_in(
-        variant: ModelVariant,
-        data: &FidelityDataSet,
-        gp_cfg: &GpConfig,
-        previous: Option<&FidelityModelStack>,
-        mode: FitMode,
-        ws: &Workspace,
-    ) -> Result<Self, CmmfError> {
-        Self::fit_with(
-            variant,
-            data,
-            gp_cfg,
-            &StackFitOptions::new(previous, mode),
-            ws,
-        )
-    }
-
-    /// [`FidelityModelStack::fit_in`] with explicit [`StackFitOptions`]: with
+    /// [`FidelityModelStack::fit`] with explicit [`StackFitOptions`]: with
     /// `warm_start` set, every Optimize-mode hyperparameter search in the
     /// stack is seeded from the matching sub-model of `opts.previous` (each
-    /// seed is silently dropped when the sub-model shapes differ); with
-    /// `mixed_precision` set, search NLL evaluations run through the
-    /// toleranced f32 screen. With both off this is exactly
-    /// [`FidelityModelStack::fit_in`].
+    /// seed is silently dropped when the sub-model shapes differ). With it
+    /// off this is exactly [`FidelityModelStack::fit`].
     ///
     /// # Errors
     ///
@@ -272,7 +231,6 @@ impl FidelityModelStack {
         data: &FidelityDataSet,
         gp_cfg: &GpConfig,
         opts: &StackFitOptions<'_>,
-        ws: &Workspace,
     ) -> Result<Self, CmmfError> {
         if data.any_empty() {
             return Err(CmmfError::Internal {
@@ -284,32 +242,21 @@ impl FidelityModelStack {
         let warm = (opts.warm_start && matches!(mode, FitMode::Optimize))
             .then_some(previous)
             .flatten();
-        let hopts = HyperoptOptions {
-            mixed_precision: opts.mixed_precision,
-            ..Default::default()
-        };
         match (variant.correlated_objectives, variant.nonlinear_fidelity) {
-            (true, true) => {
-                Self::fit_correlated_nonlinear(data, gp_cfg, previous, mode, warm, &hopts, ws)
-            }
-            (true, false) => {
-                Self::fit_correlated_plain(data, gp_cfg, previous, mode, warm, &hopts, ws)
-            }
+            (true, true) => Self::fit_correlated_nonlinear(data, gp_cfg, previous, mode, warm),
+            (true, false) => Self::fit_correlated_plain(data, gp_cfg, previous, mode, warm),
             (false, nonlinear) => {
-                Self::fit_independent(data, gp_cfg, nonlinear, previous, mode, warm, &hopts, ws)
+                Self::fit_independent(data, gp_cfg, nonlinear, previous, mode, warm)
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn fit_correlated_nonlinear(
         data: &FidelityDataSet,
         gp_cfg: &GpConfig,
         previous: Option<&FidelityModelStack>,
         mode: FitMode,
         warm: Option<&FidelityModelStack>,
-        hopts: &HyperoptOptions,
-        ws: &Workspace,
     ) -> Result<Self, CmmfError> {
         let x_dim = data.xs[0][0].len();
         let prev_parts = match previous {
@@ -326,23 +273,22 @@ impl FidelityModelStack {
         };
         let base = match prev_parts {
             Some((b, _)) if b.dim() == x_dim => match mode {
-                FitMode::Extend => b.extend_in(&data.xs[0], &data.ys[0], ws)?,
-                _ => b.refit_in(&data.xs[0], &data.ys[0], ws)?,
+                FitMode::Extend => b.extend(&data.xs[0], &data.ys[0])?,
+                _ => b.refit(&data.xs[0], &data.ys[0])?,
             },
-            _ => MultiTaskGp::fit_opts_in(
+            _ => MultiTaskGp::fit_opts(
                 Matern52Ard::new(x_dim),
                 &data.xs[0],
                 &data.ys[0],
                 gp_cfg,
-                &opts_with(hopts, warm_parts.and_then(|(b, _)| b.fitted_optimum())),
-                ws,
+                &HyperoptOptions::warm_started(warm_parts.and_then(|(b, _)| b.fitted_optimum())),
             )?,
         };
         let mut uppers: Vec<CorrelatedLevel> = Vec::with_capacity(N_FIDELITIES - 1);
         for f in 1..N_FIDELITIES {
             // Lower-fidelity posterior means at this fidelity's inputs: one
             // batched pass through the levels fitted so far.
-            let prevs = chain_batch(&base, &uppers, &data.xs[f], ws)?
+            let prevs = chain_batch(&base, &uppers, &data.xs[f])?
                 .pop()
                 .ok_or_else(no_chain_level)?;
             // Per-objective linear backbone.
@@ -383,21 +329,19 @@ impl FidelityModelStack {
                     // The augmented inputs shift whenever a lower fidelity
                     // grew; `extend`'s prefix check falls back to a full
                     // refit in that case, so this is always bit-safe.
-                    FitMode::Extend => level.gp.extend_in(&aug, &residuals, ws)?,
-                    _ => level.gp.refit_in(&aug, &residuals, ws)?,
+                    FitMode::Extend => level.gp.extend(&aug, &residuals)?,
+                    _ => level.gp.refit(&aug, &residuals)?,
                 },
-                _ => MultiTaskGp::fit_opts_in(
+                _ => MultiTaskGp::fit_opts(
                     Matern52Grouped::iso_plus_tail(x_dim, N_OBJECTIVES),
                     &aug,
                     &residuals,
                     gp_cfg,
-                    &opts_with(
-                        hopts,
+                    &HyperoptOptions::warm_started(
                         warm_parts
                             .and_then(|(_, us)| us.get(f - 1))
                             .and_then(|l| l.gp.fitted_optimum()),
                     ),
-                    ws,
                 )?,
             };
             uppers.push(CorrelatedLevel { rhos, gp });
@@ -405,15 +349,12 @@ impl FidelityModelStack {
         Ok(FidelityModelStack::CorrelatedNonlinear { base, uppers })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn fit_correlated_plain(
         data: &FidelityDataSet,
         gp_cfg: &GpConfig,
         previous: Option<&FidelityModelStack>,
         mode: FitMode,
         warm: Option<&FidelityModelStack>,
-        hopts: &HyperoptOptions,
-        ws: &Workspace,
     ) -> Result<Self, CmmfError> {
         let x_dim = data.xs[0][0].len();
         let mut fitted = Vec::with_capacity(N_FIDELITIES);
@@ -430,16 +371,17 @@ impl FidelityModelStack {
             };
             let model = match prev_model {
                 Some(m) if m.dim() == x_dim => match mode {
-                    FitMode::Extend => m.extend_in(&data.xs[f], &data.ys[f], ws)?,
-                    _ => m.refit_in(&data.xs[f], &data.ys[f], ws)?,
+                    FitMode::Extend => m.extend(&data.xs[f], &data.ys[f])?,
+                    _ => m.refit(&data.xs[f], &data.ys[f])?,
                 },
-                _ => MultiTaskGp::fit_opts_in(
+                _ => MultiTaskGp::fit_opts(
                     Matern52Ard::new(x_dim),
                     &data.xs[f],
                     &data.ys[f],
                     gp_cfg,
-                    &opts_with(hopts, warm_model.and_then(MultiTaskGp::fitted_optimum)),
-                    ws,
+                    &HyperoptOptions::warm_started(
+                        warm_model.and_then(MultiTaskGp::fitted_optimum),
+                    ),
                 )?,
             };
             fitted.push(model);
@@ -447,7 +389,6 @@ impl FidelityModelStack {
         Ok(FidelityModelStack::CorrelatedPlain(fitted))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn fit_independent(
         data: &FidelityDataSet,
         gp_cfg: &GpConfig,
@@ -455,8 +396,6 @@ impl FidelityModelStack {
         previous: Option<&FidelityModelStack>,
         mode: FitMode,
         warm: Option<&FidelityModelStack>,
-        hopts: &HyperoptOptions,
-        ws: &Workspace,
     ) -> Result<Self, CmmfError> {
         let mf_cfg = MultiFidelityConfig {
             gp: gp_cfg.clone(),
@@ -487,11 +426,9 @@ impl FidelityModelStack {
                     _ => None,
                 };
                 per_obj_nonlinear.push(match (prev, mode) {
-                    (Some(m), FitMode::Extend) => m.extend_in(&levels, ws)?,
-                    (Some(m), _) => m.refit_in(&levels, ws)?,
-                    (None, _) => NonLinearMultiFidelityGp::fit_opts_in(
-                        &levels, &mf_cfg, warm_model, hopts, ws,
-                    )?,
+                    (Some(m), FitMode::Extend) => m.extend(&levels)?,
+                    (Some(m), _) => m.refit(&levels)?,
+                    (None, _) => NonLinearMultiFidelityGp::fit_opts(&levels, &mf_cfg, warm_model)?,
                 });
             } else {
                 let prev = match previous {
@@ -505,11 +442,9 @@ impl FidelityModelStack {
                     _ => None,
                 };
                 per_obj_linear.push(match (prev, mode) {
-                    (Some(m), FitMode::Extend) => m.extend_in(&levels, ws)?,
-                    (Some(m), _) => m.refit_in(&levels, ws)?,
-                    (None, _) => {
-                        LinearMultiFidelityGp::fit_opts_in(&levels, &mf_cfg, warm_model, hopts, ws)?
-                    }
+                    (Some(m), FitMode::Extend) => m.extend(&levels)?,
+                    (Some(m), _) => m.refit(&levels)?,
+                    (None, _) => LinearMultiFidelityGp::fit_opts(&levels, &mf_cfg, warm_model)?,
                 });
             }
         }
@@ -528,22 +463,7 @@ impl FidelityModelStack {
     /// [`CmmfError::Model`] on dimension mismatches, or
     /// [`CmmfError::Internal`] for an out-of-range fidelity.
     pub fn predict(&self, f: usize, x: &[f64]) -> Result<MultiTaskPrediction, CmmfError> {
-        self.predict_in(f, x, Workspace::off())
-    }
-
-    /// [`FidelityModelStack::predict`] with an explicit buffer arena: the
-    /// batch of one of [`FidelityModelStack::predict_batch_in`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FidelityModelStack::predict`].
-    pub fn predict_in(
-        &self,
-        f: usize,
-        x: &[f64],
-        ws: &Workspace,
-    ) -> Result<MultiTaskPrediction, CmmfError> {
-        self.predict_batch_in(f, &[x.to_vec()], ws)?
+        self.predict_batch(f, &[x.to_vec()])?
             .pop()
             .ok_or_else(|| CmmfError::Internal {
                 reason: "batch prediction returned nothing for one query".into(),
@@ -553,21 +473,8 @@ impl FidelityModelStack {
     /// Joint posteriors at fidelity `f` for many encoded inputs at once.
     /// Bit-identical to mapping [`FidelityModelStack::predict`] over `xs`.
     ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FidelityModelStack::predict`].
-    pub fn predict_batch(
-        &self,
-        f: usize,
-        xs: &[Vec<f64>],
-    ) -> Result<Vec<MultiTaskPrediction>, CmmfError> {
-        self.predict_batch_in(f, xs, Workspace::off())
-    }
-
-    /// [`FidelityModelStack::predict_batch`] with an explicit buffer arena.
-    ///
     /// The correlated variants batch for real: the plain stack runs one
-    /// chunked [`MultiTaskGp::predict_batch_in`], and the non-linear chain
+    /// chunked [`MultiTaskGp::predict_batch`], and the non-linear chain
     /// propagates level-synchronously — all points' sigma points are stacked
     /// into a single level-GP batch per level, so each traversal of a level's
     /// `nM × nM` factor serves a wide column block instead of one sigma point
@@ -579,11 +486,10 @@ impl FidelityModelStack {
     /// # Errors
     ///
     /// Same conditions as [`FidelityModelStack::predict`].
-    pub fn predict_batch_in(
+    pub fn predict_batch(
         &self,
         f: usize,
         xs: &[Vec<f64>],
-        ws: &Workspace,
     ) -> Result<Vec<MultiTaskPrediction>, CmmfError> {
         if f >= N_FIDELITIES {
             return Err(CmmfError::Internal {
@@ -592,11 +498,11 @@ impl FidelityModelStack {
         }
         match self {
             FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
-                chain_batch(base, &uppers[..f.min(uppers.len())], xs, ws)?
+                chain_batch(base, &uppers[..f.min(uppers.len())], xs)?
                     .pop()
                     .ok_or_else(no_chain_level)
             }
-            FidelityModelStack::CorrelatedPlain(models) => Ok(models[f].predict_batch_in(xs, ws)?),
+            FidelityModelStack::CorrelatedPlain(models) => Ok(models[f].predict_batch(xs)?),
             FidelityModelStack::IndependentLinear(per_obj) => Ok(xs
                 .iter()
                 .map(|x| diagonal(per_obj.iter().map(|m| m.predict(f, x))))
@@ -620,17 +526,13 @@ impl FidelityModelStack {
     /// # Errors
     ///
     /// Same conditions as [`FidelityModelStack::predict`].
-    pub fn predict_all_in(
-        &self,
-        xs: &[Vec<f64>],
-        ws: &Workspace,
-    ) -> Result<Vec<Vec<MultiTaskPrediction>>, CmmfError> {
+    pub fn predict_all(&self, xs: &[Vec<f64>]) -> Result<Vec<Vec<MultiTaskPrediction>>, CmmfError> {
         let levels = match self {
             FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
-                chain_batch(base, uppers, xs, ws)?
+                chain_batch(base, uppers, xs)?
             }
             _ => (0..N_FIDELITIES)
-                .map(|f| self.predict_batch_in(f, xs, ws))
+                .map(|f| self.predict_batch(f, xs))
                 .collect::<Result<_, _>>()?,
         };
         Ok(per_point(levels, xs.len()))
@@ -706,12 +608,11 @@ fn chain_batch(
     base: &MultiTaskGp<Matern52Ard>,
     uppers: &[CorrelatedLevel],
     xs: &[Vec<f64>],
-    ws: &Workspace,
 ) -> Result<Vec<Vec<MultiTaskPrediction>>, CmmfError> {
     let mut levels = Vec::with_capacity(uppers.len() + 1);
-    let mut preds = base.predict_batch_in(xs, ws)?;
+    let mut preds = base.predict_batch(xs)?;
     for level in uppers {
-        let next = propagate_unscented_batch(level, xs, &preds, ws)?;
+        let next = propagate_unscented_batch(level, xs, &preds)?;
         levels.push(std::mem::replace(&mut preds, next));
     }
     levels.push(preds);
@@ -775,7 +676,6 @@ fn propagate_unscented_batch(
     level: &CorrelatedLevel,
     xs: &[Vec<f64>],
     lowers: &[MultiTaskPrediction],
-    ws: &Workspace,
 ) -> Result<Vec<MultiTaskPrediction>, CmmfError> {
     let lambda = 1.0;
 
@@ -813,7 +713,7 @@ fn propagate_unscented_batch(
         mean: Vec<f64>,
         cov: Matrix,
     }
-    let mut qs = level.gp.predict_batch_in(&aug, ws)?.into_iter();
+    let mut qs = level.gp.predict_batch(&aug)?.into_iter();
 
     let mut out = Vec::with_capacity(lowers.len());
     for (lower, sigma_points) in lowers.iter().zip(&sigma_sets) {
@@ -937,9 +837,7 @@ mod tests {
         for variant in all_variants() {
             let stack = FidelityModelStack::fit(variant, &data, &cfg, None, FitMode::Optimize)
                 .unwrap_or_else(|e| panic!("{}: {e}", variant.name()));
-            let all = stack
-                .predict_all_in(&xs, Workspace::off())
-                .expect("chain pass predicts");
+            let all = stack.predict_all(&xs).expect("chain pass predicts");
             assert_eq!(all.len(), xs.len(), "{}", variant.name());
             for f in 0..N_FIDELITIES {
                 let batch = stack.predict_batch(f, &xs).expect("batch predicts");
@@ -1068,43 +966,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_in_with_arena_matches_fit_bitwise_for_all_variants() {
-        let data = synthetic();
-        let cfg = quick_cfg();
-        for variant in all_variants() {
-            let plain =
-                FidelityModelStack::fit(variant, &data, &cfg, None, FitMode::Optimize).unwrap();
-            let ws = Workspace::new();
-            let pooled =
-                FidelityModelStack::fit_in(variant, &data, &cfg, None, FitMode::Optimize, &ws)
-                    .unwrap();
-            for f in 0..N_FIDELITIES {
-                for i in 0..5 {
-                    let x = [i as f64 / 4.0];
-                    let a = plain.predict(f, &x).unwrap();
-                    let b = pooled.predict_in(f, &x, &ws).unwrap();
-                    for o in 0..N_OBJECTIVES {
-                        assert_eq!(
-                            a.mean[o].to_bits(),
-                            b.mean[o].to_bits(),
-                            "{} f={f} x={x:?} obj={o}",
-                            variant.name()
-                        );
-                        for u in 0..N_OBJECTIVES {
-                            assert_eq!(
-                                a.cov[(o, u)].to_bits(),
-                                b.cov[(o, u)].to_bits(),
-                                "{} f={f} x={x:?} cov ({o},{u})",
-                                variant.name()
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn out_of_range_fidelity_errors() {
         let data = synthetic();
         let stack = FidelityModelStack::fit(
@@ -1195,7 +1056,6 @@ mod tests {
                     warm_start: true,
                     ..StackFitOptions::new(Some(&cold), FitMode::Optimize)
                 },
-                Workspace::off(),
             )
             .unwrap();
             let (cs, ws) = (cold.fit_stats(), warm.fit_stats());

@@ -1,7 +1,7 @@
 //! The overall optimization flow of Algorithm 2.
 
 use crate::checkpoint::{PickRecord, RunCheckpoint, CHECKPOINT_VERSION};
-use crate::eipv::{eipv_correlated_mc_seeded, peipv, EipvScorer};
+use crate::eipv::{peipv, EipvScorer};
 use crate::models::{
     FidelityDataSet, FidelityModelStack, FitMode, ModelVariant, StackFitOptions, N_OBJECTIVES,
 };
@@ -9,7 +9,7 @@ use crate::CmmfError;
 use fidelity_sim::{FlowSimulator, RunOutcome, Stage};
 use gp::{GpConfig, MultiTaskPrediction};
 use hls_model::DesignSpace;
-use linalg::{Cholesky, Workspace};
+use linalg::Cholesky;
 use pareto::{hypervolume, pareto_front};
 use rand::derive_stream_seed;
 use rand::rngs::StdRng;
@@ -65,29 +65,11 @@ pub struct CmmfConfig {
     /// units) is below this threshold — paying for a measurement the model
     /// can already predict adds nothing. Set to 0 to disable.
     pub escalate_threshold: f64,
-    /// Re-optimize GP hyperparameters every this many steps (cheap
-    /// hyperparameter-reusing refits in between).
+    /// Re-optimize GP hyperparameters every this many steps, at least 1
+    /// (in between, hyperparameter-reusing steps extend the cached kernel
+    /// matrices and Cholesky factors with only the new rows,
+    /// [`FitMode::Extend`]). A value above `n_iter` optimizes once, at step 0.
     pub refit_every: usize,
-    /// On the hyperparameter-reusing steps, extend the cached kernel matrices
-    /// and Cholesky factors with only the new rows ([`FitMode::Extend`],
-    /// `O(n²·k)`) instead of rebuilding them from scratch ([`FitMode::Refit`],
-    /// `O(n³)`). Bit-identical results either way — this flag exists so the
-    /// equivalence can be pinned by tests and measured by benches.
-    pub incremental: bool,
-    /// Score candidates through the cell-indexed acquisition scorer
-    /// ([`EipvScorer`]): each fidelity's fantasy front is decomposed once per
-    /// step into the Eq. 7–8 grid ([`pareto::FrontIndex`]) and shared by
-    /// every candidate, so a Monte-Carlo draw costs an `O(m·log F)` oracle
-    /// query instead of a from-scratch hypervolume; the predictive-covariance
-    /// Cholesky factors are likewise computed once per (candidate, fidelity)
-    /// and shared across batch slots. `false` is the naive per-draw
-    /// [`pareto::hypervolume_contribution`] path, kept as an escape hatch so
-    /// the equivalence can be pinned by tests and measured by benches — the
-    /// two paths see identical posterior draws and agree per query to float
-    /// rounding (≤ 1e-12), which makes every discrete decision (chosen
-    /// configs, stages) identical; acquisition values may differ in the last
-    /// bits (see `indexed_eipv_matches_naive_path`).
-    pub indexed_eipv: bool,
     /// Simulated tool runs kept in flight by the asynchronous scheduler
     /// ([`crate::AsyncOptimizer`]); 0 behaves like 1 (fully serialized
     /// dispatch). The sequential [`Optimizer`] ignores this field, but it is
@@ -107,17 +89,6 @@ pub struct CmmfConfig {
     /// so **any thread count yields a bit-identical [`RunResult`]** — see
     /// DESIGN.md, "Determinism & parallelism".
     pub threads: usize,
-    /// Recycle the surrogate layer's large buffers (Gram matrices, joint
-    /// covariances, Cholesky factors, solve scratch) through a run-scoped
-    /// [`linalg::Workspace`] arena instead of the allocator. Pooling is
-    /// result-transparent by construction — recycled buffers are returned
-    /// zero-filled, exactly as fresh allocations would be — so this flag
-    /// changes no decision or value (pinned by
-    /// `arena_does_not_change_the_result`); like `threads` and `tracer` it is
-    /// excluded from checkpoint fingerprints. `false` is the escape hatch
-    /// that allocates every buffer fresh, kept so the equivalence can be
-    /// pinned by tests and the reuse measured by benches.
-    pub arena: bool,
     /// Seed each full hyperparameter re-optimization (the `refit_every`
     /// schedule's Optimize steps) from the previous Optimize step's accepted
     /// optima, shedding the cold multi-start when the warm run already
@@ -130,15 +101,6 @@ pub struct CmmfConfig {
     /// fingerprints: a resumed run replays its Optimize chain from step 0,
     /// so the flag may differ between save and resume.
     pub warm_start_hyperopt: bool,
-    /// Route hyperparameter-search NLL evaluations through the toleranced
-    /// f32-Cholesky + f64-iterative-refinement screen ([`linalg::mixed`]).
-    /// Only the *search* is screened — the accepted model is always
-    /// factorized in full f64 — but the screen is toleranced, not
-    /// bit-identical (`linalg::mixed::NLL_RELATIVE_TOLERANCE`), so the
-    /// search can land on different hyperparameters; default **off**.
-    /// Excluded from checkpoint fingerprints for the same replay reason as
-    /// `warm_start_hyperopt`.
-    pub mixed_precision: bool,
     /// Per-model GP fitting configuration.
     pub gp: GpConfig,
     /// Master seed: fixes initialization, candidate pools, and EIPV sampling.
@@ -172,13 +134,9 @@ impl Default for CmmfConfig {
             final_prediction_pool: 4000,
             escalate_threshold: 0.05,
             refit_every: 5,
-            incremental: true,
-            indexed_eipv: true,
             async_slots: 0,
             threads: 0,
-            arena: true,
             warm_start_hyperopt: true,
-            mixed_precision: false,
             gp: GpConfig {
                 restarts: 2,
                 max_evals: 450,
@@ -268,9 +226,6 @@ pub(crate) struct LoopState<'a> {
     /// scheduler, which records dispatch-ordered picks instead.
     pub(crate) picks: Vec<Vec<PickRecord>>,
     pub(crate) stack: Option<FidelityModelStack>,
-    /// Run-scoped buffer arena threaded through every surrogate fit and
-    /// batch prediction (disabled pass-through when `cfg.arena` is off).
-    pub(crate) ws: Workspace,
     pub(crate) hv_history: Vec<[f64; 3]>,
     /// Steps completed so far (the next step index to run).
     pub(crate) steps_done: usize,
@@ -293,7 +248,9 @@ pub(crate) struct CandidatePrep {
     pub(crate) pool: Vec<usize>,
     /// Posterior prediction per candidate and fidelity.
     pub(crate) preds: Vec<Vec<MultiTaskPrediction>>,
-    /// Predictive-covariance Cholesky factors (indexed scorer path only).
+    /// Predictive-covariance Cholesky factors per candidate and fidelity,
+    /// shared across scoring slots (`None` where the covariance is
+    /// numerically singular).
     pub(crate) chols: Vec<Vec<Option<Cholesky>>>,
 }
 
@@ -325,16 +282,12 @@ impl<'a> LoopState<'a> {
                 reason: "initialization sizes must be nested and non-zero".into(),
             });
         }
-        Ok(())
-    }
-
-    /// The run's buffer arena per [`CmmfConfig::arena`].
-    pub(crate) fn workspace_for(cfg: &CmmfConfig) -> Workspace {
-        if cfg.arena {
-            Workspace::new()
-        } else {
-            Workspace::disabled()
+        if cfg.refit_every == 0 {
+            return Err(CmmfError::InvalidConfig {
+                reason: "refit_every must be at least 1".into(),
+            });
         }
+        Ok(())
     }
 
     /// The top stage of the `rank`-th initialization configuration (the first
@@ -380,7 +333,6 @@ impl<'a> LoopState<'a> {
             candidate_set: Vec::with_capacity(cfg.n_iter),
             picks: Vec::with_capacity(cfg.n_iter),
             stack: None,
-            ws: Self::workspace_for(cfg),
             hv_history: Vec::with_capacity(cfg.n_iter),
             steps_done: 0,
             replaying: false,
@@ -491,7 +443,6 @@ impl<'a> LoopState<'a> {
             candidate_set: Vec::with_capacity(cfg.n_iter),
             picks: ckpt.picks.clone(),
             stack: None,
-            ws: Self::workspace_for(cfg),
             hv_history: ckpt
                 .hv_history_bits
                 .iter()
@@ -504,40 +455,14 @@ impl<'a> LoopState<'a> {
             state.observe(c, Self::init_top_stage(cfg, rank), None);
         }
         // Replay the completed steps. Observations replay in full (they feed
-        // every later fit); surrogate fits replay only from the last
-        // `FitMode::Optimize` step, whose fit does not depend on the previous
-        // stack — the cheap refits after it chain off its caches exactly as
-        // the interrupted run's did. With `warm_start_hyperopt` the Optimize
-        // fits themselves chain (each seeds from the previous fitted
-        // optimum), so the whole fit history must replay from step 0 to
-        // reproduce the interrupted run bit-for-bit.
-        let refit_from = if completed == 0 || cfg.warm_start_hyperopt {
-            0
-        } else {
-            ((completed - 1) / cfg.refit_every.max(1)) * cfg.refit_every.max(1)
-        };
+        // every later fit); surrogate fits replay from `replay_from` on, and
+        // the cheap refits after it chain off its caches exactly as the
+        // interrupted run's did.
+        let refit_from = Self::replay_from(cfg, completed);
         for (t, step_picks) in ckpt.picks.iter().enumerate() {
             if t >= refit_from {
                 let (data, _, _) = state.training_data();
-                let mode = if t.is_multiple_of(cfg.refit_every) {
-                    FitMode::Optimize
-                } else if cfg.incremental {
-                    FitMode::Extend
-                } else {
-                    FitMode::Refit
-                };
-                state.stack = Some(FidelityModelStack::fit_with(
-                    cfg.variant,
-                    &data,
-                    &cfg.gp,
-                    &StackFitOptions {
-                        previous: state.stack.as_ref(),
-                        mode,
-                        warm_start: cfg.warm_start_hyperopt,
-                        mixed_precision: cfg.mixed_precision,
-                    },
-                    &state.ws,
-                )?);
+                state.stack = Some(state.fit_stack(&data, t)?);
             }
             for p in step_picks {
                 let stage =
@@ -604,7 +529,7 @@ impl<'a> LoopState<'a> {
         // cell decomposition is built once *outside* the per-candidate
         // fan-out below and shared by every candidate and MC draw.
         // Rebuilt only when a fantasy update actually changes the front.
-        let mut scorers = Self::build_scorers(cfg, &fronts, &reference);
+        let mut scorers = Self::build_scorers(&fronts, &reference);
 
         // Select a batch of `batch_size` (candidate, fidelity) pairs
         // (lines 7-11; batch > 1 models parallel tool instances). The
@@ -624,15 +549,7 @@ impl<'a> LoopState<'a> {
         for q in 0..cfg.batch_size.max(1) {
             let slot_started = tracer.enabled().then(Stopwatch::start);
             let q_seed = derive_stream_seed(step_seed, &[q as u64]);
-            let Some(sel) = self.select_pick(
-                &prep,
-                &scorers,
-                &fantasy_fronts,
-                &reference,
-                q_seed,
-                &picked,
-            )?
-            else {
+            let Some(sel) = self.select_pick(&prep, &scorers, q_seed, &picked)? else {
                 break;
             };
             let choice = sel.choice;
@@ -662,8 +579,8 @@ impl<'a> LoopState<'a> {
             // outcome actually changed the front (a dominated fantasy
             // leaves it untouched) and another batch slot will read it.
             if new_front != fantasy_fronts[fi] {
-                if scorers[fi].is_some() && q + 1 < cfg.batch_size.max(1) {
-                    scorers[fi] = Some(EipvScorer::new(&new_front, &reference));
+                if q + 1 < cfg.batch_size.max(1) {
+                    scorers[fi] = EipvScorer::new(&new_front, &reference);
                 }
                 fantasy_fronts[fi] = new_front;
             }
@@ -720,25 +637,13 @@ impl<'a> LoopState<'a> {
         let cfg = self.cfg;
         let tracer = &cfg.tracer;
         let (data, _, _) = self.training_data();
-        let mode = Self::fit_mode(cfg, t);
         let fit_started = tracer.enabled().then(Stopwatch::start);
-        let new_stack = FidelityModelStack::fit_with(
-            cfg.variant,
-            &data,
-            &cfg.gp,
-            &StackFitOptions {
-                previous: self.stack.as_ref(),
-                mode,
-                warm_start: cfg.warm_start_hyperopt,
-                mixed_precision: cfg.mixed_precision,
-            },
-            &self.ws,
-        )?;
+        let new_stack = self.fit_stack(&data, t)?;
         tracer.emit(|| {
             let stats = new_stack.fit_stats();
             TraceEvent::ModelFit {
                 step: t,
-                fit_mode: mode.name(),
+                fit_mode: Self::fit_mode(cfg, t).name(),
                 seconds: fit_started.map_or(0.0, |s| s.seconds()),
                 nll_evals: stats.nll_evals,
                 restarts_run: stats.restarts_run,
@@ -751,15 +656,46 @@ impl<'a> LoopState<'a> {
     }
 
     /// The `refit_every` schedule: a full hyperparameter re-optimization on
-    /// multiples of `refit_every`, cheap hyperparameter-reusing refits
-    /// (incremental when configured) in between.
-    pub(crate) fn fit_mode(cfg: &CmmfConfig, t: usize) -> FitMode {
+    /// multiples of `refit_every`, cheap incremental refits in between.
+    fn fit_mode(cfg: &CmmfConfig, t: usize) -> FitMode {
         if t.is_multiple_of(cfg.refit_every) {
             FitMode::Optimize
-        } else if cfg.incremental {
-            FitMode::Extend
         } else {
-            FitMode::Refit
+            FitMode::Extend
+        }
+    }
+
+    /// Fits step `t`'s surrogate stack on `data` under the `refit_every`
+    /// schedule, chaining off the installed stack. The live step and both
+    /// loops' checkpoint replays fit through here, so a replayed fit is the
+    /// fit the interrupted run made.
+    pub(crate) fn fit_stack(
+        &self,
+        data: &FidelityDataSet,
+        t: usize,
+    ) -> Result<FidelityModelStack, CmmfError> {
+        let cfg = self.cfg;
+        FidelityModelStack::fit_with(
+            cfg.variant,
+            data,
+            &cfg.gp,
+            &StackFitOptions {
+                previous: self.stack.as_ref(),
+                mode: Self::fit_mode(cfg, t),
+                warm_start: cfg.warm_start_hyperopt,
+            },
+        )
+    }
+
+    /// The first of `fits` completed fits a checkpoint replay must redo to
+    /// reproduce them bit for bit: the last `FitMode::Optimize` fit, which
+    /// does not depend on the stack before it — or the very first fit when
+    /// warm starts chain the Optimize fits together.
+    pub(crate) fn replay_from(cfg: &CmmfConfig, fits: usize) -> usize {
+        if fits == 0 || cfg.warm_start_hyperopt {
+            0
+        } else {
+            ((fits - 1) / cfg.refit_every) * cfg.refit_every
         }
     }
 
@@ -794,39 +730,26 @@ impl<'a> LoopState<'a> {
         // One batched pass up the fidelity chain answers all three
         // fidelities (each reuses the one below), in the per-candidate
         // layout the scorers index. Bit-identical to per-candidate
-        // `predict_in` calls.
-        let preds = stack.predict_all_in(&encoded, &self.ws)?;
-        // On the indexed path the predictive-covariance factors are also
-        // per-step invariants: factor each candidate's M x M covariance
-        // once and share it across scoring slots (the naive path factors
-        // inside each scoring call, exactly as before).
-        let chols: Vec<Vec<Option<Cholesky>>> = if cfg.indexed_eipv {
-            preds
-                .par_iter()
-                .with_min_len(8)
-                .map(|preds| preds.iter().map(|p| Cholesky::new(&p.cov).ok()).collect())
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // `predict` calls.
+        let preds = stack.predict_all(&encoded)?;
+        // The predictive-covariance factors are per-step invariants too:
+        // factor each candidate's M x M covariance once and share it across
+        // scoring slots.
+        let chols: Vec<Vec<Option<Cholesky>>> = preds
+            .par_iter()
+            .with_min_len(8)
+            .map(|preds| preds.iter().map(|p| Cholesky::new(&p.cov).ok()).collect())
+            .collect();
         Ok(Some(CandidatePrep { pool, preds, chols }))
     }
 
-    /// Cell-indexed acquisition scorers per fidelity (or `None`s on the naive
-    /// path), decomposing each front once for all candidates and MC draws.
-    pub(crate) fn build_scorers(
-        cfg: &CmmfConfig,
-        fronts: &[Vec<Vec<f64>>],
-        reference: &[f64],
-    ) -> Vec<Option<EipvScorer>> {
-        if cfg.indexed_eipv {
-            fronts
-                .iter()
-                .map(|f| Some(EipvScorer::new(f, reference)))
-                .collect()
-        } else {
-            vec![None; 3]
-        }
+    /// Cell-indexed acquisition scorers per fidelity, decomposing each front
+    /// once for all candidates and MC draws.
+    pub(crate) fn build_scorers(fronts: &[Vec<Vec<f64>>], reference: &[f64]) -> Vec<EipvScorer> {
+        fronts
+            .iter()
+            .map(|f| EipvScorer::new(f, reference))
+            .collect()
     }
 
     /// One greedy q-EIPV argmax over the prepared pool: scores every
@@ -838,9 +761,7 @@ impl<'a> LoopState<'a> {
     pub(crate) fn select_pick(
         &self,
         prep: &CandidatePrep,
-        scorers: &[Option<EipvScorer>],
-        fantasy: &[Vec<Vec<f64>>],
-        reference: &[f64],
+        scorers: &[EipvScorer],
         q_seed: u64,
         exclude: &[CandidateChoice],
     ) -> Result<Option<SelectedPick>, CmmfError> {
@@ -865,21 +786,12 @@ impl<'a> LoopState<'a> {
                     let f = stage.index();
                     let pred = &cand_preds[idx][f];
                     let seed = derive_stream_seed(q_seed, &[c as u64, f as u64]);
-                    let raw = match &scorers[f] {
-                        Some(scorer) => scorer.eipv_mc_seeded(
-                            pred,
-                            cand_chols[idx][f].as_ref(),
-                            cfg.mc_samples,
-                            seed,
-                        ),
-                        None => eipv_correlated_mc_seeded(
-                            pred,
-                            &fantasy[f],
-                            reference,
-                            cfg.mc_samples,
-                            seed,
-                        ),
-                    };
+                    let raw = scorers[f].eipv_mc_seeded(
+                        pred,
+                        cand_chols[idx][f].as_ref(),
+                        cfg.mc_samples,
+                        seed,
+                    );
                     let score = if cfg.use_cost_penalty {
                         peipv(
                             raw,
@@ -989,14 +901,13 @@ impl<'a> LoopState<'a> {
                 self.unsampled.shuffle(&mut self.rng);
                 let pool_len = cfg.final_prediction_pool.min(self.unsampled.len());
                 let pool = &self.unsampled[..pool_len];
-                let ws = &self.ws;
                 let encoded: Vec<Vec<f64>> = pool
                     .par_iter()
                     .with_min_len(16)
                     .map(|&c| space.encode(c))
                     .collect();
                 let preds: Vec<Vec<f64>> = stack
-                    .predict_batch_in(2, &encoded, ws)?
+                    .predict_batch(2, &encoded)?
                     .into_iter()
                     .map(|p| p.mean)
                     .collect();
@@ -1413,45 +1324,6 @@ mod tests {
             let parallel = run_with(threads);
             assert_same_result(&serial, &parallel, &format!("threads={threads}"));
         }
-
-        // The same contract holds on the naive acquisition escape hatch
-        // (`indexed_eipv = false`), which shares the seeded chunked sampler.
-        let run_naive = |threads: usize| {
-            let mut cfg = quick_cfg(11);
-            cfg.indexed_eipv = false;
-            cfg.threads = threads;
-            Optimizer::new(cfg).run(&space, &sim).unwrap()
-        };
-        let naive_serial = run_naive(1);
-        let naive_parallel = run_naive(rayon::hardware_threads().max(2));
-        assert_eq!(naive_serial.candidate_set, naive_parallel.candidate_set);
-        assert_eq!(
-            naive_serial.sim_seconds.to_bits(),
-            naive_parallel.sim_seconds.to_bits()
-        );
-        assert_eq!(naive_serial.hv_history, naive_parallel.hv_history);
-    }
-
-    #[test]
-    fn arena_does_not_change_the_result() {
-        // The contract behind `CmmfConfig::arena`: pooled buffers come back
-        // zero-filled, exactly like fresh allocations, so which recycled
-        // buffer a fit or prediction receives — which varies with thread
-        // interleaving — cannot influence any computed value. A pooled run
-        // must be bit-identical to a fresh-allocation run at any thread
-        // count.
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let run_with = |arena: bool, threads: usize| {
-            let mut cfg = quick_cfg(47);
-            cfg.arena = arena;
-            cfg.threads = threads;
-            Optimizer::new(cfg).run(&space, &sim).unwrap()
-        };
-        let fresh = run_with(false, 1);
-        for threads in [1, 2] {
-            let pooled = run_with(true, threads);
-            assert_same_result(&fresh, &pooled, &format!("arena threads={threads}"));
-        }
     }
 
     #[test]
@@ -1562,70 +1434,11 @@ mod tests {
             Optimizer::new(other.clone()).resume(&ckpt, &space, &sim),
             Err(CmmfError::Checkpoint { .. })
         ));
-        // threads, arena, and tracer do not participate in the fingerprint.
+        // threads and tracer do not participate in the fingerprint.
         other.seed = 41;
         other.threads = 2;
-        other.arena = false;
         other.tracer = TracerHandle::new(Arc::new(MemoryTracer::new()));
         assert!(Optimizer::new(other).resume(&ckpt, &space, &sim).is_ok());
-    }
-
-    #[test]
-    fn indexed_eipv_matches_naive_path() {
-        // Equivalence contract behind `CmmfConfig::indexed_eipv`: both paths
-        // draw identical posterior samples, and the cell-indexed oracle
-        // agrees with the from-scratch hypervolume contribution to float
-        // rounding (≤ 1e-12 per query, documented in `pareto::FrontIndex`).
-        // Every discrete decision must therefore coincide — chosen configs,
-        // stages, simulated cost, measured front — while the acquisition
-        // values may differ in the last bits; they are compared at 1e-9
-        // relative. Holds at any thread count.
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let run_with = |indexed: bool, threads: usize| {
-            let mut cfg = quick_cfg(29);
-            cfg.indexed_eipv = indexed;
-            cfg.threads = threads;
-            Optimizer::new(cfg).run(&space, &sim).unwrap()
-        };
-        let naive = run_with(false, 1);
-        for threads in [1, rayon::hardware_threads().max(2)] {
-            let fast = run_with(true, threads);
-            assert_eq!(naive.candidate_set.len(), fast.candidate_set.len());
-            for (a, b) in naive.candidate_set.iter().zip(&fast.candidate_set) {
-                assert_eq!(a.config, b.config, "threads={threads}");
-                assert_eq!(a.stage, b.stage, "threads={threads}");
-                assert!(
-                    (a.acquisition - b.acquisition).abs() <= 1e-9 * a.acquisition.abs().max(1e-12),
-                    "threads={threads}: acquisition {} vs {}",
-                    a.acquisition,
-                    b.acquisition
-                );
-            }
-            assert_eq!(naive.evaluated_configs, fast.evaluated_configs);
-            assert_eq!(naive.measured_pareto, fast.measured_pareto);
-            assert_eq!(naive.sim_seconds.to_bits(), fast.sim_seconds.to_bits());
-            assert_eq!(naive.hv_history, fast.hv_history);
-        }
-    }
-
-    #[test]
-    fn incremental_updates_do_not_change_the_result() {
-        // The contract behind `CmmfConfig::incremental`: extending the cached
-        // Cholesky factors on hyperparameter-reusing steps runs the exact
-        // same recurrence as refactorizing from scratch, so the full
-        // `RunResult` must agree bit-for-bit — at any thread count.
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let run_with = |incremental: bool, threads: usize| {
-            let mut cfg = quick_cfg(19);
-            cfg.incremental = incremental;
-            cfg.threads = threads;
-            Optimizer::new(cfg).run(&space, &sim).unwrap()
-        };
-        let full = run_with(false, 1);
-        for threads in [1, rayon::hardware_threads().max(2)] {
-            let fast = run_with(true, threads);
-            assert_same_result(&full, &fast, &format!("threads={threads}"));
-        }
     }
 
     /// Sums warm-start telemetry over a journal's `ModelFit` events.
@@ -1708,15 +1521,13 @@ mod tests {
 
     #[test]
     fn hyperopt_speed_flags_stay_out_of_the_fingerprint() {
-        // `warm_start_hyperopt` and `mixed_precision` are deliberately
-        // excluded from the checkpoint fingerprint: restore replays the full
-        // fit chain under the *resuming* process's flags, so a checkpoint
-        // from either setting resumes under the other (see
-        // `RunCheckpoint::fingerprint_of`).
+        // `warm_start_hyperopt` is deliberately excluded from the checkpoint
+        // fingerprint: restore replays the full fit chain under the
+        // *resuming* process's flag, so a checkpoint from either setting
+        // resumes under the other (see `RunCheckpoint::fingerprint_of`).
         let base = quick_cfg(71);
         let mut flipped = quick_cfg(71);
         flipped.warm_start_hyperopt = !base.warm_start_hyperopt;
-        flipped.mixed_precision = !base.mixed_precision;
         assert_eq!(
             RunCheckpoint::fingerprint_of(&base),
             RunCheckpoint::fingerprint_of(&flipped)
@@ -1724,22 +1535,6 @@ mod tests {
         let (space, sim) = setup(Benchmark::SpmvCrs);
         let ckpt = Optimizer::new(base).run_until(&space, &sim, 1).unwrap();
         assert!(Optimizer::new(flipped).resume(&ckpt, &space, &sim).is_ok());
-    }
-
-    #[test]
-    fn mixed_precision_run_completes_sanely() {
-        // `mixed_precision` screens NLL evaluations through the f32 +
-        // refinement factorization; accepted hyperparameters always get a
-        // final f64 factorize. The run must complete with a sane front —
-        // the toleranced numeric contract itself lives in `cmmf-gp`
-        // (`mixed_precision_screen_stays_within_tolerance`).
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let mut cfg = quick_cfg(73);
-        cfg.mixed_precision = true;
-        let r = Optimizer::new(cfg).run(&space, &sim).unwrap();
-        assert_eq!(r.candidate_set.len(), 6);
-        assert!(!r.measured_pareto.is_empty());
-        assert!(r.hv_history.iter().flatten().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -1851,6 +1646,30 @@ mod tests {
             Optimizer::new(cfg).run(&space, &sim),
             Err(CmmfError::SpaceTooSmall { .. })
         ));
+    }
+
+    #[test]
+    fn zero_refit_every_is_rejected() {
+        // `refit_every = 0` would optimize only at step 0, a schedule the
+        // checkpoint replay cannot reproduce; `refit_every > n_iter` gives
+        // that schedule. Every entry point rejects it before any work.
+        let (space, sim) = setup(Benchmark::SpmvCrs);
+        let mut cfg = quick_cfg(9);
+        cfg.refit_every = 0;
+        let ckpt = Optimizer::new(quick_cfg(9))
+            .run_until(&space, &sim, 1)
+            .unwrap();
+        let opt = Optimizer::new(cfg);
+        for result in [
+            opt.run(&space, &sim).map(|_| ()),
+            opt.run_until(&space, &sim, 1).map(|_| ()),
+            opt.resume(&ckpt, &space, &sim).map(|_| ()),
+        ] {
+            assert!(
+                matches!(result, Err(CmmfError::InvalidConfig { .. })),
+                "{result:?}"
+            );
+        }
     }
 
     #[test]

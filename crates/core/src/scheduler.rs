@@ -34,7 +34,7 @@
 //! checkpoint's redundant copy (see [`RunCheckpoint::in_flight`]).
 
 use crate::checkpoint::{PickRecord, RunCheckpoint, ScheduleEvent, CHECKPOINT_VERSION};
-use crate::models::{FidelityModelStack, StackFitOptions, N_OBJECTIVES};
+use crate::models::N_OBJECTIVES;
 use crate::optimizer::{with_pool, CandidateChoice, CmmfConfig, LoopState, RunResult};
 use crate::CmmfError;
 use fidelity_sim::{FlowSimulator, Stage};
@@ -204,7 +204,7 @@ impl<'a> AsyncState<'a> {
         for run in &self.pending {
             let fi = run.choice.stage.index();
             let x = self.base.space.encode(run.choice.config);
-            let pred = new_stack.predict_in(fi, &x, &self.base.ws)?;
+            let pred = new_stack.predict(fi, &x)?;
             let merged = pareto_front(
                 &fantasy[fi]
                     .iter()
@@ -222,14 +222,14 @@ impl<'a> AsyncState<'a> {
             return Ok(false);
         };
         let reference = vec![2.5; N_OBJECTIVES];
-        let scorers = LoopState::build_scorers(cfg, &fantasy, &reference);
+        let scorers = LoopState::build_scorers(&fantasy, &reference);
         let slot_started = tracer.enabled().then(Stopwatch::start);
         // Same seed chain as the sequential loop's batch slot 0, so one slot
         // reproduces it bit-for-bit.
         let q_seed = derive_stream_seed(derive_stream_seed(cfg.seed, &[t as u64]), &[0u64]);
         let sel = self
             .base
-            .select_pick(&prep, &scorers, &fantasy, &reference, q_seed, &[])?
+            .select_pick(&prep, &scorers, q_seed, &[])?
             .ok_or_else(|| CmmfError::Internal {
                 reason: "no candidate scored".into(),
             })?;
@@ -456,7 +456,6 @@ impl<'a> AsyncState<'a> {
             candidate_set: Vec::with_capacity(cfg.n_iter),
             picks: Vec::new(),
             stack: None,
-            ws: LoopState::workspace_for(cfg),
             hv_history: ckpt
                 .hv_history_bits
                 .iter()
@@ -483,33 +482,14 @@ impl<'a> AsyncState<'a> {
         // observation sets and the post-init clock.
         state.run_init()?;
 
-        // Surrogate fits replay only from the last `FitMode::Optimize`
-        // dispatch attempt (whose fit does not depend on the previous
-        // stack); each live dispatch attempt at index i fitted at step i,
-        // and an `Exhausted` attempt fitted at step nd. With
-        // `warm_start_hyperopt` the Optimize fits chain through their warm
-        // seeds, so the whole fit history replays from attempt 0.
-        let r = cfg.refit_every.max(1);
+        // Surrogate fits replay from `replay_from` on; each live dispatch
+        // attempt at index i fitted at step i, and an `Exhausted` attempt
+        // fitted at step nd.
         let n_fits = nd + usize::from(state.exhausted);
-        let refit_from = if n_fits == 0 || cfg.warm_start_hyperopt {
-            0
-        } else {
-            ((n_fits - 1) / r) * r
-        };
+        let refit_from = LoopState::replay_from(cfg, n_fits);
         let quiet_fit = |base: &mut LoopState<'a>, t: usize| -> Result<(), CmmfError> {
             let (data, _, _) = base.training_data();
-            base.stack = Some(FidelityModelStack::fit_with(
-                cfg.variant,
-                &data,
-                &cfg.gp,
-                &StackFitOptions {
-                    previous: base.stack.as_ref(),
-                    mode: LoopState::fit_mode(cfg, t),
-                    warm_start: cfg.warm_start_hyperopt,
-                    mixed_precision: cfg.mixed_precision,
-                },
-                &base.ws,
-            )?);
+            base.stack = Some(base.fit_stack(&data, t)?);
             Ok(())
         };
         let mut dispatch_clock = vec![0.0f64; nd];

@@ -2,7 +2,7 @@ use crate::hyperopt::{self, FitStats, HyperoptOptions};
 use crate::kernel::{DistanceCache, Kernel};
 use crate::optimize::NelderMeadOptions;
 use crate::GpError;
-use linalg::{Cholesky, Matrix, Workspace};
+use linalg::{Cholesky, Matrix};
 
 /// Posterior mean and (latent) variance at a query point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,34 +93,12 @@ impl<K: Kernel + Clone> Gp<K> {
     /// * [`GpError::Numerical`] if the covariance cannot be factorized at the
     ///   optimum (rare; jitter is escalated automatically first).
     pub fn fit(kernel: K, xs: &[Vec<f64>], ys: &[f64], cfg: &GpConfig) -> Result<Self, GpError> {
-        Self::fit_in(kernel, xs, ys, cfg, Workspace::off())
+        Self::fit_opts(kernel, xs, ys, cfg, &HyperoptOptions::default())
     }
 
-    /// [`Gp::fit`] with an explicit buffer arena.
-    ///
-    /// Every Nelder–Mead objective evaluation assembles and factorizes an
-    /// `n × n` covariance; with an enabled [`Workspace`] those buffers are
-    /// recycled across evaluations (and across models sharing the arena)
-    /// instead of being reallocated. Results are bit-identical to
-    /// [`Gp::fit`] — the arena only hands out zero-filled storage.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gp::fit`].
-    pub fn fit_in(
-        kernel: K,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        cfg: &GpConfig,
-        ws: &Workspace,
-    ) -> Result<Self, GpError> {
-        Self::fit_opts_in(kernel, xs, ys, cfg, &HyperoptOptions::default(), ws)
-    }
-
-    /// [`Gp::fit_in`] with explicit per-fit hyperopt options: a warm-start
-    /// seed from a previous optimum (with restart shedding) and/or
-    /// mixed-precision NLL screening. `fit_in` is exactly this call with
-    /// [`HyperoptOptions::default`].
+    /// [`Gp::fit`] with explicit per-fit hyperopt options: a warm-start seed
+    /// from a previous optimum, with restart shedding. `fit` is exactly this
+    /// call with [`HyperoptOptions::default`].
     ///
     /// The search itself runs over cached per-dimension squared-difference
     /// tensors ([`DistanceCache`]) when the kernel supports them — each NLL
@@ -133,13 +111,12 @@ impl<K: Kernel + Clone> Gp<K> {
     /// # Errors
     ///
     /// Same conditions as [`Gp::fit`].
-    pub fn fit_opts_in(
+    pub fn fit_opts(
         kernel: K,
         xs: &[Vec<f64>],
         ys: &[f64],
         cfg: &GpConfig,
         hopts: &HyperoptOptions,
-        ws: &Workspace,
     ) -> Result<Self, GpError> {
         validate(xs, ys, kernel.dim())?;
         let (y_std, y_mean, y_scale) = standardize(ys);
@@ -154,14 +131,14 @@ impl<K: Kernel + Clone> Gp<K> {
             p0.push(noise_var.ln());
             let base_kernel = kernel.clone();
             let floor = cfg.noise_floor;
-            let cache = (hyperopt::hyperopt_fast_path() && kernel.supports_distance_cache())
-                .then(|| DistanceCache::new_in(xs, ws));
-            let mixed = hopts.mixed_precision;
+            let cache = kernel
+                .supports_distance_cache()
+                .then(|| DistanceCache::new(xs));
             let objective = |p: &[f64]| {
                 let mut k = base_kernel.clone();
                 k.set_log_params(&p[..p.len() - 1]);
                 let nv = p[p.len() - 1].exp().max(floor);
-                nll_eval_in(&k, xs, cache.as_ref(), &y_std, nv, mixed, ws).unwrap_or(f64::INFINITY)
+                nll_eval(&k, xs, cache.as_ref(), &y_std, nv).unwrap_or(f64::INFINITY)
             };
             let opts = NelderMeadOptions {
                 max_evals: cfg.max_evals,
@@ -175,12 +152,9 @@ impl<K: Kernel + Clone> Gp<K> {
                 noise_var = best.x[best.x.len() - 1].exp().max(floor);
                 opt = Some(best.x);
             }
-            if let Some(cache) = cache {
-                cache.release(ws);
-            }
         }
 
-        let (km, chol, alpha, nlml_val) = factorize_in(&kernel, xs, &y_std, noise_var, ws)?;
+        let (km, chol, alpha, nlml_val) = factorize(&kernel, xs, &y_std, noise_var)?;
         Ok(Gp {
             kernel,
             xs: xs.to_vec(),
@@ -205,19 +179,9 @@ impl<K: Kernel + Clone> Gp<K> {
     ///
     /// Same conditions as [`Gp::fit`].
     pub fn refit(&self, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self, GpError> {
-        self.refit_in(xs, ys, Workspace::off())
-    }
-
-    /// [`Gp::refit`] with an explicit buffer arena (see [`Gp::fit_in`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gp::fit`].
-    pub fn refit_in(&self, xs: &[Vec<f64>], ys: &[f64], ws: &Workspace) -> Result<Self, GpError> {
         validate(xs, ys, self.kernel.dim())?;
         let (y_std, y_mean, y_scale) = standardize(ys);
-        let (km, chol, alpha, nlml_val) =
-            factorize_in(&self.kernel, xs, &y_std, self.noise_var, ws)?;
+        let (km, chol, alpha, nlml_val) = factorize(&self.kernel, xs, &y_std, self.noise_var)?;
         Ok(Gp {
             kernel: self.kernel.clone(),
             xs: xs.to_vec(),
@@ -250,23 +214,14 @@ impl<K: Kernel + Clone> Gp<K> {
     ///
     /// Same conditions as [`Gp::fit`].
     pub fn extend(&self, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self, GpError> {
-        self.extend_in(xs, ys, Workspace::off())
-    }
-
-    /// [`Gp::extend`] with an explicit buffer arena (see [`Gp::fit_in`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gp::fit`].
-    pub fn extend_in(&self, xs: &[Vec<f64>], ys: &[f64], ws: &Workspace) -> Result<Self, GpError> {
         let n0 = self.xs.len();
         if xs.len() < n0 || xs[..n0] != self.xs[..] {
-            return self.refit_in(xs, ys, ws);
+            return self.refit(xs, ys);
         }
         validate(xs, ys, self.kernel.dim())?;
         let (y_std, y_mean, y_scale) = standardize(ys);
         let n = xs.len();
-        let mut km = ws.take_matrix(n, n);
+        let mut km = Matrix::zeros(n, n);
         for i in 0..n0 {
             km.row_mut(i)[..n0].copy_from_slice(self.km.row(i));
         }
@@ -394,27 +349,11 @@ impl<K: Kernel + Clone> Gp<K> {
     /// Returns [`GpError::DimensionMismatch`] under the same conditions as
     /// [`Gp::predict`].
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, GpError> {
-        self.predict_batch_in(xs, Workspace::off())
-    }
-
-    /// [`Gp::predict_batch`] with an explicit buffer arena: the per-chunk
-    /// cross-covariance and triangular-solve matrices are recycled through
-    /// `ws` instead of allocated per chunk. Bit-identical to
-    /// [`Gp::predict_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gp::predict_batch`].
-    pub fn predict_batch_in(
-        &self,
-        xs: &[Vec<f64>],
-        ws: &Workspace,
-    ) -> Result<Vec<Prediction>, GpError> {
         use rayon::prelude::*;
         const CHUNK: usize = 16;
         let chunks: Vec<Vec<Prediction>> = xs
             .par_chunks(CHUNK)
-            .map(|chunk| self.predict_chunk(chunk, ws))
+            .map(|chunk| self.predict_chunk(chunk))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(chunks.into_iter().flatten().collect())
     }
@@ -422,11 +361,7 @@ impl<K: Kernel + Clone> Gp<K> {
     /// One chunk of [`Gp::predict_batch`]: a single stacked triangular solve
     /// for every query in `chunk`, column-for-column identical to
     /// [`Gp::predict`].
-    fn predict_chunk(
-        &self,
-        chunk: &[Vec<f64>],
-        ws: &Workspace,
-    ) -> Result<Vec<Prediction>, GpError> {
+    fn predict_chunk(&self, chunk: &[Vec<f64>]) -> Result<Vec<Prediction>, GpError> {
         for x in chunk {
             if x.len() != self.kernel.dim() {
                 return Err(GpError::DimensionMismatch {
@@ -436,9 +371,9 @@ impl<K: Kernel + Clone> Gp<K> {
             }
         }
         let n = self.xs.len();
-        let mut kstar = ws.take_matrix(n, chunk.len());
+        let mut kstar = Matrix::zeros(n, chunk.len());
         self.kernel.cross_into(&self.xs, chunk, &mut kstar);
-        let v = self.chol.solve_lower_mat_in(&kstar, ws)?;
+        let v = self.chol.solve_lower_mat(&kstar)?;
         let preds = (0..chunk.len())
             .map(|j| {
                 let mean_std: f64 = (0..n).map(|i| kstar[(i, j)] * self.alpha[i]).sum();
@@ -450,8 +385,6 @@ impl<K: Kernel + Clone> Gp<K> {
                 }
             })
             .collect();
-        ws.put_matrix(kstar);
-        ws.put_matrix(v);
         Ok(preds)
     }
 
@@ -473,7 +406,7 @@ impl<K: Kernel + Clone> Gp<K> {
 
     /// The accepted log-space search optimum `[kernel log params…, ln σ²]`,
     /// when this model's lineage ran a successful hyperparameter search —
-    /// the warm-start seed for a subsequent [`Gp::fit_opts_in`].
+    /// the warm-start seed for a subsequent [`Gp::fit_opts`].
     pub fn fitted_optimum(&self) -> Option<&[f64]> {
         self.opt.as_deref()
     }
@@ -540,21 +473,18 @@ fn standardize(ys: &[f64]) -> (Vec<f64>, f64, f64) {
 ///
 /// Assembly goes through [`Kernel::gram_into`] (lower triangle + mirror, half
 /// the kernel evaluations of a dense fill, row-block parallel above its size
-/// threshold) into a matrix taken from `ws`; the factorization scratch comes
-/// from `ws` too. The returned matrices keep their storage — they live in the
-/// fitted model — so only the per-evaluation churn is pooled.
-fn factorize_in<K: Kernel>(
+/// threshold).
+fn factorize<K: Kernel>(
     kernel: &K,
     xs: &[Vec<f64>],
     y_std: &[f64],
     noise_var: f64,
-    ws: &Workspace,
 ) -> Result<(Matrix, Cholesky, Vec<f64>, f64), GpError> {
     let n = xs.len();
-    let mut km = ws.take_matrix(n, n);
+    let mut km = Matrix::zeros(n, n);
     kernel.gram_into(xs, &mut km);
     km.add_diag(noise_var);
-    let chol = Cholesky::new_in(&km, ws)?;
+    let chol = Cholesky::new(&km)?;
     let alpha = chol.solve_vec(y_std)?;
     let nlml = nlml_from(&chol, y_std, &alpha);
     Ok((km, chol, alpha, nlml))
@@ -569,61 +499,29 @@ fn nlml_from(chol: &Cholesky, y_std: &[f64], alpha: &[f64]) -> f64 {
         + 0.5 * y_std.len() as f64 * (2.0 * std::f64::consts::PI).ln()
 }
 
-/// Negative log marginal likelihood for given hyperparameters.
-///
-/// This is the hyperparameter-search hot path (hundreds of calls per fit):
-/// unlike [`factorize_in`] it returns the covariance and factor storage to
-/// the arena before returning, so consecutive evaluations reuse the same two
-/// `n × n` allocations. Two per-evaluation variants layer on top of the
-/// baseline assembly + f64 factorization:
-///
-/// * `cache: Some(..)` assembles the Gram matrix from the per-fit
-///   [`DistanceCache`] instead of re-deriving pairwise distances —
-///   **bit-identical** to [`Kernel::gram_into`] (pinned by
-///   `cached_nll_matches_naive_nll_bitwise` and its proptest);
-/// * `mixed: true` replaces the f64 factorize/solve with the sanctioned
-///   [`linalg::mixed`] f32 + refinement screen — toleranced
-///   ([`linalg::mixed::NLL_RELATIVE_TOLERANCE`] relative), never used for
-///   the final factorization at the accepted optimum.
-fn nll_eval_in<K: Kernel>(
+/// Negative log marginal likelihood for given hyperparameters — the
+/// hyperparameter-search hot path (hundreds of calls per fit). With
+/// `cache: Some(..)` the Gram matrix is assembled from the per-fit
+/// [`DistanceCache`] instead of re-deriving pairwise distances,
+/// **bit-identical** to [`Kernel::gram_into`] (pinned by
+/// `gram_from_cache_matches_gram_into_bitwise`).
+fn nll_eval<K: Kernel>(
     kernel: &K,
     xs: &[Vec<f64>],
     cache: Option<&DistanceCache>,
     y_std: &[f64],
     noise_var: f64,
-    mixed: bool,
-    ws: &Workspace,
 ) -> Result<f64, GpError> {
     let n = xs.len();
-    let mut km = ws.take_matrix(n, n);
+    let mut km = Matrix::zeros(n, n);
     match cache {
         Some(cache) => kernel.gram_from_cache(cache, &mut km),
         None => kernel.gram_into(xs, &mut km),
     }
     km.add_diag(noise_var);
-    let result = if mixed {
-        linalg::mixed::solve_refined(&km, y_std, ws)
-            .map_err(GpError::from)
-            .map(|s| {
-                let fit_term: f64 = y_std.iter().zip(&s.x).map(|(y, x)| y * x).sum();
-                let v = 0.5 * fit_term
-                    + 0.5 * s.log_det
-                    + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-                ws.put_vec(s.x);
-                v
-            })
-    } else {
-        Cholesky::new_in(&km, ws)
-            .map_err(GpError::from)
-            .and_then(|chol| {
-                let alpha = chol.solve_vec(y_std)?;
-                let v = nlml_from(&chol, y_std, &alpha);
-                ws.put_matrix(chol.into_l());
-                Ok(v)
-            })
-    };
-    ws.put_matrix(km);
-    result
+    let chol = Cholesky::new(&km)?;
+    let alpha = chol.solve_vec(y_std)?;
+    Ok(nlml_from(&chol, y_std, &alpha))
 }
 
 #[cfg(test)]
@@ -753,30 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_in_with_arena_matches_fit_bitwise_and_pools_buffers() {
-        let xs = grid_1d(14);
-        let ys: Vec<f64> = xs.iter().map(|x| (4.0 * x[0]).cos()).collect();
-        let cfg = GpConfig::default();
-        let plain = Gp::fit(Matern52Ard::new(1), &xs, &ys, &cfg).unwrap();
-        let ws = Workspace::new();
-        let pooled = Gp::fit_in(Matern52Ard::new(1), &xs, &ys, &cfg, &ws).unwrap();
-        assert_eq!(
-            plain.neg_log_marginal_likelihood().to_bits(),
-            pooled.neg_log_marginal_likelihood().to_bits()
-        );
-        let queries: Vec<Vec<f64>> = (0..23).map(|i| vec![i as f64 / 11.0 - 0.5]).collect();
-        let a = plain.predict_batch(&queries).unwrap();
-        let b = pooled.predict_batch_in(&queries, &ws).unwrap();
-        for (pa, pb) in a.iter().zip(&b) {
-            assert_eq!(pa.mean.to_bits(), pb.mean.to_bits());
-            assert_eq!(pa.var.to_bits(), pb.var.to_bits());
-        }
-        // The final factorization keeps its storage (it lives in the model),
-        // but prediction scratch must have come back to the pool.
-        assert!(ws.pooled() > 0, "prediction scratch was never recycled");
-    }
-
-    #[test]
     fn downdate_matches_refit_on_window() {
         let xs = grid_1d(20);
         let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).sin() + 0.5 * x[0]).collect();
@@ -862,15 +736,7 @@ mod tests {
             warm_start: Some(optimum.to_vec()),
             ..Default::default()
         };
-        let warm = Gp::fit_opts_in(
-            Matern52Ard::new(1),
-            &xs,
-            &ys,
-            &cfg,
-            &hopts,
-            Workspace::off(),
-        )
-        .unwrap();
+        let warm = Gp::fit_opts(Matern52Ard::new(1), &xs, &ys, &cfg, &hopts).unwrap();
         let ws_stats = warm.fit_stats();
         assert_eq!(ws_stats.warm_start_hits, 1, "{ws_stats:?}");
         assert_eq!(ws_stats.restarts_run, 0);
@@ -910,72 +776,6 @@ mod tests {
         .unwrap();
         assert_eq!(unopt.fit_stats(), FitStats::default());
         assert!(unopt.fitted_optimum().is_none());
-    }
-
-    #[test]
-    fn mixed_precision_screen_tracks_f64_within_tolerance() {
-        // The per-evaluation contract: the f32+refinement NLL screen agrees
-        // with the f64 evaluation to the sanctioned module's tolerance, at
-        // the same hyperparameters, cached or not.
-        let xs = grid_1d(24);
-        let ys: Vec<f64> = xs.iter().map(|x| (4.0 * x[0]).sin() + 0.3 * x[0]).collect();
-        let (y_std, _, _) = standardize(&ys);
-        let ws = Workspace::new();
-        let kernel = Matern52Ard::with_params(vec![0.3], 1.2);
-        let cache = DistanceCache::new_in(&xs, &ws);
-        for noise in [1e-4, 1e-2] {
-            let exact = nll_eval_in(&kernel, &xs, None, &y_std, noise, false, &ws).unwrap();
-            for cache_arg in [None, Some(&cache)] {
-                let screened =
-                    nll_eval_in(&kernel, &xs, cache_arg, &y_std, noise, true, &ws).unwrap();
-                let rel = (screened - exact).abs() / exact.abs().max(1.0);
-                assert!(
-                    rel <= linalg::mixed::NLL_RELATIVE_TOLERANCE,
-                    "noise={noise}: screened {screened} vs exact {exact} (rel {rel:e})"
-                );
-            }
-        }
-        cache.release(&ws);
-
-        // Fit-level: the screen only steers the simplex (trajectories may
-        // legitimately diverge on a multimodal surface), and the final
-        // factorization at the accepted optimum is always full f64 — so the
-        // mixed fit must still be a *good* fit: finite, and far better than
-        // leaving the hyperparameters unoptimized.
-        let cfg = GpConfig {
-            restarts: 0,
-            ..Default::default()
-        };
-        let unopt = Gp::fit(
-            Matern52Ard::new(1),
-            &xs,
-            &ys,
-            &GpConfig {
-                optimize: false,
-                ..cfg.clone()
-            },
-        )
-        .unwrap();
-        let hopts = HyperoptOptions {
-            mixed_precision: true,
-            ..Default::default()
-        };
-        let mixed_fit = Gp::fit_opts_in(
-            Matern52Ard::new(1),
-            &xs,
-            &ys,
-            &cfg,
-            &hopts,
-            Workspace::off(),
-        )
-        .unwrap();
-        let b = mixed_fit.neg_log_marginal_likelihood();
-        assert!(b.is_finite());
-        assert!(
-            b < unopt.neg_log_marginal_likelihood(),
-            "mixed-screened search did not improve the fit: {b} vs {}",
-            unopt.neg_log_marginal_likelihood()
-        );
     }
 
     #[test]

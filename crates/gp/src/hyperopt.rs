@@ -1,11 +1,10 @@
 //! Shared machinery of the hyperparameter search: warm starting, restart
-//! shedding, fit telemetry, and the process-wide fast-path toggle.
+//! shedding, and fit telemetry.
 //!
-//! Both [`Gp::fit_in`](crate::Gp::fit_in) and
-//! [`MultiTaskGp`](crate::MultiTaskGp) route their maximum-likelihood searches
-//! through the private `search` helper, which layers two optimizations over
-//! the plain
-//! multi-start Nelder–Mead:
+//! Both [`Gp::fit_opts`](crate::Gp::fit_opts) and
+//! [`MultiTaskGp::fit_opts`](crate::MultiTaskGp::fit_opts) route their
+//! maximum-likelihood searches through the private `search` helper, which
+//! layers two optimizations over the plain multi-start Nelder–Mead:
 //!
 //! * **Warm starting** — when the caller supplies the previous fit's optimum
 //!   (same log-space layout), a probe run starts there under a reduced eval
@@ -21,41 +20,16 @@
 //!   lengthscales) that predict worse than the cold fit, degrading ADRS.
 //! * **Parallel multi-start** — cold restarts run through the in-tree rayon
 //!   pool with per-restart derived seeds, bit-identical at any thread count
-//!   (see [`multi_start_nelder_mead_par`]).
+//!   and to the serial reference loop
+//!   ([`multi_start_nelder_mead_seq`](crate::optimize::multi_start_nelder_mead_seq);
+//!   see [`multi_start_nelder_mead_par`]).
 //!
-//! [`set_hyperopt_fast_path`] is the escape hatch for the *mechanical*
-//! optimizations (distance cache + parallel restarts): turning it off routes
-//! cold multi-starts through the serial twin and disables cached Gram
-//! assembly, which is **bit-identical** by contract — it exists for the
-//! benchmark legacy arm and for bisecting, never to change results.
+//! The NLL objective the search minimizes assembles each Gram matrix from a
+//! per-fit [`DistanceCache`](crate::kernel::DistanceCache) when the kernel
+//! supports one, bit-identical to from-scratch assembly
+//! ([`Kernel::gram_into`](crate::Kernel::gram_into)).
 
-use crate::optimize::{
-    multi_start_nelder_mead_par, multi_start_nelder_mead_seq, nelder_mead, NelderMeadOptions,
-    OptimResult,
-};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide toggle for the bit-identical mechanical fast paths
-/// (ARD distance cache + parallel multi-start). Default: on.
-static FAST_PATH: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the hyperopt mechanical fast paths process-wide.
-///
-/// This is **result-transparent** by the same contract family as
-/// [`linalg::set_cholesky_panel`]: the cached
-/// Gram assembly is pinned bit-identical to from-scratch assembly and the
-/// parallel multi-start is pinned bit-identical to the serial loop, so
-/// flipping this changes throughput only. It exists for the hyperopt
-/// benchmark's legacy arm.
-pub fn set_hyperopt_fast_path(enabled: bool) {
-    FAST_PATH.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the hyperopt mechanical fast paths are enabled (see
-/// [`set_hyperopt_fast_path`]).
-pub fn hyperopt_fast_path() -> bool {
-    FAST_PATH.load(Ordering::Relaxed)
-}
+use crate::optimize::{multi_start_nelder_mead_par, nelder_mead, NelderMeadOptions, OptimResult};
 
 /// Telemetry from one maximum-likelihood hyperparameter search.
 ///
@@ -98,10 +72,6 @@ pub struct HyperoptOptions {
     /// warm run that improves on its starting NLL by at most
     /// `tol · max(1, |NLL|)` is deemed converged-in-place.
     pub warm_start_tol: f64,
-    /// Screen NLL evaluations through the f32 + f64-refinement factorization
-    /// ([`linalg::mixed`]). Toleranced, not bit-identical; the final
-    /// factorize at the accepted optimum always stays f64.
-    pub mixed_precision: bool,
 }
 
 impl Default for HyperoptOptions {
@@ -109,7 +79,17 @@ impl Default for HyperoptOptions {
         HyperoptOptions {
             warm_start: None,
             warm_start_tol: 1e-3,
-            mixed_precision: false,
+        }
+    }
+}
+
+impl HyperoptOptions {
+    /// Default options warm-started from `seed` (a previous accepted
+    /// optimum, see [`crate::Gp::fitted_optimum`]); `None` runs cold.
+    pub fn warm_started(seed: Option<&[f64]>) -> Self {
+        HyperoptOptions {
+            warm_start: seed.map(<[f64]>::to_vec),
+            ..Default::default()
         }
     }
 }
@@ -117,9 +97,8 @@ impl Default for HyperoptOptions {
 /// Runs the full hyperparameter search: optional warm probe with restart
 /// shedding, then (unless shed) the seeded cold multi-start.
 ///
-/// Cold starts go through [`multi_start_nelder_mead_par`] when the fast path
-/// is enabled, its bit-identical serial twin otherwise. On a warm-start miss
-/// the probe's result is discarded (not raced against the cold runs), so the
+/// Cold starts go through [`multi_start_nelder_mead_par`]. On a warm-start
+/// miss the probe's result is discarded (not raced against the cold runs), so the
 /// returned optimum is bitwise the cold search's — only `evals` reflects the
 /// probe's extra work.
 pub(crate) fn search(
@@ -167,11 +146,7 @@ pub(crate) fn search(
     }
     stats.warm_start_misses = usize::from(warm_result.is_some());
 
-    let mut best = if hyperopt_fast_path() {
-        multi_start_nelder_mead_par(f, p0, spread, restarts, opts, seed)
-    } else {
-        multi_start_nelder_mead_seq(f, p0, spread, restarts, opts, seed)
-    };
+    let mut best = multi_start_nelder_mead_par(f, p0, spread, restarts, opts, seed);
     stats.nll_evals += best.evals;
     stats.restarts_run = restarts;
     best.evals = stats.nll_evals;
@@ -266,21 +241,5 @@ mod tests {
             let reference = multi_start_nelder_mead_par(quartic, &[0.3], 2.0, 2, &opts, 5);
             assert_eq!(r.value.to_bits(), reference.value.to_bits());
         }
-    }
-
-    #[test]
-    fn fast_path_toggle_is_bit_identical() {
-        let opts = NelderMeadOptions::default();
-        let hopts = HyperoptOptions::default();
-        let run = || search(&quartic, &[0.3], 2.0, 4, &opts, 23, &hopts);
-        let (fast, _) = run();
-        set_hyperopt_fast_path(false);
-        let (slow, _) = run();
-        set_hyperopt_fast_path(true);
-        assert_eq!(fast.value.to_bits(), slow.value.to_bits());
-        assert_eq!(fast.evals, slow.evals);
-        let a: Vec<u64> = fast.x.iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u64> = slow.x.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b);
     }
 }

@@ -12,7 +12,7 @@
 //! the same precomputed weights and the same per-pair operations, keeping
 //! every covariance path bit-consistent by construction.
 
-use linalg::{Matrix, Workspace};
+use linalg::Matrix;
 
 /// A positive-definite covariance function over `R^d`.
 ///
@@ -53,8 +53,7 @@ pub trait Kernel: Send + Sync {
     fn set_log_params(&mut self, p: &[f64]);
 
     /// Fills `out` with the Gram matrix `out[(i, j)] = k(xs[i], xs[j])`,
-    /// writing into the caller's buffer (typically recycled through a
-    /// `linalg::Workspace`). Only the lower triangle is evaluated; the upper
+    /// writing into the caller's buffer. Only the lower triangle is evaluated; the upper
     /// is mirrored. Every in-tree kernel is *bitwise* symmetric — distances
     /// enter as `(a_d - b_d)²`, whose sign cancels exactly, and dot products
     /// commute exactly — so the mirrored assembly is bit-identical to
@@ -181,8 +180,7 @@ const ASSEMBLY_PAR_THRESHOLD: usize = 4096;
 /// Layout is lower-triangle pair-major: the entry for pair `(i, j)` with
 /// `j ≤ i` starts at `(i·(i+1)/2 + j)·dim` and holds the `dim` squared
 /// differences in ascending-dimension order — the order [`Kernel::eval`]
-/// accumulates them in. Storage is recycled through the caller's
-/// [`Workspace`] arena ([`DistanceCache::release`]).
+/// accumulates them in.
 #[derive(Debug)]
 pub struct DistanceCache {
     n: usize,
@@ -191,14 +189,14 @@ pub struct DistanceCache {
 }
 
 impl DistanceCache {
-    /// Precomputes the squared-difference tensors for `xs`, drawing storage
-    /// from `ws`. Each difference is computed exactly as [`Kernel::eval`]
-    /// does (`d = x − y; d·d`), so the cached values are bitwise identical to
-    /// what a from-scratch evaluation would re-derive.
-    pub fn new_in(xs: &[Vec<f64>], ws: &Workspace) -> Self {
+    /// Precomputes the squared-difference tensors for `xs`. Each difference
+    /// is computed exactly as [`Kernel::eval`] does (`d = x − y; d·d`), so
+    /// the cached values are bitwise identical to what a from-scratch
+    /// evaluation would re-derive.
+    pub fn new(xs: &[Vec<f64>]) -> Self {
         let n = xs.len();
         let dim = xs.first().map_or(0, |x| x.len());
-        let mut d2 = ws.take_vec(n * (n + 1) / 2 * dim);
+        let mut d2 = vec![0.0; n * (n + 1) / 2 * dim];
         for i in 0..n {
             let row_base = i * (i + 1) / 2;
             for (j, other) in xs.iter().enumerate().take(i + 1) {
@@ -231,11 +229,6 @@ impl DistanceCache {
     fn pair(&self, i: usize, j: usize) -> &[f64] {
         let base = (i * (i + 1) / 2 + j) * self.dim;
         &self.d2[base..base + self.dim]
-    }
-
-    /// Returns the cache's storage to the arena.
-    pub fn release(self, ws: &Workspace) {
-        ws.put_vec(self.d2);
     }
 }
 
@@ -883,8 +876,9 @@ mod tests {
 
     #[test]
     fn gram_into_matches_per_entry_eval_bitwise() {
-        // n=70 crosses the parallel-assembly threshold (70² > 4096).
-        for n in [1, 6, 70] {
+        // n=70 crosses the parallel-assembly threshold (70² > 4096); n=150
+        // is a realistic surrogate size.
+        for n in [1, 6, 70, 150] {
             let mut k = Matern52Ard::new(3);
             k.set_log_params(&[0.3, -0.4, 0.1, 0.2]);
             let xs = wavy_inputs(n, 3);
@@ -929,10 +923,10 @@ mod tests {
         // for bit, for every ARD kernel family, below and above the
         // parallel-assembly threshold, and across parameter updates on the
         // same cache.
-        let ws = Workspace::new();
         for n in [1usize, 7, 70] {
             let xs = wavy_inputs(n, 3);
-            let cache = DistanceCache::new_in(&xs, &ws);
+            let cache = DistanceCache::new(&xs);
+            assert_eq!((cache.len(), cache.dim(), cache.is_empty()), (n, 3, false));
             let mut se = SquaredExponentialArd::new(3);
             let mut m = Matern52Ard::new(3);
             let mut g = Matern52Grouped::iso_plus_tail(2, 1);
@@ -948,7 +942,6 @@ mod tests {
                 check_cached(&m, &xs, &cache, n, "matern");
                 check_cached(&g, &xs, &cache, n, "grouped");
             }
-            cache.release(&ws);
         }
         assert!(!LinearKernel::new(3).supports_distance_cache());
         assert!(
@@ -970,32 +963,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "no ARD distance structure")]
     fn gram_from_cache_panics_without_ard_structure() {
-        let ws = Workspace::new();
         let xs = wavy_inputs(3, 2);
-        let cache = DistanceCache::new_in(&xs, &ws);
+        let cache = DistanceCache::new(&xs);
         let mut out = Matrix::zeros(3, 3);
         LinearKernel::new(2).gram_from_cache(&cache, &mut out);
-    }
-
-    #[test]
-    fn distance_cache_recycles_through_the_arena() {
-        let ws = Workspace::new();
-        let xs = wavy_inputs(6, 4);
-        let cache = DistanceCache::new_in(&xs, &ws);
-        assert_eq!(cache.len(), 6);
-        assert_eq!(cache.dim(), 4);
-        assert!(!cache.is_empty());
-        cache.release(&ws);
-        assert_eq!(ws.pooled(), 1);
-        // The next cache reuses the pooled buffer and still reads clean.
-        let cache2 = DistanceCache::new_in(&xs, &ws);
-        assert_eq!(ws.pooled(), 0);
-        let k = Matern52Ard::new(4);
-        let mut a = Matrix::zeros(6, 6);
-        let mut b = Matrix::zeros(6, 6);
-        k.gram_from_cache(&cache2, &mut a);
-        k.gram_into(&xs, &mut b);
-        assert_eq!(a.as_slice(), b.as_slice());
     }
 
     #[test]

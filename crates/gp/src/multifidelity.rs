@@ -34,16 +34,6 @@ use crate::gp::{Gp, GpConfig, Prediction};
 use crate::hyperopt::{FitStats, HyperoptOptions};
 use crate::kernel::{Matern52Ard, Matern52Grouped};
 use crate::GpError;
-use linalg::Workspace;
-
-/// Per-level hyperopt options: the shared tolerance / precision settings from
-/// `hopts`, with the warm-start seed replaced by the given previous optimum.
-fn warmed(hopts: &HyperoptOptions, prev: Option<&[f64]>) -> HyperoptOptions {
-    HyperoptOptions {
-        warm_start: prev.map(<[f64]>::to_vec),
-        ..hopts.clone()
-    }
-}
 
 /// Training data for one fidelity level.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,49 +123,29 @@ impl LinearMultiFidelityGp {
     ///
     /// Propagates [`GpError`] from validation or per-level GP fitting.
     pub fn fit(data: &[FidelityData], cfg: &MultiFidelityConfig) -> Result<Self, GpError> {
-        Self::fit_in(data, cfg, Workspace::off())
+        Self::fit_opts(data, cfg, None)
     }
 
-    /// [`LinearMultiFidelityGp::fit`] with an explicit buffer arena shared by
-    /// every per-level GP fit (see [`Gp::fit_in`]). Bit-identical to
-    /// [`LinearMultiFidelityGp::fit`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LinearMultiFidelityGp::fit`].
-    pub fn fit_in(
-        data: &[FidelityData],
-        cfg: &MultiFidelityConfig,
-        ws: &Workspace,
-    ) -> Result<Self, GpError> {
-        Self::fit_opts_in(data, cfg, None, &HyperoptOptions::default(), ws)
-    }
-
-    /// [`LinearMultiFidelityGp::fit_in`] with cross-fit hyperopt options:
+    /// [`LinearMultiFidelityGp::fit`] warm-started from a previous fit:
     /// when `warm` is a previously fitted model, every per-level GP search is
     /// seeded from the corresponding level's accepted optimum (shedding its
-    /// restarts when the seed already converges — see [`Gp::fit_opts_in`]).
-    /// The `warm_start` field of `hopts` itself is ignored; the per-level
-    /// seeds come from `warm`.
+    /// restarts when the seed already converges — see [`Gp::fit_opts`]).
     ///
     /// # Errors
     ///
     /// Same conditions as [`LinearMultiFidelityGp::fit`].
-    pub fn fit_opts_in(
+    pub fn fit_opts(
         data: &[FidelityData],
         cfg: &MultiFidelityConfig,
         warm: Option<&Self>,
-        hopts: &HyperoptOptions,
-        ws: &Workspace,
     ) -> Result<Self, GpError> {
         let dim = validate_levels(data)?;
-        let base = Gp::fit_opts_in(
+        let base = Gp::fit_opts(
             Matern52Ard::new(dim),
             &data[0].xs,
             &data[0].ys,
             &cfg.gp,
-            &warmed(hopts, warm.and_then(|w| w.base.fitted_optimum())),
-            ws,
+            &HyperoptOptions::warm_started(warm.and_then(|w| w.base.fitted_optimum())),
         )?;
         let mut stats = base.fit_stats();
         let mut model = LinearMultiFidelityGp {
@@ -199,17 +169,15 @@ impl LinearMultiFidelityGp {
                 .zip(&prev_mean)
                 .map(|(y, m)| y - rho * m)
                 .collect();
-            let delta = Gp::fit_opts_in(
+            let delta = Gp::fit_opts(
                 Matern52Ard::new(dim),
                 &level.xs,
                 &residuals,
                 &cfg.gp,
-                &warmed(
-                    hopts,
+                &HyperoptOptions::warm_started(
                     warm.and_then(|w| w.deltas.get(i))
                         .and_then(Gp::fitted_optimum),
                 ),
-                ws,
             )?;
             stats.absorb(delta.fit_stats());
             model.rhos.push(rho);
@@ -255,16 +223,6 @@ impl LinearMultiFidelityGp {
     /// Same conditions as [`LinearMultiFidelityGp::fit`]; additionally errors
     /// if `data` has a different number of levels than this model.
     pub fn refit(&self, data: &[FidelityData]) -> Result<Self, GpError> {
-        self.refit_in(data, Workspace::off())
-    }
-
-    /// [`LinearMultiFidelityGp::refit`] with an explicit buffer arena (see
-    /// [`Gp::fit_in`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LinearMultiFidelityGp::refit`].
-    pub fn refit_in(&self, data: &[FidelityData], ws: &Workspace) -> Result<Self, GpError> {
         validate_levels(data)?;
         if data.len() != self.n_levels() {
             return Err(GpError::InvalidTrainingData {
@@ -275,7 +233,7 @@ impl LinearMultiFidelityGp {
                 ),
             });
         }
-        let base = self.base.refit_in(&data[0].xs, &data[0].ys, ws)?;
+        let base = self.base.refit(&data[0].xs, &data[0].ys)?;
         let mut model = LinearMultiFidelityGp {
             base,
             deltas: Vec::new(),
@@ -297,7 +255,7 @@ impl LinearMultiFidelityGp {
                 .zip(&prev_mean)
                 .map(|(y, m)| y - rho * m)
                 .collect();
-            let delta = self.deltas[i].refit_in(&level.xs, &residuals, ws)?;
+            let delta = self.deltas[i].refit(&level.xs, &residuals)?;
             model.rhos.push(rho);
             model.deltas.push(delta);
         }
@@ -315,16 +273,6 @@ impl LinearMultiFidelityGp {
     ///
     /// Same conditions as [`LinearMultiFidelityGp::refit`].
     pub fn extend(&self, data: &[FidelityData]) -> Result<Self, GpError> {
-        self.extend_in(data, Workspace::off())
-    }
-
-    /// [`LinearMultiFidelityGp::extend`] with an explicit buffer arena (see
-    /// [`Gp::fit_in`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LinearMultiFidelityGp::refit`].
-    pub fn extend_in(&self, data: &[FidelityData], ws: &Workspace) -> Result<Self, GpError> {
         validate_levels(data)?;
         if data.len() != self.n_levels() {
             return Err(GpError::InvalidTrainingData {
@@ -335,7 +283,7 @@ impl LinearMultiFidelityGp {
                 ),
             });
         }
-        let base = self.base.extend_in(&data[0].xs, &data[0].ys, ws)?;
+        let base = self.base.extend(&data[0].xs, &data[0].ys)?;
         let mut model = LinearMultiFidelityGp {
             base,
             deltas: Vec::new(),
@@ -357,7 +305,7 @@ impl LinearMultiFidelityGp {
                 .zip(&prev_mean)
                 .map(|(y, m)| y - rho * m)
                 .collect();
-            let delta = self.deltas[i].extend_in(&level.xs, &residuals, ws)?;
+            let delta = self.deltas[i].extend(&level.xs, &residuals)?;
             model.rhos.push(rho);
             model.deltas.push(delta);
         }
@@ -429,49 +377,29 @@ impl NonLinearMultiFidelityGp {
     ///
     /// Propagates [`GpError`] from validation or per-level GP fitting.
     pub fn fit(data: &[FidelityData], cfg: &MultiFidelityConfig) -> Result<Self, GpError> {
-        Self::fit_in(data, cfg, Workspace::off())
+        Self::fit_opts(data, cfg, None)
     }
 
-    /// [`NonLinearMultiFidelityGp::fit`] with an explicit buffer arena shared
-    /// by every per-level GP fit (see [`Gp::fit_in`]). Bit-identical to
-    /// [`NonLinearMultiFidelityGp::fit`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NonLinearMultiFidelityGp::fit`].
-    pub fn fit_in(
-        data: &[FidelityData],
-        cfg: &MultiFidelityConfig,
-        ws: &Workspace,
-    ) -> Result<Self, GpError> {
-        Self::fit_opts_in(data, cfg, None, &HyperoptOptions::default(), ws)
-    }
-
-    /// [`NonLinearMultiFidelityGp::fit_in`] with cross-fit hyperopt options:
+    /// [`NonLinearMultiFidelityGp::fit`] warm-started from a previous fit:
     /// when `warm` is a previously fitted model, every per-level GP search is
     /// seeded from the corresponding level's accepted optimum (shedding its
-    /// restarts when the seed already converges — see [`Gp::fit_opts_in`]).
-    /// The `warm_start` field of `hopts` itself is ignored; the per-level
-    /// seeds come from `warm`.
+    /// restarts when the seed already converges — see [`Gp::fit_opts`]).
     ///
     /// # Errors
     ///
     /// Same conditions as [`NonLinearMultiFidelityGp::fit`].
-    pub fn fit_opts_in(
+    pub fn fit_opts(
         data: &[FidelityData],
         cfg: &MultiFidelityConfig,
         warm: Option<&Self>,
-        hopts: &HyperoptOptions,
-        ws: &Workspace,
     ) -> Result<Self, GpError> {
         let dim = validate_levels(data)?;
-        let base = Gp::fit_opts_in(
+        let base = Gp::fit_opts(
             Matern52Ard::new(dim),
             &data[0].xs,
             &data[0].ys,
             &cfg.gp,
-            &warmed(hopts, warm.and_then(|w| w.base.fitted_optimum())),
-            ws,
+            &HyperoptOptions::warm_started(warm.and_then(|w| w.base.fitted_optimum())),
         )?;
         let mut stats = base.fit_stats();
         let mut model = NonLinearMultiFidelityGp {
@@ -509,17 +437,15 @@ impl NonLinearMultiFidelityGp {
                 .zip(&prev)
                 .map(|(y, m)| y - rho * m)
                 .collect();
-            let gp = Gp::fit_opts_in(
+            let gp = Gp::fit_opts(
                 Matern52Grouped::iso_plus_tail(dim, 1),
                 &aug,
                 &residuals,
                 &cfg.gp,
-                &warmed(
-                    hopts,
+                &HyperoptOptions::warm_started(
                     warm.and_then(|w| w.uppers.get(i))
                         .and_then(|(_, g)| g.fitted_optimum()),
                 ),
-                ws,
             )?;
             stats.absorb(gp.fit_stats());
             model.uppers.push((rho, gp));
@@ -584,16 +510,6 @@ impl NonLinearMultiFidelityGp {
     /// Same conditions as [`NonLinearMultiFidelityGp::fit`]; additionally
     /// errors if `data` has a different number of levels than this model.
     pub fn refit(&self, data: &[FidelityData]) -> Result<Self, GpError> {
-        self.refit_in(data, Workspace::off())
-    }
-
-    /// [`NonLinearMultiFidelityGp::refit`] with an explicit buffer arena (see
-    /// [`Gp::fit_in`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NonLinearMultiFidelityGp::refit`].
-    pub fn refit_in(&self, data: &[FidelityData], ws: &Workspace) -> Result<Self, GpError> {
         validate_levels(data)?;
         if data.len() != self.n_levels() {
             return Err(GpError::InvalidTrainingData {
@@ -604,7 +520,7 @@ impl NonLinearMultiFidelityGp {
                 ),
             });
         }
-        let base = self.base.refit_in(&data[0].xs, &data[0].ys, ws)?;
+        let base = self.base.refit(&data[0].xs, &data[0].ys)?;
         let mut model = NonLinearMultiFidelityGp {
             base,
             uppers: Vec::new(),
@@ -637,7 +553,7 @@ impl NonLinearMultiFidelityGp {
                 .zip(&prev)
                 .map(|(y, m)| y - rho * m)
                 .collect();
-            let gp = self.uppers[i].1.refit_in(&aug, &residuals, ws)?;
+            let gp = self.uppers[i].1.refit(&aug, &residuals)?;
             model.uppers.push((rho, gp));
         }
         Ok(model)
@@ -655,16 +571,6 @@ impl NonLinearMultiFidelityGp {
     ///
     /// Same conditions as [`NonLinearMultiFidelityGp::refit`].
     pub fn extend(&self, data: &[FidelityData]) -> Result<Self, GpError> {
-        self.extend_in(data, Workspace::off())
-    }
-
-    /// [`NonLinearMultiFidelityGp::extend`] with an explicit buffer arena
-    /// (see [`Gp::fit_in`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NonLinearMultiFidelityGp::refit`].
-    pub fn extend_in(&self, data: &[FidelityData], ws: &Workspace) -> Result<Self, GpError> {
         validate_levels(data)?;
         if data.len() != self.n_levels() {
             return Err(GpError::InvalidTrainingData {
@@ -675,7 +581,7 @@ impl NonLinearMultiFidelityGp {
                 ),
             });
         }
-        let base = self.base.extend_in(&data[0].xs, &data[0].ys, ws)?;
+        let base = self.base.extend(&data[0].xs, &data[0].ys)?;
         let mut model = NonLinearMultiFidelityGp {
             base,
             uppers: Vec::new(),
@@ -708,7 +614,7 @@ impl NonLinearMultiFidelityGp {
                 .zip(&prev)
                 .map(|(y, m)| y - rho * m)
                 .collect();
-            let gp = self.uppers[i].1.extend_in(&aug, &residuals, ws)?;
+            let gp = self.uppers[i].1.extend(&aug, &residuals)?;
             model.uppers.push((rho, gp));
         }
         Ok(model)
@@ -861,19 +767,11 @@ mod tests {
             },
             ..Default::default()
         };
-        let ws = Workspace::new();
-        let cold = NonLinearMultiFidelityGp::fit_in(&data, &cfg, &ws).unwrap();
+        let cold = NonLinearMultiFidelityGp::fit(&data, &cfg).unwrap();
         // Two levels, two restarts each, run cold.
         assert_eq!(cold.fit_stats().restarts_run, 4);
         assert_eq!(cold.fit_stats().warm_start_hits, 0);
-        let warm = NonLinearMultiFidelityGp::fit_opts_in(
-            &data,
-            &cfg,
-            Some(&cold),
-            &HyperoptOptions::default(),
-            &ws,
-        )
-        .unwrap();
+        let warm = NonLinearMultiFidelityGp::fit_opts(&data, &cfg, Some(&cold)).unwrap();
         // Refitting the *same* data from the accepted optima converges
         // immediately at every level: all restarts shed, far fewer NLL evals.
         assert_eq!(warm.fit_stats().warm_start_hits, 2);
@@ -883,15 +781,8 @@ mod tests {
         let b = warm.predict(1, &[0.3]).unwrap();
         assert!((a.mean - b.mean).abs() < 1e-6);
 
-        let lin_cold = LinearMultiFidelityGp::fit_in(&data, &cfg, &ws).unwrap();
-        let lin_warm = LinearMultiFidelityGp::fit_opts_in(
-            &data,
-            &cfg,
-            Some(&lin_cold),
-            &HyperoptOptions::default(),
-            &ws,
-        )
-        .unwrap();
+        let lin_cold = LinearMultiFidelityGp::fit(&data, &cfg).unwrap();
+        let lin_warm = LinearMultiFidelityGp::fit_opts(&data, &cfg, Some(&lin_cold)).unwrap();
         assert_eq!(lin_warm.fit_stats().warm_start_hits, 2);
         assert_eq!(lin_warm.fit_stats().restarts_run, 0);
     }

@@ -253,12 +253,11 @@ pub fn multi_start_nelder_mead_par(
     select_best(results)
 }
 
-/// Serial escape-hatch twin of [`multi_start_nelder_mead_par`]: same derived
+/// Serial reference twin of [`multi_start_nelder_mead_par`]: same derived
 /// start points, same source-order selection, one search at a time on the
-/// calling thread. **Bit-identical** to the parallel entry point (the
-/// `parallel_multistart_matches_serial_reference_bitwise` test pins this) —
-/// it exists so the hyperopt fast-path toggle and the benchmark legacy arm
-/// can measure the pre-parallel behavior without changing any float.
+/// calling thread. **Bit-identical** to the parallel entry point; it is the
+/// oracle `parallel_multistart_matches_serial_reference_bitwise` pins the
+/// parallel search against.
 pub fn multi_start_nelder_mead_seq(
     f: impl Fn(&[f64]) -> f64,
     x0: &[f64],
@@ -412,7 +411,7 @@ mod tests {
         let pb: Vec<u64> = par.x.iter().map(|v| v.to_bits()).collect();
         let rb: Vec<u64> = reference.x.iter().map(|v| v.to_bits()).collect();
         assert_eq!(pb, rb);
-        // The serial escape hatch runs the same starts in the same order.
+        // The serial reference runs the same starts in the same order.
         let seq = multi_start_nelder_mead_seq(bumpy, &x0, spread, restarts as usize, &opts, seed);
         assert_eq!(seq.value.to_bits(), reference.value.to_bits());
         assert_eq!(seq.evals, reference.evals);

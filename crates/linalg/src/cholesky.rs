@@ -1,39 +1,11 @@
-use crate::{LinalgError, Matrix, Workspace};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::{LinalgError, Matrix};
 
-/// Default panel width of the right-looking blocked factorization. Chosen so
-/// a panel's worth of rows stays L1-resident at realistic surrogate sizes;
-/// [`set_cholesky_panel`] overrides it process-wide for tuning and benches.
-const DEFAULT_PANEL: usize = 32;
-
-/// Below this dimension the blocked path's bookkeeping costs more than it
-/// saves; [`Cholesky::new`] routes such matrices to the scalar recurrence
-/// (bit-identical either way, see [`Cholesky::new_with_panel`]).
-const SMALL_DIM: usize = 32;
-
-/// Process-wide panel-width override; 0 means "use [`DEFAULT_PANEL`]".
-static PANEL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the panel width used by [`Cholesky::new`] process-wide.
-///
-/// `0` restores the default; `1` selects the pinned scalar recurrence (the
-/// pre-blocking reference path, kept for benchmarking and as an escape
-/// hatch); any larger value is used as the blocked panel width. This is
-/// **result-transparent**: every width produces bit-identical factors (the
-/// equivalence the `blocked_*` tests and proptests pin), so flipping it
-/// never changes optimizer results — only throughput.
-pub fn set_cholesky_panel(width: usize) {
-    PANEL_OVERRIDE.store(width, Ordering::Relaxed);
-}
-
-/// The panel width [`Cholesky::new`] currently uses (see
-/// [`set_cholesky_panel`]).
-pub fn cholesky_panel() -> usize {
-    match PANEL_OVERRIDE.load(Ordering::Relaxed) {
-        0 => DEFAULT_PANEL,
-        w => w,
-    }
-}
+/// Panel width of the right-looking blocked factorization. Chosen so a
+/// panel's worth of rows stays L1-resident at realistic surrogate sizes; at
+/// or below this dimension [`Cholesky::new`] runs the scalar recurrence,
+/// whose bookkeeping is cheaper there (bit-identical either way, see
+/// [`Cholesky::new_with_panel`]).
+const PANEL: usize = 32;
 
 /// Jittered Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite
 /// matrix, with triangular solves and log-determinant.
@@ -45,8 +17,8 @@ pub fn cholesky_panel() -> usize {
 ///
 /// # Blocked factorization
 ///
-/// Factorization is *right-looking blocked*: each panel of
-/// [`cholesky_panel`] columns is factorized in place, then the trailing
+/// Factorization is *right-looking blocked*: each panel of 32 columns is
+/// factorized in place, then the trailing
 /// block is SYRK-updated with contiguous row-slice sweeps that LLVM can
 /// vectorize — the scalar recurrence's per-entry dot product is a serial
 /// floating-point dependency chain the compiler must not reassociate,
@@ -88,51 +60,19 @@ impl Cholesky {
     /// * [`LinalgError::NotPositiveDefinite`] if factorization fails even at the
     ///   maximum jitter.
     pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::new_in(a, Workspace::off())
+        Self::new_with_panel(a, PANEL)
     }
 
-    /// Like [`Cholesky::new`], drawing the factor and panel scratch from `ws`
-    /// instead of the allocator. Result-transparent: pooled storage is
-    /// zero-filled on take, so the factor is bit-identical to
-    /// [`Cholesky::new`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cholesky::new`].
-    pub fn new_in(a: &Matrix, ws: &Workspace) -> Result<Self, LinalgError> {
-        let panel = cholesky_panel();
-        let panel = if panel > 1 && a.rows() <= SMALL_DIM {
-            1
-        } else {
-            panel
-        };
-        Self::new_in_panel(a, panel, ws)
-    }
-
-    /// Like [`Cholesky::new`] with an explicit panel width: `panel <= 1` runs
-    /// the pinned scalar recurrence, larger widths the blocked path with
-    /// exactly that width (no small-matrix shortcut). All widths produce
-    /// bit-identical factors; this entry point exists for the equivalence
-    /// tests and benchmark comparisons.
+    /// Like [`Cholesky::new`] with an explicit panel width: `panel <= 1` or
+    /// `panel >= a.rows()` runs the pinned scalar recurrence, any other width
+    /// the blocked path with exactly that width. All widths produce
+    /// bit-identical factors; this entry point is the scalar reference the
+    /// blocked path is tested against.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Cholesky::new`].
     pub fn new_with_panel(a: &Matrix, panel: usize) -> Result<Self, LinalgError> {
-        Self::new_in_panel(a, panel.max(1), Workspace::off())
-    }
-
-    /// The pre-blocking scalar reference factorization (escape hatch;
-    /// equivalent to `new_with_panel(a, 1)`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cholesky::new`].
-    pub fn new_unblocked(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::new_with_panel(a, 1)
-    }
-
-    fn new_in_panel(a: &Matrix, panel: usize, ws: &Workspace) -> Result<Self, LinalgError> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
@@ -144,32 +84,24 @@ impl Cholesky {
         }
         let mean_diag = (0..n).map(|i| a[(i, i)].abs()).sum::<f64>() / n as f64;
         let base = if mean_diag > 0.0 { mean_diag } else { 1.0 };
-        let mut l = ws.take_matrix(n, n);
+        let mut l = Matrix::zeros(n, n);
         let (mut colbuf, mut rowbuf) = if panel > 1 && n > panel {
-            (ws.take_vec(n), ws.take_vec(n))
+            (vec![0.0; n], vec![0.0; n])
         } else {
             (Vec::new(), Vec::new())
         };
         let mut jitter = 0.0;
         let mut scale = 1e-10;
-        let ok = loop {
+        loop {
             l.fill(0.0);
             if Self::factorize_into(a, jitter, panel, &mut l, &mut colbuf, &mut rowbuf) {
-                break true;
+                return Ok(Cholesky { l, jitter });
             }
             if scale > 1e-4 {
-                break false;
+                return Err(LinalgError::NotPositiveDefinite { max_jitter: jitter });
             }
             jitter = base * scale;
             scale *= 100.0;
-        };
-        ws.put_vec(colbuf);
-        ws.put_vec(rowbuf);
-        if ok {
-            Ok(Cholesky { l, jitter })
-        } else {
-            ws.put_matrix(l);
-            Err(LinalgError::NotPositiveDefinite { max_jitter: jitter })
         }
     }
 
@@ -450,13 +382,6 @@ impl Cholesky {
         &self.l
     }
 
-    /// Consumes the factorization and returns the factor's storage (so
-    /// short-lived factors — e.g. per-objective-evaluation NLML factors —
-    /// can hand their buffer back to a [`Workspace`]).
-    pub fn into_l(self) -> Matrix {
-        self.l
-    }
-
     /// The diagonal jitter that was added to achieve positive definiteness.
     pub fn jitter(&self) -> f64 {
         self.jitter
@@ -512,16 +437,6 @@ impl Cholesky {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
     pub fn solve_lower_mat(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        self.solve_lower_mat_in(b, Workspace::off())
-    }
-
-    /// [`Cholesky::solve_lower_mat`] with the result and accumulator drawn
-    /// from `ws` (return the result with `Workspace::put_matrix` when done).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_lower_mat_in(&self, b: &Matrix, ws: &Workspace) -> Result<Matrix, LinalgError> {
         let n = self.dim();
         if b.rows() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -531,9 +446,8 @@ impl Cholesky {
             });
         }
         let cols = b.cols();
-        let mut y = ws.take_matrix(n, cols);
-        y.as_mut_slice().copy_from_slice(b.as_slice());
-        let mut acc = ws.take_vec(cols);
+        let mut y = b.clone();
+        let mut acc = vec![0.0; cols];
         for i in 0..n {
             let lrow = self.l.row(i);
             acc.copy_from_slice(y.row(i));
@@ -548,7 +462,6 @@ impl Cholesky {
                 *out = a / lii;
             }
         }
-        ws.put_vec(acc);
         Ok(y)
     }
 
@@ -588,15 +501,6 @@ impl Cholesky {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `y.rows() != self.dim()`.
     pub fn solve_upper_mat(&self, y: &Matrix) -> Result<Matrix, LinalgError> {
-        self.solve_upper_mat_in(y, Workspace::off())
-    }
-
-    /// [`Cholesky::solve_upper_mat`] with scratch drawn from `ws`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `y.rows() != self.dim()`.
-    pub fn solve_upper_mat_in(&self, y: &Matrix, ws: &Workspace) -> Result<Matrix, LinalgError> {
         let n = self.dim();
         if y.rows() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -606,9 +510,8 @@ impl Cholesky {
             });
         }
         let cols = y.cols();
-        let mut x = ws.take_matrix(n, cols);
-        x.as_mut_slice().copy_from_slice(y.as_slice());
-        let mut acc = ws.take_vec(cols);
+        let mut x = y.clone();
+        let mut acc = vec![0.0; cols];
         for i in (0..n).rev() {
             acc.copy_from_slice(x.row(i));
             for k in (i + 1)..n {
@@ -623,7 +526,6 @@ impl Cholesky {
                 *out = a / lii;
             }
         }
-        ws.put_vec(acc);
         Ok(x)
     }
 
@@ -780,17 +682,15 @@ mod tests {
 
     #[test]
     fn blocked_matches_scalar_bitwise_across_panel_widths() {
-        for n in [1, 2, 5, 17, 33, 64, 97] {
+        for n in [1, 2, 5, 17, 33, 64, 97, 200] {
             let a = spd(n);
             let scalar = Cholesky::new_with_panel(&a, 1).unwrap();
-            for panel in [2, 3, 8, 31, 32, 48, 200] {
+            for panel in [2, 3, 8, 31, 32, 48, 64, 200] {
                 let blocked = Cholesky::new_with_panel(&a, panel).unwrap();
                 assert_bitwise_eq(&blocked, &scalar, &format!("n={n} panel={panel}"));
             }
             let auto = Cholesky::new(&a).unwrap();
             assert_bitwise_eq(&auto, &scalar, &format!("n={n} auto"));
-            let unblocked = Cholesky::new_unblocked(&a).unwrap();
-            assert_bitwise_eq(&unblocked, &scalar, &format!("n={n} unblocked"));
         }
     }
 
@@ -805,33 +705,6 @@ mod tests {
         assert!(scalar.jitter() > 0.0);
         let blocked = Cholesky::new_with_panel(&a, 8).unwrap();
         assert_bitwise_eq(&blocked, &scalar, "jittered n=40 panel=8");
-    }
-
-    #[test]
-    fn panel_override_is_result_transparent() {
-        let a = spd(50);
-        let reference = Cholesky::new(&a).unwrap();
-        for w in [1, 4, 64] {
-            set_cholesky_panel(w);
-            let c = Cholesky::new(&a).unwrap();
-            set_cholesky_panel(0);
-            assert_bitwise_eq(&c, &reference, &format!("override {w}"));
-        }
-        assert_eq!(cholesky_panel(), DEFAULT_PANEL);
-    }
-
-    #[test]
-    fn new_in_matches_new_bitwise_and_recycles() {
-        let ws = Workspace::new();
-        let a = spd(40);
-        let plain = Cholesky::new(&a).unwrap();
-        let pooled = Cholesky::new_in(&a, &ws).unwrap();
-        assert_bitwise_eq(&pooled, &plain, "pooled first take");
-        // Dirty the pool, then refactorize: recycled storage must be
-        // invisible in the result.
-        ws.put_matrix(pooled.into_l());
-        let again = Cholesky::new_in(&a, &ws).unwrap();
-        assert_bitwise_eq(&again, &plain, "pooled recycled take");
     }
 
     #[test]
@@ -863,13 +736,15 @@ mod tests {
     #[test]
     fn extend_matches_blocked_full_factorization_bitwise_large() {
         // Same contract across the blocked-path size threshold: growing a
-        // 40x40 factor to 60x60 must agree bit-for-bit with the (blocked)
-        // full factorization.
-        let a = spd(60);
-        let base = Cholesky::new(&leading_block(&a, 40)).unwrap();
-        let ext = base.extend(&a).unwrap();
-        let full = Cholesky::new(&a).unwrap();
-        assert_bitwise_eq(&ext, &full, "extend 40->60");
+        // factor must agree bit-for-bit with the (blocked) full
+        // factorization, up to a realistic surrogate size.
+        for (n0, n) in [(40, 60), (150, 200)] {
+            let a = spd(n);
+            let base = Cholesky::new(&leading_block(&a, n0)).unwrap();
+            let ext = base.extend(&a).unwrap();
+            let full = Cholesky::new(&a).unwrap();
+            assert_bitwise_eq(&ext, &full, &format!("extend {n0}->{n}"));
+        }
     }
 
     #[test]
@@ -937,19 +812,21 @@ mod tests {
 
     #[test]
     fn downdate_matches_window_factorization_to_tolerance() {
-        let a = spd(30);
-        let c = Cholesky::new(&a).unwrap();
-        assert_eq!(c.jitter(), 0.0);
-        for k in [1, 3, 10, 29] {
-            let d = c.downdate(k).unwrap();
-            assert_eq!(d.dim(), 30 - k);
-            let fresh = Cholesky::new(&trailing_block(&a, k)).unwrap();
-            let scale = fresh.l().max_abs();
-            let diff = d.l().max_abs_diff(fresh.l()).unwrap();
-            assert!(
-                diff <= 1e-12 * scale,
-                "k={k}: |downdate - fresh| = {diff:e} (scale {scale:e})"
-            );
+        for (n, ks) in [(30, &[1, 3, 10, 29][..]), (200, &[8][..])] {
+            let a = spd(n);
+            let c = Cholesky::new(&a).unwrap();
+            assert_eq!(c.jitter(), 0.0);
+            for &k in ks {
+                let d = c.downdate(k).unwrap();
+                assert_eq!(d.dim(), n - k);
+                let fresh = Cholesky::new(&trailing_block(&a, k)).unwrap();
+                let scale = fresh.l().max_abs();
+                let diff = d.l().max_abs_diff(fresh.l()).unwrap();
+                assert!(
+                    diff <= 1e-12 * scale,
+                    "n={n} k={k}: |downdate - fresh| = {diff:e} (scale {scale:e})"
+                );
+            }
         }
     }
 
@@ -1035,39 +912,23 @@ mod tests {
 
     #[test]
     fn solve_mat_matches_per_column_solve_vec_bitwise() {
-        let a = spd(11);
-        let c = Cholesky::new(&a).unwrap();
-        let b = Matrix::from_fn(11, 6, |i, j| ((2 * i + 3 * j) as f64).sin());
-        let batched = c.solve_mat(&b).unwrap();
-        for j in 0..6 {
-            let col = c.solve_vec(&b.col(j)).unwrap();
-            for i in 0..11 {
-                assert_eq!(
-                    batched[(i, j)].to_bits(),
-                    col[i].to_bits(),
-                    "entry ({i},{j}) differs from the per-column solve_vec"
-                );
+        // n = 200 with 24 right-hand sides runs the blocked factor and a
+        // candidate-chunk-wide solve at realistic surrogate size.
+        for (n, q) in [(11, 6), (200, 24)] {
+            let a = spd(n);
+            let c = Cholesky::new(&a).unwrap();
+            let b = Matrix::from_fn(n, q, |i, j| ((2 * i + 3 * j) as f64).sin());
+            let batched = c.solve_mat(&b).unwrap();
+            for j in 0..q {
+                let col = c.solve_vec(&b.col(j)).unwrap();
+                for i in 0..n {
+                    assert_eq!(
+                        batched[(i, j)].to_bits(),
+                        col[i].to_bits(),
+                        "n={n}: entry ({i},{j}) differs from the per-column solve_vec"
+                    );
+                }
             }
-        }
-    }
-
-    #[test]
-    fn solve_mat_in_recycled_scratch_is_bitwise_stable() {
-        let ws = Workspace::new();
-        let a = spd(10);
-        let c = Cholesky::new(&a).unwrap();
-        let b = Matrix::from_fn(10, 3, |i, j| ((i + j) as f64).sin());
-        let plain = c.solve_lower_mat(&b).unwrap();
-        for _ in 0..3 {
-            let pooled = c.solve_lower_mat_in(&b, &ws).unwrap();
-            assert_eq!(pooled.as_slice(), plain.as_slice());
-            ws.put_matrix(pooled);
-        }
-        let up_plain = c.solve_upper_mat(&b).unwrap();
-        for _ in 0..3 {
-            let pooled = c.solve_upper_mat_in(&b, &ws).unwrap();
-            assert_eq!(pooled.as_slice(), up_plain.as_slice());
-            ws.put_matrix(pooled);
         }
     }
 

@@ -10,11 +10,6 @@
 //! * [`Cholesky`] — a jittered, right-looking *blocked* Cholesky factorization
 //!   with triangular solves, log-determinant, incremental `extend`, and
 //!   low-rank `downdate` (the workhorse of exact GP inference),
-//! * [`Workspace`] — a buffer arena that recycles Gram/factor/solve scratch
-//!   across optimizer steps (result-transparent by construction),
-//! * [`mixed`] — the sanctioned f32 Cholesky + f64 iterative-refinement
-//!   module used to *screen* NLL evaluations inside the hyperparameter
-//!   search (toleranced, never bit-equivalent; everything else is f64),
 //! * [`stats`] — scalar standard-normal PDF/CDF/quantile built on an `erf`
 //!   implementation, plus small summary-statistics helpers.
 //!
@@ -34,14 +29,11 @@
 //! # }
 //! ```
 
-mod arena;
 mod cholesky;
 mod error;
 mod matrix;
-pub mod mixed;
 pub mod stats;
 
-pub use arena::Workspace;
-pub use cholesky::{cholesky_panel, set_cholesky_panel, Cholesky};
+pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;

@@ -195,21 +195,9 @@ impl Matrix {
         &self.data
     }
 
-    /// The underlying row-major data slice, mutably. Row `i` occupies
-    /// `[i * cols, (i + 1) * cols)`; this is what parallel row-blocked fills
-    /// (e.g. [`crate::Cholesky`] scratch and kernel Gram assembly) split on.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Sets every element to `v` (used to recycle pooled buffers).
+    /// Sets every element to `v`.
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
-    }
-
-    /// Consumes the matrix and returns the row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Returns the transpose.
@@ -305,42 +293,11 @@ impl Matrix {
     /// Kronecker product `self ⊗ rhs`.
     ///
     /// Used by the intrinsic-coregionalization multi-task GP where the joint
-    /// covariance is `B ⊗ K`.
+    /// covariance is `B ⊗ K`. Zero entries of `self` leave their block zero;
+    /// every other entry is the single product `self[(i, j)] * rhs[(p, q)]`,
+    /// written one contiguous row slice at a time.
     pub fn kron(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows * rhs.rows, self.cols * rhs.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let a = self[(i, j)];
-                if a == 0.0 {
-                    continue;
-                }
-                for p in 0..rhs.rows {
-                    for q in 0..rhs.cols {
-                        out[(i * rhs.rows + p, j * rhs.cols + q)] = a * rhs[(p, q)];
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Kronecker product `self ⊗ rhs` written into a caller-provided buffer
-    /// (typically recycled through a [`crate::Workspace`]), avoiding the
-    /// `O((nM)²)` allocation of [`Matrix::kron`] on every multi-task
-    /// covariance assembly. `out` must be zeroed: like `kron`, zero entries
-    /// of `self` are skipped rather than stored. Every written entry is the
-    /// same single product `self[(i, j)] * rhs[(p, q)]` as in `kron`, so the
-    /// result is bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not `(self.rows * rhs.rows) x (self.cols * rhs.cols)`.
-    pub fn kron_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            out.shape(),
-            (self.rows * rhs.rows, self.cols * rhs.cols),
-            "kron_into: output buffer has the wrong shape"
-        );
         for i in 0..self.rows {
             for j in 0..self.cols {
                 let a = self[(i, j)];
@@ -356,6 +313,7 @@ impl Matrix {
                 }
             }
         }
+        out
     }
 
     /// Maximum absolute element, or 0 for an empty matrix.

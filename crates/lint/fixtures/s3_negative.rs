@@ -1,11 +1,11 @@
 // S3 negative: the hatch is covered by a test that names it.
 
 pub struct Cfg {
-    pub indexed_eipv: bool,
+    pub warm_start_hyperopt: bool,
 }
 
 pub fn pick(cfg: &Cfg) -> bool {
-    cfg.indexed_eipv
+    cfg.warm_start_hyperopt
 }
 
 #[cfg(test)]
@@ -13,11 +13,11 @@ mod tests {
     use super::Cfg;
 
     #[test]
-    fn indexed_eipv_on_off_equivalence() {
-        let on = Cfg { indexed_eipv: true };
+    fn warm_start_hyperopt_on_off_equivalence() {
+        let on = Cfg { warm_start_hyperopt: true };
         let off = Cfg {
-            indexed_eipv: false,
+            warm_start_hyperopt: false,
         };
-        assert!(on.indexed_eipv != off.indexed_eipv);
+        assert!(on.warm_start_hyperopt != off.warm_start_hyperopt);
     }
 }

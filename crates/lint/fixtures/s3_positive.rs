@@ -2,9 +2,9 @@
 // that references it.
 
 pub struct Cfg {
-    pub indexed_eipv: bool,
+    pub warm_start_hyperopt: bool,
 }
 
 pub fn pick(cfg: &Cfg) -> bool {
-    cfg.indexed_eipv
+    cfg.warm_start_hyperopt
 }

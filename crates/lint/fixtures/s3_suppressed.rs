@@ -3,9 +3,9 @@
 
 pub struct Cfg {
     // cmmf-lint: allow(S3) -- experimental hatch; equivalence test lands with the feature
-    pub indexed_eipv: bool,
+    pub warm_start_hyperopt: bool,
 }
 
 pub fn pick(cfg: &Cfg) -> bool {
-    cfg.indexed_eipv
+    cfg.warm_start_hyperopt
 }

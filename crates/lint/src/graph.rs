@@ -31,9 +31,9 @@
 //! * Functions that *return* a guard (signature mentions `MutexGuard` /
 //!   `RwLockReadGuard` / `RwLockWriteGuard`) are **acquirer functions**: a
 //!   call to one is an acquisition at the call site. A concrete acquirer
-//!   (`serve::lock_state`, `linalg::Workspace::lock`) contributes the lock
-//!   it wraps; a parametric one (it locks through one of its own
-//!   parameters, like `trace::lock_unpoisoned`) takes its lock identity
+//!   (`serve::lock_state`) contributes the lock it wraps; a parametric one
+//!   (it locks through one of its own parameters, like
+//!   `trace::lock_unpoisoned`) takes its lock identity
 //!   from the call-site argument (`lock_unpoisoned(&self.out)` → `out`).
 
 use crate::lexer::{Tok, Token};

@@ -359,10 +359,6 @@ fn scan_sources_graph(
             if !rules::rule_enabled(m.rule, &ctx.spec.pkg, ctx.spec.class, *tested) {
                 continue;
             }
-            // D5's one sanctioned home: the mixed-precision module itself.
-            if m.rule == RuleId::D5 && rules::d5_sanctioned(&ctx.spec.path) {
-                continue;
-            }
             let silenced = ctx
                 .sups
                 .iter()

@@ -10,7 +10,7 @@
 //! | `D2` | no clock reads on result paths | `std::time`, `Instant`, `SystemTime` |
 //! | `D3` | seeded RNG streams only | `thread_rng`, `from_entropy`, `from_os_rng`, `OsRng` |
 //! | `D4` | total float ordering | `partial_cmp` |
-//! | `D5` | double precision on result paths | `f32` outside `crates/linalg/src/mixed.rs` |
+//! | `D5` | double precision on result paths | `f32` |
 //! | `D6` | no silent truncation | `as usize`/`as u32`/… narrowing casts in library code |
 //! | `P1` | panic-freedom in library code | `.unwrap()`, `.expect()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` |
 //! | `P2` | no unsafe | `unsafe` |
@@ -40,9 +40,8 @@ pub enum RuleId {
     D3,
     /// No `partial_cmp` on floats — `total_cmp` is total and NaN-safe.
     D4,
-    /// No `f32` in result-affecting crates outside the sanctioned
-    /// mixed-precision module (`crates/linalg/src/mixed.rs`) — single
-    /// precision anywhere else silently degrades pinned numerics.
+    /// No `f32` in result-affecting crates — single precision silently
+    /// degrades pinned numerics.
     D5,
     /// No narrowing `as` casts in library code: `expr as usize` on untrusted
     /// or wide input truncates silently where `usize::try_from` would
@@ -114,7 +113,7 @@ impl RuleId {
             RuleId::D2 => "clock reads on result paths break replayability",
             RuleId::D3 => "RNG streams must derive from the run seed",
             RuleId::D4 => "partial_cmp panics or misorders on NaN; use total_cmp",
-            RuleId::D5 => "f32 on result paths degrades pinned numerics; only linalg::mixed may",
+            RuleId::D5 => "f32 on result paths degrades pinned numerics",
             RuleId::D6 => "narrowing `as` casts truncate silently; use checked conversions",
             RuleId::P1 => "library code must propagate Result, not panic",
             RuleId::P2 => "unsafe code is banned workspace-wide",
@@ -199,10 +198,8 @@ const PANIC_FREE: [&str; 13] = [
 ///   including tests — there is never a legitimate reason for these.
 /// * `D1`: all code (tests included) of the result-affecting crates and the
 ///   trace crate (JSONL field order is pinned by a schema test).
-/// * `D5`: all code (tests included) of the result-affecting crates; the one
-///   sanctioned file, `crates/linalg/src/mixed.rs`, is exempted by path in
-///   `scan_source` (see [`d5_sanctioned`]) — every other `f32` needs a
-///   reasoned allow.
+/// * `D5`: all code (tests included) of the result-affecting crates; every
+///   `f32` there needs a reasoned allow.
 /// * `D2`: library code only, everywhere except the clock owners — bins,
 ///   tests, and benches may time things; results may not.
 /// * `P1`, `D6`: library code only, of the `PANIC_FREE` crates — tests,
@@ -241,14 +238,6 @@ pub fn panic_free(pkg: &str) -> bool {
 /// holding its own output lock — serialized writes *are* its design.
 pub fn s2_io_guarded(pkg: &str) -> bool {
     pkg == "cmmf-serve"
-}
-
-/// The one file sanctioned to use `f32`: the mixed-precision screen, whose
-/// results only ever reach a fit through the toleranced, default-off
-/// `mixed_precision` escape hatch (its own contract tests pin the error
-/// band). `scan_source` drops `D5` matches for this path.
-pub fn d5_sanctioned(path: &str) -> bool {
-    path == "crates/linalg/src/mixed.rs"
 }
 
 /// One raw rule match, before policy filtering and suppression.
@@ -332,9 +321,7 @@ pub fn run_rules(tokens: &[Token], in_test: &[bool]) -> Vec<(Match, bool)> {
             ),
             "f32" => emit(
                 RuleId::D5,
-                "`f32` on a result path; double precision is the contract — the only \
-                 sanctioned single-precision code is `linalg::mixed`"
-                    .to_string(),
+                "`f32` on a result path; double precision is the contract".to_string(),
             ),
             "partial_cmp" => emit(
                 RuleId::D4,

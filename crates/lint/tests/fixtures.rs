@@ -151,24 +151,16 @@ fn d5_suppressed_by_reasoned_allow() {
 }
 
 #[test]
-fn d5_exempt_in_the_sanctioned_mixed_module_and_harness_crates() {
+fn d5_exempt_in_harness_crates_only() {
     let src = include_str!("../fixtures/d5_positive.rs");
-    // The one sanctioned file: the mixed-precision screen itself.
-    let r = scan_source(
-        src,
-        "cmmf-linalg",
-        FileClass::Lib,
-        "crates/linalg/src/mixed.rs",
-    );
-    assert_eq!(count(&r, RuleId::D5), 0, "mixed.rs is sanctioned");
-    // Any other linalg file stays guarded.
+    // No file of a result-affecting crate is sanctioned.
     let r = scan_source(
         src,
         "cmmf-linalg",
         FileClass::Lib,
         "crates/linalg/src/cholesky.rs",
     );
-    assert!(count(&r, RuleId::D5) > 0, "only mixed.rs is sanctioned");
+    assert!(count(&r, RuleId::D5) > 0, "linalg is guarded");
     // Harness crates may use f32 freely (e.g. plotting, byte-size stats).
     for pkg in ["cmmf-bench", "cmmf-criterion", "cmmf-lint", "cmmf-trace"] {
         let r = scan_source(src, pkg, FileClass::Lib, "d5_harness");
@@ -363,7 +355,7 @@ fn s2_suppressed_by_reasoned_allow() {
 fn s3_fires_on_an_untested_escape_hatch() {
     let r = scan_as_core(include_str!("../fixtures/s3_positive.rs"), "s3_pos");
     assert_eq!(lines(&r, RuleId::S3), [5], "{:?}", r.findings);
-    assert_eq!(r.findings[0].excerpt, "indexed_eipv");
+    assert_eq!(r.findings[0].excerpt, "warm_start_hyperopt");
 }
 
 #[test]
@@ -432,18 +424,18 @@ fn a_deleted_escape_hatch_test_is_caught() {
         pkg: "cmmf".to_string(),
         class: FileClass::Lib,
         path: "crates/core/src/config.rs".to_string(),
-        src: "pub struct CmmfConfig {\n    pub mixed_precision: bool,\n}\n".to_string(),
+        src: "pub struct CmmfConfig {\n    pub warm_start_hyperopt: bool,\n}\n".to_string(),
     };
     let test = SourceSpec {
         pkg: "cmmf".to_string(),
         class: FileClass::Tests,
         path: "crates/core/tests/equivalence.rs".to_string(),
-        src: "#[test]\nfn mixed_precision_on_off() {\n    let mixed_precision = true;\n    assert!(mixed_precision);\n}\n".to_string(),
+        src: "#[test]\nfn warm_start_on_off() {\n    let warm_start_hyperopt = true;\n    assert!(warm_start_hyperopt);\n}\n".to_string(),
     };
     let covered = scan_sources(&[lib.clone(), test], &BTreeMap::new());
     assert_eq!(count(&covered, RuleId::S3), 0, "{:?}", covered.findings);
     let uncovered = scan_sources(&[lib], &BTreeMap::new());
     assert_eq!(count(&uncovered, RuleId::S3), 1, "{:?}", uncovered.findings);
-    assert_eq!(uncovered.findings[0].excerpt, "mixed_precision");
+    assert_eq!(uncovered.findings[0].excerpt, "warm_start_hyperopt");
     assert_eq!(uncovered.findings[0].line, 2);
 }

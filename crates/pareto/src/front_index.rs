@@ -276,7 +276,9 @@ impl FrontIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hypervolume_contribution;
+    use crate::{hypervolume_contribution, pareto_front};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn empty_front_gives_the_full_box() {
@@ -334,6 +336,34 @@ mod tests {
                 (naive - fast).abs() < 1e-12,
                 "y={y:?}: naive={naive} fast={fast}"
             );
+        }
+
+        // Seeded simplex fronts of 8 to 128 points (mutually non-dominated),
+        // queried inside the improvement region, in the dominated region and
+        // outside the reference box.
+        let r = [1.2; 3];
+        for f in [8usize, 32, 128] {
+            let mut rng = StdRng::seed_from_u64(11 + f as u64);
+            let front: Vec<Vec<f64>> = (0..f)
+                .map(|_| {
+                    let raw: Vec<f64> = (0..3).map(|_| rng.random_range(0.05..1.0)).collect();
+                    let s: f64 = raw.iter().sum();
+                    raw.iter()
+                        .map(|v| v / s + rng.random_range(-1e-4..1e-4))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(pareto_front(&front).len(), f);
+            let index = FrontIndex::new(&front, &r);
+            for _ in 0..256 {
+                let y: Vec<f64> = (0..3).map(|_| rng.random_range(-0.2..1.4)).collect();
+                let naive = hypervolume_contribution(&y, &front, &r);
+                let fast = index.contribution(&y);
+                assert!(
+                    (naive - fast).abs() <= 1e-12,
+                    "F={f} y={y:?}: naive={naive} fast={fast}"
+                );
+            }
         }
     }
 

@@ -157,8 +157,6 @@ pub struct JobSpec {
     pub async_slots: usize,
     /// Cross-step hyperopt warm starts.
     pub warm_start: bool,
-    /// Mixed-precision NLL screening.
-    pub mixed_precision: bool,
     /// Optional knob overrides (quick profiles).
     pub overrides: Overrides,
 }
@@ -177,7 +175,6 @@ impl JobSpec {
             batch: 1,
             async_slots: 0,
             warm_start: true,
-            mixed_precision: false,
             overrides: Overrides::default(),
         }
     }
@@ -195,6 +192,9 @@ impl JobSpec {
         }
         if self.batch == 0 {
             return Err(ServeError::invalid("batch must be at least 1"));
+        }
+        if self.overrides.refit_every == Some(0) {
+            return Err(ServeError::invalid("refit_every must be at least 1"));
         }
         if let Some(d) = self.divergence {
             if !(0.0..=1.0).contains(&d) {
@@ -223,7 +223,6 @@ impl JobSpec {
             batch_size: self.batch,
             async_slots: self.async_slots,
             warm_start_hyperopt: self.warm_start,
-            mixed_precision: self.mixed_precision,
             seed,
             ..CmmfConfig::default()
         };
@@ -310,14 +309,13 @@ impl JobSpec {
         }
         out.push_str(&format!(
             ", \"iters\": {}, \"seed\": {}, \"variant\": {}, \"batch\": {}, \
-             \"async_slots\": {}, \"warm_start\": {}, \"mixed_precision\": {}",
+             \"async_slots\": {}, \"warm_start\": {}",
             self.iters,
             self.seed,
             quote(variant_name(&self.variant)),
             self.batch,
             self.async_slots,
             self.warm_start,
-            self.mixed_precision,
         ));
         if let Some(d) = self.divergence {
             out.push_str(&format!(
@@ -430,10 +428,16 @@ impl JobSpec {
                 .as_bool()
                 .ok_or_else(|| ServeError::invalid("`warm_start` must be a bool"))?;
         }
-        if let Some(v) = doc.get("mixed_precision") {
-            job.mixed_precision = v
-                .as_bool()
-                .ok_or_else(|| ServeError::invalid("`mixed_precision` must be a bool"))?;
+        // Mixed-precision screening is gone; `job.json` files written before
+        // its removal carry `"mixed_precision": false`, which still loads.
+        match doc.get("mixed_precision").map(JsonValue::as_bool) {
+            None | Some(Some(false)) => {}
+            Some(Some(true)) => {
+                return Err(ServeError::invalid(
+                    "`mixed_precision` is no longer supported; submit the job without it",
+                ));
+            }
+            Some(None) => return Err(ServeError::invalid("`mixed_precision` must be a bool")),
         }
         job.overrides = Overrides {
             n_init: usize_field("n_init")?,
@@ -522,6 +526,42 @@ mod tests {
         let mut bad = sample();
         bad.batch = 0;
         assert!(bad.validate().is_err());
+        let mut bad = sample();
+        bad.overrides.refit_every = Some(0);
+        assert!(matches!(bad.validate(), Err(ServeError::InvalidJob { .. })));
+        assert!(matches!(
+            JobSpec::parse(&bad.to_json()),
+            Err(ServeError::InvalidJob { .. })
+        ));
+    }
+
+    #[test]
+    fn stored_mixed_precision_false_loads_and_true_is_rejected() {
+        // Every `job.json` persisted before mixed precision was removed
+        // carries `"mixed_precision": false`; those must keep loading as the
+        // same job. A job asking for the removed screen is refused rather
+        // than silently run with a different fit.
+        let job = sample();
+        let line = job.to_json();
+        assert!(!line.contains("mixed_precision"), "{line}");
+        let stored = line.replacen(
+            "\"warm_start\": true",
+            "\"warm_start\": true, \"mixed_precision\": false",
+            1,
+        );
+        assert_ne!(stored, line);
+        assert_eq!(JobSpec::parse(&stored).unwrap(), job);
+        for bad in ["true", "1"] {
+            let line = line.replacen(
+                "\"warm_start\": true",
+                &format!("\"warm_start\": true, \"mixed_precision\": {bad}"),
+                1,
+            );
+            assert!(
+                matches!(JobSpec::parse(&line), Err(ServeError::InvalidJob { .. })),
+                "{line}"
+            );
+        }
     }
 
     #[test]

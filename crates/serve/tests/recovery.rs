@@ -230,3 +230,46 @@ fn engine_errors_are_typed_not_panics() {
     engine.shutdown();
     fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn stored_jobs_from_before_mixed_precision_was_removed() {
+    // Older daemons wrote `"mixed_precision": false` into every job.json, so
+    // such an unfinished session recovers and finishes as the same job. One
+    // stored with `true` stops the recovery scan with a typed error naming
+    // its file, and nothing is enqueued. Once the operator removes that
+    // session, the others recover.
+    let root = scratch_root("mixed");
+    let keep = quick_job("acme", "keep", 5, 0);
+    let refused = quick_job("bolt", "mixed", 6, 0);
+    for (job, flag) in [(&keep, false), (&refused, true)] {
+        let paths = SessionPaths::new(&root, &job.tenant, &job.session);
+        persist_job(&paths, job).expect("job persists");
+        let text = fs::read_to_string(paths.job()).expect("job reads");
+        let stored = text.replacen('{', &format!("{{\"mixed_precision\": {flag}, "), 1);
+        assert_ne!(stored, text);
+        fs::write(paths.job(), stored).expect("job rewrites");
+    }
+    let engine = Engine::start(EngineConfig {
+        root: root.clone(),
+        workers: 1,
+        capacity: 4,
+    })
+    .expect("engine starts");
+    match engine.recover() {
+        Err(ServeError::InvalidJob { message }) => {
+            assert!(message.contains("no longer supported"), "{message}");
+            let path = root.join("bolt").join("mixed").join("job.json");
+            assert!(message.contains(&path.display().to_string()), "{message}");
+        }
+        other => panic!("expected a typed InvalidJob, got {other:?}"),
+    }
+    fs::remove_dir_all(root.join("bolt").join("mixed")).expect("session removes");
+    let recovered = engine.recover().expect("recovery scans");
+    assert_eq!(recovered, vec![("acme".to_string(), "keep".to_string())]);
+    let result = engine
+        .wait("acme", "keep")
+        .expect("recovered session finishes");
+    assert_eq!(result, expected_result(&keep));
+    engine.shutdown();
+    fs::remove_dir_all(&root).ok();
+}

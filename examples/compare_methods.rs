@@ -3,15 +3,13 @@
 //! method vs the FPL18 baseline vs the boosting-tree surrogate.
 //!
 //! ```text
-//! cargo run --release --example compare_methods [-- [--no-warm-start] [--mixed-precision]]
+//! cargo run --release --example compare_methods [-- [--no-warm-start]]
 //! ```
 //!
 //! `--no-warm-start` disables cross-step warm starting of the GP
-//! hyperparameter searches (on by default); `--mixed-precision` screens the
-//! searches' likelihood evaluations through the f32 + refinement
-//! factorization (off by default). Both are speed knobs with pinned
-//! equivalence contracts (see ARCHITECTURE.md, "Hyperparameter search") —
-//! the table should not move beyond noise under either.
+//! hyperparameter searches (on by default), a speed knob whose ADRS
+//! neutrality is contract-tested (see ARCHITECTURE.md, "Hyperparameter
+//! search") — the table should not move beyond noise under it.
 
 use cmmf_hls::baselines::dse::{run_surrogate_dse, SurrogateKind};
 use cmmf_hls::cmmf::runner::TrueFront;
@@ -19,15 +17,13 @@ use cmmf_hls::cmmf::{CmmfConfig, ModelVariant, Optimizer};
 use cmmf_hls::fidelity_sim::{FlowSimulator, SimParams};
 use cmmf_hls::hls_model::benchmarks::{self, Benchmark};
 
-const USAGE: &str = "usage: compare_methods [--no-warm-start] [--mixed-precision]";
+const USAGE: &str = "usage: compare_methods [--no-warm-start]";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut warm_start = true;
-    let mut mixed_precision = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--no-warm-start" => warm_start = false,
-            "--mixed-precision" => mixed_precision = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(());
@@ -56,7 +52,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             variant,
             seed: 7,
             warm_start_hyperopt: warm_start,
-            mixed_precision,
             ..Default::default()
         };
         let r = Optimizer::new(cfg).run(&space, &sim)?;

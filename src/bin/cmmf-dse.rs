@@ -4,8 +4,7 @@
 //! ```text
 //! cmmf-dse <spec-file> [--iters N] [--seed S] [--variant ours|fpl18]
 //!          [--divergence D] [--batch Q] [--async-slots K] [--csv]
-//!          [--checkpoint FILE] [--journal FILE]
-//!          [--no-warm-start] [--mixed-precision]
+//!          [--checkpoint FILE] [--journal FILE] [--no-warm-start]
 //! ```
 //!
 //! `--async-slots K` (K >= 1) switches to the asynchronous scheduler: up to K
@@ -22,12 +21,9 @@
 //! accumulates the whole logical run even across kills mid-write.
 //!
 //! `--no-warm-start` disables cross-step warm starting of the
-//! hyperparameter searches (on by default; see `CmmfConfig::warm_start_hyperopt`),
-//! and `--mixed-precision` screens the searches' likelihood evaluations
-//! through the f32 + refinement factorization (off by default; toleranced,
-//! see `CmmfConfig::mixed_precision`). Neither flag participates in the
-//! checkpoint fingerprint: a checkpointed run may be resumed under either
-//! setting.
+//! hyperparameter searches (on by default; see `CmmfConfig::warm_start_hyperopt`).
+//! The flag does not participate in the checkpoint fingerprint: a
+//! checkpointed run may be resumed under either setting.
 //!
 //! Argument parsing is shared with `cmmf-serve` (see `cmmf_hls::cli`):
 //! duplicate flags, out-of-range values (`--iters 0`, `--batch 0`,
@@ -51,7 +47,7 @@ const USAGE: &str = "usage: cmmf-dse <spec-file> [--iters N] [--seed S] \
                      [--variant ours|fpl18] [--divergence D] [--batch Q] \
                      [--async-slots K] [--csv] \
                      [--checkpoint FILE] [--journal FILE] \
-                     [--no-warm-start] [--mixed-precision]";
+                     [--no-warm-start]";
 
 struct Args {
     spec_path: String,
@@ -251,6 +247,7 @@ mod tests {
             &["spec.k", "--iters", "5", "--iters", "9"],
             &["spec.k", "--csv", "--csv"],
             &["spec.k", "--frobnicate"],
+            &["spec.k", "--mixed-precision"],
             &["spec.k", "second-positional"],
             &["--iters", "5"], // no spec file
             &["spec.k", "--checkpoint"],

@@ -7,8 +7,7 @@
 //!                     (--benchmark NAME | --spec FILE)
 //!                     [--iters N] [--seed S] [--variant ours|fpl18]
 //!                     [--divergence D] [--batch Q] [--async-slots K]
-//!                     [--no-warm-start] [--mixed-precision]
-//!                     [--quick] [--wait] [--stream]
+//!                     [--no-warm-start] [--quick] [--wait] [--stream]
 //! cmmf-serve status   --connect EP --tenant T --session S
 //! cmmf-serve wait     --connect EP --tenant T --session S
 //! cmmf-serve list     --connect EP
@@ -44,7 +43,7 @@ const USAGE: &str = "usage: cmmf-serve <daemon|ping|submit|status|wait|list|shut
   ping     --connect EP\n\
   submit   --connect EP --tenant T --session S (--benchmark NAME | --spec FILE)\n\
            [--iters N] [--seed S] [--variant ours|fpl18] [--divergence D]\n\
-           [--batch Q] [--async-slots K] [--no-warm-start] [--mixed-precision]\n\
+           [--batch Q] [--async-slots K] [--no-warm-start]\n\
            [--quick] [--wait] [--stream]\n\
   status   --connect EP --tenant T --session S\n\
   wait     --connect EP --tenant T --session S\n\
@@ -273,7 +272,6 @@ fn parse_submit(mut args: ArgStream) -> Result<Parsed, CliError> {
     spec.batch = job.batch;
     spec.async_slots = job.async_slots;
     spec.warm_start = job.warm_start;
-    spec.mixed_precision = job.mixed_precision;
     if quick {
         spec.overrides = Overrides::quick();
     }

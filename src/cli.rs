@@ -178,8 +178,6 @@ pub struct JobFlags {
     pub async_slots: usize,
     /// Cross-step hyperopt warm starts (`--no-warm-start` clears it).
     pub warm_start: bool,
-    /// Mixed-precision NLL screening (`--mixed-precision` sets it).
-    pub mixed_precision: bool,
 }
 
 impl Default for JobFlags {
@@ -192,7 +190,6 @@ impl Default for JobFlags {
             batch: 1,
             async_slots: 0,
             warm_start: true,
-            mixed_precision: false,
         }
     }
 }
@@ -202,7 +199,7 @@ impl JobFlags {
     /// usage string.
     pub const USAGE: &'static str = "[--iters N] [--seed S] [--variant ours|fpl18] \
                                      [--divergence D] [--batch Q] [--async-slots K] \
-                                     [--no-warm-start] [--mixed-precision]";
+                                     [--no-warm-start]";
 
     /// Tries to consume `arg` (and its value, if any) as one of the shared
     /// job flags. Returns `Ok(false)` when `arg` is not a job flag, so the
@@ -224,10 +221,6 @@ impl JobFlags {
                 args.flag_once(arg)?;
                 self.warm_start = false;
             }
-            "--mixed-precision" => {
-                args.flag_once(arg)?;
-                self.mixed_precision = true;
-            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -242,7 +235,6 @@ impl JobFlags {
             batch_size: self.batch,
             async_slots: self.async_slots,
             warm_start_hyperopt: self.warm_start,
-            mixed_precision: self.mixed_precision,
             ..Default::default()
         }
     }
@@ -279,7 +271,6 @@ mod tests {
             "--async-slots",
             "3",
             "--no-warm-start",
-            "--mixed-precision",
         ])
         .unwrap();
         assert_eq!(job.iters, 7);
@@ -289,7 +280,6 @@ mod tests {
         assert_eq!(job.batch, 2);
         assert_eq!(job.async_slots, 3);
         assert!(!job.warm_start);
-        assert!(job.mixed_precision);
         let cfg = job.to_config();
         assert_eq!(cfg.n_iter, 7);
         assert_eq!(cfg.batch_size, 2);
@@ -318,7 +308,6 @@ mod tests {
         for bad in [
             &["--iters", "5", "--iters", "9"][..],
             &["--seed", "1", "--seed", "1"],
-            &["--mixed-precision", "--mixed-precision"],
             &["--no-warm-start", "--no-warm-start"],
         ] {
             let e = consume_all(bad).unwrap_err();
@@ -328,10 +317,13 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_not_consumed() {
-        let mut args = ArgStream::new(vec!["--frobnicate".into()]);
-        let mut job = JobFlags::default();
-        let arg = args.next_arg().unwrap();
-        assert_eq!(job.try_consume(&arg, &mut args), Ok(false));
-        assert_eq!(job, JobFlags::default());
+        // A removed flag is as unknown as one that never existed.
+        for flag in ["--frobnicate", "--mixed-precision"] {
+            let mut args = ArgStream::new(vec![flag.into()]);
+            let mut job = JobFlags::default();
+            let arg = args.next_arg().unwrap();
+            assert_eq!(job.try_consume(&arg, &mut args), Ok(false));
+            assert_eq!(job, JobFlags::default());
+        }
     }
 }
