@@ -1,6 +1,7 @@
 //! CI smoke for the observability and resume layer: runs a quick BO
 //! configuration with a JSONL journal attached, kills it (deterministically)
-//! after two steps, resumes from the on-disk checkpoint, and verifies that
+//! after four of six steps, resumes from the on-disk checkpoint, and verifies
+//! that
 //!
 //! 1. the resumed run's `RunResult` is **bit-identical** to an uninterrupted
 //!    run of the same configuration,
@@ -21,6 +22,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use trace::json;
+
+/// The step the run is killed after. With `refit_every` 3 the resume
+/// replays the fits from the step-3 hyperparameter search on, not from
+/// step 0.
+const KILL_AT: usize = 4;
 
 fn quick_cfg() -> CmmfConfig {
     let mut cfg = CmmfConfig {
@@ -65,10 +71,11 @@ fn run(dir: &std::path::Path) -> Result<(), String> {
         .run(&space, &sim)
         .map_err(|e| e.to_string())?;
 
-    // "Crash": run 2 of the 6 steps and leave only the checkpoint behind.
+    // "Crash": run KILL_AT of the 6 steps and leave only the checkpoint
+    // behind.
     let ckpt_path = dir.join("smoke.ckpt.json");
     Optimizer::new(quick_cfg())
-        .run_until(&space, &sim, 2)
+        .run_until(&space, &sim, KILL_AT)
         .map_err(|e| e.to_string())?
         .save(&ckpt_path)
         .map_err(|e| e.to_string())?;
@@ -84,7 +91,7 @@ fn run(dir: &std::path::Path) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     check(
         same_result(&reference, &resumed),
-        "kill-at-step-2 + resume is bit-identical to the uninterrupted run",
+        &format!("kill-at-step-{KILL_AT} + resume is bit-identical to the uninterrupted run"),
     )?;
 
     // The final checkpoint on disk covers the whole run and reparses.
@@ -133,17 +140,19 @@ fn run(dir: &std::path::Path) -> Result<(), String> {
     )?;
     let started = json::parse(lines[0]).map_err(|e| e.to_string())?;
     check(
-        started.get("resumed_at").and_then(|v| v.as_u64()) == Some(2),
-        "run_started records resumed_at = 2",
+        started.get("resumed_at").and_then(|v| v.as_u64()) == Some(KILL_AT as u64),
+        &format!("run_started records resumed_at = {KILL_AT}"),
     )?;
+    let live_steps = quick_cfg().n_iter - KILL_AT;
     check(
-        kinds.iter().filter(|k| *k == "checkpoint_written").count() == 4,
-        "one checkpoint_written per live step (4 of 6 after resuming at 2)",
+        kinds.iter().filter(|k| *k == "checkpoint_written").count() == live_steps,
+        &format!("one checkpoint_written per live step ({live_steps} after resuming at {KILL_AT})"),
     )?;
 
     println!(
-        "smoke_resume OK: {} journal events, resumed at step 2/6, bit-identical result",
-        lines.len()
+        "smoke_resume OK: {} journal events, resumed at step {KILL_AT}/{}, bit-identical result",
+        lines.len(),
+        quick_cfg().n_iter
     );
     Ok(())
 }

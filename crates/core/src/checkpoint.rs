@@ -131,10 +131,7 @@ impl RunCheckpoint {
     /// The configuration fingerprint a checkpoint of `cfg` carries: every
     /// field that can influence the result, formatted deterministically
     /// (floats as bit patterns). `threads` and `tracer` are deliberately
-    /// absent — both are result-transparent. `warm_start_hyperopt` is also
-    /// absent: it steers only the hyperparameter *search*, and restore
-    /// replays the fit chain under the resuming process's flag, so a
-    /// checkpoint stays loadable when it differs.
+    /// absent — both are result-transparent.
     pub fn fingerprint_of(cfg: &CmmfConfig) -> String {
         format!(
             "v{CHECKPOINT_VERSION};n_init={};n_init_syn={};n_init_impl={};n_iter={};\

@@ -58,7 +58,7 @@ pub mod scheduler;
 
 pub use checkpoint::{RunCheckpoint, ScheduleEvent};
 pub use error::CmmfError;
-pub use models::{FidelityDataSet, FidelityModelStack, FitMode, ModelVariant, StackFitOptions};
+pub use models::{FidelityDataSet, FidelityModelStack, FitMode, ModelVariant};
 pub use optimizer::{CandidateChoice, CmmfConfig, Optimizer, RunResult};
 pub use scheduler::AsyncOptimizer;
 // The observability layer (see ARCHITECTURE.md, "Observability & resume") —

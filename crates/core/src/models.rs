@@ -7,9 +7,7 @@ use gp::kernel::{Matern52Ard, Matern52Grouped};
 use gp::multifidelity::{
     FidelityData, LinearMultiFidelityGp, MultiFidelityConfig, NonLinearMultiFidelityGp,
 };
-use gp::{
-    FitStats, GpConfig, GpError, HyperoptOptions, MultiTaskGp, MultiTaskPrediction, Prediction,
-};
+use gp::{FitStats, GpConfig, GpError, MultiTaskGp, MultiTaskPrediction, Prediction};
 use linalg::Matrix;
 
 /// Number of fidelities (hls, syn, impl).
@@ -99,38 +97,6 @@ impl FitMode {
     }
 }
 
-/// How one [`FidelityModelStack::fit_with`] call should run: the previous
-/// stack + fit mode of [`FidelityModelStack::fit`], plus the cross-step
-/// warm start the optimizer loop owns
-/// ([`CmmfConfig::warm_start_hyperopt`](crate::CmmfConfig)).
-#[derive(Debug, Clone, Copy)]
-pub struct StackFitOptions<'a> {
-    /// The previous iteration's stack, if any — the hyperparameter source for
-    /// [`FitMode::Refit`]/[`FitMode::Extend`], and the warm-start seed source
-    /// for [`FitMode::Optimize`] when `warm_start` is set.
-    pub previous: Option<&'a FidelityModelStack>,
-    /// How to treat `previous` (see [`FitMode`]).
-    pub mode: FitMode,
-    /// Seed every Optimize-mode hyperparameter search from the matching
-    /// sub-model's accepted optimum in `previous`, shedding its restarts when
-    /// the seed already converges (see [`gp::Gp::fit_opts`]). Changes the
-    /// searched hyperparameters (never the model structure); ADRS-neutral by
-    /// the optimizer's contract tests.
-    pub warm_start: bool,
-}
-
-impl<'a> StackFitOptions<'a> {
-    /// Options equivalent to the plain [`FidelityModelStack::fit`] call: no
-    /// warm starting.
-    pub fn new(previous: Option<&'a FidelityModelStack>, mode: FitMode) -> Self {
-        StackFitOptions {
-            previous,
-            mode,
-            warm_start: false,
-        }
-    }
-}
-
 /// Per-fidelity training data: encoded configurations and (normalized)
 /// objective rows, with the nesting `xs[impl] ⊆ xs[syn] ⊆ xs[hls]` maintained
 /// by the optimizer.
@@ -214,40 +180,15 @@ impl FidelityModelStack {
         previous: Option<&FidelityModelStack>,
         mode: FitMode,
     ) -> Result<Self, CmmfError> {
-        Self::fit_with(variant, data, gp_cfg, &StackFitOptions::new(previous, mode))
-    }
-
-    /// [`FidelityModelStack::fit`] with explicit [`StackFitOptions`]: with
-    /// `warm_start` set, every Optimize-mode hyperparameter search in the
-    /// stack is seeded from the matching sub-model of `opts.previous` (each
-    /// seed is silently dropped when the sub-model shapes differ). With it
-    /// off this is exactly [`FidelityModelStack::fit`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FidelityModelStack::fit`].
-    pub fn fit_with(
-        variant: ModelVariant,
-        data: &FidelityDataSet,
-        gp_cfg: &GpConfig,
-        opts: &StackFitOptions<'_>,
-    ) -> Result<Self, CmmfError> {
         if data.any_empty() {
             return Err(CmmfError::Internal {
                 reason: "fit called with an empty fidelity".into(),
             });
         }
-        let (previous, mode) = (opts.previous, opts.mode);
-        // Warm seeds only matter where a search actually runs.
-        let warm = (opts.warm_start && matches!(mode, FitMode::Optimize))
-            .then_some(previous)
-            .flatten();
         match (variant.correlated_objectives, variant.nonlinear_fidelity) {
-            (true, true) => Self::fit_correlated_nonlinear(data, gp_cfg, previous, mode, warm),
-            (true, false) => Self::fit_correlated_plain(data, gp_cfg, previous, mode, warm),
-            (false, nonlinear) => {
-                Self::fit_independent(data, gp_cfg, nonlinear, previous, mode, warm)
-            }
+            (true, true) => Self::fit_correlated_nonlinear(data, gp_cfg, previous, mode),
+            (true, false) => Self::fit_correlated_plain(data, gp_cfg, previous, mode),
+            (false, nonlinear) => Self::fit_independent(data, gp_cfg, nonlinear, previous, mode),
         }
     }
 
@@ -256,7 +197,6 @@ impl FidelityModelStack {
         gp_cfg: &GpConfig,
         previous: Option<&FidelityModelStack>,
         mode: FitMode,
-        warm: Option<&FidelityModelStack>,
     ) -> Result<Self, CmmfError> {
         let x_dim = data.xs[0][0].len();
         let prev_parts = match previous {
@@ -267,22 +207,12 @@ impl FidelityModelStack {
             }
             _ => None,
         };
-        let warm_parts = match warm {
-            Some(FidelityModelStack::CorrelatedNonlinear { base, uppers }) => Some((base, uppers)),
-            _ => None,
-        };
         let base = match prev_parts {
             Some((b, _)) if b.dim() == x_dim => match mode {
                 FitMode::Extend => b.extend(&data.xs[0], &data.ys[0])?,
                 _ => b.refit(&data.xs[0], &data.ys[0])?,
             },
-            _ => MultiTaskGp::fit_opts(
-                Matern52Ard::new(x_dim),
-                &data.xs[0],
-                &data.ys[0],
-                gp_cfg,
-                &HyperoptOptions::warm_started(warm_parts.and_then(|(b, _)| b.fitted_optimum())),
-            )?,
+            _ => MultiTaskGp::fit(Matern52Ard::new(x_dim), &data.xs[0], &data.ys[0], gp_cfg)?,
         };
         let mut uppers: Vec<CorrelatedLevel> = Vec::with_capacity(N_FIDELITIES - 1);
         for f in 1..N_FIDELITIES {
@@ -332,16 +262,11 @@ impl FidelityModelStack {
                     FitMode::Extend => level.gp.extend(&aug, &residuals)?,
                     _ => level.gp.refit(&aug, &residuals)?,
                 },
-                _ => MultiTaskGp::fit_opts(
+                _ => MultiTaskGp::fit(
                     Matern52Grouped::iso_plus_tail(x_dim, N_OBJECTIVES),
                     &aug,
                     &residuals,
                     gp_cfg,
-                    &HyperoptOptions::warm_started(
-                        warm_parts
-                            .and_then(|(_, us)| us.get(f - 1))
-                            .and_then(|l| l.gp.fitted_optimum()),
-                    ),
                 )?,
             };
             uppers.push(CorrelatedLevel { rhos, gp });
@@ -354,7 +279,6 @@ impl FidelityModelStack {
         gp_cfg: &GpConfig,
         previous: Option<&FidelityModelStack>,
         mode: FitMode,
-        warm: Option<&FidelityModelStack>,
     ) -> Result<Self, CmmfError> {
         let x_dim = data.xs[0][0].len();
         let mut fitted = Vec::with_capacity(N_FIDELITIES);
@@ -365,24 +289,12 @@ impl FidelityModelStack {
                 }
                 _ => None,
             };
-            let warm_model = match warm {
-                Some(FidelityModelStack::CorrelatedPlain(v)) => v.get(f),
-                _ => None,
-            };
             let model = match prev_model {
                 Some(m) if m.dim() == x_dim => match mode {
                     FitMode::Extend => m.extend(&data.xs[f], &data.ys[f])?,
                     _ => m.refit(&data.xs[f], &data.ys[f])?,
                 },
-                _ => MultiTaskGp::fit_opts(
-                    Matern52Ard::new(x_dim),
-                    &data.xs[f],
-                    &data.ys[f],
-                    gp_cfg,
-                    &HyperoptOptions::warm_started(
-                        warm_model.and_then(MultiTaskGp::fitted_optimum),
-                    ),
-                )?,
+                _ => MultiTaskGp::fit(Matern52Ard::new(x_dim), &data.xs[f], &data.ys[f], gp_cfg)?,
             };
             fitted.push(model);
         }
@@ -395,7 +307,6 @@ impl FidelityModelStack {
         nonlinear: bool,
         previous: Option<&FidelityModelStack>,
         mode: FitMode,
-        warm: Option<&FidelityModelStack>,
     ) -> Result<Self, CmmfError> {
         let mf_cfg = MultiFidelityConfig {
             gp: gp_cfg.clone(),
@@ -421,14 +332,10 @@ impl FidelityModelStack {
                     }
                     _ => None,
                 };
-                let warm_model = match warm {
-                    Some(FidelityModelStack::IndependentNonlinear(v)) => v.get(obj),
-                    _ => None,
-                };
                 per_obj_nonlinear.push(match (prev, mode) {
                     (Some(m), FitMode::Extend) => m.extend(&levels)?,
                     (Some(m), _) => m.refit(&levels)?,
-                    (None, _) => NonLinearMultiFidelityGp::fit_opts(&levels, &mf_cfg, warm_model)?,
+                    (None, _) => NonLinearMultiFidelityGp::fit(&levels, &mf_cfg)?,
                 });
             } else {
                 let prev = match previous {
@@ -437,14 +344,10 @@ impl FidelityModelStack {
                     }
                     _ => None,
                 };
-                let warm_model = match warm {
-                    Some(FidelityModelStack::IndependentLinear(v)) => v.get(obj),
-                    _ => None,
-                };
                 per_obj_linear.push(match (prev, mode) {
                     (Some(m), FitMode::Extend) => m.extend(&levels)?,
                     (Some(m), _) => m.refit(&levels)?,
-                    (None, _) => LinearMultiFidelityGp::fit_opts(&levels, &mf_cfg, warm_model)?,
+                    (None, _) => LinearMultiFidelityGp::fit(&levels, &mf_cfg)?,
                 });
             }
         }
@@ -566,9 +469,8 @@ impl FidelityModelStack {
     }
 
     /// Summed hyperparameter-search telemetry over every sub-model fit that
-    /// produced this stack: NLL evaluations, restarts run, warm-start
-    /// hits/misses. All zeros for [`FitMode::Refit`]/[`FitMode::Extend`]
-    /// stacks, which run no search.
+    /// produced this stack: NLL evaluations and restarts run. All zeros for
+    /// [`FitMode::Refit`]/[`FitMode::Extend`] stacks, which run no search.
     pub fn fit_stats(&self) -> FitStats {
         let mut s = FitStats::default();
         match self {
@@ -1023,88 +925,6 @@ mod tests {
             rmse(&with),
             rmse(&without)
         );
-    }
-
-    #[test]
-    fn stationary_warm_optimize_hits_across_every_variant() {
-        // The warm-start payoff case: re-optimizing on *unchanged* data with
-        // the previous stack as `previous` starts every sub-model's probe at
-        // its own converged optimum. For the independent-objective variants
-        // the searches are low-dimensional (a handful of log-params per GP)
-        // and genuinely converge, so every probe hits and the cold
-        // multi-starts are shed (`restarts_run == 0`). The correlated
-        // variants' joint searches run in 11–14 dimensions, where
-        // Nelder–Mead stalls before true convergence — a probe's fresh
-        // simplex then finds *real* improvement and correctly misses, which
-        // discards the probe and leaves the cold result untouched. Either
-        // way, predictions must stay equivalent to the cold stack's.
-        let data = synthetic();
-        let cfg = GpConfig {
-            restarts: 1,
-            max_evals: 2000,
-            ..Default::default()
-        };
-        let xs: Vec<Vec<f64>> = (0..9).map(|i| vec![0.03 + 0.11 * i as f64]).collect();
-        for variant in all_variants() {
-            let cold =
-                FidelityModelStack::fit(variant, &data, &cfg, None, FitMode::Optimize).unwrap();
-            let warm = FidelityModelStack::fit_with(
-                variant,
-                &data,
-                &cfg,
-                &StackFitOptions {
-                    warm_start: true,
-                    ..StackFitOptions::new(Some(&cold), FitMode::Optimize)
-                },
-            )
-            .unwrap();
-            let (cs, ws) = (cold.fit_stats(), warm.fit_stats());
-            assert!(
-                cs.restarts_run > 0,
-                "{}: cold ran no restarts",
-                variant.name()
-            );
-            assert_eq!(
-                (cs.warm_start_hits, cs.warm_start_misses),
-                (0, 0),
-                "{}: cold fit must not probe",
-                variant.name()
-            );
-            assert!(
-                ws.warm_start_hits + ws.warm_start_misses > 0,
-                "{}: no warm probes ran",
-                variant.name()
-            );
-            if !variant.correlated_objectives {
-                assert_eq!(
-                    (ws.warm_start_misses, ws.restarts_run),
-                    (0, 0),
-                    "{}: warm fit was not fully shed ({ws:?})",
-                    variant.name()
-                );
-                assert!(ws.warm_start_hits > 0, "{}: no hits", variant.name());
-                assert!(
-                    ws.nll_evals < cs.nll_evals,
-                    "{}: warm fit did not get cheaper ({} vs {})",
-                    variant.name(),
-                    ws.nll_evals,
-                    cs.nll_evals
-                );
-            }
-            for f in 0..N_FIDELITIES {
-                let a = cold.predict_batch(f, &xs).unwrap();
-                let b = warm.predict_batch(f, &xs).unwrap();
-                for (pa, pb) in a.iter().zip(&b) {
-                    for (ma, mb) in pa.mean.iter().zip(pb.mean.iter()) {
-                        assert!(
-                            (ma - mb).abs() <= 1e-4 * ma.abs().max(1.0),
-                            "{} f{f}: mean {ma} vs {mb}",
-                            variant.name()
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

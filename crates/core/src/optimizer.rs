@@ -2,9 +2,7 @@
 
 use crate::checkpoint::{PickRecord, RunCheckpoint, CHECKPOINT_VERSION};
 use crate::eipv::{peipv, EipvScorer};
-use crate::models::{
-    FidelityDataSet, FidelityModelStack, FitMode, ModelVariant, StackFitOptions, N_OBJECTIVES,
-};
+use crate::models::{FidelityDataSet, FidelityModelStack, FitMode, ModelVariant, N_OBJECTIVES};
 use crate::CmmfError;
 use fidelity_sim::{FlowSimulator, RunOutcome, Stage};
 use gp::{GpConfig, MultiTaskPrediction};
@@ -39,11 +37,11 @@ pub struct CmmfConfig {
     /// literal Eq. 10, the default 0.3 calibrates the penalty to the
     /// simulator's wide stage-time spread (see [`crate::eipv::peipv`]).
     pub cost_exponent: f64,
-    /// Number of un-sampled configurations scored per step (the EIPV argmax of
-    /// Algorithm 2 line 9 is taken over a random pool of this size, resampled
-    /// every step; the whole space is used when smaller).
+    /// Number of un-sampled configurations scored per step, at least 1 (the
+    /// EIPV argmax of Algorithm 2 line 9 is taken over a random pool of this
+    /// size, resampled every step; the whole space is used when smaller).
     pub candidate_pool: usize,
-    /// Monte-Carlo samples per EIPV evaluation.
+    /// Monte-Carlo samples per EIPV evaluation, at least 1.
     pub mc_samples: usize,
     /// Number of configurations selected and run per optimization step
     /// (greedy q-EIPV with fantasized outcomes). 1 reproduces Algorithm 2;
@@ -89,18 +87,6 @@ pub struct CmmfConfig {
     /// so **any thread count yields a bit-identical [`RunResult`]** — see
     /// DESIGN.md, "Determinism & parallelism".
     pub threads: usize,
-    /// Seed each full hyperparameter re-optimization (the `refit_every`
-    /// schedule's Optimize steps) from the previous Optimize step's accepted
-    /// optima, shedding the cold multi-start when the warm run already
-    /// converges (see [`FidelityModelStack::fit_with`]). Warm starting
-    /// changes which hyperparameters the search lands on — never the model
-    /// structure or the acquisition mechanics — and its quality neutrality
-    /// is contract-tested (`warm_start_is_adrs_neutral`); `false` is the
-    /// escape hatch reproducing the cold-start search exactly (pinned by
-    /// `warm_start_off_matches_cold_search`). Excluded from checkpoint
-    /// fingerprints: a resumed run replays its Optimize chain from step 0,
-    /// so the flag may differ between save and resume.
-    pub warm_start_hyperopt: bool,
     /// Per-model GP fitting configuration.
     pub gp: GpConfig,
     /// Master seed: fixes initialization, candidate pools, and EIPV sampling.
@@ -136,7 +122,6 @@ impl Default for CmmfConfig {
             refit_every: 5,
             async_slots: 0,
             threads: 0,
-            warm_start_hyperopt: true,
             gp: GpConfig {
                 restarts: 2,
                 max_evals: 450,
@@ -145,6 +130,41 @@ impl Default for CmmfConfig {
             seed: 2021,
             tracer: TracerHandle::null(),
         }
+    }
+}
+
+impl CmmfConfig {
+    /// Checks the ranges that do not depend on the design space: nested,
+    /// non-zero initialization sizes, and at least 1 for `refit_every`,
+    /// `candidate_pool` and `mc_samples`. Every run entry point calls it
+    /// before any work.
+    ///
+    /// # Errors
+    ///
+    /// [`CmmfError::InvalidConfig`] naming the first value out of range.
+    pub fn validate(&self) -> Result<(), CmmfError> {
+        if self.n_init_impl == 0
+            || self.n_init_syn < self.n_init_impl
+            || self.n_init < self.n_init_syn
+        {
+            return Err(CmmfError::InvalidConfig {
+                reason: "initialization sizes must be nested and non-zero \
+                         (0 < n_init_impl <= n_init_syn <= n_init)"
+                    .into(),
+            });
+        }
+        for (name, value) in [
+            ("refit_every", self.refit_every),
+            ("candidate_pool", self.candidate_pool),
+            ("mc_samples", self.mc_samples),
+        ] {
+            if value == 0 {
+                return Err(CmmfError::InvalidConfig {
+                    reason: format!("{name} must be at least 1"),
+                });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -277,17 +297,7 @@ impl<'a> LoopState<'a> {
                 available: space.len(),
             });
         }
-        if cfg.n_init_impl == 0 || cfg.n_init_syn < cfg.n_init_impl || cfg.n_init < cfg.n_init_syn {
-            return Err(CmmfError::Internal {
-                reason: "initialization sizes must be nested and non-zero".into(),
-            });
-        }
-        if cfg.refit_every == 0 {
-            return Err(CmmfError::InvalidConfig {
-                reason: "refit_every must be at least 1".into(),
-            });
-        }
-        Ok(())
+        cfg.validate()
     }
 
     /// The top stage of the `rank`-th initialization configuration (the first
@@ -647,8 +657,10 @@ impl<'a> LoopState<'a> {
                 seconds: fit_started.map_or(0.0, |s| s.seconds()),
                 nll_evals: stats.nll_evals,
                 restarts_run: stats.restarts_run,
-                warm_start_hits: stats.warm_start_hits,
-                warm_start_misses: stats.warm_start_misses,
+                // Kept in the journal schema for existing readers; every
+                // search is cold, so both are always 0.
+                warm_start_hits: 0,
+                warm_start_misses: 0,
             }
         });
         let fronts: Vec<Vec<Vec<f64>>> = (0..3).map(|f| pareto_front(&data.ys[f])).collect();
@@ -675,28 +687,20 @@ impl<'a> LoopState<'a> {
         t: usize,
     ) -> Result<FidelityModelStack, CmmfError> {
         let cfg = self.cfg;
-        FidelityModelStack::fit_with(
+        FidelityModelStack::fit(
             cfg.variant,
             data,
             &cfg.gp,
-            &StackFitOptions {
-                previous: self.stack.as_ref(),
-                mode: Self::fit_mode(cfg, t),
-                warm_start: cfg.warm_start_hyperopt,
-            },
+            self.stack.as_ref(),
+            Self::fit_mode(cfg, t),
         )
     }
 
     /// The first of `fits` completed fits a checkpoint replay must redo to
     /// reproduce them bit for bit: the last `FitMode::Optimize` fit, which
-    /// does not depend on the stack before it — or the very first fit when
-    /// warm starts chain the Optimize fits together.
+    /// does not depend on the stack before it (0 when nothing was fitted).
     pub(crate) fn replay_from(cfg: &CmmfConfig, fits: usize) -> usize {
-        if fits == 0 || cfg.warm_start_hyperopt {
-            0
-        } else {
-            ((fits - 1) / cfg.refit_every) * cfg.refit_every
-        }
+        fits.saturating_sub(1) / cfg.refit_every * cfg.refit_every
     }
 
     /// Draws the step's candidate pool (one RNG shuffle — both loops consume
@@ -1370,10 +1374,11 @@ mod tests {
         // The checkpoint/resume contract: killing a run after step k and
         // resuming from the checkpoint yields the same `RunResult`, bit for
         // bit, as never stopping — at any thread count, whether k lands on a
-        // hyperparameter-refit boundary (refit_every = 3 here) or not.
+        // hyperparameter-refit boundary (refit_every = 3 here), just after
+        // one, or between two, so the replay starts from step 0 or step 3.
         let (space, sim) = setup(Benchmark::SpmvCrs);
         let full = Optimizer::new(quick_cfg(31)).run(&space, &sim).unwrap();
-        for k in [1, 3, 5] {
+        for k in 1..=5 {
             let ckpt = Optimizer::new(quick_cfg(31))
                 .run_until(&space, &sim, k)
                 .unwrap();
@@ -1394,6 +1399,23 @@ mod tests {
             .resume(&reparsed, &space, &sim)
             .unwrap();
         assert_same_result(&full, &resumed, "json round trip");
+    }
+
+    #[test]
+    fn replay_starts_at_the_last_optimize_fit() {
+        // A resume redoes only the fits from the last hyperparameter search
+        // on: with `refit_every` r, fits 0, r, 2r, … optimize, and of `fits`
+        // completed fits the last search is at ⌊(fits − 1) / r⌋ · r.
+        let cfg = quick_cfg(1);
+        assert_eq!(cfg.refit_every, 3);
+        for (fits, from) in [(0, 0), (1, 0), (3, 0), (4, 3), (6, 3), (7, 6)] {
+            assert_eq!(LoopState::replay_from(&cfg, fits), from, "fits={fits}");
+        }
+        let every5 = CmmfConfig {
+            refit_every: 5,
+            ..quick_cfg(1)
+        };
+        assert_eq!(LoopState::replay_from(&every5, 35), 30);
     }
 
     #[test]
@@ -1439,102 +1461,6 @@ mod tests {
         other.threads = 2;
         other.tracer = TracerHandle::new(Arc::new(MemoryTracer::new()));
         assert!(Optimizer::new(other).resume(&ckpt, &space, &sim).is_ok());
-    }
-
-    /// Sums warm-start telemetry over a journal's `ModelFit` events.
-    fn warm_counts(events: &[TraceEvent]) -> (usize, usize) {
-        let (mut hits, mut misses) = (0, 0);
-        for e in events {
-            if let TraceEvent::ModelFit {
-                warm_start_hits,
-                warm_start_misses,
-                ..
-            } = e
-            {
-                hits += warm_start_hits;
-                misses += warm_start_misses;
-            }
-        }
-        (hits, misses)
-    }
-
-    #[test]
-    fn warm_start_off_matches_cold_search() {
-        // The contract behind `CmmfConfig::warm_start_hyperopt`: warm
-        // starting only ever changes results through a *hit* — a probe that
-        // converges in place and sheds the cold multi-start; a miss discards
-        // the probe, leaving the cold search's result untouched bit for bit.
-        // Whether a given run hits depends on budget and seed, so scan a few
-        // seeds: every run must keep the off path probe-free, and a run whose
-        // probes all missed must be bit-identical to the warm-off run — the
-        // pre-warm-start path. At least one scanned seed must produce such an
-        // all-miss run for the bitwise pin to have bitten.
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let run_with = |seed: u64, warm: bool| {
-            let sink = Arc::new(MemoryTracer::new());
-            let mut cfg = quick_cfg(seed);
-            cfg.warm_start_hyperopt = warm;
-            cfg.tracer = TracerHandle::new(sink.clone());
-            (Optimizer::new(cfg).run(&space, &sim).unwrap(), sink)
-        };
-        let mut pinned_a_miss_only_run = false;
-        for seed in [53, 54, 55] {
-            let (on, sink_on) = run_with(seed, true);
-            let (off, sink_off) = run_with(seed, false);
-            assert_eq!(warm_counts(&sink_off.events()), (0, 0), "off never probes");
-            let (hits, misses) = warm_counts(&sink_on.events());
-            assert!(hits + misses > 0, "warm probes must actually run on-path");
-            if hits == 0 {
-                assert_same_result(&on, &off, &format!("warm off, seed {seed}"));
-                pinned_a_miss_only_run = true;
-            }
-        }
-        assert!(
-            pinned_a_miss_only_run,
-            "no scanned seed produced an all-miss run; extend the seed list \
-             so the miss-transparency pin keeps biting"
-        );
-    }
-
-    #[test]
-    fn resume_is_bit_identical_with_warm_start_off() {
-        // `warm_start_hyperopt: false` keeps the old restore shortcut
-        // (replay fits only from the last Optimize step); it must still
-        // reproduce the uninterrupted run exactly.
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let cold_cfg = || {
-            let mut cfg = quick_cfg(67);
-            cfg.warm_start_hyperopt = false;
-            cfg
-        };
-        let full = Optimizer::new(cold_cfg()).run(&space, &sim).unwrap();
-        for k in [2, 4] {
-            let ckpt = Optimizer::new(cold_cfg())
-                .run_until(&space, &sim, k)
-                .unwrap();
-            let resumed = Optimizer::new(cold_cfg())
-                .resume(&ckpt, &space, &sim)
-                .unwrap();
-            assert_same_result(&full, &resumed, &format!("cold resume k={k}"));
-        }
-    }
-
-    #[test]
-    fn hyperopt_speed_flags_stay_out_of_the_fingerprint() {
-        // `warm_start_hyperopt` is deliberately excluded from the checkpoint
-        // fingerprint: restore replays the full fit chain under the
-        // *resuming* process's flag, so a checkpoint from either setting
-        // resumes under the other (see `RunCheckpoint::fingerprint_of`).
-        let base = quick_cfg(71);
-        let mut flipped = quick_cfg(71);
-        flipped.warm_start_hyperopt = !base.warm_start_hyperopt;
-        assert_eq!(
-            RunCheckpoint::fingerprint_of(&base),
-            RunCheckpoint::fingerprint_of(&flipped)
-        );
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let ckpt = Optimizer::new(base).run_until(&space, &sim, 1).unwrap();
-        assert!(Optimizer::new(flipped).resume(&ckpt, &space, &sim).is_ok());
     }
 
     #[test]
@@ -1674,12 +1600,32 @@ mod tests {
 
     #[test]
     fn bad_nesting_is_rejected() {
+        // Degenerate sizes are bad input, not a broken invariant: each is a
+        // typed `InvalidConfig` before any work, in both loops. Unchecked,
+        // `mc_samples = 0` would panic in the EIPV sampler and
+        // `candidate_pool = 0` would finish with no BO picks.
         let (space, sim) = setup(Benchmark::SpmvCrs);
-        let mut cfg = quick_cfg(7);
-        cfg.n_init_impl = 0;
-        assert!(matches!(
-            Optimizer::new(cfg).run(&space, &sim),
-            Err(CmmfError::Internal { .. })
-        ));
+        let degenerate: [fn(&mut CmmfConfig); 5] = [
+            |c| c.n_init_impl = 0,
+            |c| c.n_init_syn = c.n_init_impl - 1,
+            |c| c.n_init = c.n_init_syn - 1,
+            |c| c.mc_samples = 0,
+            |c| c.candidate_pool = 0,
+        ];
+        for (i, break_it) in degenerate.iter().enumerate() {
+            let mut cfg = quick_cfg(7);
+            break_it(&mut cfg);
+            for result in [
+                Optimizer::new(cfg.clone()).run(&space, &sim).map(|_| ()),
+                crate::AsyncOptimizer::new(cfg)
+                    .run(&space, &sim)
+                    .map(|_| ()),
+            ] {
+                assert!(
+                    matches!(result, Err(CmmfError::InvalidConfig { .. })),
+                    "case {i}: {result:?}"
+                );
+            }
+        }
     }
 }

@@ -334,34 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_is_adrs_neutral() {
-        // The quality contract behind `CmmfConfig::warm_start_hyperopt`:
-        // warm starting is a speed feature. A hit accepts an optimum within
-        // `warm_start_tol` of the cold one and a miss discards the probe
-        // outright, so the learned front must not depend on the flag. (At
-        // this budget every probe misses, making the runs bitwise equal; the
-        // toleranced band guards the hit regime against future drift.)
-        let (space, sim) = setup();
-        let front = TrueFront::compute(&space, &sim);
-        let mean_adrs = |warm: bool| {
-            let mut cfg = quick_cfg();
-            cfg.n_iter = 8;
-            cfg.variant = ModelVariant::paper();
-            cfg.seed = 9;
-            cfg.warm_start_hyperopt = warm;
-            repeat_optimizer_runs(&cfg, &space, &sim, &front, 2)
-                .unwrap()
-                .mean_adrs
-        };
-        let on = mean_adrs(true);
-        let off = mean_adrs(false);
-        assert!(
-            (on - off).abs() <= 0.25 * off.max(0.02),
-            "warm start moved ADRS: on={on} off={off}"
-        );
-    }
-
-    #[test]
     fn optimizer_beats_random_subset_on_average() {
         // The whole point: BO finds a better front than random sampling with
         // the same number of evaluations.

@@ -1,6 +1,6 @@
-use crate::hyperopt::{self, FitStats, HyperoptOptions};
+use crate::hyperopt::FitStats;
 use crate::kernel::{DistanceCache, Kernel};
-use crate::optimize::NelderMeadOptions;
+use crate::optimize::{multi_start_nelder_mead_par, NelderMeadOptions};
 use crate::GpError;
 use linalg::{Cholesky, Matrix};
 
@@ -72,10 +72,6 @@ pub struct Gp<K: Kernel> {
     y_mean: f64,
     y_scale: f64,
     nlml: f64,
-    /// Accepted log-space search optimum `[kernel log params…, ln σ²]` — the
-    /// warm-start seed for the next `Optimize`-mode fit. Carried through
-    /// refit/extend/downdate (which reuse hyperparameters) unchanged.
-    opt: Option<Vec<f64>>,
     /// Telemetry of this model's own hyperparameter search (zeroed on fits
     /// that ran no search).
     stats: FitStats,
@@ -85,6 +81,14 @@ impl<K: Kernel + Clone> Gp<K> {
     /// Fits a GP to `(xs, ys)`, optionally optimizing the kernel hyperparameters
     /// and noise by maximum likelihood (multi-start Nelder–Mead in log space).
     ///
+    /// The search runs over cached per-dimension squared-difference tensors
+    /// ([`DistanceCache`]) when the kernel supports them — each NLL
+    /// evaluation then combines the cached tensors with the current inverse
+    /// squared lengthscales instead of re-deriving every pairwise distance,
+    /// bit-identical to from-scratch assembly — and the multi-start restarts
+    /// run in parallel with per-restart derived seeds, bit-identical at any
+    /// thread count (see [`multi_start_nelder_mead_par`]).
+    ///
     /// # Errors
     ///
     /// * [`GpError::InvalidTrainingData`] if `xs` is empty, `xs.len() != ys.len()`,
@@ -93,37 +97,11 @@ impl<K: Kernel + Clone> Gp<K> {
     /// * [`GpError::Numerical`] if the covariance cannot be factorized at the
     ///   optimum (rare; jitter is escalated automatically first).
     pub fn fit(kernel: K, xs: &[Vec<f64>], ys: &[f64], cfg: &GpConfig) -> Result<Self, GpError> {
-        Self::fit_opts(kernel, xs, ys, cfg, &HyperoptOptions::default())
-    }
-
-    /// [`Gp::fit`] with explicit per-fit hyperopt options: a warm-start seed
-    /// from a previous optimum, with restart shedding. `fit` is exactly this
-    /// call with [`HyperoptOptions::default`].
-    ///
-    /// The search itself runs over cached per-dimension squared-difference
-    /// tensors ([`DistanceCache`]) when the kernel supports them — each NLL
-    /// evaluation then combines the cached tensors with the current inverse
-    /// squared lengthscales instead of re-deriving every pairwise distance,
-    /// bit-identical to from-scratch assembly — and the multi-start restarts
-    /// run in parallel with per-restart derived seeds, bit-identical at any
-    /// thread count (see [`crate::optimize::multi_start_nelder_mead_par`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gp::fit`].
-    pub fn fit_opts(
-        kernel: K,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        cfg: &GpConfig,
-        hopts: &HyperoptOptions,
-    ) -> Result<Self, GpError> {
         validate(xs, ys, kernel.dim())?;
         let (y_std, y_mean, y_scale) = standardize(ys);
 
         let mut kernel = kernel;
         let mut noise_var = cfg.init_noise_var.max(cfg.noise_floor);
-        let mut opt = None;
         let mut stats = FitStats::default();
 
         if cfg.optimize {
@@ -144,13 +122,15 @@ impl<K: Kernel + Clone> Gp<K> {
                 max_evals: cfg.max_evals,
                 ..Default::default()
             };
-            let (best, search_stats) =
-                hyperopt::search(&objective, &p0, 1.5, cfg.restarts, &opts, cfg.seed, hopts);
-            stats = search_stats;
+            let best =
+                multi_start_nelder_mead_par(objective, &p0, 1.5, cfg.restarts, &opts, cfg.seed);
+            stats = FitStats {
+                nll_evals: best.evals,
+                restarts_run: cfg.restarts,
+            };
             if best.value.is_finite() {
                 kernel.set_log_params(&best.x[..best.x.len() - 1]);
                 noise_var = best.x[best.x.len() - 1].exp().max(floor);
-                opt = Some(best.x);
             }
         }
 
@@ -165,7 +145,6 @@ impl<K: Kernel + Clone> Gp<K> {
             y_mean,
             y_scale,
             nlml: nlml_val,
-            opt,
             stats,
         })
     }
@@ -192,7 +171,6 @@ impl<K: Kernel + Clone> Gp<K> {
             y_mean,
             y_scale,
             nlml: nlml_val,
-            opt: self.opt.clone(),
             stats: FitStats::default(),
         })
     }
@@ -251,7 +229,6 @@ impl<K: Kernel + Clone> Gp<K> {
             y_mean,
             y_scale,
             nlml: nlml_val,
-            opt: self.opt.clone(),
             stats: FitStats::default(),
         })
     }
@@ -307,7 +284,6 @@ impl<K: Kernel + Clone> Gp<K> {
             y_mean,
             y_scale,
             nlml: nlml_val,
-            opt: self.opt.clone(),
             stats: FitStats::default(),
         })
     }
@@ -402,13 +378,6 @@ impl<K: Kernel + Clone> Gp<K> {
     /// (standardized units).
     pub fn neg_log_marginal_likelihood(&self) -> f64 {
         self.nlml
-    }
-
-    /// The accepted log-space search optimum `[kernel log params…, ln σ²]`,
-    /// when this model's lineage ran a successful hyperparameter search —
-    /// the warm-start seed for a subsequent [`Gp::fit_opts`].
-    pub fn fitted_optimum(&self) -> Option<&[f64]> {
-        self.opt.as_deref()
     }
 
     /// Telemetry from this model's own hyperparameter search. Zeroed on fits
@@ -718,51 +687,19 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_from_previous_optimum_sheds_restarts() {
-        let xs = grid_1d(12);
-        let ys: Vec<f64> = xs.iter().map(|x| (5.0 * x[0]).sin()).collect();
-        let cfg = GpConfig {
-            restarts: 3,
-            ..Default::default()
-        };
-        let cold = Gp::fit(Matern52Ard::new(1), &xs, &ys, &cfg).unwrap();
-        let cold_stats = cold.fit_stats();
-        assert!(cold_stats.nll_evals > 0);
-        assert_eq!(cold_stats.restarts_run, 3);
-        assert_eq!(cold_stats.warm_start_hits, 0);
-        let optimum = cold.fitted_optimum().expect("search accepted an optimum");
-
-        let hopts = HyperoptOptions {
-            warm_start: Some(optimum.to_vec()),
-            ..Default::default()
-        };
-        let warm = Gp::fit_opts(Matern52Ard::new(1), &xs, &ys, &cfg, &hopts).unwrap();
-        let ws_stats = warm.fit_stats();
-        assert_eq!(ws_stats.warm_start_hits, 1, "{ws_stats:?}");
-        assert_eq!(ws_stats.restarts_run, 0);
-        assert!(ws_stats.nll_evals < cold_stats.nll_evals);
-        // Converged-in-place means the warm model is no worse than where the
-        // cold search ended up (it started at that exact optimum).
-        let tol = 1e-6 * cold.neg_log_marginal_likelihood().abs().max(1.0);
-        assert!(warm.neg_log_marginal_likelihood() <= cold.neg_log_marginal_likelihood() + tol);
-    }
-
-    #[test]
-    fn fit_stats_and_optimum_carry_through_derived_models() {
+    fn fit_stats_carry_through_derived_models() {
         let xs = grid_1d(10);
         let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).cos()).collect();
         let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
         assert!(gp.fit_stats().nll_evals > 0);
-        let opt: Vec<f64> = gp.fitted_optimum().unwrap().to_vec();
+        assert_eq!(gp.fit_stats().restarts_run, GpConfig::default().restarts);
         for derived in [
             gp.refit(&xs, &ys).unwrap(),
             gp.extend(&xs, &ys).unwrap(),
             gp.downdate(2, &ys[2..]).unwrap(),
         ] {
-            // No search ran: telemetry is zeroed, but the optimum survives so
-            // a later Optimize fit can still warm-start from it.
+            // No search ran: telemetry is zeroed.
             assert_eq!(derived.fit_stats(), FitStats::default());
-            assert_eq!(derived.fitted_optimum().unwrap(), &opt[..]);
         }
         let unopt = Gp::fit(
             Matern52Ard::new(1),
@@ -775,7 +712,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(unopt.fit_stats(), FitStats::default());
-        assert!(unopt.fitted_optimum().is_none());
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub mod optimize;
 
 pub use error::GpError;
 pub use gp::{Gp, GpConfig, Prediction};
-pub use hyperopt::{FitStats, HyperoptOptions};
+pub use hyperopt::FitStats;
 pub use kernel::Kernel;
 pub use multitask::{MultiTaskGp, MultiTaskPrediction};

@@ -31,7 +31,7 @@
 //! ```
 
 use crate::gp::{Gp, GpConfig, Prediction};
-use crate::hyperopt::{FitStats, HyperoptOptions};
+use crate::hyperopt::FitStats;
 use crate::kernel::{Matern52Ard, Matern52Grouped};
 use crate::GpError;
 
@@ -123,30 +123,8 @@ impl LinearMultiFidelityGp {
     ///
     /// Propagates [`GpError`] from validation or per-level GP fitting.
     pub fn fit(data: &[FidelityData], cfg: &MultiFidelityConfig) -> Result<Self, GpError> {
-        Self::fit_opts(data, cfg, None)
-    }
-
-    /// [`LinearMultiFidelityGp::fit`] warm-started from a previous fit:
-    /// when `warm` is a previously fitted model, every per-level GP search is
-    /// seeded from the corresponding level's accepted optimum (shedding its
-    /// restarts when the seed already converges — see [`Gp::fit_opts`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LinearMultiFidelityGp::fit`].
-    pub fn fit_opts(
-        data: &[FidelityData],
-        cfg: &MultiFidelityConfig,
-        warm: Option<&Self>,
-    ) -> Result<Self, GpError> {
         let dim = validate_levels(data)?;
-        let base = Gp::fit_opts(
-            Matern52Ard::new(dim),
-            &data[0].xs,
-            &data[0].ys,
-            &cfg.gp,
-            &HyperoptOptions::warm_started(warm.and_then(|w| w.base.fitted_optimum())),
-        )?;
+        let base = Gp::fit(Matern52Ard::new(dim), &data[0].xs, &data[0].ys, &cfg.gp)?;
         let mut stats = base.fit_stats();
         let mut model = LinearMultiFidelityGp {
             base,
@@ -154,7 +132,7 @@ impl LinearMultiFidelityGp {
             rhos: Vec::new(),
             stats: FitStats::default(),
         };
-        for (i, level) in data[1..].iter().enumerate() {
+        for level in &data[1..] {
             let prev_mean: Vec<f64> = level
                 .xs
                 .iter()
@@ -169,16 +147,7 @@ impl LinearMultiFidelityGp {
                 .zip(&prev_mean)
                 .map(|(y, m)| y - rho * m)
                 .collect();
-            let delta = Gp::fit_opts(
-                Matern52Ard::new(dim),
-                &level.xs,
-                &residuals,
-                &cfg.gp,
-                &HyperoptOptions::warm_started(
-                    warm.and_then(|w| w.deltas.get(i))
-                        .and_then(Gp::fitted_optimum),
-                ),
-            )?;
+            let delta = Gp::fit(Matern52Ard::new(dim), &level.xs, &residuals, &cfg.gp)?;
             stats.absorb(delta.fit_stats());
             model.rhos.push(rho);
             model.deltas.push(delta);
@@ -377,30 +346,8 @@ impl NonLinearMultiFidelityGp {
     ///
     /// Propagates [`GpError`] from validation or per-level GP fitting.
     pub fn fit(data: &[FidelityData], cfg: &MultiFidelityConfig) -> Result<Self, GpError> {
-        Self::fit_opts(data, cfg, None)
-    }
-
-    /// [`NonLinearMultiFidelityGp::fit`] warm-started from a previous fit:
-    /// when `warm` is a previously fitted model, every per-level GP search is
-    /// seeded from the corresponding level's accepted optimum (shedding its
-    /// restarts when the seed already converges — see [`Gp::fit_opts`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NonLinearMultiFidelityGp::fit`].
-    pub fn fit_opts(
-        data: &[FidelityData],
-        cfg: &MultiFidelityConfig,
-        warm: Option<&Self>,
-    ) -> Result<Self, GpError> {
         let dim = validate_levels(data)?;
-        let base = Gp::fit_opts(
-            Matern52Ard::new(dim),
-            &data[0].xs,
-            &data[0].ys,
-            &cfg.gp,
-            &HyperoptOptions::warm_started(warm.and_then(|w| w.base.fitted_optimum())),
-        )?;
+        let base = Gp::fit(Matern52Ard::new(dim), &data[0].xs, &data[0].ys, &cfg.gp)?;
         let mut stats = base.fit_stats();
         let mut model = NonLinearMultiFidelityGp {
             base,
@@ -408,7 +355,7 @@ impl NonLinearMultiFidelityGp {
             propagate: cfg.propagate_uncertainty,
             stats: FitStats::default(),
         };
-        for (i, level) in data[1..].iter().enumerate() {
+        for level in &data[1..] {
             let cur_level = model.n_levels() - 1;
             // Lower-level posterior means at this level's inputs.
             let prev: Vec<f64> = level
@@ -437,15 +384,11 @@ impl NonLinearMultiFidelityGp {
                 .zip(&prev)
                 .map(|(y, m)| y - rho * m)
                 .collect();
-            let gp = Gp::fit_opts(
+            let gp = Gp::fit(
                 Matern52Grouped::iso_plus_tail(dim, 1),
                 &aug,
                 &residuals,
                 &cfg.gp,
-                &HyperoptOptions::warm_started(
-                    warm.and_then(|w| w.uppers.get(i))
-                        .and_then(|(_, g)| g.fitted_optimum()),
-                ),
             )?;
             stats.absorb(gp.fit_stats());
             model.uppers.push((rho, gp));
@@ -747,44 +690,6 @@ mod tests {
         assert!(NonLinearMultiFidelityGp::fit(&[], &cfg).is_err());
         let data = [FidelityData::new(vec![], vec![])];
         assert!(NonLinearMultiFidelityGp::fit(&data, &cfg).is_err());
-    }
-
-    #[test]
-    fn warm_refits_shed_restarts_across_all_levels() {
-        let f_lo = |x: f64| (6.0 * x).sin();
-        let f_hi = |x: f64| f_lo(x) * f_lo(x) + 0.2 * x;
-        let lo = grid(20);
-        let hi = grid(8);
-        let data = [
-            FidelityData::new(lo.clone(), lo.iter().map(|x| f_lo(x[0])).collect()),
-            FidelityData::new(hi.clone(), hi.iter().map(|x| f_hi(x[0])).collect()),
-        ];
-        let cfg = MultiFidelityConfig {
-            gp: GpConfig {
-                restarts: 2,
-                max_evals: 1000,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let cold = NonLinearMultiFidelityGp::fit(&data, &cfg).unwrap();
-        // Two levels, two restarts each, run cold.
-        assert_eq!(cold.fit_stats().restarts_run, 4);
-        assert_eq!(cold.fit_stats().warm_start_hits, 0);
-        let warm = NonLinearMultiFidelityGp::fit_opts(&data, &cfg, Some(&cold)).unwrap();
-        // Refitting the *same* data from the accepted optima converges
-        // immediately at every level: all restarts shed, far fewer NLL evals.
-        assert_eq!(warm.fit_stats().warm_start_hits, 2);
-        assert_eq!(warm.fit_stats().restarts_run, 0);
-        assert!(warm.fit_stats().nll_evals < cold.fit_stats().nll_evals);
-        let a = cold.predict(1, &[0.3]).unwrap();
-        let b = warm.predict(1, &[0.3]).unwrap();
-        assert!((a.mean - b.mean).abs() < 1e-6);
-
-        let lin_cold = LinearMultiFidelityGp::fit(&data, &cfg).unwrap();
-        let lin_warm = LinearMultiFidelityGp::fit_opts(&data, &cfg, Some(&lin_cold)).unwrap();
-        assert_eq!(lin_warm.fit_stats().warm_start_hits, 2);
-        assert_eq!(lin_warm.fit_stats().restarts_run, 0);
     }
 
     #[test]

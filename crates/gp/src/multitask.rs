@@ -1,7 +1,7 @@
 use crate::gp::GpConfig;
-use crate::hyperopt::{self, FitStats, HyperoptOptions};
+use crate::hyperopt::FitStats;
 use crate::kernel::{DistanceCache, Kernel};
-use crate::optimize::NelderMeadOptions;
+use crate::optimize::{multi_start_nelder_mead_par, NelderMeadOptions};
 use crate::GpError;
 use linalg::{Cholesky, Matrix};
 
@@ -63,10 +63,6 @@ pub struct MultiTaskGp<K: Kernel> {
     y_means: Vec<f64>,
     y_scales: Vec<f64>,
     nlml: f64,
-    /// Accepted log-space search optimum `[kernel | L triangle | log noises]`
-    /// — the warm-start seed for the next `Optimize`-mode fit. Carried
-    /// through refit/extend/downdate unchanged.
-    opt: Option<Vec<f64>>,
     /// Telemetry of this model's own hyperparameter search (zeroed on fits
     /// that ran no search).
     stats: FitStats,
@@ -77,7 +73,11 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
     ///
     /// Hyperparameters — the shared kernel's, the Cholesky factor of `B`, and the
     /// per-task noises — are jointly optimized by multi-start Nelder–Mead on the
-    /// negative log marginal likelihood when `cfg.optimize` is set.
+    /// negative log marginal likelihood when `cfg.optimize` is set. The
+    /// data-kernel Gram assembly inside each NLL evaluation runs over the
+    /// per-fit [`DistanceCache`] when the kernel supports it (bit-identical),
+    /// and the multi-start restarts run in parallel with per-restart derived
+    /// seeds (bit-identical at any thread count).
     ///
     /// # Errors
     ///
@@ -89,27 +89,6 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
         xs: &[Vec<f64>],
         ys: &[Vec<f64>],
         cfg: &GpConfig,
-    ) -> Result<Self, GpError> {
-        Self::fit_opts(kernel, xs, ys, cfg, &HyperoptOptions::default())
-    }
-
-    /// [`MultiTaskGp::fit`] with explicit per-fit hyperopt options (a warm
-    /// start with restart shedding) — see [`crate::Gp::fit_opts`] for the
-    /// shared semantics. The data-kernel Gram assembly inside each NLL
-    /// evaluation runs over the per-fit [`DistanceCache`] when the kernel
-    /// supports it (bit-identical), and the multi-start restarts run in
-    /// parallel with per-restart derived seeds (bit-identical at any thread
-    /// count).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultiTaskGp::fit`].
-    pub fn fit_opts(
-        kernel: K,
-        xs: &[Vec<f64>],
-        ys: &[Vec<f64>],
-        cfg: &GpConfig,
-        hopts: &HyperoptOptions,
     ) -> Result<Self, GpError> {
         let n_tasks = validate_multi(xs, ys, kernel.dim())?;
         let (y_std, y_means, y_scales) = standardize_multi(ys, n_tasks);
@@ -134,7 +113,6 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
         let mut b = Matrix::identity(n_tasks);
         let mut noise = vec![cfg.init_noise_var.max(cfg.noise_floor); n_tasks];
 
-        let mut opt = None;
         let mut stats = FitStats::default();
 
         if cfg.optimize {
@@ -159,9 +137,12 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
                 max_evals: cfg.max_evals,
                 ..Default::default()
             };
-            let (best, search_stats) =
-                hyperopt::search(&objective, &p0, 1.0, cfg.restarts, &opts, cfg.seed, hopts);
-            stats = search_stats;
+            let best =
+                multi_start_nelder_mead_par(objective, &p0, 1.0, cfg.restarts, &opts, cfg.seed);
+            stats = FitStats {
+                nll_evals: best.evals,
+                restarts_run: cfg.restarts,
+            };
             if best.value.is_finite() {
                 kernel.set_log_params(&best.x[..n_kp]);
                 b = b_from_params(&best.x[n_kp..n_kp + n_l], n_tasks)?;
@@ -169,7 +150,6 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
                     .iter()
                     .map(|lp| lp.exp().max(floor))
                     .collect();
-                opt = Some(best.x);
             }
         }
 
@@ -187,7 +167,6 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
             y_means,
             y_scales,
             nlml,
-            opt,
             stats,
         })
     }
@@ -222,7 +201,6 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
             y_means,
             y_scales,
             nlml,
-            opt: self.opt.clone(),
             stats: FitStats::default(),
         })
     }
@@ -287,7 +265,6 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
             y_means,
             y_scales,
             nlml,
-            opt: self.opt.clone(),
             stats: FitStats::default(),
         })
     }
@@ -347,7 +324,6 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
             y_means,
             y_scales,
             nlml,
-            opt: self.opt.clone(),
             stats: FitStats::default(),
         })
     }
@@ -503,14 +479,6 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
     /// Negative log marginal likelihood at the fitted hyperparameters.
     pub fn neg_log_marginal_likelihood(&self) -> f64 {
         self.nlml
-    }
-
-    /// The accepted log-space hyperparameter optimum from the most recent
-    /// optimizing fit (`[kernel log params…, L-triangle of B, ln σ²_t…]`), or
-    /// `None` when hyperparameters were never search-fitted. Carried through
-    /// `refit`/`extend`/`downdate` so later fits can warm-start from it.
-    pub fn fitted_optimum(&self) -> Option<&[f64]> {
-        self.opt.as_deref()
     }
 
     /// Hyperparameter-search effort counters for the fit that produced this
@@ -872,29 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_warm_start_is_discarded_bitwise_in_a_three_task_fit() {
-        // A warm seed parked far from any optimum improves well past the
-        // tolerance during its probe, misses, and leaves no trace: the fit
-        // is bitwise the cold one, at the size of a mid-run fit.
-        let (xs, ys) = three_task_data(60);
-        let cfg = GpConfig::default();
-        let cold = MultiTaskGp::fit(Matern52Ard::new(DIM6), &xs, &ys, &cfg).unwrap();
-        let bad = vec![3.0; cold.fitted_optimum().expect("optimized").len()];
-        let hopts = HyperoptOptions::warm_started(Some(&bad));
-        let warm = MultiTaskGp::fit_opts(Matern52Ard::new(DIM6), &xs, &ys, &cfg, &hopts).unwrap();
-        assert_eq!(warm.fit_stats().warm_start_misses, 1, "bad seed must miss");
-        assert_eq!(
-            warm.neg_log_marginal_likelihood().to_bits(),
-            cold.neg_log_marginal_likelihood().to_bits()
-        );
-        let a = warm.predict(&[0.37; DIM6]).unwrap();
-        let b = cold.predict(&[0.37; DIM6]).unwrap();
-        for t in 0..3 {
-            assert_eq!(a.mean[t].to_bits(), b.mean[t].to_bits(), "task {t}");
-        }
-    }
-
-    #[test]
     fn downdate_matches_refit_on_window() {
         // The rotation-based downdate agrees with a refit to O(ε·κ(Σ)); the
         // joint ICM covariance of strongly correlated tasks is ill-conditioned
@@ -996,37 +941,5 @@ mod tests {
         let truth = (6.0f64 * 0.52).sin();
         assert!((p.mean[1] - truth).abs() < 0.1);
         assert!(gp.task_correlation(0, 1) > 0.9);
-    }
-
-    #[test]
-    fn warm_start_from_previous_optimum_sheds_restarts() {
-        let xs = grid_1d(12);
-        let ys: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|x| vec![(5.0 * x[0]).sin(), (5.0 * x[0]).cos()])
-            .collect();
-        let cfg = GpConfig {
-            restarts: 3,
-            // Enough budget for the cold search to converge; otherwise the
-            // warm run legitimately keeps improving and counts as a miss.
-            max_evals: 1000,
-            ..Default::default()
-        };
-        let cold = MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &cfg).unwrap();
-        assert_eq!(cold.fit_stats().restarts_run, 3);
-        assert!(cold.fitted_optimum().is_some());
-
-        let hopts = HyperoptOptions {
-            warm_start: cold.fitted_optimum().map(<[f64]>::to_vec),
-            ..Default::default()
-        };
-        let warm = MultiTaskGp::fit_opts(Matern52Ard::new(1), &xs, &ys, &cfg, &hopts).unwrap();
-        // Seeding from the accepted optimum converges immediately: the entire
-        // cold multi-start is shed, and the model is at least as good.
-        assert_eq!(warm.fit_stats().warm_start_hits, 1);
-        assert_eq!(warm.fit_stats().restarts_run, 0);
-        assert!(warm.fit_stats().nll_evals < cold.fit_stats().nll_evals);
-        let tol = 1e-6 * cold.neg_log_marginal_likelihood().abs().max(1.0);
-        assert!(warm.neg_log_marginal_likelihood() <= cold.neg_log_marginal_likelihood() + tol);
     }
 }

@@ -4,9 +4,11 @@
 
 use cmmf_hls_model::benchmarks::{self, Benchmark};
 use cmmf_hls_model::ir::KernelIr;
-use cmmf_hls_model::tree::merged_trees;
-use cmmf_hls_model::{DesignSpaceBuilder, LoopId, PartitionKind};
+use cmmf_hls_model::tree::{merged_trees, MergedTree};
+use cmmf_hls_model::{DesignSpace, DesignSpaceBuilder, LoopId, PartitionKind, ResolvedConfig};
 use proptest::prelude::*;
+use proptest::TestCaseError;
+use std::collections::BTreeSet;
 
 /// A random kernel: 2-4 top-level nests of depth 1-2, each with an array, and
 /// a random subset of factor options.
@@ -56,6 +58,161 @@ fn build(rk: &RandomKernel) -> DesignSpaceBuilder {
     }
     b.inline();
     b
+}
+
+/// Partition schemes every array offers in [`build_small`], first option
+/// first.
+const SCHEMES: [PartitionKind; 2] = [PartitionKind::Cyclic, PartitionKind::Block];
+
+/// A kernel small enough to enumerate in full: 2-3 nests of depth 1-2, each
+/// with an array; an array may also be read in the previous nest's accessing
+/// loop, which merges the two trees. At most two factors besides 1.
+#[derive(Debug, Clone)]
+struct SmallKernel {
+    nests: Vec<(bool, bool)>, // (has_inner, array also read in the previous nest)
+    factors: Vec<u32>,
+}
+
+fn small_kernel() -> impl Strategy<Value = SmallKernel> {
+    (
+        proptest::collection::vec((any::<bool>(), any::<bool>()), 2..=3),
+        proptest::sample::subsequence(vec![2u32, 4, 8], 1..=2),
+    )
+        .prop_map(|(nests, factors)| SmallKernel { nests, factors })
+}
+
+/// Unroll sites on every loop (outer loops of two-deep nests get factor 2,
+/// so the forced-loop rule has something to prune), a partition factor and
+/// scheme site per array, and the free inline site: at most 93,312
+/// configurations in full.
+fn build_small(sk: &SmallKernel) -> DesignSpaceBuilder {
+    let mut k = KernelIr::new("small");
+    let mut outers = Vec::new();
+    let mut accessing = Vec::new();
+    for (i, &(has_inner, _)) in sk.nests.iter().enumerate() {
+        let outer = k
+            .add_loop(format!("o{i}"), 16, None, 1.0, 1.0, 0.1)
+            .expect("unique names");
+        let acc = if has_inner {
+            outers.push(outer);
+            k.add_loop(format!("i{i}"), 8, Some(outer), 2.0, 2.0, 0.2)
+                .expect("unique names")
+        } else {
+            outer
+        };
+        accessing.push(acc);
+    }
+    let mut arrays = Vec::new();
+    for (i, &(_, shares_prev)) in sk.nests.iter().enumerate() {
+        let mut read_in = vec![accessing[i]];
+        if shares_prev && i > 0 {
+            read_in.push(accessing[i - 1]);
+        }
+        arrays.push(
+            k.add_array(format!("a{i}"), 128, read_in)
+                .expect("valid array"),
+        );
+    }
+    let mut b = DesignSpaceBuilder::new(k);
+    for &l in &outers {
+        b.unroll(l, &[2]);
+    }
+    for &l in &accessing {
+        b.unroll(l, &sk.factors);
+    }
+    for &a in &arrays {
+        b.partition(a, &sk.factors, &SCHEMES);
+    }
+    b.inline();
+    b
+}
+
+/// Algorithm 1's compatibility rules over one resolved configuration,
+/// written out independently of the pruned enumeration: within each merged
+/// tree, the accessing loops share one unroll factor that every member
+/// array's partition factor equals; loops that only enclose accessing loops
+/// stay rolled; member arrays share a scheme, and at factor 1 it is the
+/// first scheme option (Alg. 1 line 15's pin).
+fn compatible(r: &ResolvedConfig, trees: &[MergedTree]) -> bool {
+    trees.iter().all(|t| {
+        let f = r.unroll[t.accessing_loops[0].index()];
+        let kind = r.partition_kind[t.arrays[0].index()];
+        t.forced_loops.iter().all(|l| r.unroll[l.index()] == 1)
+            && t.accessing_loops.iter().all(|l| r.unroll[l.index()] == f)
+            && t.arrays
+                .iter()
+                .all(|a| r.partition_factor[a.index()] == f && r.partition_kind[a.index()] == kind)
+            && (f > 1 || kind == SCHEMES[0])
+    })
+}
+
+/// A resolved configuration as an ordered key.
+fn resolved_key(r: &ResolvedConfig) -> Vec<u32> {
+    let scheme = |k: &PartitionKind| match k {
+        PartitionKind::Cyclic => 0,
+        PartitionKind::Block => 1,
+        PartitionKind::Complete => 2,
+    };
+    r.unroll
+        .iter()
+        .chain(&r.pipeline_ii)
+        .chain(&r.partition_factor)
+        .copied()
+        .chain(r.partition_kind.iter().map(scheme))
+        .chain([u32::from(r.inline)])
+        .collect()
+}
+
+fn resolved_set(space: &DesignSpace, keep: impl Fn(&ResolvedConfig) -> bool) -> BTreeSet<Vec<u32>> {
+    (0..space.len())
+        .map(|i| space.resolve(i))
+        .filter(|r| keep(r))
+        .map(|r| resolved_key(&r))
+        .collect()
+}
+
+/// Pruning keeps exactly the compatible configurations of the full space:
+/// the resolved pruned configurations, as a set, equal the full space
+/// filtered by [`compatible`], and the pruned space holds no duplicates.
+fn assert_pruning_is_complete(builder: &DesignSpaceBuilder) -> Result<(), TestCaseError> {
+    let full = builder.build_full().expect("full space builds");
+    let pruned = builder.build_pruned().expect("pruned space builds");
+    let trees = merged_trees(full.kernel());
+    let expected = resolved_set(&full, |r| compatible(r, &trees));
+    let got = resolved_set(&pruned, |_| true);
+    prop_assert_eq!(got.len(), pruned.len());
+    let dropped: Vec<_> = expected.difference(&got).take(3).collect();
+    let incompatible: Vec<_> = got.difference(&expected).take(3).collect();
+    prop_assert!(
+        dropped.is_empty() && incompatible.is_empty(),
+        "pruning dropped {dropped:?} and kept {incompatible:?} (first 3 each)"
+    );
+    Ok(())
+}
+
+#[test]
+fn pruning_keeps_every_compatible_config_of_a_merged_tree() {
+    // Nest 1's array is also read in nest 0's inner loop, so both arrays
+    // form one tree with both inner loops accessing and both outer loops
+    // forced to stay rolled.
+    let sk = SmallKernel {
+        nests: vec![(true, false), (true, true)],
+        factors: vec![2, 4],
+    };
+    let trees = merged_trees(build_small(&sk).build_pruned().unwrap().kernel());
+    assert_eq!(trees.len(), 1);
+    assert_eq!(trees[0].arrays.len(), 2);
+    assert_eq!(trees[0].forced_loops.len(), 2);
+    assert_pruning_is_complete(&build_small(&sk)).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn pruning_keeps_every_compatible_config(sk in small_kernel()) {
+        assert_pruning_is_complete(&build_small(&sk))?;
+    }
 }
 
 proptest! {

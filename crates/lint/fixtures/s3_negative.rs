@@ -1,11 +1,11 @@
 // S3 negative: the hatch is covered by a test that names it.
 
 pub struct Cfg {
-    pub warm_start_hyperopt: bool,
+    pub async_slots: usize,
 }
 
-pub fn pick(cfg: &Cfg) -> bool {
-    cfg.warm_start_hyperopt
+pub fn pick(cfg: &Cfg) -> usize {
+    cfg.async_slots
 }
 
 #[cfg(test)]
@@ -13,11 +13,9 @@ mod tests {
     use super::Cfg;
 
     #[test]
-    fn warm_start_hyperopt_on_off_equivalence() {
-        let on = Cfg { warm_start_hyperopt: true };
-        let off = Cfg {
-            warm_start_hyperopt: false,
-        };
-        assert!(on.warm_start_hyperopt != off.warm_start_hyperopt);
+    fn async_slots_one_matches_sequential() {
+        let one = Cfg { async_slots: 1 };
+        let four = Cfg { async_slots: 4 };
+        assert!(one.async_slots != four.async_slots);
     }
 }

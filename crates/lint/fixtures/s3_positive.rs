@@ -2,9 +2,9 @@
 // that references it.
 
 pub struct Cfg {
-    pub warm_start_hyperopt: bool,
+    pub async_slots: usize,
 }
 
-pub fn pick(cfg: &Cfg) -> bool {
-    cfg.warm_start_hyperopt
+pub fn pick(cfg: &Cfg) -> usize {
+    cfg.async_slots
 }

@@ -3,9 +3,9 @@
 
 pub struct Cfg {
     // cmmf-lint: allow(S3) -- experimental hatch; equivalence test lands with the feature
-    pub warm_start_hyperopt: bool,
+    pub async_slots: usize,
 }
 
-pub fn pick(cfg: &Cfg) -> bool {
-    cfg.warm_start_hyperopt
+pub fn pick(cfg: &Cfg) -> usize {
+    cfg.async_slots
 }

@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// The result-affecting escape hatches whose on/off equivalence must be
 /// pinned by at least one test (`S3`). Listed as string literals so the
 /// linter's own sources never trip the identifier cross-reference.
-pub const ESCAPE_HATCHES: [&str; 3] = ["warm_start_hyperopt", "async_slots", "threads"];
+pub const ESCAPE_HATCHES: [&str; 2] = ["async_slots", "threads"];
 
 /// `S1`: report every `pub` function in a panic-free-policy crate whose
 /// production call graph reaches a panic site.

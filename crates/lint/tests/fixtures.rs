@@ -355,7 +355,7 @@ fn s2_suppressed_by_reasoned_allow() {
 fn s3_fires_on_an_untested_escape_hatch() {
     let r = scan_as_core(include_str!("../fixtures/s3_positive.rs"), "s3_pos");
     assert_eq!(lines(&r, RuleId::S3), [5], "{:?}", r.findings);
-    assert_eq!(r.findings[0].excerpt, "warm_start_hyperopt");
+    assert_eq!(r.findings[0].excerpt, "async_slots");
 }
 
 #[test]
@@ -424,18 +424,18 @@ fn a_deleted_escape_hatch_test_is_caught() {
         pkg: "cmmf".to_string(),
         class: FileClass::Lib,
         path: "crates/core/src/config.rs".to_string(),
-        src: "pub struct CmmfConfig {\n    pub warm_start_hyperopt: bool,\n}\n".to_string(),
+        src: "pub struct CmmfConfig {\n    pub async_slots: usize,\n}\n".to_string(),
     };
     let test = SourceSpec {
         pkg: "cmmf".to_string(),
         class: FileClass::Tests,
         path: "crates/core/tests/equivalence.rs".to_string(),
-        src: "#[test]\nfn warm_start_on_off() {\n    let warm_start_hyperopt = true;\n    assert!(warm_start_hyperopt);\n}\n".to_string(),
+        src: "#[test]\nfn async_k1_matches_sequential() {\n    let async_slots = 1;\n    assert_eq!(async_slots, 1);\n}\n".to_string(),
     };
     let covered = scan_sources(&[lib.clone(), test], &BTreeMap::new());
     assert_eq!(count(&covered, RuleId::S3), 0, "{:?}", covered.findings);
     let uncovered = scan_sources(&[lib], &BTreeMap::new());
     assert_eq!(count(&uncovered, RuleId::S3), 1, "{:?}", uncovered.findings);
-    assert_eq!(uncovered.findings[0].excerpt, "warm_start_hyperopt");
+    assert_eq!(uncovered.findings[0].excerpt, "async_slots");
     assert_eq!(uncovered.findings[0].line, 2);
 }

@@ -155,8 +155,6 @@ pub struct JobSpec {
     pub batch: usize,
     /// Asynchronous in-flight slots; 0 runs the sequential loop.
     pub async_slots: usize,
-    /// Cross-step hyperopt warm starts.
-    pub warm_start: bool,
     /// Optional knob overrides (quick profiles).
     pub overrides: Overrides,
 }
@@ -174,12 +172,14 @@ impl JobSpec {
             divergence: None,
             batch: 1,
             async_slots: 0,
-            warm_start: true,
             overrides: Overrides::default(),
         }
     }
 
-    /// Validates names, budget, and ranges.
+    /// Validates names, budget, and ranges, including the ranges the
+    /// optimizer itself checks ([`CmmfConfig::validate`]) on the knobs with
+    /// the overrides applied, so a degenerate job is refused at admission
+    /// rather than failing in a worker.
     ///
     /// # Errors
     ///
@@ -193,9 +193,9 @@ impl JobSpec {
         if self.batch == 0 {
             return Err(ServeError::invalid("batch must be at least 1"));
         }
-        if self.overrides.refit_every == Some(0) {
-            return Err(ServeError::invalid("refit_every must be at least 1"));
-        }
+        self.to_config()
+            .validate()
+            .map_err(|e| ServeError::invalid(e.to_string()))?;
         if let Some(d) = self.divergence {
             if !(0.0..=1.0).contains(&d) {
                 return Err(ServeError::invalid(format!(
@@ -222,7 +222,6 @@ impl JobSpec {
             variant: self.variant,
             batch_size: self.batch,
             async_slots: self.async_slots,
-            warm_start_hyperopt: self.warm_start,
             seed,
             ..CmmfConfig::default()
         };
@@ -309,13 +308,12 @@ impl JobSpec {
         }
         out.push_str(&format!(
             ", \"iters\": {}, \"seed\": {}, \"variant\": {}, \"batch\": {}, \
-             \"async_slots\": {}, \"warm_start\": {}",
+             \"async_slots\": {}",
             self.iters,
             self.seed,
             quote(variant_name(&self.variant)),
             self.batch,
             self.async_slots,
-            self.warm_start,
         ));
         if let Some(d) = self.divergence {
             out.push_str(&format!(
@@ -423,10 +421,11 @@ impl JobSpec {
         if let Some(v) = usize_field("async_slots")? {
             job.async_slots = v;
         }
-        if let Some(v) = doc.get("warm_start") {
-            job.warm_start = v
-                .as_bool()
-                .ok_or_else(|| ServeError::invalid("`warm_start` must be a bool"))?;
+        // Cross-step warm starts are gone; every `job.json` written before
+        // their removal carries `"warm_start"` (`true` by default), so either
+        // bool still loads, as the same job.
+        if doc.get("warm_start").is_some_and(|v| v.as_bool().is_none()) {
+            return Err(ServeError::invalid("`warm_start` must be a bool"));
         }
         // Mixed-precision screening is gone; `job.json` files written before
         // its removal carry `"mixed_precision": false`, which still loads.
@@ -526,13 +525,62 @@ mod tests {
         let mut bad = sample();
         bad.batch = 0;
         assert!(bad.validate().is_err());
-        let mut bad = sample();
-        bad.overrides.refit_every = Some(0);
-        assert!(matches!(bad.validate(), Err(ServeError::InvalidJob { .. })));
-        assert!(matches!(
-            JobSpec::parse(&bad.to_json()),
-            Err(ServeError::InvalidJob { .. })
-        ));
+        // Overrides the optimizer would reject (or panic on) are refused at
+        // admission, and a stored job carrying one does not load.
+        let degenerate: [fn(&mut Overrides); 6] = [
+            |o| o.refit_every = Some(0),
+            |o| o.mc_samples = Some(0),
+            |o| o.candidate_pool = Some(0),
+            |o| o.n_init_impl = Some(0),
+            |o| o.n_init_syn = Some(1), // below quick()'s n_init_impl of 2
+            |o| o.n_init = Some(2),     // below quick()'s n_init_syn of 3
+        ];
+        for (i, break_it) in degenerate.iter().enumerate() {
+            let mut bad = sample();
+            break_it(&mut bad.overrides);
+            assert!(
+                matches!(bad.validate(), Err(ServeError::InvalidJob { .. })),
+                "case {i}"
+            );
+            assert!(
+                matches!(
+                    JobSpec::parse(&bad.to_json()),
+                    Err(ServeError::InvalidJob { .. })
+                ),
+                "case {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn stored_warm_start_of_either_value_is_ignored() {
+        // Every `job.json` persisted while cross-step warm starts existed
+        // carries `"warm_start"`, mostly `true`. Both values load as the
+        // same job, so an upgraded daemon recovers those sessions; a
+        // non-bool is still malformed.
+        let job = sample();
+        let line = job.to_json();
+        assert!(!line.contains("warm_start"), "{line}");
+        for stored in ["true", "false"] {
+            let stored = line.replacen(
+                "\"async_slots\": 0",
+                &format!("\"async_slots\": 0, \"warm_start\": {stored}"),
+                1,
+            );
+            assert_ne!(stored, line);
+            assert_eq!(JobSpec::parse(&stored).unwrap(), job);
+        }
+        for bad in ["1", "\"yes\"", "null"] {
+            let line = line.replacen(
+                "\"async_slots\": 0",
+                &format!("\"async_slots\": 0, \"warm_start\": {bad}"),
+                1,
+            );
+            assert!(
+                matches!(JobSpec::parse(&line), Err(ServeError::InvalidJob { .. })),
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -545,16 +593,16 @@ mod tests {
         let line = job.to_json();
         assert!(!line.contains("mixed_precision"), "{line}");
         let stored = line.replacen(
-            "\"warm_start\": true",
-            "\"warm_start\": true, \"mixed_precision\": false",
+            "\"async_slots\": 0",
+            "\"async_slots\": 0, \"mixed_precision\": false",
             1,
         );
         assert_ne!(stored, line);
         assert_eq!(JobSpec::parse(&stored).unwrap(), job);
         for bad in ["true", "1"] {
             let line = line.replacen(
-                "\"warm_start\": true",
-                &format!("\"warm_start\": true, \"mixed_precision\": {bad}"),
+                "\"async_slots\": 0",
+                &format!("\"async_slots\": 0, \"mixed_precision\": {bad}"),
                 1,
             );
             assert!(

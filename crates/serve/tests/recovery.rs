@@ -233,19 +233,30 @@ fn engine_errors_are_typed_not_panics() {
 
 #[test]
 fn stored_jobs_from_before_mixed_precision_was_removed() {
-    // Older daemons wrote `"mixed_precision": false` into every job.json, so
-    // such an unfinished session recovers and finishes as the same job. One
-    // stored with `true` stops the recovery scan with a typed error naming
-    // its file, and nothing is enqueued. Once the operator removes that
-    // session, the others recover.
+    // Older daemons wrote `"mixed_precision": false` and `"warm_start"`
+    // (`true` unless the job turned warm starts off) into every job.json, so
+    // such an unfinished session recovers and finishes as the same job,
+    // whichever `warm_start` it stored. One stored with
+    // `"mixed_precision": true` stops the recovery scan with a typed error
+    // naming its file, and nothing is enqueued. Once the operator removes
+    // that session, the others recover.
     let root = scratch_root("mixed");
     let keep = quick_job("acme", "keep", 5, 0);
+    let cold = quick_job("acme", "cold", 7, 0);
     let refused = quick_job("bolt", "mixed", 6, 0);
-    for (job, flag) in [(&keep, false), (&refused, true)] {
+    for (job, mixed, warm) in [
+        (&keep, false, true),
+        (&cold, false, false),
+        (&refused, true, true),
+    ] {
         let paths = SessionPaths::new(&root, &job.tenant, &job.session);
         persist_job(&paths, job).expect("job persists");
         let text = fs::read_to_string(paths.job()).expect("job reads");
-        let stored = text.replacen('{', &format!("{{\"mixed_precision\": {flag}, "), 1);
+        let stored = text.replacen(
+            '{',
+            &format!("{{\"mixed_precision\": {mixed}, \"warm_start\": {warm}, "),
+            1,
+        );
         assert_ne!(stored, text);
         fs::write(paths.job(), stored).expect("job rewrites");
     }
@@ -265,11 +276,19 @@ fn stored_jobs_from_before_mixed_precision_was_removed() {
     }
     fs::remove_dir_all(root.join("bolt").join("mixed")).expect("session removes");
     let recovered = engine.recover().expect("recovery scans");
-    assert_eq!(recovered, vec![("acme".to_string(), "keep".to_string())]);
-    let result = engine
-        .wait("acme", "keep")
-        .expect("recovered session finishes");
-    assert_eq!(result, expected_result(&keep));
+    assert_eq!(
+        recovered,
+        vec![
+            ("acme".to_string(), "cold".to_string()),
+            ("acme".to_string(), "keep".to_string())
+        ]
+    );
+    for job in [&cold, &keep] {
+        let result = engine
+            .wait(&job.tenant, &job.session)
+            .expect("recovered session finishes");
+        assert_eq!(result, expected_result(job), "{}", job.session);
+    }
     engine.shutdown();
     fs::remove_dir_all(&root).ok();
 }

@@ -81,14 +81,12 @@ pub enum TraceEvent {
         /// searches, summed over the stack's sub-models (0 when no search
         /// ran — refit/extend steps).
         nll_evals: usize,
-        /// Multi-start restarts run across those searches (0 when every
-        /// search was shed by a warm start, or none ran).
+        /// Multi-start restarts run across those searches (0 when none ran).
         restarts_run: usize,
-        /// Sub-model searches whose warm start converged in place, shedding
-        /// the cold multi-start.
+        /// Always 0: hyperparameter searches start cold. The field stays in
+        /// the `model_fit` schema so existing journal readers keep parsing.
         warm_start_hits: usize,
-        /// Sub-model searches that were warm-seeded but still ran the cold
-        /// multi-start.
+        /// Always 0, like `warm_start_hits`.
         warm_start_misses: usize,
     },
     /// One batch slot's acquisition argmax finished.
@@ -789,10 +787,6 @@ pub struct StepMetrics {
     pub nll_evals: usize,
     /// Multi-start restarts run by the step's hyperparameter searches.
     pub restarts_run: usize,
-    /// Warm-started searches that converged in place this step.
-    pub warm_start_hits: usize,
-    /// Warm-seeded searches that still ran the cold multi-start this step.
-    pub warm_start_misses: usize,
     /// Wall seconds spent in acquisition scoring, summed over batch slots.
     pub scoring_seconds: f64,
     /// `(config, fidelity)` picks of the step, in slot order.
@@ -832,16 +826,13 @@ pub fn aggregate_step_metrics(events: &[TraceEvent]) -> Vec<StepMetrics> {
                 seconds,
                 nll_evals,
                 restarts_run,
-                warm_start_hits,
-                warm_start_misses,
+                ..
             } => {
                 let i = at(*step, &mut steps);
                 steps[i].fit_mode = Some(fit_mode);
                 steps[i].model_fit_seconds += seconds;
                 steps[i].nll_evals += nll_evals;
                 steps[i].restarts_run += restarts_run;
-                steps[i].warm_start_hits += warm_start_hits;
-                steps[i].warm_start_misses += warm_start_misses;
             }
             TraceEvent::AcquisitionScored {
                 step,
@@ -1218,8 +1209,6 @@ mod tests {
         assert_eq!(s0.model_fit_seconds, 0.25);
         assert_eq!(s0.nll_evals, 900);
         assert_eq!(s0.restarts_run, 2);
-        assert_eq!(s0.warm_start_hits, 1);
-        assert_eq!(s0.warm_start_misses, 0);
         assert_eq!(s0.scoring_seconds, 0.03125);
         assert_eq!(s0.picks, vec![(42, 1)]);
         assert_eq!(s0.candidates_scored, 40);

@@ -3,13 +3,11 @@
 //! method vs the FPL18 baseline vs the boosting-tree surrogate.
 //!
 //! ```text
-//! cargo run --release --example compare_methods [-- [--no-warm-start]]
+//! cargo run --release --example compare_methods
 //! ```
 //!
-//! `--no-warm-start` disables cross-step warm starting of the GP
-//! hyperparameter searches (on by default), a speed knob whose ADRS
-//! neutrality is contract-tested (see ARCHITECTURE.md, "Hyperparameter
-//! search") — the table should not move beyond noise under it.
+//! It takes no arguments; any argument other than `--help` is a usage error
+//! (exit code 2).
 
 use cmmf_hls::baselines::dse::{run_surrogate_dse, SurrogateKind};
 use cmmf_hls::cmmf::runner::TrueFront;
@@ -17,18 +15,18 @@ use cmmf_hls::cmmf::{CmmfConfig, ModelVariant, Optimizer};
 use cmmf_hls::fidelity_sim::{FlowSimulator, SimParams};
 use cmmf_hls::hls_model::benchmarks::{self, Benchmark};
 
-const USAGE: &str = "usage: compare_methods [--no-warm-start]";
+const USAGE: &str = "usage: compare_methods";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut warm_start = true;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--no-warm-start" => warm_start = false,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(());
-            }
-            other => return Err(format!("unexpected argument `{other}`\n{USAGE}").into()),
+    match std::env::args().nth(1).as_deref() {
+        None => {}
+        Some("--help" | "-h") => {
+            println!("{USAGE}");
+            return Ok(());
+        }
+        Some(other) => {
+            eprintln!("unexpected argument `{other}`\n{USAGE}");
+            std::process::exit(2);
         }
     }
 
@@ -51,7 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cfg = CmmfConfig {
             variant,
             seed: 7,
-            warm_start_hyperopt: warm_start,
             ..Default::default()
         };
         let r = Optimizer::new(cfg).run(&space, &sim)?;

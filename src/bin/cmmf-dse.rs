@@ -4,7 +4,7 @@
 //! ```text
 //! cmmf-dse <spec-file> [--iters N] [--seed S] [--variant ours|fpl18]
 //!          [--divergence D] [--batch Q] [--async-slots K] [--csv]
-//!          [--checkpoint FILE] [--journal FILE] [--no-warm-start]
+//!          [--checkpoint FILE] [--journal FILE]
 //! ```
 //!
 //! `--async-slots K` (K >= 1) switches to the asynchronous scheduler: up to K
@@ -19,11 +19,6 @@
 //! see ARCHITECTURE.md, "Observability & resume"). On a checkpoint resume the
 //! journal is opened in append mode after torn-tail recovery, so one file
 //! accumulates the whole logical run even across kills mid-write.
-//!
-//! `--no-warm-start` disables cross-step warm starting of the
-//! hyperparameter searches (on by default; see `CmmfConfig::warm_start_hyperopt`).
-//! The flag does not participate in the checkpoint fingerprint: a
-//! checkpointed run may be resumed under either setting.
 //!
 //! Argument parsing is shared with `cmmf-serve` (see `cmmf_hls::cli`):
 //! duplicate flags, out-of-range values (`--iters 0`, `--batch 0`,
@@ -46,8 +41,7 @@ use std::sync::Arc;
 const USAGE: &str = "usage: cmmf-dse <spec-file> [--iters N] [--seed S] \
                      [--variant ours|fpl18] [--divergence D] [--batch Q] \
                      [--async-slots K] [--csv] \
-                     [--checkpoint FILE] [--journal FILE] \
-                     [--no-warm-start]";
+                     [--checkpoint FILE] [--journal FILE]";
 
 struct Args {
     spec_path: String,
@@ -248,6 +242,7 @@ mod tests {
             &["spec.k", "--csv", "--csv"],
             &["spec.k", "--frobnicate"],
             &["spec.k", "--mixed-precision"],
+            &["spec.k", "--no-warm-start"],
             &["spec.k", "second-positional"],
             &["--iters", "5"], // no spec file
             &["spec.k", "--checkpoint"],

@@ -7,7 +7,7 @@
 //!                     (--benchmark NAME | --spec FILE)
 //!                     [--iters N] [--seed S] [--variant ours|fpl18]
 //!                     [--divergence D] [--batch Q] [--async-slots K]
-//!                     [--no-warm-start] [--quick] [--wait] [--stream]
+//!                     [--quick] [--wait] [--stream]
 //! cmmf-serve status   --connect EP --tenant T --session S
 //! cmmf-serve wait     --connect EP --tenant T --session S
 //! cmmf-serve list     --connect EP
@@ -43,8 +43,7 @@ const USAGE: &str = "usage: cmmf-serve <daemon|ping|submit|status|wait|list|shut
   ping     --connect EP\n\
   submit   --connect EP --tenant T --session S (--benchmark NAME | --spec FILE)\n\
            [--iters N] [--seed S] [--variant ours|fpl18] [--divergence D]\n\
-           [--batch Q] [--async-slots K] [--no-warm-start]\n\
-           [--quick] [--wait] [--stream]\n\
+           [--batch Q] [--async-slots K] [--quick] [--wait] [--stream]\n\
   status   --connect EP --tenant T --session S\n\
   wait     --connect EP --tenant T --session S\n\
   list     --connect EP\n\
@@ -271,7 +270,6 @@ fn parse_submit(mut args: ArgStream) -> Result<Parsed, CliError> {
     spec.divergence = divergence_given.then_some(job.divergence);
     spec.batch = job.batch;
     spec.async_slots = job.async_slots;
-    spec.warm_start = job.warm_start;
     if quick {
         spec.overrides = Overrides::quick();
     }

@@ -160,7 +160,7 @@ pub fn parse_variant(raw: &str) -> Result<ModelVariant, CliError> {
 }
 
 /// The job-shaping flags shared by `cmmf-dse` and `cmmf-serve submit`:
-/// budget, seed, model variant, batching, and the scheduler/fit toggles.
+/// budget, seed, model variant, batching, and the asynchronous scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobFlags {
     /// BO steps (`--iters`, >= 1).
@@ -176,8 +176,6 @@ pub struct JobFlags {
     /// Asynchronous in-flight slots (`--async-slots`, >= 1 when given;
     /// 0 means the sequential loop).
     pub async_slots: usize,
-    /// Cross-step hyperopt warm starts (`--no-warm-start` clears it).
-    pub warm_start: bool,
 }
 
 impl Default for JobFlags {
@@ -189,7 +187,6 @@ impl Default for JobFlags {
             divergence: 0.3,
             batch: 1,
             async_slots: 0,
-            warm_start: true,
         }
     }
 }
@@ -198,8 +195,7 @@ impl JobFlags {
     /// The usage fragment for these flags, for embedding in a binary's
     /// usage string.
     pub const USAGE: &'static str = "[--iters N] [--seed S] [--variant ours|fpl18] \
-                                     [--divergence D] [--batch Q] [--async-slots K] \
-                                     [--no-warm-start]";
+                                     [--divergence D] [--batch Q] [--async-slots K]";
 
     /// Tries to consume `arg` (and its value, if any) as one of the shared
     /// job flags. Returns `Ok(false)` when `arg` is not a job flag, so the
@@ -217,10 +213,6 @@ impl JobFlags {
             "--divergence" => self.divergence = in_unit_interval(args.parsed(arg)?, arg)?,
             "--batch" => self.batch = at_least(args.parsed(arg)?, 1, arg)?,
             "--async-slots" => self.async_slots = at_least(args.parsed(arg)?, 1, arg)?,
-            "--no-warm-start" => {
-                args.flag_once(arg)?;
-                self.warm_start = false;
-            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -234,7 +226,6 @@ impl JobFlags {
             variant: self.variant,
             batch_size: self.batch,
             async_slots: self.async_slots,
-            warm_start_hyperopt: self.warm_start,
             ..Default::default()
         }
     }
@@ -270,7 +261,6 @@ mod tests {
             "2",
             "--async-slots",
             "3",
-            "--no-warm-start",
         ])
         .unwrap();
         assert_eq!(job.iters, 7);
@@ -279,7 +269,6 @@ mod tests {
         assert_eq!(job.divergence, 0.5);
         assert_eq!(job.batch, 2);
         assert_eq!(job.async_slots, 3);
-        assert!(!job.warm_start);
         let cfg = job.to_config();
         assert_eq!(cfg.n_iter, 7);
         assert_eq!(cfg.batch_size, 2);
@@ -308,7 +297,6 @@ mod tests {
         for bad in [
             &["--iters", "5", "--iters", "9"][..],
             &["--seed", "1", "--seed", "1"],
-            &["--no-warm-start", "--no-warm-start"],
         ] {
             let e = consume_all(bad).unwrap_err();
             assert!(e.message.contains("more than once"), "{bad:?}: {e}");
@@ -318,7 +306,7 @@ mod tests {
     #[test]
     fn unknown_flags_are_not_consumed() {
         // A removed flag is as unknown as one that never existed.
-        for flag in ["--frobnicate", "--mixed-precision"] {
+        for flag in ["--frobnicate", "--mixed-precision", "--no-warm-start"] {
             let mut args = ArgStream::new(vec![flag.into()]);
             let mut job = JobFlags::default();
             let arg = args.next_arg().unwrap();
