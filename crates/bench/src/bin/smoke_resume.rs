@@ -6,8 +6,9 @@
 //! 1. the resumed run's `RunResult` is **bit-identical** to an uninterrupted
 //!    run of the same configuration,
 //! 2. every journal line parses as JSON and carries a known `event` kind, and
-//! 3. the journal frames the run (`run_started` first, `run_finished` last)
-//!    and records the resume point.
+//! 3. the journal frames the run (`run_started` first, `run_finished` last),
+//!    records the resume point, and holds one `run_completed` and one
+//!    `checkpoint_written` per live step.
 //!
 //! Usage: `cargo run --release -p cmmf-bench --bin smoke_resume [--keep DIR]`
 //! (`--keep DIR` writes the artifacts under DIR instead of a temp directory
@@ -106,12 +107,14 @@ fn run(dir: &std::path::Path) -> Result<(), String> {
     let text = std::fs::read_to_string(&journal_path).map_err(|e| e.to_string())?;
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     check(!lines.is_empty(), "journal is non-empty")?;
-    const KINDS: [&str; 9] = [
+    const KINDS: [&str; 11] = [
         "run_started",
         "step_started",
         "model_fit",
         "acquisition_scored",
         "tool_run",
+        "run_dispatched",
+        "run_completed",
         "front_updated",
         "checkpoint_written",
         "run_finished",
@@ -143,11 +146,15 @@ fn run(dir: &std::path::Path) -> Result<(), String> {
         started.get("resumed_at").and_then(|v| v.as_u64()) == Some(KILL_AT as u64),
         &format!("run_started records resumed_at = {KILL_AT}"),
     )?;
+    // The replayed runs already happened, so only the live steps journal
+    // their completions and checkpoints.
     let live_steps = quick_cfg().n_iter - KILL_AT;
-    check(
-        kinds.iter().filter(|k| *k == "checkpoint_written").count() == live_steps,
-        &format!("one checkpoint_written per live step ({live_steps} after resuming at {KILL_AT})"),
-    )?;
+    for kind in ["run_completed", "checkpoint_written"] {
+        check(
+            kinds.iter().filter(|k| *k == kind).count() == live_steps,
+            &format!("one {kind} per live step ({live_steps} after resuming at {KILL_AT})"),
+        )?;
+    }
 
     println!(
         "smoke_resume OK: {} journal events, resumed at step {KILL_AT}/{}, bit-identical result",

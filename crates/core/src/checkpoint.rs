@@ -1,13 +1,15 @@
 //! Versioned JSON checkpoints for the Algorithm-2 loop.
 //!
 //! A checkpoint records the *decisions* of a run — the initialization draw,
-//! every step's picks, the candidate-ordering state, and the RNG stream
-//! position — not the derived state (observations, surrogates). Because the
-//! flow simulator and the GP fits are deterministic, [`Optimizer::resume`]
-//! replays those decisions to reconstruct the observation sets and the
-//! surrogate stack bit-for-bit, then continues the loop as if it had never
-//! stopped; the resumed [`RunResult`] is bit-identical to an uninterrupted
-//! run (pinned by `resume_is_bit_identical`).
+//! every dispatch decision's picks, the interleaved dispatch/completion
+//! event log, the candidate-ordering state, and the RNG stream position —
+//! not the derived state (observations, surrogates). Because the flow
+//! simulator and the GP fits are deterministic, [`Optimizer::resume`]
+//! replays those decisions to reconstruct the observation sets, the
+//! surrogate stack, the virtual clock and the runs in flight bit-for-bit,
+//! then continues the loop as if it had never stopped; the resumed
+//! [`RunResult`] is bit-identical to an uninterrupted run (pinned by
+//! `resume_is_bit_identical`).
 //!
 //! Floating-point state is stored as `u64` bit patterns (`_bits` fields), so
 //! the round-trip is exact; the JSON layer keeps raw number tokens precisely
@@ -20,18 +22,20 @@
 //! [`Optimizer::resume`]: crate::Optimizer::resume
 //! [`RunResult`]: crate::RunResult
 
-use crate::optimizer::CmmfConfig;
+use crate::optimizer::{CandidateChoice, CmmfConfig};
 use crate::CmmfError;
 use std::path::Path;
 use trace::json::{self, JsonValue};
 
 /// Current checkpoint schema version. Bumped on any incompatible change;
-/// loading a different version is a [`CmmfError::Checkpoint`]. Version 2
-/// added the asynchronous-scheduler section (`is_async`, `dispatches`,
-/// `schedule`, `in_flight`) and the `async_slots` fingerprint field.
-pub const CHECKPOINT_VERSION: u64 = 2;
+/// loading a different version is a [`CmmfError::Checkpoint`] naming both.
+/// Version 3 has one layout for every run: per-decision `picks`, the
+/// `schedule` log and the `in_flight` set. Version 2 kept a sequential and an
+/// asynchronous layout apart (`is_async`, `dispatches`) and fingerprinted
+/// the since-removed `batch_parallel_tools`, so it has no upgrade path.
+pub const CHECKPOINT_VERSION: u64 = 3;
 
-/// One recorded batch pick of a completed step.
+/// One recorded pick of a dispatch decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PickRecord {
     /// Chosen configuration index.
@@ -42,17 +46,27 @@ pub struct PickRecord {
     pub acquisition_bits: u64,
 }
 
-/// One scheduler event of an asynchronous run's BO phase, in virtual-clock
-/// order. The event log is what makes a mid-overlap kill resumable: replaying
-/// it interleaves the recorded dispatch decisions and completions exactly as
-/// the interrupted run did, reconstructing the surrogate-fit chain and the
-/// virtual clock bit-for-bit.
+impl PickRecord {
+    /// The record of one pick.
+    pub(crate) fn of(choice: &CandidateChoice) -> Self {
+        PickRecord {
+            config: choice.config,
+            stage_index: choice.stage.index(),
+            acquisition_bits: choice.acquisition.to_bits(),
+        }
+    }
+}
+
+/// One event of a run's BO phase, in virtual-clock order. The event log is
+/// what makes a mid-overlap kill resumable: replaying it interleaves the
+/// recorded dispatch decisions and completions exactly as the interrupted
+/// run did, reconstructing the surrogate-fit chain and the virtual clock
+/// bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleEvent {
-    /// The `i`-th entry of `dispatches` entered the scheduler.
+    /// The `i`-th entry of `picks` (one decision's group) was dispatched.
     Dispatch(usize),
-    /// The `i`-th entry of `dispatches` finished its simulated flow and was
-    /// observed.
+    /// The `i`-th group finished its simulated flows and was observed.
     Complete(usize),
     /// The candidate pool was found empty at a dispatch attempt (the loop
     /// stops dispatching but keeps draining in-flight runs). Records the
@@ -89,27 +103,19 @@ pub struct RunCheckpoint {
     pub version: u64,
     /// Fingerprint of every result-relevant [`CmmfConfig`] field.
     pub fingerprint: String,
-    /// True when written by the asynchronous scheduler
-    /// ([`crate::AsyncOptimizer`]): the `dispatches`/`schedule`/`in_flight`
-    /// section is then authoritative and `picks` stays empty. Sequential
-    /// checkpoints leave the async section empty instead. Each optimizer
-    /// resumes only its own kind.
-    pub is_async: bool,
-    /// Optimization steps completed — picks observed for the sequential loop,
-    /// completions folded in for the asynchronous one.
+    /// Optimization steps completed: groups dispatched and observed.
     pub completed_steps: usize,
     /// The initialization draw, in observation order (rank decides each
     /// configuration's top stage).
     pub init: Vec<usize>,
-    /// Per completed step, the batch picks in pick order (sequential runs).
+    /// Per dispatch decision, its picks in pick order — completed groups and
+    /// groups still in flight alike.
     pub picks: Vec<Vec<PickRecord>>,
-    /// Async section: the BO picks in dispatch order.
-    pub dispatches: Vec<PickRecord>,
-    /// Async section: the interleaved dispatch/completion event log of the BO
-    /// phase (initialization runs replay implicitly from `init`).
+    /// The interleaved dispatch/completion event log of the BO phase
+    /// (initialization runs replay implicitly from `init`).
     pub schedule: Vec<ScheduleEvent>,
-    /// Async section: the in-flight set — runs dispatched but not complete at
-    /// the snapshot, as `[dispatch index, finish-time f64 bits]` in dispatch
+    /// The in-flight set — groups dispatched but not complete at the
+    /// snapshot, as `[decision index, finish-time f64 bits]` in dispatch
     /// order. Redundant with a `schedule` replay; stored so resume can verify
     /// the replayed schedule against the recorded one (a mismatched simulator
     /// or space fails loudly instead of diverging).
@@ -119,8 +125,7 @@ pub struct RunCheckpoint {
     pub unsampled: Vec<usize>,
     /// The master RNG's xoshiro256++ state at the end of the last step.
     pub rng_state: [u64; 4],
-    /// Accumulated simulated tool seconds — the virtual-clock reading for
-    /// async runs — as `f64` bits.
+    /// The virtual-clock reading (simulated tool seconds) as `f64` bits.
     pub sim_seconds_bits: u64,
     /// Per completed step, the observed-front hypervolume per fidelity, as
     /// `f64` bits.
@@ -136,7 +141,7 @@ impl RunCheckpoint {
         format!(
             "v{CHECKPOINT_VERSION};n_init={};n_init_syn={};n_init_impl={};n_iter={};\
              variant={:?};use_cost_penalty={};cost_exponent={:#x};candidate_pool={};\
-             mc_samples={};batch_size={};batch_parallel_tools={};final_prediction_pool={};\
+             mc_samples={};batch_size={};final_prediction_pool={};\
              escalate_threshold={:#x};refit_every={};async_slots={};gp={:?};seed={}",
             cfg.n_init,
             cfg.n_init_syn,
@@ -148,7 +153,6 @@ impl RunCheckpoint {
             cfg.candidate_pool,
             cfg.mc_samples,
             cfg.batch_size,
-            cfg.batch_parallel_tools,
             cfg.final_prediction_pool,
             cfg.escalate_threshold.to_bits(),
             cfg.refit_every,
@@ -162,10 +166,9 @@ impl RunCheckpoint {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + 16 * self.unsampled.len());
         out.push_str(&format!(
-            "{{\n  \"version\": {},\n  \"fingerprint\": \"{}\",\n  \"is_async\": {},\n  \"completed_steps\": {},\n",
+            "{{\n  \"version\": {},\n  \"fingerprint\": \"{}\",\n  \"completed_steps\": {},\n",
             self.version,
             json::escape(&self.fingerprint),
-            self.is_async,
             self.completed_steps
         ));
         out.push_str(&format!("  \"init\": {},\n", fmt_usizes(&self.init)));
@@ -182,14 +185,6 @@ impl RunCheckpoint {
                 out.push_str(&fmt_pick(p));
             }
             out.push(']');
-        }
-        out.push_str("],\n");
-        out.push_str("  \"dispatches\": [");
-        for (i, p) in self.dispatches.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&fmt_pick(p));
         }
         out.push_str("],\n");
         out.push_str("  \"schedule\": [");
@@ -236,8 +231,9 @@ impl RunCheckpoint {
     ///
     /// # Errors
     ///
-    /// [`CmmfError::Checkpoint`] on malformed JSON, missing fields, or a
-    /// version other than [`CHECKPOINT_VERSION`].
+    /// [`CmmfError::Checkpoint`] on malformed JSON, missing fields, an
+    /// inconsistent event log, or a version other than
+    /// [`CHECKPOINT_VERSION`].
     pub fn from_json(text: &str) -> Result<Self, CmmfError> {
         let doc = json::parse(text).map_err(|e| CmmfError::Checkpoint {
             reason: format!("malformed checkpoint: {e}"),
@@ -255,10 +251,6 @@ impl RunCheckpoint {
             .and_then(JsonValue::as_str)
             .ok_or_else(|| missing("fingerprint"))?
             .to_string();
-        let is_async = doc
-            .get("is_async")
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| missing("is_async"))?;
         let completed_steps = usize::try_from(req_u64(&doc, "completed_steps")?)
             .map_err(|_| malformed("completed_steps"))?;
         let init = usizes(&doc, "init")?;
@@ -276,13 +268,6 @@ impl RunCheckpoint {
             }
             picks.push(recs);
         }
-        let dispatches: Vec<PickRecord> = doc
-            .get("dispatches")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("dispatches"))?
-            .iter()
-            .map(|p| pick_record(p, "dispatches"))
-            .collect::<Result<_, _>>()?;
         let schedule: Vec<ScheduleEvent> = pairs(&doc, "schedule")?
             .into_iter()
             .map(|[kind, index]| {
@@ -327,50 +312,72 @@ impl RunCheckpoint {
                 ),
             });
         }
-        if is_async {
-            let completions = schedule
-                .iter()
-                .filter(|ev| matches!(ev, ScheduleEvent::Complete(_)))
-                .count();
-            if !picks.is_empty() || completions != completed_steps {
-                return Err(CmmfError::Checkpoint {
-                    reason: format!(
-                        "inconsistent async checkpoint: {completed_steps} steps but \
-                         {completions} completions and {} sequential pick sets",
-                        picks.len()
-                    ),
-                });
-            }
-        } else if picks.len() != completed_steps
-            || !dispatches.is_empty()
-            || !schedule.is_empty()
-            || !in_flight.is_empty()
-        {
-            return Err(CmmfError::Checkpoint {
-                reason: format!(
-                    "inconsistent sequential checkpoint: {} steps, {} pick sets, \
-                     {} scheduler events",
-                    completed_steps,
-                    picks.len(),
-                    schedule.len()
-                ),
-            });
-        }
-        Ok(RunCheckpoint {
+        let ckpt = RunCheckpoint {
             version,
             fingerprint,
-            is_async,
             completed_steps,
             init,
             picks,
-            dispatches,
             schedule,
             in_flight,
             unsampled,
             rng_state,
             sim_seconds_bits,
             hv_history_bits,
-        })
+        };
+        ckpt.check_schedule()?;
+        Ok(ckpt)
+    }
+
+    /// Structural validation of the event log against `picks` and
+    /// `completed_steps`: decisions are dispatched once each, in order;
+    /// completions follow their dispatches and number `completed_steps`;
+    /// nothing is dispatched after pool exhaustion.
+    ///
+    /// # Errors
+    ///
+    /// [`CmmfError::Checkpoint`] naming the first violation.
+    pub(crate) fn check_schedule(&self) -> Result<(), CmmfError> {
+        let nd = self.picks.len();
+        let mut next_dispatch = 0usize;
+        let mut done = vec![false; nd];
+        let mut n_complete = 0usize;
+        let mut exhausted = false;
+        let malformed = |reason: &str| CmmfError::Checkpoint {
+            reason: format!("malformed schedule: {reason}"),
+        };
+        for event in &self.schedule {
+            match *event {
+                ScheduleEvent::Dispatch(i) => {
+                    if exhausted {
+                        return Err(malformed("dispatch after pool exhaustion"));
+                    }
+                    if i != next_dispatch || i >= nd {
+                        return Err(malformed("dispatch indices out of order"));
+                    }
+                    next_dispatch += 1;
+                }
+                ScheduleEvent::Complete(i) => {
+                    if i >= next_dispatch || done[i] {
+                        return Err(malformed("completion without a matching dispatch"));
+                    }
+                    done[i] = true;
+                    n_complete += 1;
+                }
+                ScheduleEvent::Exhausted => {
+                    if exhausted {
+                        return Err(malformed("repeated pool exhaustion"));
+                    }
+                    exhausted = true;
+                }
+            }
+        }
+        if next_dispatch != nd || n_complete != self.completed_steps {
+            return Err(malformed(
+                "event counts disagree with the picks and completed_steps",
+            ));
+        }
+        Ok(())
     }
 
     /// Writes the checkpoint to `path` atomically (temp file + rename), so a
@@ -484,71 +491,26 @@ fn usizes(doc: &JsonValue, field: &str) -> Result<Vec<usize>, CmmfError> {
 mod tests {
     use super::*;
 
+    fn pick(config: usize, stage_index: usize, acquisition: f64) -> PickRecord {
+        PickRecord {
+            config,
+            stage_index,
+            acquisition_bits: acquisition.to_bits(),
+        }
+    }
+
+    /// A mid-overlap snapshot: two groups dispatched and completed (one of
+    /// two picks), one still in flight, and a pool-exhaustion event.
     fn sample() -> RunCheckpoint {
         RunCheckpoint {
             version: CHECKPOINT_VERSION,
             fingerprint: RunCheckpoint::fingerprint_of(&CmmfConfig::default()),
-            is_async: false,
             completed_steps: 2,
             init: vec![5, 9, 1, 0, 12, 3, 7, 2],
             picks: vec![
-                vec![PickRecord {
-                    config: 42,
-                    stage_index: 1,
-                    acquisition_bits: 0.125f64.to_bits(),
-                }],
-                vec![
-                    PickRecord {
-                        config: 17,
-                        stage_index: 0,
-                        acquisition_bits: f64::MAX.to_bits(),
-                    },
-                    PickRecord {
-                        config: 18,
-                        stage_index: 2,
-                        acquisition_bits: 0,
-                    },
-                ],
-            ],
-            dispatches: Vec::new(),
-            schedule: Vec::new(),
-            in_flight: Vec::new(),
-            unsampled: vec![11, 4, 6, 8, 10],
-            rng_state: [u64::MAX, 1, 0x9E37_79B9_7F4A_7C15, 7],
-            sim_seconds_bits: 1234.5f64.to_bits(),
-            hv_history_bits: vec![
-                [1.0f64.to_bits(), 2.0f64.to_bits(), 3.0f64.to_bits()],
-                [1.5f64.to_bits(), 2.5f64.to_bits(), 3.5f64.to_bits()],
-            ],
-        }
-    }
-
-    /// A mid-overlap async snapshot: two runs dispatched and completed, one
-    /// still in flight, one pick after a pool-exhaustion event.
-    fn sample_async() -> RunCheckpoint {
-        RunCheckpoint {
-            version: CHECKPOINT_VERSION,
-            fingerprint: RunCheckpoint::fingerprint_of(&CmmfConfig::default()),
-            is_async: true,
-            completed_steps: 2,
-            init: vec![5, 9, 1, 0, 12, 3, 7, 2],
-            picks: Vec::new(),
-            dispatches: vec![
-                PickRecord {
-                    config: 42,
-                    stage_index: 1,
-                    acquisition_bits: 0.125f64.to_bits(),
-                },
-                PickRecord {
-                    config: 17,
-                    stage_index: 0,
-                    acquisition_bits: f64::MAX.to_bits(),
-                },
-                PickRecord {
-                    config: 18,
-                    stage_index: 2,
-                    acquisition_bits: 0,
-                },
+                vec![pick(42, 1, 0.125)],
+                vec![pick(17, 0, f64::MAX), pick(18, 2, 0.0)],
+                vec![pick(19, 2, -0.0)],
             ],
             schedule: vec![
                 ScheduleEvent::Dispatch(0),
@@ -571,20 +533,27 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_exact() {
-        for ckpt in [sample(), sample_async()] {
-            let parsed = RunCheckpoint::from_json(&ckpt.to_json()).unwrap();
-            assert_eq!(ckpt, parsed);
-        }
+        let ckpt = sample();
+        let parsed = RunCheckpoint::from_json(&ckpt.to_json()).unwrap();
+        assert_eq!(ckpt, parsed);
     }
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let mut ckpt = sample();
-        ckpt.version = CHECKPOINT_VERSION + 1;
-        assert!(matches!(
-            RunCheckpoint::from_json(&ckpt.to_json()),
-            Err(CmmfError::Checkpoint { .. })
-        ));
+        // Version 2 kept two layouts apart, so its files load as a typed
+        // error naming both versions, not as a conversion.
+        for version in [2, CHECKPOINT_VERSION + 1] {
+            let mut ckpt = sample();
+            ckpt.version = version;
+            match RunCheckpoint::from_json(&ckpt.to_json()) {
+                Err(CmmfError::Checkpoint { reason }) => assert!(
+                    reason.contains(&format!("version {version}"))
+                        && reason.contains(&format!("supported {CHECKPOINT_VERSION}")),
+                    "{reason}"
+                ),
+                other => panic!("version {version}: expected a typed error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -598,22 +567,29 @@ mod tests {
                 "accepted {text:?}"
             );
         }
-        // Truncated pick sets are inconsistent with completed_steps.
-        let mut ckpt = sample();
-        ckpt.picks.pop();
-        assert!(RunCheckpoint::from_json(&ckpt.to_json()).is_err());
-        // A sequential checkpoint must not carry scheduler events...
-        let mut ckpt = sample();
-        ckpt.schedule.push(ScheduleEvent::Dispatch(0));
-        assert!(RunCheckpoint::from_json(&ckpt.to_json()).is_err());
-        // ...and an async one must agree on its completion count and carry no
-        // sequential picks.
-        let mut ckpt = sample_async();
-        ckpt.schedule.pop();
-        assert!(RunCheckpoint::from_json(&ckpt.to_json()).is_err());
-        let mut ckpt = sample_async();
-        ckpt.picks = sample().picks;
-        assert!(RunCheckpoint::from_json(&ckpt.to_json()).is_err());
+        // The event log must agree with the picks and the completed steps.
+        let mut dispatch_without_picks = sample();
+        dispatch_without_picks.picks.pop();
+        let mut completions_disagree = sample();
+        completions_disagree.schedule.pop();
+        let mut complete_before_dispatch = sample();
+        complete_before_dispatch.schedule.swap(1, 2);
+        let mut dispatch_after_exhaustion = sample();
+        dispatch_after_exhaustion.schedule.swap(3, 4);
+        for (label, ckpt) in [
+            ("dispatch without picks", dispatch_without_picks),
+            ("completions disagree", completions_disagree),
+            ("complete before dispatch", complete_before_dispatch),
+            ("dispatch after exhaustion", dispatch_after_exhaustion),
+        ] {
+            assert!(
+                matches!(
+                    RunCheckpoint::from_json(&ckpt.to_json()),
+                    Err(CmmfError::Checkpoint { .. })
+                ),
+                "{label}"
+            );
+        }
     }
 
     #[test]
@@ -631,9 +607,12 @@ mod tests {
         let mut other = base.clone();
         other.mc_samples += 1;
         assert_ne!(fp, RunCheckpoint::fingerprint_of(&other));
-        // The in-flight slot count steers the async schedule.
+        // The slot count and the batch size steer the schedule.
         let mut other = base.clone();
         other.async_slots = 7;
+        assert_ne!(fp, RunCheckpoint::fingerprint_of(&other));
+        let mut other = base.clone();
+        other.batch_size = 3;
         assert_ne!(fp, RunCheckpoint::fingerprint_of(&other));
         let mut other = base;
         other.gp.seed ^= 1;
@@ -696,12 +675,11 @@ mod tests {
         // Out-of-range indices in the schedule section are corruption, not
         // panics: past u64 the number fails to parse as an index, and past
         // usize (32-bit targets) ScheduleEvent::decode refuses the cast.
-        let async_full = sample_async().to_json();
-        let big = async_full.replace(
+        let big = full.replace(
             "\"schedule\": [[0,0]",
             "\"schedule\": [[0,99999999999999999999]",
         );
-        assert_ne!(big, async_full, "sample_async schedule shape changed");
+        assert_ne!(big, full, "sample schedule shape changed");
         assert!(matches!(
             RunCheckpoint::from_json(&big),
             Err(CmmfError::Checkpoint { .. })

@@ -20,11 +20,12 @@
 //! * [`Optimizer`] — the Algorithm-2 loop over a pruned [`hls_model`] design
 //!   space evaluated by the [`fidelity_sim`] flow simulator, with nested
 //!   per-fidelity observation sets `X_impl ⊆ X_syn ⊆ X_hls` and the 10x
-//!   invalid-design penalty of Sec. IV-C.
-//! * [`AsyncOptimizer`] — the same loop driven by a discrete-event virtual
-//!   clock that keeps up to [`CmmfConfig::async_slots`] simulated tool runs
-//!   in flight, fantasizing pending outcomes into the acquisition (see the
-//!   [`scheduler`] module docs).
+//!   invalid-design penalty of Sec. IV-C. One event loop on a discrete-event
+//!   virtual clock runs every schedule: [`CmmfConfig::batch_size`] picks per
+//!   decision run as one group, and up to [`CmmfConfig::async_slots`] groups
+//!   are in flight, their pending outcomes fantasized into the acquisition
+//!   (see the [`scheduler`] module docs). The defaults are the paper's
+//!   sequential loop; [`AsyncOptimizer`] is a former name of the same type.
 //! * [`runner`] — multi-repeat experiment driver computing the paper's ADRS
 //!   metric (Eq. 11) against the simulator's true Pareto front.
 //!
@@ -59,8 +60,7 @@ pub mod scheduler;
 pub use checkpoint::{RunCheckpoint, ScheduleEvent};
 pub use error::CmmfError;
 pub use models::{FidelityDataSet, FidelityModelStack, FitMode, ModelVariant};
-pub use optimizer::{CandidateChoice, CmmfConfig, Optimizer, RunResult};
-pub use scheduler::AsyncOptimizer;
+pub use optimizer::{AsyncOptimizer, CandidateChoice, CmmfConfig, Optimizer, RunResult};
 // The observability layer (see ARCHITECTURE.md, "Observability & resume") —
 // re-exported so downstream code can attach a tracer without naming the
 // `cmmf-trace` crate directly.

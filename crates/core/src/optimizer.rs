@@ -1,8 +1,9 @@
 //! The overall optimization flow of Algorithm 2.
 
-use crate::checkpoint::{PickRecord, RunCheckpoint, CHECKPOINT_VERSION};
+use crate::checkpoint::{PickRecord, RunCheckpoint, ScheduleEvent};
 use crate::eipv::{peipv, EipvScorer};
 use crate::models::{FidelityDataSet, FidelityModelStack, FitMode, ModelVariant, N_OBJECTIVES};
+use crate::scheduler::Group;
 use crate::CmmfError;
 use fidelity_sim::{FlowSimulator, RunOutcome, Stage};
 use gp::{GpConfig, MultiTaskPrediction};
@@ -12,10 +13,9 @@ use pareto::{hypervolume, pareto_front};
 use rand::derive_stream_seed;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use rayon::prelude::*;
 use std::path::Path;
-use trace::{Stopwatch, TraceEvent, TracerHandle};
+use trace::{Stopwatch, TraceEvent, TracerHandle, VirtualClock};
 
 /// Configuration of the Algorithm-2 loop. Defaults follow Sec. V-B: 8 initial
 /// configurations, 40 optimization steps.
@@ -43,13 +43,13 @@ pub struct CmmfConfig {
     pub candidate_pool: usize,
     /// Monte-Carlo samples per EIPV evaluation, at least 1.
     pub mc_samples: usize,
-    /// Number of configurations selected and run per optimization step
-    /// (greedy q-EIPV with fantasized outcomes). 1 reproduces Algorithm 2;
-    /// q > 1 models q parallel FPGA-tool instances.
+    /// Configurations picked per dispatch decision (greedy q-EIPV: each pick
+    /// fantasizes the earlier picks' posterior means); 0 behaves like 1. A
+    /// decision's picks run as one group on parallel FPGA-tool instances:
+    /// the group completes when its slowest member does, and its members are
+    /// observed together. A decision picks fewer when its candidate pool runs
+    /// out. 1 reproduces Algorithm 2.
     pub batch_size: usize,
-    /// When batching, account the step's simulated time as the *maximum*
-    /// member cost (parallel tool licenses) instead of the sum.
-    pub batch_parallel_tools: bool,
     /// After the BO loop, predict the implementation-level objectives over a
     /// random subsample of this many un-evaluated configurations with the
     /// final surrogate and add the *predicted*-Pareto configurations to the
@@ -68,11 +68,14 @@ pub struct CmmfConfig {
     /// matrices and Cholesky factors with only the new rows,
     /// [`FitMode::Extend`]). A value above `n_iter` optimizes once, at step 0.
     pub refit_every: usize,
-    /// Simulated tool runs kept in flight by the asynchronous scheduler
-    /// ([`crate::AsyncOptimizer`]); 0 behaves like 1 (fully serialized
-    /// dispatch). The sequential [`Optimizer`] ignores this field, but it is
-    /// fingerprinted: an async schedule depends on it, so a checkpoint cannot
-    /// silently resume under a different slot count.
+    /// Dispatch decisions kept in flight on the virtual clock (see
+    /// [`crate::scheduler`]); 0 behaves like 1. With one slot each decision
+    /// waits for the previous group to complete: the synchronous loop, with a
+    /// barrier after every batch. With `k` slots up to `k` groups of
+    /// [`batch_size`](Self::batch_size) runs overlap, and each decision also
+    /// fantasizes the in-flight runs' outcomes. The schedule depends on it, so
+    /// it is fingerprinted: a checkpoint cannot silently resume under a
+    /// different slot count.
     pub async_slots: usize,
     /// Worker threads for the parallel hot paths (candidate scoring, EIPV
     /// Monte-Carlo sampling, kernel-matrix assembly, batch prediction);
@@ -116,7 +119,6 @@ impl Default for CmmfConfig {
             candidate_pool: 200,
             mc_samples: 24,
             batch_size: 1,
-            batch_parallel_tools: true,
             final_prediction_pool: 4000,
             escalate_threshold: 0.05,
             refit_every: 5,
@@ -191,13 +193,18 @@ pub struct RunResult {
     /// Ground-truth (post-implementation) objective vectors of the valid
     /// evaluated configurations that form the learned Pareto front.
     pub measured_pareto: Vec<[f64; N_OBJECTIVES]>,
-    /// Total simulated tool time in seconds (Table I's "overall running
-    /// time"), covering initialization and every iteration's flow run.
+    /// Simulated tool time in seconds (Table I's "overall running time"):
+    /// the virtual-clock makespan at which the last run finished, covering
+    /// initialization and every iteration's flow run. With one slot and
+    /// `batch_size` 1 it is the sum of every run's stage time; a batch's
+    /// parallel members count as their slowest, and overlapping slots count
+    /// once.
     pub sim_seconds: f64,
     /// Learned objective correlations at each fidelity, when the variant is
     /// correlated (diagnostics for Sec. IV-B's claims).
     pub objective_correlations: Option<Vec<linalg::Matrix>>,
-    /// Convergence trace: after each optimization step, the Pareto
+    /// Convergence trace: after each completed optimization step (one
+    /// dispatch decision's group, in completion order), the Pareto
     /// hypervolume of the *observed* front at each fidelity (normalized
     /// objective units, reference `[2.5; 3]`). Monotone non-decreasing per
     /// fidelity; useful for plotting and for early-stopping policies.
@@ -213,55 +220,66 @@ pub(crate) enum Observation {
     Invalid,
 }
 
-/// The Algorithm-2 Bayesian optimizer.
+/// The Algorithm-2 Bayesian optimizer: one event loop that keeps up to
+/// [`CmmfConfig::async_slots`] groups of up to [`CmmfConfig::batch_size`]
+/// simulated tool runs in flight (see the [`scheduler`](crate::scheduler)
+/// module docs for the model).
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     cfg: CmmfConfig,
 }
 
-/// The live state of one Algorithm-2 run: everything [`LoopState::run_step`]
-/// reads and writes, separated from [`Optimizer`] so a run can be snapshotted
-/// ([`LoopState::checkpoint`]) and reconstructed ([`LoopState::restore`]) at
-/// any step boundary. The asynchronous scheduler (`crate::scheduler`) embeds
-/// a `LoopState` too and drives it through the pub(crate) helpers below, so
-/// both loops share one implementation of fitting, scoring, and observation
-/// bookkeeping.
+/// The former name of [`Optimizer`], from when the asynchronous scheduler
+/// was a second loop. It is the same type: [`CmmfConfig::async_slots`]
+/// selects the schedule.
+pub type AsyncOptimizer = Optimizer;
+
+/// The live state of one Algorithm-2 run: everything the event loop
+/// (`crate::scheduler`) reads and writes, so a run can be snapshotted
+/// ([`LoopState::checkpoint`]) and reconstructed ([`LoopState::restore`])
+/// after any completed step, in flight or not. The helpers below are the
+/// loop's fitting, scoring and observation bookkeeping.
 pub(crate) struct LoopState<'a> {
     pub(crate) cfg: &'a CmmfConfig,
     pub(crate) space: &'a DesignSpace,
     pub(crate) sim: &'a FlowSimulator,
     pub(crate) rng: StdRng,
     /// Not-yet-sampled configuration indices, in shuffled order (the tail is
-    /// each step's candidate pool).
+    /// each decision's candidate pool).
     pub(crate) unsampled: Vec<usize>,
     /// The initialization draw, in observation order.
     pub(crate) init: Vec<usize>,
     /// Observations per fidelity: (config, outcome).
     pub(crate) obs: [Vec<(usize, Observation)>; 3],
-    pub(crate) sim_seconds: f64,
+    /// Every BO pick so far, in dispatch order.
     pub(crate) candidate_set: Vec<CandidateChoice>,
-    /// Per completed step, the picks as checkpoint records (mirrors
-    /// `candidate_set`, partitioned by step — batches can end early, so the
-    /// partition is not implied by `batch_size`). Unused by the asynchronous
-    /// scheduler, which records dispatch-ordered picks instead.
+    /// Per dispatch decision, its picks in pick order (decisions can end
+    /// early, so the partition is not implied by `batch_size`).
     pub(crate) picks: Vec<Vec<PickRecord>>,
     pub(crate) stack: Option<FidelityModelStack>,
     pub(crate) hv_history: Vec<[f64; 3]>,
-    /// Steps completed so far (the next step index to run).
+    /// Groups completed so far (the run's completed steps).
     pub(crate) steps_done: usize,
+    /// Simulated time; its reading is the run's `sim_seconds`.
+    pub(crate) clock: VirtualClock,
+    /// Groups dispatched but not complete, in dispatch order.
+    pub(crate) in_flight: Vec<Group>,
+    /// The interleaved dispatch/completion event log of the BO phase.
+    pub(crate) schedule: Vec<ScheduleEvent>,
+    /// The candidate pool came up empty at a dispatch attempt: dispatch no
+    /// more, drain the groups in flight.
+    pub(crate) exhausted: bool,
     /// True while [`LoopState::restore`] replays checkpointed decisions:
-    /// suppresses `ToolRun` events (the runs already happened) and leaves
-    /// `sim_seconds` to the checkpointed value.
+    /// suppresses the journal events of runs that already happened.
     pub(crate) replaying: bool,
 }
 
-/// A step's candidate pool with its per-(candidate, fidelity) posterior
-/// caches, shared across batch slots (sequential loop) or read once per
-/// dispatch (async scheduler).
 /// Per-fidelity Pareto fronts of the normalized observations: `fronts[f]` is
 /// the front at fidelity `f`, each point one `N_OBJECTIVES`-vector.
 pub(crate) type FidelityFronts = Vec<Vec<Vec<f64>>>;
 
+/// A decision's candidate pool with its per-(candidate, fidelity) posterior
+/// caches, shared across the decision's picks.
 pub(crate) struct CandidatePrep {
     /// Candidate configuration indices, in pool order (the argmax tie-break
     /// order).
@@ -289,13 +307,17 @@ pub(crate) struct SelectedPick {
 
 impl<'a> LoopState<'a> {
     /// Validates the configuration against the space (shared by fresh starts
-    /// and resumes).
+    /// and resumes). `n_init + n_iter` past `usize::MAX` is too small a space
+    /// too, not an overflow.
     pub(crate) fn validate(cfg: &CmmfConfig, space: &DesignSpace) -> Result<(), CmmfError> {
-        if space.len() < cfg.n_init + cfg.n_iter {
-            return Err(CmmfError::SpaceTooSmall {
-                required: cfg.n_init + cfg.n_iter,
-                available: space.len(),
-            });
+        match cfg.n_init.checked_add(cfg.n_iter) {
+            Some(required) if required <= space.len() => {}
+            required => {
+                return Err(CmmfError::SpaceTooSmall {
+                    required: required.unwrap_or(usize::MAX),
+                    available: space.len(),
+                })
+            }
         }
         cfg.validate()
     }
@@ -312,26 +334,17 @@ impl<'a> LoopState<'a> {
         }
     }
 
-    /// A validated, seeded state with the initialization set *drawn but not
-    /// observed* — the shared front half of [`LoopState::start`] and the
-    /// asynchronous scheduler's start, which interleave the initialization
-    /// runs differently (all-at-once here, through `k` slots there).
-    pub(crate) fn fresh_shell(
+    /// A state holding the seeded decisions `rng`, `unsampled` and `init` and
+    /// nothing observed, fitted or dispatched yet.
+    pub(crate) fn new(
         cfg: &'a CmmfConfig,
         space: &'a DesignSpace,
         sim: &'a FlowSimulator,
-    ) -> Result<Self, CmmfError> {
-        Self::validate(cfg, space)?;
-        cfg.tracer.emit(|| TraceEvent::RunStarted {
-            seed: cfg.seed,
-            n_iter: cfg.n_iter,
-            resumed_at: None,
-        });
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut unsampled: Vec<usize> = (0..space.len()).collect();
-        unsampled.shuffle(&mut rng);
-        let init: Vec<usize> = unsampled.split_off(unsampled.len() - cfg.n_init);
-        Ok(LoopState {
+        rng: StdRng,
+        unsampled: Vec<usize>,
+        init: Vec<usize>,
+    ) -> Self {
+        LoopState {
             cfg,
             space,
             sim,
@@ -339,307 +352,24 @@ impl<'a> LoopState<'a> {
             unsampled,
             init,
             obs: Default::default(),
-            sim_seconds: 0.0,
-            candidate_set: Vec::with_capacity(cfg.n_iter),
-            picks: Vec::with_capacity(cfg.n_iter),
+            candidate_set: Vec::new(),
+            picks: Vec::new(),
             stack: None,
-            hv_history: Vec::with_capacity(cfg.n_iter),
+            hv_history: Vec::new(),
             steps_done: 0,
-            replaying: false,
-        })
-    }
-
-    /// Fresh state: draws and observes the initialization set
-    /// (Algorithm 2, lines 3-5).
-    fn start(
-        cfg: &'a CmmfConfig,
-        space: &'a DesignSpace,
-        sim: &'a FlowSimulator,
-    ) -> Result<Self, CmmfError> {
-        let mut state = Self::fresh_shell(cfg, space, sim)?;
-        for rank in 0..state.init.len() {
-            let c = state.init[rank];
-            let secs = state.observe(c, Self::init_top_stage(cfg, rank), None);
-            state.sim_seconds += secs;
-        }
-        Ok(state)
-    }
-
-    /// Version and fingerprint gate shared by the sequential and asynchronous
-    /// resume paths.
-    pub(crate) fn check_compat(cfg: &CmmfConfig, ckpt: &RunCheckpoint) -> Result<(), CmmfError> {
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(CmmfError::Checkpoint {
-                reason: format!(
-                    "checkpoint version {} is not the supported {CHECKPOINT_VERSION}",
-                    ckpt.version
-                ),
-            });
-        }
-        let expected = RunCheckpoint::fingerprint_of(cfg);
-        if ckpt.fingerprint != expected {
-            return Err(CmmfError::Checkpoint {
-                reason: format!(
-                    "configuration mismatch: checkpoint was written under\n  {}\nbut this run is\n  {}",
-                    ckpt.fingerprint, expected
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Reconstructs the state a checkpoint describes, bit-identically to the
-    /// run that wrote it: restores the recorded decisions (initialization,
-    /// picks, candidate order, RNG position) and *replays* the derived state
-    /// — observations through the deterministic simulator, and the surrogate
-    /// stack by re-fitting from the last hyperparameter-optimization step
-    /// (at most `refit_every − 1` cheap refits plus one full fit; GP fits
-    /// seed their own RNG per call, so the replayed chain is exact).
-    ///
-    /// The checkpoint must come from a run with this configuration on this
-    /// same design space and simulator; the fingerprint pins the former, and
-    /// out-of-range configuration indices catch gross mismatches of the
-    /// latter.
-    fn restore(
-        cfg: &'a CmmfConfig,
-        space: &'a DesignSpace,
-        sim: &'a FlowSimulator,
-        ckpt: &RunCheckpoint,
-    ) -> Result<Self, CmmfError> {
-        Self::validate(cfg, space)?;
-        Self::check_compat(cfg, ckpt)?;
-        if ckpt.is_async {
-            return Err(CmmfError::Checkpoint {
-                reason: "checkpoint was written by the asynchronous scheduler; \
-                         resume it with AsyncOptimizer"
-                    .into(),
-            });
-        }
-        let completed = ckpt.completed_steps;
-        if ckpt.init.len() != cfg.n_init
-            || completed > cfg.n_iter
-            || ckpt.picks.len() != completed
-            || ckpt.hv_history_bits.len() != completed
-        {
-            return Err(CmmfError::Checkpoint {
-                reason: "inconsistent checkpoint shape".into(),
-            });
-        }
-        cfg.tracer.emit(|| TraceEvent::RunStarted {
-            seed: cfg.seed,
-            n_iter: cfg.n_iter,
-            resumed_at: Some(completed),
-        });
-        let in_range = |c: usize| c < space.len();
-        if !ckpt.init.iter().all(|&c| in_range(c))
-            || !ckpt.unsampled.iter().all(|&c| in_range(c))
-            || !ckpt.picks.iter().flatten().all(|p| in_range(p.config))
-        {
-            return Err(CmmfError::Checkpoint {
-                reason: "configuration index out of range — was this checkpoint \
-                         written for a different design space?"
-                    .into(),
-            });
-        }
-        let mut state = LoopState {
-            cfg,
-            space,
-            sim,
-            rng: StdRng::from_state(ckpt.rng_state),
-            unsampled: ckpt.unsampled.clone(),
-            init: ckpt.init.clone(),
-            obs: Default::default(),
-            sim_seconds: f64::from_bits(ckpt.sim_seconds_bits),
-            candidate_set: Vec::with_capacity(cfg.n_iter),
-            picks: ckpt.picks.clone(),
-            stack: None,
-            hv_history: ckpt
-                .hv_history_bits
-                .iter()
-                .map(|hv| [0, 1, 2].map(|d| f64::from_bits(hv[d])))
-                .collect(),
-            steps_done: completed,
-            replaying: true,
-        };
-        for (rank, &c) in ckpt.init.iter().enumerate() {
-            state.observe(c, Self::init_top_stage(cfg, rank), None);
-        }
-        // Replay the completed steps. Observations replay in full (they feed
-        // every later fit); surrogate fits replay from `replay_from` on, and
-        // the cheap refits after it chain off its caches exactly as the
-        // interrupted run's did.
-        let refit_from = Self::replay_from(cfg, completed);
-        for (t, step_picks) in ckpt.picks.iter().enumerate() {
-            if t >= refit_from {
-                let (data, _, _) = state.training_data();
-                state.stack = Some(state.fit_stack(&data, t)?);
-            }
-            for p in step_picks {
-                let stage =
-                    Stage::from_index(p.stage_index).ok_or_else(|| CmmfError::Checkpoint {
-                        reason: format!("invalid stage index {} in step {t}", p.stage_index),
-                    })?;
-                state.observe(p.config, stage, None);
-                state.candidate_set.push(CandidateChoice {
-                    config: p.config,
-                    stage,
-                    acquisition: f64::from_bits(p.acquisition_bits),
-                });
-            }
-        }
-        state.replaying = false;
-        Ok(state)
-    }
-
-    /// Snapshots the run after the last completed step.
-    fn checkpoint(&self) -> RunCheckpoint {
-        RunCheckpoint {
-            version: CHECKPOINT_VERSION,
-            fingerprint: RunCheckpoint::fingerprint_of(self.cfg),
-            completed_steps: self.steps_done,
-            init: self.init.clone(),
-            picks: self.picks.clone(),
-            is_async: false,
-            dispatches: Vec::new(),
-            schedule: Vec::new(),
+            clock: VirtualClock::new(),
             in_flight: Vec::new(),
-            unsampled: self.unsampled.clone(),
-            rng_state: self.rng.state(),
-            sim_seconds_bits: self.sim_seconds.to_bits(),
-            hv_history_bits: self
-                .hv_history
-                .iter()
-                .map(|hv| [0, 1, 2].map(|d| hv[d].to_bits()))
-                .collect(),
+            schedule: Vec::new(),
+            exhausted: false,
+            replaying: false,
         }
     }
 
-    /// One optimization step (Algorithm 2, lines 6-15). Returns `false` when
-    /// the loop should stop early (candidate pool exhausted).
-    fn run_step(&mut self, t: usize) -> Result<bool, CmmfError> {
-        let cfg = self.cfg;
-        let tracer = &cfg.tracer;
-        tracer.emit(|| TraceEvent::StepStarted {
-            step: t,
-            observed: [self.obs[0].len(), self.obs[1].len(), self.obs[2].len()],
-        });
-
-        // Materialize training data, fit the surrogate stack, and take the
-        // per-fidelity observed fronts.
-        let (new_stack, fronts) = self.fit_step_stack(t)?;
-        let reference = vec![2.5; N_OBJECTIVES]; // dominates the 2.0 penalty
-
-        // Candidate pool with its per-(candidate, fidelity) posterior caches.
-        let Some(prep) = self.prepare_candidates(&new_stack)? else {
-            self.stack = Some(new_stack);
-            return Ok(false);
-        };
-
-        // Acquisition scorers, one per fidelity: the fantasy front's
-        // cell decomposition is built once *outside* the per-candidate
-        // fan-out below and shared by every candidate and MC draw.
-        // Rebuilt only when a fantasy update actually changes the front.
-        let mut scorers = Self::build_scorers(&fronts, &reference);
-
-        // Select a batch of `batch_size` (candidate, fidelity) pairs
-        // (lines 7-11; batch > 1 models parallel tool instances). The
-        // first pick is the plain PEIPV argmax; subsequent picks maximize
-        // EIPV against fronts augmented with the *fantasized* (posterior
-        // mean) outcomes of the earlier picks — greedy q-EIPV.
-        //
-        // The argmax fans out over the candidate pool. Each (candidate,
-        // fidelity) pair draws its Monte-Carlo samples from its own RNG
-        // stream — seeded from (master seed, step, batch slot, config,
-        // fidelity) — and the winner is chosen by a serial first-max scan
-        // in pool order, so the selection is independent of thread count
-        // and scheduling.
-        let step_seed = derive_stream_seed(cfg.seed, &[t as u64]);
-        let mut fantasy_fronts = fronts.clone();
-        let mut picked: Vec<CandidateChoice> = Vec::with_capacity(cfg.batch_size.max(1));
-        for q in 0..cfg.batch_size.max(1) {
-            let slot_started = tracer.enabled().then(Stopwatch::start);
-            let q_seed = derive_stream_seed(step_seed, &[q as u64]);
-            let Some(sel) = self.select_pick(&prep, &scorers, q_seed, &picked)? else {
-                break;
-            };
-            let choice = sel.choice;
-            tracer.emit(|| TraceEvent::AcquisitionScored {
-                step: t,
-                slot: q,
-                config: choice.config,
-                fidelity: choice.stage.index(),
-                candidates: sel.n_scored,
-                eipv: sel.raw_eipv,
-                penalized: choice.acquisition,
-                seconds: slot_started.map_or(0.0, |s| s.seconds()),
-            });
-
-            // Fantasize the outcome at the chosen fidelity so the next
-            // batch member seeks improvement elsewhere.
-            let fi = choice.stage.index();
-            let pred = &prep.preds[sel.pool_idx][fi];
-            let new_front = pareto_front(
-                &fantasy_fronts[fi]
-                    .iter()
-                    .cloned()
-                    .chain(std::iter::once(pred.mean.clone()))
-                    .collect::<Vec<_>>(),
-            );
-            // Rebuild this fidelity's scorer only when the fantasized
-            // outcome actually changed the front (a dominated fantasy
-            // leaves it untouched) and another batch slot will read it.
-            if new_front != fantasy_fronts[fi] {
-                if q + 1 < cfg.batch_size.max(1) {
-                    scorers[fi] = EipvScorer::new(&new_front, &reference);
-                }
-                fantasy_fronts[fi] = new_front;
-            }
-            picked.push(choice);
-        }
-        if picked.is_empty() {
-            return Err(CmmfError::Internal {
-                reason: "no candidate scored".into(),
-            });
-        }
-
-        // Run the flow for every batch member (lines 12-14). With batch
-        // size q > 1 and q parallel tool licenses, the wall-clock cost of
-        // the step is the *maximum* stage time, not the sum.
-        let mut batch_seconds = 0.0f64;
-        for choice in &picked {
-            let secs = self.observe(choice.config, choice.stage, Some(t));
-            batch_seconds = if cfg.batch_parallel_tools {
-                batch_seconds.max(secs)
-            } else {
-                batch_seconds + secs
-            };
-            self.unsampled.retain(|&c| c != choice.config);
-            self.candidate_set.push(*choice);
-        }
-        self.picks.push(
-            picked
-                .iter()
-                .map(|c| PickRecord {
-                    config: c.config,
-                    stage_index: c.stage.index(),
-                    acquisition_bits: c.acquisition.to_bits(),
-                })
-                .collect(),
-        );
-        self.sim_seconds += batch_seconds;
-        self.stack = Some(new_stack);
-
-        self.record_front(t);
-        self.steps_done = t + 1;
-        Ok(true)
-    }
-
-    /// The step's surrogate refresh: materializes normalized training data,
+    /// A decision's surrogate refresh: materializes normalized training data,
     /// fits the stack under the `refit_every` schedule, emits `ModelFit`, and
     /// returns the new stack with the per-fidelity Pareto fronts of the
-    /// normalized observations. Does *not* install the stack — callers decide
-    /// when (the sequential loop after its observations, the async scheduler
-    /// at dispatch time).
+    /// normalized observations. Does *not* install the stack; the decision
+    /// installs it once done with it.
     pub(crate) fn fit_step_stack(
         &mut self,
         t: usize,
@@ -678,9 +408,9 @@ impl<'a> LoopState<'a> {
     }
 
     /// Fits step `t`'s surrogate stack on `data` under the `refit_every`
-    /// schedule, chaining off the installed stack. The live step and both
-    /// loops' checkpoint replays fit through here, so a replayed fit is the
-    /// fit the interrupted run made.
+    /// schedule, chaining off the installed stack. The live decision and the
+    /// checkpoint replay fit through here, so a replayed fit is the fit the
+    /// interrupted run made.
     pub(crate) fn fit_stack(
         &self,
         data: &FidelityDataSet,
@@ -703,9 +433,9 @@ impl<'a> LoopState<'a> {
         fits.saturating_sub(1) / cfg.refit_every * cfg.refit_every
     }
 
-    /// Draws the step's candidate pool (one RNG shuffle — both loops consume
-    /// exactly one per dispatch decision) and precomputes the per-(candidate,
-    /// fidelity) posterior caches shared by every scoring slot. Returns
+    /// Draws the decision's candidate pool (one RNG shuffle per dispatch
+    /// decision) and precomputes the per-(candidate, fidelity) posterior
+    /// caches shared by every scoring slot. Returns
     /// `None` when the pool is empty (space exhausted). Ordered parallel
     /// collects keep the values bit-identical to the serial path for any
     /// thread count.
@@ -723,7 +453,7 @@ impl<'a> LoopState<'a> {
         let pool: Vec<usize> = self.unsampled[self.unsampled.len() - pool_len..].to_vec();
 
         // Candidate encodings and posterior predictions are invariant across
-        // batch slots (only the fantasy fronts change between picks), so
+        // a decision's picks (only the fantasy fronts change between them), so
         // compute each once per (candidate, stage) here instead of inside the
         // scoring closures.
         let encoded: Vec<Vec<f64>> = pool
@@ -736,7 +466,7 @@ impl<'a> LoopState<'a> {
         // layout the scorers index. Bit-identical to per-candidate
         // `predict` calls.
         let preds = stack.predict_all(&encoded)?;
-        // The predictive-covariance factors are per-step invariants too:
+        // The predictive-covariance factors are per-decision invariants too:
         // factor each candidate's M x M covariance once and share it across
         // scoring slots.
         let chols: Vec<Vec<Option<Cholesky>>> = preds
@@ -946,16 +676,17 @@ impl<'a> LoopState<'a> {
             per_fid
         });
 
+        let sim_seconds = self.clock.now();
         cfg.tracer.emit(|| TraceEvent::RunFinished {
             steps: self.steps_done,
-            sim_seconds: self.sim_seconds,
+            sim_seconds,
             pareto_points: measured_pareto.len(),
         });
         Ok(RunResult {
             candidate_set: self.candidate_set,
             evaluated_configs: evaluated,
             measured_pareto,
-            sim_seconds: self.sim_seconds,
+            sim_seconds,
             objective_correlations,
             hv_history: self.hv_history,
         })
@@ -963,9 +694,9 @@ impl<'a> LoopState<'a> {
 
     /// Runs the flow for `config` up to `top_stage`, recording one observation
     /// per traversed fidelity (the flow produces lower-stage reports on its
-    /// way up, Fig. 2). Returns the simulated seconds consumed. `step` labels
-    /// the emitted `ToolRun` events (`None` during initialization).
-    pub(crate) fn observe(&mut self, config: usize, top_stage: Stage, step: Option<usize>) -> f64 {
+    /// way up, Fig. 2). `step` labels the emitted `ToolRun` events (`None`
+    /// during initialization); the virtual clock accounts the time.
+    pub(crate) fn observe(&mut self, config: usize, top_stage: Stage, step: Option<usize>) {
         let cfg = self.cfg;
         let trace_runs = cfg.tracer.enabled() && !self.replaying;
         for stage in Stage::all() {
@@ -990,7 +721,6 @@ impl<'a> LoopState<'a> {
             }
             self.obs[stage.index()].push((config, o));
         }
-        self.sim.stage_seconds(self.space, config, top_stage)
     }
 
     /// Builds normalized per-fidelity training data. Valid observations are
@@ -1050,6 +780,11 @@ impl Optimizer {
 
     /// Runs Algorithm 2 on `space`, evaluating configurations with `sim`.
     ///
+    /// Up to [`CmmfConfig::async_slots`] groups of up to
+    /// [`CmmfConfig::batch_size`] tool runs are in flight on the virtual
+    /// clock; [`RunResult::sim_seconds`] is the schedule's makespan. The
+    /// defaults (one slot, batch size 1) run the paper's sequential loop.
+    ///
     /// The run executes on a thread pool of [`CmmfConfig::threads`] workers
     /// (0 = all hardware threads); the result is bit-identical for any
     /// thread count.
@@ -1095,15 +830,17 @@ impl Optimizer {
     /// * [`CmmfError::Model`] if surrogate fitting fails irrecoverably.
     pub fn run(&self, space: &DesignSpace, sim: &FlowSimulator) -> Result<RunResult, CmmfError> {
         self.with_pool(|| {
-            let state = LoopState::start(&self.cfg, space, sim)?;
-            Self::drive(state, None)
+            let mut state = LoopState::start(&self.cfg, space, sim)?;
+            state.drive(None, usize::MAX)?;
+            state.finish()
         })
     }
 
-    /// Runs initialization plus at most `steps` optimization steps and
-    /// returns the checkpoint — the deterministic "kill at step k" primitive
-    /// behind the resume tests and the CI smoke. `steps` is clamped to
-    /// [`CmmfConfig::n_iter`].
+    /// Runs initialization plus at most `steps` completed optimization steps
+    /// and returns the checkpoint, possibly mid-overlap with groups still in
+    /// flight (recorded in [`RunCheckpoint::in_flight`]). This is the
+    /// deterministic "kill after step k" primitive behind the resume tests
+    /// and the CI smoke. `steps` is clamped to [`CmmfConfig::n_iter`].
     ///
     /// # Errors
     ///
@@ -1115,22 +852,18 @@ impl Optimizer {
         steps: usize,
     ) -> Result<RunCheckpoint, CmmfError> {
         self.with_pool(|| {
-            let cfg = &self.cfg;
-            let mut state = LoopState::start(cfg, space, sim)?;
-            for t in 0..steps.min(cfg.n_iter) {
-                if !state.run_step(t)? {
-                    break;
-                }
-            }
+            let mut state = LoopState::start(&self.cfg, space, sim)?;
+            state.drive(None, steps)?;
             Ok(state.checkpoint())
         })
     }
 
     /// Resumes a checkpointed run and drives it to completion. The result is
     /// bit-identical to the uninterrupted run that would have produced the
-    /// same checkpoint (pinned by `resume_is_bit_identical`): the recorded
-    /// decisions are replayed through the deterministic simulator and GP
-    /// fits, then the loop continues from the recorded RNG position.
+    /// same checkpoint, even one killed with runs in flight (pinned by
+    /// `resume_is_bit_identical`): the recorded event log is replayed through
+    /// the deterministic simulator and GP fits, then the loop continues from
+    /// the recorded RNG position.
     ///
     /// The configuration must match the one that wrote the checkpoint
     /// (fingerprinted; `threads` and `tracer` may differ), and `space`/`sim`
@@ -1138,8 +871,10 @@ impl Optimizer {
     ///
     /// # Errors
     ///
-    /// * [`CmmfError::Checkpoint`] if the checkpoint's version, fingerprint,
-    ///   or shape does not match this configuration and space.
+    /// * [`CmmfError::Checkpoint`] if the checkpoint's version, fingerprint
+    ///   or shape does not match this configuration and space, or if the
+    ///   replayed schedule diverges from the recorded in-flight set (a
+    ///   different simulator or space).
     /// * Everything [`Optimizer::run`] can return.
     pub fn resume(
         &self,
@@ -1148,8 +883,9 @@ impl Optimizer {
         sim: &FlowSimulator,
     ) -> Result<RunResult, CmmfError> {
         self.with_pool(|| {
-            let state = LoopState::restore(&self.cfg, space, sim, ckpt)?;
-            Self::drive(state, None)
+            let mut state = LoopState::restore(&self.cfg, space, sim, ckpt)?;
+            state.drive(None, usize::MAX)?;
+            state.finish()
         })
     }
 
@@ -1172,76 +908,44 @@ impl Optimizer {
         path: &Path,
     ) -> Result<RunResult, CmmfError> {
         self.with_pool(|| {
-            let state = if path.exists() {
+            let mut state = if path.exists() {
                 LoopState::restore(&self.cfg, space, sim, &RunCheckpoint::load(path)?)?
             } else {
                 LoopState::start(&self.cfg, space, sim)?
             };
-            Self::drive(state, Some(path))
+            state.drive(Some(path), usize::MAX)?;
+            state.finish()
         })
     }
 
-    /// Sets up the run's thread pool (see [`with_pool`]).
+    /// Runs `f` on a dedicated rayon pool of [`CmmfConfig::threads`] workers.
+    /// 0 inherits the ambient rayon default (an enclosing
+    /// `ThreadPool::install`, `build_global`, or the hardware parallelism) so
+    /// harness binaries can set a process-wide `--threads` once.
     fn with_pool<T>(&self, f: impl FnOnce() -> Result<T, CmmfError>) -> Result<T, CmmfError> {
-        with_pool(self.cfg.threads, f)
+        let n = match self.cfg.threads {
+            0 => rayon::current_num_threads(),
+            threads => threads,
+        };
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .map_err(|e| CmmfError::Internal {
+                reason: format!("thread pool: {e}"),
+            })?;
+        pool.install(f)
     }
-
-    /// The main loop: executes the remaining steps (checkpointing after each
-    /// when `ckpt_path` is set) and finishes. The run-started announcement is
-    /// emitted by [`LoopState::start`]/[`LoopState::restore`] so it precedes
-    /// the initialization or replay tool runs.
-    fn drive(mut state: LoopState<'_>, ckpt_path: Option<&Path>) -> Result<RunResult, CmmfError> {
-        let cfg = state.cfg;
-        let first = state.steps_done;
-        for t in first..cfg.n_iter {
-            if !state.run_step(t)? {
-                break;
-            }
-            if let Some(path) = ckpt_path {
-                let ckpt = state.checkpoint();
-                let bytes = ckpt.save(path)?;
-                cfg.tracer.emit(|| TraceEvent::CheckpointWritten {
-                    step: state.steps_done,
-                    bytes,
-                });
-            }
-        }
-        state.finish()
-    }
-}
-
-/// Runs `f` on a dedicated rayon pool of `threads` workers. `threads == 0`
-/// inherits the ambient rayon default (an enclosing `ThreadPool::install`,
-/// `build_global`, or the hardware parallelism) so harness binaries can set a
-/// process-wide `--threads` once. Shared by [`Optimizer`] and
-/// [`crate::AsyncOptimizer`].
-pub(crate) fn with_pool<T>(
-    threads: usize,
-    f: impl FnOnce() -> Result<T, CmmfError>,
-) -> Result<T, CmmfError> {
-    let n = if threads == 0 {
-        rayon::current_num_threads()
-    } else {
-        threads
-    };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build()
-        .map_err(|e| CmmfError::Internal {
-            reason: format!("thread pool: {e}"),
-        })?;
-    pool.install(f)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fidelity_sim::SimParams;
     use hls_model::benchmarks::{self, Benchmark};
     use std::sync::Arc;
     use trace::MemoryTracer;
 
-    fn quick_cfg(seed: u64) -> CmmfConfig {
+    pub(crate) fn quick_cfg(seed: u64) -> CmmfConfig {
         CmmfConfig {
             n_iter: 6,
             candidate_pool: 40,
@@ -1257,7 +961,7 @@ mod tests {
         }
     }
 
-    fn setup(b: Benchmark) -> (DesignSpace, FlowSimulator) {
+    pub(crate) fn setup(b: Benchmark) -> (DesignSpace, FlowSimulator) {
         (
             benchmarks::build(b).unwrap().pruned_space().unwrap(),
             FlowSimulator::new(SimParams::for_benchmark(b)),
@@ -1265,7 +969,7 @@ mod tests {
     }
 
     /// Full bit-identity over every deterministic `RunResult` field.
-    fn assert_same_result(a: &RunResult, b: &RunResult, label: &str) {
+    pub(crate) fn assert_same_result(a: &RunResult, b: &RunResult, label: &str) {
         assert_eq!(a.candidate_set, b.candidate_set, "{label}: candidate_set");
         assert_eq!(
             a.evaluated_configs, b.evaluated_configs,
@@ -1367,38 +1071,84 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::ToolRun { step: None, .. })));
+        // The sequential loop is the event loop at one slot: every run,
+        // initialization included, is dispatched and completed on the
+        // virtual clock, one at a time.
+        let cfg = quick_cfg(23);
+        for kind in ["run_dispatched", "run_completed"] {
+            let runs: Vec<&TraceEvent> = events.iter().filter(|e| e.kind() == kind).collect();
+            assert_eq!(runs.len(), cfg.n_init + cfg.n_iter, "{kind}");
+            assert_eq!(
+                runs.iter().filter(|e| e.step().is_some()).count(),
+                traced.candidate_set.len(),
+                "{kind}"
+            );
+        }
+        assert!(events.iter().all(|e| !matches!(
+            e,
+            TraceEvent::RunDispatched { in_flight, .. } if *in_flight != 1
+        )));
     }
 
     #[test]
     fn resume_is_bit_identical() {
         // The checkpoint/resume contract: killing a run after step k and
         // resuming from the checkpoint yields the same `RunResult`, bit for
-        // bit, as never stopping — at any thread count, whether k lands on a
-        // hyperparameter-refit boundary (refit_every = 3 here), just after
-        // one, or between two, so the replay starts from step 0 or step 3.
+        // bit, as never stopping — for every schedule the loop runs:
+        // (async_slots, batch_size) = sequential, three runs in flight
+        // (killed mid-overlap), a synchronous batch of three, and two groups
+        // of two in flight. k lands on a hyperparameter-refit boundary
+        // (refit_every = 3 here), just after one, or between two, so the
+        // replay starts from step 0 or step 3.
         let (space, sim) = setup(Benchmark::SpmvCrs);
-        let full = Optimizer::new(quick_cfg(31)).run(&space, &sim).unwrap();
-        for k in 1..=5 {
-            let ckpt = Optimizer::new(quick_cfg(31))
-                .run_until(&space, &sim, k)
-                .unwrap();
-            assert_eq!(ckpt.completed_steps, k);
-            for threads in [0, 1, 2] {
-                let mut cfg = quick_cfg(31);
-                cfg.threads = threads;
-                let resumed = Optimizer::new(cfg).resume(&ckpt, &space, &sim).unwrap();
-                assert_same_result(&full, &resumed, &format!("k={k} threads={threads}"));
+        for (slots, batch, kills) in [
+            (0, 1, &[1, 2, 3, 4, 5][..]),
+            (3, 1, &[1, 3, 5][..]),
+            (0, 3, &[2, 4][..]),
+            (2, 2, &[1, 3, 4][..]),
+        ] {
+            let mut cfg = quick_cfg(31);
+            cfg.async_slots = slots;
+            cfg.batch_size = batch;
+            let opt = Optimizer::new(cfg.clone());
+            let full = opt.run(&space, &sim).unwrap();
+            if batch > 1 {
+                let mut ids: Vec<usize> = full.candidate_set.iter().map(|c| c.config).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                assert_eq!(ids.len(), batch * cfg.n_iter, "slots={slots} batch={batch}");
             }
+            for &k in kills {
+                let ckpt = opt.run_until(&space, &sim, k).unwrap();
+                assert_eq!(ckpt.completed_steps, k);
+                if slots > 1 {
+                    assert!(
+                        !ckpt.in_flight.is_empty(),
+                        "slots={slots} batch={batch}: kill at {k} should land mid-overlap"
+                    );
+                }
+                // Sequential kills also resume at other thread counts.
+                let threads: &[usize] = if slots == 0 && batch == 1 {
+                    &[0, 1, 2]
+                } else {
+                    &[0]
+                };
+                for &threads in threads {
+                    let mut cfg = cfg.clone();
+                    cfg.threads = threads;
+                    let resumed = Optimizer::new(cfg).resume(&ckpt, &space, &sim).unwrap();
+                    let label = format!("slots={slots} batch={batch} k={k} threads={threads}");
+                    assert_same_result(&full, &resumed, &label);
+                }
+            }
+            // A checkpoint also survives its JSON round trip intact.
+            let ckpt = opt.run_until(&space, &sim, 2).unwrap();
+            let reparsed = RunCheckpoint::from_json(&ckpt.to_json()).unwrap();
+            assert_eq!(reparsed, ckpt);
+            let resumed = opt.resume(&reparsed, &space, &sim).unwrap();
+            let label = format!("slots={slots} batch={batch} json round trip");
+            assert_same_result(&full, &resumed, &label);
         }
-        // A checkpoint also survives its JSON round trip intact.
-        let ckpt = Optimizer::new(quick_cfg(31))
-            .run_until(&space, &sim, 2)
-            .unwrap();
-        let reparsed = RunCheckpoint::from_json(&ckpt.to_json()).unwrap();
-        let resumed = Optimizer::new(quick_cfg(31))
-            .resume(&reparsed, &space, &sim)
-            .unwrap();
-        assert_same_result(&full, &resumed, "json round trip");
     }
 
     #[test]
@@ -1420,44 +1170,52 @@ mod tests {
 
     #[test]
     fn run_with_checkpoints_resumes_from_disk() {
+        // A kill after 2 steps, with nothing or (at two slots) a run in
+        // flight, then "re-run the same command": it must pick the file up,
+        // finish the run identically, and leave a final checkpoint behind.
         let (space, sim) = setup(Benchmark::SpmvCrs);
         let dir = std::env::temp_dir().join(format!("cmmf-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.ckpt.json");
-        std::fs::remove_file(&path).ok();
-
-        let full = Optimizer::new(quick_cfg(37)).run(&space, &sim).unwrap();
-        // Simulate a kill after 2 steps by checkpointing there...
-        Optimizer::new(quick_cfg(37))
-            .run_until(&space, &sim, 2)
-            .unwrap()
-            .save(&path)
-            .unwrap();
-        // ...then "re-run the same command": it must pick the file up,
-        // finish the run identically, and leave a final checkpoint behind.
-        let resumed = Optimizer::new(quick_cfg(37))
-            .run_with_checkpoints(&space, &sim, &path)
-            .unwrap();
-        assert_same_result(&full, &resumed, "disk resume");
-        let last = RunCheckpoint::load(&path).unwrap();
-        assert_eq!(last.completed_steps, 6);
-        std::fs::remove_file(&path).ok();
+        for slots in [0, 2] {
+            let path = dir.join(format!("run-{slots}.ckpt.json"));
+            std::fs::remove_file(&path).ok();
+            let mut cfg = quick_cfg(37);
+            cfg.async_slots = slots;
+            let opt = Optimizer::new(cfg);
+            let full = opt.run(&space, &sim).unwrap();
+            opt.run_until(&space, &sim, 2).unwrap().save(&path).unwrap();
+            let resumed = opt.run_with_checkpoints(&space, &sim, &path).unwrap();
+            assert_same_result(&full, &resumed, &format!("slots={slots} disk resume"));
+            let last = RunCheckpoint::load(&path).unwrap();
+            assert_eq!(last.completed_steps, 6);
+            assert!(last.in_flight.is_empty());
+            std::fs::remove_file(&path).ok();
+        }
         std::fs::remove_dir(&dir).ok();
     }
 
     #[test]
     fn resume_rejects_mismatched_config() {
         let (space, sim) = setup(Benchmark::SpmvCrs);
-        let ckpt = Optimizer::new(quick_cfg(41))
+        let mut cfg = quick_cfg(41);
+        cfg.async_slots = 2;
+        let ckpt = Optimizer::new(cfg.clone())
             .run_until(&space, &sim, 1)
             .unwrap();
-        let mut other = quick_cfg(42); // different seed -> different fingerprint
-        assert!(matches!(
-            Optimizer::new(other.clone()).resume(&ckpt, &space, &sim),
-            Err(CmmfError::Checkpoint { .. })
-        ));
+        // A different seed, or a different slot count (the schedule depends
+        // on it), is a different fingerprint.
+        let mut other_seed = cfg.clone();
+        other_seed.seed = 42;
+        let mut other_slots = cfg.clone();
+        other_slots.async_slots = 3;
+        for other in [other_seed, other_slots] {
+            assert!(matches!(
+                Optimizer::new(other).resume(&ckpt, &space, &sim),
+                Err(CmmfError::Checkpoint { .. })
+            ));
+        }
         // threads and tracer do not participate in the fingerprint.
-        other.seed = 41;
+        let mut other = cfg;
         other.threads = 2;
         other.tracer = TracerHandle::new(Arc::new(MemoryTracer::new()));
         assert!(Optimizer::new(other).resume(&ckpt, &space, &sim).is_ok());
@@ -1534,44 +1292,44 @@ mod tests {
     }
 
     #[test]
-    fn batched_runs_resume_bit_identically() {
-        // Resume must partition picks by step, not assume `batch_size` picks
-        // per step — pin it with a batched run.
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let mut cfg = quick_cfg(43);
-        cfg.batch_size = 3;
-        cfg.n_iter = 4;
-        let full = Optimizer::new(cfg.clone()).run(&space, &sim).unwrap();
-        let ckpt = Optimizer::new(cfg.clone())
-            .run_until(&space, &sim, 2)
-            .unwrap();
-        let resumed = Optimizer::new(cfg).resume(&ckpt, &space, &sim).unwrap();
-        assert_same_result(&full, &resumed, "batched resume");
-    }
-
-    #[test]
-    fn parallel_tools_accounting_is_cheaper_than_serial() {
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let mut par = quick_cfg(13);
-        par.batch_size = 3;
-        par.n_iter = 4;
-        par.batch_parallel_tools = true;
-        let mut ser = par.clone();
-        ser.batch_parallel_tools = false;
-        let rp = Optimizer::new(par).run(&space, &sim).unwrap();
-        let rs = Optimizer::new(ser).run(&space, &sim).unwrap();
-        assert!(rp.sim_seconds <= rs.sim_seconds);
-    }
-
-    #[test]
     fn space_too_small_is_rejected() {
         let (space, sim) = setup(Benchmark::SpmvCrs);
-        let mut cfg = quick_cfg(6);
-        cfg.n_iter = space.len(); // cannot fit init + iters
-        assert!(matches!(
-            Optimizer::new(cfg).run(&space, &sim),
-            Err(CmmfError::SpaceTooSmall { .. })
-        ));
+        // Cannot fit init + iters; the second sum overflows `usize`.
+        for n_iter in [space.len(), usize::MAX - 3] {
+            let mut cfg = quick_cfg(6);
+            cfg.n_iter = n_iter;
+            let opt = Optimizer::new(cfg);
+            for result in [
+                opt.run(&space, &sim).map(|_| ()),
+                opt.run_until(&space, &sim, 1).map(|_| ()),
+            ] {
+                assert!(
+                    matches!(result, Err(CmmfError::SpaceTooSmall { .. })),
+                    "n_iter={n_iter}: {result:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn huge_slot_counts_and_batches_reserve_nothing() {
+        // Neither knob sizes an allocation: more slots than runs put every
+        // run in flight at once, as `n_init + n_iter` slots do, and a batch
+        // larger than the candidate pool stops picking when the pool runs
+        // out.
+        let (space, sim) = setup(Benchmark::SpmvCrs);
+        let with = |slots: usize, batch: usize| {
+            let mut cfg = quick_cfg(19);
+            cfg.async_slots = slots;
+            cfg.batch_size = batch;
+            Optimizer::new(cfg).run(&space, &sim).unwrap()
+        };
+        let cfg = quick_cfg(19);
+        let every_run = with(cfg.n_init + cfg.n_iter, 1);
+        assert_same_result(&every_run, &with(1 << 40, 1), "async_slots = 2^40");
+        let huge_batch = with(0, 1 << 42);
+        assert!(huge_batch.candidate_set.len() > cfg.n_iter);
+        assert!(huge_batch.hv_history.len() <= cfg.n_iter);
     }
 
     #[test]
@@ -1601,8 +1359,8 @@ mod tests {
     #[test]
     fn bad_nesting_is_rejected() {
         // Degenerate sizes are bad input, not a broken invariant: each is a
-        // typed `InvalidConfig` before any work, in both loops. Unchecked,
-        // `mc_samples = 0` would panic in the EIPV sampler and
+        // typed `InvalidConfig` before any work, at any slot count.
+        // Unchecked, `mc_samples = 0` would panic in the EIPV sampler and
         // `candidate_pool = 0` would finish with no BO picks.
         let (space, sim) = setup(Benchmark::SpmvCrs);
         let degenerate: [fn(&mut CmmfConfig); 5] = [
@@ -1613,14 +1371,11 @@ mod tests {
             |c| c.candidate_pool = 0,
         ];
         for (i, break_it) in degenerate.iter().enumerate() {
-            let mut cfg = quick_cfg(7);
-            break_it(&mut cfg);
-            for result in [
-                Optimizer::new(cfg.clone()).run(&space, &sim).map(|_| ()),
-                crate::AsyncOptimizer::new(cfg)
-                    .run(&space, &sim)
-                    .map(|_| ()),
-            ] {
+            for slots in [0, 2] {
+                let mut cfg = quick_cfg(7);
+                cfg.async_slots = slots;
+                break_it(&mut cfg);
+                let result = Optimizer::new(cfg).run(&space, &sim).map(|_| ());
                 assert!(
                     matches!(result, Err(CmmfError::InvalidConfig { .. })),
                     "case {i}: {result:?}"

@@ -1,32 +1,39 @@
-//! Asynchronous cost-aware batch BO on a deterministic event clock.
+//! The Algorithm-2 loop on a deterministic event clock.
 //!
-//! The sequential [`Optimizer`](crate::Optimizer) serializes the flow: every
-//! simulated tool run must finish before the next acquisition argmax. Real
-//! FPGA tool farms don't work that way — an implementation run takes hours
-//! while HLS takes seconds, and a scheduler with `k` tool licenses keeps all
-//! of them busy. [`AsyncOptimizer`] models exactly that on the simulator's
-//! cost model (`T_hls ≪ T_syn ≪ T_impl`), promoted to a discrete-event
-//! *virtual clock* ([`trace::VirtualClock`]):
+//! [`Optimizer`](crate::Optimizer) runs one loop. Each *dispatch decision*
+//! fits the surrogate on everything observed so far, draws one candidate
+//! pool, and greedily picks up to [`CmmfConfig::batch_size`] configurations
+//! (greedy q-EIPV: each pick fantasizes the earlier picks' posterior means
+//! into the per-fidelity Pareto fronts). The picks run as one *group* on
+//! parallel tool instances, timed on a discrete-event *virtual clock*
+//! ([`trace::VirtualClock`]) with the simulator's cost model (`T_hls ≪ T_syn
+//! ≪ T_impl`):
 //!
-//! * up to [`CmmfConfig::async_slots`] simulated tool runs are in flight at
-//!   once, across fidelities;
-//! * each dispatch decision fits the surrogate on everything observed *so
-//!   far* and fantasizes the pending runs' outcomes (their posterior means)
-//!   into the per-fidelity Pareto fronts — the greedy q-EIPV treatment of
-//!   [`CmmfConfig::batch_size`], applied to in-flight work instead of a
-//!   synchronous batch;
-//! * time advances only when the earliest in-flight run finishes; its true
-//!   outcome replaces the fantasy and the freed slot is refilled.
+//! * a group completes at its dispatch time plus its slowest member's stage
+//!   time; its members are observed in pick order, and it adds one
+//!   `hv_history` row and one completed step;
+//! * up to [`CmmfConfig::async_slots`] groups (0 behaves like 1) are in
+//!   flight at once, and each decision also fantasizes the in-flight runs'
+//!   posterior means into the fronts;
+//! * time advances only when the earliest group finishes (ties to the lowest
+//!   decision index); its true outcomes replace the fantasies and the freed
+//!   slot is refilled.
+//!
+//! The regimes the flow cares about are settings of this one loop. One slot
+//! is the synchronous loop: every decision waits for the previous group, a
+//! barrier after each q-batch, and `batch_size` 1 is the paper's Algorithm 2.
+//! `k` slots of groups of one are an asynchronous scheduler that keeps `k`
+//! tool licenses busy, as a real FPGA tool farm does when implementation
+//! takes hours and HLS seconds. `k` slots of groups of `q` keep `k` batches
+//! in flight.
 //!
 //! The schedule is a pure function of the seed and the cost model: no host
 //! timing is ever read (the only sanctioned host-clock use is the
 //! tracer-gated [`trace::Stopwatch`], and a disabled tracer reads nothing —
-//! pinned by `disabled_tracer_reads_no_host_clock`). `async_slots = 1`
-//! degenerates to the sequential loop bit-for-bit (pinned by
-//! `async_k1_matches_sequential_bitwise`), and any thread count yields the
-//! same schedule (pinned by `schedule_is_deterministic`).
+//! pinned by `disabled_tracer_reads_no_host_clock`), and any thread count
+//! yields the same schedule (pinned by `schedule_is_deterministic`).
 //!
-//! Checkpoints record the *decisions* — the dispatch-ordered picks plus the
+//! Checkpoints record the *decisions* — the per-decision picks plus the
 //! interleaved dispatch/completion event log — so a kill mid-overlap resumes
 //! bit-identically: the event log replays the interrupted run's exact
 //! interleaving of surrogate fits and observations, reconstructing the
@@ -34,108 +41,78 @@
 //! checkpoint's redundant copy (see [`RunCheckpoint::in_flight`]).
 
 use crate::checkpoint::{PickRecord, RunCheckpoint, ScheduleEvent, CHECKPOINT_VERSION};
+use crate::eipv::EipvScorer;
 use crate::models::N_OBJECTIVES;
-use crate::optimizer::{with_pool, CandidateChoice, CmmfConfig, LoopState, RunResult};
+use crate::optimizer::{CandidateChoice, CmmfConfig, LoopState};
 use crate::CmmfError;
 use fidelity_sim::{FlowSimulator, Stage};
 use hls_model::DesignSpace;
 use pareto::pareto_front;
 use rand::derive_stream_seed;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::path::Path;
-use trace::{Stopwatch, TraceEvent, VirtualClock};
+use trace::{Stopwatch, TraceEvent};
 
-/// The asynchronous Algorithm-2 scheduler: the same surrogate, acquisition,
-/// and simulator as [`Optimizer`](crate::Optimizer), driven by a
-/// discrete-event virtual clock that keeps up to [`CmmfConfig::async_slots`]
-/// simulated tool runs in flight. See the [module docs](self) for the model.
-#[derive(Debug, Clone)]
-pub struct AsyncOptimizer {
-    cfg: CmmfConfig,
-}
-
-/// One in-flight simulated tool run.
-struct InFlight {
-    /// The BO dispatch index (0-based; also the index into the recorded
-    /// dispatch list).
+/// One dispatch decision's picks, in flight together.
+pub(crate) struct Group {
+    /// The decision index (0-based; also the index into the recorded picks).
     seq: usize,
-    /// What was dispatched: configuration, target fidelity, acquisition.
-    choice: CandidateChoice,
-    /// Virtual-clock time at which the run finishes.
+    /// The first member's index among all BO runs (its journal sequence
+    /// number is `n_init` past it).
+    first_run: usize,
+    /// The picks, in pick order.
+    members: Vec<CandidateChoice>,
+    /// Virtual-clock time at which the slowest member finishes.
     finish_at: f64,
 }
 
-/// The live state of one asynchronous run: the shared [`LoopState`] plus the
-/// event-clock machinery layered on top.
-struct AsyncState<'a> {
-    base: LoopState<'a>,
-    /// Concurrent tool licenses (`async_slots.max(1)`).
-    slots: usize,
-    clock: VirtualClock,
-    /// In-flight runs, in dispatch order.
-    pending: Vec<InFlight>,
-    /// Every BO pick so far, in dispatch order (the async analogue of the
-    /// sequential loop's per-step `picks`).
-    dispatches: Vec<PickRecord>,
-    /// The interleaved dispatch/completion event log, in virtual-clock order.
-    schedule: Vec<ScheduleEvent>,
-    /// BO dispatches so far (`== dispatches.len()`; the next dispatch index).
-    dispatched: usize,
-    /// BO completions so far (the run's `completed_steps`).
-    completed: usize,
-    /// The candidate pool came up empty at a dispatch attempt; stop
-    /// dispatching and drain the in-flight runs.
-    exhausted: bool,
-}
-
-impl<'a> AsyncState<'a> {
-    /// Fresh state: seeds the run and pushes the initialization set through
-    /// the `k` slots (ranks keep their nested top stages; only their timing
-    /// overlaps).
-    fn start(
+impl<'a> LoopState<'a> {
+    /// Fresh state: validates the configuration, draws the initialization set
+    /// (Algorithm 2, lines 3-5) and pushes it through the slots.
+    pub(crate) fn start(
         cfg: &'a CmmfConfig,
         space: &'a DesignSpace,
         sim: &'a FlowSimulator,
     ) -> Result<Self, CmmfError> {
-        let base = LoopState::fresh_shell(cfg, space, sim)?;
-        let mut state = AsyncState {
-            slots: cfg.async_slots.max(1),
-            clock: VirtualClock::new(),
-            pending: Vec::with_capacity(cfg.async_slots.max(1)),
-            dispatches: Vec::with_capacity(cfg.n_iter),
-            schedule: Vec::with_capacity(2 * cfg.n_iter),
-            dispatched: 0,
-            completed: 0,
-            exhausted: false,
-            base,
-        };
-        state.run_init()?;
+        Self::validate(cfg, space)?;
+        cfg.tracer.emit(|| TraceEvent::RunStarted {
+            seed: cfg.seed,
+            n_iter: cfg.n_iter,
+            resumed_at: None,
+        });
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut unsampled: Vec<usize> = (0..space.len()).collect();
+        unsampled.shuffle(&mut rng);
+        let init: Vec<usize> = unsampled.split_off(unsampled.len() - cfg.n_init);
+        let mut state = Self::new(cfg, space, sim, rng, unsampled, init);
+        state.run_init();
         Ok(state)
     }
 
-    /// Runs the initialization set through the `k` slots on the virtual
-    /// clock: dispatch eagerly while a slot is free, otherwise complete the
-    /// earliest-finishing run (ties to the lowest rank). Observation order is
-    /// completion order. With one slot this reduces to the sequential
-    /// initialization exactly (same observation order, same `f64` time
-    /// accumulation). Shared by fresh starts and resume replay — the
+    /// Runs the initialization set through the slots on the virtual clock:
+    /// dispatch eagerly while a slot is free, otherwise complete the
+    /// earliest-finishing run (ties to the lowest rank). Ranks keep their
+    /// nested top stages; only their timing overlaps, and observation order
+    /// is completion order. Shared by fresh starts and resume replay — the
     /// initialization schedule is implied by `init` and the cost model, so
     /// checkpoints don't record it.
-    fn run_init(&mut self) -> Result<(), CmmfError> {
-        let cfg = self.base.cfg;
-        let n = self.base.init.len();
+    fn run_init(&mut self) {
+        let cfg = self.cfg;
+        let slots = cfg.async_slots.max(1);
+        let n = self.init.len();
         // (rank, finish_at) of the in-flight initialization runs.
-        let mut pending: Vec<(usize, f64)> = Vec::with_capacity(self.slots);
+        let mut pending: Vec<(usize, f64)> = Vec::new();
         let mut next = 0usize;
         while next < n || !pending.is_empty() {
-            if next < n && pending.len() < self.slots {
+            if next < n && pending.len() < slots {
                 let rank = next;
-                let config = self.base.init[rank];
-                let stage = LoopState::init_top_stage(cfg, rank);
-                let secs = self.base.sim.stage_seconds(self.base.space, config, stage);
+                let config = self.init[rank];
+                let stage = Self::init_top_stage(cfg, rank);
                 let clock = self.clock.now();
-                let finish = clock + secs;
-                if !self.base.replaying {
+                let finish = clock + self.sim.stage_seconds(self.space, config, stage);
+                if !self.replaying {
                     let in_flight = pending.len() + 1;
                     cfg.tracer.emit(|| TraceEvent::RunDispatched {
                         seq: rank,
@@ -156,11 +133,10 @@ impl<'a> AsyncState<'a> {
             };
             let (rank, finish) = pending.remove(k);
             self.clock.advance_to(finish);
-            let config = self.base.init[rank];
-            let stage = LoopState::init_top_stage(cfg, rank);
-            self.base.observe(config, stage, None);
-            self.base.sim_seconds = self.clock.now();
-            if !self.base.replaying {
+            let config = self.init[rank];
+            let stage = Self::init_top_stage(cfg, rank);
+            self.observe(config, stage, None);
+            if !self.replaying {
                 let clock = self.clock.now();
                 let in_flight = pending.len();
                 cfg.tracer.emit(|| TraceEvent::RunCompleted {
@@ -173,172 +149,197 @@ impl<'a> AsyncState<'a> {
                 });
             }
         }
-        Ok(())
     }
 
-    /// One dispatch decision at the current virtual-clock time: fit the
-    /// surrogate on everything observed so far, fantasize the pending runs'
-    /// posterior means into the fronts, take the PEIPV argmax over a fresh
-    /// candidate pool, and put the winner in flight. Returns `false` when the
-    /// pool is exhausted (recorded as [`ScheduleEvent::Exhausted`]; the
-    /// attempt's surrogate fit still counts for resume).
-    fn dispatch_next(&mut self) -> Result<bool, CmmfError> {
-        let cfg = self.base.cfg;
+    /// A group's simulated seconds: its slowest member's stage time (the
+    /// members run on parallel tool instances).
+    fn group_seconds(&self, members: &[CandidateChoice]) -> f64 {
+        members.iter().fold(0.0f64, |slowest, c| {
+            slowest.max(self.sim.stage_seconds(self.space, c.config, c.stage))
+        })
+    }
+
+    /// Tool runs in flight across all groups.
+    fn runs_in_flight(&self) -> usize {
+        self.in_flight.iter().map(|g| g.members.len()).sum()
+    }
+
+    /// One dispatch decision at the current virtual-clock time (Algorithm 2,
+    /// lines 6-11): fit the surrogate on everything observed so far,
+    /// fantasize the in-flight runs' posterior means into the fronts, draw
+    /// one candidate pool, greedily pick up to `batch_size` configurations,
+    /// and put them in flight as one group. An empty pool sets `exhausted`
+    /// instead (recorded as [`ScheduleEvent::Exhausted`]; the attempt's
+    /// surrogate fit still counts for resume).
+    fn dispatch(&mut self) -> Result<(), CmmfError> {
+        let cfg = self.cfg;
         let tracer = &cfg.tracer;
-        let t = self.dispatched;
+        let t = self.picks.len();
         tracer.emit(|| TraceEvent::StepStarted {
             step: t,
-            observed: [
-                self.base.obs[0].len(),
-                self.base.obs[1].len(),
-                self.base.obs[2].len(),
-            ],
+            observed: [self.obs[0].len(), self.obs[1].len(), self.obs[2].len()],
         });
-        let (new_stack, fronts) = self.base.fit_step_stack(t)?;
+        let (new_stack, mut fronts) = self.fit_step_stack(t)?;
 
-        // Fantasy fronts: the observed fronts augmented with the pending
-        // runs' posterior means under the new stack, in dispatch order —
-        // the same greedy q-EIPV fantasization the sequential loop applies
-        // within a batch, here applied to in-flight work.
-        let mut fantasy = fronts;
-        for run in &self.pending {
-            let fi = run.choice.stage.index();
-            let x = self.base.space.encode(run.choice.config);
-            let pred = new_stack.predict(fi, &x)?;
-            let merged = pareto_front(
-                &fantasy[fi]
-                    .iter()
-                    .cloned()
-                    .chain(std::iter::once(pred.mean))
-                    .collect::<Vec<_>>(),
-            );
-            fantasy[fi] = merged;
+        // The in-flight runs' posterior means under the new stack, in
+        // dispatch order — the same fantasization the picks below apply to
+        // each other.
+        for run in self.in_flight.iter().flat_map(|g| &g.members) {
+            let fi = run.stage.index();
+            let pred = new_stack.predict(fi, &self.space.encode(run.config))?;
+            fronts[fi] = merge_into_front(&fronts[fi], pred.mean);
         }
 
-        let Some(prep) = self.base.prepare_candidates(&new_stack)? else {
-            self.base.stack = Some(new_stack);
+        let Some(prep) = self.prepare_candidates(&new_stack)? else {
+            self.stack = Some(new_stack);
             self.schedule.push(ScheduleEvent::Exhausted);
             self.exhausted = true;
-            return Ok(false);
+            return Ok(());
         };
-        let reference = vec![2.5; N_OBJECTIVES];
-        let scorers = LoopState::build_scorers(&fantasy, &reference);
-        let slot_started = tracer.enabled().then(Stopwatch::start);
-        // Same seed chain as the sequential loop's batch slot 0, so one slot
-        // reproduces it bit-for-bit.
-        let q_seed = derive_stream_seed(derive_stream_seed(cfg.seed, &[t as u64]), &[0u64]);
-        let sel = self
-            .base
-            .select_pick(&prep, &scorers, q_seed, &[])?
-            .ok_or_else(|| CmmfError::Internal {
-                reason: "no candidate scored".into(),
-            })?;
-        let choice = sel.choice;
-        tracer.emit(|| TraceEvent::AcquisitionScored {
-            step: t,
-            slot: 0,
-            config: choice.config,
-            fidelity: choice.stage.index(),
-            candidates: sel.n_scored,
-            eipv: sel.raw_eipv,
-            penalized: choice.acquisition,
-            seconds: slot_started.map_or(0.0, |s| s.seconds()),
-        });
+        // Acquisition scorers, one per fidelity: each front's cell
+        // decomposition is built once and shared by every candidate and MC
+        // draw, and rebuilt only when a pick's fantasy changes the front.
+        let reference = [2.5; N_OBJECTIVES]; // dominates the 2.0 penalty
+        let mut scorers = Self::build_scorers(&fronts, &reference);
 
-        let secs = self
-            .base
-            .sim
-            .stage_seconds(self.base.space, choice.config, choice.stage);
+        // Greedy q-EIPV: the first pick is the plain PEIPV argmax; each later
+        // pick maximizes EIPV against fronts augmented with the earlier
+        // picks' fantasized (posterior mean) outcomes. Each (candidate,
+        // fidelity) pair draws its Monte-Carlo samples from its own stream,
+        // seeded from (master seed, decision, pick, config, fidelity), and
+        // the winner is chosen by a serial first-max scan in pool order, so
+        // the picks are independent of thread count and scheduling.
+        let batch = cfg.batch_size.max(1);
+        let decision_seed = derive_stream_seed(cfg.seed, &[t as u64]);
+        let mut picked: Vec<CandidateChoice> = Vec::new();
+        for q in 0..batch {
+            let slot_started = tracer.enabled().then(Stopwatch::start);
+            let q_seed = derive_stream_seed(decision_seed, &[q as u64]);
+            let Some(sel) = self.select_pick(&prep, &scorers, q_seed, &picked)? else {
+                break;
+            };
+            let choice = sel.choice;
+            tracer.emit(|| TraceEvent::AcquisitionScored {
+                step: t,
+                slot: q,
+                config: choice.config,
+                fidelity: choice.stage.index(),
+                candidates: sel.n_scored,
+                eipv: sel.raw_eipv,
+                penalized: choice.acquisition,
+                seconds: slot_started.map_or(0.0, |s| s.seconds()),
+            });
+            let fi = choice.stage.index();
+            let merged = merge_into_front(&fronts[fi], prep.preds[sel.pool_idx][fi].mean.clone());
+            // A dominated fantasy leaves the front, and so its scorer, as is.
+            if merged != fronts[fi] {
+                if q + 1 < batch {
+                    scorers[fi] = EipvScorer::new(&merged, &reference);
+                }
+                fronts[fi] = merged;
+            }
+            picked.push(choice);
+        }
+        if picked.is_empty() {
+            return Err(CmmfError::Internal {
+                reason: "no candidate scored".into(),
+            });
+        }
+
+        // Run the flow for the group (lines 12-14) on parallel tool
+        // instances: it finishes with its slowest member.
         let clock = self.clock.now();
-        let finish = clock + secs;
-        {
-            let seq = cfg.n_init + t;
-            let in_flight = self.pending.len() + 1;
+        let finish = clock + self.group_seconds(&picked);
+        let first_run = self.candidate_set.len();
+        let running = self.runs_in_flight();
+        for (j, choice) in picked.iter().enumerate() {
             tracer.emit(|| TraceEvent::RunDispatched {
-                seq,
+                seq: cfg.n_init + first_run + j,
                 step: Some(t),
                 config: choice.config,
                 fidelity: choice.stage.index(),
                 clock,
                 finish,
-                in_flight,
+                in_flight: running + j + 1,
             });
+            self.unsampled.retain(|&c| c != choice.config);
         }
-        self.pending.push(InFlight {
+        self.candidate_set.extend_from_slice(&picked);
+        self.picks.push(picked.iter().map(PickRecord::of).collect());
+        self.schedule.push(ScheduleEvent::Dispatch(t));
+        self.in_flight.push(Group {
             seq: t,
-            choice,
+            first_run,
+            members: picked,
             finish_at: finish,
         });
-        self.schedule.push(ScheduleEvent::Dispatch(t));
-        self.dispatches.push(PickRecord {
-            config: choice.config,
-            stage_index: choice.stage.index(),
-            acquisition_bits: choice.acquisition.to_bits(),
-        });
-        self.base.candidate_set.push(choice);
-        self.base.unsampled.retain(|&c| c != choice.config);
-        self.base.stack = Some(new_stack);
-        self.dispatched = t + 1;
-        Ok(true)
+        self.stack = Some(new_stack);
+        Ok(())
     }
 
-    /// Advances the virtual clock to the earliest-finishing in-flight run
-    /// (ties to the lowest dispatch index), observes its true outcome, and
-    /// records the completion.
+    /// Advances the clock to `group`'s finish and observes its members in
+    /// pick order (the group is already out of `in_flight`).
+    fn land(&mut self, group: &Group) {
+        let cfg = self.cfg;
+        self.clock.advance_to(group.finish_at);
+        let running = self.runs_in_flight() + group.members.len();
+        for (j, run) in group.members.iter().enumerate() {
+            self.observe(run.config, run.stage, Some(group.seq));
+            if !self.replaying {
+                let clock = self.clock.now();
+                cfg.tracer.emit(|| TraceEvent::RunCompleted {
+                    seq: cfg.n_init + group.first_run + j,
+                    step: Some(group.seq),
+                    config: run.config,
+                    fidelity: run.stage.index(),
+                    clock,
+                    in_flight: running - j - 1,
+                });
+            }
+        }
+    }
+
+    /// Completes the earliest-finishing group in flight (ties to the lowest
+    /// decision index): observes its true outcomes and records the step.
     fn complete_earliest(&mut self) -> Result<(), CmmfError> {
-        let cfg = self.base.cfg;
-        let Some(k) = earliest_by(&self.pending, |run| (run.finish_at, run.seq)) else {
+        let Some(k) = earliest_by(&self.in_flight, |g| (g.finish_at, g.seq)) else {
             return Err(CmmfError::Internal {
                 reason: "completion requested with nothing in flight".into(),
             });
         };
-        let run = self.pending.remove(k);
-        self.clock.advance_to(run.finish_at);
-        self.base
-            .observe(run.choice.config, run.choice.stage, Some(run.seq));
-        self.base.sim_seconds = self.clock.now();
-        if !self.base.replaying {
-            let clock = self.clock.now();
-            let in_flight = self.pending.len();
-            let seq = cfg.n_init + run.seq;
-            cfg.tracer.emit(|| TraceEvent::RunCompleted {
-                seq,
-                step: Some(run.seq),
-                config: run.choice.config,
-                fidelity: run.choice.stage.index(),
-                clock,
-                in_flight,
-            });
-        }
-        self.schedule.push(ScheduleEvent::Complete(run.seq));
-        self.completed += 1;
-        self.base.steps_done = self.completed;
-        self.base.record_front(run.seq);
+        let group = self.in_flight.remove(k);
+        self.land(&group);
+        self.schedule.push(ScheduleEvent::Complete(group.seq));
+        self.steps_done += 1;
+        self.record_front(group.seq);
         Ok(())
     }
 
     /// The event loop: keep the slots full, then advance the clock to the
     /// next completion; checkpoint after each completion when `ckpt_path` is
-    /// set; stop after `max_completions` (the "kill after k completions"
-    /// primitive behind the resume tests).
-    fn drive(&mut self, ckpt_path: Option<&Path>, max_completions: usize) -> Result<(), CmmfError> {
-        let cfg = self.base.cfg;
-        while self.completed < max_completions.min(cfg.n_iter) {
-            while !self.exhausted && self.pending.len() < self.slots && self.dispatched < cfg.n_iter
-            {
-                if !self.dispatch_next()? {
-                    break;
-                }
+    /// set; stop after `max_steps` completed steps (the "kill after step k"
+    /// primitive behind the resume tests). The run-started announcement is
+    /// emitted by [`LoopState::start`]/[`LoopState::restore`] so it precedes
+    /// the initialization or replay tool runs.
+    pub(crate) fn drive(
+        &mut self,
+        ckpt_path: Option<&Path>,
+        max_steps: usize,
+    ) -> Result<(), CmmfError> {
+        let cfg = self.cfg;
+        let slots = cfg.async_slots.max(1);
+        while self.steps_done < max_steps.min(cfg.n_iter) {
+            while !self.exhausted && self.in_flight.len() < slots && self.picks.len() < cfg.n_iter {
+                self.dispatch()?;
             }
-            if self.pending.is_empty() {
+            if self.in_flight.is_empty() {
                 break;
             }
             self.complete_earliest()?;
             if let Some(path) = ckpt_path {
-                let ckpt = self.checkpoint();
-                let bytes = ckpt.save(path)?;
+                let bytes = self.checkpoint().save(path)?;
                 cfg.tracer.emit(|| TraceEvent::CheckpointWritten {
-                    step: self.completed,
+                    step: self.steps_done,
                     bytes,
                 });
             }
@@ -346,27 +347,21 @@ impl<'a> AsyncState<'a> {
         Ok(())
     }
 
-    /// Snapshots the run after the last completion (possibly mid-overlap).
-    fn checkpoint(&self) -> RunCheckpoint {
+    /// Snapshots the run after the last completed step (possibly
+    /// mid-overlap).
+    pub(crate) fn checkpoint(&self) -> RunCheckpoint {
         RunCheckpoint {
             version: CHECKPOINT_VERSION,
-            fingerprint: RunCheckpoint::fingerprint_of(self.base.cfg),
-            is_async: true,
-            completed_steps: self.completed,
-            init: self.base.init.clone(),
-            picks: Vec::new(),
-            dispatches: self.dispatches.clone(),
+            fingerprint: RunCheckpoint::fingerprint_of(self.cfg),
+            completed_steps: self.steps_done,
+            init: self.init.clone(),
+            picks: self.picks.clone(),
             schedule: self.schedule.clone(),
-            in_flight: self
-                .pending
-                .iter()
-                .map(|run| [run.seq as u64, run.finish_at.to_bits()])
-                .collect(),
-            unsampled: self.base.unsampled.clone(),
-            rng_state: self.base.rng.state(),
+            in_flight: self.in_flight_records(),
+            unsampled: self.unsampled.clone(),
+            rng_state: self.rng.state(),
             sim_seconds_bits: self.clock.now().to_bits(),
             hv_history_bits: self
-                .base
                 .hv_history
                 .iter()
                 .map(|hv| [0, 1, 2].map(|d| hv[d].to_bits()))
@@ -374,37 +369,48 @@ impl<'a> AsyncState<'a> {
         }
     }
 
-    /// Reconstructs the state an asynchronous checkpoint describes,
-    /// bit-identically to the run that wrote it: replays the initialization
+    /// Reconstructs the state a checkpoint describes, bit-identically to the
+    /// run that wrote it: restores the recorded decisions (initialization,
+    /// picks, candidate order, RNG position), replays the initialization
     /// through the virtual clock, then walks the recorded event log —
-    /// re-fitting the surrogate at each dispatch (from the last
-    /// hyperparameter-optimization attempt on) and re-observing each
-    /// completion at its recorded interleaving — and finally verifies the
-    /// rebuilt in-flight set and clock against the checkpoint's copies, so a
-    /// mismatched simulator or design space fails loudly instead of
-    /// diverging.
-    fn restore(
+    /// re-fitting the surrogate at each dispatch from the last
+    /// hyperparameter-optimization attempt on (GP fits seed their own RNG per
+    /// call, so the replayed chain is exact) and re-observing each group at
+    /// its recorded completion — and finally verifies the rebuilt in-flight
+    /// set and clock against the checkpoint's copies, so a mismatched
+    /// simulator or design space fails loudly instead of diverging.
+    pub(crate) fn restore(
         cfg: &'a CmmfConfig,
         space: &'a DesignSpace,
         sim: &'a FlowSimulator,
         ckpt: &RunCheckpoint,
     ) -> Result<Self, CmmfError> {
-        LoopState::validate(cfg, space)?;
-        LoopState::check_compat(cfg, ckpt)?;
-        if !ckpt.is_async {
+        Self::validate(cfg, space)?;
+        if ckpt.version != CHECKPOINT_VERSION {
             return Err(CmmfError::Checkpoint {
-                reason: "checkpoint was written by the sequential optimizer; \
-                         resume it with Optimizer"
-                    .into(),
+                reason: format!(
+                    "checkpoint version {} is not the supported {CHECKPOINT_VERSION}",
+                    ckpt.version
+                ),
             });
         }
-        let nd = ckpt.dispatches.len();
+        let expected = RunCheckpoint::fingerprint_of(cfg);
+        if ckpt.fingerprint != expected {
+            return Err(CmmfError::Checkpoint {
+                reason: format!(
+                    "configuration mismatch: checkpoint was written under\n  {}\nbut this run is\n  {}",
+                    ckpt.fingerprint, expected
+                ),
+            });
+        }
+        let nd = ckpt.picks.len();
         let completed = ckpt.completed_steps;
+        let batch = cfg.batch_size.max(1);
         if ckpt.init.len() != cfg.n_init
-            || !ckpt.picks.is_empty()
             || nd > cfg.n_iter
             || completed > nd
             || ckpt.hv_history_bits.len() != completed
+            || ckpt.picks.iter().any(|g| g.is_empty() || g.len() > batch)
         {
             return Err(CmmfError::Checkpoint {
                 reason: "inconsistent checkpoint shape".into(),
@@ -413,7 +419,7 @@ impl<'a> AsyncState<'a> {
         let in_range = |c: usize| c < space.len();
         if !ckpt.init.iter().all(|&c| in_range(c))
             || !ckpt.unsampled.iter().all(|&c| in_range(c))
-            || !ckpt.dispatches.iter().all(|p| in_range(p.config))
+            || !ckpt.picks.iter().flatten().all(|p| in_range(p.config))
         {
             return Err(CmmfError::Checkpoint {
                 reason: "configuration index out of range — was this checkpoint \
@@ -421,130 +427,91 @@ impl<'a> AsyncState<'a> {
                     .into(),
             });
         }
-        let choices: Vec<CandidateChoice> = ckpt
-            .dispatches
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                Stage::from_index(p.stage_index)
-                    .map(|stage| CandidateChoice {
-                        config: p.config,
-                        stage,
-                        acquisition: f64::from_bits(p.acquisition_bits),
-                    })
-                    .ok_or_else(|| CmmfError::Checkpoint {
-                        reason: format!("invalid stage index {} in dispatch {i}", p.stage_index),
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-        Self::validate_schedule(ckpt, nd, completed)?;
+        ckpt.check_schedule()?;
+        let mut groups: Vec<Group> = Vec::with_capacity(nd);
+        let mut first_run = 0;
+        for (i, picks) in ckpt.picks.iter().enumerate() {
+            let members = picks
+                .iter()
+                .map(|p| {
+                    Stage::from_index(p.stage_index)
+                        .map(|stage| CandidateChoice {
+                            config: p.config,
+                            stage,
+                            acquisition: f64::from_bits(p.acquisition_bits),
+                        })
+                        .ok_or_else(|| CmmfError::Checkpoint {
+                            reason: format!(
+                                "invalid stage index {} in decision {i}",
+                                p.stage_index
+                            ),
+                        })
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            groups.push(Group {
+                seq: i,
+                first_run,
+                finish_at: 0.0,
+                members,
+            });
+            first_run += picks.len();
+        }
         cfg.tracer.emit(|| TraceEvent::RunStarted {
             seed: cfg.seed,
             n_iter: cfg.n_iter,
             resumed_at: Some(completed),
         });
 
-        let base = LoopState {
+        let mut state = Self::new(
             cfg,
             space,
             sim,
-            rng: StdRng::from_state(ckpt.rng_state),
-            unsampled: ckpt.unsampled.clone(),
-            init: ckpt.init.clone(),
-            obs: Default::default(),
-            sim_seconds: f64::from_bits(ckpt.sim_seconds_bits),
-            candidate_set: Vec::with_capacity(cfg.n_iter),
-            picks: Vec::new(),
-            stack: None,
-            hv_history: ckpt
-                .hv_history_bits
-                .iter()
-                .map(|hv| [0, 1, 2].map(|d| f64::from_bits(hv[d])))
-                .collect(),
-            steps_done: completed,
-            replaying: true,
-        };
-        let mut state = AsyncState {
-            slots: cfg.async_slots.max(1),
-            clock: VirtualClock::new(),
-            pending: Vec::with_capacity(cfg.async_slots.max(1)),
-            dispatches: ckpt.dispatches.clone(),
-            schedule: ckpt.schedule.clone(),
-            dispatched: nd,
-            completed,
-            exhausted: ckpt
-                .schedule
-                .iter()
-                .any(|e| matches!(e, ScheduleEvent::Exhausted)),
-            base,
-        };
-        // The initialization schedule is implied; replay it to rebuild the
-        // observation sets and the post-init clock.
-        state.run_init()?;
+            StdRng::from_state(ckpt.rng_state),
+            ckpt.unsampled.clone(),
+            ckpt.init.clone(),
+        );
+        state.picks = ckpt.picks.clone();
+        state.hv_history = ckpt
+            .hv_history_bits
+            .iter()
+            .map(|hv| [0, 1, 2].map(|d| f64::from_bits(hv[d])))
+            .collect();
+        state.steps_done = completed;
+        state.schedule = ckpt.schedule.clone();
+        state.exhausted = ckpt.schedule.contains(&ScheduleEvent::Exhausted);
+        state.replaying = true;
+        state.run_init();
 
-        // Surrogate fits replay from `replay_from` on; each live dispatch
-        // attempt at index i fitted at step i, and an `Exhausted` attempt
-        // fitted at step nd.
-        let n_fits = nd + usize::from(state.exhausted);
-        let refit_from = LoopState::replay_from(cfg, n_fits);
-        let quiet_fit = |base: &mut LoopState<'a>, t: usize| -> Result<(), CmmfError> {
-            let (data, _, _) = base.training_data();
-            base.stack = Some(base.fit_stack(&data, t)?);
-            Ok(())
-        };
-        let mut dispatch_clock = vec![0.0f64; nd];
+        // Surrogate fits replay from `replay_from` on; the decision at index
+        // i fitted at step i, and an `Exhausted` attempt fitted at step nd.
+        // Observations replay in full (they feed every later fit).
+        let refit_from = Self::replay_from(cfg, nd + usize::from(state.exhausted));
+        let mut done = vec![false; nd];
         for event in &ckpt.schedule {
             match *event {
                 ScheduleEvent::Dispatch(i) => {
-                    if n_fits > 0 && i >= refit_from {
-                        quiet_fit(&mut state.base, i)?;
+                    if i >= refit_from {
+                        state.replay_fit(i)?;
                     }
-                    dispatch_clock[i] = state.clock.now();
-                    state.base.candidate_set.push(choices[i]);
+                    let group = &mut groups[i];
+                    group.finish_at = state.clock.now() + state.group_seconds(&group.members);
+                    state.candidate_set.extend_from_slice(&group.members);
                 }
                 ScheduleEvent::Complete(i) => {
-                    let choice = choices[i];
-                    let secs = sim.stage_seconds(space, choice.config, choice.stage);
-                    state.clock.advance_to(dispatch_clock[i] + secs);
-                    state.base.observe(choice.config, choice.stage, Some(i));
-                    state.base.sim_seconds = state.clock.now();
+                    state.land(&groups[i]);
+                    done[i] = true;
                 }
                 ScheduleEvent::Exhausted => {
                     if nd >= refit_from {
-                        quiet_fit(&mut state.base, nd)?;
+                        state.replay_fit(nd)?;
                     }
                 }
             }
         }
-        // Rebuild the in-flight set (dispatched, not completed — in dispatch
-        // order) and verify it, and the clock, against the checkpoint's
-        // redundant copies.
-        let completed_set: Vec<bool> = {
-            let mut done = vec![false; nd];
-            for event in &ckpt.schedule {
-                if let ScheduleEvent::Complete(i) = *event {
-                    done[i] = true;
-                }
-            }
-            done
-        };
-        for i in 0..nd {
-            if !completed_set[i] {
-                let choice = choices[i];
-                let secs = sim.stage_seconds(space, choice.config, choice.stage);
-                state.pending.push(InFlight {
-                    seq: i,
-                    choice,
-                    finish_at: dispatch_clock[i] + secs,
-                });
-            }
-        }
-        let replayed: Vec<[u64; 2]> = state
-            .pending
-            .iter()
-            .map(|run| [run.seq as u64, run.finish_at.to_bits()])
-            .collect();
-        if replayed != ckpt.in_flight || state.clock.now().to_bits() != ckpt.sim_seconds_bits {
+        state.in_flight = groups.into_iter().filter(|g| !done[g.seq]).collect();
+        if state.in_flight_records() != ckpt.in_flight
+            || state.clock.now().to_bits() != ckpt.sim_seconds_bits
+        {
             return Err(CmmfError::Checkpoint {
                 reason: "replayed schedule diverges from the recorded in-flight \
                          set — was this checkpoint written under a different \
@@ -552,58 +519,35 @@ impl<'a> AsyncState<'a> {
                     .into(),
             });
         }
-        state.base.replaying = false;
+        state.replaying = false;
         Ok(state)
     }
 
-    /// Structural validation of a checkpoint's event log: dispatch indices
-    /// appear once each, in order; completions follow their dispatches and
-    /// number `completed`; nothing is dispatched after pool exhaustion.
-    fn validate_schedule(
-        ckpt: &RunCheckpoint,
-        nd: usize,
-        completed: usize,
-    ) -> Result<(), CmmfError> {
-        let mut next_dispatch = 0usize;
-        let mut done = vec![false; nd];
-        let mut n_complete = 0usize;
-        let mut exhausted = false;
-        let malformed = |reason: &str| CmmfError::Checkpoint {
-            reason: format!("malformed schedule: {reason}"),
-        };
-        for event in &ckpt.schedule {
-            match *event {
-                ScheduleEvent::Dispatch(i) => {
-                    if exhausted {
-                        return Err(malformed("dispatch after pool exhaustion"));
-                    }
-                    if i != next_dispatch || i >= nd {
-                        return Err(malformed("dispatch indices out of order"));
-                    }
-                    next_dispatch += 1;
-                }
-                ScheduleEvent::Complete(i) => {
-                    if i >= next_dispatch || done[i] {
-                        return Err(malformed("completion without a matching dispatch"));
-                    }
-                    done[i] = true;
-                    n_complete += 1;
-                }
-                ScheduleEvent::Exhausted => {
-                    if exhausted {
-                        return Err(malformed("repeated pool exhaustion"));
-                    }
-                    exhausted = true;
-                }
-            }
-        }
-        if next_dispatch != nd || n_complete != completed {
-            return Err(malformed(
-                "event counts disagree with the dispatch list and completed_steps",
-            ));
-        }
+    /// The in-flight set as the checkpoint records it.
+    fn in_flight_records(&self) -> Vec<[u64; 2]> {
+        self.in_flight
+            .iter()
+            .map(|g| [g.seq as u64, g.finish_at.to_bits()])
+            .collect()
+    }
+
+    /// Redoes decision `t`'s surrogate fit during a replay, without events.
+    fn replay_fit(&mut self, t: usize) -> Result<(), CmmfError> {
+        let (data, _, _) = self.training_data();
+        self.stack = Some(self.fit_stack(&data, t)?);
         Ok(())
     }
+}
+
+/// `front` with `point` added, reduced to its Pareto front.
+fn merge_into_front(front: &[Vec<f64>], point: Vec<f64>) -> Vec<Vec<f64>> {
+    pareto_front(
+        &front
+            .iter()
+            .cloned()
+            .chain(std::iter::once(point))
+            .collect::<Vec<_>>(),
+    )
 }
 
 /// Index of the minimum of `items` under the `(f64, usize)` key (total order
@@ -624,198 +568,16 @@ fn earliest_by<T>(items: &[T], key: impl Fn(&T) -> (f64, usize)) -> Option<usize
     best.map(|(i, _)| i)
 }
 
-impl AsyncOptimizer {
-    /// Creates an asynchronous optimizer with the given configuration;
-    /// [`CmmfConfig::async_slots`] sets the number of concurrent simulated
-    /// tool runs (0 behaves like 1).
-    pub fn new(cfg: CmmfConfig) -> Self {
-        AsyncOptimizer { cfg }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CmmfConfig {
-        &self.cfg
-    }
-
-    /// Runs the asynchronous loop to completion on the virtual clock.
-    ///
-    /// [`RunResult::sim_seconds`] is the *makespan* — the virtual-clock time
-    /// at which the last run finished — so overlapping schedules report less
-    /// simulated time than the sequential loop for the same number of
-    /// evaluations. With `async_slots <= 1` the result is bit-identical to
-    /// [`Optimizer::run`](crate::Optimizer::run).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cmmf::{AsyncOptimizer, CmmfConfig};
-    /// use fidelity_sim::{FlowSimulator, SimParams};
-    /// use hls_model::benchmarks::{self, Benchmark};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let space = benchmarks::build(Benchmark::SpmvCrs)?.pruned_space()?;
-    /// let sim = FlowSimulator::new(SimParams::for_benchmark(Benchmark::SpmvCrs));
-    ///
-    /// let mut cfg = CmmfConfig {
-    ///     n_iter: 2,
-    ///     async_slots: 2,
-    ///     candidate_pool: 15,
-    ///     mc_samples: 8,
-    ///     final_prediction_pool: 100,
-    ///     ..Default::default()
-    /// };
-    /// cfg.gp.restarts = 0;
-    /// cfg.gp.max_evals = 40;
-    ///
-    /// let result = AsyncOptimizer::new(cfg).run(&space, &sim)?;
-    /// assert_eq!(result.candidate_set.len(), 2);
-    /// assert!(result.sim_seconds > 0.0);
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Optimizer::run`](crate::Optimizer::run).
-    pub fn run(&self, space: &DesignSpace, sim: &FlowSimulator) -> Result<RunResult, CmmfError> {
-        with_pool(self.cfg.threads, || {
-            let mut state = AsyncState::start(&self.cfg, space, sim)?;
-            state.drive(None, usize::MAX)?;
-            state.base.finish()
-        })
-    }
-
-    /// Runs initialization plus at most `completions` BO completions and
-    /// returns the checkpoint — possibly mid-overlap, with runs still in
-    /// flight (recorded in [`RunCheckpoint::in_flight`]). The deterministic
-    /// "kill after k completions" primitive behind the resume tests.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Optimizer::run`](crate::Optimizer::run).
-    pub fn run_until(
-        &self,
-        space: &DesignSpace,
-        sim: &FlowSimulator,
-        completions: usize,
-    ) -> Result<RunCheckpoint, CmmfError> {
-        with_pool(self.cfg.threads, || {
-            let mut state = AsyncState::start(&self.cfg, space, sim)?;
-            state.drive(None, completions)?;
-            Ok(state.checkpoint())
-        })
-    }
-
-    /// Resumes an asynchronous checkpoint and drives it to completion; the
-    /// result is bit-identical to the uninterrupted run (pinned by
-    /// `async_resume_is_bit_identical`, including kills mid-overlap).
-    ///
-    /// # Errors
-    ///
-    /// * [`CmmfError::Checkpoint`] if the checkpoint's version, fingerprint
-    ///   (which pins `async_slots`), or shape does not match, if it was
-    ///   written by the sequential optimizer, or if the replayed schedule
-    ///   diverges from the recorded in-flight set (wrong simulator or space).
-    /// * Everything [`Optimizer::run`](crate::Optimizer::run) can return.
-    pub fn resume(
-        &self,
-        ckpt: &RunCheckpoint,
-        space: &DesignSpace,
-        sim: &FlowSimulator,
-    ) -> Result<RunResult, CmmfError> {
-        with_pool(self.cfg.threads, || {
-            let mut state = AsyncState::restore(&self.cfg, space, sim, ckpt)?;
-            state.drive(None, usize::MAX)?;
-            state.base.finish()
-        })
-    }
-
-    /// Runs like [`AsyncOptimizer::run`], but checkpoints to `path` after
-    /// every completion (atomic write) and — if `path` already holds a
-    /// checkpoint — resumes from it instead of starting over.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AsyncOptimizer::resume`] plus checkpoint I/O errors.
-    pub fn run_with_checkpoints(
-        &self,
-        space: &DesignSpace,
-        sim: &FlowSimulator,
-        path: &Path,
-    ) -> Result<RunResult, CmmfError> {
-        with_pool(self.cfg.threads, || {
-            let mut state = if path.exists() {
-                AsyncState::restore(&self.cfg, space, sim, &RunCheckpoint::load(path)?)?
-            } else {
-                AsyncState::start(&self.cfg, space, sim)?
-            };
-            state.drive(Some(path), usize::MAX)?;
-            state.base.finish()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::optimizer::Optimizer;
-    use gp::GpConfig;
-    use hls_model::benchmarks::{self, Benchmark};
+    use crate::optimizer::tests::{assert_same_result, quick_cfg, setup};
+    use crate::optimizer::{Optimizer, RunResult};
+    use hls_model::benchmarks::Benchmark;
 
-    fn quick_cfg(seed: u64, slots: usize) -> CmmfConfig {
-        CmmfConfig {
-            n_iter: 6,
-            candidate_pool: 40,
-            mc_samples: 8,
-            refit_every: 3,
-            async_slots: slots,
-            gp: GpConfig {
-                restarts: 0,
-                max_evals: 60,
-                ..Default::default()
-            },
-            seed,
-            ..Default::default()
-        }
-    }
-
-    fn setup(b: Benchmark) -> (DesignSpace, FlowSimulator) {
-        (
-            benchmarks::build(b).unwrap().pruned_space().unwrap(),
-            fidelity_sim::FlowSimulator::new(fidelity_sim::SimParams::for_benchmark(b)),
-        )
-    }
-
-    fn assert_same_result(a: &RunResult, b: &RunResult, label: &str) {
-        assert_eq!(a.candidate_set, b.candidate_set, "{label}: candidate_set");
-        assert_eq!(
-            a.evaluated_configs, b.evaluated_configs,
-            "{label}: evaluated_configs"
-        );
-        assert_eq!(a.measured_pareto, b.measured_pareto, "{label}: pareto");
-        assert_eq!(
-            a.sim_seconds.to_bits(),
-            b.sim_seconds.to_bits(),
-            "{label}: sim_seconds"
-        );
-        assert_eq!(a.hv_history, b.hv_history, "{label}: hv_history");
-    }
-
-    /// One slot fully serializes the schedule, reproducing the sequential
-    /// optimizer bit-for-bit (and `async_slots: 0` behaves like 1).
-    #[test]
-    fn async_k1_matches_sequential_bitwise() {
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let seq = Optimizer::new(quick_cfg(7, 1)).run(&space, &sim).unwrap();
-        let k1 = AsyncOptimizer::new(quick_cfg(7, 1))
-            .run(&space, &sim)
-            .unwrap();
-        assert_same_result(&seq, &k1, "k=1");
-        let k0 = AsyncOptimizer::new(quick_cfg(7, 0))
-            .run(&space, &sim)
-            .unwrap();
-        // async_slots is fingerprinted but result-transparent at <= 1.
-        assert_same_result(&k1, &k0, "k=0");
+    fn slots_cfg(seed: u64, slots: usize) -> crate::CmmfConfig {
+        let mut cfg = quick_cfg(seed);
+        cfg.async_slots = slots;
+        cfg
     }
 
     /// The schedule depends only on the seed and the cost model — never on
@@ -825,9 +587,9 @@ mod tests {
         let (space, sim) = setup(Benchmark::SpmvCrs);
         let mut reference: Option<RunResult> = None;
         for threads in [1usize, 2, 0] {
-            let mut cfg = quick_cfg(11, 4);
+            let mut cfg = slots_cfg(11, 4);
             cfg.threads = threads;
-            let r = AsyncOptimizer::new(cfg).run(&space, &sim).unwrap();
+            let r = Optimizer::new(cfg).run(&space, &sim).unwrap();
             if let Some(reference) = &reference {
                 assert_same_result(reference, &r, &format!("threads={threads}"));
             } else {
@@ -841,12 +603,8 @@ mod tests {
     #[test]
     fn async_overlap_reduces_makespan() {
         let (space, sim) = setup(Benchmark::SpmvCrs);
-        let k1 = AsyncOptimizer::new(quick_cfg(3, 1))
-            .run(&space, &sim)
-            .unwrap();
-        let k4 = AsyncOptimizer::new(quick_cfg(3, 4))
-            .run(&space, &sim)
-            .unwrap();
+        let k1 = Optimizer::new(slots_cfg(3, 1)).run(&space, &sim).unwrap();
+        let k4 = Optimizer::new(slots_cfg(3, 4)).run(&space, &sim).unwrap();
         assert_eq!(k1.candidate_set.len(), k4.candidate_set.len());
         assert!(
             k4.sim_seconds < 0.6 * k1.sim_seconds,
@@ -856,88 +614,7 @@ mod tests {
         );
     }
 
-    /// Kill-and-resume at several completion counts — including mid-overlap,
-    /// with runs in flight — reproduces the uninterrupted run bit-for-bit.
-    #[test]
-    fn async_resume_is_bit_identical() {
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let opt = AsyncOptimizer::new(quick_cfg(5, 3));
-        let full = opt.run(&space, &sim).unwrap();
-        for kill_at in [1usize, 3, 5] {
-            let ckpt = opt.run_until(&space, &sim, kill_at).unwrap();
-            assert_eq!(ckpt.completed_steps, kill_at);
-            if kill_at < 5 {
-                assert!(
-                    !ckpt.in_flight.is_empty(),
-                    "kill at {kill_at} should land mid-overlap"
-                );
-            }
-            let resumed = opt.resume(&ckpt, &space, &sim).unwrap();
-            assert_same_result(&full, &resumed, &format!("kill at {kill_at}"));
-        }
-    }
-
-    /// The disk round-trip: `run_with_checkpoints` picks up a half-done
-    /// run's checkpoint file and finishes it bit-identically.
-    #[test]
-    fn async_run_with_checkpoints_resumes_from_disk() {
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let dir = std::env::temp_dir().join(format!("cmmf-async-resume-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("async.ckpt.json");
-        let _ = std::fs::remove_file(&path);
-
-        let opt = AsyncOptimizer::new(quick_cfg(9, 2));
-        let full = opt.run(&space, &sim).unwrap();
-        let ckpt = opt.run_until(&space, &sim, 2).unwrap();
-        ckpt.save(&path).unwrap();
-        let resumed = opt.run_with_checkpoints(&space, &sim, &path).unwrap();
-        assert_same_result(&full, &resumed, "disk resume");
-        // The final on-disk checkpoint reflects the whole run.
-        let last = RunCheckpoint::load(&path).unwrap();
-        assert_eq!(last.completed_steps, 6);
-        assert!(last.in_flight.is_empty());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// Fingerprint and kind mismatches fail loudly: a different slot count,
-    /// or crossing a checkpoint between the sequential and asynchronous
-    /// optimizers.
-    #[test]
-    fn async_checkpoint_rejects_mismatched_config() {
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let ckpt = AsyncOptimizer::new(quick_cfg(13, 2))
-            .run_until(&space, &sim, 2)
-            .unwrap();
-
-        // async_slots is fingerprinted: the schedule depends on it.
-        let err = AsyncOptimizer::new(quick_cfg(13, 3))
-            .resume(&ckpt, &space, &sim)
-            .unwrap_err();
-        assert!(matches!(err, CmmfError::Checkpoint { .. }), "{err}");
-
-        // Same config, wrong optimizer kind: sequential refuses async...
-        let err = Optimizer::new(quick_cfg(13, 2))
-            .resume(&ckpt, &space, &sim)
-            .unwrap_err();
-        assert!(
-            matches!(&err, CmmfError::Checkpoint { reason } if reason.contains("AsyncOptimizer")),
-            "{err}"
-        );
-        // ...and async refuses sequential.
-        let seq_ckpt = Optimizer::new(quick_cfg(13, 2))
-            .run_until(&space, &sim, 2)
-            .unwrap();
-        let err = AsyncOptimizer::new(quick_cfg(13, 2))
-            .resume(&seq_ckpt, &space, &sim)
-            .unwrap_err();
-        assert!(
-            matches!(&err, CmmfError::Checkpoint { reason } if reason.contains("sequential")),
-            "{err}"
-        );
-    }
-
-    /// The virtual clock is the *only* clock the loops consult: every
+    /// The virtual clock is the *only* clock the loop consults: every
     /// `Stopwatch::start` in the loop sources is gated on the tracer being
     /// enabled, so a `NullTracer` run reads no host time at all.
     #[test]

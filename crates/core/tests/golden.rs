@@ -1,19 +1,21 @@
 //! Cross-commit golden pin: digests of the `RunResult` of one small campaign
-//! each of the paper's method, the FPL18 baseline, and the asynchronous
-//! scheduler with two slots.
+//! each of the paper's method (at zero and one slot, which are the same
+//! schedule), the FPL18 baseline, a synchronous batch of three, and two
+//! slots in flight.
 //!
 //! Every other bit-identity contract in the workspace compares two paths of
 //! the *same* build (serial vs. parallel, extend vs. refit, resumed vs.
 //! uninterrupted), so a drift that both paths share would pass all of them.
 //! These constants were recorded before the candidate-preparation, thread-share
-//! and ground-truth-lookup rewrites and must survive any change that claims to
-//! be result-transparent. A change that deliberately alters results (a new
+//! and ground-truth-lookup rewrites (the batched one before the synchronous
+//! batch became one slot of the event loop) and must survive any change that
+//! claims to be result-transparent. A change that deliberately alters results (a new
 //! model, a different acquisition) re-records them and says so.
 //!
 //! The digests cover IEEE-754 bit patterns produced through the platform's
 //! `libm` (`exp`, `ln`, `sqrt`, …); they were recorded on x86-64 Linux.
 
-use cmmf::{AsyncOptimizer, CmmfConfig, ModelVariant, Optimizer, RunResult};
+use cmmf::{CmmfConfig, ModelVariant, Optimizer, RunResult};
 use fidelity_sim::{FlowSimulator, SimParams};
 use gp::GpConfig;
 use hls_model::benchmarks::{self, Benchmark};
@@ -98,9 +100,13 @@ fn problem() -> (hls_model::DesignSpace, FlowSimulator) {
 #[test]
 fn ours_campaign_matches_the_recorded_digest() {
     let (space, sim) = problem();
-    let r = Optimizer::new(small_cfg(ModelVariant::paper(), 41, 0))
-        .run(&space, &sim)
-        .expect("campaign runs");
+    // `async_slots` 0 behaves like 1: both are the sequential loop.
+    let [r, one_slot] = [0, 1].map(|async_slots| {
+        Optimizer::new(small_cfg(ModelVariant::paper(), 41, async_slots))
+            .run(&space, &sim)
+            .expect("campaign runs")
+    });
+    assert_eq!(digest(&one_slot), digest(&r), "async_slots = 1");
     assert_eq!(
         digest(&r),
         Digest {
@@ -132,9 +138,30 @@ fn fpl18_campaign_matches_the_recorded_digest() {
 }
 
 #[test]
+fn batched_campaign_matches_the_recorded_digest() {
+    let (space, sim) = problem();
+    let mut cfg = small_cfg(ModelVariant::paper(), 44, 0);
+    cfg.batch_size = 3;
+    cfg.n_iter = 4;
+    let r = Optimizer::new(cfg)
+        .run(&space, &sim)
+        .expect("campaign runs");
+    assert_eq!(
+        digest(&r),
+        Digest {
+            candidate_set: 4_357_847_741_568_808_223,
+            evaluated_configs: 6_880_239_913_305_881_497,
+            measured_pareto: 12_523_890_589_037_572_474,
+            sim_seconds_bits: 4_667_307_905_538_485_775,
+            hv_history: 13_725_978_398_058_226_204,
+        }
+    );
+}
+
+#[test]
 fn async_two_slot_campaign_matches_the_recorded_digest() {
     let (space, sim) = problem();
-    let r = AsyncOptimizer::new(small_cfg(ModelVariant::paper(), 43, 2))
+    let r = Optimizer::new(small_cfg(ModelVariant::paper(), 43, 2))
         .run(&space, &sim)
         .expect("campaign runs");
     assert_eq!(

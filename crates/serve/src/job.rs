@@ -151,9 +151,11 @@ pub struct JobSpec {
     /// Simulator cross-fidelity divergence override, in `[0, 1]`. `None`
     /// keeps the benchmark's calibrated (or the spec default) value.
     pub divergence: Option<f64>,
-    /// Picks per step (>= 1).
+    /// Picks per dispatch decision, run as one group (>= 1; see
+    /// `CmmfConfig::batch_size`).
     pub batch: usize,
-    /// Asynchronous in-flight slots; 0 runs the sequential loop.
+    /// Groups kept in flight; 0 behaves like 1, the sequential loop (see
+    /// `CmmfConfig::async_slots`).
     pub async_slots: usize,
     /// Optional knob overrides (quick profiles).
     pub overrides: Overrides,

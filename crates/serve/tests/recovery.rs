@@ -4,7 +4,8 @@
 //! the uninterrupted run's. Plus the admission-control and typed-error
 //! surface of the engine.
 
-use cmmf::{AsyncOptimizer, Optimizer};
+use cmmf::checkpoint::CHECKPOINT_VERSION;
+use cmmf::Optimizer;
 use cmmf_serve::engine::{Engine, EngineConfig};
 use cmmf_serve::job::{JobSpec, Overrides, Problem};
 use cmmf_serve::session::{persist_job, SessionPaths, SessionResult};
@@ -40,12 +41,9 @@ fn quick_job(tenant: &str, session: &str, seed: u64, async_slots: usize) -> JobS
 fn expected_result(job: &JobSpec) -> SessionResult {
     let cfg = job.to_config();
     let (space, sim) = job.build_problem().expect("problem builds");
-    let run = if cfg.async_slots > 0 {
-        AsyncOptimizer::new(cfg).run(&space, &sim)
-    } else {
-        Optimizer::new(cfg).run(&space, &sim)
-    }
-    .expect("uninterrupted run succeeds");
+    let run = Optimizer::new(cfg)
+        .run(&space, &sim)
+        .expect("uninterrupted run succeeds");
     SessionResult::from_run(&run)
 }
 
@@ -73,12 +71,9 @@ proptest! {
         persist_job(&paths, &job).expect("job persists");
         let cfg = job.to_config();
         let (space, sim) = job.build_problem().expect("problem builds");
-        let ckpt = if cfg.async_slots > 0 {
-            AsyncOptimizer::new(cfg).run_until(&space, &sim, kill_step)
-        } else {
-            Optimizer::new(cfg).run_until(&space, &sim, kill_step)
-        }
-        .expect("prefix run succeeds");
+        let ckpt = Optimizer::new(cfg)
+            .run_until(&space, &sim, kill_step)
+            .expect("prefix run succeeds");
         ckpt.save(&paths.checkpoint()).expect("checkpoint saves");
         let mut journal = fs::File::create(paths.journal()).expect("journal opens");
         journal
@@ -135,6 +130,86 @@ fn submitted_sessions_match_direct_runs_per_tenant() {
         results[0], results[1],
         "tenants with the same job seed must get isolated streams"
     );
+    engine.shutdown();
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_job_with_more_slots_than_memory_finishes_and_the_engine_serves_on() {
+    // `async_slots` has no upper bound, and the loop sizes nothing by it: a
+    // job asking for 2^40 slots puts every run in flight at once and
+    // finishes equal to the direct run. The worker then serves the next job.
+    let root = scratch_root("slots");
+    let engine = Engine::start(EngineConfig {
+        root: root.clone(),
+        workers: 1,
+        capacity: 4,
+    })
+    .expect("engine starts");
+    for job in [
+        quick_job("acme", "huge", 3, 1 << 40),
+        quick_job("acme", "next", 4, 0),
+    ] {
+        engine.submit(job.clone(), None).expect("job admitted");
+        let result = engine
+            .wait(&job.tenant, &job.session)
+            .expect("session finishes");
+        assert_eq!(result, expected_result(&job), "{}", job.session);
+    }
+    engine.shutdown();
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_version_2_checkpoint_fails_its_session_until_the_operator_removes_it() {
+    // Checkpoints from before the one-loop layout have no upgrade path. A
+    // session that stored one fails with a message naming both versions and
+    // keeps its job.json. Once checkpoint.json is deleted, the next start
+    // reruns the session from the beginning, equal to the uninterrupted run.
+    let root = scratch_root("v2");
+    let job = quick_job("acme", "old", 17, 0);
+    let paths = SessionPaths::new(&root, &job.tenant, &job.session);
+    persist_job(&paths, &job).expect("job persists");
+    let (space, sim) = job.build_problem().expect("problem builds");
+    let v3 = Optimizer::new(job.to_config())
+        .run_until(&space, &sim, 1)
+        .expect("prefix run succeeds")
+        .to_json();
+    let v2 = v3.replacen(
+        &format!("\"version\": {CHECKPOINT_VERSION}"),
+        "\"version\": 2",
+        1,
+    );
+    assert_ne!(v2, v3);
+    fs::write(paths.checkpoint(), v2).expect("checkpoint writes");
+    let start = || {
+        Engine::start(EngineConfig {
+            root: root.clone(),
+            workers: 1,
+            capacity: 4,
+        })
+        .expect("engine starts")
+    };
+
+    let engine = start();
+    engine.recover().expect("recovery scans");
+    match engine.wait("acme", "old") {
+        Err(ServeError::SessionFailed { message }) => assert!(
+            message.contains("version 2")
+                && message.contains(&format!("supported {CHECKPOINT_VERSION}")),
+            "{message}"
+        ),
+        other => panic!("expected the session to fail, got {other:?}"),
+    }
+    assert!(paths.job().exists(), "a failed session keeps its job.json");
+    engine.shutdown();
+
+    fs::remove_file(paths.checkpoint()).expect("checkpoint removes");
+    let engine = start();
+    let recovered = engine.recover().expect("recovery scans");
+    assert_eq!(recovered, vec![("acme".to_string(), "old".to_string())]);
+    let result = engine.wait("acme", "old").expect("rerun finishes");
+    assert_eq!(result, expected_result(&job));
     engine.shutdown();
     fs::remove_dir_all(&root).ok();
 }

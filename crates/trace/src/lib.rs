@@ -123,9 +123,10 @@ pub enum TraceEvent {
         /// Whether the design was valid at this stage.
         valid: bool,
     },
-    /// A simulated tool run entered the asynchronous scheduler (see
-    /// `AsyncOptimizer` in the core crate). All times are **virtual-clock**
-    /// simulated seconds, deterministic for a seed.
+    /// A simulated tool run entered a slot of the optimizer's event loop
+    /// (see the core crate's `scheduler` module); every run, initialization
+    /// included, emits one. All times are **virtual-clock** simulated
+    /// seconds, deterministic for a seed.
     RunDispatched {
         /// Global dispatch sequence number (initialization runs included).
         seq: usize,

@@ -7,13 +7,15 @@
 //!          [--checkpoint FILE] [--journal FILE]
 //! ```
 //!
-//! `--async-slots K` (K >= 1) switches to the asynchronous scheduler: up to K
-//! simulated tool runs stay in flight on a deterministic virtual clock, and
-//! the reported simulated time is the schedule's *makespan* (see
-//! ARCHITECTURE.md, "Scheduler & virtual clock"). `--checkpoint FILE` writes
-//! a resumable checkpoint after every BO step (or, async, every completion)
-//! and, if FILE already exists, resumes from it — re-running the same command
-//! after a kill continues the run bit-identically, even mid-overlap.
+//! `--batch Q` picks Q configurations per decision and runs them as one
+//! group on parallel tool instances; `--async-slots K` (K >= 1) keeps up to
+//! K such groups in flight on a deterministic virtual clock. Both default to
+//! one, the paper's sequential loop, and the reported simulated time is the
+//! schedule's *makespan* (see ARCHITECTURE.md, "Scheduler & virtual clock").
+//! `--checkpoint FILE` writes a resumable checkpoint after every completed
+//! BO step and, if FILE already exists, resumes from it — re-running the
+//! same command after a kill continues the run bit-identically, even
+//! mid-overlap.
 //! `--journal FILE` appends one JSON line per loop event (model fits,
 //! acquisition argmaxes, tool runs, dispatches/completions, front updates;
 //! see ARCHITECTURE.md, "Observability & resume"). On a checkpoint resume the
@@ -31,7 +33,7 @@
 //! 1 = HLS is badly misleading).
 
 use cmmf_hls::cli::{ArgStream, CliError, JobFlags};
-use cmmf_hls::cmmf::{AsyncOptimizer, JsonlTracer, Optimizer, TracerHandle};
+use cmmf_hls::cmmf::{JsonlTracer, Optimizer, TracerHandle};
 use cmmf_hls::fidelity_sim::{FlowSimulator, SimParams};
 use cmmf_hls::hls_model::spec;
 use std::path::PathBuf;
@@ -41,7 +43,9 @@ use std::sync::Arc;
 const USAGE: &str = "usage: cmmf-dse <spec-file> [--iters N] [--seed S] \
                      [--variant ours|fpl18] [--divergence D] [--batch Q] \
                      [--async-slots K] [--csv] \
-                     [--checkpoint FILE] [--journal FILE]";
+                     [--checkpoint FILE] [--journal FILE]\n\
+                     --batch Q runs Q picks per decision as one group; \
+                     --async-slots K keeps up to K groups in flight";
 
 struct Args {
     spec_path: String,
@@ -166,18 +170,10 @@ fn run(args: &Args) -> Result<(), String> {
             eprintln!("resuming from checkpoint {}", path.display());
         }
     }
-    let result = if args.job.async_slots > 0 {
-        let opt = AsyncOptimizer::new(cfg);
-        match &args.checkpoint {
-            Some(path) => opt.run_with_checkpoints(&space, &sim, path),
-            None => opt.run(&space, &sim),
-        }
-    } else {
-        let opt = Optimizer::new(cfg);
-        match &args.checkpoint {
-            Some(path) => opt.run_with_checkpoints(&space, &sim, path),
-            None => opt.run(&space, &sim),
-        }
+    let opt = Optimizer::new(cfg);
+    let result = match &args.checkpoint {
+        Some(path) => opt.run_with_checkpoints(&space, &sim, path),
+        None => opt.run(&space, &sim),
     }
     .map_err(|e| e.to_string())?;
 

@@ -48,6 +48,7 @@ const USAGE: &str = "usage: cmmf-serve <daemon|ping|submit|status|wait|list|shut
   wait     --connect EP --tenant T --session S\n\
   list     --connect EP\n\
   shutdown --connect EP\n\
+--batch Q runs Q picks per decision as one group; --async-slots K keeps up to K groups in flight\n\
 endpoints: tcp:host:port | unix:/path";
 
 fn usage_err(message: impl Into<String>) -> CliError {

@@ -160,7 +160,7 @@ pub fn parse_variant(raw: &str) -> Result<ModelVariant, CliError> {
 }
 
 /// The job-shaping flags shared by `cmmf-dse` and `cmmf-serve submit`:
-/// budget, seed, model variant, batching, and the asynchronous scheduler.
+/// budget, seed, model variant, and the schedule (batch size and slots).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobFlags {
     /// BO steps (`--iters`, >= 1).
@@ -171,10 +171,10 @@ pub struct JobFlags {
     pub variant: ModelVariant,
     /// Simulator cross-fidelity divergence (`--divergence`, in `[0, 1]`).
     pub divergence: f64,
-    /// Picks per step (`--batch`, >= 1).
+    /// Picks per decision, run as one group (`--batch`, >= 1).
     pub batch: usize,
-    /// Asynchronous in-flight slots (`--async-slots`, >= 1 when given;
-    /// 0 means the sequential loop).
+    /// Groups kept in flight (`--async-slots`, >= 1 when given; 0 behaves
+    /// like 1, the sequential loop).
     pub async_slots: usize,
 }
 
