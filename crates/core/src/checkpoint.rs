@@ -25,7 +25,7 @@
 use crate::optimizer::{CandidateChoice, CmmfConfig};
 use crate::CmmfError;
 use std::path::Path;
-use trace::json::{self, JsonValue};
+use trace::json::{self, JsonValue, JsonWriter};
 
 /// Current checkpoint schema version. Bumped on any incompatible change;
 /// loading a different version is a [`CmmfError::Checkpoint`] naming both.
@@ -162,69 +162,57 @@ impl RunCheckpoint {
         )
     }
 
-    /// Serializes the checkpoint as one JSON document.
+    /// Serializes the checkpoint as one compact JSON document (no trailing
+    /// newline). [`Self::from_json`] accepts any whitespace, so files
+    /// written in the older indented layout still load.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 16 * self.unsampled.len());
-        out.push_str(&format!(
-            "{{\n  \"version\": {},\n  \"fingerprint\": \"{}\",\n  \"completed_steps\": {},\n",
-            self.version,
-            json::escape(&self.fingerprint),
-            self.completed_steps
-        ));
-        out.push_str(&format!("  \"init\": {},\n", fmt_usizes(&self.init)));
-        out.push_str("  \"picks\": [");
-        for (i, step) in self.picks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        // Room for every number at its usual width, so the buffer is
+        // allocated once.
+        let picks: usize = self.picks.iter().map(Vec::len).sum();
+        let mut w = JsonWriter::with_capacity(
+            256 + self.fingerprint.len()
+                + 8 * (self.init.len() + self.unsampled.len() + self.schedule.len())
+                + 32 * (picks + self.in_flight.len())
+                + 64 * self.hv_history_bits.len(),
+        );
+        w.begin_object();
+        w.key("version").u64(self.version);
+        w.key("fingerprint").str(&self.fingerprint);
+        w.key("completed_steps").usize(self.completed_steps);
+        w.key("init").usizes(&self.init);
+        w.key("picks").begin_array();
+        for group in &self.picks {
+            w.begin_array();
+            for p in group {
+                w.begin_array()
+                    .usize(p.config)
+                    .usize(p.stage_index)
+                    .u64(p.acquisition_bits)
+                    .end_array();
             }
-            out.push('[');
-            for (j, p) in step.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&fmt_pick(p));
-            }
-            out.push(']');
+            w.end_array();
         }
-        out.push_str("],\n");
-        out.push_str("  \"schedule\": [");
-        for (i, ev) in self.schedule.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let [kind, index] = ev.encode();
-            out.push_str(&format!("[{kind},{index}]"));
+        w.end_array();
+        w.key("schedule").begin_array();
+        for event in &self.schedule {
+            w.u64s(&event.encode());
         }
-        out.push_str("],\n");
-        out.push_str("  \"in_flight\": [");
-        for (i, run) in self.in_flight.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{}]", run[0], run[1]));
+        w.end_array();
+        w.key("in_flight").begin_array();
+        for run in &self.in_flight {
+            w.u64s(run);
         }
-        out.push_str("],\n");
-        out.push_str(&format!(
-            "  \"unsampled\": {},\n",
-            fmt_usizes(&self.unsampled)
-        ));
-        out.push_str(&format!(
-            "  \"rng_state\": [{},{},{},{}],\n",
-            self.rng_state[0], self.rng_state[1], self.rng_state[2], self.rng_state[3]
-        ));
-        out.push_str(&format!(
-            "  \"sim_seconds_bits\": {},\n",
-            self.sim_seconds_bits
-        ));
-        out.push_str("  \"hv_history_bits\": [");
-        for (i, hv) in self.hv_history_bits.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{},{}]", hv[0], hv[1], hv[2]));
+        w.end_array();
+        w.key("unsampled").usizes(&self.unsampled);
+        w.key("rng_state").u64s(&self.rng_state);
+        w.key("sim_seconds_bits").u64(self.sim_seconds_bits);
+        w.key("hv_history_bits").begin_array();
+        for hv in &self.hv_history_bits {
+            w.u64s(hv);
         }
-        out.push_str("]\n}\n");
-        out
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
 
     /// Parses a checkpoint from its JSON document.
@@ -380,22 +368,20 @@ impl RunCheckpoint {
         Ok(())
     }
 
-    /// Writes the checkpoint to `path` atomically (temp file + rename), so a
-    /// kill mid-write leaves the previous checkpoint intact. Returns the
-    /// number of bytes written (reported by `checkpoint_written` journal
-    /// events).
+    /// Writes the checkpoint to `path` atomically with [`trace::write_atomic`]
+    /// (temp file + rename), so a kill mid-write leaves the previous
+    /// checkpoint intact. Returns the number of bytes written (reported by
+    /// `checkpoint_written` journal events).
     ///
     /// # Errors
     ///
     /// [`CmmfError::Checkpoint`] wrapping the I/O failure.
     pub fn save(&self, path: &Path) -> Result<usize, CmmfError> {
-        let tmp = path.with_extension("tmp");
-        let io = |e: std::io::Error| CmmfError::Checkpoint {
+        let mut text = self.to_json();
+        text.push('\n');
+        trace::write_atomic(path, &text).map_err(|e| CmmfError::Checkpoint {
             reason: format!("writing {}: {e}", path.display()),
-        };
-        let text = self.to_json();
-        std::fs::write(&tmp, &text).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)?;
+        })?;
         Ok(text.len())
     }
 
@@ -411,23 +397,6 @@ impl RunCheckpoint {
         })?;
         Self::from_json(&text)
     }
-}
-
-fn fmt_pick(p: &PickRecord) -> String {
-    format!("[{},{},{}]", p.config, p.stage_index, p.acquisition_bits)
-}
-
-fn fmt_usizes(v: &[usize]) -> String {
-    let mut out = String::with_capacity(2 + 4 * v.len());
-    out.push('[');
-    for (i, x) in v.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&x.to_string());
-    }
-    out.push(']');
-    out
 }
 
 fn missing(field: &str) -> CmmfError {
@@ -536,6 +505,33 @@ mod tests {
         let ckpt = sample();
         let parsed = RunCheckpoint::from_json(&ckpt.to_json()).unwrap();
         assert_eq!(ckpt, parsed);
+    }
+
+    #[test]
+    fn checkpoints_in_the_old_indented_layout_still_load() {
+        // `sample().to_json()` as written before checkpoints took the compact
+        // layout, byte for byte: the same document, only with whitespace.
+        let old = r#"{
+  "version": 3,
+  "fingerprint": "v3;n_init=8;n_init_syn=5;n_init_impl=3;n_iter=40;variant=ModelVariant { correlated_objectives: true, nonlinear_fidelity: true };use_cost_penalty=true;cost_exponent=0x3fd3333333333333;candidate_pool=200;mc_samples=24;batch_size=1;final_prediction_pool=4000;escalate_threshold=0x3fa999999999999a;refit_every=5;async_slots=0;gp=GpConfig { optimize: true, restarts: 2, max_evals: 450, init_noise_var: 0.01, noise_floor: 1e-8, seed: 12648430 };seed=2021",
+  "completed_steps": 2,
+  "init": [5,9,1,0,12,3,7,2],
+  "picks": [[[42,1,4593671619917905920]],[[17,0,9218868437227405311],[18,2,0]],[[19,2,9223372036854775808]]],
+  "schedule": [[0,0],[0,1],[1,1],[0,2],[2,0],[1,0]],
+  "in_flight": [[2,4659035936921747456]],
+  "unsampled": [11,4,6,8,10],
+  "rng_state": [18446744073709551615,1,11400714819323198485,7],
+  "sim_seconds_bits": 4653144203864309760,
+  "hv_history_bits": [[4607182418800017408,4611686018427387904,4613937818241073152],[4609434218613702656,4612811918334230528,4615063718147915776]]
+}
+"#;
+        let new = sample().to_json();
+        assert_ne!(old, new);
+        assert_eq!(json::parse(old).unwrap(), json::parse(&new).unwrap());
+        assert_eq!(RunCheckpoint::from_json(old).unwrap(), sample());
+        // Indentation, line breaks and the space after each colon; `save`
+        // still ends the file with a newline.
+        assert_eq!(old.len() - new.len(), 46);
     }
 
     #[test]
@@ -676,8 +672,8 @@ mod tests {
         // panics: past u64 the number fails to parse as an index, and past
         // usize (32-bit targets) ScheduleEvent::decode refuses the cast.
         let big = full.replace(
-            "\"schedule\": [[0,0]",
-            "\"schedule\": [[0,99999999999999999999]",
+            "\"schedule\":[[0,0]",
+            "\"schedule\":[[0,99999999999999999999]",
         );
         assert_ne!(big, full, "sample schedule shape changed");
         assert!(matches!(

@@ -59,8 +59,7 @@ pub trait Kernel: Send + Sync {
     /// commute exactly — so the mirrored assembly is bit-identical to
     /// evaluating every entry, at half the evaluation count. Large matrices
     /// assemble rows on the parallel execution layer with source-order
-    /// placement, exactly like `Matrix::from_fn_par` (bit-identical at any
-    /// thread count).
+    /// placement (bit-identical at any thread count).
     ///
     /// Implementations overriding [`Kernel::eval`] must keep it bitwise
     /// symmetric for this default to stay exact.
@@ -168,7 +167,7 @@ pub trait Kernel: Send + Sync {
 }
 
 /// Entry count above which [`Kernel::gram_into`] / [`Kernel::cross_into`]
-/// assemble rows in parallel (mirrors `Matrix::from_fn_par`'s threshold).
+/// assemble rows in parallel.
 const ASSEMBLY_PAR_THRESHOLD: usize = 4096;
 
 /// Per-fit cache of the parameter-*independent* pairwise structure of an ARD

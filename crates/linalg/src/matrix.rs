@@ -115,31 +115,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Builds a matrix by evaluating `f(i, j)` at every position, assembling
-    /// row blocks on the parallel execution layer. Entry values and their
-    /// layout are identical to [`Matrix::from_fn`] for any thread count
-    /// (each entry is computed independently and placed by index); matrices
-    /// below a small size threshold are assembled serially since fan-out
-    /// overhead would dominate. The workhorse behind GP covariance assembly
-    /// (Eqs. 5 and 9) on large training sets.
-    pub fn from_fn_par(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        const PAR_THRESHOLD: usize = 4096;
-        if rows * cols < PAR_THRESHOLD {
-            return Matrix::from_fn(rows, cols, f);
-        }
-        use rayon::prelude::*;
-        let row_blocks: Vec<Vec<f64>> = (0..rows)
-            .into_par_iter()
-            .with_min_len(4)
-            .map(|i| (0..cols).map(|j| f(i, j)).collect())
-            .collect();
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in row_blocks {
-            data.extend(r);
-        }
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -8,9 +8,8 @@
 //! `.foo(..)` resolves to every workspace method named `foo`. Resolution is
 //! scoped to the caller's crate plus its transitive path dependencies
 //! (`[dependencies]` only — dev-dependencies are excluded, because library
-//! code cannot link against them), which keeps the vendored harness crates
-//! (`cmmf-criterion`, `cmmf-proptest`) from aliasing into the guarded
-//! crates' graphs. Trait dispatch and closures are the known
+//! code cannot link against them), which keeps the vendored harness crate
+//! (`cmmf-proptest`) from aliasing into the guarded crates' graphs. Trait dispatch and closures are the known
 //! over-approximations: a trait-method call reaches *every* impl of that
 //! method name in scope, and a closure's body belongs to its enclosing
 //! function. Both err toward reporting (see `ARCHITECTURE.md`).

@@ -169,7 +169,7 @@ const RESULT_AFFECTING: [&str; 7] = [
 /// not results), the benchmarking stack, and the session daemon (socket
 /// timeouts and liveness are service duties; its *results* still come out of
 /// the deterministic core loop).
-const CLOCK_OWNERS: [&str; 4] = ["cmmf-trace", "cmmf-criterion", "cmmf-bench", "cmmf-serve"];
+const CLOCK_OWNERS: [&str; 3] = ["cmmf-trace", "cmmf-bench", "cmmf-serve"];
 
 /// Crates whose *library* code must be panic-free: the result-affecting set,
 /// the tracing layer, the vendored infrastructure the optimizer runs on, the
@@ -568,7 +568,7 @@ mod tests {
             false
         ));
         // P2/D3/D4 are universal.
-        for pkg in ["cmmf", "cmmf-bench", "cmmf-criterion"] {
+        for pkg in ["cmmf", "cmmf-bench"] {
             assert!(rule_enabled(RuleId::P2, pkg, FileClass::Tests, true));
             assert!(rule_enabled(RuleId::D3, pkg, FileClass::Benches, true));
             assert!(rule_enabled(RuleId::D4, pkg, FileClass::Examples, true));
@@ -599,6 +599,6 @@ mod tests {
         assert!(s2_io_guarded("cmmf-serve"));
         assert!(!s2_io_guarded("cmmf-trace"));
         assert!(panic_free("cmmf-lint"));
-        assert!(!panic_free("cmmf-criterion"));
+        assert!(!panic_free("cmmf-proptest"));
     }
 }

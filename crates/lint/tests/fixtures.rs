@@ -78,7 +78,7 @@ fn d2_suppressed_by_reasoned_allow() {
 #[test]
 fn d2_exempt_in_clock_owner_crates_and_bins() {
     let src = include_str!("../fixtures/d2_positive.rs");
-    for pkg in ["cmmf-trace", "cmmf-criterion", "cmmf-bench"] {
+    for pkg in ["cmmf-trace", "cmmf-bench", "cmmf-serve"] {
         let r = scan_source(src, pkg, FileClass::Lib, "d2_owner");
         assert_eq!(count(&r, RuleId::D2), 0, "{pkg} owns the clock");
     }
@@ -162,7 +162,7 @@ fn d5_exempt_in_harness_crates_only() {
     );
     assert!(count(&r, RuleId::D5) > 0, "linalg is guarded");
     // Harness crates may use f32 freely (e.g. plotting, byte-size stats).
-    for pkg in ["cmmf-bench", "cmmf-criterion", "cmmf-lint", "cmmf-trace"] {
+    for pkg in ["cmmf-bench", "cmmf-lint", "cmmf-trace"] {
         let r = scan_source(src, pkg, FileClass::Lib, "d5_harness");
         assert_eq!(count(&r, RuleId::D5), 0, "{pkg} is not result-affecting");
     }
@@ -193,7 +193,7 @@ fn d6_suppressed_by_reasoned_allow() {
 fn d6_exempt_outside_panic_free_library_code() {
     let src = include_str!("../fixtures/d6_positive.rs");
     // Harness crates may cast freely…
-    for pkg in ["cmmf-bench", "cmmf-criterion", "cmmf-proptest"] {
+    for pkg in ["cmmf-bench", "cmmf-proptest"] {
         let r = scan_source(src, pkg, FileClass::Lib, "d6_harness");
         assert_eq!(count(&r, RuleId::D6), 0, "{pkg} is not panic-free-gated");
     }

@@ -63,7 +63,7 @@ pub type SessionKey = (String, String);
 struct SessionEntry {
     spec: JobSpec,
     state: SessionState,
-    subscribers: Vec<Sender<String>>,
+    subscribers: Vec<Sender<TraceEvent>>,
 }
 
 #[derive(Debug, Default)]
@@ -139,8 +139,8 @@ impl Engine {
 
     /// Submits a job. On admission the spec is persisted as the session's
     /// `job.json` and the session is queued; the optional `subscriber`
-    /// then receives every `TraceEvent` of the run as a JSON line and is
-    /// dropped (disconnecting the channel) when the session completes.
+    /// then receives every `TraceEvent` of the run and is dropped
+    /// (disconnecting the channel) when the session completes.
     ///
     /// Submitting an already-finished `(tenant, session)` returns
     /// [`SessionState::Finished`] without re-running; re-submitting an
@@ -158,7 +158,7 @@ impl Engine {
     pub fn submit(
         &self,
         spec: JobSpec,
-        subscriber: Option<Sender<String>>,
+        subscriber: Option<Sender<TraceEvent>>,
     ) -> Result<SessionState, ServeError> {
         spec.validate()?;
         let key: SessionKey = (spec.tenant.clone(), spec.session.clone());
@@ -539,7 +539,8 @@ fn run_session(
 }
 
 /// A tracer that journals every event to the session's `journal.jsonl` and
-/// fans the serialized line out to the session's live subscribers.
+/// fans the event out to the session's live subscribers, which serialize
+/// it into their own frames.
 struct FanoutTracer {
     journal: JsonlTracer,
     shared: Arc<Shared>,
@@ -562,8 +563,7 @@ impl Tracer for FanoutTracer {
             if entry.subscribers.is_empty() {
                 return;
             }
-            let line = event.to_json();
-            entry.subscribers.retain(|s| s.send(line.clone()).is_ok());
+            entry.subscribers.retain(|s| s.send(event.clone()).is_ok());
         }
     }
 

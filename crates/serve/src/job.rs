@@ -14,17 +14,27 @@
 //! shadow another's.
 
 use crate::error::ServeError;
-use crate::protocol::quote;
 use cmmf::{CmmfConfig, ModelVariant};
 use fidelity_sim::{FlowSimulator, SimParams};
 use hls_model::benchmarks::{self, Benchmark};
 use hls_model::spec;
 use hls_model::DesignSpace;
 use rand::derive_stream_seed;
-use trace::json::{self, JsonValue};
+use trace::json::{self, JsonValue, JsonWriter};
 
 /// Maximum length of a tenant or session name.
 pub const NAME_MAX: usize = 64;
+
+/// Most hyperparameter-search restarts a job may ask for (`gp_restarts`).
+/// The search reserves every start up front, so an unbounded count aborts
+/// the worker process on allocation; the repository's own callers use 0–4.
+pub const GP_RESTARTS_MAX: usize = 64;
+
+/// Most EIPV Monte-Carlo samples a job may ask for (`mc_samples`). The
+/// estimate keeps one partial result per sample chunk, so an unbounded count
+/// aborts the worker process on allocation; the repository's own callers use
+/// 4–24.
+pub const MC_SAMPLES_MAX: usize = 4096;
 
 /// Validates a tenant/session name: 1–64 chars from `[A-Za-z0-9_-]`.
 /// Doubles as path-traversal protection — names become directory names
@@ -181,7 +191,10 @@ impl JobSpec {
     /// Validates names, budget, and ranges, including the ranges the
     /// optimizer itself checks ([`CmmfConfig::validate`]) on the knobs with
     /// the overrides applied, so a degenerate job is refused at admission
-    /// rather than failing in a worker.
+    /// rather than failing in a worker. It also bounds what one job may cost
+    /// ([`GP_RESTARTS_MAX`], [`MC_SAMPLES_MAX`]): an allocation failure
+    /// aborts the daemon instead of failing the session, and recovery would
+    /// re-enqueue the job on every restart.
     ///
     /// # Errors
     ///
@@ -195,9 +208,21 @@ impl JobSpec {
         if self.batch == 0 {
             return Err(ServeError::invalid("batch must be at least 1"));
         }
-        self.to_config()
-            .validate()
+        let cfg = self.to_config();
+        cfg.validate()
             .map_err(|e| ServeError::invalid(e.to_string()))?;
+        // What one job may cost: far enough past these bounds the worker's
+        // allocations abort the whole daemon, which `catch_unwind` cannot stop.
+        for (knob, value, max) in [
+            ("gp_restarts", cfg.gp.restarts, GP_RESTARTS_MAX),
+            ("mc_samples", cfg.mc_samples, MC_SAMPLES_MAX),
+        ] {
+            if value > max {
+                return Err(ServeError::invalid(format!(
+                    "{knob} must be at most {max}, got {value}"
+                )));
+            }
+        }
         if let Some(d) = self.divergence {
             if !(0.0..=1.0).contains(&d) {
                 return Err(ServeError::invalid(format!(
@@ -294,35 +319,29 @@ impl JobSpec {
     /// knobs are written as bit patterns (with a decimal mirror for human
     /// readers); parsing prefers the bits, so the round trip is exact.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"tenant\": {}, \"session\": {}",
-            quote(&self.tenant),
-            quote(&self.session)
-        ));
+        let mut w = JsonWriter::with_capacity(384);
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes the [`JobSpec::to_json`] object into `w`, so a caller can embed
+    /// the spec in a larger document (the `submit` request).
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("tenant").str(&self.tenant);
+        w.key("session").str(&self.session);
         match &self.problem {
-            Problem::Benchmark(b) => {
-                out.push_str(&format!(", \"benchmark\": {}", quote(b.name())));
-            }
-            Problem::SpecText(text) => {
-                out.push_str(&format!(", \"spec\": {}", quote(text)));
-            }
-        }
-        out.push_str(&format!(
-            ", \"iters\": {}, \"seed\": {}, \"variant\": {}, \"batch\": {}, \
-             \"async_slots\": {}",
-            self.iters,
-            self.seed,
-            quote(variant_name(&self.variant)),
-            self.batch,
-            self.async_slots,
-        ));
+            Problem::Benchmark(b) => w.key("benchmark").str(b.name()),
+            Problem::SpecText(text) => w.key("spec").str(text),
+        };
+        w.key("iters").usize(self.iters);
+        w.key("seed").u64(self.seed);
+        w.key("variant").str(variant_name(&self.variant));
+        w.key("batch").usize(self.batch);
+        w.key("async_slots").usize(self.async_slots);
         if let Some(d) = self.divergence {
-            out.push_str(&format!(
-                ", \"divergence\": {}, \"divergence_bits\": {}",
-                json::num(d),
-                d.to_bits()
-            ));
+            w.key("divergence").f64(d);
+            w.key("divergence_bits").u64(d.to_bits());
         }
         let o = &self.overrides;
         for (key, val) in [
@@ -337,11 +356,10 @@ impl JobSpec {
             ("gp_max_evals", o.gp_max_evals),
         ] {
             if let Some(v) = val {
-                out.push_str(&format!(", \"{key}\": {v}"));
+                w.key(key).usize(v);
             }
         }
-        out.push('}');
-        out
+        w.end_object();
     }
 
     /// Parses a spec from a JSON object (a `submit` frame's `job` field or a
@@ -511,6 +529,18 @@ mod tests {
     }
 
     #[test]
+    fn jobs_in_the_old_spaced_layout_still_load() {
+        // `sample().to_json()` as written before `job.json` took the compact
+        // layout, byte for byte: every stored job of an upgraded daemon
+        // still loads as the same job.
+        let old = r#"{"tenant": "acme", "session": "run-1", "benchmark": "GEMM", "iters": 6, "seed": 99, "variant": "ours", "batch": 2, "async_slots": 0, "divergence": 0.30000000000000004, "divergence_bits": 4599075939470750516, "n_init": 5, "n_init_syn": 3, "n_init_impl": 2, "candidate_pool": 30, "mc_samples": 8, "refit_every": 3, "final_prediction_pool": 0, "gp_restarts": 0, "gp_max_evals": 50}"#;
+        let new = sample().to_json();
+        assert_ne!(old, new);
+        assert_eq!(json::parse(old).unwrap(), json::parse(&new).unwrap());
+        assert_eq!(JobSpec::parse(old).unwrap(), sample());
+    }
+
+    #[test]
     fn validation_rejects_degenerate_jobs() {
         let mut bad = sample();
         bad.iters = 0;
@@ -529,13 +559,16 @@ mod tests {
         assert!(bad.validate().is_err());
         // Overrides the optimizer would reject (or panic on) are refused at
         // admission, and a stored job carrying one does not load.
-        let degenerate: [fn(&mut Overrides); 6] = [
+        let degenerate: [fn(&mut Overrides); 8] = [
             |o| o.refit_every = Some(0),
             |o| o.mc_samples = Some(0),
             |o| o.candidate_pool = Some(0),
             |o| o.n_init_impl = Some(0),
             |o| o.n_init_syn = Some(1), // below quick()'s n_init_impl of 2
             |o| o.n_init = Some(2),     // below quick()'s n_init_syn of 3
+            // Costs that abort the worker process on allocation.
+            |o| o.gp_restarts = Some(GP_RESTARTS_MAX + 1),
+            |o| o.mc_samples = Some(MC_SAMPLES_MAX + 1),
         ];
         for (i, break_it) in degenerate.iter().enumerate() {
             let mut bad = sample();
@@ -555,6 +588,15 @@ mod tests {
     }
 
     #[test]
+    fn the_cost_bounds_admit_their_own_value() {
+        let mut job = sample();
+        job.overrides.gp_restarts = Some(GP_RESTARTS_MAX);
+        job.overrides.mc_samples = Some(MC_SAMPLES_MAX);
+        assert!(job.validate().is_ok());
+        assert_eq!(JobSpec::parse(&job.to_json()).unwrap(), job);
+    }
+
+    #[test]
     fn stored_warm_start_of_either_value_is_ignored() {
         // Every `job.json` persisted while cross-step warm starts existed
         // carries `"warm_start"`, mostly `true`. Both values load as the
@@ -565,8 +607,8 @@ mod tests {
         assert!(!line.contains("warm_start"), "{line}");
         for stored in ["true", "false"] {
             let stored = line.replacen(
-                "\"async_slots\": 0",
-                &format!("\"async_slots\": 0, \"warm_start\": {stored}"),
+                "\"async_slots\":0",
+                &format!("\"async_slots\":0,\"warm_start\":{stored}"),
                 1,
             );
             assert_ne!(stored, line);
@@ -574,8 +616,8 @@ mod tests {
         }
         for bad in ["1", "\"yes\"", "null"] {
             let line = line.replacen(
-                "\"async_slots\": 0",
-                &format!("\"async_slots\": 0, \"warm_start\": {bad}"),
+                "\"async_slots\":0",
+                &format!("\"async_slots\":0,\"warm_start\":{bad}"),
                 1,
             );
             assert!(
@@ -595,16 +637,16 @@ mod tests {
         let line = job.to_json();
         assert!(!line.contains("mixed_precision"), "{line}");
         let stored = line.replacen(
-            "\"async_slots\": 0",
-            "\"async_slots\": 0, \"mixed_precision\": false",
+            "\"async_slots\":0",
+            "\"async_slots\":0,\"mixed_precision\":false",
             1,
         );
         assert_ne!(stored, line);
         assert_eq!(JobSpec::parse(&stored).unwrap(), job);
         for bad in ["true", "1"] {
             let line = line.replacen(
-                "\"async_slots\": 0",
-                &format!("\"async_slots\": 0, \"mixed_precision\": {bad}"),
+                "\"async_slots\":0",
+                &format!("\"async_slots\":0,\"mixed_precision\":{bad}"),
                 1,
             );
             assert!(

@@ -17,6 +17,10 @@
 //! response  = ok-frame | error-frame
 //! ok-frame  = {"ok": true, ...}            # command-specific fields
 //! error     = {"ok": false, "error": {"kind": s, "message": s}}
+//!
+//! {"ok": true}                                       # ping, shutdown
+//! {"ok": true, "state": s, "message": s?}            # submit, status
+//! {"ok": true, "sessions": [{"tenant": s, "session": s, "state": s}, ...]}
 //! ```
 //!
 //! A streaming `submit` (`"stream": true`) emits zero or more
@@ -25,19 +29,20 @@
 //! (`"wait": true`) or a `wait` command finishes with
 //! `{"ok": true, "state": "finished", "result": <manifest>}`.
 //!
+//! Requests may be spaced freely. Every frame the daemon sends, and every
+//! request [`Request::to_json`] writes, is one compact line written by
+//! [`JsonWriter`] (the spacing above is for reading only).
+//!
 //! Error `kind`s are the stable [`ServeError::kind`] discriminants; in
 //! particular `admission-rejected` carries `active` and `cap` so clients
 //! can implement informed backoff.
 
+use crate::engine::SessionKey;
 use crate::error::ServeError;
 use crate::job::JobSpec;
-use crate::session::SessionResult;
-use trace::json::{self, JsonValue};
-
-/// Renders `s` as a quoted JSON string literal.
-pub fn quote(s: &str) -> String {
-    format!("\"{}\"", json::escape(s))
-}
+use crate::session::{SessionResult, SessionState};
+use trace::json::{self, JsonValue, JsonWriter};
+use trace::TraceEvent;
 
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,6 +79,46 @@ pub enum Request {
     },
     /// Stop the daemon (current sessions finish, queued ones persist).
     Shutdown,
+}
+
+impl Request {
+    /// The request's `cmd` name.
+    fn cmd(&self) -> &'static str {
+        match self {
+            Request::Ping => "ping",
+            Request::Submit { .. } => "submit",
+            Request::Status { .. } => "status",
+            Request::List => "list",
+            Request::Wait { .. } => "wait",
+            Request::Shutdown => "shutdown",
+        }
+    }
+
+    /// Serializes the request as one line (no trailing newline);
+    /// [`parse_request`] inverts it. False `wait`/`stream` flags are left
+    /// out, as the parser defaults them.
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_object().key("cmd").str(self.cmd());
+        match self {
+            Request::Submit { spec, wait, stream } => {
+                spec.write_json(w.key("job"));
+                if *wait {
+                    w.key("wait").bool(true);
+                }
+                if *stream {
+                    w.key("stream").bool(true);
+                }
+            }
+            Request::Status { tenant, session } | Request::Wait { tenant, session } => {
+                w.key("tenant").str(tenant);
+                w.key("session").str(session);
+            }
+            Request::Ping | Request::List | Request::Shutdown => {}
+        }
+        w.end_object();
+        w.finish()
+    }
 }
 
 /// Parses one request line.
@@ -125,34 +170,62 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
     }
 }
 
-/// `{"ok": true}` with extra pre-rendered `"key": value` fields.
-pub fn ok_frame(fields: &[(&str, String)]) -> String {
-    let mut out = String::from("{\"ok\": true");
-    for (key, value) in fields {
-        out.push_str(&format!(", \"{key}\": {value}"));
-    }
-    out.push('}');
-    out
+/// `{"ok": true}` followed by the fields `fields` writes.
+pub fn ok_frame(fields: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object().key("ok").bool(true);
+    fields(&mut w);
+    w.end_object();
+    w.finish()
 }
 
 /// The error frame for `e`: stable `kind`, human `message`, and (for
 /// admission rejections) the `active`/`cap` numbers for client backoff.
 pub fn error_frame(e: &ServeError) -> String {
-    let mut inner = format!(
-        "{{\"kind\": {}, \"message\": {}",
-        quote(e.kind()),
-        quote(&e.to_string())
-    );
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("ok").bool(false);
+    w.key("error").begin_object();
+    w.key("kind").str(e.kind());
+    w.key("message").str(&e.to_string());
     if let ServeError::AdmissionRejected { active, cap } = e {
-        inner.push_str(&format!(", \"active\": {active}, \"cap\": {cap}"));
+        w.key("active").usize(*active);
+        w.key("cap").usize(*cap);
     }
-    inner.push('}');
-    format!("{{\"ok\": false, \"error\": {inner}}}")
+    w.end_object();
+    w.end_object();
+    w.finish()
 }
 
-/// An event frame wrapping one already-serialized `TraceEvent` line.
-pub fn event_frame(event_json: &str) -> String {
-    format!("{{\"ok\": true, \"event\": {event_json}}}")
+/// The frame reporting a session's state (the answer to `submit` and
+/// `status`); a failed session also carries its message.
+pub(crate) fn state_frame(state: &SessionState) -> String {
+    ok_frame(|w| {
+        w.key("state").str(state.name());
+        if let SessionState::Failed { message } = state {
+            w.key("message").str(message);
+        }
+    })
+}
+
+/// The answer to `list`: one row per session.
+pub(crate) fn list_frame(sessions: &[(SessionKey, SessionState)]) -> String {
+    ok_frame(|w| {
+        w.key("sessions").begin_array();
+        for ((tenant, session), state) in sessions {
+            w.begin_object();
+            w.key("tenant").str(tenant);
+            w.key("session").str(session);
+            w.key("state").str(state.name());
+            w.end_object();
+        }
+        w.end_array();
+    })
+}
+
+/// An event frame wrapping one streamed `TraceEvent`.
+pub fn event_frame(event: &TraceEvent) -> String {
+    ok_frame(|w| event.write_json(w.key("event")))
 }
 
 /// Whether a response frame reports success (`"ok": true`). Unparsable
@@ -174,10 +247,10 @@ pub fn frame_is_event(line: &str) -> bool {
 
 /// The terminal frame of a successful `wait`/waiting `submit`.
 pub fn finished_frame(result: &SessionResult) -> String {
-    ok_frame(&[
-        ("state", "\"finished\"".to_string()),
-        ("result", result.to_json()),
-    ])
+    ok_frame(|w| {
+        w.key("state").str("finished");
+        result.write_json(w.key("result"));
+    })
 }
 
 #[cfg(test)]
@@ -189,6 +262,9 @@ mod tests {
     #[test]
     fn requests_parse() {
         assert_eq!(parse_request(r#"{"cmd": "ping"}"#).unwrap(), Request::Ping);
+        // What `Request::to_json` writes is the compact spelling of the same
+        // line (the fuzz suite in `tests/parsers.rs` round-trips every kind).
+        assert_eq!(Request::Ping.to_json(), r#"{"cmd":"ping"}"#);
         assert_eq!(parse_request(r#"{"cmd": "list"}"#).unwrap(), Request::List);
         assert_eq!(
             parse_request(r#"{"cmd": "shutdown"}"#).unwrap(),
@@ -232,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn frames_are_parsable_json() {
+    fn frames_are_compact_and_parsable() {
         let err = ServeError::AdmissionRejected { active: 4, cap: 4 };
         let frame = error_frame(&err);
         let doc = json::parse(&frame).unwrap();
@@ -245,12 +321,47 @@ mod tests {
         assert_eq!(e.get("active").and_then(JsonValue::as_usize), Some(4));
         assert_eq!(e.get("cap").and_then(JsonValue::as_usize), Some(4));
 
-        let ok = ok_frame(&[("state", "\"queued\"".to_string())]);
-        let doc = json::parse(&ok).unwrap();
-        assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(true));
-        assert_eq!(doc.get("state").and_then(JsonValue::as_str), Some("queued"));
+        assert_eq!(ok_frame(|_| {}), r#"{"ok":true}"#);
+        assert_eq!(
+            state_frame(&SessionState::Queued),
+            r#"{"ok":true,"state":"queued"}"#
+        );
+        let failed = SessionState::Failed {
+            message: "a \"quoted\" reason".into(),
+        };
+        assert_eq!(
+            state_frame(&failed),
+            r#"{"ok":true,"state":"failed","message":"a \"quoted\" reason"}"#
+        );
+        let rows = [
+            (("t".to_string(), "a".to_string()), SessionState::Running),
+            (("t".to_string(), "b".to_string()), SessionState::Finished),
+        ];
+        assert_eq!(
+            list_frame(&rows),
+            r#"{"ok":true,"sessions":[{"tenant":"t","session":"a","state":"running"},{"tenant":"t","session":"b","state":"finished"}]}"#
+        );
+        assert_eq!(list_frame(&[]), r#"{"ok":true,"sessions":[]}"#);
 
-        let ev = event_frame(r#"{"event": "step_started", "step": 1}"#);
-        assert!(json::parse(&ev).unwrap().get("event").is_some());
+        let event = TraceEvent::StepStarted {
+            step: 1,
+            observed: [8, 5, 3],
+        };
+        let ev = event_frame(&event);
+        assert_eq!(ev, format!(r#"{{"ok":true,"event":{}}}"#, event.to_json()));
+        assert!(frame_is_ok(&ev) && frame_is_event(&ev));
+
+        let result = SessionResult {
+            evaluated: 2,
+            sim_seconds_bits: 7,
+            pareto_bits: vec![[1, 2, 3]],
+        };
+        let done = finished_frame(&result);
+        assert!(frame_is_ok(&done) && !frame_is_event(&done));
+        let doc = json::parse(&done).unwrap();
+        assert_eq!(
+            SessionResult::from_json(doc.get("result").unwrap()).unwrap(),
+            result
+        );
     }
 }

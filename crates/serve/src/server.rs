@@ -9,8 +9,8 @@
 
 use crate::engine::Engine;
 use crate::error::ServeError;
-use crate::protocol::{self, quote, Request};
-use crate::session::{SessionResult, SessionState};
+use crate::protocol::{self, Request};
+use crate::session::SessionResult;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -214,14 +214,6 @@ fn respond(writer: &mut (impl Write + ?Sized), frame: &str) -> std::io::Result<(
     writer.flush()
 }
 
-fn state_frame(state: &SessionState) -> String {
-    let mut fields = vec![("state", quote(state.name()))];
-    if let SessionState::Failed { message } = state {
-        fields.push(("message", quote(message)));
-    }
-    protocol::ok_frame(&fields)
-}
-
 fn handle_request(
     line: &str,
     engine: &Arc<Engine>,
@@ -235,31 +227,16 @@ fn handle_request(
         }
     };
     match request {
-        Request::Ping => respond(writer, &protocol::ok_frame(&[]))?,
+        Request::Ping => respond(writer, &protocol::ok_frame(|_| {}))?,
         Request::Shutdown => {
-            respond(writer, &protocol::ok_frame(&[]))?;
+            respond(writer, &protocol::ok_frame(|_| {}))?;
             return Ok(Disposition::Shutdown);
         }
         Request::Status { tenant, session } => match engine.status(&tenant, &session) {
-            Ok(state) => respond(writer, &state_frame(&state))?,
+            Ok(state) => respond(writer, &protocol::state_frame(&state))?,
             Err(e) => respond(writer, &protocol::error_frame(&e))?,
         },
-        Request::List => {
-            let rows: Vec<String> = engine
-                .list()
-                .into_iter()
-                .map(|((tenant, session), state)| {
-                    format!(
-                        "{{\"tenant\": {}, \"session\": {}, \"state\": {}}}",
-                        quote(&tenant),
-                        quote(&session),
-                        quote(state.name())
-                    )
-                })
-                .collect();
-            let frame = protocol::ok_frame(&[("sessions", format!("[{}]", rows.join(", ")))]);
-            respond(writer, &frame)?;
-        }
+        Request::List => respond(writer, &protocol::list_frame(&engine.list()))?,
         Request::Wait { tenant, session } => {
             respond_result(writer, engine.wait(&tenant, &session))?;
         }
@@ -275,12 +252,12 @@ fn handle_request(
             match engine.submit(*spec, events) {
                 Err(e) => respond(writer, &protocol::error_frame(&e))?,
                 Ok(state) => {
-                    respond(writer, &state_frame(&state))?;
+                    respond(writer, &protocol::state_frame(&state))?;
                     if let Some(rx) = rx {
                         // The engine drops the sender when the session
                         // completes, ending this loop.
-                        while let Ok(event_json) = rx.recv() {
-                            respond(writer, &protocol::event_frame(&event_json))?;
+                        while let Ok(event) = rx.recv() {
+                            respond(writer, &protocol::event_frame(&event))?;
                         }
                     }
                     if wait || stream {

@@ -13,9 +13,11 @@
 //! `job.json` without `result.json` marks a session as *unfinished*: daemon
 //! recovery re-enqueues exactly those, and `run_with_checkpoints` resumes
 //! them from `checkpoint.json` bit-identically. All one-shot files are
-//! written temp-then-rename so a kill can only ever leave the previous
-//! complete version (the journal instead recovers its torn tail on resume,
-//! see `trace::recover_journal`).
+//! written with `trace::write_atomic` (temp file, then rename), so a kill
+//! can only ever leave the previous complete version (the journal instead
+//! recovers its torn tail on resume, see `trace::recover_journal`). Every
+//! file is one compact JSON document per line, written by
+//! `trace::json::JsonWriter`.
 
 use crate::error::ServeError;
 use crate::job::JobSpec;
@@ -23,7 +25,7 @@ use cmmf::RunResult;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use trace::json::{self, JsonValue};
+use trace::json::{self, JsonValue, JsonWriter};
 
 /// The file layout of one session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,19 +62,6 @@ impl SessionPaths {
     pub fn result(&self) -> PathBuf {
         self.dir.join("result.json")
     }
-}
-
-/// Writes `text` to `path` atomically (temp file + rename in the same
-/// directory), so readers and crash recovery only ever observe a complete
-/// file.
-///
-/// # Errors
-///
-/// [`ServeError::Storage`] with the destination path.
-pub fn write_atomic(path: &Path, text: &str) -> Result<(), ServeError> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, text).map_err(|e| ServeError::storage(&tmp, e))?;
-    fs::rename(&tmp, path).map_err(|e| ServeError::storage(path, e))
 }
 
 /// A session's lifecycle state.
@@ -143,17 +132,23 @@ impl SessionResult {
 
     /// Serializes to one line of JSON (no trailing newline).
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .pareto_bits
-            .iter()
-            .map(|p| format!("[{}, {}, {}]", p[0], p[1], p[2]))
-            .collect();
-        format!(
-            "{{\"evaluated\": {}, \"sim_seconds_bits\": {}, \"pareto_bits\": [{}]}}",
-            self.evaluated,
-            self.sim_seconds_bits,
-            rows.join(", ")
-        )
+        let mut w = JsonWriter::with_capacity(64 + 64 * self.pareto_bits.len());
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes the [`SessionResult::to_json`] object into `w`, so a caller can
+    /// embed the manifest in a larger document (the `finished` frame).
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("evaluated").usize(self.evaluated);
+        w.key("sim_seconds_bits").u64(self.sim_seconds_bits);
+        w.key("pareto_bits").begin_array();
+        for p in &self.pareto_bits {
+            w.u64s(p);
+        }
+        w.end_array();
+        w.end_object();
     }
 
     /// Parses a manifest from JSON text.
@@ -215,7 +210,7 @@ impl SessionResult {
     ///
     /// [`ServeError::Storage`].
     pub fn save(&self, path: &Path) -> Result<(), ServeError> {
-        write_atomic(path, &format!("{}\n", self.to_json()))
+        save_line(path, self.to_json())
     }
 
     /// Loads a manifest from `path`.
@@ -237,7 +232,14 @@ impl SessionResult {
 /// [`ServeError::Storage`].
 pub fn persist_job(paths: &SessionPaths, spec: &JobSpec) -> Result<(), ServeError> {
     fs::create_dir_all(&paths.dir).map_err(|e| ServeError::storage(&paths.dir, e))?;
-    write_atomic(&paths.job(), &format!("{}\n", spec.to_json()))
+    save_line(&paths.job(), spec.to_json())
+}
+
+/// Writes one JSON document plus a newline to `path` with
+/// [`trace::write_atomic`].
+fn save_line(path: &Path, mut json: String) -> Result<(), ServeError> {
+    json.push('\n');
+    trace::write_atomic(path, &json).map_err(|e| ServeError::storage(path, e))
 }
 
 #[cfg(test)]
@@ -252,16 +254,14 @@ mod tests {
             pareto_bits: vec![[1, 2, 3], [u64::MAX, 0, 42]],
         };
         assert_eq!(SessionResult::parse(&r.to_json()).unwrap(), r);
-    }
-
-    #[test]
-    fn atomic_write_replaces_content() {
-        let dir = std::env::temp_dir().join(format!("cmmf-serve-session-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("result.json");
-        write_atomic(&path, "first").unwrap();
-        write_atomic(&path, "second").unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "second");
-        fs::remove_dir_all(&dir).unwrap();
+        // The manifest as written before result files took the compact
+        // layout, byte for byte: it still loads as the same result.
+        let old = r#"{"evaluated": 17, "sim_seconds_bits": 4638387860618067968, "pareto_bits": [[1, 2, 3], [18446744073709551615, 0, 42]]}"#;
+        assert_ne!(old, r.to_json());
+        assert_eq!(SessionResult::parse(old).unwrap(), r);
+        assert_eq!(
+            r.to_json(),
+            r#"{"evaluated":17,"sim_seconds_bits":4638387860618067968,"pareto_bits":[[1,2,3],[18446744073709551615,0,42]]}"#
+        );
     }
 }

@@ -176,8 +176,8 @@ fn a_version_2_checkpoint_fails_its_session_until_the_operator_removes_it() {
         .expect("prefix run succeeds")
         .to_json();
     let v2 = v3.replacen(
-        &format!("\"version\": {CHECKPOINT_VERSION}"),
-        "\"version\": 2",
+        &format!("\"version\":{CHECKPOINT_VERSION}"),
+        "\"version\":2",
         1,
     );
     assert_ne!(v2, v3);

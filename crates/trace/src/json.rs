@@ -1,8 +1,8 @@
-//! A minimal JSON reader/writer, just big enough for the journal and
-//! checkpoint formats.
+//! A minimal JSON reader and writer, just big enough for the journal,
+//! checkpoint, session and protocol formats.
 //!
 //! The build environment has no crates.io access, so (like the in-tree
-//! `rand`/`rayon` subsets) this module stands in for `serde_json`. Two design
+//! `rand`/`rayon` subsets) this module stands in for `serde_json`. Three design
 //! points matter for the formats built on it:
 //!
 //! * **Numbers keep their raw token.** `u64` bit patterns of `f64` values
@@ -11,19 +11,32 @@
 //!   `f64` would corrupt it).
 //! * **Objects keep insertion order**, so serializing is deterministic and
 //!   schema tests can pin exact byte output.
+//! * **One writer, one layout.** Every document the optimizer and the daemon
+//!   write goes through [`JsonWriter`], which streams values into one
+//!   `String` with no whitespace and no intermediate [`JsonValue`] tree. The
+//!   parser accepts any whitespace, so files written in an older, indented
+//!   layout still load.
 //!
 //! # Examples
 //!
 //! ```
-//! use cmmf_trace::json::{parse, JsonValue};
+//! use cmmf_trace::json::{parse, JsonValue, JsonWriter};
 //!
 //! let v = parse(r#"{"step": 3, "hv": [0.5, 1.25], "done": false}"#).unwrap();
 //! assert_eq!(v.get("step").and_then(JsonValue::as_u64), Some(3));
 //! assert_eq!(v.get("hv").unwrap().as_array().unwrap().len(), 2);
 //! assert_eq!(v.get("done").and_then(JsonValue::as_bool), Some(false));
+//!
+//! let mut w = JsonWriter::new();
+//! w.begin_object()
+//!     .key("step").usize(3)
+//!     .key("hv").f64s(&[0.5, 1.25])
+//!     .key("done").bool(false)
+//!     .end_object();
+//! assert_eq!(w.finish(), r#"{"step":3,"hv":[0.5,1.25],"done":false}"#);
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Numbers keep their raw source token (see the module
 /// docs for why).
@@ -129,6 +142,7 @@ impl std::error::Error for JsonError {}
 /// [`JsonError`] with the byte offset of the first offending character.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -142,6 +156,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -272,16 +287,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    // `peek()` returned Some, so `rest` is non-empty; treat
-                    // the impossible empty case as an unterminated string.
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.err("unterminated string"));
+                    // Copy the run up to the next quote or backslash in one
+                    // step. Both are ASCII, so the run ends on a char
+                    // boundary, and the input is already a `&str`: nothing
+                    // is re-validated, and parsing stays linear in the input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let Some(text) = self.input.get(self.pos..self.pos + run) else {
+                        return Err(self.err("invalid utf-8"));
                     };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -339,10 +357,162 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escapes `s` for inclusion inside a JSON string literal (no surrounding
-/// quotes added).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// A compact, streaming JSON writer: the one way the optimizer and the daemon
+/// write JSON.
+///
+/// Values are appended to one `String` as they are written, with no
+/// whitespace and no intermediate tree; object keys appear in the order they
+/// are written. Separators are placed automatically. Nesting is the
+/// caller's: every `begin_*` needs its `end_*`, and inside an object every
+/// value follows a [`JsonWriter::key`]. Every method returns `&mut Self`, so
+/// fields chain.
+///
+/// Numbers: integers are written exactly; finite `f64`s use Rust's shortest
+/// round-trip formatting (always with a `.` or an exponent), and non-finite
+/// ones — which JSON cannot represent — become `null`.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Whether the next key or value needs a `,` before it.
+    comma: bool,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty writer whose buffer holds `bytes` before it reallocates.
+    pub fn with_capacity(bytes: usize) -> Self {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            comma: false,
+        }
+    }
+
+    /// The document written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Starts a value: the separator from the previous sibling, if any.
+    fn value(&mut self) -> &mut String {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+        &mut self.out
+    }
+
+    /// Opens an object (`{`).
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.value().push('{');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost object (`}`).
+    pub fn end_object(&mut self) -> &mut Self {
+        self.out.push('}');
+        self.comma = true;
+        self
+    }
+
+    /// Opens an array (`[`).
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.value().push('[');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost array (`]`).
+    pub fn end_array(&mut self) -> &mut Self {
+        self.out.push(']');
+        self.comma = true;
+        self
+    }
+
+    /// Writes an object key; the next value written is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        let out = self.value();
+        out.push('"');
+        escape(out, key);
+        out.push_str("\":");
+        self.comma = false;
+        self
+    }
+
+    /// Writes a string value.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        let out = self.value();
+        out.push('"');
+        escape(out, s);
+        out.push('"');
+        self
+    }
+
+    /// Writes an unsigned integer value.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.value(), "{v}");
+        self
+    }
+
+    /// Writes an unsigned integer value.
+    pub fn usize(&mut self, v: usize) -> &mut Self {
+        let _ = write!(self.value(), "{v}");
+        self
+    }
+
+    /// Writes a floating-point value (`null` when not finite).
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        num(self.value(), v);
+        self
+    }
+
+    /// Writes a boolean value.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.value().push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.value().push_str("null");
+        self
+    }
+
+    /// Writes an array of unsigned integers.
+    pub fn u64s(&mut self, values: &[u64]) -> &mut Self {
+        self.begin_array();
+        for &v in values {
+            self.u64(v);
+        }
+        self.end_array()
+    }
+
+    /// Writes an array of unsigned integers.
+    pub fn usizes(&mut self, values: &[usize]) -> &mut Self {
+        self.begin_array();
+        for &v in values {
+            self.usize(v);
+        }
+        self.end_array()
+    }
+
+    /// Writes an array of floating-point values (`null` for non-finite ones).
+    pub fn f64s(&mut self, values: &[f64]) -> &mut Self {
+        self.begin_array();
+        for &v in values {
+            self.f64(v);
+        }
+        self.end_array()
+    }
+}
+
+/// Appends `s` escaped for the inside of a JSON string literal (no quotes).
+fn escape(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -350,23 +520,21 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Formats an `f64` as a JSON number token. Finite values use Rust's shortest
-/// round-trip formatting (always containing a `.` or exponent); non-finite
-/// values — which JSON cannot represent — become `null`.
-pub fn num(v: f64) -> String {
+/// Appends `v` as a JSON number token: Rust's shortest round-trip
+/// formatting for finite values, `null` otherwise.
+fn num(out: &mut String, v: f64) {
     if v.is_finite() {
-        let s = format!("{v:?}");
-        debug_assert!(s.parse::<f64>() == Ok(v));
-        s
+        let _ = write!(out, "{v:?}");
     } else {
-        "null".into()
+        out.push_str("null");
     }
 }
 
@@ -405,20 +573,96 @@ mod tests {
     }
 
     #[test]
-    fn escape_round_trips_through_parse() {
-        let nasty = "a\"b\\c\nd\te\u{1}";
-        let doc = format!("{{\"k\": \"{}\"}}", escape(nasty));
+    fn escaped_strings_round_trip_through_parse() {
+        let nasty = "a\"b\\c\nd\te\u{1}\u{1f}é — ✓";
+        let mut w = JsonWriter::new();
+        w.begin_object().key(nasty).str(nasty).end_object();
+        let doc = w.finish();
+        assert_eq!(doc, "{\"a\\\"b\\\\c\\nd\\te\\u0001\\u001fé — ✓\":\"a\\\"b\\\\c\\nd\\te\\u0001\\u001fé — ✓\"}");
         let v = parse(&doc).unwrap();
-        assert_eq!(v.get("k").and_then(JsonValue::as_str), Some(nasty));
+        assert_eq!(v.get(nasty).and_then(JsonValue::as_str), Some(nasty));
     }
 
     #[test]
-    fn num_round_trips_f64() {
-        for x in [0.0, -1.5, 1.0 / 3.0, 1e300, f64::MIN_POSITIVE] {
-            assert_eq!(num(x).parse::<f64>().unwrap().to_bits(), x.to_bits());
+    fn floats_round_trip_and_non_finite_ones_are_null() {
+        let xs = [0.0, -0.0, -1.5, 1.0 / 3.0, 1e300, f64::MIN_POSITIVE];
+        let mut w = JsonWriter::new();
+        w.f64s(&xs);
+        let v = parse(&w.finish()).unwrap();
+        let back: Vec<u64> = v
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|x| x.as_f64().unwrap().to_bits())
+            .collect();
+        assert_eq!(back, xs.map(f64::to_bits));
+        let mut w = JsonWriter::new();
+        w.f64s(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0]);
+        assert_eq!(w.finish(), "[null,null,null,1.0]");
+    }
+
+    #[test]
+    fn writer_places_separators_in_the_compact_layout() {
+        let mut w = JsonWriter::new();
+        w.begin_object()
+            .key("empty_object")
+            .begin_object()
+            .end_object()
+            .key("empty_array")
+            .begin_array()
+            .end_array()
+            .key("nested")
+            .begin_array()
+            .u64s(&[u64::MAX, 0])
+            .usizes(&[])
+            .begin_object()
+            .key("k")
+            .null()
+            .end_object()
+            .end_array()
+            .key("flags")
+            .begin_array()
+            .bool(true)
+            .bool(false)
+            .end_array()
+            .end_object();
+        assert_eq!(
+            w.finish(),
+            r#"{"empty_object":{},"empty_array":[],"nested":[[18446744073709551615,0],[],{"k":null}],"flags":[true,false]}"#
+        );
+        // Top-level scalars and arrays are documents too.
+        let mut w = JsonWriter::new();
+        w.str("x");
+        assert_eq!(w.finish(), r#""x""#);
+    }
+
+    #[test]
+    fn parsing_is_linear_in_the_document() {
+        // The daemon parses request lines of any length, so parsing must be
+        // linear in the document: re-scanning the rest of the input for each
+        // character would take minutes on this 2 MB string, and as long on
+        // many short strings of the same total size, so both shapes are timed.
+        let long = "x".repeat(2 << 20);
+        let mut w = JsonWriter::with_capacity(long.len() + 16);
+        w.begin_object().key("s").str(&long).end_object();
+        let one_string = w.finish();
+        let mut w = JsonWriter::new();
+        w.begin_array();
+        for i in 0..200_000 {
+            w.str(if i % 2 == 0 { "ab" } else { "é\"" });
         }
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
+        w.end_array();
+        let many_strings = w.finish();
+        let clock = crate::Stopwatch::start();
+        let v = parse(&one_string).unwrap();
+        assert_eq!(
+            v.get("s").and_then(JsonValue::as_str).map(str::len),
+            Some(2 << 20)
+        );
+        let v = parse(&many_strings).unwrap();
+        assert_eq!(v.as_array().map(<[JsonValue]>::len), Some(200_000));
+        let seconds = clock.seconds();
+        assert!(seconds < 1.0, "parsing took {seconds} s");
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //! * [`JsonlTracer`] — appends one JSON object per event to a journal file
 //!   (JSON Lines). The schema is pinned by tests; see [`TraceEvent::to_json`].
 //!
-//! The [`json`] module is the minimal JSON reader/writer behind the journal
-//! and the optimizer's checkpoint format.
+//! The [`json`] module is the minimal JSON reader and the one writer behind
+//! the journal, the optimizer's checkpoint and the daemon's files and frames;
+//! [`write_atomic`] is the one temp-file-then-rename write they are saved
+//! with.
 //!
 //! # Examples
 //!
@@ -234,24 +236,29 @@ impl TraceEvent {
     /// line format of [`JsonlTracer`]. Field names and order are a stable
     /// schema, pinned by this crate's tests; non-finite floats become `null`.
     pub fn to_json(&self) -> String {
-        use json::num;
-        let head = format!("{{\"event\":\"{}\"", self.kind());
-        let body = match self {
+        let mut w = json::JsonWriter::with_capacity(160);
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes the [`TraceEvent::to_json`] object into `w`, so a caller can
+    /// embed the event in a larger document (the daemon's event frames).
+    pub fn write_json(&self, w: &mut json::JsonWriter) {
+        w.begin_object().key("event").str(self.kind());
+        match self {
             TraceEvent::RunStarted {
                 seed,
                 n_iter,
                 resumed_at,
-            } => format!(
-                ",\"seed\":{seed},\"n_iter\":{n_iter},\"resumed_at\":{}",
-                match resumed_at {
-                    Some(k) => k.to_string(),
-                    None => "null".into(),
-                }
-            ),
-            TraceEvent::StepStarted { step, observed } => format!(
-                ",\"step\":{step},\"observed\":[{},{},{}]",
-                observed[0], observed[1], observed[2]
-            ),
+            } => {
+                w.key("seed").u64(*seed);
+                w.key("n_iter").usize(*n_iter);
+                opt_usize(w.key("resumed_at"), *resumed_at);
+            }
+            TraceEvent::StepStarted { step, observed } => {
+                w.key("step").usize(*step);
+                w.key("observed").usizes(observed);
+            }
             TraceEvent::ModelFit {
                 step,
                 fit_mode,
@@ -260,12 +267,15 @@ impl TraceEvent {
                 restarts_run,
                 warm_start_hits,
                 warm_start_misses,
-            } => format!(
-                ",\"step\":{step},\"fit_mode\":\"{fit_mode}\",\"seconds\":{},\
-                 \"nll_evals\":{nll_evals},\"restarts_run\":{restarts_run},\
-                 \"warm_start_hits\":{warm_start_hits},\"warm_start_misses\":{warm_start_misses}",
-                num(*seconds)
-            ),
+            } => {
+                w.key("step").usize(*step);
+                w.key("fit_mode").str(fit_mode);
+                w.key("seconds").f64(*seconds);
+                w.key("nll_evals").usize(*nll_evals);
+                w.key("restarts_run").usize(*restarts_run);
+                w.key("warm_start_hits").usize(*warm_start_hits);
+                w.key("warm_start_misses").usize(*warm_start_misses);
+            }
             TraceEvent::AcquisitionScored {
                 step,
                 slot,
@@ -275,27 +285,29 @@ impl TraceEvent {
                 eipv,
                 penalized,
                 seconds,
-            } => format!(
-                ",\"step\":{step},\"slot\":{slot},\"config\":{config},\"fidelity\":{fidelity},\
-                 \"candidates\":{candidates},\"eipv\":{},\"penalized\":{},\"seconds\":{}",
-                num(*eipv),
-                num(*penalized),
-                num(*seconds)
-            ),
+            } => {
+                w.key("step").usize(*step);
+                w.key("slot").usize(*slot);
+                w.key("config").usize(*config);
+                w.key("fidelity").usize(*fidelity);
+                w.key("candidates").usize(*candidates);
+                w.key("eipv").f64(*eipv);
+                w.key("penalized").f64(*penalized);
+                w.key("seconds").f64(*seconds);
+            }
             TraceEvent::ToolRun {
                 step,
                 config,
                 stage,
                 seconds,
                 valid,
-            } => format!(
-                ",\"step\":{},\"config\":{config},\"stage\":\"{stage}\",\"seconds\":{},\"valid\":{valid}",
-                match step {
-                    Some(s) => s.to_string(),
-                    None => "null".into(),
-                },
-                num(*seconds)
-            ),
+            } => {
+                opt_usize(w.key("step"), *step);
+                w.key("config").usize(*config);
+                w.key("stage").str(stage);
+                w.key("seconds").f64(*seconds);
+                w.key("valid").bool(*valid);
+            }
             TraceEvent::RunDispatched {
                 seq,
                 step,
@@ -304,16 +316,15 @@ impl TraceEvent {
                 clock,
                 finish,
                 in_flight,
-            } => format!(
-                ",\"seq\":{seq},\"step\":{},\"config\":{config},\"fidelity\":{fidelity},\
-                 \"clock\":{},\"finish\":{},\"in_flight\":{in_flight}",
-                match step {
-                    Some(s) => s.to_string(),
-                    None => "null".into(),
-                },
-                num(*clock),
-                num(*finish)
-            ),
+            } => {
+                w.key("seq").usize(*seq);
+                opt_usize(w.key("step"), *step);
+                w.key("config").usize(*config);
+                w.key("fidelity").usize(*fidelity);
+                w.key("clock").f64(*clock);
+                w.key("finish").f64(*finish);
+                w.key("in_flight").usize(*in_flight);
+            }
             TraceEvent::RunCompleted {
                 seq,
                 step,
@@ -321,51 +332,56 @@ impl TraceEvent {
                 fidelity,
                 clock,
                 in_flight,
-            } => format!(
-                ",\"seq\":{seq},\"step\":{},\"config\":{config},\"fidelity\":{fidelity},\
-                 \"clock\":{},\"in_flight\":{in_flight}",
-                match step {
-                    Some(s) => s.to_string(),
-                    None => "null".into(),
-                },
-                num(*clock)
-            ),
+            } => {
+                w.key("seq").usize(*seq);
+                opt_usize(w.key("step"), *step);
+                w.key("config").usize(*config);
+                w.key("fidelity").usize(*fidelity);
+                w.key("clock").f64(*clock);
+                w.key("in_flight").usize(*in_flight);
+            }
             TraceEvent::FrontUpdated {
                 step,
                 hv,
                 front_sizes,
-            } => format!(
-                ",\"step\":{step},\"hv\":[{},{},{}],\"front_sizes\":[{},{},{}]",
-                num(hv[0]),
-                num(hv[1]),
-                num(hv[2]),
-                front_sizes[0],
-                front_sizes[1],
-                front_sizes[2]
-            ),
+            } => {
+                w.key("step").usize(*step);
+                w.key("hv").f64s(hv);
+                w.key("front_sizes").usizes(front_sizes);
+            }
             TraceEvent::CheckpointWritten { step, bytes } => {
-                format!(",\"step\":{step},\"bytes\":{bytes}")
+                w.key("step").usize(*step);
+                w.key("bytes").usize(*bytes);
             }
             TraceEvent::RunFinished {
                 steps,
                 sim_seconds,
                 pareto_points,
-            } => format!(
-                ",\"steps\":{steps},\"sim_seconds\":{},\"pareto_points\":{pareto_points}",
-                num(*sim_seconds)
-            ),
+            } => {
+                w.key("steps").usize(*steps);
+                w.key("sim_seconds").f64(*sim_seconds);
+                w.key("pareto_points").usize(*pareto_points);
+            }
             TraceEvent::RepeatFinished {
                 repeat,
                 adrs,
                 sim_seconds,
-            } => format!(
-                ",\"repeat\":{repeat},\"adrs\":{},\"sim_seconds\":{}",
-                num(*adrs),
-                num(*sim_seconds)
-            ),
-        };
-        format!("{head}{body}}}")
+            } => {
+                w.key("repeat").usize(*repeat);
+                w.key("adrs").f64(*adrs);
+                w.key("sim_seconds").f64(*sim_seconds);
+            }
+        }
+        w.end_object();
     }
+}
+
+/// Writes `v`, or `null` for `None`.
+fn opt_usize(w: &mut json::JsonWriter, v: Option<usize>) {
+    match v {
+        Some(v) => w.usize(v),
+        None => w.null(),
+    };
 }
 
 /// A sink for [`TraceEvent`]s.
@@ -674,6 +690,23 @@ pub fn recover_journal(path: &Path) -> std::io::Result<JournalRecovery> {
         complete_records: records,
         torn_bytes: torn,
     })
+}
+
+/// Writes `contents` to `path` atomically: into a temporary file in the same
+/// directory (`path` with the extension `tmp`), then renamed over `path`. A
+/// kill mid-write leaves the previous version intact, so readers and crash
+/// recovery only ever see a complete file. This is the one atomic write of
+/// the workspace: checkpoints and the daemon's session files all go through
+/// it. It does not fsync; a checkpoint is saved after every step, and a disk
+/// flush per save would dominate short sessions.
+///
+/// # Errors
+///
+/// Any [`std::io::Error`] from writing the temporary file or renaming it.
+pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path)
 }
 
 impl JsonlTracer {
@@ -1147,6 +1180,20 @@ mod tests {
         assert_eq!(std::fs::read(&ok).unwrap(), before);
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn atomic_write_replaces_content_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("cmmf-atomic-write-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("result.json");
+        write_atomic(&path, "first").unwrap();
+        write_atomic(&path, "second").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
+        assert!(!path.with_extension("tmp").exists());
+        // A missing directory is an error, not a panic.
+        assert!(write_atomic(&dir.join("missing").join("x.json"), "x").is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

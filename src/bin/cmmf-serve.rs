@@ -31,7 +31,7 @@
 
 use cmmf_hls::cli::{ArgStream, CliError, JobFlags};
 use cmmf_hls::serve::{
-    protocol, Client, Endpoint, Engine, EngineConfig, JobSpec, Overrides, Problem, Server,
+    protocol, Client, Endpoint, Engine, EngineConfig, JobSpec, Overrides, Problem, Request, Server,
 };
 use std::io::Write;
 use std::path::PathBuf;
@@ -332,26 +332,24 @@ fn dispatch(parsed: Parsed) -> Result<bool, String> {
     match parsed {
         Parsed::Help => Ok(true),
         Parsed::Daemon(args) => run_daemon(&args).map(|()| true),
-        Parsed::Ping(ep) => one_shot(&ep, r#"{"cmd": "ping"}"#.to_string()),
-        Parsed::List(ep) => one_shot(&ep, r#"{"cmd": "list"}"#.to_string()),
-        Parsed::Shutdown(ep) => one_shot(&ep, r#"{"cmd": "shutdown"}"#.to_string()),
+        Parsed::Ping(ep) => one_shot(&ep, &Request::Ping),
+        Parsed::List(ep) => one_shot(&ep, &Request::List),
+        Parsed::Shutdown(ep) => one_shot(&ep, &Request::Shutdown),
         Parsed::Status(a) => one_shot(
             &a.connect,
-            format!(
-                "{{\"cmd\": \"status\", \"tenant\": {}, \"session\": {}}}",
-                protocol::quote(&a.tenant),
-                protocol::quote(&a.session)
-            ),
+            &Request::Status {
+                tenant: a.tenant,
+                session: a.session,
+            },
         ),
         Parsed::Wait(a) => one_shot(
             &a.connect,
-            format!(
-                "{{\"cmd\": \"wait\", \"tenant\": {}, \"session\": {}}}",
-                protocol::quote(&a.tenant),
-                protocol::quote(&a.session)
-            ),
+            &Request::Wait {
+                tenant: a.tenant,
+                session: a.session,
+            },
         ),
-        Parsed::Submit(args) => run_submit(&args),
+        Parsed::Submit(args) => run_submit(*args),
     }
 }
 
@@ -399,27 +397,29 @@ fn print_frame(line: &str) -> bool {
 
 /// Sends one request, prints every response frame, and reports whether all
 /// frames were `ok`.
-fn one_shot(endpoint: &Endpoint, request: String) -> Result<bool, String> {
+fn one_shot(endpoint: &Endpoint, request: &Request) -> Result<bool, String> {
     let mut client = Client::connect(endpoint).map_err(|e| e.to_string())?;
-    let frame = client.round_trip(&request).map_err(|e| e.to_string())?;
+    let frame = client
+        .round_trip(&request.to_json())
+        .map_err(|e| e.to_string())?;
     print_frame(&frame);
     Ok(protocol::frame_is_ok(&frame))
 }
 
-fn run_submit(args: &SubmitArgs) -> Result<bool, String> {
-    let mut request = format!("{{\"cmd\": \"submit\", \"job\": {}", args.spec.to_json());
-    if args.wait {
-        request.push_str(", \"wait\": true");
-    }
-    if args.stream {
-        request.push_str(", \"stream\": true");
-    }
-    request.push('}');
+fn run_submit(args: SubmitArgs) -> Result<bool, String> {
+    let holds_connection = args.wait || args.stream;
+    let request = Request::Submit {
+        spec: Box::new(args.spec),
+        wait: args.wait,
+        stream: args.stream,
+    };
     let mut client = Client::connect(&args.connect).map_err(|e| e.to_string())?;
-    let ack = client.round_trip(&request).map_err(|e| e.to_string())?;
+    let ack = client
+        .round_trip(&request.to_json())
+        .map_err(|e| e.to_string())?;
     let mut stdout_open = print_frame(&ack);
     let mut all_ok = protocol::frame_is_ok(&ack);
-    if all_ok && (args.wait || args.stream) {
+    if all_ok && holds_connection {
         // Event frames stream until the terminal frame; EOF before a
         // terminal frame means the daemon died mid-run. A closed stdout
         // only stops printing — the wait for the terminal frame (and the
