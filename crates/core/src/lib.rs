@@ -59,7 +59,7 @@ pub mod scheduler;
 
 pub use checkpoint::{RunCheckpoint, ScheduleEvent};
 pub use error::CmmfError;
-pub use models::{FidelityDataSet, FidelityModelStack, FitMode, ModelVariant};
+pub use models::{FidelityDataSet, FidelityModelStack, ModelVariant};
 pub use optimizer::{AsyncOptimizer, CandidateChoice, CmmfConfig, Optimizer, RunResult};
 // The observability layer (see ARCHITECTURE.md, "Observability & resume") —
 // re-exported so downstream code can attach a tracer without naming the

@@ -4,9 +4,7 @@
 
 use crate::CmmfError;
 use gp::kernel::{Matern52Ard, Matern52Grouped};
-use gp::multifidelity::{
-    FidelityData, LinearMultiFidelityGp, MultiFidelityConfig, NonLinearMultiFidelityGp,
-};
+use gp::multifidelity::{FidelityData, LinearMultiFidelityGp, NonLinearMultiFidelityGp};
 use gp::{FitStats, GpConfig, GpError, MultiTaskGp, MultiTaskPrediction, Prediction};
 use linalg::Matrix;
 
@@ -59,41 +57,6 @@ impl ModelVariant {
 impl Default for ModelVariant {
     fn default() -> Self {
         ModelVariant::paper()
-    }
-}
-
-/// How [`FidelityModelStack::fit`] treats the previous iteration's stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FitMode {
-    /// Full fit: re-run the marginal-likelihood hyperparameter search.
-    Optimize,
-    /// Reuse the previous stack's hyperparameters but rebuild every kernel
-    /// matrix and Cholesky factor from scratch — the reference
-    /// [`FitMode::Extend`] is pinned against; the optimizer loop never
-    /// selects it.
-    Refit,
-    /// Reuse the previous stack's hyperparameters *and* its cached kernel
-    /// matrices/factors, extending them with only the new rows
-    /// ([`MultiTaskGp::extend`] and friends). Bit-identical to
-    /// [`FitMode::Refit`]; models whose inputs did not merely grow fall back
-    /// to a full rebuild internally.
-    Extend,
-}
-
-impl FitMode {
-    /// Whether this mode carries hyperparameters over from the previous stack.
-    fn reuses_hyperparams(self) -> bool {
-        !matches!(self, FitMode::Optimize)
-    }
-
-    /// The lowercase mode name, the journal's `fit_mode` vocabulary
-    /// (`ModelFit` events).
-    pub fn name(self) -> &'static str {
-        match self {
-            FitMode::Optimize => "optimize",
-            FitMode::Refit => "refit",
-            FitMode::Extend => "extend",
-        }
     }
 }
 
@@ -160,15 +123,15 @@ pub enum FidelityModelStack {
 }
 
 impl FidelityModelStack {
-    /// Fits the stack selected by `variant` on `data`. When `previous` is the
-    /// stack from the last iteration and `mode` is not [`FitMode::Optimize`],
-    /// every variant re-uses the previous hyperparameters (linear backbones
-    /// are recomputed — they are closed-form) instead of re-running the
-    /// marginal-likelihood search; this is the cheap per-iteration update of
-    /// the BO loop, with full re-fits every `CmmfConfig::refit_every` steps.
-    /// [`FitMode::Extend`] additionally extends the cached Cholesky factors
-    /// instead of refactorizing, producing bit-identical results to
-    /// [`FitMode::Refit`].
+    /// Fits the stack selected by `variant` on `data`. With `previous` (the
+    /// stack from the last iteration), every sub-model re-uses that stack's
+    /// hyperparameters and is rebuilt on `data` from scratch (linear
+    /// backbones are recomputed — they are closed-form) instead of re-running
+    /// the marginal-likelihood search; this is the cheap per-iteration update
+    /// of the BO loop, with full searches every `CmmfConfig::refit_every`
+    /// steps. Every sub-model runs the search when `previous` is `None` or
+    /// another variant, and so does a correlated sub-model whose previous
+    /// model has another input dimension.
     ///
     /// # Errors
     ///
@@ -178,7 +141,6 @@ impl FidelityModelStack {
         data: &FidelityDataSet,
         gp_cfg: &GpConfig,
         previous: Option<&FidelityModelStack>,
-        mode: FitMode,
     ) -> Result<Self, CmmfError> {
         if data.any_empty() {
             return Err(CmmfError::Internal {
@@ -186,9 +148,9 @@ impl FidelityModelStack {
             });
         }
         match (variant.correlated_objectives, variant.nonlinear_fidelity) {
-            (true, true) => Self::fit_correlated_nonlinear(data, gp_cfg, previous, mode),
-            (true, false) => Self::fit_correlated_plain(data, gp_cfg, previous, mode),
-            (false, nonlinear) => Self::fit_independent(data, gp_cfg, nonlinear, previous, mode),
+            (true, true) => Self::fit_correlated_nonlinear(data, gp_cfg, previous),
+            (true, false) => Self::fit_correlated_plain(data, gp_cfg, previous),
+            (false, nonlinear) => Self::fit_independent(data, gp_cfg, nonlinear, previous),
         }
     }
 
@@ -196,22 +158,16 @@ impl FidelityModelStack {
         data: &FidelityDataSet,
         gp_cfg: &GpConfig,
         previous: Option<&FidelityModelStack>,
-        mode: FitMode,
     ) -> Result<Self, CmmfError> {
         let x_dim = data.xs[0][0].len();
-        let prev_parts = match previous {
-            Some(FidelityModelStack::CorrelatedNonlinear { base, uppers })
-                if mode.reuses_hyperparams() =>
-            {
-                Some((base, uppers))
+        let (prev_base, prev_uppers) = match previous {
+            Some(FidelityModelStack::CorrelatedNonlinear { base, uppers }) => {
+                (Some(base), uppers.as_slice())
             }
-            _ => None,
+            _ => (None, &[][..]),
         };
-        let base = match prev_parts {
-            Some((b, _)) if b.dim() == x_dim => match mode {
-                FitMode::Extend => b.extend(&data.xs[0], &data.ys[0])?,
-                _ => b.refit(&data.xs[0], &data.ys[0])?,
-            },
+        let base = match prev_base {
+            Some(b) if b.dim() == x_dim => b.refit(&data.xs[0], &data.ys[0])?,
             _ => MultiTaskGp::fit(Matern52Ard::new(x_dim), &data.xs[0], &data.ys[0], gp_cfg)?,
         };
         let mut uppers: Vec<CorrelatedLevel> = Vec::with_capacity(N_FIDELITIES - 1);
@@ -253,15 +209,10 @@ impl FidelityModelStack {
                         .collect()
                 })
                 .collect();
-            let prev_gp = prev_parts.and_then(|(_, uppers)| uppers.get(f - 1));
-            let gp = match prev_gp {
-                Some(level) if level.gp.dim() == x_dim + N_OBJECTIVES => match mode {
-                    // The augmented inputs shift whenever a lower fidelity
-                    // grew; `extend`'s prefix check falls back to a full
-                    // refit in that case, so this is always bit-safe.
-                    FitMode::Extend => level.gp.extend(&aug, &residuals)?,
-                    _ => level.gp.refit(&aug, &residuals)?,
-                },
+            let gp = match prev_uppers.get(f - 1) {
+                Some(level) if level.gp.dim() == x_dim + N_OBJECTIVES => {
+                    level.gp.refit(&aug, &residuals)?
+                }
                 _ => MultiTaskGp::fit(
                     Matern52Grouped::iso_plus_tail(x_dim, N_OBJECTIVES),
                     &aug,
@@ -278,22 +229,16 @@ impl FidelityModelStack {
         data: &FidelityDataSet,
         gp_cfg: &GpConfig,
         previous: Option<&FidelityModelStack>,
-        mode: FitMode,
     ) -> Result<Self, CmmfError> {
         let x_dim = data.xs[0][0].len();
+        let prev_models = match previous {
+            Some(FidelityModelStack::CorrelatedPlain(v)) => v.as_slice(),
+            _ => &[],
+        };
         let mut fitted = Vec::with_capacity(N_FIDELITIES);
         for f in 0..N_FIDELITIES {
-            let prev_model = match previous {
-                Some(FidelityModelStack::CorrelatedPlain(v)) if mode.reuses_hyperparams() => {
-                    v.get(f)
-                }
-                _ => None,
-            };
-            let model = match prev_model {
-                Some(m) if m.dim() == x_dim => match mode {
-                    FitMode::Extend => m.extend(&data.xs[f], &data.ys[f])?,
-                    _ => m.refit(&data.xs[f], &data.ys[f])?,
-                },
+            let model = match prev_models.get(f) {
+                Some(m) if m.dim() == x_dim => m.refit(&data.xs[f], &data.ys[f])?,
                 _ => MultiTaskGp::fit(Matern52Ard::new(x_dim), &data.xs[f], &data.ys[f], gp_cfg)?,
             };
             fitted.push(model);
@@ -306,12 +251,7 @@ impl FidelityModelStack {
         gp_cfg: &GpConfig,
         nonlinear: bool,
         previous: Option<&FidelityModelStack>,
-        mode: FitMode,
     ) -> Result<Self, CmmfError> {
-        let mf_cfg = MultiFidelityConfig {
-            gp: gp_cfg.clone(),
-            propagate_uncertainty: true,
-        };
         let mut per_obj_linear = Vec::new();
         let mut per_obj_nonlinear = Vec::new();
         for obj in 0..N_OBJECTIVES {
@@ -325,29 +265,21 @@ impl FidelityModelStack {
                 .collect();
             if nonlinear {
                 let prev = match previous {
-                    Some(FidelityModelStack::IndependentNonlinear(v))
-                        if mode.reuses_hyperparams() =>
-                    {
-                        v.get(obj)
-                    }
+                    Some(FidelityModelStack::IndependentNonlinear(v)) => v.get(obj),
                     _ => None,
                 };
-                per_obj_nonlinear.push(match (prev, mode) {
-                    (Some(m), FitMode::Extend) => m.extend(&levels)?,
-                    (Some(m), _) => m.refit(&levels)?,
-                    (None, _) => NonLinearMultiFidelityGp::fit(&levels, &mf_cfg)?,
+                per_obj_nonlinear.push(match prev {
+                    Some(m) => m.refit(&levels)?,
+                    None => NonLinearMultiFidelityGp::fit(&levels, gp_cfg)?,
                 });
             } else {
                 let prev = match previous {
-                    Some(FidelityModelStack::IndependentLinear(v)) if mode.reuses_hyperparams() => {
-                        v.get(obj)
-                    }
+                    Some(FidelityModelStack::IndependentLinear(v)) => v.get(obj),
                     _ => None,
                 };
-                per_obj_linear.push(match (prev, mode) {
-                    (Some(m), FitMode::Extend) => m.extend(&levels)?,
-                    (Some(m), _) => m.refit(&levels)?,
-                    (None, _) => LinearMultiFidelityGp::fit(&levels, &mf_cfg)?,
+                per_obj_linear.push(match prev {
+                    Some(m) => m.refit(&levels)?,
+                    None => LinearMultiFidelityGp::fit(&levels, gp_cfg)?,
                 });
             }
         }
@@ -470,7 +402,7 @@ impl FidelityModelStack {
 
     /// Summed hyperparameter-search telemetry over every sub-model fit that
     /// produced this stack: NLL evaluations and restarts run. All zeros for
-    /// [`FitMode::Refit`]/[`FitMode::Extend`] stacks, which run no search.
+    /// a stack fitted from a previous one, which runs no search.
     pub fn fit_stats(&self) -> FitStats {
         let mut s = FitStats::default();
         match self {
@@ -737,7 +669,7 @@ mod tests {
             }
         };
         for variant in all_variants() {
-            let stack = FidelityModelStack::fit(variant, &data, &cfg, None, FitMode::Optimize)
+            let stack = FidelityModelStack::fit(variant, &data, &cfg, None)
                 .unwrap_or_else(|e| panic!("{}: {e}", variant.name()));
             let all = stack.predict_all(&xs).expect("chain pass predicts");
             assert_eq!(all.len(), xs.len(), "{}", variant.name());
@@ -760,7 +692,7 @@ mod tests {
         let data = synthetic();
         let cfg = quick_cfg();
         for variant in all_variants() {
-            let stack = FidelityModelStack::fit(variant, &data, &cfg, None, FitMode::Optimize)
+            let stack = FidelityModelStack::fit(variant, &data, &cfg, None)
                 .unwrap_or_else(|e| panic!("{}: {e}", variant.name()));
             for f in 0..N_FIDELITIES {
                 let p = stack.predict(f, &[0.35]).unwrap();
@@ -775,28 +707,16 @@ mod tests {
     #[test]
     fn correlated_stack_reports_correlations() {
         let data = synthetic();
-        let stack = FidelityModelStack::fit(
-            ModelVariant::paper(),
-            &data,
-            &quick_cfg(),
-            None,
-            FitMode::Optimize,
-        )
-        .unwrap();
+        let stack =
+            FidelityModelStack::fit(ModelVariant::paper(), &data, &quick_cfg(), None).unwrap();
         let c = stack.task_correlations(0).expect("correlated stack");
         // Objectives 0 and 1 are anti-correlated by construction.
         assert!(c[(0, 1)] < 0.0, "corr={}", c[(0, 1)]);
         // Upper fidelities report residual correlations too.
         assert!(stack.task_correlations(2).is_some());
         // Independent stacks report none.
-        let indep = FidelityModelStack::fit(
-            ModelVariant::fpl18(),
-            &data,
-            &quick_cfg(),
-            None,
-            FitMode::Optimize,
-        )
-        .unwrap();
+        let indep =
+            FidelityModelStack::fit(ModelVariant::fpl18(), &data, &quick_cfg(), None).unwrap();
         assert!(indep.task_correlations(0).is_none());
     }
 
@@ -804,48 +724,37 @@ mod tests {
     fn refit_reuses_hyperparameters() {
         let data = synthetic();
         let cfg = quick_cfg();
-        let first =
-            FidelityModelStack::fit(ModelVariant::paper(), &data, &cfg, None, FitMode::Optimize)
-                .unwrap();
+        let first = FidelityModelStack::fit(ModelVariant::paper(), &data, &cfg, None).unwrap();
         // Add a point and refit cheaply.
         let mut more = data.clone();
         more.xs[0].push(vec![0.77]);
         more.ys[0].push(vec![0.5, -0.4, 0.25]);
-        let second = FidelityModelStack::fit(
-            ModelVariant::paper(),
-            &more,
-            &cfg,
-            Some(&first),
-            FitMode::Refit,
-        )
-        .unwrap();
+        let second =
+            FidelityModelStack::fit(ModelVariant::paper(), &more, &cfg, Some(&first)).unwrap();
         let p = second.predict(2, &[0.5]).unwrap();
         assert_eq!(p.mean.len(), N_OBJECTIVES);
     }
 
     #[test]
-    fn extend_equals_refit_bitwise_for_all_variants() {
+    fn refit_on_its_own_data_is_that_stack_bitwise_in_every_variant() {
+        // A refit from a stack on the data that stack was fitted on rebuilds
+        // every level from the same hyperparameters, backbones and inputs,
+        // so it must predict the searched fit's posteriors bit for bit at
+        // every fidelity: each variant's one chain loop serves both paths.
         let data = synthetic();
         let cfg = quick_cfg();
+        let xs: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0]).collect();
         for variant in all_variants() {
-            let first = FidelityModelStack::fit(variant, &data, &cfg, None, FitMode::Optimize)
+            let searched = FidelityModelStack::fit(variant, &data, &cfg, None)
                 .unwrap_or_else(|e| panic!("{}: {e}", variant.name()));
-            // Grow every fidelity (nesting preserved) and fit both ways.
-            let mut more = data.clone();
-            for f in 0..N_FIDELITIES {
-                more.xs[f].push(vec![0.77]);
-                more.ys[f].push(vec![0.5, -0.4, 0.25]);
-            }
-            let refit = FidelityModelStack::fit(variant, &more, &cfg, Some(&first), FitMode::Refit)
-                .unwrap();
-            let extend =
-                FidelityModelStack::fit(variant, &more, &cfg, Some(&first), FitMode::Extend)
-                    .unwrap();
-            for f in 0..N_FIDELITIES {
-                for i in 0..7 {
-                    let x = [i as f64 / 6.0];
-                    let a = refit.predict(f, &x).unwrap();
-                    let b = extend.predict(f, &x).unwrap();
+            let refit = FidelityModelStack::fit(variant, &data, &cfg, Some(&searched))
+                .unwrap_or_else(|e| panic!("{}: {e}", variant.name()));
+            assert_eq!(refit.fit_stats(), FitStats::default(), "{}", variant.name());
+            let a = searched.predict_all(&xs).expect("chain pass predicts");
+            let b = refit.predict_all(&xs).expect("chain pass predicts");
+            for (i, x) in xs.iter().enumerate() {
+                for f in 0..N_FIDELITIES {
+                    let (a, b) = (&a[i][f], &b[i][f]);
                     for o in 0..N_OBJECTIVES {
                         assert_eq!(
                             a.mean[o].to_bits(),
@@ -870,14 +779,8 @@ mod tests {
     #[test]
     fn out_of_range_fidelity_errors() {
         let data = synthetic();
-        let stack = FidelityModelStack::fit(
-            ModelVariant::paper(),
-            &data,
-            &quick_cfg(),
-            None,
-            FitMode::Optimize,
-        )
-        .unwrap();
+        let stack =
+            FidelityModelStack::fit(ModelVariant::paper(), &data, &quick_cfg(), None).unwrap();
         assert!(stack.predict(7, &[0.5]).is_err());
     }
 
@@ -905,9 +808,7 @@ mod tests {
             }
             (se / n).sqrt()
         };
-        let with =
-            FidelityModelStack::fit(ModelVariant::paper(), &data, &cfg, None, FitMode::Optimize)
-                .unwrap();
+        let with = FidelityModelStack::fit(ModelVariant::paper(), &data, &cfg, None).unwrap();
         let without = FidelityModelStack::fit(
             ModelVariant {
                 correlated_objectives: true,
@@ -916,7 +817,6 @@ mod tests {
             &data,
             &cfg,
             None,
-            FitMode::Optimize,
         )
         .unwrap();
         assert!(
@@ -932,14 +832,8 @@ mod tests {
         // Far from all data, the top-fidelity variance must be substantial —
         // not collapsed to the residual GP's noise floor.
         let data = synthetic();
-        let stack = FidelityModelStack::fit(
-            ModelVariant::paper(),
-            &data,
-            &quick_cfg(),
-            None,
-            FitMode::Optimize,
-        )
-        .unwrap();
+        let stack =
+            FidelityModelStack::fit(ModelVariant::paper(), &data, &quick_cfg(), None).unwrap();
         let near = stack.predict(2, &[0.5]).unwrap();
         let far = stack.predict(2, &[3.0]).unwrap();
         let near_v: f64 = near.vars().iter().sum();

@@ -2,7 +2,7 @@
 
 use crate::checkpoint::{PickRecord, RunCheckpoint, ScheduleEvent};
 use crate::eipv::{peipv, EipvScorer};
-use crate::models::{FidelityDataSet, FidelityModelStack, FitMode, ModelVariant, N_OBJECTIVES};
+use crate::models::{FidelityDataSet, FidelityModelStack, ModelVariant, N_OBJECTIVES};
 use crate::scheduler::Group;
 use crate::CmmfError;
 use fidelity_sim::{FlowSimulator, RunOutcome, Stage};
@@ -63,10 +63,10 @@ pub struct CmmfConfig {
     /// units) is below this threshold — paying for a measurement the model
     /// can already predict adds nothing. Set to 0 to disable.
     pub escalate_threshold: f64,
-    /// Re-optimize GP hyperparameters every this many steps, at least 1
-    /// (in between, hyperparameter-reusing steps extend the cached kernel
-    /// matrices and Cholesky factors with only the new rows,
-    /// [`FitMode::Extend`]). A value above `n_iter` optimizes once, at step 0.
+    /// Re-optimize GP hyperparameters every this many steps, at least 1 (in
+    /// between, each step refits the previous step's stack on the grown data
+    /// with its hyperparameters). A value above `n_iter` optimizes once, at
+    /// step 0.
     pub refit_every: usize,
     /// Dispatch decisions kept in flight on the virtual clock (see
     /// [`crate::scheduler`]); 0 behaves like 1. With one slot each decision
@@ -383,7 +383,11 @@ impl<'a> LoopState<'a> {
             let stats = new_stack.fit_stats();
             TraceEvent::ModelFit {
                 step: t,
-                fit_mode: Self::fit_mode(cfg, t).name(),
+                fit_mode: if Self::searches_at(cfg, t) {
+                    "optimize"
+                } else {
+                    "refit"
+                },
                 seconds: fit_started.map_or(0.0, |s| s.seconds()),
                 nll_evals: stats.nll_evals,
                 restarts_run: stats.restarts_run,
@@ -397,14 +401,11 @@ impl<'a> LoopState<'a> {
         Ok((new_stack, fronts))
     }
 
-    /// The `refit_every` schedule: a full hyperparameter re-optimization on
-    /// multiples of `refit_every`, cheap incremental refits in between.
-    fn fit_mode(cfg: &CmmfConfig, t: usize) -> FitMode {
-        if t.is_multiple_of(cfg.refit_every) {
-            FitMode::Optimize
-        } else {
-            FitMode::Extend
-        }
+    /// The `refit_every` schedule: whether step `t` re-runs the
+    /// hyperparameter search (on multiples of `refit_every`) or refits the
+    /// installed stack with its hyperparameters (in between).
+    fn searches_at(cfg: &CmmfConfig, t: usize) -> bool {
+        t.is_multiple_of(cfg.refit_every)
     }
 
     /// Fits step `t`'s surrogate stack on `data` under the `refit_every`
@@ -417,18 +418,18 @@ impl<'a> LoopState<'a> {
         t: usize,
     ) -> Result<FidelityModelStack, CmmfError> {
         let cfg = self.cfg;
-        FidelityModelStack::fit(
-            cfg.variant,
-            data,
-            &cfg.gp,
-            self.stack.as_ref(),
-            Self::fit_mode(cfg, t),
-        )
+        let previous = if Self::searches_at(cfg, t) {
+            None
+        } else {
+            self.stack.as_ref()
+        };
+        FidelityModelStack::fit(cfg.variant, data, &cfg.gp, previous)
     }
 
     /// The first of `fits` completed fits a checkpoint replay must redo to
-    /// reproduce them bit for bit: the last `FitMode::Optimize` fit, which
-    /// does not depend on the stack before it (0 when nothing was fitted).
+    /// reproduce them bit for bit: the last fit that ran the hyperparameter
+    /// search, which does not depend on the stack before it (0 when nothing
+    /// was fitted).
     pub(crate) fn replay_from(cfg: &CmmfConfig, fits: usize) -> usize {
         fits.saturating_sub(1) / cfg.refit_every * cfg.refit_every
     }

@@ -4,7 +4,7 @@
 //! slots in flight.
 //!
 //! Every other bit-identity contract in the workspace compares two paths of
-//! the *same* build (serial vs. parallel, extend vs. refit, resumed vs.
+//! the *same* build (serial vs. parallel, searched fit vs. refit, resumed vs.
 //! uninterrupted), so a drift that both paths share would pass all of them.
 //! These constants were recorded before the candidate-preparation, thread-share
 //! and ground-truth-lookup rewrites (the batched one before the synchronous

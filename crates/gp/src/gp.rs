@@ -1,4 +1,3 @@
-use crate::hyperopt::FitStats;
 use crate::kernel::{DistanceCache, Kernel};
 use crate::optimize::{multi_start_nelder_mead_par, NelderMeadOptions};
 use crate::GpError;
@@ -18,6 +17,26 @@ impl Prediction {
     /// Posterior standard deviation.
     pub fn std(&self) -> f64 {
         self.var.sqrt()
+    }
+}
+
+/// Telemetry from one maximum-likelihood hyperparameter search.
+///
+/// Zeroed on fits that run no search (`optimize: false`, `refit`), so
+/// stack-level sums reflect only real search work.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FitStats {
+    /// Total NLL objective evaluations consumed across all starts.
+    pub nll_evals: usize,
+    /// Nelder–Mead searches run beyond the first (`GpConfig::restarts`).
+    pub restarts_run: usize,
+}
+
+impl FitStats {
+    /// Accumulates another model's stats (for multi-level / multi-task sums).
+    pub fn absorb(&mut self, other: FitStats) {
+        self.nll_evals += other.nll_evals;
+        self.restarts_run += other.restarts_run;
     }
 }
 
@@ -63,9 +82,6 @@ impl Default for GpConfig {
 pub struct Gp<K: Kernel> {
     kernel: K,
     xs: Vec<Vec<f64>>,
-    /// Cached noised covariance `K + σ²I` (pre-jitter) so [`Gp::extend`] can
-    /// grow it with only the new cross-covariance rows.
-    km: Matrix,
     chol: Cholesky,
     alpha: Vec<f64>,
     noise_var: f64,
@@ -82,12 +98,12 @@ impl<K: Kernel + Clone> Gp<K> {
     /// and noise by maximum likelihood (multi-start Nelder–Mead in log space).
     ///
     /// The search runs over cached per-dimension squared-difference tensors
-    /// ([`DistanceCache`]) when the kernel supports them — each NLL
-    /// evaluation then combines the cached tensors with the current inverse
-    /// squared lengthscales instead of re-deriving every pairwise distance,
-    /// bit-identical to from-scratch assembly — and the multi-start restarts
-    /// run in parallel with per-restart derived seeds, bit-identical at any
-    /// thread count (see [`multi_start_nelder_mead_par`]).
+    /// ([`DistanceCache`]) — each NLL evaluation combines the cached tensors
+    /// with the current inverse squared lengthscales instead of re-deriving
+    /// every pairwise distance, bit-identical to from-scratch assembly — and
+    /// the multi-start restarts run in parallel with per-restart derived
+    /// seeds, bit-identical at any thread count (see
+    /// [`multi_start_nelder_mead_par`]).
     ///
     /// # Errors
     ///
@@ -109,14 +125,12 @@ impl<K: Kernel + Clone> Gp<K> {
             p0.push(noise_var.ln());
             let base_kernel = kernel.clone();
             let floor = cfg.noise_floor;
-            let cache = kernel
-                .supports_distance_cache()
-                .then(|| DistanceCache::new(xs));
+            let cache = DistanceCache::new(xs);
             let objective = |p: &[f64]| {
                 let mut k = base_kernel.clone();
                 k.set_log_params(&p[..p.len() - 1]);
                 let nv = p[p.len() - 1].exp().max(floor);
-                nll_eval(&k, xs, cache.as_ref(), &y_std, nv).unwrap_or(f64::INFINITY)
+                nll_eval(&k, &cache, &y_std, nv).unwrap_or(f64::INFINITY)
             };
             let opts = NelderMeadOptions {
                 max_evals: cfg.max_evals,
@@ -134,11 +148,10 @@ impl<K: Kernel + Clone> Gp<K> {
             }
         }
 
-        let (km, chol, alpha, nlml_val) = factorize(&kernel, xs, &y_std, noise_var)?;
+        let (chol, alpha, nlml_val) = factorize(&kernel, xs, &y_std, noise_var)?;
         Ok(Gp {
             kernel,
             xs: xs.to_vec(),
-            km,
             chol,
             alpha,
             noise_var,
@@ -160,124 +173,10 @@ impl<K: Kernel + Clone> Gp<K> {
     pub fn refit(&self, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self, GpError> {
         validate(xs, ys, self.kernel.dim())?;
         let (y_std, y_mean, y_scale) = standardize(ys);
-        let (km, chol, alpha, nlml_val) = factorize(&self.kernel, xs, &y_std, self.noise_var)?;
+        let (chol, alpha, nlml_val) = factorize(&self.kernel, xs, &y_std, self.noise_var)?;
         Ok(Gp {
             kernel: self.kernel.clone(),
             xs: xs.to_vec(),
-            km,
-            chol,
-            alpha,
-            noise_var: self.noise_var,
-            y_mean,
-            y_scale,
-            nlml: nlml_val,
-            stats: FitStats::default(),
-        })
-    }
-
-    /// Refits on grown data by **extending the cached covariance factor**
-    /// instead of refactorizing. When `xs` starts with this model's training
-    /// inputs (the kernel matrix only gains rows, since hyperparameters are
-    /// reused), only the `k` new cross-covariance rows are evaluated and the
-    /// Cholesky factor is extended in `O(n²·k)` via [`Cholesky::extend`]; the
-    /// y-dependent quantities — output standardization and `α = K⁻¹y` — are
-    /// recomputed from scratch, which is cheap (`O(n²)`), so `ys` may change
-    /// arbitrarily (e.g. a shifting normalization window in a BO loop).
-    ///
-    /// The result is **bit-identical** to [`Gp::refit`] on the same data.
-    /// When the prefix precondition does not hold (points removed, reordered,
-    /// or perturbed) it silently falls back to a full refit.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gp::fit`].
-    pub fn extend(&self, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self, GpError> {
-        let n0 = self.xs.len();
-        if xs.len() < n0 || xs[..n0] != self.xs[..] {
-            return self.refit(xs, ys);
-        }
-        validate(xs, ys, self.kernel.dim())?;
-        let (y_std, y_mean, y_scale) = standardize(ys);
-        let n = xs.len();
-        let mut km = Matrix::zeros(n, n);
-        for i in 0..n0 {
-            km.row_mut(i)[..n0].copy_from_slice(self.km.row(i));
-        }
-        // New cross rows/columns, evaluated with the same row-major (i, j)
-        // orientation `factorize`'s assembly uses so entries match bit-for-bit.
-        for i in 0..n0 {
-            for j in n0..n {
-                km[(i, j)] = self.kernel.eval(&xs[i], &xs[j]);
-            }
-        }
-        for i in n0..n {
-            for j in 0..n {
-                km[(i, j)] = self.kernel.eval(&xs[i], &xs[j]);
-            }
-            km[(i, i)] += self.noise_var;
-        }
-        let chol = self.chol.extend(&km)?;
-        let alpha = chol.solve_vec(&y_std)?;
-        let nlml_val = nlml_from(&chol, &y_std, &alpha);
-        Ok(Gp {
-            kernel: self.kernel.clone(),
-            xs: xs.to_vec(),
-            km,
-            chol,
-            alpha,
-            noise_var: self.noise_var,
-            y_mean,
-            y_scale,
-            nlml: nlml_val,
-            stats: FitStats::default(),
-        })
-    }
-
-    /// Drops the **oldest** `k` training points by low-rank *downdating* of the
-    /// cached Cholesky factor instead of refactorizing — the sliding-window
-    /// companion of [`Gp::extend`] for surrogates that cap their history.
-    ///
-    /// `ys` supplies the targets for the `n − k` **remaining** points (the GP
-    /// does not retain raw targets, and a shrinking window typically changes
-    /// the normalization anyway); output standardization and `α = K⁻¹y` are
-    /// recomputed from scratch, which is `O(n²)`. Hyperparameters are reused.
-    ///
-    /// Unlike [`Gp::extend`] the rotation-based factor update is **not**
-    /// bit-identical to [`Gp::refit`] on the window — it agrees to numerical
-    /// tolerance (see [`Cholesky::downdate`]) and falls back to a full
-    /// refactorization if positive-definiteness is lost.
-    ///
-    /// # Errors
-    ///
-    /// * [`GpError::InvalidTrainingData`] if `k >= self.train_len()`, if
-    ///   `ys.len()` does not match the remaining window, or if any target is
-    ///   non-finite.
-    /// * [`GpError::Numerical`] if the fallback refactorization fails.
-    pub fn downdate(&self, k: usize, ys: &[f64]) -> Result<Self, GpError> {
-        let n = self.xs.len();
-        if k >= n {
-            return Err(GpError::InvalidTrainingData {
-                reason: format!("downdate would remove {k} of {n} training points"),
-            });
-        }
-        let xs: Vec<Vec<f64>> = self.xs[k..].to_vec();
-        validate(&xs, ys, self.kernel.dim())?;
-        let (y_std, y_mean, y_scale) = standardize(ys);
-        let m = n - k;
-        // The trailing sub-block of the cached `K + σ²I` *is* the windowed
-        // covariance: its entries were produced by the same `eval` calls a
-        // fresh assembly over `xs[k..]` would make.
-        let mut km = Matrix::zeros(m, m);
-        for i in 0..m {
-            km.row_mut(i).copy_from_slice(&self.km.row(k + i)[k..]);
-        }
-        let chol = self.chol.downdate(k)?;
-        let alpha = chol.solve_vec(&y_std)?;
-        let nlml_val = nlml_from(&chol, &y_std, &alpha);
-        Ok(Gp {
-            kernel: self.kernel.clone(),
-            xs,
-            km,
             chol,
             alpha,
             noise_var: self.noise_var,
@@ -381,8 +280,8 @@ impl<K: Kernel + Clone> Gp<K> {
     }
 
     /// Telemetry from this model's own hyperparameter search. Zeroed on fits
-    /// that ran no search (`optimize: false`, refit, extend, downdate), so
-    /// summing over a model stack counts only real search work.
+    /// that ran no search (`optimize: false`, refit), so summing over a model
+    /// stack counts only real search work.
     pub fn fit_stats(&self) -> FitStats {
         self.stats
     }
@@ -438,7 +337,7 @@ fn standardize(ys: &[f64]) -> (Vec<f64>, f64, f64) {
     (ys.iter().map(|y| (y - mean) / scale).collect(), mean, scale)
 }
 
-/// Builds and factorizes `K + σ²I`, returning `(K + σ²I, chol, α = K⁻¹y, NLML)`.
+/// Builds and factorizes `K + σ²I`, returning `(chol, α = K⁻¹y, NLML)`.
 ///
 /// Assembly goes through [`Kernel::gram_into`] (lower triangle + mirror, half
 /// the kernel evaluations of a dense fill, row-block parallel above its size
@@ -448,7 +347,7 @@ fn factorize<K: Kernel>(
     xs: &[Vec<f64>],
     y_std: &[f64],
     noise_var: f64,
-) -> Result<(Matrix, Cholesky, Vec<f64>, f64), GpError> {
+) -> Result<(Cholesky, Vec<f64>, f64), GpError> {
     let n = xs.len();
     let mut km = Matrix::zeros(n, n);
     kernel.gram_into(xs, &mut km);
@@ -456,11 +355,11 @@ fn factorize<K: Kernel>(
     let chol = Cholesky::new(&km)?;
     let alpha = chol.solve_vec(y_std)?;
     let nlml = nlml_from(&chol, y_std, &alpha);
-    Ok((km, chol, alpha, nlml))
+    Ok((chol, alpha, nlml))
 }
 
 /// `NLML = ½ yᵀα + ½ log|K| + ½ n log 2π` — one expression shared by the
-/// full and incremental paths so both produce identical floats.
+/// final factorization and the search objective.
 fn nlml_from(chol: &Cholesky, y_std: &[f64], alpha: &[f64]) -> f64 {
     let fit_term: f64 = y_std.iter().zip(alpha).map(|(y, a)| y * a).sum();
     0.5 * fit_term
@@ -469,24 +368,20 @@ fn nlml_from(chol: &Cholesky, y_std: &[f64], alpha: &[f64]) -> f64 {
 }
 
 /// Negative log marginal likelihood for given hyperparameters — the
-/// hyperparameter-search hot path (hundreds of calls per fit). With
-/// `cache: Some(..)` the Gram matrix is assembled from the per-fit
-/// [`DistanceCache`] instead of re-deriving pairwise distances,
-/// **bit-identical** to [`Kernel::gram_into`] (pinned by
+/// hyperparameter-search hot path (hundreds of calls per fit). The Gram
+/// matrix is assembled from the per-fit [`DistanceCache`] instead of
+/// re-deriving pairwise distances, **bit-identical** to
+/// [`Kernel::gram_into`] (pinned by
 /// `gram_from_cache_matches_gram_into_bitwise`).
 fn nll_eval<K: Kernel>(
     kernel: &K,
-    xs: &[Vec<f64>],
-    cache: Option<&DistanceCache>,
+    cache: &DistanceCache,
     y_std: &[f64],
     noise_var: f64,
 ) -> Result<f64, GpError> {
-    let n = xs.len();
+    let n = cache.len();
     let mut km = Matrix::zeros(n, n);
-    match cache {
-        Some(cache) => kernel.gram_from_cache(cache, &mut km),
-        None => kernel.gram_into(xs, &mut km),
-    }
+    kernel.gram_from_cache(cache, &mut km);
     km.add_diag(noise_var);
     let chol = Cholesky::new(&km)?;
     let alpha = chol.solve_vec(y_std)?;
@@ -496,7 +391,7 @@ fn nll_eval<K: Kernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Matern52Ard, SquaredExponentialArd};
+    use crate::kernel::Matern52Ard;
 
     fn grid_1d(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect()
@@ -539,13 +434,7 @@ mod tests {
     fn variance_smaller_at_data_than_far_away() {
         let xs = grid_1d(6);
         let ys: Vec<f64> = xs.iter().map(|x| x[0] * x[0]).collect();
-        let gp = Gp::fit(
-            SquaredExponentialArd::new(1),
-            &xs,
-            &ys,
-            &GpConfig::default(),
-        )
-        .unwrap();
+        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
         let at_data = gp.predict(&[0.4]).unwrap().var;
         let far = gp.predict(&[5.0]).unwrap().var;
         assert!(at_data < far);
@@ -620,87 +509,14 @@ mod tests {
     }
 
     #[test]
-    fn downdate_matches_refit_on_window() {
-        let xs = grid_1d(20);
-        let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).sin() + 0.5 * x[0]).collect();
-        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
-        for k in [1usize, 5, 12] {
-            let down = gp.downdate(k, &ys[k..]).unwrap();
-            let refit = gp.refit(&xs[k..], &ys[k..]).unwrap();
-            assert_eq!(down.train_len(), 20 - k);
-            let nd = down.neg_log_marginal_likelihood();
-            let nr = refit.neg_log_marginal_likelihood();
-            // Rotation-based downdating agrees to numerical tolerance only
-            // (see the method docs); the achievable agreement depends on the
-            // conditioning at the fitted hyperparameters.
-            assert!(
-                (nd - nr).abs() < 1e-7 * nr.abs().max(1.0),
-                "k={k}: {nd} vs {nr}"
-            );
-            for q in [[0.05], [0.42], [0.93]] {
-                let pd = down.predict(&q).unwrap();
-                let pr = refit.predict(&q).unwrap();
-                assert!((pd.mean - pr.mean).abs() < 1e-8, "k={k} q={q:?}");
-                assert!((pd.var - pr.var).abs() < 1e-8, "k={k} q={q:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn downdate_after_extend_slides_the_window() {
-        // extend by 4 points, downdate the oldest 4: a full sliding-window
-        // step without ever refactorizing from scratch.
-        let xs = grid_1d(16);
-        let ys: Vec<f64> = xs.iter().map(|x| (7.0 * x[0]).sin()).collect();
-        let gp = Gp::fit(
-            Matern52Ard::new(1),
-            &xs[..12],
-            &ys[..12],
-            &GpConfig::default(),
-        )
-        .unwrap();
-        let grown = gp.extend(&xs, &ys).unwrap();
-        let slid = grown.downdate(4, &ys[4..]).unwrap();
-        let refit = grown.refit(&xs[4..], &ys[4..]).unwrap();
-        assert_eq!(slid.train_len(), 12);
-        for q in [[0.11], [0.52], [0.97]] {
-            let ps = slid.predict(&q).unwrap();
-            let pr = refit.predict(&q).unwrap();
-            assert!((ps.mean - pr.mean).abs() < 1e-8, "q={q:?}");
-            assert!((ps.var - pr.var).abs() < 1e-8, "q={q:?}");
-        }
-    }
-
-    #[test]
-    fn downdate_rejects_bad_windows() {
-        let xs = grid_1d(6);
-        let ys: Vec<f64> = xs.iter().map(|x| x[0]).collect();
-        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
-        assert!(matches!(
-            gp.downdate(6, &[]),
-            Err(GpError::InvalidTrainingData { .. })
-        ));
-        assert!(matches!(
-            gp.downdate(2, &ys[..3]),
-            Err(GpError::InvalidTrainingData { .. })
-        ));
-    }
-
-    #[test]
     fn fit_stats_carry_through_derived_models() {
         let xs = grid_1d(10);
         let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).cos()).collect();
         let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
         assert!(gp.fit_stats().nll_evals > 0);
         assert_eq!(gp.fit_stats().restarts_run, GpConfig::default().restarts);
-        for derived in [
-            gp.refit(&xs, &ys).unwrap(),
-            gp.extend(&xs, &ys).unwrap(),
-            gp.downdate(2, &ys[2..]).unwrap(),
-        ] {
-            // No search ran: telemetry is zeroed.
-            assert_eq!(derived.fit_stats(), FitStats::default());
-        }
+        // No search ran: telemetry is zeroed.
+        assert_eq!(gp.refit(&xs, &ys).unwrap().fit_stats(), FitStats::default());
         let unopt = Gp::fit(
             Matern52Ard::new(1),
             &xs,

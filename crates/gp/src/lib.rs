@@ -5,16 +5,25 @@
 //! The paper's method needs four modelling ingredients, all provided here from
 //! scratch (no GP/BO crates exist in the offline registry):
 //!
-//! * ARD kernels ([`kernel::SquaredExponentialArd`], [`kernel::Matern52Ard`] —
-//!   the paper uses an ARD Matérn-5/2 "to avoid unrealistic smoothness"),
+//! * Matérn-5/2 kernels: ARD ([`kernel::Matern52Ard`] — the paper uses an
+//!   ARD Matérn-5/2 "to avoid unrealistic smoothness") and with grouped
+//!   lengthscales for the multi-fidelity levels ([`kernel::Matern52Grouped`]),
 //! * exact single-output GP regression with maximum-likelihood hyperparameters
-//!   ([`Gp`]), optimized by multi-start Nelder–Mead ([`optimize::nelder_mead`]),
+//!   ([`Gp`]), optimized by a seeded multi-start Nelder–Mead
+//!   ([`optimize::multi_start_nelder_mead_par`]) whose NLL evaluations
+//!   assemble each Gram matrix from a per-fit
+//!   [`DistanceCache`](kernel::DistanceCache); each search's effort is
+//!   recorded in a [`FitStats`],
 //! * the correlated multi-objective (multi-task / intrinsic-coregionalization)
 //!   GP of Eq. 9 ([`MultiTaskGp`]), with covariance `Σ_{ij} = K_{ij} · k_C(x,x')`,
 //! * multi-fidelity composition: the paper's non-linear model of Eq. 5
 //!   ([`multifidelity::NonLinearMultiFidelityGp`]) and the linear AR(1)
 //!   Kennedy–O'Hagan model used by the FPL18 baseline
 //!   ([`multifidelity::LinearMultiFidelityGp`]).
+//!
+//! Every model is either fitted with a hyperparameter search (`fit`) or
+//! rebuilt on new data from an earlier model's hyperparameters (`refit`),
+//! which refactorizes from scratch.
 //!
 //! # Examples
 //!
@@ -34,14 +43,12 @@
 
 mod error;
 mod gp;
-pub mod hyperopt;
 pub mod kernel;
 pub mod multifidelity;
 mod multitask;
 pub mod optimize;
 
 pub use error::GpError;
-pub use gp::{Gp, GpConfig, Prediction};
-pub use hyperopt::FitStats;
+pub use gp::{FitStats, Gp, GpConfig, Prediction};
 pub use kernel::Kernel;
 pub use multitask::{MultiTaskGp, MultiTaskPrediction};

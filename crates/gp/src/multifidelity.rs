@@ -11,10 +11,15 @@
 //!   The additive error term `f_e` is absorbed into the level GP's learned
 //!   observation noise, the standard NARGP simplification.
 //!
+//! Each model builds its chain of levels in one place: `fit` hands it a
+//! hyperparameter search per level, `refit` the previous model's level GPs
+//! to rebuild on the new data with their hyperparameters.
+//!
 //! # Examples
 //!
 //! ```
-//! use cmmf_gp::multifidelity::{FidelityData, MultiFidelityConfig, NonLinearMultiFidelityGp};
+//! use cmmf_gp::multifidelity::{FidelityData, NonLinearMultiFidelityGp};
+//! use cmmf_gp::GpConfig;
 //!
 //! # fn main() -> Result<(), cmmf_gp::GpError> {
 //! let lo_xs: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 / 11.0]).collect();
@@ -23,15 +28,14 @@
 //! // High fidelity is a *non-linear* transform of the low fidelity.
 //! let hi_ys: Vec<f64> = hi_xs.iter().map(|x| (8.0 * x[0]).sin().powi(2)).collect();
 //! let data = [FidelityData::new(lo_xs, lo_ys), FidelityData::new(hi_xs, hi_ys)];
-//! let mf = NonLinearMultiFidelityGp::fit(&data, &MultiFidelityConfig::default())?;
+//! let mf = NonLinearMultiFidelityGp::fit(&data, &GpConfig::default())?;
 //! let p = mf.predict(1, &[0.125])?;
 //! assert!(p.var >= 0.0);
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::gp::{Gp, GpConfig, Prediction};
-use crate::hyperopt::FitStats;
+use crate::gp::{FitStats, Gp, GpConfig, Prediction};
 use crate::kernel::{Matern52Ard, Matern52Grouped};
 use crate::GpError;
 
@@ -48,26 +52,6 @@ impl FidelityData {
     /// Bundles inputs and outputs for one fidelity.
     pub fn new(xs: Vec<Vec<f64>>, ys: Vec<f64>) -> Self {
         FidelityData { xs, ys }
-    }
-}
-
-/// Configuration shared by both multi-fidelity models.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiFidelityConfig {
-    /// Per-level GP fitting configuration.
-    pub gp: GpConfig,
-    /// For the non-linear model: propagate lower-level posterior uncertainty
-    /// through the level GP by 5-node Gauss–Hermite quadrature instead of
-    /// plugging in the posterior mean only.
-    pub propagate_uncertainty: bool,
-}
-
-impl Default for MultiFidelityConfig {
-    fn default() -> Self {
-        MultiFidelityConfig {
-            gp: GpConfig::default(),
-            propagate_uncertainty: true,
-        }
     }
 }
 
@@ -96,6 +80,36 @@ fn validate_levels(data: &[FidelityData]) -> Result<usize, GpError> {
     Ok(dim)
 }
 
+/// [`validate_levels`] for a refit, which also needs as many levels as the
+/// model it reuses.
+fn validate_refit_levels(data: &[FidelityData], n_levels: usize) -> Result<(), GpError> {
+    validate_levels(data)?;
+    if data.len() != n_levels {
+        return Err(GpError::InvalidTrainingData {
+            reason: format!("model has {n_levels} levels, data has {}", data.len()),
+        });
+    }
+    Ok(())
+}
+
+/// The least-squares scale `ρ` of `ys` onto the lower level's posterior
+/// means `prev` (1 when the means vanish): the linear backbone of both
+/// models.
+fn least_squares_rho(prev: &[f64], ys: &[f64]) -> f64 {
+    let num: f64 = prev.iter().zip(ys).map(|(m, y)| m * y).sum();
+    let den: f64 = prev.iter().map(|m| m * m).sum();
+    if den > 1e-12 {
+        num / den
+    } else {
+        1.0
+    }
+}
+
+/// The residuals `y − ρ·m` a level GP is trained on.
+fn residuals(ys: &[f64], prev: &[f64], rho: f64) -> Vec<f64> {
+    ys.iter().zip(prev).map(|(y, m)| y - rho * m).collect()
+}
+
 /// Kennedy–O'Hagan AR(1) linear multi-fidelity model:
 /// `f_{i+1}(x) = ρ_i f_i(x) + δ_i(x)` with `δ_i ~ GP`.
 ///
@@ -108,7 +122,7 @@ pub struct LinearMultiFidelityGp {
     deltas: Vec<Gp<Matern52Ard>>,
     rhos: Vec<f64>,
     /// Summed hyperparameter-search telemetry over all per-level fits
-    /// (zeroed on refit/extend, which run no search).
+    /// (zeroed on refit, which runs no search).
     stats: FitStats,
 }
 
@@ -122,37 +136,55 @@ impl LinearMultiFidelityGp {
     /// # Errors
     ///
     /// Propagates [`GpError`] from validation or per-level GP fitting.
-    pub fn fit(data: &[FidelityData], cfg: &MultiFidelityConfig) -> Result<Self, GpError> {
+    pub fn fit(data: &[FidelityData], cfg: &GpConfig) -> Result<Self, GpError> {
         let dim = validate_levels(data)?;
-        let base = Gp::fit(Matern52Ard::new(dim), &data[0].xs, &data[0].ys, &cfg.gp)?;
-        let mut stats = base.fit_stats();
+        let base = Gp::fit(Matern52Ard::new(dim), &data[0].xs, &data[0].ys, cfg)?;
+        Self::chain(base, data, |_, xs, ys| {
+            Gp::fit(Matern52Ard::new(dim), xs, ys, cfg)
+        })
+    }
+
+    /// Refits on new data **reusing the fitted GP hyperparameters** (the
+    /// scales `ρ_i` are recomputed — they are closed-form). This is the cheap
+    /// per-iteration update of a BO loop.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`LinearMultiFidelityGp::fit`]; additionally errors
+    /// if `data` has a different number of levels than this model.
+    pub fn refit(&self, data: &[FidelityData]) -> Result<Self, GpError> {
+        validate_refit_levels(data, self.n_levels())?;
+        let base = self.base.refit(&data[0].xs, &data[0].ys)?;
+        Self::chain(base, data, |i, xs, ys| self.deltas[i].refit(xs, ys))
+    }
+
+    /// Builds the chain above the fitted `base`: for each higher level `i`,
+    /// the scale `ρ_i` onto the chain's posterior mean so far and the
+    /// residual GP `delta(i, xs, residuals)` (`i` counts from 0 at the
+    /// first level above the base).
+    fn chain(
+        base: Gp<Matern52Ard>,
+        data: &[FidelityData],
+        mut delta: impl FnMut(usize, &[Vec<f64>], &[f64]) -> Result<Gp<Matern52Ard>, GpError>,
+    ) -> Result<Self, GpError> {
         let mut model = LinearMultiFidelityGp {
+            stats: base.fit_stats(),
             base,
             deltas: Vec::new(),
             rhos: Vec::new(),
-            stats: FitStats::default(),
         };
-        for level in &data[1..] {
+        for (i, level) in data[1..].iter().enumerate() {
             let prev_mean: Vec<f64> = level
                 .xs
                 .iter()
-                .map(|x| model.predict(model.n_levels() - 1, x).map(|p| p.mean))
+                .map(|x| model.predict(i, x).map(|p| p.mean))
                 .collect::<Result<_, _>>()?;
-            let num: f64 = prev_mean.iter().zip(&level.ys).map(|(m, y)| m * y).sum();
-            let den: f64 = prev_mean.iter().map(|m| m * m).sum();
-            let rho = if den > 1e-12 { num / den } else { 1.0 };
-            let residuals: Vec<f64> = level
-                .ys
-                .iter()
-                .zip(&prev_mean)
-                .map(|(y, m)| y - rho * m)
-                .collect();
-            let delta = Gp::fit(Matern52Ard::new(dim), &level.xs, &residuals, &cfg.gp)?;
-            stats.absorb(delta.fit_stats());
+            let rho = least_squares_rho(&prev_mean, &level.ys);
+            let gp = delta(i, &level.xs, &residuals(&level.ys, &prev_mean, rho))?;
+            model.stats.absorb(gp.fit_stats());
             model.rhos.push(rho);
-            model.deltas.push(delta);
+            model.deltas.push(gp);
         }
-        model.stats = stats;
         Ok(model)
     }
 
@@ -183,104 +215,6 @@ impl LinearMultiFidelityGp {
         Ok(p)
     }
 
-    /// Refits on new data **reusing the fitted GP hyperparameters** (the
-    /// scales `ρ_i` are recomputed — they are closed-form). This is the cheap
-    /// per-iteration update of a BO loop.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LinearMultiFidelityGp::fit`]; additionally errors
-    /// if `data` has a different number of levels than this model.
-    pub fn refit(&self, data: &[FidelityData]) -> Result<Self, GpError> {
-        validate_levels(data)?;
-        if data.len() != self.n_levels() {
-            return Err(GpError::InvalidTrainingData {
-                reason: format!(
-                    "model has {} levels, data has {}",
-                    self.n_levels(),
-                    data.len()
-                ),
-            });
-        }
-        let base = self.base.refit(&data[0].xs, &data[0].ys)?;
-        let mut model = LinearMultiFidelityGp {
-            base,
-            deltas: Vec::new(),
-            rhos: Vec::new(),
-            stats: FitStats::default(),
-        };
-        for (i, level) in data[1..].iter().enumerate() {
-            let prev_mean: Vec<f64> = level
-                .xs
-                .iter()
-                .map(|x| model.predict(model.n_levels() - 1, x).map(|p| p.mean))
-                .collect::<Result<_, _>>()?;
-            let num: f64 = prev_mean.iter().zip(&level.ys).map(|(m, y)| m * y).sum();
-            let den: f64 = prev_mean.iter().map(|m| m * m).sum();
-            let rho = if den > 1e-12 { num / den } else { 1.0 };
-            let residuals: Vec<f64> = level
-                .ys
-                .iter()
-                .zip(&prev_mean)
-                .map(|(y, m)| y - rho * m)
-                .collect();
-            let delta = self.deltas[i].refit(&level.xs, &residuals)?;
-            model.rhos.push(rho);
-            model.deltas.push(delta);
-        }
-        Ok(model)
-    }
-
-    /// Like [`LinearMultiFidelityGp::refit`], but grows each per-level GP via
-    /// [`Gp::extend`] so the cached Cholesky factors are extended instead of
-    /// rebuilt whenever a level's inputs only gained points. The residual GPs'
-    /// *inputs* keep their prefix when lower levels grow (only the residual
-    /// targets shift), so every level reuses its factor; results are
-    /// bit-identical to [`LinearMultiFidelityGp::refit`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LinearMultiFidelityGp::refit`].
-    pub fn extend(&self, data: &[FidelityData]) -> Result<Self, GpError> {
-        validate_levels(data)?;
-        if data.len() != self.n_levels() {
-            return Err(GpError::InvalidTrainingData {
-                reason: format!(
-                    "model has {} levels, data has {}",
-                    self.n_levels(),
-                    data.len()
-                ),
-            });
-        }
-        let base = self.base.extend(&data[0].xs, &data[0].ys)?;
-        let mut model = LinearMultiFidelityGp {
-            base,
-            deltas: Vec::new(),
-            rhos: Vec::new(),
-            stats: FitStats::default(),
-        };
-        for (i, level) in data[1..].iter().enumerate() {
-            let prev_mean: Vec<f64> = level
-                .xs
-                .iter()
-                .map(|x| model.predict(model.n_levels() - 1, x).map(|p| p.mean))
-                .collect::<Result<_, _>>()?;
-            let num: f64 = prev_mean.iter().zip(&level.ys).map(|(m, y)| m * y).sum();
-            let den: f64 = prev_mean.iter().map(|m| m * m).sum();
-            let rho = if den > 1e-12 { num / den } else { 1.0 };
-            let residuals: Vec<f64> = level
-                .ys
-                .iter()
-                .zip(&prev_mean)
-                .map(|(y, m)| y - rho * m)
-                .collect();
-            let delta = self.deltas[i].extend(&level.xs, &residuals)?;
-            model.rhos.push(rho);
-            model.deltas.push(delta);
-        }
-        Ok(model)
-    }
-
     /// Number of fidelity levels.
     pub fn n_levels(&self) -> usize {
         self.deltas.len() + 1
@@ -296,7 +230,7 @@ impl LinearMultiFidelityGp {
     }
 
     /// Summed hyperparameter-search telemetry over every per-level GP fit
-    /// that produced this model (zeroed for refit/extend — no search runs).
+    /// that produced this model (zeroed for refit — no search runs).
     pub fn fit_stats(&self) -> FitStats {
         self.stats
     }
@@ -331,9 +265,8 @@ const GH_WEIGHTS: [f64; 5] = [
 pub struct NonLinearMultiFidelityGp {
     base: Gp<Matern52Ard>,
     uppers: Vec<(f64, Gp<Matern52Grouped>)>,
-    propagate: bool,
     /// Summed hyperparameter-search telemetry over all per-level fits
-    /// (zeroed on refit/extend, which run no search).
+    /// (zeroed on refit, which runs no search).
     stats: FitStats,
 }
 
@@ -345,28 +278,50 @@ impl NonLinearMultiFidelityGp {
     /// # Errors
     ///
     /// Propagates [`GpError`] from validation or per-level GP fitting.
-    pub fn fit(data: &[FidelityData], cfg: &MultiFidelityConfig) -> Result<Self, GpError> {
+    pub fn fit(data: &[FidelityData], cfg: &GpConfig) -> Result<Self, GpError> {
         let dim = validate_levels(data)?;
-        let base = Gp::fit(Matern52Ard::new(dim), &data[0].xs, &data[0].ys, &cfg.gp)?;
-        let mut stats = base.fit_stats();
+        let base = Gp::fit(Matern52Ard::new(dim), &data[0].xs, &data[0].ys, cfg)?;
+        Self::chain(base, data, |_, aug, ys| {
+            Gp::fit(Matern52Grouped::iso_plus_tail(dim, 1), aug, ys, cfg)
+        })
+    }
+
+    /// Refits on new data **reusing the fitted GP hyperparameters** (the
+    /// linear backbones `ρ_i` are recomputed — they are closed-form).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`NonLinearMultiFidelityGp::fit`]; additionally
+    /// errors if `data` has a different number of levels than this model.
+    pub fn refit(&self, data: &[FidelityData]) -> Result<Self, GpError> {
+        validate_refit_levels(data, self.n_levels())?;
+        let base = self.base.refit(&data[0].xs, &data[0].ys)?;
+        Self::chain(base, data, |i, aug, ys| self.uppers[i].1.refit(aug, ys))
+    }
+
+    /// Builds the chain above the fitted `base`: for each upper level `i`
+    /// (from 0 at the first level above the base), the lower posterior
+    /// means at the level's inputs give the linear backbone `ρ_i` and the
+    /// augmented inputs `[x, f_prev(x)]`, and `upper(i, aug, residuals)`
+    /// builds the non-linear correction GP.
+    fn chain(
+        base: Gp<Matern52Ard>,
+        data: &[FidelityData],
+        mut upper: impl FnMut(usize, &[Vec<f64>], &[f64]) -> Result<Gp<Matern52Grouped>, GpError>,
+    ) -> Result<Self, GpError> {
         let mut model = NonLinearMultiFidelityGp {
+            stats: base.fit_stats(),
             base,
             uppers: Vec::new(),
-            propagate: cfg.propagate_uncertainty,
-            stats: FitStats::default(),
         };
-        for level in &data[1..] {
-            let cur_level = model.n_levels() - 1;
+        for (i, level) in data[1..].iter().enumerate() {
             // Lower-level posterior means at this level's inputs.
             let prev: Vec<f64> = level
                 .xs
                 .iter()
-                .map(|x| model.predict(cur_level, x).map(|p| p.mean))
+                .map(|x| model.predict(i, x).map(|p| p.mean))
                 .collect::<Result<_, _>>()?;
-            // Linear backbone by least squares.
-            let num: f64 = prev.iter().zip(&level.ys).map(|(m, y)| m * y).sum();
-            let den: f64 = prev.iter().map(|m| m * m).sum();
-            let rho = if den > 1e-12 { num / den } else { 1.0 };
+            let rho = least_squares_rho(&prev, &level.ys);
             // Non-linear correction GP over [x, f_prev(x)].
             let aug: Vec<Vec<f64>> = level
                 .xs
@@ -378,30 +333,17 @@ impl NonLinearMultiFidelityGp {
                     a
                 })
                 .collect();
-            let residuals: Vec<f64> = level
-                .ys
-                .iter()
-                .zip(&prev)
-                .map(|(y, m)| y - rho * m)
-                .collect();
-            let gp = Gp::fit(
-                Matern52Grouped::iso_plus_tail(dim, 1),
-                &aug,
-                &residuals,
-                &cfg.gp,
-            )?;
-            stats.absorb(gp.fit_stats());
+            let gp = upper(i, &aug, &residuals(&level.ys, &prev, rho))?;
+            model.stats.absorb(gp.fit_stats());
             model.uppers.push((rho, gp));
         }
-        model.stats = stats;
         Ok(model)
     }
 
     /// Posterior at fidelity `level` (0 = lowest).
     ///
-    /// With uncertainty propagation enabled, the lower-level posterior is
-    /// integrated out by Gauss–Hermite quadrature; otherwise its mean is plugged
-    /// in directly.
+    /// The lower-level posterior is integrated out by Gauss–Hermite
+    /// quadrature; where its variance is ~0 its mean is plugged in directly.
     ///
     /// # Errors
     ///
@@ -415,7 +357,7 @@ impl NonLinearMultiFidelityGp {
         }
         let mut p = self.base.predict(x)?;
         for (rho, gp) in self.uppers.iter().take(level) {
-            p = if self.propagate && p.var > 1e-16 {
+            p = if p.var > 1e-16 {
                 let sd = p.var.sqrt();
                 let mut mean = 0.0;
                 let mut second = 0.0;
@@ -445,131 +387,13 @@ impl NonLinearMultiFidelityGp {
         Ok(p)
     }
 
-    /// Refits on new data **reusing the fitted GP hyperparameters** (the
-    /// linear backbones `ρ_i` are recomputed — they are closed-form).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NonLinearMultiFidelityGp::fit`]; additionally
-    /// errors if `data` has a different number of levels than this model.
-    pub fn refit(&self, data: &[FidelityData]) -> Result<Self, GpError> {
-        validate_levels(data)?;
-        if data.len() != self.n_levels() {
-            return Err(GpError::InvalidTrainingData {
-                reason: format!(
-                    "model has {} levels, data has {}",
-                    self.n_levels(),
-                    data.len()
-                ),
-            });
-        }
-        let base = self.base.refit(&data[0].xs, &data[0].ys)?;
-        let mut model = NonLinearMultiFidelityGp {
-            base,
-            uppers: Vec::new(),
-            propagate: self.propagate,
-            stats: FitStats::default(),
-        };
-        for (i, level) in data[1..].iter().enumerate() {
-            let cur_level = model.n_levels() - 1;
-            let prev: Vec<f64> = level
-                .xs
-                .iter()
-                .map(|x| model.predict(cur_level, x).map(|p| p.mean))
-                .collect::<Result<_, _>>()?;
-            let num: f64 = prev.iter().zip(&level.ys).map(|(m, y)| m * y).sum();
-            let den: f64 = prev.iter().map(|m| m * m).sum();
-            let rho = if den > 1e-12 { num / den } else { 1.0 };
-            let aug: Vec<Vec<f64>> = level
-                .xs
-                .iter()
-                .zip(&prev)
-                .map(|(x, m)| {
-                    let mut a = x.clone();
-                    a.push(*m);
-                    a
-                })
-                .collect();
-            let residuals: Vec<f64> = level
-                .ys
-                .iter()
-                .zip(&prev)
-                .map(|(y, m)| y - rho * m)
-                .collect();
-            let gp = self.uppers[i].1.refit(&aug, &residuals)?;
-            model.uppers.push((rho, gp));
-        }
-        Ok(model)
-    }
-
-    /// Like [`NonLinearMultiFidelityGp::refit`], but grows each per-level GP
-    /// via [`Gp::extend`]. The base level always reuses its factor; an upper
-    /// level's augmented inputs `[x, f_prev(x)]` change whenever any lower
-    /// level gained data (the lower posterior mean shifts), in which case its
-    /// prefix check inside [`Gp::extend`] falls back to a full refit
-    /// automatically — so this is always safe and bit-identical to
-    /// [`NonLinearMultiFidelityGp::refit`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NonLinearMultiFidelityGp::refit`].
-    pub fn extend(&self, data: &[FidelityData]) -> Result<Self, GpError> {
-        validate_levels(data)?;
-        if data.len() != self.n_levels() {
-            return Err(GpError::InvalidTrainingData {
-                reason: format!(
-                    "model has {} levels, data has {}",
-                    self.n_levels(),
-                    data.len()
-                ),
-            });
-        }
-        let base = self.base.extend(&data[0].xs, &data[0].ys)?;
-        let mut model = NonLinearMultiFidelityGp {
-            base,
-            uppers: Vec::new(),
-            propagate: self.propagate,
-            stats: FitStats::default(),
-        };
-        for (i, level) in data[1..].iter().enumerate() {
-            let cur_level = model.n_levels() - 1;
-            let prev: Vec<f64> = level
-                .xs
-                .iter()
-                .map(|x| model.predict(cur_level, x).map(|p| p.mean))
-                .collect::<Result<_, _>>()?;
-            let num: f64 = prev.iter().zip(&level.ys).map(|(m, y)| m * y).sum();
-            let den: f64 = prev.iter().map(|m| m * m).sum();
-            let rho = if den > 1e-12 { num / den } else { 1.0 };
-            let aug: Vec<Vec<f64>> = level
-                .xs
-                .iter()
-                .zip(&prev)
-                .map(|(x, m)| {
-                    let mut a = x.clone();
-                    a.push(*m);
-                    a
-                })
-                .collect();
-            let residuals: Vec<f64> = level
-                .ys
-                .iter()
-                .zip(&prev)
-                .map(|(y, m)| y - rho * m)
-                .collect();
-            let gp = self.uppers[i].1.extend(&aug, &residuals)?;
-            model.uppers.push((rho, gp));
-        }
-        Ok(model)
-    }
-
     /// Number of fidelity levels.
     pub fn n_levels(&self) -> usize {
         self.uppers.len() + 1
     }
 
     /// Summed hyperparameter-search telemetry over every per-level GP fit
-    /// that produced this model (zeroed for refit/extend — no search runs).
+    /// that produced this model (zeroed for refit — no search runs).
     pub fn fit_stats(&self) -> FitStats {
         self.stats
     }
@@ -611,14 +435,14 @@ mod tests {
             FidelityData::new(lo.clone(), lo.iter().map(|x| forrester_lo(x[0])).collect()),
             FidelityData::new(hi.clone(), hi.iter().map(|x| forrester(x[0])).collect()),
         ];
-        let cfg = MultiFidelityConfig::default();
+        let cfg = GpConfig::default();
         let mf = LinearMultiFidelityGp::fit(&data, &cfg).unwrap();
         // Single-fidelity GP on the 5 high points only.
         let single = Gp::fit(
             Matern52Ard::new(1),
             &hi,
             &hi.iter().map(|x| forrester(x[0])).collect::<Vec<_>>(),
-            &cfg.gp,
+            &cfg,
         )
         .unwrap();
         let mf_err = rmse(|x| mf.predict(1, x).unwrap().mean, forrester);
@@ -641,7 +465,7 @@ mod tests {
             FidelityData::new(lo.clone(), lo.iter().map(|x| f_lo(x[0])).collect()),
             FidelityData::new(hi.clone(), hi.iter().map(|x| f_hi(x[0])).collect()),
         ];
-        let cfg = MultiFidelityConfig::default();
+        let cfg = GpConfig::default();
         let nl = NonLinearMultiFidelityGp::fit(&data, &cfg).unwrap();
         let lin = LinearMultiFidelityGp::fit(&data, &cfg).unwrap();
         let nl_err = rmse(|x| nl.predict(1, x).unwrap().mean, f_hi);
@@ -659,7 +483,7 @@ mod tests {
             FidelityData::new(l1.clone(), l1.iter().map(|x| x[0] * 1.1 + 0.05).collect()),
             FidelityData::new(l2.clone(), l2.iter().map(|x| x[0] * 1.2 + 0.1).collect()),
         ];
-        let cfg = MultiFidelityConfig::default();
+        let cfg = GpConfig::default();
         let nl = NonLinearMultiFidelityGp::fit(&data, &cfg).unwrap();
         let lin = LinearMultiFidelityGp::fit(&data, &cfg).unwrap();
         assert_eq!(nl.n_levels(), 3);
@@ -677,7 +501,7 @@ mod tests {
             l0.clone(),
             l0.iter().map(|x| x[0]).collect(),
         )];
-        let cfg = MultiFidelityConfig::default();
+        let cfg = GpConfig::default();
         let nl = NonLinearMultiFidelityGp::fit(&data, &cfg).unwrap();
         assert!(nl.predict(1, &[0.1]).is_err());
         let lin = LinearMultiFidelityGp::fit(&data, &cfg).unwrap();
@@ -686,7 +510,7 @@ mod tests {
 
     #[test]
     fn empty_levels_rejected() {
-        let cfg = MultiFidelityConfig::default();
+        let cfg = GpConfig::default();
         assert!(NonLinearMultiFidelityGp::fit(&[], &cfg).is_err());
         let data = [FidelityData::new(vec![], vec![])];
         assert!(NonLinearMultiFidelityGp::fit(&data, &cfg).is_err());

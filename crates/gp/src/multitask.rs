@@ -1,5 +1,4 @@
-use crate::gp::GpConfig;
-use crate::hyperopt::FitStats;
+use crate::gp::{FitStats, GpConfig};
 use crate::kernel::{DistanceCache, Kernel};
 use crate::optimize::{multi_start_nelder_mead_par, NelderMeadOptions};
 use crate::GpError;
@@ -55,9 +54,6 @@ pub struct MultiTaskGp<K: Kernel> {
     n_tasks: usize,
     b: Matrix,
     noise: Vec<f64>,
-    /// Cached data-kernel Gram matrix `k_C(x_i, x_j)` (no noise) so
-    /// [`MultiTaskGp::extend`] can grow it with only the new cross rows.
-    kx: Matrix,
     chol: Cholesky,
     alpha: Vec<f64>,
     y_means: Vec<f64>,
@@ -75,7 +71,7 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
     /// per-task noises — are jointly optimized by multi-start Nelder–Mead on the
     /// negative log marginal likelihood when `cfg.optimize` is set. The
     /// data-kernel Gram assembly inside each NLL evaluation runs over the
-    /// per-fit [`DistanceCache`] when the kernel supports it (bit-identical),
+    /// per-fit [`DistanceCache`] (bit-identical to from-scratch assembly),
     /// and the multi-start restarts run in parallel with per-restart derived
     /// seeds (bit-identical at any thread count).
     ///
@@ -118,9 +114,7 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
         if cfg.optimize {
             let base_kernel = kernel.clone();
             let floor = cfg.noise_floor;
-            let cache = kernel
-                .supports_distance_cache()
-                .then(|| DistanceCache::new(xs));
+            let cache = DistanceCache::new(xs);
             let objective = |p: &[f64]| {
                 let mut k = base_kernel.clone();
                 k.set_log_params(&p[..n_kp]);
@@ -131,7 +125,7 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
                     .iter()
                     .map(|lp| lp.exp().max(floor))
                     .collect();
-                joint_nll_eval(&k, xs, cache.as_ref(), &y_std, &b, &noise).unwrap_or(f64::INFINITY)
+                joint_nll_eval(&k, &cache, &y_std, &b, &noise).unwrap_or(f64::INFINITY)
             };
             let opts = NelderMeadOptions {
                 max_evals: cfg.max_evals,
@@ -153,15 +147,13 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
             }
         }
 
-        let kx = data_kernel(&kernel, xs);
-        let (chol, alpha, nlml) = joint_factorize_from(&kx, &y_std, &b, &noise, None)?;
+        let (chol, alpha, nlml) = joint_factorize(&kernel, xs, &y_std, &b, &noise)?;
         Ok(MultiTaskGp {
             kernel,
             xs: xs.to_vec(),
             n_tasks,
             b,
             noise,
-            kx,
             chol,
             alpha,
             y_means,
@@ -187,138 +179,13 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
             });
         }
         let (y_std, y_means, y_scales) = standardize_multi(ys, n_tasks);
-        let kx = data_kernel(&self.kernel, xs);
-        let (chol, alpha, nlml) = joint_factorize_from(&kx, &y_std, &self.b, &self.noise, None)?;
+        let (chol, alpha, nlml) = joint_factorize(&self.kernel, xs, &y_std, &self.b, &self.noise)?;
         Ok(MultiTaskGp {
             kernel: self.kernel.clone(),
             xs: xs.to_vec(),
             n_tasks,
             b: self.b.clone(),
             noise: self.noise.clone(),
-            kx,
-            chol,
-            alpha,
-            y_means,
-            y_scales,
-            nlml,
-            stats: FitStats::default(),
-        })
-    }
-
-    /// Refits on grown data by **extending the cached joint-covariance
-    /// factor** instead of refactorizing. When `xs` starts with this model's
-    /// training inputs, the data kernel only gains rows; because the joint
-    /// covariance is ordered point-major (`Σ = k_C ⊗ B`, entry `i·M + t`),
-    /// the `k` new points append `k·M` trailing rows to it, so the Cholesky
-    /// factor extends in `O((nM)²·kM)` via [`linalg::Cholesky::extend`]
-    /// instead of the `O((nM)³)` full factorization. The y-dependent
-    /// quantities — per-task standardization and `α` — are recomputed from
-    /// scratch, so `ys` may change arbitrarily.
-    ///
-    /// The result is **bit-identical** to [`MultiTaskGp::refit`] on the same
-    /// data; when the prefix precondition does not hold it silently falls
-    /// back to a full refit.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultiTaskGp::refit`].
-    pub fn extend(&self, xs: &[Vec<f64>], ys: &[Vec<f64>]) -> Result<Self, GpError> {
-        let n0 = self.xs.len();
-        if xs.len() < n0 || xs[..n0] != self.xs[..] {
-            return self.refit(xs, ys);
-        }
-        let n_tasks = validate_multi(xs, ys, self.kernel.dim())?;
-        if n_tasks != self.n_tasks {
-            return Err(GpError::InvalidTrainingData {
-                reason: format!("model has {} tasks, data has {n_tasks}", self.n_tasks),
-            });
-        }
-        let (y_std, y_means, y_scales) = standardize_multi(ys, n_tasks);
-        let n = xs.len();
-        let mut kx = Matrix::zeros(n, n);
-        for i in 0..n0 {
-            kx.row_mut(i)[..n0].copy_from_slice(self.kx.row(i));
-        }
-        // New cross rows/columns with the same per-entry `eval` calls
-        // `data_kernel` makes, so the grown Gram matrix matches bit-for-bit.
-        for i in 0..n0 {
-            for j in n0..n {
-                kx[(i, j)] = self.kernel.eval(&xs[i], &xs[j]);
-            }
-        }
-        for i in n0..n {
-            for j in 0..n {
-                kx[(i, j)] = self.kernel.eval(&xs[i], &xs[j]);
-            }
-        }
-        let (chol, alpha, nlml) =
-            joint_factorize_from(&kx, &y_std, &self.b, &self.noise, Some(&self.chol))?;
-        Ok(MultiTaskGp {
-            kernel: self.kernel.clone(),
-            xs: xs.to_vec(),
-            n_tasks,
-            b: self.b.clone(),
-            noise: self.noise.clone(),
-            kx,
-            chol,
-            alpha,
-            y_means,
-            y_scales,
-            nlml,
-            stats: FitStats::default(),
-        })
-    }
-
-    /// Drops the **oldest** `k` training points by low-rank downdating of the
-    /// joint-covariance factor — the sliding-window companion of
-    /// [`MultiTaskGp::extend`]. Because the joint covariance is point-major,
-    /// removing `k` points removes the `k·M` *leading* rows, which is exactly
-    /// the shape [`Cholesky::downdate`] handles.
-    ///
-    /// `ys` supplies the objective rows for the `n − k` **remaining** points;
-    /// per-task standardization and `α` are recomputed (`O((nM)²)`).
-    /// Hyperparameters (kernel, `B`, noises) are reused. Like
-    /// [`crate::Gp::downdate`] the result agrees with a refit to numerical
-    /// tolerance rather than bit-for-bit, and falls back to a full
-    /// refactorization if positive-definiteness is lost.
-    ///
-    /// # Errors
-    ///
-    /// * [`GpError::InvalidTrainingData`] if `k >= self.train_len()`, the
-    ///   window shapes mismatch, or any value is non-finite.
-    /// * [`GpError::Numerical`] if the fallback refactorization fails.
-    pub fn downdate(&self, k: usize, ys: &[Vec<f64>]) -> Result<Self, GpError> {
-        let n = self.xs.len();
-        if k >= n {
-            return Err(GpError::InvalidTrainingData {
-                reason: format!("downdate would remove {k} of {n} training points"),
-            });
-        }
-        let xs: Vec<Vec<f64>> = self.xs[k..].to_vec();
-        let n_tasks = validate_multi(&xs, ys, self.kernel.dim())?;
-        if n_tasks != self.n_tasks {
-            return Err(GpError::InvalidTrainingData {
-                reason: format!("model has {} tasks, data has {n_tasks}", self.n_tasks),
-            });
-        }
-        let (y_std, y_means, y_scales) = standardize_multi(ys, n_tasks);
-        let w = n - k;
-        // The trailing sub-block of the cached data kernel is the windowed
-        // Gram matrix: same `eval` calls as a fresh assembly over `xs[k..]`.
-        let mut kx = Matrix::zeros(w, w);
-        for i in 0..w {
-            kx.row_mut(i).copy_from_slice(&self.kx.row(k + i)[k..]);
-        }
-        let chol = self.chol.downdate(k * self.n_tasks)?;
-        let alpha = chol.solve_vec(&y_std)?;
-        let nlml = joint_nlml_from(&chol, &y_std, &alpha);
-        Ok(MultiTaskGp {
-            kernel: self.kernel.clone(),
-            xs,
-            n_tasks,
-            b: self.b.clone(),
-            noise: self.noise.clone(),
-            kx,
             chol,
             alpha,
             y_means,
@@ -482,8 +349,8 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
     }
 
     /// Hyperparameter-search effort counters for the fit that produced this
-    /// model. Derived models (`refit`/`extend`/`downdate`) report zeroed
-    /// stats: they reuse hyperparameters and run no search.
+    /// model. A `refit` model reports zeroed stats: it reuses
+    /// hyperparameters and runs no search.
     pub fn fit_stats(&self) -> FitStats {
         self.stats
     }
@@ -552,9 +419,8 @@ fn validate_multi(xs: &[Vec<f64>], ys: &[Vec<f64>], dim: usize) -> Result<usize,
 }
 
 /// Per-task standardization of the `n x M` objective table, flattened
-/// point-major: `y_std[i*M + t]` holds point `i`, task `t`. Point-major
-/// ordering matches the joint covariance layout, so appending training
-/// points appends trailing entries instead of inserting into each task block.
+/// point-major: `y_std[i*M + t]` holds point `i`, task `t`, matching the
+/// joint covariance layout.
 fn standardize_multi(ys: &[Vec<f64>], n_tasks: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let n = ys.len();
     let mut y_means = vec![0.0; n_tasks];
@@ -574,18 +440,8 @@ fn standardize_multi(ys: &[Vec<f64>], n_tasks: usize) -> (Vec<f64>, Vec<f64>, Ve
     (y_std, y_means, y_scales)
 }
 
-/// Assembly of the shared data-kernel Gram matrix (Eq. 9's `k_C`) through
-/// [`Kernel::gram_into`]: lower triangle + mirror (half the evaluations of a
-/// dense fill, bit-identical, row-block parallel above its size threshold).
-fn data_kernel<K: Kernel>(kernel: &K, xs: &[Vec<f64>]) -> Matrix {
-    let mut kx = Matrix::zeros(xs.len(), xs.len());
-    kernel.gram_into(xs, &mut kx);
-    kx
-}
-
 /// The joint `nM x nM` covariance `Σ = k_C ⊗ B` plus per-task noise on the
-/// diagonal. Ordering is point-major (entry `i*M + t`), so growing the
-/// training set appends trailing rows.
+/// diagonal. Ordering is point-major (entry `i*M + t`).
 fn joint_covariance(kx: &Matrix, b: &Matrix, noise: &[f64]) -> Matrix {
     let m = b.rows();
     let mut sigma = kx.kron(b);
@@ -597,52 +453,45 @@ fn joint_covariance(kx: &Matrix, b: &Matrix, noise: &[f64]) -> Matrix {
     sigma
 }
 
-/// Builds and factorizes the joint covariance from the data-kernel Gram
-/// matrix `kx`; returns `(chol, α, NLML)`. When `prev` holds the factor of a
-/// leading block the new factor is obtained by [`Cholesky::extend`] instead
-/// of from scratch (bit-identical either way).
-fn joint_factorize_from(
-    kx: &Matrix,
+/// Assembles the shared data-kernel Gram matrix (Eq. 9's `k_C`) through
+/// [`Kernel::gram_into`] (lower triangle + mirror, row-block parallel above
+/// its size threshold), then builds and factorizes the joint covariance;
+/// returns `(chol, α, NLML)`.
+fn joint_factorize<K: Kernel>(
+    kernel: &K,
+    xs: &[Vec<f64>],
     y_std: &[f64],
     b: &Matrix,
     noise: &[f64],
-    prev: Option<&Cholesky>,
 ) -> Result<(Cholesky, Vec<f64>, f64), GpError> {
-    let sigma = joint_covariance(kx, b, noise);
-    let chol = match prev {
-        Some(c) => c.extend(&sigma)?,
-        None => Cholesky::new(&sigma)?,
-    };
+    let mut kx = Matrix::zeros(xs.len(), xs.len());
+    kernel.gram_into(xs, &mut kx);
+    let chol = Cholesky::new(&joint_covariance(&kx, b, noise))?;
     let alpha = chol.solve_vec(y_std)?;
     let nlml = joint_nlml_from(&chol, y_std, &alpha);
     Ok((chol, alpha, nlml))
 }
 
-/// Joint NLML shared by the full, incremental, and downdate paths so all
-/// three produce identical floats from identical factors.
+/// Joint NLML shared by the final factorization and the search objective so
+/// both produce identical floats from identical factors.
 fn joint_nlml_from(chol: &Cholesky, y_std: &[f64], alpha: &[f64]) -> f64 {
     let fit: f64 = y_std.iter().zip(alpha).map(|(y, a)| y * a).sum();
     0.5 * fit + 0.5 * chol.log_det() + 0.5 * y_std.len() as f64 * (2.0 * std::f64::consts::PI).ln()
 }
 
-/// The hyperparameter-search hot path: assemble the data kernel (from the
-/// per-fit [`DistanceCache`] when one is supplied — bit-identical to
-/// [`Kernel::gram_into`]), build and factorize the joint `nM × nM`
-/// covariance, and read off the NLML.
+/// The hyperparameter-search hot path: assemble the data kernel from the
+/// per-fit [`DistanceCache`] (bit-identical to [`Kernel::gram_into`]), build
+/// and factorize the joint `nM × nM` covariance, and read off the NLML.
 fn joint_nll_eval<K: Kernel>(
     kernel: &K,
-    xs: &[Vec<f64>],
-    cache: Option<&DistanceCache>,
+    cache: &DistanceCache,
     y_std: &[f64],
     b: &Matrix,
     noise: &[f64],
 ) -> Result<f64, GpError> {
-    let n = xs.len();
+    let n = cache.len();
     let mut kx = Matrix::zeros(n, n);
-    match cache {
-        Some(cache) => kernel.gram_from_cache(cache, &mut kx),
-        None => kernel.gram_into(xs, &mut kx),
-    }
+    kernel.gram_from_cache(cache, &mut kx);
     let chol = Cholesky::new(&joint_covariance(&kx, b, noise))?;
     let alpha = chol.solve_vec(y_std)?;
     Ok(joint_nlml_from(&chol, y_std, &alpha))
@@ -771,157 +620,6 @@ mod tests {
         let xs = grid_1d(3);
         let ys = vec![vec![1.0, 2.0], vec![1.0], vec![0.0, 0.0]];
         assert!(MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).is_err());
-    }
-
-    /// Input dimension of [`three_task_data`].
-    const DIM6: usize = 6;
-
-    /// `n` deterministic six-dimensional inputs (an integer hash, no RNG)
-    /// with three smooth, correlated objectives — the shape of one
-    /// fidelity of the optimizer's data.
-    fn three_task_data(n: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let xs: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                (0..DIM6)
-                    .map(|d| ((i * 7 + d * 13 + i * i * 3) % 97) as f64 / 97.0)
-                    .collect()
-            })
-            .collect();
-        let ys = xs
-            .iter()
-            .map(|x| {
-                let s: f64 = x.iter().enumerate().map(|(d, v)| (d + 1) as f64 * v).sum();
-                let f = (0.7 * s).sin();
-                vec![f, -f + 0.1 * x[0], f * f + 0.05 * x[1]]
-            })
-            .collect();
-        (xs, ys)
-    }
-
-    #[test]
-    fn extend_equals_refit_bitwise_on_the_blocked_path() {
-        // Three tasks, grown by two points per step as the optimizer does:
-        // joint dimensions of 150 to 600 run the blocked Cholesky (panel 32)
-        // that small proptest data never reaches.
-        let (xs, ys) = three_task_data(202);
-        let cfg = GpConfig {
-            optimize: false,
-            ..Default::default()
-        };
-        for n in [50usize, 100, 200] {
-            let gp = MultiTaskGp::fit(Matern52Ard::new(DIM6), &xs[..n], &ys[..n], &cfg).unwrap();
-            let (xs, ys) = (&xs[..n + 2], &ys[..n + 2]);
-            let ext = gp.extend(xs, ys).unwrap();
-            let full = gp.refit(xs, ys).unwrap();
-            assert_eq!(
-                ext.neg_log_marginal_likelihood().to_bits(),
-                full.neg_log_marginal_likelihood().to_bits(),
-                "nlml differs at n={n}"
-            );
-            for q in [0.1, 0.45, 0.9] {
-                let a = ext.predict(&[q; DIM6]).unwrap();
-                let b = full.predict(&[q; DIM6]).unwrap();
-                for t in 0..3 {
-                    assert_eq!(
-                        a.mean[t].to_bits(),
-                        b.mean[t].to_bits(),
-                        "mean[{t}] differs at n={n} q={q}"
-                    );
-                    for u in 0..3 {
-                        assert_eq!(
-                            a.cov[(t, u)].to_bits(),
-                            b.cov[(t, u)].to_bits(),
-                            "cov[({t},{u})] differs at n={n} q={q}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn downdate_matches_refit_on_window() {
-        // The rotation-based downdate agrees with a refit to O(ε·κ(Σ)); the
-        // joint ICM covariance of strongly correlated tasks is ill-conditioned
-        // enough that a few parts in 1e5 of slack are warranted.
-        let xs = grid_1d(14);
-        let ys: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|x| vec![(4.0 * x[0]).sin(), (3.0 * x[0]).cos() + 0.5 * x[0]])
-            .collect();
-        let gp = MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
-        for k in [1usize, 4, 9] {
-            let down = gp.downdate(k, &ys[k..]).unwrap();
-            let refit = gp.refit(&xs[k..], &ys[k..]).unwrap();
-            assert_eq!(down.train_len(), 14 - k);
-            for q in [[0.07], [0.48], [0.91]] {
-                let pd = down.predict(&q).unwrap();
-                let pr = refit.predict(&q).unwrap();
-                for t in 0..2 {
-                    assert!(
-                        (pd.mean[t] - pr.mean[t]).abs() < 1e-5,
-                        "k={k} q={q:?} t={t}: {} vs {}",
-                        pd.mean[t],
-                        pr.mean[t]
-                    );
-                    for u in 0..2 {
-                        assert!(
-                            (pd.cov[(t, u)] - pr.cov[(t, u)]).abs() < 1e-5,
-                            "k={k} q={q:?} t={t} u={u}: {} vs {}",
-                            pd.cov[(t, u)],
-                            pr.cov[(t, u)]
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn downdate_after_extend_slides_the_window() {
-        let xs = grid_1d(12);
-        let ys: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|x| vec![(5.0 * x[0]).sin(), (2.0 * x[0]).cos() - x[0]])
-            .collect();
-        let gp = MultiTaskGp::fit(
-            Matern52Ard::new(1),
-            &xs[..9],
-            &ys[..9],
-            &GpConfig::default(),
-        )
-        .unwrap();
-        let grown = gp.extend(&xs, &ys).unwrap();
-        let slid = grown.downdate(3, &ys[3..]).unwrap();
-        let refit = grown.refit(&xs[3..], &ys[3..]).unwrap();
-        assert_eq!(slid.train_len(), 9);
-        for q in [[0.14], [0.66]] {
-            let ps = slid.predict(&q).unwrap();
-            let pr = refit.predict(&q).unwrap();
-            for t in 0..2 {
-                assert!(
-                    (ps.mean[t] - pr.mean[t]).abs() < 1e-5,
-                    "q={q:?} t={t}: {} vs {}",
-                    ps.mean[t],
-                    pr.mean[t]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn downdate_rejects_bad_windows() {
-        let xs = grid_1d(5);
-        let ys: Vec<Vec<f64>> = xs.iter().map(|x| vec![x[0], -x[0]]).collect();
-        let gp = MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
-        assert!(matches!(
-            gp.downdate(5, &[]),
-            Err(GpError::InvalidTrainingData { .. })
-        ));
-        assert!(matches!(
-            gp.downdate(2, &ys[..2]),
-            Err(GpError::InvalidTrainingData { .. })
-        ));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! restarts is the standard pragmatic choice.
 
 use rand::rngs::StdRng;
-use rand::{derive_stream_seed, Rng, RngExt, SeedableRng};
+use rand::{derive_stream_seed, RngExt, SeedableRng};
 use rayon::prelude::*;
 
 /// Outcome of a [`nelder_mead`] run.
@@ -169,53 +169,10 @@ pub fn nelder_mead(
     }
 }
 
-/// Runs [`nelder_mead`] from `x0` and from `restarts` random perturbations of it
-/// (uniform in `x0 ± spread`), returning the best result.
-///
-/// # Examples
-///
-/// ```
-/// use cmmf_gp::optimize::{multi_start_nelder_mead, NelderMeadOptions};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let r = multi_start_nelder_mead(
-///     |x| x[0].powi(4) - x[0].powi(2), // two symmetric minima
-///     &[0.0],
-///     2.0,
-///     3,
-///     &NelderMeadOptions::default(),
-///     &mut rng,
-/// );
-/// assert!(r.value < -0.24);
-/// ```
-pub fn multi_start_nelder_mead(
-    mut f: impl FnMut(&[f64]) -> f64,
-    x0: &[f64],
-    spread: f64,
-    restarts: usize,
-    opts: &NelderMeadOptions,
-    rng: &mut impl Rng,
-) -> OptimResult {
-    let mut best = nelder_mead(&mut f, x0, opts);
-    for _ in 0..restarts {
-        let start: Vec<f64> = x0
-            .iter()
-            .map(|v| v + rng.random_range(-spread..=spread))
-            .collect();
-        let r = nelder_mead(&mut f, &start, opts);
-        if r.value < best.value {
-            best.x = r.x;
-            best.value = r.value;
-        }
-        best.evals += r.evals;
-    }
-    best
-}
-
-/// Like [`multi_start_nelder_mead`], but seeded instead of handed an RNG and
-/// run through the in-tree rayon pool: restart `r` draws its start point from
-/// its own [`derive_stream_seed`] stream `(seed, r)`, every search runs
+/// Runs [`nelder_mead`] from `x0` and from `restarts` random perturbations of
+/// it (uniform in `x0 ± spread`) through the in-tree rayon pool, returning
+/// the best result: restart `r` draws its start point from its own
+/// [`derive_stream_seed`] stream `(seed, r)`, every search runs
 /// independently (the simplex method itself is deterministic), and the winner
 /// is chosen by a serial first-min scan in source order (`x0`'s run first,
 /// then restarts in index order) — so the result is **bit-identical at any
@@ -367,8 +324,7 @@ mod tests {
             let a = x[0];
             (a * a).min((a - 4.0) * (a - 4.0) + 1.0)
         };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let r = multi_start_nelder_mead(f, &[4.0], 5.0, 8, &NelderMeadOptions::default(), &mut rng);
+        let r = multi_start_nelder_mead_par(f, &[4.0], 5.0, 8, &NelderMeadOptions::default(), 42);
         assert!(r.value < 0.5);
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests of the Gaussian-process stack over random data.
 
-use cmmf_gp::kernel::{DistanceCache, Kernel, Matern52Ard, Matern52Grouped, SquaredExponentialArd};
+use cmmf_gp::kernel::{DistanceCache, Kernel, Matern52Ard, Matern52Grouped};
 use cmmf_gp::{Gp, GpConfig, MultiTaskGp};
 use linalg::Cholesky;
 use proptest::prelude::*;
@@ -43,64 +43,20 @@ proptest! {
     }
 
     #[test]
-    fn gp_extend_equals_refit_bitwise((xs, ys) in data_1d(12), n0 in 4usize..8, q in 0.0f64..1.0) {
-        // Fit on a prefix, then grow the data: the incremental `extend` path
-        // must produce the exact same floats as a from-scratch `refit`.
-        let n0 = n0.min(xs.len());
-        let gp = Gp::fit(Matern52Ard::new(1), &xs[..n0], &ys[..n0], &quick_cfg()).expect("fits");
-        let ext = gp.extend(&xs, &ys).expect("extends");
-        let full = gp.refit(&xs, &ys).expect("refits");
-        prop_assert_eq!(
-            ext.neg_log_marginal_likelihood().to_bits(),
-            full.neg_log_marginal_likelihood().to_bits()
-        );
-        let a = ext.predict(&[q]).expect("predicts");
-        let b = full.predict(&[q]).expect("predicts");
-        prop_assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-        prop_assert_eq!(a.var.to_bits(), b.var.to_bits());
-    }
-
-    #[test]
-    fn multitask_extend_equals_refit_bitwise((xs, ys) in data_1d(12), n0 in 4usize..8, q in 0.0f64..1.0) {
-        let ym: Vec<Vec<f64>> = ys.iter().map(|y| vec![*y, 0.5 - y]).collect();
-        let n0 = n0.min(xs.len());
-        let gp = MultiTaskGp::fit(Matern52Ard::new(1), &xs[..n0], &ym[..n0], &quick_cfg())
-            .expect("fits");
-        let ext = gp.extend(&xs, &ym).expect("extends");
-        let full = gp.refit(&xs, &ym).expect("refits");
-        prop_assert_eq!(
-            ext.neg_log_marginal_likelihood().to_bits(),
-            full.neg_log_marginal_likelihood().to_bits()
-        );
-        let a = ext.predict(&[q]).expect("predicts");
-        let b = full.predict(&[q]).expect("predicts");
-        for t in 0..2 {
-            prop_assert_eq!(a.mean[t].to_bits(), b.mean[t].to_bits());
-            for u in 0..2 {
-                prop_assert_eq!(a.cov[(t, u)].to_bits(), b.cov[(t, u)].to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn kernel_gram_is_symmetric_psd_on_diagonal(
         pts in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 3), 2..8),
         ls in proptest::collection::vec(0.05f64..5.0, 3),
         sv in 0.1f64..5.0,
     ) {
-        for k in [
-            Box::new(Matern52Ard::with_params(ls.clone(), sv)) as Box<dyn Kernel>,
-            Box::new(SquaredExponentialArd::with_params(ls.clone(), sv)),
-        ] {
-            for a in &pts {
-                for b in &pts {
-                    let kab = k.eval(a, b);
-                    let kba = k.eval(b, a);
-                    prop_assert!((kab - kba).abs() < 1e-12);
-                    // |k(a,b)| <= sqrt(k(a,a) k(b,b)) (Cauchy-Schwarz).
-                    let bound = (k.eval(a, a) * k.eval(b, b)).sqrt();
-                    prop_assert!(kab.abs() <= bound + 1e-9);
-                }
+        let k = Matern52Ard::with_params(ls, sv);
+        for a in &pts {
+            for b in &pts {
+                let kab = k.eval(a, b);
+                let kba = k.eval(b, a);
+                prop_assert!((kab - kba).abs() < 1e-12);
+                // |k(a,b)| <= sqrt(k(a,a) k(b,b)) (Cauchy-Schwarz).
+                let bound = (k.eval(a, a) * k.eval(b, b)).sqrt();
+                prop_assert!(kab.abs() <= bound + 1e-9);
             }
         }
     }
@@ -138,31 +94,27 @@ proptest! {
         let n = pts.len();
         let ys = &ys[..n];
         let cache = DistanceCache::new(&pts);
-        for k in [
-            Box::new(Matern52Ard::with_params(ls.clone(), sv)) as Box<dyn Kernel>,
-            Box::new(SquaredExponentialArd::with_params(ls.clone(), sv)),
-        ] {
-            prop_assert_eq!(k.dim(), d);
-            let mut naive = linalg::Matrix::zeros(n, n);
-            k.gram_into(&pts, &mut naive);
-            naive.add_diag(noise);
-            let mut cached = linalg::Matrix::zeros(n, n);
-            k.gram_from_cache(&cache, &mut cached);
-            cached.add_diag(noise);
-            for i in 0..n {
-                for j in 0..n {
-                    prop_assert_eq!(naive[(i, j)].to_bits(), cached[(i, j)].to_bits());
-                }
+        let k = Matern52Ard::with_params(ls, sv);
+        prop_assert_eq!(k.dim(), d);
+        let mut naive = linalg::Matrix::zeros(n, n);
+        k.gram_into(&pts, &mut naive);
+        naive.add_diag(noise);
+        let mut cached = linalg::Matrix::zeros(n, n);
+        k.gram_from_cache(&cache, &mut cached);
+        cached.add_diag(noise);
+        for i in 0..n {
+            for j in 0..n {
+                prop_assert_eq!(naive[(i, j)].to_bits(), cached[(i, j)].to_bits());
             }
-            let nll = |km: &linalg::Matrix| -> f64 {
-                let chol = Cholesky::new(km).expect("factorizes");
-                let alpha = chol.solve_vec(ys).expect("solves");
-                let fit: f64 = ys.iter().zip(&alpha).map(|(y, a)| y * a).sum();
-                0.5 * fit + 0.5 * chol.log_det()
-                    + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
-            };
-            prop_assert_eq!(nll(&naive).to_bits(), nll(&cached).to_bits());
         }
+        let nll = |km: &linalg::Matrix| -> f64 {
+            let chol = Cholesky::new(km).expect("factorizes");
+            let alpha = chol.solve_vec(ys).expect("solves");
+            let fit: f64 = ys.iter().zip(&alpha).map(|(y, a)| y * a).sum();
+            0.5 * fit + 0.5 * chol.log_det()
+                + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
+        };
+        prop_assert_eq!(nll(&naive).to_bits(), nll(&cached).to_bits());
     }
 
     #[test]

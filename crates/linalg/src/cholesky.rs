@@ -239,144 +239,6 @@ impl Cholesky {
         true
     }
 
-    /// Extends the factorization to a grown matrix `a` whose leading
-    /// `self.dim() x self.dim()` block equals the matrix this factor was
-    /// computed from (the caller's precondition — typical of a Bayesian
-    /// -optimization loop where the covariance only gains rows between
-    /// hyperparameter refits).
-    ///
-    /// Appending `k` rows costs `O(n²·k)` — each new row is the same
-    /// forward-substitution recurrence a fresh factorization would run,
-    /// restricted to the new rows — instead of the `O(n³)` of
-    /// [`Cholesky::new`], and produces **bit-identical** floats: old rows are
-    /// reused unchanged (the recurrence for row `i` reads only rows `≤ i`,
-    /// which did not change), and new rows execute the identical operations
-    /// in the identical order.
-    ///
-    /// Two cases fall back to a full [`Cholesky::new`] on `a`, preserving the
-    /// bit-equality guarantee rather than breaking it:
-    ///
-    /// * this factor needed jitter (`self.jitter() > 0`) — the escalation
-    ///   base is the mean diagonal of the *whole* matrix, so the grown matrix
-    ///   must re-run the escalation from scratch to land on the same jitter a
-    ///   fresh factorization would;
-    /// * the zero-jitter extension hits a non-positive pivot in a new row —
-    ///   a fresh factorization would escalate jitter, changing every entry.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cholesky::new`].
-    pub fn extend(&self, a: &Matrix) -> Result<Self, LinalgError> {
-        let n0 = self.dim();
-        if !a.is_square() || a.rows() < n0 || self.jitter != 0.0 {
-            return Cholesky::new(a);
-        }
-        let n = a.rows();
-        if n == n0 {
-            return Ok(self.clone());
-        }
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n0 {
-            l.row_mut(i)[..=i].copy_from_slice(&self.l.row(i)[..=i]);
-        }
-        // Same recurrence as the scalar factorization at jitter 0 (to which
-        // the blocked path is bit-identical), restricted to the new rows.
-        for i in n0..n {
-            for j in 0..=i {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if s <= 0.0 || !s.is_finite() {
-                        return Cholesky::new(a);
-                    }
-                    l[(i, j)] = s.sqrt();
-                } else {
-                    l[(i, j)] = s / l[(j, j)];
-                }
-            }
-        }
-        Ok(Cholesky { l, jitter: 0.0 })
-    }
-
-    /// Removes the leading `k` rows/columns: returns a factorization of the
-    /// trailing `(n-k) x (n-k)` block of the matrix this factor was computed
-    /// from — the low-rank complement of [`Cholesky::extend`], enabling
-    /// sliding-window surrogates that drop their oldest observations.
-    ///
-    /// Cost is `O((n-k)²·k)`: the trailing factor block `L₂₂` absorbs the
-    /// dropped columns `L₂₁` through `k` rank-1 plane-rotation updates
-    /// (`A₂₂ = L₂₁L₂₁ᵀ + L₂₂L₂₂ᵀ`), instead of the `O((n-k)³)` of
-    /// refactorizing the window. `downdate(0)` is a bit-identical clone.
-    /// Rotation arithmetic differs from the factorization recurrence, so for
-    /// `k > 0` the result carries a *toleranced* contract (`L Lᵀ` matches the
-    /// window matrix to ≤1e-12 relative in tests), not a bitwise one.
-    ///
-    /// Two cases fall back to reconstructing the window matrix from the
-    /// factor and refactorizing with [`Cholesky::new`] (which re-runs jitter
-    /// escalation on the window's own diagonal):
-    ///
-    /// * this factor carries jitter — the escalation base is a whole-matrix
-    ///   statistic, so the window must pick its own;
-    /// * a rotation loses positivity or finiteness (numerically indefinite
-    ///   trailing block).
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::Empty`] if `k >= self.dim()` (nothing would remain).
-    /// * [`LinalgError::NotPositiveDefinite`] propagated from the fallback.
-    pub fn downdate(&self, k: usize) -> Result<Self, LinalgError> {
-        let n = self.dim();
-        if k == 0 {
-            return Ok(self.clone());
-        }
-        if k >= n {
-            return Err(LinalgError::Empty {
-                op: "Cholesky::downdate",
-            });
-        }
-        if self.jitter != 0.0 {
-            return self.refactorize_trailing(k);
-        }
-        let m = n - k;
-        let mut l = Matrix::zeros(m, m);
-        for i in 0..m {
-            let src = self.l.row(k + i);
-            l.row_mut(i)[..=i].copy_from_slice(&src[k..=(k + i)]);
-        }
-        let mut v = vec![0.0; m];
-        for c in 0..k {
-            for (i, vi) in v.iter_mut().enumerate() {
-                *vi = self.l[(k + i, c)];
-            }
-            if !rank_one_update(&mut l, &mut v) {
-                return self.refactorize_trailing(k);
-            }
-        }
-        Ok(Cholesky { l, jitter: 0.0 })
-    }
-
-    /// Fallback for [`Cholesky::downdate`]: reconstruct the trailing block of
-    /// the *original* matrix (`L₂₁L₂₁ᵀ + L₂₂L₂₂ᵀ`, minus any jitter this
-    /// factor added to its diagonal) and refactorize it from scratch.
-    fn refactorize_trailing(&self, k: usize) -> Result<Self, LinalgError> {
-        let m = self.dim() - k;
-        let mut a = Matrix::from_fn(m, m, |i, j| {
-            let (p, q) = (k + i, k + j);
-            let lim = usize::min(p, q);
-            self.l.row(p)[..=lim]
-                .iter()
-                .zip(&self.l.row(q)[..=lim])
-                .map(|(x, y)| x * y)
-                .sum()
-        });
-        if self.jitter != 0.0 {
-            a.add_diag(-self.jitter);
-        }
-        Cholesky::new(&a)
-    }
-
     /// The lower-triangular factor `L`.
     pub fn l(&self) -> &Matrix {
         &self.l
@@ -490,45 +352,6 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Solves `Lᵀ X = Y` for all columns of `Y` at once (back substitution
-    /// swept row-by-row, the mirror of [`Cholesky::solve_lower_mat`]).
-    ///
-    /// Per column the subtraction order (`k` ascending `i+1..n`) and every
-    /// operation match [`Cholesky::solve_upper`], so the result is
-    /// **bit-identical** to solving each column separately.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `y.rows() != self.dim()`.
-    pub fn solve_upper_mat(&self, y: &Matrix) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        if y.rows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_upper_mat",
-                lhs: (n, n),
-                rhs: y.shape(),
-            });
-        }
-        let cols = y.cols();
-        let mut x = y.clone();
-        let mut acc = vec![0.0; cols];
-        for i in (0..n).rev() {
-            acc.copy_from_slice(x.row(i));
-            for k in (i + 1)..n {
-                let lki = self.l[(k, i)];
-                let xk = x.row(k);
-                for (a, &v) in acc.iter_mut().zip(xk) {
-                    *a -= lki * v;
-                }
-            }
-            let lii = self.l[(i, i)];
-            for (out, &a) in x.row_mut(i).iter_mut().zip(&acc) {
-                *out = a / lii;
-            }
-        }
-        Ok(x)
-    }
-
     /// Solves `A x = b` via the two triangular solves.
     ///
     /// # Errors
@@ -537,65 +360,6 @@ impl Cholesky {
     pub fn solve_vec(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         self.solve_upper(&self.solve_lower(b)?)
     }
-
-    /// Solves `A X = B` for all columns at once via the two batched
-    /// triangular sweeps ([`Cholesky::solve_lower_mat`] then
-    /// [`Cholesky::solve_upper_mat`]), each of which is bit-identical per
-    /// column to its vector counterpart — so this is **bit-identical** to
-    /// calling [`Cholesky::solve_vec`] column by column, at a fraction of the
-    /// memory traffic (one pass over `L` per sweep serves every column).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_mat(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_mat",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
-        self.solve_upper_mat(&self.solve_lower_mat(b)?)
-    }
-
-    /// Explicit inverse `A⁻¹`. Prefer the solve methods; this is provided for the
-    /// multi-task predictive-covariance path where the inverse is reused heavily.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Cholesky::solve_mat`]; cannot fail for a valid
-    /// factorization.
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.solve_mat(&Matrix::identity(self.dim()))
-    }
-}
-
-/// One plane-rotation rank-1 update `L Lᵀ + v vᵀ` applied in place (the
-/// LINPACK `dchud` recurrence); consumes `v` as workspace. Returns `false`
-/// if a rotation loses positivity or finiteness, in which case `l` is
-/// partially updated and must be discarded by the caller.
-fn rank_one_update(l: &mut Matrix, v: &mut [f64]) -> bool {
-    let m = l.rows();
-    for j in 0..m {
-        let d = l[(j, j)];
-        let x = v[j];
-        let r = (d * d + x * x).sqrt();
-        // NaN inputs surface as a NaN `r`, caught by the finiteness check.
-        if d <= 0.0 || r <= 0.0 || !r.is_finite() {
-            return false;
-        }
-        let c = r / d;
-        let s = x / d;
-        l[(j, j)] = r;
-        for i in (j + 1)..m {
-            let nij = (l[(i, j)] + s * v[i]) / c;
-            v[i] = c * v[i] - s * nij;
-            l[(i, j)] = nij;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -644,14 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_original_is_identity() {
-        let a = spd3();
-        let inv = Cholesky::new(&a).unwrap().inverse().unwrap();
-        let eye = a.matmul(&inv).unwrap();
-        assert!(eye.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-10);
-    }
-
-    #[test]
     fn semidefinite_gets_jitter() {
         // Rank-1 matrix: positive semi-definite, needs jitter.
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
@@ -666,10 +422,6 @@ mod tests {
             Cholesky::new(&a),
             Err(LinalgError::NotPositiveDefinite { .. })
         ));
-    }
-
-    fn leading_block(a: &Matrix, n: usize) -> Matrix {
-        Matrix::from_fn(n, n, |i, j| a[(i, j)])
     }
 
     fn assert_bitwise_eq(a: &Cholesky, b: &Cholesky, what: &str) {
@@ -708,224 +460,28 @@ mod tests {
     }
 
     #[test]
-    fn extend_matches_full_factorization_bitwise() {
-        let a = Matrix::from_rows(&[
-            &[4.0, 1.0, 0.5, 0.2],
-            &[1.0, 3.0, 0.2, 0.1],
-            &[0.5, 0.2, 2.0, 0.3],
-            &[0.2, 0.1, 0.3, 2.5],
-        ])
-        .unwrap();
-        for n0 in 1..4 {
-            let base = Cholesky::new(&leading_block(&a, n0)).unwrap();
-            let ext = base.extend(&a).unwrap();
-            let full = Cholesky::new(&a).unwrap();
-            assert_eq!(ext.jitter().to_bits(), full.jitter().to_bits());
-            for i in 0..4 {
-                for j in 0..4 {
-                    assert_eq!(
-                        ext.l()[(i, j)].to_bits(),
-                        full.l()[(i, j)].to_bits(),
-                        "entry ({i},{j}) differs for n0={n0}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn extend_matches_blocked_full_factorization_bitwise_large() {
-        // Same contract across the blocked-path size threshold: growing a
-        // factor must agree bit-for-bit with the (blocked) full
-        // factorization, up to a realistic surrogate size.
-        for (n0, n) in [(40, 60), (150, 200)] {
-            let a = spd(n);
-            let base = Cholesky::new(&leading_block(&a, n0)).unwrap();
-            let ext = base.extend(&a).unwrap();
-            let full = Cholesky::new(&a).unwrap();
-            assert_bitwise_eq(&ext, &full, &format!("extend {n0}->{n}"));
-        }
-    }
-
-    #[test]
-    fn extend_same_size_is_identity() {
-        let a = spd3();
-        let c = Cholesky::new(&a).unwrap();
-        let e = c.extend(&a).unwrap();
-        assert_eq!(c.l(), e.l());
-    }
-
-    #[test]
-    fn extend_falls_back_when_jittered() {
-        // Base factor needed jitter; the grown matrix is SPD. Extend must
-        // agree with a fresh factorization (which re-runs the escalation).
-        let a0 = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
-        let base = Cholesky::new(&a0).unwrap();
-        assert!(base.jitter() > 0.0);
-        let grown =
-            Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[1.0, 1.0, 0.0], &[0.0, 0.0, 3.0]]).unwrap();
-        let ext = base.extend(&grown).unwrap();
-        let full = Cholesky::new(&grown).unwrap();
-        assert_eq!(ext.jitter().to_bits(), full.jitter().to_bits());
-        assert_eq!(ext.l(), full.l());
-    }
-
-    #[test]
-    fn extend_falls_back_on_bad_trailing_block() {
-        // The new diagonal makes the grown matrix indefinite at zero jitter;
-        // extend must take the same escalation path as a full factorization.
-        let a0 = spd3();
-        let base = Cholesky::new(&a0).unwrap();
-        assert_eq!(base.jitter(), 0.0);
-        let mut grown = Matrix::zeros(4, 4);
-        for i in 0..3 {
-            for j in 0..3 {
-                grown[(i, j)] = a0[(i, j)];
-            }
-        }
-        // Trailing entry equal to the norm of its column ⇒ zero/negative pivot.
-        grown[(3, 3)] = 1e-9;
-        grown[(0, 3)] = 1.0;
-        grown[(3, 0)] = 1.0;
-        match (base.extend(&grown), Cholesky::new(&grown)) {
-            (Ok(e), Ok(f)) => {
-                assert_eq!(e.jitter().to_bits(), f.jitter().to_bits());
-                assert_eq!(e.l(), f.l());
-            }
-            (Err(_), Err(_)) => {}
-            (e, f) => panic!("extend and full disagree: {e:?} vs {f:?}"),
-        }
-    }
-
-    fn trailing_block(a: &Matrix, k: usize) -> Matrix {
-        let m = a.rows() - k;
-        Matrix::from_fn(m, m, |i, j| a[(k + i, k + j)])
-    }
-
-    #[test]
-    fn downdate_zero_is_bit_identical_clone() {
-        let a = spd(20);
-        let c = Cholesky::new(&a).unwrap();
-        let d = c.downdate(0).unwrap();
-        assert_bitwise_eq(&d, &c, "downdate(0)");
-    }
-
-    #[test]
-    fn downdate_matches_window_factorization_to_tolerance() {
-        for (n, ks) in [(30, &[1, 3, 10, 29][..]), (200, &[8][..])] {
-            let a = spd(n);
-            let c = Cholesky::new(&a).unwrap();
-            assert_eq!(c.jitter(), 0.0);
-            for &k in ks {
-                let d = c.downdate(k).unwrap();
-                assert_eq!(d.dim(), n - k);
-                let fresh = Cholesky::new(&trailing_block(&a, k)).unwrap();
-                let scale = fresh.l().max_abs();
-                let diff = d.l().max_abs_diff(fresh.l()).unwrap();
-                assert!(
-                    diff <= 1e-12 * scale,
-                    "n={n} k={k}: |downdate - fresh| = {diff:e} (scale {scale:e})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn downdate_of_extend_recovers_window() {
-        // Slide the window: factorize n=24, extend to 30, drop the oldest 6.
-        let a = spd(30);
-        let base = Cholesky::new(&leading_block(&a, 24)).unwrap();
-        let ext = base.extend(&a).unwrap();
-        let d = ext.downdate(6).unwrap();
-        let fresh = Cholesky::new(&trailing_block(&a, 6)).unwrap();
-        let diff = d.l().max_abs_diff(fresh.l()).unwrap();
-        assert!(diff <= 1e-12 * fresh.l().max_abs(), "diff {diff:e}");
-    }
-
-    #[test]
-    fn downdate_jittered_falls_back_and_stays_consistent() {
-        // Rank-deficient matrix forces jitter; downdate must fall back to
-        // refactorization and still represent the window matrix (plus its
-        // own jitter) faithfully.
-        let n = 12;
-        let b = Matrix::from_fn(n, 2, |i, j| ((i * 2 + j) as f64 * 1.3).sin());
-        let a = b.matmul(&b.transpose()).unwrap();
-        let c = Cholesky::new(&a).unwrap();
-        assert!(c.jitter() > 0.0);
-        let k = 4;
-        let d = c.downdate(k).unwrap();
-        let recon = d.l().matmul(&d.l().transpose()).unwrap();
-        let mut want = trailing_block(&a, k);
-        want.add_diag(d.jitter());
-        let diff = recon.max_abs_diff(&want).unwrap();
-        assert!(diff <= 1e-9, "jittered downdate drifted: {diff:e}");
-    }
-
-    #[test]
-    fn downdate_rejects_removing_everything() {
-        let c = Cholesky::new(&spd3()).unwrap();
-        assert!(matches!(c.downdate(3), Err(LinalgError::Empty { .. })));
-        assert!(matches!(c.downdate(7), Err(LinalgError::Empty { .. })));
-    }
-
-    #[test]
     fn solve_lower_mat_matches_per_column_bitwise() {
-        let a = Matrix::from_rows(&[
-            &[4.0, 1.0, 0.5, 0.2],
-            &[1.0, 3.0, 0.2, 0.1],
-            &[0.5, 0.2, 2.0, 0.3],
-            &[0.2, 0.1, 0.3, 2.5],
-        ])
-        .unwrap();
-        let c = Cholesky::new(&a).unwrap();
-        let b = Matrix::from_fn(4, 5, |i, j| ((i * 5 + j) as f64).sin());
-        let batched = c.solve_lower_mat(&b).unwrap();
-        for j in 0..5 {
-            let col = c.solve_lower(&b.col(j)).unwrap();
-            for i in 0..4 {
-                assert_eq!(
-                    batched[(i, j)].to_bits(),
-                    col[i].to_bits(),
-                    "entry ({i},{j}) differs from the per-column solve"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_upper_mat_matches_per_column_bitwise() {
-        let a = spd(9);
-        let c = Cholesky::new(&a).unwrap();
-        let y = Matrix::from_fn(9, 4, |i, j| ((i * 4 + j) as f64).cos());
-        let batched = c.solve_upper_mat(&y).unwrap();
-        for j in 0..4 {
-            let col = c.solve_upper(&y.col(j)).unwrap();
-            for i in 0..9 {
-                assert_eq!(
-                    batched[(i, j)].to_bits(),
-                    col[i].to_bits(),
-                    "entry ({i},{j}) differs from the per-column solve"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_mat_matches_per_column_solve_vec_bitwise() {
         // n = 200 with 24 right-hand sides runs the blocked factor and a
         // candidate-chunk-wide solve at realistic surrogate size.
-        for (n, q) in [(11, 6), (200, 24)] {
-            let a = spd(n);
+        let small = Matrix::from_rows(&[
+            &[4.0, 1.0, 0.5, 0.2],
+            &[1.0, 3.0, 0.2, 0.1],
+            &[0.5, 0.2, 2.0, 0.3],
+            &[0.2, 0.1, 0.3, 2.5],
+        ])
+        .unwrap();
+        for (a, q) in [(small, 5), (spd(200), 24)] {
+            let n = a.rows();
             let c = Cholesky::new(&a).unwrap();
-            let b = Matrix::from_fn(n, q, |i, j| ((2 * i + 3 * j) as f64).sin());
-            let batched = c.solve_mat(&b).unwrap();
+            let b = Matrix::from_fn(n, q, |i, j| ((i * q + j) as f64).sin());
+            let batched = c.solve_lower_mat(&b).unwrap();
             for j in 0..q {
-                let col = c.solve_vec(&b.col(j)).unwrap();
+                let col = c.solve_lower(&b.col(j)).unwrap();
                 for i in 0..n {
                     assert_eq!(
                         batched[(i, j)].to_bits(),
                         col[i].to_bits(),
-                        "n={n}: entry ({i},{j}) differs from the per-column solve_vec"
+                        "n={n}: entry ({i},{j}) differs from the per-column solve"
                     );
                 }
             }
@@ -937,10 +493,6 @@ mod tests {
         let c = Cholesky::new(&spd3()).unwrap();
         assert!(matches!(
             c.solve_lower_mat(&Matrix::zeros(2, 3)),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        assert!(matches!(
-            c.solve_upper_mat(&Matrix::zeros(2, 3)),
             Err(LinalgError::ShapeMismatch { .. })
         ));
     }

@@ -8,8 +8,9 @@
 //! * [`Matrix`] — a dense, row-major, `f64` matrix with the usual algebraic
 //!   operations,
 //! * [`Cholesky`] — a jittered, right-looking *blocked* Cholesky factorization
-//!   with triangular solves, log-determinant, incremental `extend`, and
-//!   low-rank `downdate` (the workhorse of exact GP inference),
+//!   with triangular solves (per vector, and forward substitution over a
+//!   whole block of right-hand sides) and log-determinant (the workhorse of
+//!   exact GP inference),
 //! * [`stats`] — scalar standard-normal PDF/CDF/quantile built on an `erf`
 //!   implementation, plus small summary-statistics helpers.
 //!

@@ -3,7 +3,7 @@
 //! # cmmf-lint — workspace determinism & panic-freedom linter
 //!
 //! Every load-bearing guarantee this reproduction ships — bit-identical rayon
-//! parallelism, extend == refit bit-equality, indexed == naive EIPV,
+//! parallelism, refit == searched-fit bit-equality, indexed == naive EIPV,
 //! kill-and-resume bit-identity — is a *determinism* invariant. The pinning
 //! tests catch regressions after the fact; this linter catches the
 //! ingredients that cause them (`HashMap` iteration, clock reads, unseeded

@@ -75,13 +75,14 @@ pub enum TraceEvent {
     ModelFit {
         /// Step index.
         step: usize,
-        /// `"optimize"`, `"refit"`, or `"extend"`.
+        /// `"optimize"` (the hyperparameter search ran) or `"refit"` (the
+        /// previous step's hyperparameters were reused).
         fit_mode: &'static str,
         /// Wall seconds spent fitting.
         seconds: f64,
         /// NLL objective evaluations consumed by the fit's hyperparameter
         /// searches, summed over the stack's sub-models (0 when no search
-        /// ran — refit/extend steps).
+        /// ran — refit steps).
         nll_evals: usize,
         /// Multi-start restarts run across those searches (0 when none ran).
         restarts_run: usize,
@@ -812,7 +813,7 @@ impl PartialEq for TracerHandle {
 pub struct StepMetrics {
     /// Step index.
     pub step: usize,
-    /// Fit mode of the step's model fit (`"optimize"`, `"refit"`, `"extend"`).
+    /// Fit mode of the step's model fit (`"optimize"` or `"refit"`).
     pub fit_mode: Option<&'static str>,
     /// Wall seconds spent fitting the surrogate stack.
     pub model_fit_seconds: f64,
