@@ -1,13 +1,15 @@
-//! Ablations of the design choices the paper singles out:
+//! Ablations of the design choices the paper singles out, and of the
+//! escalation guard this reproduction adds:
 //!
-//! * **objective correlation** (Sec. IV-B) — correlated multi-task GP vs
-//!   independent per-objective GPs,
-//! * **non-linear fidelity composition** (Sec. IV-A) — Eq. 5 vs the linear
-//!   AR(1) model,
-//! * **the Eq. 10 cost penalty** — calibrated (γ = 0.3), literal (γ = 1.0),
-//!   and disabled,
-//! * **tree pruning** (Sec. III-A) — surrogate model quality on the pruned vs
-//!   an unpruned (randomly subsampled) design space.
+//! * **A: objective correlation** (Sec. IV-B) — correlated multi-task GP vs
+//!   independent per-objective GPs — crossed with **non-linear fidelity
+//!   composition** (Sec. IV-A): Eq. 5, vs the linear AR(1) chain for
+//!   independent objectives (FPL18) and no cross-fidelity transfer for
+//!   correlated ones (`Corr+NoTransfer`),
+//! * **B: the Eq. 10 cost penalty** — calibrated (γ = 0.3), literal
+//!   (γ = 1.0), and disabled (γ = 0, the raw EIPV),
+//! * **C: the fidelity-escalation guard** (`escalate_threshold`) — the
+//!   default 0.05 vs 0, which never raises the picked fidelity.
 //!
 //! Usage: `cargo run --release -p cmmf-bench --bin ablation [--quick | --repeats N]`
 
@@ -61,35 +63,58 @@ fn main() {
     );
     for b in benches {
         let setup = BenchmarkSetup::new(b);
-        for (label, gamma, on) in [
-            ("calibrated 0.3", 0.3, true),
-            ("literal 1.0", 1.0, true),
-            ("disabled", 0.0, false),
+        for (label, gamma) in [
+            ("calibrated 0.3", 0.3),
+            ("literal 1.0", 1.0),
+            ("disabled", 0.0),
         ] {
-            let mut hi_fid = 0usize;
-            let (mean, std, hours) = run_repeats_counting(
-                &setup,
-                |cfg| {
-                    cfg.cost_exponent = gamma;
-                    cfg.use_cost_penalty = on;
-                },
-                repeats,
-                &mut hi_fid,
-            );
-            println!(
-                "{:<14} {:<16} {:>10.4} {:>10.4} {:>10.1} {:>8.1}",
-                b.name(),
-                label,
-                mean,
-                std,
-                hours,
-                hi_fid as f64 / repeats as f64
-            );
+            print_counted_row(&setup, label, |cfg| cfg.cost_exponent = gamma, repeats);
         }
     }
     println!();
     println!("# expected: the literal penalty never leaves HLS; disabling it runs the");
     println!("# expensive stages constantly; the calibrated exponent sits in between.");
+    println!();
+
+    println!("# Ablation C — fidelity-escalation guard");
+    println!(
+        "{:<14} {:<16} {:>10} {:>10} {:>10} {:>8}",
+        "benchmark", "guard", "mean ADRS", "std ADRS", "sim hours", "hi-fid"
+    );
+    for b in benches {
+        let setup = BenchmarkSetup::new(b);
+        for (label, threshold) in [("threshold 0.05", 0.05), ("disabled", 0.0)] {
+            print_counted_row(
+                &setup,
+                label,
+                |cfg| cfg.escalate_threshold = threshold,
+                repeats,
+            );
+        }
+    }
+}
+
+/// Runs `repeats` campaigns of `setup` with `tweak` applied and prints one
+/// row: mean and spread of ADRS, simulated hours, and the mean number of
+/// configurations sampled during the iterations that ran past HLS
+/// (`hi-fid`).
+fn print_counted_row(
+    setup: &BenchmarkSetup,
+    label: &str,
+    tweak: impl Fn(&mut CmmfConfig),
+    repeats: usize,
+) {
+    let mut hi_fid = 0usize;
+    let (mean, std, hours) = run_repeats_counting(setup, tweak, repeats, &mut hi_fid);
+    println!(
+        "{:<14} {:<16} {:>10.4} {:>10.4} {:>10.1} {:>8.1}",
+        setup.benchmark.name(),
+        label,
+        mean,
+        std,
+        hours,
+        hi_fid as f64 / repeats as f64
+    );
 }
 
 fn run_repeats(

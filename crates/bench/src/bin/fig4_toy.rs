@@ -8,7 +8,7 @@
 //! Usage: `cargo run --release -p cmmf-bench --bin fig4_toy`
 
 use cmmf::eipv::{eipv_correlated_mc, peipv};
-use gp::kernel::Matern52Ard;
+use gp::kernel::Matern52;
 use gp::{Gp, GpConfig, MultiTaskPrediction};
 use linalg::Matrix;
 use rand::rngs::StdRng;
@@ -38,7 +38,7 @@ fn main() {
     for (fid, &n) in counts.iter().enumerate() {
         let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| truth(x[0], fid)).collect();
-        gps.push(Gp::fit(Matern52Ard::new(1), &xs, &ys, &cfg).expect("toy GP fits"));
+        gps.push(Gp::fit(Matern52::ard(1), &xs, &ys, &cfg).expect("toy GP fits"));
     }
 
     println!("x,fid,mean,std,truth,ei,peipv");

@@ -9,7 +9,7 @@
 
 use cmmf::eipv::eipv_correlated_mc;
 use fidelity_sim::{FlowSimulator, SimParams};
-use gp::kernel::Matern52Ard;
+use gp::kernel::Matern52;
 use gp::{GpConfig, MultiTaskGp};
 use hls_model::benchmarks::{self, Benchmark};
 use pareto::{pareto_front, CellDecomposition};
@@ -70,13 +70,8 @@ fn main() {
 
     // Fit a 2-task correlated GP on the observations and score candidates.
     let xs: Vec<Vec<f64>> = raw.iter().map(|(i, _)| space.encode(*i)).collect();
-    let gp = MultiTaskGp::fit(
-        Matern52Ard::new(space.dim()),
-        &xs,
-        &ys,
-        &GpConfig::default(),
-    )
-    .expect("2-objective GP fits");
+    let gp = MultiTaskGp::fit(Matern52::ard(space.dim()), &xs, &ys, &GpConfig::default())
+        .expect("2-objective GP fits");
 
     println!("candidate,power_mean,delay_mean,eipv");
     let mut best: Option<(usize, f64)> = None;

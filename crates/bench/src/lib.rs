@@ -13,11 +13,14 @@
 //! | `fig5_delay`    | Fig. 5 (per-config delay across fidelities)         |
 //! | `fig6_eipv`     | Fig. 6 (cell decomposition + EIPV example)          |
 //! | `fig8_pareto`   | Fig. 8 (learned Pareto points per method)           |
-//! | `ablation`      | design-choice ablations (Secs. IV-A/IV-B/Eq. 10)    |
+//! | `ablation`      | ablations: Secs. IV-A/IV-B, Eq. 10, escalation guard |
 //! | `correlations`  | Sec. IV-B learned objective-correlation check       |
 //!
-//! The `benches/` directory holds Criterion micro/meso benchmarks of the same
-//! components.
+//! Two more binaries check the loop rather than regenerate a figure:
+//! `async_makespan` (the virtual-clock makespan of in-flight slots) and
+//! `smoke_resume` (the journal schema and a kill-and-resume run). There are
+//! no `cargo bench` targets: wall time is measured by the benchmark of record
+//! in `cmmf-benchmark/`, a package outside this workspace.
 
 use cmmf::runner::TrueFront;
 use cmmf::{CmmfConfig, ModelVariant, Optimizer};

@@ -137,18 +137,25 @@ impl RunCheckpoint {
     /// field that can influence the result, formatted deterministically
     /// (floats as bit patterns). `threads` and `tracer` are deliberately
     /// absent — both are result-transparent.
+    ///
+    /// The text is the one version 3 has always written. Four settings it
+    /// names are now constants — the cost-penalty switch (on) and the
+    /// search's `optimize` (on), initial noise (0.01) and noise floor
+    /// (1e-8) — and are spelled at those values, so checkpoints stored
+    /// before they became constants still resume.
     pub fn fingerprint_of(cfg: &CmmfConfig) -> String {
         format!(
             "v{CHECKPOINT_VERSION};n_init={};n_init_syn={};n_init_impl={};n_iter={};\
-             variant={:?};use_cost_penalty={};cost_exponent={:#x};candidate_pool={};\
+             variant={:?};use_cost_penalty=true;cost_exponent={:#x};candidate_pool={};\
              mc_samples={};batch_size={};final_prediction_pool={};\
-             escalate_threshold={:#x};refit_every={};async_slots={};gp={:?};seed={}",
+             escalate_threshold={:#x};refit_every={};async_slots={};\
+             gp=GpConfig {{ optimize: true, restarts: {}, max_evals: {}, \
+             init_noise_var: 0.01, noise_floor: 1e-8, seed: {} }};seed={}",
             cfg.n_init,
             cfg.n_init_syn,
             cfg.n_init_impl,
             cfg.n_iter,
             cfg.variant,
-            cfg.use_cost_penalty,
             cfg.cost_exponent.to_bits(),
             cfg.candidate_pool,
             cfg.mc_samples,
@@ -157,7 +164,9 @@ impl RunCheckpoint {
             cfg.escalate_threshold.to_bits(),
             cfg.refit_every,
             cfg.async_slots,
-            cfg.gp,
+            cfg.gp.restarts,
+            cfg.gp.max_evals,
+            cfg.gp.seed,
             cfg.seed,
         )
     }
@@ -505,6 +514,24 @@ mod tests {
         let ckpt = sample();
         let parsed = RunCheckpoint::from_json(&ckpt.to_json()).unwrap();
         assert_eq!(ckpt, parsed);
+    }
+
+    #[test]
+    fn fingerprint_keeps_its_v3_text_for_a_zero_cost_exponent() {
+        // Recorded before the cost-penalty switch and three search settings
+        // became constants, when the configuration was printed through
+        // `{:?}`: a configuration that still exists fingerprints to the same
+        // text, so its stored checkpoints still resume.
+        let mut cfg = CmmfConfig {
+            cost_exponent: 0.0,
+            ..Default::default()
+        };
+        cfg.gp.restarts = 4;
+        cfg.gp.max_evals = 123;
+        assert_eq!(
+            RunCheckpoint::fingerprint_of(&cfg),
+            "v3;n_init=8;n_init_syn=5;n_init_impl=3;n_iter=40;variant=ModelVariant { correlated_objectives: true, nonlinear_fidelity: true };use_cost_penalty=true;cost_exponent=0x0;candidate_pool=200;mc_samples=24;batch_size=1;final_prediction_pool=4000;escalate_threshold=0x3fa999999999999a;refit_every=5;async_slots=0;gp=GpConfig { optimize: true, restarts: 4, max_evals: 123, init_noise_var: 0.01, noise_floor: 1e-8, seed: 12648430 };seed=2021"
+        );
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //!   **once** ([`pareto::FrontIndex`]) and answers each draw in
 //!   `O(m·log F)` — the path the optimizer uses.
 //!
-//! The same decomposition makes the independent-marginal EIPV of the FPL18
-//! baseline *exact*: [`eipv_independent_cells`] integrates Eq. 8 in closed
-//! form per cell instead of approximating with midpoint gains.
+//! For independent marginals the same decomposition makes EIPV *exact*:
+//! [`eipv_independent_cells`] integrates Eq. 8 in closed form per cell. It is
+//! the analytic oracle the Monte-Carlo paths are tested against; the
+//! optimizer scores every variant, FPL18's diagonal posteriors included,
+//! through [`EipvScorer`].
 
 use gp::MultiTaskPrediction;
 use linalg::stats::{norm_cdf, norm_pdf};
@@ -575,6 +577,32 @@ mod tests {
         // The calibrated exponent keeps the ordering but shrinks the gap.
         let soft = peipv(1.0, 1500.0, 30.0, 0.5);
         assert!(soft > 1.0 && soft < hls);
+    }
+
+    #[test]
+    fn zero_cost_exponent_scores_raw_eipv() {
+        // γ = 0 is "no penalty": the score keeps the EIPV's bits at any
+        // stage-time ratio, including ratios that overflow or underflow.
+        for e in [
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            0.199_590,
+            1.0,
+            7.5e12,
+            f64::MAX,
+        ] {
+            for (t_impl, t_stage) in [
+                (1500.0, 30.0),
+                (1500.0, 1500.0),
+                (30.0, 1500.0),
+                (f64::MAX, f64::MIN_POSITIVE),
+                (f64::MIN_POSITIVE, f64::MAX),
+            ] {
+                let score = peipv(e, t_impl, t_stage, 0.0);
+                assert_eq!(score.to_bits(), e.to_bits(), "e={e} T={t_impl}/{t_stage}");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! baseline/ablation alternatives selectable through [`ModelVariant`].
 
 use crate::CmmfError;
-use gp::kernel::{Matern52Ard, Matern52Grouped};
+use gp::kernel::Matern52;
 use gp::multifidelity::{FidelityData, LinearMultiFidelityGp, NonLinearMultiFidelityGp};
 use gp::{FitStats, GpConfig, GpError, MultiTaskGp, MultiTaskPrediction, Prediction};
 use linalg::Matrix;
@@ -22,7 +22,10 @@ pub struct ModelVariant {
     pub correlated_objectives: bool,
     /// Compose fidelities non-linearly (Eq. 5: the lower fidelity's posterior
     /// is an *input feature* of the next fidelity's GP, on top of a linear
-    /// backbone) instead of the purely linear AR(1) model.
+    /// backbone). When `false`, independent objectives use the linear AR(1)
+    /// chain of FPL18, and correlated objectives get no cross-fidelity
+    /// transfer at all: each fidelity's model fits its own data
+    /// ([`FidelityModelStack::CorrelatedPlain`]).
     pub nonlinear_fidelity: bool,
 }
 
@@ -48,7 +51,7 @@ impl ModelVariant {
         match (self.correlated_objectives, self.nonlinear_fidelity) {
             (true, true) => "Ours",
             (false, false) => "FPL18",
-            (true, false) => "Corr+Linear",
+            (true, false) => "Corr+NoTransfer",
             (false, true) => "Indep+Nonlinear",
         }
     }
@@ -85,11 +88,11 @@ impl FidelityDataSet {
 
 /// One upper fidelity of the correlated non-linear stack:
 /// `y_f = ρ ⊙ μ_{f-1}(x) + z([x, μ_{f-1}(x)])` with `z` a correlated
-/// multi-task GP over the grouped kernel.
+/// multi-task GP over the grouped kernel ([`Matern52::iso_plus_tail`]).
 #[derive(Debug, Clone)]
 pub struct CorrelatedLevel {
     rhos: Vec<f64>,
-    gp: MultiTaskGp<Matern52Grouped>,
+    gp: MultiTaskGp,
 }
 
 /// The fitted surrogate stack for all fidelities.
@@ -107,13 +110,13 @@ pub enum FidelityModelStack {
     /// uncertainty is pushed through each level by an unscented transform.
     CorrelatedNonlinear {
         /// The lowest-fidelity correlated model.
-        base: MultiTaskGp<Matern52Ard>,
+        base: MultiTaskGp,
         /// One level per higher fidelity, lowest first.
         uppers: Vec<CorrelatedLevel>,
     },
     /// Ablation: correlated objectives but no cross-fidelity transfer (each
     /// fidelity fits its own data on plain `x`).
-    CorrelatedPlain(Vec<MultiTaskGp<Matern52Ard>>),
+    CorrelatedPlain(Vec<MultiTaskGp>),
     /// FPL18: per-objective linear AR(1) chains, independent across
     /// objectives.
     IndependentLinear(Vec<LinearMultiFidelityGp>),
@@ -168,7 +171,7 @@ impl FidelityModelStack {
         };
         let base = match prev_base {
             Some(b) if b.dim() == x_dim => b.refit(&data.xs[0], &data.ys[0])?,
-            _ => MultiTaskGp::fit(Matern52Ard::new(x_dim), &data.xs[0], &data.ys[0], gp_cfg)?,
+            _ => MultiTaskGp::fit(Matern52::ard(x_dim), &data.xs[0], &data.ys[0], gp_cfg)?,
         };
         let mut uppers: Vec<CorrelatedLevel> = Vec::with_capacity(N_FIDELITIES - 1);
         for f in 1..N_FIDELITIES {
@@ -214,7 +217,7 @@ impl FidelityModelStack {
                     level.gp.refit(&aug, &residuals)?
                 }
                 _ => MultiTaskGp::fit(
-                    Matern52Grouped::iso_plus_tail(x_dim, N_OBJECTIVES),
+                    Matern52::iso_plus_tail(x_dim, N_OBJECTIVES),
                     &aug,
                     &residuals,
                     gp_cfg,
@@ -239,7 +242,7 @@ impl FidelityModelStack {
         for f in 0..N_FIDELITIES {
             let model = match prev_models.get(f) {
                 Some(m) if m.dim() == x_dim => m.refit(&data.xs[f], &data.ys[f])?,
-                _ => MultiTaskGp::fit(Matern52Ard::new(x_dim), &data.xs[f], &data.ys[f], gp_cfg)?,
+                _ => MultiTaskGp::fit(Matern52::ard(x_dim), &data.xs[f], &data.ys[f], gp_cfg)?,
             };
             fitted.push(model);
         }
@@ -378,7 +381,7 @@ impl FidelityModelStack {
     /// variants). For upper fidelities of the non-linear stack, this is the
     /// residual model's correlation.
     pub fn task_correlations(&self, f: usize) -> Option<Matrix> {
-        fn corr<K: gp::Kernel + Clone>(m: &MultiTaskGp<K>) -> Matrix {
+        fn corr(m: &MultiTaskGp) -> Matrix {
             let mut c = Matrix::zeros(m.n_tasks(), m.n_tasks());
             for i in 0..m.n_tasks() {
                 for j in 0..m.n_tasks() {
@@ -439,7 +442,7 @@ impl FidelityModelStack {
 /// predicts through the levels fitted so far while fitting the next and so
 /// cannot hold a complete stack yet.
 fn chain_batch(
-    base: &MultiTaskGp<Matern52Ard>,
+    base: &MultiTaskGp,
     uppers: &[CorrelatedLevel],
     xs: &[Vec<f64>],
 ) -> Result<Vec<Vec<MultiTaskPrediction>>, CmmfError> {

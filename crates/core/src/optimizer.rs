@@ -31,11 +31,10 @@ pub struct CmmfConfig {
     pub n_iter: usize,
     /// Surrogate structure (the paper's method, FPL18, or an ablation).
     pub variant: ModelVariant,
-    /// Apply the Eq. 10 time penalty to each fidelity's EIPV.
-    pub use_cost_penalty: bool,
-    /// Exponent γ on the Eq. 10 penalty ratio `(T_impl/T_i)^γ`; 1.0 is the
-    /// literal Eq. 10, the default 0.3 calibrates the penalty to the
-    /// simulator's wide stage-time spread (see [`crate::eipv::peipv`]).
+    /// Exponent γ on the Eq. 10 penalty ratio `(T_impl/T_i)^γ` applied to
+    /// each fidelity's EIPV; 1.0 is the literal Eq. 10, the default 0.3
+    /// calibrates the penalty to the simulator's wide stage-time spread (see
+    /// [`crate::eipv::peipv`]), and 0.0 scores the raw EIPV.
     pub cost_exponent: f64,
     /// Number of un-sampled configurations scored per step, at least 1 (the
     /// EIPV argmax of Algorithm 2 line 9 is taken over a random pool of this
@@ -114,7 +113,6 @@ impl Default for CmmfConfig {
             n_init_impl: 3,
             n_iter: 40,
             variant: ModelVariant::paper(),
-            use_cost_penalty: true,
             cost_exponent: 0.3,
             candidate_pool: 200,
             mc_samples: 24,
@@ -527,16 +525,12 @@ impl<'a> LoopState<'a> {
                         cfg.mc_samples,
                         seed,
                     );
-                    let score = if cfg.use_cost_penalty {
-                        peipv(
-                            raw,
-                            t_impl,
-                            sim.stage_seconds(space, c, stage),
-                            cfg.cost_exponent,
-                        )
-                    } else {
-                        raw
-                    };
+                    let score = peipv(
+                        raw,
+                        t_impl,
+                        sim.stage_seconds(space, c, stage),
+                        cfg.cost_exponent,
+                    );
                     if best.map(|(b, _)| score > b.acquisition).unwrap_or(true) {
                         best = Some((
                             CandidateChoice {

@@ -1,4 +1,4 @@
-use crate::kernel::{DistanceCache, Kernel};
+use crate::kernel::{DistanceCache, Matern52};
 use crate::optimize::{multi_start_nelder_mead_par, NelderMeadOptions};
 use crate::GpError;
 use linalg::{Cholesky, Matrix};
@@ -22,8 +22,8 @@ impl Prediction {
 
 /// Telemetry from one maximum-likelihood hyperparameter search.
 ///
-/// Zeroed on fits that run no search (`optimize: false`, `refit`), so
-/// stack-level sums reflect only real search work.
+/// Zeroed on `refit`, which runs no search, so stack-level sums reflect
+/// only real search work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FitStats {
     /// Total NLL objective evaluations consumed across all starts.
@@ -40,22 +40,24 @@ impl FitStats {
     }
 }
 
-/// Configuration for [`Gp::fit`].
+/// Observation-noise variance every hyperparameter search starts from
+/// (standardized-output units).
+pub(crate) const INIT_NOISE_VAR: f64 = 1e-2;
+
+/// Lower bound on the observation-noise variance.
+pub(crate) const NOISE_FLOOR: f64 = 1e-8;
+
+/// The maximum-likelihood search of [`Gp::fit`] and
+/// [`MultiTaskGp::fit`](crate::MultiTaskGp::fit): its budget and seed. Every
+/// search starts from the supplied kernel's parameters and a noise variance
+/// of 1e-2 (standardized-output units), and floors the noise at 1e-8.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpConfig {
-    /// Whether to optimize hyperparameters by maximizing the marginal
-    /// likelihood. When `false`, the kernel is used as supplied and only the
-    /// noise floor is applied.
-    pub optimize: bool,
     /// Number of random restarts of the Nelder–Mead search (in addition to the
     /// run from the supplied kernel's parameters).
     pub restarts: usize,
     /// Maximum objective evaluations per Nelder–Mead run.
     pub max_evals: usize,
-    /// Initial observation-noise variance (standardized-output units).
-    pub init_noise_var: f64,
-    /// Lower bound on the observation-noise variance.
-    pub noise_floor: f64,
     /// Seed for the restart sampler.
     pub seed: u64,
 }
@@ -63,11 +65,8 @@ pub struct GpConfig {
 impl Default for GpConfig {
     fn default() -> Self {
         GpConfig {
-            optimize: true,
             restarts: 2,
             max_evals: 250,
-            init_noise_var: 1e-2,
-            noise_floor: 1e-8,
             seed: 0xC0FFEE,
         }
     }
@@ -79,8 +78,8 @@ impl Default for GpConfig {
 /// Outputs are standardized internally; predictions are returned in the original
 /// units. See the crate-level example for typical use.
 #[derive(Debug, Clone)]
-pub struct Gp<K: Kernel> {
-    kernel: K,
+pub struct Gp {
+    kernel: Matern52,
     xs: Vec<Vec<f64>>,
     chol: Cholesky,
     alpha: Vec<f64>,
@@ -93,9 +92,9 @@ pub struct Gp<K: Kernel> {
     stats: FitStats,
 }
 
-impl<K: Kernel + Clone> Gp<K> {
-    /// Fits a GP to `(xs, ys)`, optionally optimizing the kernel hyperparameters
-    /// and noise by maximum likelihood (multi-start Nelder–Mead in log space).
+impl Gp {
+    /// Fits a GP to `(xs, ys)`, optimizing the kernel hyperparameters and
+    /// noise by maximum likelihood (multi-start Nelder–Mead in log space).
     ///
     /// The search runs over cached per-dimension squared-difference tensors
     /// ([`DistanceCache`]) — each NLL evaluation combines the cached tensors
@@ -112,40 +111,38 @@ impl<K: Kernel + Clone> Gp<K> {
     ///   non-finite.
     /// * [`GpError::Numerical`] if the covariance cannot be factorized at the
     ///   optimum (rare; jitter is escalated automatically first).
-    pub fn fit(kernel: K, xs: &[Vec<f64>], ys: &[f64], cfg: &GpConfig) -> Result<Self, GpError> {
+    pub fn fit(
+        kernel: Matern52,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        cfg: &GpConfig,
+    ) -> Result<Self, GpError> {
         validate(xs, ys, kernel.dim())?;
         let (y_std, y_mean, y_scale) = standardize(ys);
 
+        let mut p0 = kernel.log_params();
+        p0.push(INIT_NOISE_VAR.ln());
+        let cache = DistanceCache::new(xs);
+        let objective = |p: &[f64]| {
+            let mut k = kernel.clone();
+            k.set_log_params(&p[..p.len() - 1]);
+            let nv = p[p.len() - 1].exp().max(NOISE_FLOOR);
+            nll_eval(&k, &cache, &y_std, nv).unwrap_or(f64::INFINITY)
+        };
+        let opts = NelderMeadOptions {
+            max_evals: cfg.max_evals,
+            ..Default::default()
+        };
+        let best = multi_start_nelder_mead_par(objective, &p0, 1.5, cfg.restarts, &opts, cfg.seed);
+        let stats = FitStats {
+            nll_evals: best.evals,
+            restarts_run: cfg.restarts,
+        };
         let mut kernel = kernel;
-        let mut noise_var = cfg.init_noise_var.max(cfg.noise_floor);
-        let mut stats = FitStats::default();
-
-        if cfg.optimize {
-            let mut p0 = kernel.log_params();
-            p0.push(noise_var.ln());
-            let base_kernel = kernel.clone();
-            let floor = cfg.noise_floor;
-            let cache = DistanceCache::new(xs);
-            let objective = |p: &[f64]| {
-                let mut k = base_kernel.clone();
-                k.set_log_params(&p[..p.len() - 1]);
-                let nv = p[p.len() - 1].exp().max(floor);
-                nll_eval(&k, &cache, &y_std, nv).unwrap_or(f64::INFINITY)
-            };
-            let opts = NelderMeadOptions {
-                max_evals: cfg.max_evals,
-                ..Default::default()
-            };
-            let best =
-                multi_start_nelder_mead_par(objective, &p0, 1.5, cfg.restarts, &opts, cfg.seed);
-            stats = FitStats {
-                nll_evals: best.evals,
-                restarts_run: cfg.restarts,
-            };
-            if best.value.is_finite() {
-                kernel.set_log_params(&best.x[..best.x.len() - 1]);
-                noise_var = best.x[best.x.len() - 1].exp().max(floor);
-            }
+        let mut noise_var = INIT_NOISE_VAR;
+        if best.value.is_finite() {
+            kernel.set_log_params(&best.x[..best.x.len() - 1]);
+            noise_var = best.x[best.x.len() - 1].exp().max(NOISE_FLOOR);
         }
 
         let (chol, alpha, nlml_val) = factorize(&kernel, xs, &y_std, noise_var)?;
@@ -264,7 +261,7 @@ impl<K: Kernel + Clone> Gp<K> {
     }
 
     /// The fitted kernel.
-    pub fn kernel(&self) -> &K {
+    pub fn kernel(&self) -> &Matern52 {
         &self.kernel
     }
 
@@ -279,9 +276,9 @@ impl<K: Kernel + Clone> Gp<K> {
         self.nlml
     }
 
-    /// Telemetry from this model's own hyperparameter search. Zeroed on fits
-    /// that ran no search (`optimize: false`, refit), so summing over a model
-    /// stack counts only real search work.
+    /// Telemetry from this model's own hyperparameter search. Zeroed on a
+    /// refit, which runs no search, so summing over a model stack counts
+    /// only real search work.
     pub fn fit_stats(&self) -> FitStats {
         self.stats
     }
@@ -339,11 +336,11 @@ fn standardize(ys: &[f64]) -> (Vec<f64>, f64, f64) {
 
 /// Builds and factorizes `K + σ²I`, returning `(chol, α = K⁻¹y, NLML)`.
 ///
-/// Assembly goes through [`Kernel::gram_into`] (lower triangle + mirror, half
+/// Assembly goes through [`Matern52::gram_into`] (lower triangle + mirror, half
 /// the kernel evaluations of a dense fill, row-block parallel above its size
 /// threshold).
-fn factorize<K: Kernel>(
-    kernel: &K,
+fn factorize(
+    kernel: &Matern52,
     xs: &[Vec<f64>],
     y_std: &[f64],
     noise_var: f64,
@@ -371,10 +368,10 @@ fn nlml_from(chol: &Cholesky, y_std: &[f64], alpha: &[f64]) -> f64 {
 /// hyperparameter-search hot path (hundreds of calls per fit). The Gram
 /// matrix is assembled from the per-fit [`DistanceCache`] instead of
 /// re-deriving pairwise distances, **bit-identical** to
-/// [`Kernel::gram_into`] (pinned by
+/// [`Matern52::gram_into`] (pinned by
 /// `gram_from_cache_matches_gram_into_bitwise`).
-fn nll_eval<K: Kernel>(
-    kernel: &K,
+fn nll_eval(
+    kernel: &Matern52,
     cache: &DistanceCache,
     y_std: &[f64],
     noise_var: f64,
@@ -391,7 +388,6 @@ fn nll_eval<K: Kernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Matern52Ard;
 
     fn grid_1d(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect()
@@ -401,11 +397,7 @@ mod tests {
     fn interpolates_training_points() {
         let xs = grid_1d(8);
         let ys: Vec<f64> = xs.iter().map(|x| (6.0 * x[0]).sin()).collect();
-        let cfg = GpConfig {
-            init_noise_var: 1e-6,
-            ..Default::default()
-        };
-        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &cfg).unwrap();
+        let gp = Gp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         for (x, y) in xs.iter().zip(&ys) {
             let p = gp.predict(x).unwrap();
             assert!((p.mean - y).abs() < 0.05, "at {x:?}: {} vs {y}", p.mean);
@@ -419,7 +411,7 @@ mod tests {
         // a chunk boundary (the batch here spans more than one chunk of 16).
         let xs = grid_1d(12);
         let ys: Vec<f64> = xs.iter().map(|x| (5.0 * x[0]).sin()).collect();
-        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let gp = Gp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         let queries: Vec<Vec<f64>> = (0..37).map(|i| vec![i as f64 / 36.0 - 0.1]).collect();
         let batched = gp.predict_batch(&queries).unwrap();
         assert_eq!(batched.len(), queries.len());
@@ -434,7 +426,7 @@ mod tests {
     fn variance_smaller_at_data_than_far_away() {
         let xs = grid_1d(6);
         let ys: Vec<f64> = xs.iter().map(|x| x[0] * x[0]).collect();
-        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let gp = Gp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         let at_data = gp.predict(&[0.4]).unwrap().var;
         let far = gp.predict(&[5.0]).unwrap().var;
         assert!(at_data < far);
@@ -445,22 +437,14 @@ mod tests {
         let xs = grid_1d(12);
         // A fast-varying function: the default lengthscale 1.0 is far too long.
         let ys: Vec<f64> = xs.iter().map(|x| (20.0 * x[0]).sin()).collect();
-        let fixed = Gp::fit(
-            Matern52Ard::new(1),
-            &xs,
-            &ys,
-            &GpConfig {
-                optimize: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let fitted = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        // The NLL at the search's starting point: unit kernel, initial noise.
+        let (y_std, _, _) = standardize(&ys);
+        let (_, _, at_start) = factorize(&Matern52::ard(1), &xs, &y_std, INIT_NOISE_VAR).unwrap();
+        let fitted = Gp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         assert!(
-            fitted.neg_log_marginal_likelihood() < fixed.neg_log_marginal_likelihood(),
-            "{} !< {}",
-            fitted.neg_log_marginal_likelihood(),
-            fixed.neg_log_marginal_likelihood()
+            fitted.neg_log_marginal_likelihood() < at_start,
+            "{} !< {at_start}",
+            fitted.neg_log_marginal_likelihood()
         );
     }
 
@@ -468,7 +452,7 @@ mod tests {
     fn constant_outputs_are_handled() {
         let xs = grid_1d(5);
         let ys = vec![2.5; 5];
-        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let gp = Gp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         let p = gp.predict(&[0.3]).unwrap();
         assert!((p.mean - 2.5).abs() < 1e-6);
     }
@@ -477,15 +461,15 @@ mod tests {
     fn rejects_empty_and_ragged_data() {
         let cfg = GpConfig::default();
         assert!(matches!(
-            Gp::fit(Matern52Ard::new(1), &[], &[], &cfg),
+            Gp::fit(Matern52::ard(1), &[], &[], &cfg),
             Err(GpError::InvalidTrainingData { .. })
         ));
         assert!(matches!(
-            Gp::fit(Matern52Ard::new(1), &[vec![0.0, 1.0]], &[1.0], &cfg),
+            Gp::fit(Matern52::ard(1), &[vec![0.0, 1.0]], &[1.0], &cfg),
             Err(GpError::DimensionMismatch { .. })
         ));
         assert!(matches!(
-            Gp::fit(Matern52Ard::new(1), &[vec![0.0]], &[1.0, 2.0], &cfg),
+            Gp::fit(Matern52::ard(1), &[vec![0.0]], &[1.0, 2.0], &cfg),
             Err(GpError::InvalidTrainingData { .. })
         ));
     }
@@ -493,15 +477,15 @@ mod tests {
     #[test]
     fn rejects_non_finite() {
         let cfg = GpConfig::default();
-        assert!(Gp::fit(Matern52Ard::new(1), &[vec![f64::NAN]], &[1.0], &cfg).is_err());
-        assert!(Gp::fit(Matern52Ard::new(1), &[vec![0.0]], &[f64::INFINITY], &cfg).is_err());
+        assert!(Gp::fit(Matern52::ard(1), &[vec![f64::NAN]], &[1.0], &cfg).is_err());
+        assert!(Gp::fit(Matern52::ard(1), &[vec![0.0]], &[f64::INFINITY], &cfg).is_err());
     }
 
     #[test]
     fn predict_dimension_mismatch() {
         let xs = grid_1d(4);
         let ys = vec![0.0, 1.0, 0.0, 1.0];
-        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let gp = Gp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         assert!(matches!(
             gp.predict(&[0.0, 0.0]),
             Err(GpError::DimensionMismatch { .. })
@@ -512,22 +496,11 @@ mod tests {
     fn fit_stats_carry_through_derived_models() {
         let xs = grid_1d(10);
         let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).cos()).collect();
-        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let gp = Gp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         assert!(gp.fit_stats().nll_evals > 0);
         assert_eq!(gp.fit_stats().restarts_run, GpConfig::default().restarts);
         // No search ran: telemetry is zeroed.
         assert_eq!(gp.refit(&xs, &ys).unwrap().fit_stats(), FitStats::default());
-        let unopt = Gp::fit(
-            Matern52Ard::new(1),
-            &xs,
-            &ys,
-            &GpConfig {
-                optimize: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(unopt.fit_stats(), FitStats::default());
     }
 
     #[test]
@@ -542,7 +515,7 @@ mod tests {
             vec![1.0],
         ];
         let ys = vec![0.1, -0.1, 0.6, 0.4, 1.1, 0.9];
-        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let gp = Gp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         assert!(gp.noise_var() > 1e-6);
         // Mean should average the duplicates.
         let p = gp.predict(&[0.5]).unwrap();

@@ -5,9 +5,10 @@
 //! The paper's method needs four modelling ingredients, all provided here from
 //! scratch (no GP/BO crates exist in the offline registry):
 //!
-//! * Matérn-5/2 kernels: ARD ([`kernel::Matern52Ard`] — the paper uses an
-//!   ARD Matérn-5/2 "to avoid unrealistic smoothness") and with grouped
-//!   lengthscales for the multi-fidelity levels ([`kernel::Matern52Grouped`]),
+//! * one Matérn-5/2 kernel ([`kernel::Matern52`]) with one lengthscale per
+//!   group of input dimensions: ARD, one group per dimension, for the data
+//!   (the paper uses an ARD Matérn-5/2 "to avoid unrealistic smoothness"),
+//!   and a few shared groups for the multi-fidelity levels,
 //! * exact single-output GP regression with maximum-likelihood hyperparameters
 //!   ([`Gp`]), optimized by a seeded multi-start Nelder–Mead
 //!   ([`optimize::multi_start_nelder_mead_par`]) whose NLL evaluations
@@ -28,12 +29,12 @@
 //! # Examples
 //!
 //! ```
-//! use cmmf_gp::{Gp, GpConfig, kernel::Matern52Ard};
+//! use cmmf_gp::{Gp, GpConfig, kernel::Matern52};
 //!
 //! # fn main() -> Result<(), cmmf_gp::GpError> {
 //! let xs: Vec<Vec<f64>> = vec![vec![0.0], vec![0.25], vec![0.5], vec![0.75], vec![1.0]];
 //! let ys: Vec<f64> = xs.iter().map(|x| (x[0] * 3.0).sin()).collect();
-//! let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default())?;
+//! let gp = Gp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default())?;
 //! let p = gp.predict(&[0.5])?;
 //! assert!((p.mean - (1.5f64).sin()).abs() < 0.05);
 //! assert!(p.var >= 0.0);
@@ -50,5 +51,4 @@ pub mod optimize;
 
 pub use error::GpError;
 pub use gp::{FitStats, Gp, GpConfig, Prediction};
-pub use kernel::Kernel;
 pub use multitask::{MultiTaskGp, MultiTaskPrediction};

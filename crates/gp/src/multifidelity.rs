@@ -36,7 +36,7 @@
 //! ```
 
 use crate::gp::{FitStats, Gp, GpConfig, Prediction};
-use crate::kernel::{Matern52Ard, Matern52Grouped};
+use crate::kernel::Matern52;
 use crate::GpError;
 
 /// Training data for one fidelity level.
@@ -118,8 +118,8 @@ fn residuals(ys: &[f64], prev: &[f64], rho: f64) -> Vec<f64> {
 /// SPMV_ELLPACK.
 #[derive(Debug, Clone)]
 pub struct LinearMultiFidelityGp {
-    base: Gp<Matern52Ard>,
-    deltas: Vec<Gp<Matern52Ard>>,
+    base: Gp,
+    deltas: Vec<Gp>,
     rhos: Vec<f64>,
     /// Summed hyperparameter-search telemetry over all per-level fits
     /// (zeroed on refit, which runs no search).
@@ -138,9 +138,9 @@ impl LinearMultiFidelityGp {
     /// Propagates [`GpError`] from validation or per-level GP fitting.
     pub fn fit(data: &[FidelityData], cfg: &GpConfig) -> Result<Self, GpError> {
         let dim = validate_levels(data)?;
-        let base = Gp::fit(Matern52Ard::new(dim), &data[0].xs, &data[0].ys, cfg)?;
+        let base = Gp::fit(Matern52::ard(dim), &data[0].xs, &data[0].ys, cfg)?;
         Self::chain(base, data, |_, xs, ys| {
-            Gp::fit(Matern52Ard::new(dim), xs, ys, cfg)
+            Gp::fit(Matern52::ard(dim), xs, ys, cfg)
         })
     }
 
@@ -163,9 +163,9 @@ impl LinearMultiFidelityGp {
     /// residual GP `delta(i, xs, residuals)` (`i` counts from 0 at the
     /// first level above the base).
     fn chain(
-        base: Gp<Matern52Ard>,
+        base: Gp,
         data: &[FidelityData],
-        mut delta: impl FnMut(usize, &[Vec<f64>], &[f64]) -> Result<Gp<Matern52Ard>, GpError>,
+        mut delta: impl FnMut(usize, &[Vec<f64>], &[f64]) -> Result<Gp, GpError>,
     ) -> Result<Self, GpError> {
         let mut model = LinearMultiFidelityGp {
             stats: base.fit_stats(),
@@ -259,12 +259,13 @@ const GH_WEIGHTS: [f64; 5] = [
 ///
 /// Two capacity controls keep the model fittable from the handful of
 /// high-fidelity points a real flow affords: the explicit linear backbone, and
-/// a grouped kernel ([`Matern52Grouped`]) that shares one lengthscale across
-/// all directive features while giving the lower-fidelity output its own.
+/// a grouped kernel ([`Matern52::iso_plus_tail`]) that shares one lengthscale
+/// across all directive features while giving the lower-fidelity output its
+/// own.
 #[derive(Debug, Clone)]
 pub struct NonLinearMultiFidelityGp {
-    base: Gp<Matern52Ard>,
-    uppers: Vec<(f64, Gp<Matern52Grouped>)>,
+    base: Gp,
+    uppers: Vec<(f64, Gp)>,
     /// Summed hyperparameter-search telemetry over all per-level fits
     /// (zeroed on refit, which runs no search).
     stats: FitStats,
@@ -280,9 +281,9 @@ impl NonLinearMultiFidelityGp {
     /// Propagates [`GpError`] from validation or per-level GP fitting.
     pub fn fit(data: &[FidelityData], cfg: &GpConfig) -> Result<Self, GpError> {
         let dim = validate_levels(data)?;
-        let base = Gp::fit(Matern52Ard::new(dim), &data[0].xs, &data[0].ys, cfg)?;
+        let base = Gp::fit(Matern52::ard(dim), &data[0].xs, &data[0].ys, cfg)?;
         Self::chain(base, data, |_, aug, ys| {
-            Gp::fit(Matern52Grouped::iso_plus_tail(dim, 1), aug, ys, cfg)
+            Gp::fit(Matern52::iso_plus_tail(dim, 1), aug, ys, cfg)
         })
     }
 
@@ -305,9 +306,9 @@ impl NonLinearMultiFidelityGp {
     /// augmented inputs `[x, f_prev(x)]`, and `upper(i, aug, residuals)`
     /// builds the non-linear correction GP.
     fn chain(
-        base: Gp<Matern52Ard>,
+        base: Gp,
         data: &[FidelityData],
-        mut upper: impl FnMut(usize, &[Vec<f64>], &[f64]) -> Result<Gp<Matern52Grouped>, GpError>,
+        mut upper: impl FnMut(usize, &[Vec<f64>], &[f64]) -> Result<Gp, GpError>,
     ) -> Result<Self, GpError> {
         let mut model = NonLinearMultiFidelityGp {
             stats: base.fit_stats(),
@@ -439,7 +440,7 @@ mod tests {
         let mf = LinearMultiFidelityGp::fit(&data, &cfg).unwrap();
         // Single-fidelity GP on the 5 high points only.
         let single = Gp::fit(
-            Matern52Ard::new(1),
+            Matern52::ard(1),
             &hi,
             &hi.iter().map(|x| forrester(x[0])).collect::<Vec<_>>(),
             &cfg,

@@ -1,5 +1,5 @@
-use crate::gp::{FitStats, GpConfig};
-use crate::kernel::{DistanceCache, Kernel};
+use crate::gp::{FitStats, GpConfig, INIT_NOISE_VAR, NOISE_FLOOR};
+use crate::kernel::{DistanceCache, Matern52};
 use crate::optimize::{multi_start_nelder_mead_par, NelderMeadOptions};
 use crate::GpError;
 use linalg::{Cholesky, Matrix};
@@ -34,7 +34,7 @@ impl MultiTaskPrediction {
 /// # Examples
 ///
 /// ```
-/// use cmmf_gp::{MultiTaskGp, GpConfig, kernel::Matern52Ard};
+/// use cmmf_gp::{MultiTaskGp, GpConfig, kernel::Matern52};
 ///
 /// # fn main() -> Result<(), cmmf_gp::GpError> {
 /// let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();
@@ -42,14 +42,14 @@ impl MultiTaskPrediction {
 /// // multimodal likelihood search out of the sign-flipped local optimum.
 /// let ys: Vec<Vec<f64>> = xs.iter().map(|x| vec![x[0], 1.0 - x[0]]).collect();
 /// let cfg = GpConfig { restarts: 4, ..Default::default() };
-/// let gp = MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &cfg)?;
+/// let gp = MultiTaskGp::fit(Matern52::ard(1), &xs, &ys, &cfg)?;
 /// assert!(gp.task_correlation(0, 1) < 0.0);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct MultiTaskGp<K: Kernel> {
-    kernel: K,
+pub struct MultiTaskGp {
+    kernel: Matern52,
     xs: Vec<Vec<f64>>,
     n_tasks: usize,
     b: Matrix,
@@ -64,12 +64,13 @@ pub struct MultiTaskGp<K: Kernel> {
     stats: FitStats,
 }
 
-impl<K: Kernel + Clone> MultiTaskGp<K> {
+impl MultiTaskGp {
     /// Fits the model to `xs` (n points) and `ys` (n rows of M objective values).
     ///
     /// Hyperparameters — the shared kernel's, the Cholesky factor of `B`, and the
     /// per-task noises — are jointly optimized by multi-start Nelder–Mead on the
-    /// negative log marginal likelihood when `cfg.optimize` is set. The
+    /// negative log marginal likelihood, starting from the supplied kernel's
+    /// parameters, `B = I` and noise variance 1e-2 per task. The
     /// data-kernel Gram assembly inside each NLL evaluation runs over the
     /// per-fit [`DistanceCache`] (bit-identical to from-scratch assembly),
     /// and the multi-start restarts run in parallel with per-restart derived
@@ -81,7 +82,7 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
     /// * [`GpError::DimensionMismatch`] if inputs do not match `kernel.dim()`.
     /// * [`GpError::Numerical`] if the joint covariance cannot be factorized.
     pub fn fit(
-        kernel: K,
+        kernel: Matern52,
         xs: &[Vec<f64>],
         ys: &[Vec<f64>],
         cfg: &GpConfig,
@@ -102,49 +103,41 @@ impl<K: Kernel + Clone> MultiTaskGp<K> {
             }
         }
         for _ in 0..n_tasks {
-            p0.push(cfg.init_noise_var.max(cfg.noise_floor).ln());
+            p0.push(INIT_NOISE_VAR.ln());
         }
 
+        let cache = DistanceCache::new(xs);
+        let objective = |p: &[f64]| {
+            let mut k = kernel.clone();
+            k.set_log_params(&p[..n_kp]);
+            let Ok(b) = b_from_params(&p[n_kp..n_kp + n_l], n_tasks) else {
+                return f64::INFINITY;
+            };
+            let noise: Vec<f64> = p[n_kp + n_l..]
+                .iter()
+                .map(|lp| lp.exp().max(NOISE_FLOOR))
+                .collect();
+            joint_nll_eval(&k, &cache, &y_std, &b, &noise).unwrap_or(f64::INFINITY)
+        };
+        let opts = NelderMeadOptions {
+            max_evals: cfg.max_evals,
+            ..Default::default()
+        };
+        let best = multi_start_nelder_mead_par(objective, &p0, 1.0, cfg.restarts, &opts, cfg.seed);
+        let stats = FitStats {
+            nll_evals: best.evals,
+            restarts_run: cfg.restarts,
+        };
         let mut kernel = kernel;
         let mut b = Matrix::identity(n_tasks);
-        let mut noise = vec![cfg.init_noise_var.max(cfg.noise_floor); n_tasks];
-
-        let mut stats = FitStats::default();
-
-        if cfg.optimize {
-            let base_kernel = kernel.clone();
-            let floor = cfg.noise_floor;
-            let cache = DistanceCache::new(xs);
-            let objective = |p: &[f64]| {
-                let mut k = base_kernel.clone();
-                k.set_log_params(&p[..n_kp]);
-                let Ok(b) = b_from_params(&p[n_kp..n_kp + n_l], n_tasks) else {
-                    return f64::INFINITY;
-                };
-                let noise: Vec<f64> = p[n_kp + n_l..]
-                    .iter()
-                    .map(|lp| lp.exp().max(floor))
-                    .collect();
-                joint_nll_eval(&k, &cache, &y_std, &b, &noise).unwrap_or(f64::INFINITY)
-            };
-            let opts = NelderMeadOptions {
-                max_evals: cfg.max_evals,
-                ..Default::default()
-            };
-            let best =
-                multi_start_nelder_mead_par(objective, &p0, 1.0, cfg.restarts, &opts, cfg.seed);
-            stats = FitStats {
-                nll_evals: best.evals,
-                restarts_run: cfg.restarts,
-            };
-            if best.value.is_finite() {
-                kernel.set_log_params(&best.x[..n_kp]);
-                b = b_from_params(&best.x[n_kp..n_kp + n_l], n_tasks)?;
-                noise = best.x[n_kp + n_l..]
-                    .iter()
-                    .map(|lp| lp.exp().max(floor))
-                    .collect();
-            }
+        let mut noise = vec![INIT_NOISE_VAR; n_tasks];
+        if best.value.is_finite() {
+            kernel.set_log_params(&best.x[..n_kp]);
+            b = b_from_params(&best.x[n_kp..n_kp + n_l], n_tasks)?;
+            noise = best.x[n_kp + n_l..]
+                .iter()
+                .map(|lp| lp.exp().max(NOISE_FLOOR))
+                .collect();
         }
 
         let (chol, alpha, nlml) = joint_factorize(&kernel, xs, &y_std, &b, &noise)?;
@@ -454,11 +447,11 @@ fn joint_covariance(kx: &Matrix, b: &Matrix, noise: &[f64]) -> Matrix {
 }
 
 /// Assembles the shared data-kernel Gram matrix (Eq. 9's `k_C`) through
-/// [`Kernel::gram_into`] (lower triangle + mirror, row-block parallel above
+/// [`Matern52::gram_into`] (lower triangle + mirror, row-block parallel above
 /// its size threshold), then builds and factorizes the joint covariance;
 /// returns `(chol, α, NLML)`.
-fn joint_factorize<K: Kernel>(
-    kernel: &K,
+fn joint_factorize(
+    kernel: &Matern52,
     xs: &[Vec<f64>],
     y_std: &[f64],
     b: &Matrix,
@@ -480,10 +473,10 @@ fn joint_nlml_from(chol: &Cholesky, y_std: &[f64], alpha: &[f64]) -> f64 {
 }
 
 /// The hyperparameter-search hot path: assemble the data kernel from the
-/// per-fit [`DistanceCache`] (bit-identical to [`Kernel::gram_into`]), build
+/// per-fit [`DistanceCache`] (bit-identical to [`Matern52::gram_into`]), build
 /// and factorize the joint `nM × nM` covariance, and read off the NLML.
-fn joint_nll_eval<K: Kernel>(
-    kernel: &K,
+fn joint_nll_eval(
+    kernel: &Matern52,
     cache: &DistanceCache,
     y_std: &[f64],
     b: &Matrix,
@@ -500,7 +493,6 @@ fn joint_nll_eval<K: Kernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Matern52Ard;
 
     fn grid_1d(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect()
@@ -513,11 +505,7 @@ mod tests {
             .iter()
             .map(|x| vec![(4.0 * x[0]).sin(), (4.0 * x[0]).cos()])
             .collect();
-        let cfg = GpConfig {
-            init_noise_var: 1e-6,
-            ..Default::default()
-        };
-        let gp = MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &cfg).unwrap();
+        let gp = MultiTaskGp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         for (x, y) in xs.iter().zip(&ys) {
             let p = gp.predict(x).unwrap();
             assert!((p.mean[0] - y[0]).abs() < 0.1);
@@ -538,7 +526,7 @@ mod tests {
                 vec![f, -f + 0.02 * x[0], f * f]
             })
             .collect();
-        let gp = MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let gp = MultiTaskGp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         let queries: Vec<Vec<f64>> = (0..19).map(|i| vec![i as f64 / 18.0 - 0.05]).collect();
         let batched = gp.predict_batch(&queries).unwrap();
         assert_eq!(batched.len(), queries.len());
@@ -571,7 +559,7 @@ mod tests {
                 vec![f, -f + 0.01 * x[0]]
             })
             .collect();
-        let gp = MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let gp = MultiTaskGp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         assert!(
             gp.task_correlation(0, 1) < -0.5,
             "corr={}",
@@ -589,7 +577,7 @@ mod tests {
                 vec![f, 2.0 * f + 0.3]
             })
             .collect();
-        let gp = MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let gp = MultiTaskGp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         assert!(
             gp.task_correlation(0, 1) > 0.5,
             "corr={}",
@@ -604,7 +592,7 @@ mod tests {
             .iter()
             .map(|x| vec![x[0], x[0] * x[0], 1.0 - x[0]])
             .collect();
-        let gp = MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let gp = MultiTaskGp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         let p = gp.predict(&[0.33]).unwrap();
         assert_eq!(p.mean.len(), 3);
         for u in 0..3 {
@@ -619,7 +607,7 @@ mod tests {
     fn rejects_ragged_rows() {
         let xs = grid_1d(3);
         let ys = vec![vec![1.0, 2.0], vec![1.0], vec![0.0, 0.0]];
-        assert!(MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).is_err());
+        assert!(MultiTaskGp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).is_err());
     }
 
     #[test]
@@ -634,7 +622,7 @@ mod tests {
                 vec![f, f]
             })
             .collect();
-        let gp = MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let gp = MultiTaskGp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         let p = gp.predict(&[0.52]).unwrap();
         let truth = (6.0f64 * 0.52).sin();
         assert!((p.mean[1] - truth).abs() < 0.1);

@@ -1,6 +1,6 @@
 //! Property-based tests of the Gaussian-process stack over random data.
 
-use cmmf_gp::kernel::{DistanceCache, Kernel, Matern52Ard, Matern52Grouped};
+use cmmf_gp::kernel::{DistanceCache, Matern52};
 use cmmf_gp::{Gp, GpConfig, MultiTaskGp};
 use linalg::Cholesky;
 use proptest::prelude::*;
@@ -11,6 +11,15 @@ fn data_1d(n: usize) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
         let ys: Vec<f64> = pairs.iter().map(|(_, y)| *y).collect();
         (xs, ys)
     })
+}
+
+/// An ARD kernel at the given natural-space parameters.
+fn ard_with(lengthscales: &[f64], signal_var: f64) -> Matern52 {
+    let mut k = Matern52::ard(lengthscales.len());
+    let mut p: Vec<f64> = lengthscales.iter().map(|l| l.ln()).collect();
+    p.push(signal_var.ln());
+    k.set_log_params(&p);
+    k
 }
 
 fn quick_cfg() -> GpConfig {
@@ -26,7 +35,7 @@ proptest! {
 
     #[test]
     fn predictions_are_finite_with_nonnegative_variance((xs, ys) in data_1d(12), q in -0.5f64..1.5) {
-        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &quick_cfg()).expect("fits");
+        let gp = Gp::fit(Matern52::ard(1), &xs, &ys, &quick_cfg()).expect("fits");
         let p = gp.predict(&[q]).expect("predicts");
         prop_assert!(p.mean.is_finite());
         prop_assert!(p.var.is_finite() && p.var >= 0.0);
@@ -34,7 +43,7 @@ proptest! {
 
     #[test]
     fn refit_equals_fit_with_same_hyperparams((xs, ys) in data_1d(10)) {
-        let gp = Gp::fit(Matern52Ard::new(1), &xs, &ys, &quick_cfg()).expect("fits");
+        let gp = Gp::fit(Matern52::ard(1), &xs, &ys, &quick_cfg()).expect("fits");
         let re = gp.refit(&xs, &ys).expect("refits");
         let a = gp.predict(&[0.3]).expect("predicts");
         let b = re.predict(&[0.3]).expect("predicts");
@@ -48,7 +57,7 @@ proptest! {
         ls in proptest::collection::vec(0.05f64..5.0, 3),
         sv in 0.1f64..5.0,
     ) {
-        let k = Matern52Ard::with_params(ls, sv);
+        let k = ard_with(&ls, sv);
         for a in &pts {
             for b in &pts {
                 let kab = k.eval(a, b);
@@ -66,7 +75,7 @@ proptest! {
         ls in proptest::collection::vec(-2.0f64..2.0, 3),
         sv in -2.0f64..2.0,
     ) {
-        let mut k = Matern52Grouped::iso_plus_tail(4, 2);
+        let mut k = Matern52::iso_plus_tail(4, 2);
         let mut p = ls.clone();
         p.push(sv);
         k.set_log_params(&p);
@@ -94,7 +103,7 @@ proptest! {
         let n = pts.len();
         let ys = &ys[..n];
         let cache = DistanceCache::new(&pts);
-        let k = Matern52Ard::with_params(ls, sv);
+        let k = ard_with(&ls, sv);
         prop_assert_eq!(k.dim(), d);
         let mut naive = linalg::Matrix::zeros(n, n);
         k.gram_into(&pts, &mut naive);
@@ -120,7 +129,7 @@ proptest! {
     #[test]
     fn multitask_marginals_match_task_count((xs, ys) in data_1d(10)) {
         let ym: Vec<Vec<f64>> = ys.iter().map(|y| vec![*y, -y]).collect();
-        let gp = MultiTaskGp::fit(Matern52Ard::new(1), &xs, &ym, &quick_cfg()).expect("fits");
+        let gp = MultiTaskGp::fit(Matern52::ard(1), &xs, &ym, &quick_cfg()).expect("fits");
         let p = gp.predict(&[0.5]).expect("predicts");
         prop_assert_eq!(p.mean.len(), 2);
         prop_assert_eq!(p.cov.shape(), (2, 2));

@@ -256,21 +256,7 @@ impl DesignSpaceBuilder {
         // Enumerate: per-tree choice index × free-site option indices.
         let mut radix: Vec<usize> = tree_choices.iter().map(Vec::len).collect();
         radix.extend(free_sites.iter().map(|&si| self.sites[si].options.len()));
-        let total: u128 = radix.iter().map(|&r| r as u128).product();
-        // Guard in u128 *before* any narrowing: the old `total as usize`
-        // comparison truncated first and could wave astronomically large
-        // spaces past the cap on paper.
-        let total = match usize::try_from(total) {
-            Ok(t) if t <= self.max_configs => t,
-            _ => {
-                return Err(ModelError::InvalidStructure {
-                    reason: format!(
-                        "pruned space has {total} configurations, above the cap {}",
-                        self.max_configs
-                    ),
-                })
-            }
-        };
+        let total = capped_size(&radix, self.max_configs, "pruned space")?;
 
         let mut configs: Vec<Vec<usize>> = Vec::with_capacity(total);
         let mut counter = vec![0usize; radix.len()];
@@ -333,22 +319,8 @@ impl DesignSpaceBuilder {
     /// [`ModelError::InvalidStructure`] if the product exceeds the cap.
     pub fn build_full(&self) -> Result<DesignSpace, ModelError> {
         self.validate()?;
-        let size = self.full_size();
-        // The exact product in u128 decides admissibility; the f64 mirror is
-        // display-only (it loses precision past 2^53).
-        let total: u128 = self.sites.iter().map(|s| s.options.len() as u128).product();
-        let total = match usize::try_from(total) {
-            Ok(t) if t <= self.max_configs => t,
-            _ => {
-                return Err(ModelError::InvalidStructure {
-                    reason: format!(
-                        "full space has {size:.3e} configurations, above the cap {}",
-                        self.max_configs
-                    ),
-                })
-            }
-        };
         let radix: Vec<usize> = self.sites.iter().map(|s| s.options.len()).collect();
+        let total = capped_size(&radix, self.max_configs, "full space")?;
         let mut configs = Vec::with_capacity(total);
         let mut counter = vec![0usize; radix.len()];
         for _ in 0..total {
@@ -364,7 +336,7 @@ impl DesignSpaceBuilder {
         Ok(DesignSpace {
             kernel: self.kernel.clone(),
             sites: self.sites.clone(),
-            full_size: size,
+            full_size: self.full_size(),
             configs,
         })
     }
@@ -499,6 +471,29 @@ impl DesignSpace {
         }
         r
     }
+}
+
+/// The number of configurations a mixed-radix enumeration over `radix`
+/// visits, when it is at most `cap`. The count is exact: a product past
+/// `u128` is above every cap and is reported as such, never wrapped.
+///
+/// # Errors
+///
+/// [`ModelError::InvalidStructure`] naming `what` and its size otherwise.
+fn capped_size(radix: &[usize], cap: usize, what: &str) -> Result<usize, ModelError> {
+    let count = radix
+        .iter()
+        .try_fold(1u128, |acc, &r| acc.checked_mul(r as u128));
+    let count = match count {
+        Some(c) => match usize::try_from(c) {
+            Ok(c) if c <= cap => return Ok(c),
+            _ => c.to_string(),
+        },
+        None => "at least 2^128".to_string(),
+    };
+    Err(ModelError::InvalidStructure {
+        reason: format!("{what} has {count} configurations, above the cap {cap}"),
+    })
 }
 
 fn with_one(factors: &[u32]) -> Vec<u32> {
@@ -665,6 +660,38 @@ mod tests {
             b.build_full(),
             Err(ModelError::InvalidStructure { .. })
         ));
+    }
+
+    #[test]
+    fn spaces_past_u128_are_over_the_cap_not_empty() {
+        // 2^128 and 10^39 configurations overflow a `u128` product: both
+        // builds must report them above the cap, never wrap to an empty or
+        // smaller space (or panic on the multiplication in debug builds).
+        for (sites, factors, size) in [
+            (128, "2", "at least 2^128"),
+            (39, "2,3,4,5,6,7,8,9,10", "at least 2^128"),
+        ] {
+            let mut text = String::from("kernel wide\n");
+            for i in 0..sites {
+                text.push_str(&format!(
+                    "loop l{i} trip=64\nunroll l{i} factors={factors}\n"
+                ));
+            }
+            let builder = crate::spec::parse(&text).unwrap();
+            for (what, built) in [
+                ("pruned space", builder.build_pruned()),
+                ("full space", builder.build_full()),
+            ] {
+                match built {
+                    Err(ModelError::InvalidStructure { reason }) => assert_eq!(
+                        reason,
+                        format!("{what} has {size} configurations, above the cap 200000"),
+                        "{sites} sites"
+                    ),
+                    other => panic!("{sites} sites, {what}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

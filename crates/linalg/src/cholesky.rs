@@ -384,7 +384,9 @@ mod tests {
         let a = spd3();
         let c = Cholesky::new(&a).unwrap();
         let r = c.l().matmul(&c.l().transpose()).unwrap();
-        assert!(a.max_abs_diff(&r).unwrap() < 1e-12);
+        for (x, y) in a.as_slice().iter().zip(r.as_slice()) {
+            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
+        }
     }
 
     #[test]
@@ -476,7 +478,8 @@ mod tests {
             let b = Matrix::from_fn(n, q, |i, j| ((i * q + j) as f64).sin());
             let batched = c.solve_lower_mat(&b).unwrap();
             for j in 0..q {
-                let col = c.solve_lower(&b.col(j)).unwrap();
+                let b_j: Vec<f64> = (0..n).map(|i| b[(i, j)]).collect();
+                let col = c.solve_lower(&b_j).unwrap();
                 for i in 0..n {
                     assert_eq!(
                         batched[(i, j)].to_bits(),

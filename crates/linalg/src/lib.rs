@@ -5,13 +5,13 @@
 //! The offline crate set has no mature linear-algebra or statistics crates, so this
 //! crate implements everything the Gaussian-process stack needs from scratch:
 //!
-//! * [`Matrix`] — a dense, row-major, `f64` matrix with the usual algebraic
-//!   operations,
+//! * [`Matrix`] — a dense, row-major, `f64` matrix with the products,
+//!   transpose and Kronecker product the GP stack uses,
 //! * [`Cholesky`] — a jittered, right-looking *blocked* Cholesky factorization
 //!   with triangular solves (per vector, and forward substitution over a
 //!   whole block of right-hand sides) and log-determinant (the workhorse of
 //!   exact GP inference),
-//! * [`stats`] — scalar standard-normal PDF/CDF/quantile built on an `erf`
+//! * [`stats`] — scalar standard-normal PDF/CDF built on an `erf`
 //!   implementation, plus small summary-statistics helpers.
 //!
 //! # Examples

@@ -47,22 +47,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, LinalgError> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "Matrix::from_vec",
-                lhs: (rows, cols),
-                rhs: (data.len(), 1),
-            });
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Creates a matrix from row slices.
     ///
     /// # Errors
@@ -155,16 +139,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copies column `j` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "col index {j} out of bounds ({})", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// The underlying row-major data slice.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -226,33 +200,6 @@ impl Matrix {
         Ok((0..self.rows).map(|i| dot(self.row(i), v)).collect())
     }
 
-    /// Element-wise sum `self + rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if shapes differ.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        self.zip_with(rhs, "add", |a, b| a + b)
-    }
-
-    /// Element-wise difference `self - rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if shapes differ.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        self.zip_with(rhs, "sub", |a, b| a - b)
-    }
-
-    /// Multiplies every element by the scalar `s`.
-    pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x * s).collect(),
-        }
-    }
-
     /// Adds `v` to every diagonal element, in place.
     ///
     /// # Panics
@@ -289,45 +236,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Maximum absolute element, or 0 for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
-    }
-
-    /// Returns `max_{ij} |self - rhs|`, useful in tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if shapes differ.
-    pub fn max_abs_diff(&self, rhs: &Matrix) -> Result<f64, LinalgError> {
-        Ok(self.sub(rhs)?.max_abs())
-    }
-
-    fn zip_with(
-        &self,
-        rhs: &Matrix,
-        op: &'static str,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> Result<Matrix, LinalgError> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op,
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
     }
 }
 

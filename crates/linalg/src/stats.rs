@@ -1,4 +1,4 @@
-//! Scalar statistics: standard-normal PDF/CDF/quantile and small summary helpers.
+//! Scalar statistics: standard-normal PDF/CDF and small summary helpers.
 //!
 //! The expected-improvement family of acquisition functions (Eq. 2 of the paper)
 //! needs `Φ` and `φ`; the experiment harness needs means and standard deviations.
@@ -43,66 +43,6 @@ pub fn erf(x: f64) -> f64 {
     sign * (1.0 - poly * (-x * x).exp())
 }
 
-/// Quantile (inverse CDF) of the standard normal distribution.
-///
-/// Uses the Acklam rational approximation (relative error < 1.15e-9).
-///
-/// # Panics
-///
-/// Panics if `p` is not strictly inside `(0, 1)`.
-pub fn norm_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "quantile needs p in (0,1), got {p}");
-    // Acklam's algorithm.
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-    // One Halley refinement step using the exact pdf/cdf.
-    let e = norm_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
-}
-
 /// Arithmetic mean; returns 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -119,24 +59,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     }
     let m = mean(xs);
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
-/// Min-max normalizes `xs` in place to `[0, 1]`; a constant slice maps to all
-/// zeros. Returns `(min, max)` of the original data.
-pub fn normalize_in_place(xs: &mut [f64]) -> (f64, f64) {
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &x in xs.iter() {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    if xs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let span = hi - lo;
-    for x in xs.iter_mut() {
-        *x = if span > 0.0 { (*x - lo) / span } else { 0.0 };
-    }
-    (lo, hi)
 }
 
 #[cfg(test)]
@@ -165,14 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_inverts_cdf() {
-        for p in [0.001, 0.01, 0.2, 0.5, 0.8, 0.99, 0.999] {
-            let x = norm_quantile(p);
-            assert!((norm_cdf(x) - p).abs() < 1e-7, "p={p}");
-        }
-    }
-
-    #[test]
     fn mean_and_std_edges_are_defined() {
         // The documented 0- and 1-length contracts: no NaN, ever. Table-I
         // aggregation relies on these when a sweep is cut short.
@@ -187,20 +101,5 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
         assert!((std_dev(&xs) - 2.138089935).abs() < 1e-6);
-    }
-
-    #[test]
-    fn normalize_constant_slice() {
-        let mut xs = [3.0, 3.0, 3.0];
-        normalize_in_place(&mut xs);
-        assert_eq!(xs, [0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn normalize_span() {
-        let mut xs = [1.0, 2.0, 3.0];
-        let (lo, hi) = normalize_in_place(&mut xs);
-        assert_eq!((lo, hi), (1.0, 3.0));
-        assert_eq!(xs, [0.0, 0.5, 1.0]);
     }
 }

@@ -15,6 +15,9 @@
 //!     └── any session with job.json and no result.json
 //! ```
 //!
+//! A session whose stored `job.json` no longer loads is recovered straight
+//! into `Failed`, so one stale job never stops the others.
+//!
 //! A `Running` session checkpoints after every optimizer step, so a killed
 //! worker (or a killed daemon) loses at most the step in flight; recovery
 //! re-runs the session via `run_with_checkpoints`, which replays the
@@ -61,7 +64,9 @@ pub type SessionKey = (String, String);
 
 #[derive(Debug)]
 struct SessionEntry {
-    spec: JobSpec,
+    /// The job the session runs; `None` only for a session that recovery
+    /// entered as failed because its stored `job.json` no longer loads.
+    spec: Option<JobSpec>,
     state: SessionState,
     subscribers: Vec<Sender<TraceEvent>>,
 }
@@ -170,7 +175,7 @@ impl Engine {
         if let Some(entry) = state.sessions.get_mut(&key) {
             match entry.state {
                 SessionState::Queued | SessionState::Running => {
-                    if entry.spec != spec {
+                    if entry.spec.as_ref() != Some(&spec) {
                         return Err(ServeError::invalid(format!(
                             "session {}/{} is active with a different spec",
                             key.0, key.1
@@ -210,7 +215,7 @@ impl Engine {
         state.sessions.insert(
             key.clone(),
             SessionEntry {
-                spec: spec.clone(),
+                spec: Some(spec.clone()),
                 state: SessionState::Queued,
                 subscribers,
             },
@@ -239,18 +244,24 @@ impl Engine {
 
     /// Scans the storage root and re-enqueues every unfinished session
     /// (`job.json` present, `result.json` absent), bypassing admission —
-    /// these sessions were admitted before the crash. Returns the keys in
-    /// deterministic (sorted) order. Call once at daemon start, before
-    /// accepting connections.
+    /// these sessions were admitted before the crash. Returns the
+    /// re-enqueued keys in deterministic (sorted) order. Call once at daemon
+    /// start, before accepting connections.
+    ///
+    /// A stored `job.json` that cannot be read, no longer parses or no
+    /// longer validates fails only its own session: the session (keyed by
+    /// its directory names) is entered as [`SessionState::Failed`] with a
+    /// message naming the file and the reason, so [`Engine::status`],
+    /// [`Engine::list`] and [`Engine::wait`] report it, and a resubmit with
+    /// a valid spec retries it. Every other session is still recovered.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Storage`] if the root cannot be walked, or
-    /// [`ServeError::InvalidJob`] if a stored `job.json` no longer parses
-    /// (a corrupted store should be surfaced loudly, not skipped silently).
+    /// [`ServeError::Storage`] if the root cannot be walked.
     pub fn recover(&self) -> Result<Vec<SessionKey>, ServeError> {
         let root = &self.shared.cfg.root;
         let mut unfinished: Vec<(SessionKey, JobSpec)> = Vec::new();
+        let mut unloadable: Vec<(SessionKey, String)> = Vec::new();
         let read_dir = |p: &PathBuf| -> Result<Vec<PathBuf>, ServeError> {
             let mut dirs = Vec::new();
             for entry in fs::read_dir(p).map_err(|e| ServeError::storage(p, e))? {
@@ -268,18 +279,32 @@ impl Engine {
                 if !job_path.exists() || session_dir.join("result.json").exists() {
                     continue;
                 }
-                let text =
-                    fs::read_to_string(&job_path).map_err(|e| ServeError::storage(&job_path, e))?;
-                let spec = JobSpec::parse(&text).map_err(|e| {
-                    ServeError::invalid(format!(
-                        "stored job {} is invalid: {e}",
-                        job_path.display()
-                    ))
-                })?;
-                unfinished.push(((spec.tenant.clone(), spec.session.clone()), spec));
+                let loaded = fs::read_to_string(&job_path)
+                    .map_err(|e| ServeError::storage(&job_path, e))
+                    .and_then(|text| JobSpec::parse(&text));
+                match loaded {
+                    Ok(spec) => {
+                        unfinished.push(((spec.tenant.clone(), spec.session.clone()), spec));
+                    }
+                    Err(e) => {
+                        let name = |dir: &PathBuf| {
+                            dir.file_name()
+                                .map_or_else(String::new, |n| n.to_string_lossy().into_owned())
+                        };
+                        let message = format!("stored job {} is invalid: {e}", job_path.display());
+                        unloadable.push(((name(&tenant_dir), name(&session_dir)), message));
+                    }
+                }
             }
         }
         let mut state = lock_state(&self.shared);
+        for (key, message) in unloadable {
+            state.sessions.entry(key).or_insert(SessionEntry {
+                spec: None,
+                state: SessionState::Failed { message },
+                subscribers: Vec::new(),
+            });
+        }
         let mut keys = Vec::with_capacity(unfinished.len());
         for (key, spec) in unfinished {
             if state.sessions.contains_key(&key) {
@@ -288,7 +313,7 @@ impl Engine {
             state.sessions.insert(
                 key.clone(),
                 SessionEntry {
-                    spec,
+                    spec: Some(spec),
                     state: SessionState::Queued,
                     subscribers: Vec::new(),
                 },
@@ -434,15 +459,16 @@ fn worker_loop(shared: &Arc<Shared>) {
             let mut state = lock_state(shared);
             loop {
                 if let Some(key) = state.queue.pop_front() {
-                    match state.sessions.get_mut(&key) {
-                        Some(entry) => {
-                            entry.state = SessionState::Running;
-                            let spec = entry.spec.clone();
-                            let busy = busy_workers(&state, shared.cfg.workers);
-                            break (key, spec, session_threads(shared.hardware, busy));
-                        }
-                        None => continue,
-                    }
+                    // Only sessions with a spec are ever queued.
+                    let Some(entry) = state.sessions.get_mut(&key) else {
+                        continue;
+                    };
+                    let Some(spec) = entry.spec.clone() else {
+                        continue;
+                    };
+                    entry.state = SessionState::Running;
+                    let busy = busy_workers(&state, shared.cfg.workers);
+                    break (key, spec, session_threads(shared.hardware, busy));
                 }
                 if state.stop {
                     return;
@@ -600,7 +626,7 @@ mod tests {
             }
             let spec = JobSpec::new("t", name, Problem::Benchmark(Benchmark::Gemm));
             let entry = SessionEntry {
-                spec,
+                spec: Some(spec),
                 state: session_state,
                 subscribers: Vec::new(),
             };

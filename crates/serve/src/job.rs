@@ -681,6 +681,18 @@ mod tests {
     }
 
     #[test]
+    fn a_daemon_job_fingerprints_to_its_stored_v3_text() {
+        // A quick job with tenant-derived seeds, as a daemon runs it. The
+        // literal was recorded before the cost-penalty switch and three
+        // search settings became constants, when the configuration was
+        // printed through `{:?}`: checkpoints stored under it still resume.
+        assert_eq!(
+            cmmf::checkpoint::RunCheckpoint::fingerprint_of(&sample().to_config()),
+            "v3;n_init=5;n_init_syn=3;n_init_impl=2;n_iter=6;variant=ModelVariant { correlated_objectives: true, nonlinear_fidelity: true };use_cost_penalty=true;cost_exponent=0x3fd3333333333333;candidate_pool=30;mc_samples=8;batch_size=2;final_prediction_pool=0;escalate_threshold=0x3fa999999999999a;refit_every=3;async_slots=0;gp=GpConfig { optimize: true, restarts: 0, max_evals: 50, init_noise_var: 0.01, noise_floor: 1e-8, seed: 17242579716857815732 };seed=8739006715244382438"
+        );
+    }
+
+    #[test]
     fn unknown_benchmarks_and_variants_are_rejected() {
         assert!(JobSpec::parse(r#"{"tenant": "t", "session": "s", "benchmark": "NOPE"}"#).is_err());
         assert!(JobSpec::parse(

@@ -8,7 +8,7 @@ use cmmf::checkpoint::CHECKPOINT_VERSION;
 use cmmf::Optimizer;
 use cmmf_serve::engine::{Engine, EngineConfig};
 use cmmf_serve::job::{JobSpec, Overrides, Problem};
-use cmmf_serve::session::{persist_job, SessionPaths, SessionResult};
+use cmmf_serve::session::{persist_job, SessionPaths, SessionResult, SessionState};
 use cmmf_serve::ServeError;
 use hls_model::benchmarks::Benchmark;
 use proptest::prelude::*;
@@ -215,6 +215,79 @@ fn a_version_2_checkpoint_fails_its_session_until_the_operator_removes_it() {
 }
 
 #[test]
+fn a_stored_job_that_no_longer_loads_fails_only_its_own_session() {
+    // Three stored jobs: one valid, one that no longer validates
+    // (`"iters":0`), one truncated mid-write. Recovery re-enqueues the valid
+    // one, which finishes equal to the direct run; each of the other two
+    // reads `Failed` with a message naming its file and the reason, and a
+    // resubmit with a valid spec retries it.
+    let root = scratch_root("stale");
+    let valid = quick_job("acme", "valid", 3, 0);
+    let zero = quick_job("acme", "zero", 4, 0);
+    let torn = quick_job("bolt", "torn", 5, 0);
+    for job in [&valid, &zero, &torn] {
+        let paths = SessionPaths::new(&root, &job.tenant, &job.session);
+        persist_job(&paths, job).expect("job persists");
+    }
+    let zero_path = SessionPaths::new(&root, "acme", "zero").job();
+    let text = fs::read_to_string(&zero_path).expect("job reads");
+    let stale = text.replacen("\"iters\":3", "\"iters\":0", 1);
+    assert_ne!(stale, text);
+    fs::write(&zero_path, stale).expect("job rewrites");
+    let torn_path = SessionPaths::new(&root, "bolt", "torn").job();
+    let text = fs::read_to_string(&torn_path).expect("job reads");
+    fs::write(&torn_path, &text[..text.len() / 2]).expect("job truncates");
+
+    let engine = Engine::start(EngineConfig {
+        root: root.clone(),
+        workers: 1,
+        capacity: 4,
+    })
+    .expect("engine starts");
+    let recovered = engine.recover().expect("recovery scans");
+    assert_eq!(recovered, vec![("acme".to_string(), "valid".to_string())]);
+    let result = engine
+        .wait("acme", "valid")
+        .expect("valid session finishes");
+    assert_eq!(result, expected_result(&valid));
+
+    for (tenant, session, path, reason) in [
+        ("acme", "zero", &zero_path, "iters must be at least 1"),
+        ("bolt", "torn", &torn_path, "not JSON"),
+    ] {
+        let failed = |message: &str| {
+            message.contains(&path.display().to_string()) && message.contains(reason)
+        };
+        match engine.status(tenant, session) {
+            Ok(SessionState::Failed { message }) => assert!(failed(&message), "{message}"),
+            other => panic!("{tenant}/{session}: expected a failed session, got {other:?}"),
+        }
+        match engine.wait(tenant, session) {
+            Err(ServeError::SessionFailed { message }) => assert!(failed(&message), "{message}"),
+            other => panic!("{tenant}/{session}: expected SessionFailed, got {other:?}"),
+        }
+        let key = (tenant.to_string(), session.to_string());
+        assert!(
+            engine
+                .list()
+                .iter()
+                .any(|(k, s)| *k == key && matches!(s, SessionState::Failed { .. })),
+            "{tenant}/{session} is listed as failed"
+        );
+    }
+
+    // A valid resubmit retries the failed session and overwrites its job.
+    assert_eq!(
+        engine.submit(zero.clone(), None).expect("retry admitted"),
+        SessionState::Queued
+    );
+    let retried = engine.wait("acme", "zero").expect("retry finishes");
+    assert_eq!(retried, expected_result(&zero));
+    engine.shutdown();
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn admission_past_capacity_is_a_typed_rejection_and_persists_nothing() {
     let root = scratch_root("admission");
     let engine = Engine::start(EngineConfig {
@@ -312,9 +385,8 @@ fn stored_jobs_from_before_mixed_precision_was_removed() {
     // (`true` unless the job turned warm starts off) into every job.json, so
     // such an unfinished session recovers and finishes as the same job,
     // whichever `warm_start` it stored. One stored with
-    // `"mixed_precision": true` stops the recovery scan with a typed error
-    // naming its file, and nothing is enqueued. Once the operator removes
-    // that session, the others recover.
+    // `"mixed_precision": true` fails its own session with a message naming
+    // its file, and the others recover.
     let root = scratch_root("mixed");
     let keep = quick_job("acme", "keep", 5, 0);
     let cold = quick_job("acme", "cold", 7, 0);
@@ -341,16 +413,15 @@ fn stored_jobs_from_before_mixed_precision_was_removed() {
         capacity: 4,
     })
     .expect("engine starts");
-    match engine.recover() {
-        Err(ServeError::InvalidJob { message }) => {
+    let recovered = engine.recover().expect("recovery scans");
+    match engine.status("bolt", "mixed") {
+        Ok(SessionState::Failed { message }) => {
             assert!(message.contains("no longer supported"), "{message}");
             let path = root.join("bolt").join("mixed").join("job.json");
             assert!(message.contains(&path.display().to_string()), "{message}");
         }
-        other => panic!("expected a typed InvalidJob, got {other:?}"),
+        other => panic!("expected a failed session, got {other:?}"),
     }
-    fs::remove_dir_all(root.join("bolt").join("mixed")).expect("session removes");
-    let recovered = engine.recover().expect("recovery scans");
     assert_eq!(
         recovered,
         vec![

@@ -32,6 +32,7 @@
 use cmmf_hls::cli::{ArgStream, CliError, JobFlags};
 use cmmf_hls::serve::{
     protocol, Client, Endpoint, Engine, EngineConfig, JobSpec, Overrides, Problem, Request, Server,
+    SessionState,
 };
 use std::io::Write;
 use std::path::PathBuf;
@@ -367,6 +368,13 @@ fn run_daemon(args: &DaemonArgs) -> Result<(), String> {
             eprintln!("recovered {} unfinished session(s)", recovered.len());
             for (tenant, session) in &recovered {
                 eprintln!("  {tenant}/{session}");
+            }
+        }
+        // Right after recovery, every failed session is one whose stored
+        // job no longer loads; the daemon reports each and serves on.
+        for ((tenant, session), state) in engine.list() {
+            if let SessionState::Failed { message } = state {
+                eprintln!("session {tenant}/{session} failed to recover: {message}");
             }
         }
     }
