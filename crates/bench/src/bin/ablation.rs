@@ -21,7 +21,14 @@ use hls_model::benchmarks::Benchmark;
 fn main() {
     install_threads_from_args();
     let repeats = repeats_from_args().min(6);
-    let benches = [Benchmark::Gemm, Benchmark::SpmvEllpack];
+    let setups = [Benchmark::Gemm, Benchmark::SpmvEllpack].map(BenchmarkSetup::new);
+    // The shipped configuration is section A's `Ours`, B's `calibrated 0.3`
+    // and C's `threshold 0.05`: its campaigns run once per benchmark and
+    // fill all three rows.
+    let defaults = setups
+        .each_ref()
+        .map(|setup| run_repeats(setup, |_| {}, repeats));
+    let shipped = CmmfConfig::default();
 
     println!("# Ablation A — model variants (correlation x fidelity composition)");
     println!(
@@ -40,17 +47,20 @@ fn main() {
         },
         ModelVariant::fpl18(),
     ];
-    for b in benches {
-        let setup = BenchmarkSetup::new(b);
+    for (setup, default) in setups.iter().zip(&defaults) {
         for variant in variants {
-            let (mean, std, hours) = run_repeats(&setup, |cfg| cfg.variant = variant, repeats);
+            let row = if variant == shipped.variant {
+                *default
+            } else {
+                run_repeats(setup, |cfg| cfg.variant = variant, repeats)
+            };
             println!(
                 "{:<14} {:<16} {:>10.4} {:>10.4} {:>10.1}",
-                b.name(),
+                setup.benchmark.name(),
                 variant.name(),
-                mean,
-                std,
-                hours
+                row.mean,
+                row.std,
+                row.hours
             );
         }
     }
@@ -61,14 +71,18 @@ fn main() {
         "{:<14} {:<16} {:>10} {:>10} {:>10} {:>8}",
         "benchmark", "penalty", "mean ADRS", "std ADRS", "sim hours", "hi-fid"
     );
-    for b in benches {
-        let setup = BenchmarkSetup::new(b);
+    for (setup, default) in setups.iter().zip(&defaults) {
         for (label, gamma) in [
             ("calibrated 0.3", 0.3),
             ("literal 1.0", 1.0),
             ("disabled", 0.0),
         ] {
-            print_counted_row(&setup, label, |cfg| cfg.cost_exponent = gamma, repeats);
+            let row = if gamma == shipped.cost_exponent {
+                *default
+            } else {
+                run_repeats(setup, |cfg| cfg.cost_exponent = gamma, repeats)
+            };
+            print_counted_row(setup, label, row);
         }
     }
     println!();
@@ -81,59 +95,48 @@ fn main() {
         "{:<14} {:<16} {:>10} {:>10} {:>10} {:>8}",
         "benchmark", "guard", "mean ADRS", "std ADRS", "sim hours", "hi-fid"
     );
-    for b in benches {
-        let setup = BenchmarkSetup::new(b);
+    for (setup, default) in setups.iter().zip(&defaults) {
         for (label, threshold) in [("threshold 0.05", 0.05), ("disabled", 0.0)] {
-            print_counted_row(
-                &setup,
-                label,
-                |cfg| cfg.escalate_threshold = threshold,
-                repeats,
-            );
+            let row = if threshold == shipped.escalate_threshold {
+                *default
+            } else {
+                run_repeats(setup, |cfg| cfg.escalate_threshold = threshold, repeats)
+            };
+            print_counted_row(setup, label, row);
         }
     }
 }
 
-/// Runs `repeats` campaigns of `setup` with `tweak` applied and prints one
-/// row: mean and spread of ADRS, simulated hours, and the mean number of
-/// configurations sampled during the iterations that ran past HLS
-/// (`hi-fid`).
-fn print_counted_row(
-    setup: &BenchmarkSetup,
-    label: &str,
-    tweak: impl Fn(&mut CmmfConfig),
-    repeats: usize,
-) {
-    let mut hi_fid = 0usize;
-    let (mean, std, hours) = run_repeats_counting(setup, tweak, repeats, &mut hi_fid);
+/// One configuration's campaigns, summarized: mean and spread of ADRS,
+/// mean simulated hours, and the mean number of configurations sampled
+/// during the iterations that ran past HLS (`hi-fid`).
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    mean: f64,
+    std: f64,
+    hours: f64,
+    hi_fid: f64,
+}
+
+/// Prints one row of sections B and C.
+fn print_counted_row(setup: &BenchmarkSetup, label: &str, row: Row) {
     println!(
         "{:<14} {:<16} {:>10.4} {:>10.4} {:>10.1} {:>8.1}",
         setup.benchmark.name(),
         label,
-        mean,
-        std,
-        hours,
-        hi_fid as f64 / repeats as f64
+        row.mean,
+        row.std,
+        row.hours,
+        row.hi_fid
     );
 }
 
-fn run_repeats(
-    setup: &BenchmarkSetup,
-    tweak: impl Fn(&mut CmmfConfig),
-    repeats: usize,
-) -> (f64, f64, f64) {
-    let mut unused = 0usize;
-    run_repeats_counting(setup, tweak, repeats, &mut unused)
-}
-
-fn run_repeats_counting(
-    setup: &BenchmarkSetup,
-    tweak: impl Fn(&mut CmmfConfig),
-    repeats: usize,
-    hi_fid: &mut usize,
-) -> (f64, f64, f64) {
+/// Runs `repeats` campaigns of `setup` with `tweak` applied to the shipped
+/// configuration, repeat `rep` seeded `71 + 97·rep`.
+fn run_repeats(setup: &BenchmarkSetup, tweak: impl Fn(&mut CmmfConfig), repeats: usize) -> Row {
     let mut adrs = Vec::new();
     let mut hours = Vec::new();
+    let mut hi_fid = 0usize;
     for rep in 0..repeats {
         let mut cfg = CmmfConfig {
             seed: 71 + rep as u64 * 97,
@@ -145,15 +148,16 @@ fn run_repeats_counting(
             .expect("ablation run succeeds");
         adrs.push(setup.front.adrs_of(&r.measured_pareto));
         hours.push(r.sim_seconds / 3600.0);
-        *hi_fid += r
+        hi_fid += r
             .candidate_set
             .iter()
             .filter(|c| c.stage != Stage::Hls)
             .count();
     }
-    (
-        linalg::stats::mean(&adrs),
-        linalg::stats::std_dev(&adrs),
-        linalg::stats::mean(&hours),
-    )
+    Row {
+        mean: linalg::stats::mean(&adrs),
+        std: linalg::stats::std_dev(&adrs),
+        hours: linalg::stats::mean(&hours),
+        hi_fid: hi_fid as f64 / repeats as f64,
+    }
 }

@@ -1,7 +1,7 @@
 use crate::kernel::{DistanceCache, Matern52};
 use crate::optimize::{multi_start_nelder_mead_par, NelderMeadOptions};
 use crate::GpError;
-use linalg::{Cholesky, Matrix};
+use linalg::{Cholesky, CholeskyWorkspace, Matrix};
 
 /// Posterior mean and (latent) variance at a query point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,13 +96,13 @@ impl Gp {
     /// Fits a GP to `(xs, ys)`, optimizing the kernel hyperparameters and
     /// noise by maximum likelihood (multi-start Nelder–Mead in log space).
     ///
-    /// The search runs over cached per-dimension squared-difference tensors
-    /// ([`DistanceCache`]) — each NLL evaluation combines the cached tensors
-    /// with the current inverse squared lengthscales instead of re-deriving
-    /// every pairwise distance, bit-identical to from-scratch assembly — and
-    /// the multi-start restarts run in parallel with per-restart derived
-    /// seeds, bit-identical at any thread count (see
-    /// [`multi_start_nelder_mead_par`]).
+    /// Each start of the search owns one kernel and one `n × n`
+    /// [`CholeskyWorkspace`] for its lifetime: an NLL evaluation writes the
+    /// lower triangle of `K + σ²I` from the per-fit [`DistanceCache`]
+    /// straight into the workspace's buffer (bit-identical to from-scratch
+    /// assembly), factors and solves it there, and allocates nothing. The
+    /// starts run in parallel with per-restart derived seeds, bit-identical
+    /// at any thread count (see [`multi_start_nelder_mead_par`]).
     ///
     /// # Errors
     ///
@@ -123,11 +123,9 @@ impl Gp {
         let mut p0 = kernel.log_params();
         p0.push(INIT_NOISE_VAR.ln());
         let cache = DistanceCache::new(xs);
-        let objective = |p: &[f64]| {
-            let mut k = kernel.clone();
-            k.set_log_params(&p[..p.len() - 1]);
-            let nv = p[p.len() - 1].exp().max(NOISE_FLOOR);
-            nll_eval(&k, &cache, &y_std, nv).unwrap_or(f64::INFINITY)
+        let objective = || {
+            let mut start = SearchObjective::new(&kernel, &cache, &y_std);
+            move |p: &[f64]| start.nll(p)
         };
         let opts = NelderMeadOptions {
             max_evals: cfg.max_evals,
@@ -334,22 +332,63 @@ fn standardize(ys: &[f64]) -> (Vec<f64>, f64, f64) {
     (ys.iter().map(|y| (y - mean) / scale).collect(), mean, scale)
 }
 
-/// Builds and factorizes `K + σ²I`, returning `(chol, α = K⁻¹y, NLML)`.
-///
-/// Assembly goes through [`Matern52::gram_into`] (lower triangle + mirror, half
-/// the kernel evaluations of a dense fill, row-block parallel above its size
-/// threshold).
+/// One start of [`Gp::fit`]'s search: it owns one kernel, an `n × n`
+/// [`CholeskyWorkspace`] and the solve vector for the start's lifetime, so
+/// an evaluation writes `K + σ²I` from the per-fit [`DistanceCache`] into
+/// the workspace's buffer, factors and solves it there, and allocates
+/// nothing.
+pub(crate) struct SearchObjective<'a> {
+    cache: &'a DistanceCache,
+    y_std: &'a [f64],
+    kernel: Matern52,
+    ws: CholeskyWorkspace,
+    alpha: Vec<f64>,
+}
+
+impl<'a> SearchObjective<'a> {
+    pub(crate) fn new(kernel: &Matern52, cache: &'a DistanceCache, y_std: &'a [f64]) -> Self {
+        SearchObjective {
+            cache,
+            y_std,
+            kernel: kernel.clone(),
+            ws: CholeskyWorkspace::new(y_std.len()),
+            alpha: vec![0.0; y_std.len()],
+        }
+    }
+
+    /// The NLL at `p = [kernel log params | log noise variance]` (noise
+    /// floored), `+∞` where no jitter makes the covariance factorable.
+    pub(crate) fn nll(&mut self, p: &[f64]) -> f64 {
+        let (kp, log_nv) = p.split_at(p.len() - 1);
+        self.kernel.set_log_params(kp);
+        let nv = log_nv[0].exp().max(NOISE_FLOOR);
+        let (kernel, cache) = (&self.kernel, self.cache);
+        let factored = self.ws.factor(|l| {
+            kernel.gram_from_cache(cache, l);
+            l.add_diag(nv);
+        });
+        match factored {
+            Ok(chol) if chol.solve_into(self.y_std, &mut self.alpha).is_ok() => {
+                nlml_from(chol, self.y_std, &self.alpha)
+            }
+            _ => f64::INFINITY,
+        }
+    }
+}
+
+/// Builds and factorizes `K + σ²I` for a final fit or a refit, writing its
+/// lower triangle straight into the factor's storage; returns
+/// `(chol, α = K⁻¹y, NLML)`.
 fn factorize(
     kernel: &Matern52,
     xs: &[Vec<f64>],
     y_std: &[f64],
     noise_var: f64,
 ) -> Result<(Cholesky, Vec<f64>, f64), GpError> {
-    let n = xs.len();
-    let mut km = Matrix::zeros(n, n);
-    kernel.gram_into(xs, &mut km);
-    km.add_diag(noise_var);
-    let chol = Cholesky::new(&km)?;
+    let chol = Cholesky::from_lower(xs.len(), |l| {
+        kernel.gram_into(xs, l);
+        l.add_diag(noise_var);
+    })?;
     let alpha = chol.solve_vec(y_std)?;
     let nlml = nlml_from(&chol, y_std, &alpha);
     Ok((chol, alpha, nlml))
@@ -357,32 +396,11 @@ fn factorize(
 
 /// `NLML = ½ yᵀα + ½ log|K| + ½ n log 2π` — one expression shared by the
 /// final factorization and the search objective.
-fn nlml_from(chol: &Cholesky, y_std: &[f64], alpha: &[f64]) -> f64 {
+pub(crate) fn nlml_from(chol: &Cholesky, y_std: &[f64], alpha: &[f64]) -> f64 {
     let fit_term: f64 = y_std.iter().zip(alpha).map(|(y, a)| y * a).sum();
     0.5 * fit_term
         + 0.5 * chol.log_det()
         + 0.5 * y_std.len() as f64 * (2.0 * std::f64::consts::PI).ln()
-}
-
-/// Negative log marginal likelihood for given hyperparameters — the
-/// hyperparameter-search hot path (hundreds of calls per fit). The Gram
-/// matrix is assembled from the per-fit [`DistanceCache`] instead of
-/// re-deriving pairwise distances, **bit-identical** to
-/// [`Matern52::gram_into`] (pinned by
-/// `gram_from_cache_matches_gram_into_bitwise`).
-fn nll_eval(
-    kernel: &Matern52,
-    cache: &DistanceCache,
-    y_std: &[f64],
-    noise_var: f64,
-) -> Result<f64, GpError> {
-    let n = cache.len();
-    let mut km = Matrix::zeros(n, n);
-    kernel.gram_from_cache(cache, &mut km);
-    km.add_diag(noise_var);
-    let chol = Cholesky::new(&km)?;
-    let alpha = chol.solve_vec(y_std)?;
-    Ok(nlml_from(&chol, y_std, &alpha))
 }
 
 #[cfg(test)]

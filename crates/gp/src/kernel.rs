@@ -221,11 +221,12 @@ impl Matern52 {
         matern52_tail(self.signal_var, s)
     }
 
-    /// Fills `out` with the Gram matrix `out[(i, j)] = k(xs[i], xs[j])`,
-    /// writing into the caller's buffer. Only the lower triangle is
-    /// evaluated and the upper is mirrored; [`Matern52::eval`] is bitwise
-    /// symmetric, so the result is bit-identical to evaluating every entry,
-    /// at half the evaluation count. Large matrices assemble rows on the
+    /// Writes the lower triangle of the Gram matrix,
+    /// `out[(i, j)] = k(xs[i], xs[j])` for `j ≤ i`, into the caller's buffer
+    /// and leaves the upper triangle as it was: every consumer (the Cholesky
+    /// factorization, Eq. 9's joint covariance) reads the lower triangle
+    /// only, and [`Matern52::eval`] is bitwise symmetric, so half the
+    /// evaluations give the whole matrix. Large matrices assemble rows on the
     /// parallel execution layer with source-order placement (bit-identical
     /// at any thread count).
     ///
@@ -235,19 +236,37 @@ impl Matern52 {
     pub fn gram_into(&self, xs: &[Vec<f64>], out: &mut Matrix) {
         let n = xs.len();
         assert_eq!(out.shape(), (n, n), "gram_into: buffer must be n x n");
-        fill_symmetric(out, n, |i, j| self.eval(&xs[i], &xs[j]));
+        if n * n < ASSEMBLY_PAR_THRESHOLD {
+            for (i, x) in xs.iter().enumerate() {
+                for (o, other) in out.row_mut(i).iter_mut().zip(&xs[..=i]) {
+                    *o = self.eval(x, other);
+                }
+            }
+        } else {
+            use rayon::prelude::*;
+            let rows: Vec<Vec<f64>> = (0..n)
+                .into_par_iter()
+                .with_min_len(4)
+                .map(|i| (0..=i).map(|j| self.eval(&xs[i], &xs[j])).collect())
+                .collect();
+            for (i, r) in rows.iter().enumerate() {
+                out.row_mut(i)[..=i].copy_from_slice(r);
+            }
+        }
     }
 
-    /// Fills `out` with the Gram matrix from a precomputed
-    /// [`DistanceCache`] instead of the raw inputs: each entry combines the
-    /// cached per-dimension squared differences with the kernel's *current*
-    /// inverse-squared lengthscales in the same ascending-dimension fused
-    /// accumulation order as [`Matern52::eval`], then applies the same
-    /// scalar tail — so the result is **bit-identical** to
-    /// [`Matern52::gram_into`] on the inputs the cache was built from
-    /// (pinned by `gram_from_cache_matches_gram_into_bitwise`). This turns
-    /// the per-NLL-evaluation assembly of a hyperparameter search into an
-    /// AXPY-style sweep over tensors computed once per fit.
+    /// Writes the lower triangle of the Gram matrix from a precomputed
+    /// [`DistanceCache`] instead of the raw inputs, leaving the upper
+    /// triangle as it was: each entry combines the cached per-dimension
+    /// squared differences with the kernel's *current* inverse-squared
+    /// lengthscales in the same ascending-dimension fused accumulation order
+    /// as [`Matern52::eval`], then applies the same scalar tail — so the
+    /// result is **bit-identical** to [`Matern52::gram_into`] on the inputs
+    /// the cache was built from (pinned by
+    /// `gram_from_cache_matches_gram_into_bitwise`). This is the assembly
+    /// step of every likelihood evaluation in a hyperparameter search: one
+    /// serial sweep over tensors computed once per fit, straight into the
+    /// caller's buffer, allocating nothing.
     ///
     /// # Panics
     ///
@@ -261,13 +280,15 @@ impl Matern52 {
             "gram_from_cache: cache dimension mismatch"
         );
         assert_eq!(out.shape(), (n, n), "gram_from_cache: buffer must be n x n");
-        fill_symmetric(out, n, |i, j| {
-            let mut s = 0.0;
-            for (d2, w) in cache.pair(i, j).iter().zip(&self.inv_sq_by_dim) {
-                s += d2 * w;
+        for i in 0..n {
+            for (j, o) in out.row_mut(i)[..=i].iter_mut().enumerate() {
+                let mut s = 0.0;
+                for (d2, w) in cache.pair(i, j).iter().zip(&self.inv_sq_by_dim) {
+                    s += d2 * w;
+                }
+                *o = matern52_tail(self.signal_var, s);
             }
-            matern52_tail(self.signal_var, s)
-        });
+        }
     }
 
     /// Fills `out[(i, j)] = k(xs[i], queries[j])` — the cross-covariance
@@ -305,37 +326,6 @@ impl Matern52 {
             for (i, r) in rows.iter().enumerate() {
                 out.row_mut(i).copy_from_slice(r);
             }
-        }
-    }
-}
-
-/// Fills the lower triangle of the `n × n` matrix `out` with `entry(i, j)`,
-/// `j ≤ i`, and mirrors it into the upper. Above
-/// [`ASSEMBLY_PAR_THRESHOLD`] entries the rows assemble in parallel and are
-/// placed in source order; entries are independent, so the values are
-/// bit-identical at any thread count.
-fn fill_symmetric(out: &mut Matrix, n: usize, entry: impl Fn(usize, usize) -> f64 + Sync) {
-    if n * n < ASSEMBLY_PAR_THRESHOLD {
-        for i in 0..n {
-            let row = out.row_mut(i);
-            for (j, o) in row.iter_mut().enumerate().take(i + 1) {
-                *o = entry(i, j);
-            }
-        }
-    } else {
-        use rayon::prelude::*;
-        let rows: Vec<Vec<f64>> = (0..n)
-            .into_par_iter()
-            .with_min_len(4)
-            .map(|i| (0..=i).map(|j| entry(i, j)).collect())
-            .collect();
-        for (i, r) in rows.iter().enumerate() {
-            out.row_mut(i)[..=i].copy_from_slice(r);
-        }
-    }
-    for i in 0..n {
-        for j in (i + 1)..n {
-            out[(i, j)] = out[(j, i)];
         }
     }
 }
@@ -463,31 +453,34 @@ mod tests {
         assert_eq!(g.eval(&a, &b).to_bits(), g.eval(&b, &a).to_bits());
     }
 
-    #[test]
-    fn gram_into_matches_per_entry_eval_bitwise() {
-        // n=70 crosses the parallel-assembly threshold (70² > 4096); n=150
-        // is a realistic surrogate size.
-        for n in [1, 6, 70, 150] {
-            let mut k = Matern52::ard(3);
-            k.set_log_params(&[0.3, -0.4, 0.1, 0.2]);
-            let xs = wavy_inputs(n, 3);
-            let mut out = Matrix::zeros(n, n);
-            k.gram_into(&xs, &mut out);
-            let full = Matrix::from_fn(n, n, |i, j| k.eval(&xs[i], &xs[j]));
-            for (idx, (a, b)) in out.as_slice().iter().zip(full.as_slice()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "n={n} entry {idx}");
+    /// Asserts that the lower triangle of `got` equals `entry(i, j)` bit for
+    /// bit and that its strict upper triangle is still NaN (untouched).
+    fn assert_lower_only(got: &Matrix, entry: impl Fn(usize, usize) -> f64, tag: &str) {
+        let n = got.rows();
+        for i in 0..n {
+            for j in 0..n {
+                if j <= i {
+                    let want = entry(i, j).to_bits();
+                    assert_eq!(got[(i, j)].to_bits(), want, "{tag} n={n} ({i},{j})");
+                } else {
+                    assert!(got[(i, j)].is_nan(), "{tag} n={n} wrote ({i},{j})");
+                }
             }
         }
     }
 
     #[test]
-    fn gram_into_overwrites_dirty_buffers() {
-        let k = Matern52::ard(2);
-        let xs = wavy_inputs(5, 2);
-        let mut dirty = Matrix::from_fn(5, 5, |_, _| f64::NAN);
-        k.gram_into(&xs, &mut dirty);
-        let clean = Matrix::from_fn(5, 5, |i, j| k.eval(&xs[i], &xs[j]));
-        assert_eq!(dirty.as_slice(), clean.as_slice());
+    fn gram_into_writes_the_lower_triangle_bitwise() {
+        // n=70 crosses the parallel-assembly threshold (70² > 4096); n=150
+        // is a realistic surrogate size. The buffer starts dirty.
+        for n in [1, 6, 70, 150] {
+            let mut k = Matern52::ard(3);
+            k.set_log_params(&[0.3, -0.4, 0.1, 0.2]);
+            let xs = wavy_inputs(n, 3);
+            let mut out = Matrix::from_fn(n, n, |_, _| f64::NAN);
+            k.gram_into(&xs, &mut out);
+            assert_lower_only(&out, |i, j| k.eval(&xs[i], &xs[j]), "gram_into");
+        }
     }
 
     #[test]
@@ -536,8 +529,6 @@ mod tests {
         k.gram_from_cache(cache, &mut fast);
         let mut naive = Matrix::zeros(n, n);
         k.gram_into(xs, &mut naive);
-        for (idx, (a, b)) in fast.as_slice().iter().zip(naive.as_slice()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "{tag} n={n} entry {idx}");
-        }
+        assert_lower_only(&fast, |i, j| naive[(i, j)], tag);
     }
 }

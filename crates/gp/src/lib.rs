@@ -13,8 +13,9 @@
 //!   ([`Gp`]), optimized by a seeded multi-start Nelder–Mead
 //!   ([`optimize::multi_start_nelder_mead_par`]) whose NLL evaluations
 //!   assemble each Gram matrix from a per-fit
-//!   [`DistanceCache`](kernel::DistanceCache); each search's effort is
-//!   recorded in a [`FitStats`],
+//!   [`DistanceCache`](kernel::DistanceCache) straight into a buffer each
+//!   start owns, and factor it there; each search's effort is recorded in
+//!   a [`FitStats`],
 //! * the correlated multi-objective (multi-task / intrinsic-coregionalization)
 //!   GP of Eq. 9 ([`MultiTaskGp`]), with covariance `Σ_{ij} = K_{ij} · k_C(x,x')`,
 //! * multi-fidelity composition: the paper's non-linear model of Eq. 5
@@ -48,6 +49,8 @@ pub mod kernel;
 pub mod multifidelity;
 mod multitask;
 pub mod optimize;
+#[cfg(test)]
+mod search_oracle;
 
 pub use error::GpError;
 pub use gp::{FitStats, Gp, GpConfig, Prediction};

@@ -1,8 +1,8 @@
-use crate::gp::{FitStats, GpConfig, INIT_NOISE_VAR, NOISE_FLOOR};
+use crate::gp::{nlml_from, FitStats, GpConfig, INIT_NOISE_VAR, NOISE_FLOOR};
 use crate::kernel::{DistanceCache, Matern52};
 use crate::optimize::{multi_start_nelder_mead_par, NelderMeadOptions};
 use crate::GpError;
-use linalg::{Cholesky, Matrix};
+use linalg::{Cholesky, CholeskyWorkspace, Matrix};
 
 /// Joint posterior over all `M` objectives at one query point.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,11 +70,15 @@ impl MultiTaskGp {
     /// Hyperparameters — the shared kernel's, the Cholesky factor of `B`, and the
     /// per-task noises — are jointly optimized by multi-start Nelder–Mead on the
     /// negative log marginal likelihood, starting from the supplied kernel's
-    /// parameters, `B = I` and noise variance 1e-2 per task. The
-    /// data-kernel Gram assembly inside each NLL evaluation runs over the
+    /// parameters, `B = I` and noise variance 1e-2 per task. Each start owns
+    /// its workspace for its lifetime: one kernel, the `n × n` data-kernel
+    /// Gram lower triangle, `B` and the noises, and an `nM × nM`
+    /// [`CholeskyWorkspace`]. An NLL evaluation writes the Gram from the
     /// per-fit [`DistanceCache`] (bit-identical to from-scratch assembly),
-    /// and the multi-start restarts run in parallel with per-restart derived
-    /// seeds (bit-identical at any thread count).
+    /// writes Eq. 9's joint covariance from it straight into the
+    /// workspace's buffer, and factors and solves it there, allocating
+    /// nothing. The starts run in parallel with per-restart derived seeds
+    /// (bit-identical at any thread count).
     ///
     /// # Errors
     ///
@@ -95,29 +99,14 @@ impl MultiTaskGp {
         let n_kp = kp0.len();
         let n_l = n_tasks * (n_tasks + 1) / 2;
         let mut p0 = kp0;
-        // Start B at the identity: L = I (diag entries are log-parameterized).
-        for t in 0..n_tasks {
-            for _u in 0..=t {
-                // L starts at the identity (log-diagonal 0, off-diagonal 0).
-                p0.push(0.0);
-            }
-        }
-        for _ in 0..n_tasks {
-            p0.push(INIT_NOISE_VAR.ln());
-        }
+        // Start B at the identity: L = I (log-diagonal 0, off-diagonal 0).
+        p0.resize(n_kp + n_l, 0.0);
+        p0.resize(n_kp + n_l + n_tasks, INIT_NOISE_VAR.ln());
 
         let cache = DistanceCache::new(xs);
-        let objective = |p: &[f64]| {
-            let mut k = kernel.clone();
-            k.set_log_params(&p[..n_kp]);
-            let Ok(b) = b_from_params(&p[n_kp..n_kp + n_l], n_tasks) else {
-                return f64::INFINITY;
-            };
-            let noise: Vec<f64> = p[n_kp + n_l..]
-                .iter()
-                .map(|lp| lp.exp().max(NOISE_FLOOR))
-                .collect();
-            joint_nll_eval(&k, &cache, &y_std, &b, &noise).unwrap_or(f64::INFINITY)
+        let objective = || {
+            let mut start = SearchObjective::new(&kernel, &cache, &y_std, n_tasks);
+            move |p: &[f64]| start.nll(p)
         };
         let opts = NelderMeadOptions {
             max_evals: cfg.max_evals,
@@ -129,16 +118,14 @@ impl MultiTaskGp {
             restarts_run: cfg.restarts,
         };
         let mut kernel = kernel;
-        let mut b = Matrix::identity(n_tasks);
+        let mut b = TaskCovariance::new(n_tasks);
         let mut noise = vec![INIT_NOISE_VAR; n_tasks];
         if best.value.is_finite() {
             kernel.set_log_params(&best.x[..n_kp]);
-            b = b_from_params(&best.x[n_kp..n_kp + n_l], n_tasks)?;
-            noise = best.x[n_kp + n_l..]
-                .iter()
-                .map(|lp| lp.exp().max(NOISE_FLOOR))
-                .collect();
+            b.set_params(&best.x[n_kp..n_kp + n_l]);
+            noise_into(&best.x[n_kp + n_l..], &mut noise);
         }
+        let b = b.into_matrix();
 
         let (chol, alpha, nlml) = joint_factorize(&kernel, xs, &y_std, &b, &noise)?;
         Ok(MultiTaskGp {
@@ -349,21 +336,125 @@ impl MultiTaskGp {
     }
 }
 
-/// Reconstructs `B = L Lᵀ` from lower-triangle parameters (diagonal entries in
-/// log space so `B` is always positive definite). The matmul of an `m × m`
-/// matrix with its transpose cannot mismatch, but the error is propagated
-/// rather than unwrapped (rule `P1`).
-fn b_from_params(p: &[f64], m: usize) -> Result<Matrix, GpError> {
-    let mut l = Matrix::zeros(m, m);
-    let mut idx = 0;
-    for t in 0..m {
-        for u in 0..=t {
-            l[(t, u)] = if t == u { p[idx].exp() } else { p[idx] };
-            idx += 1;
+/// One start of [`MultiTaskGp::fit`]'s search. It owns, for the start's
+/// lifetime, one kernel, the `n × n` data-kernel Gram (lower triangle), the
+/// task covariance, the noises, an `nM × nM` [`CholeskyWorkspace`] and the
+/// solve vector, so an evaluation writes the Gram from the per-fit
+/// [`DistanceCache`], writes Eq. 9's joint covariance from it straight into
+/// the workspace's buffer, factors and solves it there, and allocates
+/// nothing.
+pub(crate) struct SearchObjective<'a> {
+    cache: &'a DistanceCache,
+    y_std: &'a [f64],
+    kernel: Matern52,
+    /// How many of the parameters are the kernel's.
+    n_kp: usize,
+    kx: Matrix,
+    b: TaskCovariance,
+    noise: Vec<f64>,
+    ws: CholeskyWorkspace,
+    alpha: Vec<f64>,
+}
+
+impl<'a> SearchObjective<'a> {
+    pub(crate) fn new(
+        kernel: &Matern52,
+        cache: &'a DistanceCache,
+        y_std: &'a [f64],
+        m: usize,
+    ) -> Self {
+        let n = cache.len();
+        SearchObjective {
+            cache,
+            y_std,
+            kernel: kernel.clone(),
+            n_kp: kernel.log_params().len(),
+            kx: Matrix::zeros(n, n),
+            b: TaskCovariance::new(m),
+            noise: vec![0.0; m],
+            ws: CholeskyWorkspace::new(n * m),
+            alpha: vec![0.0; n * m],
         }
     }
-    let lt = l.transpose();
-    Ok(l.matmul(&lt)?)
+
+    /// The NLL at `p = [kernel log params | L lower triangle | log noises]`,
+    /// `+∞` where no jitter makes the joint covariance factorable.
+    pub(crate) fn nll(&mut self, p: &[f64]) -> f64 {
+        let (kp, rest) = p.split_at(self.n_kp);
+        let (lp, log_noise) = rest.split_at(rest.len() - self.noise.len());
+        self.kernel.set_log_params(kp);
+        self.kernel.gram_from_cache(self.cache, &mut self.kx);
+        self.b.set_params(lp);
+        noise_into(log_noise, &mut self.noise);
+        let (kx, b, noise) = (&self.kx, self.b.matrix(), &self.noise);
+        match self.ws.factor(|l| write_joint_lower(kx, b, noise, l)) {
+            Ok(chol) if chol.solve_into(self.y_std, &mut self.alpha).is_ok() => {
+                nlml_from(chol, self.y_std, &self.alpha)
+            }
+            _ => f64::INFINITY,
+        }
+    }
+}
+
+/// The task covariance `B = L Lᵀ` of Eq. 9 and the lower-triangular `L` it
+/// is parametrized by (diagonal entries in log space, so `B` is always
+/// positive definite). A search start owns one and rewrites it in place on
+/// every evaluation.
+struct TaskCovariance {
+    l: Matrix,
+    b: Matrix,
+}
+
+impl TaskCovariance {
+    /// `B = L = I`, the parametrization's origin.
+    fn new(m: usize) -> Self {
+        TaskCovariance {
+            l: Matrix::identity(m),
+            b: Matrix::identity(m),
+        }
+    }
+
+    /// Sets `L` from its lower-triangle parameters `p` (row-major) and
+    /// recomputes `B = L Lᵀ` in [`Matrix::matmul`]'s operation order: entry
+    /// `(t, u)` accumulates `L[t][k]·L[u][k]` from zero for `k` ascending,
+    /// skipping every `k` with `L[t][k] = 0`.
+    fn set_params(&mut self, p: &[f64]) {
+        let m = self.l.rows();
+        let mut idx = 0;
+        for t in 0..m {
+            for u in 0..=t {
+                self.l[(t, u)] = if t == u { p[idx].exp() } else { p[idx] };
+                idx += 1;
+            }
+        }
+        self.b.fill(0.0);
+        for t in 0..m {
+            for k in 0..m {
+                let a = self.l[(t, k)];
+                if a == 0.0 {
+                    continue;
+                }
+                for u in 0..m {
+                    self.b[(t, u)] += a * self.l[(u, k)];
+                }
+            }
+        }
+    }
+
+    fn matrix(&self) -> &Matrix {
+        &self.b
+    }
+
+    fn into_matrix(self) -> Matrix {
+        self.b
+    }
+}
+
+/// Per-task noise variances from their log-space parameters, floored.
+fn noise_into(log_noise: &[f64], noise: &mut [f64]) {
+    for (nv, lp) in noise.iter_mut().zip(log_noise) {
+        *nv = lp.exp().max(NOISE_FLOOR);
+    }
 }
 
 fn validate_multi(xs: &[Vec<f64>], ys: &[Vec<f64>], dim: usize) -> Result<usize, GpError> {
@@ -433,23 +524,34 @@ fn standardize_multi(ys: &[Vec<f64>], n_tasks: usize) -> (Vec<f64>, Vec<f64>, Ve
     (y_std, y_means, y_scales)
 }
 
-/// The joint `nM x nM` covariance `Σ = k_C ⊗ B` plus per-task noise on the
-/// diagonal. Ordering is point-major (entry `i*M + t`).
-fn joint_covariance(kx: &Matrix, b: &Matrix, noise: &[f64]) -> Matrix {
+/// Writes the lower triangle of Eq. 9's joint `nM × nM` covariance
+/// `k_C ⊗ B + diag(σ_t²)` into `out`, point-major (row `i·M + t` is point
+/// `i`, task `t`), reading only the lower triangle of the Gram matrix `kx`.
+/// Each entry is the single product `k_C[i][j]·B[t][u]`, or zero where the
+/// Gram entry is zero, and the diagonal then adds its task's noise. Every
+/// factorization of the model — each search evaluation, the final fit and
+/// each refit — assembles through here.
+fn write_joint_lower(kx: &Matrix, b: &Matrix, noise: &[f64], out: &mut Matrix) {
     let m = b.rows();
-    let mut sigma = kx.kron(b);
     for i in 0..kx.rows() {
-        for t in 0..m {
-            sigma[(i * m + t, i * m + t)] += noise[t];
+        let kx_row = &kx.row(i)[..=i];
+        for (t, &noise_t) in noise.iter().enumerate() {
+            let r = i * m + t;
+            let b_row = b.row(t);
+            let row = &mut out.row_mut(r)[..=r];
+            for (block, &a) in row.chunks_mut(m).zip(kx_row) {
+                for (o, &btu) in block.iter_mut().zip(b_row) {
+                    *o = if a == 0.0 { 0.0 } else { a * btu };
+                }
+            }
+            row[r] += noise_t;
         }
     }
-    sigma
 }
 
 /// Assembles the shared data-kernel Gram matrix (Eq. 9's `k_C`) through
-/// [`Matern52::gram_into`] (lower triangle + mirror, row-block parallel above
-/// its size threshold), then builds and factorizes the joint covariance;
-/// returns `(chol, α, NLML)`.
+/// [`Matern52::gram_into`], then writes the joint covariance from it into
+/// the factor's storage and factorizes it; returns `(chol, α, NLML)`.
 fn joint_factorize(
     kernel: &Matern52,
     xs: &[Vec<f64>],
@@ -459,35 +561,10 @@ fn joint_factorize(
 ) -> Result<(Cholesky, Vec<f64>, f64), GpError> {
     let mut kx = Matrix::zeros(xs.len(), xs.len());
     kernel.gram_into(xs, &mut kx);
-    let chol = Cholesky::new(&joint_covariance(&kx, b, noise))?;
+    let chol = Cholesky::from_lower(y_std.len(), |l| write_joint_lower(&kx, b, noise, l))?;
     let alpha = chol.solve_vec(y_std)?;
-    let nlml = joint_nlml_from(&chol, y_std, &alpha);
+    let nlml = nlml_from(&chol, y_std, &alpha);
     Ok((chol, alpha, nlml))
-}
-
-/// Joint NLML shared by the final factorization and the search objective so
-/// both produce identical floats from identical factors.
-fn joint_nlml_from(chol: &Cholesky, y_std: &[f64], alpha: &[f64]) -> f64 {
-    let fit: f64 = y_std.iter().zip(alpha).map(|(y, a)| y * a).sum();
-    0.5 * fit + 0.5 * chol.log_det() + 0.5 * y_std.len() as f64 * (2.0 * std::f64::consts::PI).ln()
-}
-
-/// The hyperparameter-search hot path: assemble the data kernel from the
-/// per-fit [`DistanceCache`] (bit-identical to [`Matern52::gram_into`]), build
-/// and factorize the joint `nM × nM` covariance, and read off the NLML.
-fn joint_nll_eval(
-    kernel: &Matern52,
-    cache: &DistanceCache,
-    y_std: &[f64],
-    b: &Matrix,
-    noise: &[f64],
-) -> Result<f64, GpError> {
-    let n = cache.len();
-    let mut kx = Matrix::zeros(n, n);
-    kernel.gram_from_cache(cache, &mut kx);
-    let chol = Cholesky::new(&joint_covariance(&kx, b, noise))?;
-    let alpha = chol.solve_vec(y_std)?;
-    Ok(joint_nlml_from(&chol, y_std, &alpha))
 }
 
 #[cfg(test)]

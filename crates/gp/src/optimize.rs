@@ -179,13 +179,18 @@ pub fn nelder_mead(
 /// thread count**, the same contract family as the optimizer's parallel
 /// reductions.
 ///
+/// `new_objective` is called once per start, on the thread that runs it, and
+/// the objective it returns lives exactly as long as that start: whatever
+/// scratch the objective owns (a likelihood evaluation's factor buffer, say)
+/// is allocated once per start and dropped when the start ends.
+///
 /// # Examples
 ///
 /// ```
 /// use cmmf_gp::optimize::{multi_start_nelder_mead_par, NelderMeadOptions};
 ///
 /// let r = multi_start_nelder_mead_par(
-///     |x| x[0].powi(4) - x[0].powi(2), // two symmetric minima
+///     || |x: &[f64]| x[0].powi(4) - x[0].powi(2), // two symmetric minima
 ///     &[0.0],
 ///     2.0,
 ///     3,
@@ -194,8 +199,8 @@ pub fn nelder_mead(
 /// );
 /// assert!(r.value < -0.24);
 /// ```
-pub fn multi_start_nelder_mead_par(
-    f: impl Fn(&[f64]) -> f64 + Sync,
+pub fn multi_start_nelder_mead_par<F: FnMut(&[f64]) -> f64>(
+    new_objective: impl Fn() -> F + Sync,
     x0: &[f64],
     spread: f64,
     restarts: usize,
@@ -205,18 +210,19 @@ pub fn multi_start_nelder_mead_par(
     let starts = seeded_starts(x0, spread, restarts, seed);
     let results: Vec<OptimResult> = starts
         .par_iter()
-        .map(|start| nelder_mead(&f, start, opts))
+        .map(|start| nelder_mead(new_objective(), start, opts))
         .collect();
     select_best(results)
 }
 
 /// Serial reference twin of [`multi_start_nelder_mead_par`]: same derived
-/// start points, same source-order selection, one search at a time on the
-/// calling thread. **Bit-identical** to the parallel entry point; it is the
-/// oracle `parallel_multistart_matches_serial_reference_bitwise` pins the
-/// parallel search against.
-pub fn multi_start_nelder_mead_seq(
-    f: impl Fn(&[f64]) -> f64,
+/// start points, same per-start objectives, same source-order selection, one
+/// search at a time on the calling thread. **Bit-identical** to the parallel
+/// entry point; it is the oracle
+/// `parallel_multistart_matches_serial_reference_bitwise` pins the parallel
+/// search against.
+pub fn multi_start_nelder_mead_seq<F: FnMut(&[f64]) -> f64>(
+    new_objective: impl Fn() -> F,
     x0: &[f64],
     spread: f64,
     restarts: usize,
@@ -226,7 +232,7 @@ pub fn multi_start_nelder_mead_seq(
     let starts = seeded_starts(x0, spread, restarts, seed);
     let results: Vec<OptimResult> = starts
         .iter()
-        .map(|start| nelder_mead(&f, start, opts))
+        .map(|start| nelder_mead(new_objective(), start, opts))
         .collect();
     select_best(results)
 }
@@ -324,7 +330,8 @@ mod tests {
             let a = x[0];
             (a * a).min((a - 4.0) * (a - 4.0) + 1.0)
         };
-        let r = multi_start_nelder_mead_par(f, &[4.0], 5.0, 8, &NelderMeadOptions::default(), 42);
+        let r =
+            multi_start_nelder_mead_par(|| f, &[4.0], 5.0, 8, &NelderMeadOptions::default(), 42);
         assert!(r.value < 0.5);
     }
 
@@ -342,43 +349,78 @@ mod tests {
         (a * a + b * b) * 0.1 + (3.0 * a).sin() + (2.0 * b).cos()
     }
 
+    /// A per-start objective that owns state, the way the likelihood
+    /// search's objectives own their factor buffers: it remembers the first
+    /// point it sees (its start) in a buffer allocated once, and adds a small
+    /// proximal term anchored there. An objective shared across starts would
+    /// anchor every start at the first one and change the results.
+    fn anchored_bumpy() -> impl FnMut(&[f64]) -> f64 {
+        let mut anchor: Vec<f64> = Vec::with_capacity(2);
+        move |x| {
+            if anchor.is_empty() {
+                anchor.extend_from_slice(x);
+            }
+            let pull: f64 = x.iter().zip(&anchor).map(|(a, b)| (a - b) * (a - b)).sum();
+            bumpy(x) + 0.01 * pull
+        }
+    }
+
     #[test]
     fn parallel_multistart_matches_serial_reference_bitwise() {
         // The contract behind `multi_start_nelder_mead_par`: each restart's
-        // start point comes from its own derived stream and each search is
-        // deterministic, so the parallel run must agree bit-for-bit with a
-        // serial loop over the same starts.
+        // start point comes from its own derived stream, each start gets its
+        // own objective from the factory, and each search is deterministic,
+        // so the parallel run must agree bit-for-bit with a serial loop over
+        // the same starts, each with a fresh objective.
         let x0 = [0.5, -0.25];
         let opts = NelderMeadOptions::default();
         let (spread, restarts, seed) = (3.0, 4u64, 9u64);
-        let mut runs = vec![nelder_mead(bumpy, &x0, &opts)];
+        let mut runs = vec![nelder_mead(anchored_bumpy(), &x0, &opts)];
         for r in 0..restarts {
             let mut rng = rand::rngs::StdRng::seed_from_u64(derive_stream_seed(seed, &[r]));
             let start: Vec<f64> = x0
                 .iter()
                 .map(|v| v + rng.random_range(-spread..=spread))
                 .collect();
-            runs.push(nelder_mead(bumpy, &start, &opts));
+            runs.push(nelder_mead(anchored_bumpy(), &start, &opts));
         }
         let reference = select_best(runs);
-        let par = multi_start_nelder_mead_par(bumpy, &x0, spread, restarts as usize, &opts, seed);
+        let made = std::sync::atomic::AtomicUsize::new(0);
+        let factory = || {
+            made.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            anchored_bumpy()
+        };
+        let par = multi_start_nelder_mead_par(factory, &x0, spread, restarts as usize, &opts, seed);
+        assert_eq!(made.swap(0, std::sync::atomic::Ordering::Relaxed), 5);
         assert_eq!(par.value.to_bits(), reference.value.to_bits());
         assert_eq!(par.evals, reference.evals);
         let pb: Vec<u64> = par.x.iter().map(|v| v.to_bits()).collect();
         let rb: Vec<u64> = reference.x.iter().map(|v| v.to_bits()).collect();
         assert_eq!(pb, rb);
         // The serial reference runs the same starts in the same order.
-        let seq = multi_start_nelder_mead_seq(bumpy, &x0, spread, restarts as usize, &opts, seed);
+        let seq = multi_start_nelder_mead_seq(factory, &x0, spread, restarts as usize, &opts, seed);
+        assert_eq!(made.load(std::sync::atomic::Ordering::Relaxed), 5);
         assert_eq!(seq.value.to_bits(), reference.value.to_bits());
         assert_eq!(seq.evals, reference.evals);
         let sb: Vec<u64> = seq.x.iter().map(|v| v.to_bits()).collect();
         assert_eq!(sb, rb);
+        // One objective shared by every start lands elsewhere.
+        let shared = std::sync::Mutex::new(anchored_bumpy());
+        let pooled = multi_start_nelder_mead_seq(
+            || |x: &[f64]| (shared.lock().unwrap())(x),
+            &x0,
+            spread,
+            restarts as usize,
+            &opts,
+            seed,
+        );
+        assert_ne!(pooled.x, reference.x);
     }
 
     #[test]
     fn parallel_multistart_is_thread_count_invariant() {
         let opts = NelderMeadOptions::default();
-        let run = || multi_start_nelder_mead_par(bumpy, &[0.5, -0.25], 3.0, 6, &opts, 21);
+        let run = || multi_start_nelder_mead_par(anchored_bumpy, &[0.5, -0.25], 3.0, 6, &opts, 21);
         let baseline = run();
         for threads in [1usize, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new()

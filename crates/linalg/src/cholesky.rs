@@ -1,11 +1,11 @@
 use crate::{LinalgError, Matrix};
 
-/// Panel width of the right-looking blocked factorization. Chosen so a
-/// panel's worth of rows stays L1-resident at realistic surrogate sizes; at
-/// or below this dimension [`Cholesky::new`] runs the scalar recurrence,
-/// whose bookkeeping is cheaper there (bit-identical either way, see
-/// [`Cholesky::new_with_panel`]).
+/// Panel width of the blocked factorization: a panel's columns are what each
+/// sweep of the trailing block subtracts. Every panel that has a trailing
+/// block is this wide, so the trailing update always runs in whole rank-4
+/// steps.
 const PANEL: usize = 32;
+const _: () = assert!(PANEL.is_multiple_of(4));
 
 /// Jittered Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite
 /// matrix, with triangular solves and log-determinant.
@@ -15,20 +15,26 @@ const PANEL: usize = 32;
 /// with an escalating diagonal jitter (`1e-10 .. 1e-4` times the mean diagonal)
 /// before giving up, which is the standard treatment in GP libraries.
 ///
-/// # Blocked factorization
+/// # One blocked routine
 ///
-/// Factorization is *right-looking blocked*: each panel of 32 columns is
-/// factorized in place, then the trailing
-/// block is SYRK-updated with contiguous row-slice sweeps that LLVM can
-/// vectorize — the scalar recurrence's per-entry dot product is a serial
-/// floating-point dependency chain the compiler must not reassociate,
-/// which is why the blocked ordering is the throughput win. Both orderings
-/// apply, for every entry `(i, j)`, the identical subtraction chain
-/// `s -= L[i][k]·L[j][k]` for `k` ascending `0..j` against an accumulator
-/// seeded with `a[i][j]` (plus diagonal jitter), with every operand a
-/// finalized entry of `L`; since each `f64` operation is individually
-/// exactly rounded, the blocked factor is **bit-identical** to the scalar
-/// one at every panel width.
+/// [`Cholesky::new`], [`Cholesky::from_lower`] and
+/// [`CholeskyWorkspace::factor`] all run one right-looking blocked
+/// factorization, in place in the factor's own `n × n` buffer, on the lower
+/// triangle only. Each panel of 32 columns is copied, transposed, into the
+/// unused upper triangle of its own rows — column-major scratch that costs no
+/// memory — so a finished column updates the panel's later columns with one
+/// contiguous AXPY, and the trailing block is swept in fused rank-4 steps
+/// whose inner loop runs over contiguous row slices. The panel then goes back
+/// to the lower triangle and the upper triangle back to zero.
+///
+/// Every entry `(i, j)` keeps the scalar recurrence's subtraction chain: an
+/// accumulator seeded with `a[i][j]` (plus the jitter on the diagonal) from
+/// which `L[i][k]·L[j][k]` is subtracted for `k` ascending `0..j`, every
+/// operand a finished entry of `L`, then one square root or one division. The
+/// blocked order only changes which entry is worked on when, and each `f64`
+/// operation is exactly rounded with no contraction into FMAs, so the factor
+/// is **bit-identical** to the scalar `i-j-k` recurrence at any vector width
+/// (the oracle in `tests/proptests.rs` pins it for `n` up to 200).
 ///
 /// # Examples
 ///
@@ -50,8 +56,68 @@ pub struct Cholesky {
     jitter: f64,
 }
 
+/// Storage for factoring many symmetric matrices of one dimension in place,
+/// as a hyperparameter search does once per likelihood evaluation: one
+/// `n × n` buffer, allocated once, that every [`CholeskyWorkspace::factor`]
+/// call writes its matrix into and factors there, with no copy, zero fill or
+/// allocation.
+///
+/// # Examples
+///
+/// ```
+/// use cmmf_linalg::CholeskyWorkspace;
+///
+/// # fn main() -> Result<(), cmmf_linalg::LinalgError> {
+/// let mut ws = CholeskyWorkspace::new(2);
+/// for s in [1.0, 2.0] {
+///     // The closure writes the lower triangle of [[2s, s], [s, 2s]].
+///     let chol = ws.factor(|l| {
+///         l[(0, 0)] = 2.0 * s;
+///         l[(1, 0)] = s;
+///         l[(1, 1)] = 2.0 * s;
+///     })?;
+///     assert!((chol.log_det() - (3.0 * s * s).ln()).abs() < 1e-9);
+/// }
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct CholeskyWorkspace {
+    /// The factor of the last successful [`CholeskyWorkspace::factor`]; after
+    /// a failed one, scratch that the next call overwrites.
+    chol: Cholesky,
+}
+
+impl CholeskyWorkspace {
+    /// A workspace for `n × n` matrices.
+    pub fn new(n: usize) -> Self {
+        CholeskyWorkspace {
+            chol: Cholesky {
+                l: Matrix::zeros(n, n),
+                jitter: 0.0,
+            },
+        }
+    }
+
+    /// Factors the symmetric matrix whose lower triangle `fill` writes into
+    /// the workspace's buffer (diagonal included; `fill` must not write
+    /// above the diagonal). `fill` runs once, and again before each retry
+    /// with a larger jitter, so it must write the same values every time.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::Empty`] if the workspace is 0x0.
+    /// * [`LinalgError::NotPositiveDefinite`] if factorization fails even at
+    ///   the maximum jitter.
+    pub fn factor(&mut self, fill: impl FnMut(&mut Matrix)) -> Result<&Cholesky, LinalgError> {
+        self.chol.refactor(fill)?;
+        Ok(&self.chol)
+    }
+}
+
 impl Cholesky {
-    /// Factorizes `a`, adding escalating diagonal jitter if needed.
+    /// Factorizes `a`, adding escalating diagonal jitter if needed. Only the
+    /// lower triangle of `a` is read.
     ///
     /// # Errors
     ///
@@ -60,183 +126,55 @@ impl Cholesky {
     /// * [`LinalgError::NotPositiveDefinite`] if factorization fails even at the
     ///   maximum jitter.
     pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::new_with_panel(a, PANEL)
-    }
-
-    /// Like [`Cholesky::new`] with an explicit panel width: `panel <= 1` or
-    /// `panel >= a.rows()` runs the pinned scalar recurrence, any other width
-    /// the blocked path with exactly that width. All widths produce
-    /// bit-identical factors; this entry point is the scalar reference the
-    /// blocked path is tested against.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cholesky::new`].
-    pub fn new_with_panel(a: &Matrix, panel: usize) -> Result<Self, LinalgError> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
-        let n = a.rows();
+        Self::from_lower(a.rows(), |l| {
+            for i in 0..a.rows() {
+                l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+            }
+        })
+    }
+
+    /// Factorizes the `n × n` symmetric matrix whose lower triangle `fill`
+    /// writes straight into the factor's storage, so the matrix is never
+    /// built anywhere else; `fill` follows the rules of
+    /// [`CholeskyWorkspace::factor`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CholeskyWorkspace::factor`].
+    pub fn from_lower(n: usize, fill: impl FnMut(&mut Matrix)) -> Result<Self, LinalgError> {
+        let mut ws = CholeskyWorkspace::new(n);
+        ws.factor(fill)?;
+        Ok(ws.chol)
+    }
+
+    /// Refills and refactors `self.l` in place, escalating the jitter.
+    fn refactor(&mut self, mut fill: impl FnMut(&mut Matrix)) -> Result<(), LinalgError> {
+        let n = self.l.rows();
         if n == 0 {
             return Err(LinalgError::Empty {
                 op: "Cholesky::new",
             });
         }
-        let mean_diag = (0..n).map(|i| a[(i, i)].abs()).sum::<f64>() / n as f64;
+        fill(&mut self.l);
+        let mean_diag = (0..n).map(|i| self.l[(i, i)].abs()).sum::<f64>() / n as f64;
         let base = if mean_diag > 0.0 { mean_diag } else { 1.0 };
-        let mut l = Matrix::zeros(n, n);
-        let (mut colbuf, mut rowbuf) = if panel > 1 && n > panel {
-            (vec![0.0; n], vec![0.0; n])
-        } else {
-            (Vec::new(), Vec::new())
-        };
         let mut jitter = 0.0;
         let mut scale = 1e-10;
         loop {
-            l.fill(0.0);
-            if Self::factorize_into(a, jitter, panel, &mut l, &mut colbuf, &mut rowbuf) {
-                return Ok(Cholesky { l, jitter });
+            if factor_in_place(&mut self.l, jitter) {
+                self.jitter = jitter;
+                return Ok(());
             }
             if scale > 1e-4 {
                 return Err(LinalgError::NotPositiveDefinite { max_jitter: jitter });
             }
             jitter = base * scale;
             scale *= 100.0;
+            fill(&mut self.l);
         }
-    }
-
-    /// Writes the factor of `a + jitter·I` into the zeroed `l`. Returns
-    /// `false` on the first non-positive or non-finite diagonal pivot (the
-    /// failing pivot index is the same in both paths: each checks diagonals
-    /// in ascending index order, on bit-identical values).
-    fn factorize_into(
-        a: &Matrix,
-        jitter: f64,
-        panel: usize,
-        l: &mut Matrix,
-        colbuf: &mut [f64],
-        rowbuf: &mut [f64],
-    ) -> bool {
-        let n = a.rows();
-        if panel <= 1 || n <= panel {
-            Self::factorize_scalar_into(a, jitter, l)
-        } else {
-            Self::factorize_blocked_into(a, jitter, panel, l, colbuf, rowbuf)
-        }
-    }
-
-    /// The pinned scalar i-j-k recurrence (the reference ordering).
-    fn factorize_scalar_into(a: &Matrix, jitter: f64, l: &mut Matrix) -> bool {
-        let n = a.rows();
-        for i in 0..n {
-            for j in 0..=i {
-                let mut s = a[(i, j)];
-                if i == j {
-                    s += jitter;
-                }
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if s <= 0.0 || !s.is_finite() {
-                        return false;
-                    }
-                    l[(i, j)] = s.sqrt();
-                } else {
-                    l[(i, j)] = s / l[(j, j)];
-                }
-            }
-        }
-        true
-    }
-
-    /// Right-looking blocked factorization (see the type-level docs for the
-    /// bit-identity argument). `colbuf`/`rowbuf` are length-`n` scratch.
-    fn factorize_blocked_into(
-        a: &Matrix,
-        jitter: f64,
-        panel: usize,
-        l: &mut Matrix,
-        colbuf: &mut [f64],
-        rowbuf: &mut [f64],
-    ) -> bool {
-        let n = a.rows();
-        // Seed the lower triangle with A (+ jitter on the diagonal); every
-        // later step subtracts products in ascending-k order from these
-        // seeds, matching the scalar recurrence's chain entry for entry.
-        for i in 0..n {
-            l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
-            l[(i, i)] += jitter;
-        }
-        let mut p0 = 0;
-        while p0 < n {
-            let p1 = usize::min(p0 + panel, n);
-            // Panel factorization: k < p0 terms were already subtracted by
-            // earlier trailing updates, so column j finishes k in [p0, j).
-            for j in p0..p1 {
-                let mut s = l[(j, j)];
-                for &ljk in &l.row(j)[p0..j] {
-                    s -= ljk * ljk;
-                }
-                if s <= 0.0 || !s.is_finite() {
-                    return false;
-                }
-                let pivot = s.sqrt();
-                l[(j, j)] = pivot;
-                let w = j - p0;
-                rowbuf[..w].copy_from_slice(&l.row(j)[p0..j]);
-                for i in (j + 1)..n {
-                    let mut s = l[(i, j)];
-                    for (&lik, &ljk) in l.row(i)[p0..j].iter().zip(&rowbuf[..w]) {
-                        s -= lik * ljk;
-                    }
-                    l[(i, j)] = s / pivot;
-                }
-            }
-            // SYRK trailing update, k ascending so every entry's subtraction
-            // chain stays in scalar order; the inner sweep over columns
-            // [p1, i] is contiguous and dependency-free, which is where the
-            // throughput comes from. Panel columns are consumed in fused
-            // rank-2 sweeps — each trailing entry subtracts its k then k+1
-            // term back to back, the exact ascending order of the scalar
-            // chain, at half the passes over the trailing block (`rowbuf` is
-            // free here; it doubles as the second column cache).
-            let mut k = p0;
-            while k + 1 < p1 {
-                for i in p1..n {
-                    colbuf[i] = l[(i, k)];
-                    rowbuf[i] = l[(i, k + 1)];
-                }
-                for i in p1..n {
-                    let lik0 = colbuf[i];
-                    let lik1 = rowbuf[i];
-                    let row = l.row_mut(i);
-                    for ((rv, &c0), &c1) in row[p1..=i]
-                        .iter_mut()
-                        .zip(&colbuf[p1..=i])
-                        .zip(&rowbuf[p1..=i])
-                    {
-                        *rv -= lik0 * c0;
-                        *rv -= lik1 * c1;
-                    }
-                }
-                k += 2;
-            }
-            if k < p1 {
-                for i in p1..n {
-                    colbuf[i] = l[(i, k)];
-                }
-                for i in p1..n {
-                    let lik = colbuf[i];
-                    let row = l.row_mut(i);
-                    for (rv, &ck) in row[p1..=i].iter_mut().zip(&colbuf[p1..=i]) {
-                        *rv -= lik * ck;
-                    }
-                }
-            }
-            p0 = p1;
-        }
-        true
     }
 
     /// The lower-triangular factor `L`.
@@ -265,23 +203,9 @@ impl Cholesky {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`.
     pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_lower",
-                lhs: (n, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        let mut y = b.to_vec();
-        for i in 0..n {
-            let row = self.l.row(i);
-            let mut s = y[i];
-            for k in 0..i {
-                s -= row[k] * y[k];
-            }
-            y[i] = s / row[i];
-        }
+        self.check_len("solve_lower", b.len())?;
+        let mut y = vec![0.0; b.len()];
+        self.forward(b, &mut y);
         Ok(y)
     }
 
@@ -333,22 +257,9 @@ impl Cholesky {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `y.len() != self.dim()`.
     pub fn solve_upper(&self, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let n = self.dim();
-        if y.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_upper",
-                lhs: (n, n),
-                rhs: (y.len(), 1),
-            });
-        }
+        self.check_len("solve_upper", y.len())?;
         let mut x = y.to_vec();
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for (k, &xk) in x.iter().enumerate().skip(i + 1) {
-                s -= self.l[(k, i)] * xk;
-            }
-            x[i] = s / self.l[(i, i)];
-        }
+        self.backward(&mut x);
         Ok(x)
     }
 
@@ -358,7 +269,160 @@ impl Cholesky {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`.
     pub fn solve_vec(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        self.solve_upper(&self.solve_lower(b)?)
+        let mut x = vec![0.0; b.len()];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A x = b` into the caller's `x`, allocating nothing; the same
+    /// operations as [`Cholesky::solve_vec`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `b` or `x` is not
+    /// `self.dim()` long.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<(), LinalgError> {
+        self.check_len("solve_into", b.len())?;
+        self.check_len("solve_into", x.len())?;
+        self.forward(b, x);
+        self.backward(x);
+        Ok(())
+    }
+
+    fn check_len(&self, op: &'static str, len: usize) -> Result<(), LinalgError> {
+        let n = self.dim();
+        if len == n {
+            Ok(())
+        } else {
+            Err(LinalgError::ShapeMismatch {
+                op,
+                lhs: (n, n),
+                rhs: (len, 1),
+            })
+        }
+    }
+
+    /// Forward substitution `y = L⁻¹ b`, row by row.
+    fn forward(&self, b: &[f64], y: &mut [f64]) {
+        for (i, &bi) in b.iter().enumerate() {
+            let row = self.l.row(i);
+            let mut s = bi;
+            for k in 0..i {
+                s -= row[k] * y[k];
+            }
+            y[i] = s / row[i];
+        }
+    }
+
+    /// Back substitution `x ← L⁻ᵀ x`, in place.
+    fn backward(&self, x: &mut [f64]) {
+        for i in (0..x.len()).rev() {
+            let mut s = x[i];
+            for (k, &xk) in x.iter().enumerate().skip(i + 1) {
+                s -= self.l[(k, i)] * xk;
+            }
+            x[i] = s / self.l[(i, i)];
+        }
+    }
+}
+
+/// One attempt at factoring `A + jitter·I` in place: on entry the lower
+/// triangle of `l` holds `A`; on success it holds `L` and the upper triangle
+/// is zero. Returns `false` at the first pivot, in ascending order, that is
+/// not positive and finite — the pivot where the scalar recurrence stops
+/// too, since every value up to it is bit-identical. The upper triangle is
+/// scratch in between, so it may hold anything on entry.
+fn factor_in_place(l: &mut Matrix, jitter: f64) -> bool {
+    let n = l.rows();
+    for i in 0..n {
+        l[(i, i)] += jitter;
+    }
+    let a = l.as_mut_slice();
+    let mut p0 = 0;
+    while p0 < n {
+        let p1 = usize::min(p0 + PANEL, n);
+        // The panel's columns p0..p1, rows j..n, go into the upper triangle:
+        // column j becomes row j from column j on. Every k < p0 term was
+        // already subtracted by the earlier trailing updates.
+        for i in p0 + 1..n {
+            for j in p0..usize::min(p1, i) {
+                a[j * n + i] = a[i * n + j];
+            }
+        }
+        if !factor_panel(a, n, p0, p1) {
+            return false;
+        }
+        if p1 < n {
+            update_trailing(a, n, p0, p1);
+        }
+        // Back to the lower triangle; the upper returns to zero.
+        for i in p0 + 1..n {
+            for j in p0..usize::min(p1, i) {
+                a[i * n + j] = a[j * n + i];
+                a[j * n + i] = 0.0;
+            }
+        }
+        p0 = p1;
+    }
+    true
+}
+
+/// Factors the transposed panel held in rows `p0..p1` of `a` (row `j` holds
+/// column `j` of `L` from the diagonal on): each column takes its pivot,
+/// divides its sub-diagonal by it, and subtracts its `k = j` term from every
+/// later panel column with one contiguous AXPY.
+fn factor_panel(a: &mut [f64], n: usize, p0: usize, p1: usize) -> bool {
+    for j in p0..p1 {
+        let s = a[j * n + j];
+        if s <= 0.0 || !s.is_finite() {
+            return false;
+        }
+        let pivot = s.sqrt();
+        a[j * n + j] = pivot;
+        for v in &mut a[j * n + j + 1..(j + 1) * n] {
+            *v /= pivot;
+        }
+        let (done, rest) = a.split_at_mut((j + 1) * n);
+        let col = &done[j * n..];
+        for (r, later) in rest.chunks_exact_mut(n).take(p1 - j - 1).enumerate() {
+            let c = j + 1 + r;
+            let f = col[c];
+            for (v, &lij) in later[c..].iter_mut().zip(&col[c..]) {
+                *v -= lij * f;
+            }
+        }
+    }
+    true
+}
+
+/// Subtracts the panel `p0..p1` (transposed in the upper triangle of its
+/// rows) from the lower triangle of the trailing rows `p1..n`, four columns
+/// per sweep: each entry subtracts its `k`, `k+1`, `k+2`, `k+3` terms back to
+/// back, the scalar chain's ascending order, at a quarter of the passes.
+fn update_trailing(a: &mut [f64], n: usize, p0: usize, p1: usize) {
+    let (top, trailing) = a.split_at_mut(p1 * n);
+    let panel = &top[p0 * n..];
+    for cols in panel.chunks_exact(4 * n) {
+        let (u0, rest) = cols.split_at(n);
+        let (u1, rest) = rest.split_at(n);
+        let (u2, u3) = rest.split_at(n);
+        for (r, row) in trailing.chunks_exact_mut(n).enumerate() {
+            let i = p1 + r;
+            let (f0, f1, f2, f3) = (u0[i], u1[i], u2[i], u3[i]);
+            let span = p1..i + 1;
+            for ((((v, &c0), &c1), &c2), &c3) in row[span.clone()]
+                .iter_mut()
+                .zip(&u0[span.clone()])
+                .zip(&u1[span.clone()])
+                .zip(&u2[span.clone()])
+                .zip(&u3[span])
+            {
+                *v -= f0 * c0;
+                *v -= f1 * c1;
+                *v -= f2 * c2;
+                *v -= f3 * c3;
+            }
+        }
     }
 }
 
@@ -435,30 +499,71 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_scalar_bitwise_across_panel_widths() {
-        for n in [1, 2, 5, 17, 33, 64, 97, 200] {
-            let a = spd(n);
-            let scalar = Cholesky::new_with_panel(&a, 1).unwrap();
-            for panel in [2, 3, 8, 31, 32, 48, 64, 200] {
-                let blocked = Cholesky::new_with_panel(&a, panel).unwrap();
-                assert_bitwise_eq(&blocked, &scalar, &format!("n={n} panel={panel}"));
+    fn workspace_reuse_matches_fresh_factors_bitwise() {
+        // One buffer serves a run of factorizations — a failed one and a
+        // jittered one among them, both leaving scratch behind — and each
+        // success equals a fresh factor, zero upper triangle included.
+        let n = 70;
+        let rank3 = {
+            let b = Matrix::from_fn(n, 3, |i, j| ((i * 3 + j) as f64 * 0.9).cos());
+            b.matmul(&b.transpose()).unwrap()
+        };
+        let mut indefinite = spd(n);
+        indefinite[(40, 40)] = -1e6;
+        let mut ws = CholeskyWorkspace::new(n);
+        for a in [spd(n), indefinite.clone(), rank3, indefinite, spd(n)] {
+            let copy_lower = |l: &mut Matrix| {
+                for i in 0..n {
+                    l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+                }
+            };
+            match (Cholesky::new(&a), ws.factor(copy_lower)) {
+                (Ok(fresh), Ok(reused)) => assert_bitwise_eq(reused, &fresh, "reused"),
+                (Err(fresh), Err(reused)) => assert_eq!(fresh, reused),
+                (fresh, reused) => panic!("{fresh:?} vs {reused:?}"),
             }
-            let auto = Cholesky::new(&a).unwrap();
-            assert_bitwise_eq(&auto, &scalar, &format!("n={n} auto"));
         }
     }
 
     #[test]
-    fn blocked_matches_scalar_bitwise_when_jitter_escalates() {
-        // Rank-deficient at n=40: both paths must walk the same escalation
-        // and land on the same jitter and factor.
-        let n = 40;
-        let b = Matrix::from_fn(n, 3, |i, j| ((i * 3 + j) as f64 * 0.9).cos());
-        let a = b.matmul(&b.transpose()).unwrap();
-        let scalar = Cholesky::new_with_panel(&a, 1).unwrap();
-        assert!(scalar.jitter() > 0.0);
-        let blocked = Cholesky::new_with_panel(&a, 8).unwrap();
-        assert_bitwise_eq(&blocked, &scalar, "jittered n=40 panel=8");
+    fn new_reads_only_the_lower_triangle() {
+        let a = spd(40);
+        let mut lower_only = a.clone();
+        for i in 0..40 {
+            for j in (i + 1)..40 {
+                lower_only[(i, j)] = f64::NAN;
+            }
+        }
+        let full = Cholesky::new(&a).unwrap();
+        assert_bitwise_eq(&Cholesky::new(&lower_only).unwrap(), &full, "lower only");
+    }
+
+    #[test]
+    fn solve_into_matches_solve_vec_and_checks_lengths() {
+        let c = Cholesky::new(&spd(37)).unwrap();
+        let b: Vec<f64> = (0..37).map(|i| (i as f64).cos()).collect();
+        let mut x = vec![f64::NAN; 37];
+        c.solve_into(&b, &mut x).unwrap();
+        let via_vec = c.solve_vec(&b).unwrap();
+        let via_halves = c.solve_upper(&c.solve_lower(&b).unwrap()).unwrap();
+        for ((a, v), h) in x.iter().zip(&via_vec).zip(&via_halves) {
+            assert_eq!(a.to_bits(), v.to_bits());
+            assert_eq!(a.to_bits(), h.to_bits());
+        }
+        assert!(c.solve_into(&b[1..], &mut x).is_err());
+        assert!(c.solve_into(&b, &mut x[1..]).is_err());
+    }
+
+    #[test]
+    fn empty_fails() {
+        assert!(matches!(
+            Cholesky::new(&Matrix::zeros(0, 0)),
+            Err(LinalgError::Empty { .. })
+        ));
+        assert!(matches!(
+            CholeskyWorkspace::new(0).factor(|_| {}),
+            Err(LinalgError::Empty { .. })
+        ));
     }
 
     #[test]

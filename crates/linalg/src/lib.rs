@@ -5,12 +5,13 @@
 //! The offline crate set has no mature linear-algebra or statistics crates, so this
 //! crate implements everything the Gaussian-process stack needs from scratch:
 //!
-//! * [`Matrix`] — a dense, row-major, `f64` matrix with the products,
-//!   transpose and Kronecker product the GP stack uses,
+//! * [`Matrix`] — a dense, row-major, `f64` matrix with the products and
+//!   transpose the GP stack uses,
 //! * [`Cholesky`] — a jittered, right-looking *blocked* Cholesky factorization
 //!   with triangular solves (per vector, and forward substitution over a
 //!   whole block of right-hand sides) and log-determinant (the workhorse of
-//!   exact GP inference),
+//!   exact GP inference); [`CholeskyWorkspace`] reuses one buffer for many
+//!   factorizations of one size, as the hyperparameter search does,
 //! * [`stats`] — scalar standard-normal PDF/CDF built on an `erf`
 //!   implementation, plus small summary-statistics helpers.
 //!
@@ -35,6 +36,6 @@ mod error;
 mod matrix;
 pub mod stats;
 
-pub use cholesky::Cholesky;
+pub use cholesky::{Cholesky, CholeskyWorkspace};
 pub use error::LinalgError;
 pub use matrix::Matrix;

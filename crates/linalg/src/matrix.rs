@@ -144,6 +144,11 @@ impl Matrix {
         &self.data
     }
 
+    /// The underlying row-major data slice, mutably.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Sets every element to `v`.
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
@@ -210,32 +215,6 @@ impl Matrix {
         for i in 0..self.rows {
             self[(i, i)] += v;
         }
-    }
-
-    /// Kronecker product `self ⊗ rhs`.
-    ///
-    /// Used by the intrinsic-coregionalization multi-task GP where the joint
-    /// covariance is `B ⊗ K`. Zero entries of `self` leave their block zero;
-    /// every other entry is the single product `self[(i, j)] * rhs[(p, q)]`,
-    /// written one contiguous row slice at a time.
-    pub fn kron(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows * rhs.rows, self.cols * rhs.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let a = self[(i, j)];
-                if a == 0.0 {
-                    continue;
-                }
-                for p in 0..rhs.rows {
-                    let src = rhs.row(p);
-                    let dst = &mut out.row_mut(i * rhs.rows + p)[j * rhs.cols..(j + 1) * rhs.cols];
-                    for (d, &b) in dst.iter_mut().zip(src) {
-                        *d = a * b;
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -323,17 +302,6 @@ mod tests {
     fn mul_vec_known_result() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(a.mul_vec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn kron_shape_and_values() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let k = a.kron(&b);
-        assert_eq!(k.shape(), (2, 4));
-        assert_eq!(k[(0, 1)], 1.0);
-        assert_eq!(k[(0, 3)], 2.0);
-        assert_eq!(k[(1, 2)], 2.0);
     }
 
     #[test]

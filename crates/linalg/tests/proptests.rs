@@ -1,7 +1,121 @@
 //! Property-based tests of the linear-algebra substrate.
 
-use cmmf_linalg::{Cholesky, Matrix};
+use cmmf_linalg::{Cholesky, LinalgError, Matrix};
 use proptest::prelude::*;
+
+/// The scalar `i-j-k` recurrence under the same jitter escalation as
+/// [`Cholesky::new`]: the reference ordering every factorization must equal
+/// bit for bit. `Ok((L, jitter))`, or `Err(max_jitter)` when even the largest
+/// jitter leaves a pivot that is not positive and finite.
+fn scalar_oracle(a: &Matrix) -> Result<(Matrix, f64), f64> {
+    let n = a.rows();
+    let mean_diag = (0..n).map(|i| a[(i, i)].abs()).sum::<f64>() / n as f64;
+    let base = if mean_diag > 0.0 { mean_diag } else { 1.0 };
+    let mut jitter = 0.0;
+    let mut scale = 1e-10;
+    loop {
+        if let Some(l) = scalar_attempt(a, jitter) {
+            return Ok((l, jitter));
+        }
+        if scale > 1e-4 {
+            return Err(jitter);
+        }
+        jitter = base * scale;
+        scale *= 100.0;
+    }
+}
+
+fn scalar_attempt(a: &Matrix, jitter: f64) -> Option<Matrix> {
+    let n = a.rows();
+    let mut l = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let mut s = a[(i, j)];
+            if i == j {
+                s += jitter;
+            }
+            for k in 0..j {
+                s -= l[(i, k)] * l[(j, k)];
+            }
+            if i == j {
+                if s <= 0.0 || !s.is_finite() {
+                    return None;
+                }
+                l[(i, j)] = s.sqrt();
+            } else {
+                l[(i, j)] = s / l[(j, j)];
+            }
+        }
+    }
+    Some(l)
+}
+
+/// `Ok(())` when [`Cholesky::new`] and the oracle agree to the last bit:
+/// the same factor and jitter, or the same failure at the same jitter.
+fn matches_oracle(a: &Matrix) -> Result<(), String> {
+    match (Cholesky::new(a), scalar_oracle(a)) {
+        (Ok(c), Ok((l, jitter))) => {
+            if c.jitter().to_bits() != jitter.to_bits() {
+                return Err(format!("jitter {} vs {jitter}", c.jitter()));
+            }
+            let diff = c
+                .l()
+                .as_slice()
+                .iter()
+                .zip(l.as_slice())
+                .position(|(x, y)| x.to_bits() != y.to_bits());
+            match diff {
+                None => Ok(()),
+                Some(idx) => Err(format!("entry {idx} differs")),
+            }
+        }
+        (Err(LinalgError::NotPositiveDefinite { max_jitter }), Err(jitter))
+            if max_jitter.to_bits() == jitter.to_bits() =>
+        {
+            Ok(())
+        }
+        (got, want) => Err(format!("{got:?} vs oracle {want:?}")),
+    }
+}
+
+/// The three kinds of input the oracle tests cover, `n × n` from `v`
+/// (`n·n` entries in [-3, 3]): positive definite, rank-deficient (rank
+/// `max(n/4, 1)`, so the jitter escalates), and indefinite (one diagonal
+/// entry far below zero, so every jitter fails).
+fn oracle_input(kind: usize, n: usize, v: &[f64]) -> Matrix {
+    let rank = if kind == 1 { usize::max(n / 4, 1) } else { n };
+    let b = Matrix::from_fn(n, rank, |i, j| v[i * n + j]);
+    let mut a = b.matmul(&b.transpose()).expect("square product");
+    match kind {
+        0 => a.add_diag(0.5),
+        2 => a[(n / 2, n / 2)] = -1e3 * (1.0 + a[(n / 2, n / 2)]),
+        _ => {}
+    }
+    a
+}
+
+#[test]
+fn cholesky_matches_scalar_oracle_at_the_panel_edges() {
+    // The panel is 32 columns wide: one panel up to 32, a trailing block from
+    // 33, two full panels at 64, and a narrow last panel after each edge.
+    for n in [1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65, 96, 97, 200] {
+        let v: Vec<f64> = (0..n * n).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
+        for kind in 0..3 {
+            let a = oracle_input(kind, n, &v);
+            if let Err(msg) = matches_oracle(&a) {
+                panic!("n={n} kind={kind}: {msg}");
+            }
+        }
+    }
+    // The rank-deficient input escalates the jitter and the indefinite one
+    // fails at the maximum: both sides of the escalation are exercised.
+    let v: Vec<f64> = (0..40 * 40).map(|i| (i as f64 * 0.9).cos()).collect();
+    assert!(Cholesky::new(&oracle_input(1, 40, &v)).unwrap().jitter() > 0.0);
+    assert!(matches!(
+        Cholesky::new(&oracle_input(2, 40, &v)),
+        Err(LinalgError::NotPositiveDefinite { .. })
+    ));
+}
 
 /// Strategy: a random matrix with entries in [-3, 3].
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -29,19 +143,21 @@ fn spd(n: usize) -> impl Strategy<Value = Matrix> {
 
 proptest! {
     #[test]
-    fn cholesky_blocked_equals_scalar_at_every_panel_width(a in spd(10), panel in 2usize..12) {
-        // The blocked right-looking factorization applies the scalar
-        // recurrence's exact subtraction chains, so every panel width —
-        // dividing n, not dividing n, exceeding n — must reproduce the
-        // scalar factor bit for bit, jitter decision included.
-        let scalar = Cholesky::new_with_panel(&a, 1).expect("SPD factorizes");
-        let blocked = Cholesky::new_with_panel(&a, panel).expect("SPD factorizes");
-        prop_assert_eq!(blocked.jitter().to_bits(), scalar.jitter().to_bits());
-        for i in 0..a.rows() {
-            for j in 0..a.cols() {
-                prop_assert_eq!(blocked.l()[(i, j)].to_bits(), scalar.l()[(i, j)].to_bits());
-            }
-        }
+    fn cholesky_equals_scalar_recurrence_bitwise(
+        (kind, n, v) in (0usize..3, 1usize..=200).prop_flat_map(|(kind, n)| (
+            Just(kind),
+            Just(n),
+            proptest::collection::vec(-3.0f64..3.0, n * n),
+        )),
+    ) {
+        // One blocked routine factors every matrix; its factor, jitter and
+        // failure must be the scalar recurrence's at every size across the
+        // 32- and 64-column panel edges, for positive-definite,
+        // rank-deficient (jitter escalates) and indefinite (fails at the
+        // maximum jitter) inputs alike.
+        let a = oracle_input(kind, n, &v);
+        let outcome = matches_oracle(&a);
+        prop_assert!(outcome.is_ok(), "n={} kind={}: {:?}", n, kind, outcome);
     }
 
     #[test]
@@ -102,13 +218,6 @@ proptest! {
         let lhs = a.matmul(&b).expect("shapes match").transpose();
         let rhs = b.transpose().matmul(&a.transpose()).expect("shapes match");
         prop_assert!(max_abs_diff(&lhs, &rhs) < 1e-9);
-    }
-
-    #[test]
-    fn kron_dimensions_and_scale(a in matrix(2, 3), b in matrix(3, 2)) {
-        let k = a.kron(&b);
-        prop_assert_eq!(k.shape(), (6, 6));
-        prop_assert!((k[(0, 0)] - a[(0, 0)] * b[(0, 0)]).abs() < 1e-12);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Fuzzing of the daemon's parsers of untrusted bytes — `trace::json::parse`,
-//! `protocol::parse_request` and `JobSpec::from_json` — and exact round trips
-//! through the one JSON writer (`trace::json::JsonWriter`).
+//! `protocol::parse_request`, `JobSpec::from_json` and the journal reader
+//! `trace::read_journal` — and exact round trips through the one JSON writer
+//! (`trace::json::JsonWriter`).
 //!
 //! Every input yields a value or a typed error, never a panic: random bytes,
 //! every truncation of a valid document, and random byte overwrites of one.
 //! `RunCheckpoint::from_json` gets the same treatment in the core crate's
-//! `checkpoint_props` tests.
+//! `checkpoint_props` tests, and `hls_model::spec::parse` in the model
+//! crate's `spec_fuzz` tests.
 
 use cmmf::ModelVariant;
 use cmmf_serve::job::{JobSpec, Overrides, Problem, GP_RESTARTS_MAX, MC_SAMPLES_MAX};
@@ -16,6 +18,7 @@ use hls_model::benchmarks::Benchmark;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::path::PathBuf;
 use trace::json;
 
 /// JSON's own alphabet, so random damage reaches past the tokenizer into
@@ -284,4 +287,82 @@ proptest! {
         prop_assert_eq!(parsed.to_json(), text);
         prop_assert_eq!(parsed, result);
     }
+
+    #[test]
+    fn damaged_journals_read_as_records_and_a_recovery(seed in any::<u64>()) {
+        // A journal with random damage in interior and final lines reads as
+        // the records before the first line that no longer parses, plus a
+        // recovery that counts them and the bytes after; repairing it leaves
+        // exactly those records and nothing torn.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let path = journal_path(seed);
+        let lines: Vec<String> = (0..rng.random_range(0..12usize))
+            .map(|i| {
+                let mut w = json::JsonWriter::new();
+                w.begin_object().key("seq").usize(i);
+                w.key("note").str(&nasty_text(&mut rng, 16)).end_object();
+                w.finish()
+            })
+            .collect();
+        let mut data: Vec<u8> = lines.iter().flat_map(|l| format!("{l}\n").into_bytes()).collect();
+        // The first byte damage may touch: none, an interior line, or the last.
+        let mut first_damaged = lines.len();
+        if !lines.is_empty() {
+            let hit = match rng.random_range(0..3u32) {
+                0 => rng.random_range(0..lines.len()),
+                _ => lines.len() - 1,
+            };
+            let start: usize = lines[..hit].iter().map(|l| l.len() + 1).sum();
+            let end = start + lines[hit].len() + 1;
+            match rng.random_range(0..4u32) {
+                0 => data.truncate(rng.random_range(start..end)),
+                1 => data[end - 1] = b' ',
+                2 => data[rng.random_range(start..end)] = 0xff,
+                _ => {
+                    let at = rng.random_range(start..end);
+                    data[at] = JSON_ALPHABET[rng.random_range(0..JSON_ALPHABET.len())];
+                }
+            }
+            first_damaged = hit;
+            // Further damage anywhere after it.
+            for _ in 0..rng.random_range(0..3u32) {
+                if data.len() > end {
+                    let at = rng.random_range(end..data.len());
+                    data[at] = rng.random::<u32>().to_le_bytes()[0];
+                }
+            }
+        }
+        std::fs::write(&path, &data).expect("scratch file writes");
+        let read = trace::read_journal(&path);
+        prop_assert!(read.is_ok(), "{read:?}");
+        let Ok((records, recovery)) = read else { unreachable!() };
+        prop_assert_eq!(records.len(), recovery.complete_records);
+        prop_assert!(recovery.complete_records >= first_damaged);
+        prop_assert!(recovery.complete_records <= lines.len());
+        prop_assert!(recovery.torn_bytes <= data.len() as u64);
+        for (record, line) in records.iter().zip(&lines).take(first_damaged) {
+            prop_assert_eq!(Some(record.clone()), json::parse(line).ok());
+        }
+        let repaired = trace::recover_journal(&path);
+        prop_assert_eq!(repaired.ok(), Some(recovery));
+        let reread = trace::read_journal(&path).map(|(r, rec)| (r.len(), rec.torn_bytes));
+        prop_assert_eq!(reread.ok(), Some((records.len(), 0)));
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A per-process, per-case journal path in the system temp directory.
+fn journal_path(seed: u64) -> PathBuf {
+    let name = format!("cmmf-journal-fuzz-{}-{seed:016x}.jsonl", std::process::id());
+    std::env::temp_dir().join(name)
+}
+
+#[test]
+fn an_unreadable_journal_is_an_io_error() {
+    // A directory where the journal should be: the read fails with the
+    // operating system's error rather than reading as empty or panicking.
+    let dir = journal_path(0).with_extension("d");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    assert!(trace::read_journal(&dir).is_err());
+    std::fs::remove_dir(&dir).ok();
 }
