@@ -237,10 +237,29 @@ mod tests {
         let r = run_surrogate_dse(SurrogateKind::BoostingTree, &space, &sim, 48, 7).unwrap();
         let learned: Vec<Vec<f64>> = r.measured_pareto.iter().map(|p| p.to_vec()).collect();
         let learned_front = pareto::pareto_front(&learned);
-        let adrs_bt = pareto::adrs(&front, &learned_front, pareto::DistanceMetric::MaxRelative);
+        // Eq. 11 in objective units min-max normalized by the true front.
+        let mut lo = [f64::INFINITY; N_OBJECTIVES];
+        let mut hi = [f64::NEG_INFINITY; N_OBJECTIVES];
+        for p in &front {
+            for ((l, h), v) in lo.iter_mut().zip(&mut hi).zip(p) {
+                *l = l.min(*v);
+                *h = h.max(*v);
+            }
+        }
+        let normalize = |set: &[Vec<f64>]| -> Vec<Vec<f64>> {
+            set.iter()
+                .map(|p| {
+                    (0..N_OBJECTIVES)
+                        .map(|d| (p[d] - lo[d]) / (hi[d] - lo[d]).max(1e-12))
+                        .collect()
+                })
+                .collect()
+        };
+        let truth = normalize(&front);
+        let adrs_bt = pareto::adrs(&truth, &normalize(&learned_front));
         // Random baseline: first 10 valid configs.
         let random: Vec<Vec<f64>> = all.iter().take(10).cloned().collect();
-        let adrs_rand = pareto::adrs(&front, &random, pareto::DistanceMetric::MaxRelative);
+        let adrs_rand = pareto::adrs(&truth, &normalize(&random));
         assert!(
             adrs_bt < adrs_rand,
             "surrogate {adrs_bt:.4} !< random {adrs_rand:.4}"

@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run --release -p cmmf-bench --bin fig4_toy`
 
-use cmmf::eipv::{eipv_correlated_mc, peipv};
+use cmmf::eipv::{peipv, EipvScorer};
 use gp::kernel::Matern52;
 use gp::{Gp, GpConfig, MultiTaskPrediction};
 use linalg::Matrix;
@@ -51,6 +51,10 @@ fn main() {
                 .fold(f64::INFINITY, f64::min)
         })
         .collect();
+    let scorers: Vec<EipvScorer> = fronts
+        .iter()
+        .map(|&f| EipvScorer::new(&[vec![f]], &[2.0]))
+        .collect();
     for i in 0..=100 {
         let x = i as f64 / 100.0;
         for (fid, gp) in gps.iter().enumerate() {
@@ -62,7 +66,7 @@ fn main() {
                 cov: Matrix::from_diag(&[p.var]),
             };
             let mut rng = StdRng::seed_from_u64(1234 + i as u64 * 7 + fid as u64);
-            let ei = eipv_correlated_mc(&pred, &[vec![fronts[fid]]], &[2.0], 256, &mut rng);
+            let ei = scorers[fid].eipv_mc(&pred, 256, &mut rng);
             // The toy uses the literal Eq. 10 penalty, as in the paper's figure.
             let score = peipv(ei, times[2], times[fid], 1.0);
             println!(

@@ -7,12 +7,12 @@
 //!
 //! Usage: `cargo run --release -p cmmf-bench --bin fig6_eipv`
 
-use cmmf::eipv::eipv_correlated_mc;
+use cmmf::eipv::EipvScorer;
 use fidelity_sim::{FlowSimulator, SimParams};
 use gp::kernel::Matern52;
 use gp::{GpConfig, MultiTaskGp};
 use hls_model::benchmarks::{self, Benchmark};
-use pareto::{pareto_front, CellDecomposition};
+use pareto::pareto_front;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,19 +53,28 @@ fn main() {
         println!("front,{:.4},{:.4}", p[0], p[1]);
     }
 
-    // Cell decomposition between the ideal corner and v_ref (Fig. 6's grid).
+    // The grid between the ideal corner and v_ref (Fig. 6's cells) is the
+    // scorer's own decomposition, listed with axis 0 varying fastest.
+    // Interval 0 is open below; its lower end prints at the ideal corner.
+    let ideal = [-0.2, -0.2];
     let reference = vec![1.2, 1.2];
-    let cells = CellDecomposition::new(&front, &[-0.2, -0.2], &reference);
+    let scorer = EipvScorer::new(&front, &reference);
+    let index = scorer.index();
+    let mut cells: Vec<usize> = (0..index.cell_count())
+        .filter(|&c| !index.is_cell_dominated(c))
+        .collect();
+    cells.sort_by_key(|&c| (index.cell_coord(c, 1), index.cell_coord(c, 0)));
     println!(
         "# {} non-dominated cells (of {} total):",
-        cells.non_dominated_cells().len(),
-        cells.total_cell_count()
+        cells.len(),
+        index.cell_count()
     );
-    for c in cells.non_dominated_cells() {
-        println!(
-            "cell,{:.4},{:.4},{:.4},{:.4}",
-            c.lo[0], c.lo[1], c.hi[0], c.hi[1]
-        );
+    for c in cells {
+        let [(lo0, hi0), (lo1, hi1)] = [0, 1].map(|d| {
+            let (lo, hi) = index.interval(d, index.cell_coord(c, d));
+            (if lo.is_finite() { lo } else { ideal[d] }, hi)
+        });
+        println!("cell,{lo0:.4},{lo1:.4},{hi0:.4},{hi1:.4}");
     }
 
     // Fit a 2-task correlated GP on the observations and score candidates.
@@ -78,7 +87,7 @@ fn main() {
     for (k, i) in (0..space.len()).step_by(41).take(60).enumerate() {
         let p = gp.predict(&space.encode(i)).expect("predict succeeds");
         let mut rng = StdRng::seed_from_u64(99 + k as u64);
-        let e = eipv_correlated_mc(&p, &front, &reference, 128, &mut rng);
+        let e = scorer.eipv_mc(&p, 128, &mut rng);
         println!("{i},{:.4},{:.4},{:.6}", p.mean[0], p.mean[1], e);
         if best.map(|(_, be)| e > be).unwrap_or(true) {
             best = Some((i, e));

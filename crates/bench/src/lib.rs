@@ -24,7 +24,7 @@
 
 use cmmf::runner::TrueFront;
 use cmmf::{CmmfConfig, ModelVariant, Optimizer};
-use fidelity_sim::{FlowSimulator, SimParams, Stage, N_OBJECTIVES};
+use fidelity_sim::{FlowSimulator, SimParams, N_OBJECTIVES};
 use hls_model::benchmarks::{self, Benchmark};
 use hls_model::DesignSpace;
 use rand::derive_stream_seed;
@@ -242,30 +242,6 @@ pub fn repeat_method_checkpointed(
         std_adrs: linalg::stats::std_dev(&adrs),
         mean_seconds: linalg::stats::mean(&secs),
     }
-}
-
-/// Repeats `run_method` with distinct derived seeds and aggregates.
-pub fn repeat_method(
-    setup: &BenchmarkSetup,
-    method: Method,
-    repeats: usize,
-    seed0: u64,
-) -> MethodCell {
-    repeat_method_checkpointed(setup, method, repeats, seed0, None)
-}
-
-/// How many simulated seconds one flow run to `stage` takes, averaged over a
-/// sample of the space (used to contextualize runtimes).
-pub fn mean_stage_seconds(setup: &BenchmarkSetup, stage: Stage) -> f64 {
-    let n = setup.space.len().min(64);
-    let step = (setup.space.len() / n).max(1);
-    let mut total = 0.0;
-    let mut count = 0.0;
-    for i in (0..setup.space.len()).step_by(step) {
-        total += setup.sim.stage_seconds(&setup.space, i, stage);
-        count += 1.0;
-    }
-    total / count
 }
 
 /// Parses a `--repeats N` / `--quick` style CLI for the harness binaries.

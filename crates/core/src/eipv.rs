@@ -6,91 +6,26 @@
 //! EIPV is evaluated by Monte Carlo over the multivariate-normal posterior —
 //! the standard treatment for correlated objectives (Shah & Ghahramani 2016).
 //!
-//! Two evaluation paths share the same sampler:
-//!
-//! * the naive path ([`eipv_correlated_mc`], [`eipv_correlated_mc_seeded`])
-//!   recomputes [`pareto::hypervolume_contribution`] from scratch per draw —
-//!   the reference the scorer is tested against, and what the Fig. 4 and
-//!   Fig. 6 harnesses plot;
-//! * [`EipvScorer`] builds the Eq. 7–8 grid-cell decomposition of the front
-//!   **once** ([`pareto::FrontIndex`]) and answers each draw in
-//!   `O(m·log F)` — the path the optimizer uses.
-//!
-//! For independent marginals the same decomposition makes EIPV *exact*:
-//! [`eipv_independent_cells`] integrates Eq. 8 in closed form per cell. It is
-//! the analytic oracle the Monte-Carlo paths are tested against; the
-//! optimizer scores every variant, FPL18's diagonal posteriors included,
-//! through [`EipvScorer`].
+//! [`EipvScorer`] is the one estimator. It builds the Eq. 7–8 grid-cell
+//! decomposition of the front **once** ([`pareto::FrontIndex`]) and answers
+//! each posterior draw in `O(m·log F)`. The optimizer scores every variant,
+//! FPL18's diagonal posteriors included, through
+//! [`EipvScorer::eipv_mc_seeded`]; the Fig. 4 and Fig. 6 harnesses draw from
+//! their own RNG through [`EipvScorer::eipv_mc`]. The oracles the scorer is
+//! tested against live in this module's tests: the from-scratch estimator
+//! that recomputes [`pareto::hypervolume_contribution`] per draw, and, for
+//! independent marginals, Eq. 8 integrated in closed form per cell.
 
 use gp::MultiTaskPrediction;
-use linalg::stats::{norm_cdf, norm_pdf};
 use linalg::Cholesky;
-use pareto::{hypervolume_contribution, FrontIndex};
-use rand::{Rng, RngExt};
+use pareto::FrontIndex;
+use rand::rngs::StdRng;
+use rand::{Rng, RngExt, SeedableRng};
 
-/// Monte-Carlo EIPV for a correlated multivariate-normal posterior.
-///
-/// `front` is the current Pareto front at this fidelity and `reference` the
-/// `v_ref` of Eq. 6, both in the same (normalized) objective units as the
-/// prediction. `n_samples` posterior draws are averaged; the sampler is the
-/// caller's RNG, so fixing its seed fixes the estimate.
-///
-/// # Panics
-///
-/// Panics if dimensions are inconsistent or `n_samples == 0`.
-pub fn eipv_correlated_mc(
-    pred: &MultiTaskPrediction,
-    front: &[Vec<f64>],
-    reference: &[f64],
-    n_samples: usize,
-    rng: &mut impl Rng,
-) -> f64 {
-    assert!(n_samples > 0, "need at least one sample");
-    let m = pred.mean.len();
-    assert_eq!(
-        m,
-        reference.len(),
-        "prediction/reference dimension mismatch"
-    );
-
-    // Factor the predictive covariance; fall back to independent marginals if
-    // it is numerically singular.
-    let chol = Cholesky::new(&pred.cov).ok();
-    let contribution = |y: &[f64]| hypervolume_contribution(y, front, reference);
-    mc_improvement_sum(pred, chol.as_ref(), &contribution, n_samples, rng) / n_samples as f64
-}
-
-/// Monte-Carlo samples drawn per RNG stream in [`eipv_correlated_mc_seeded`].
-/// Fixing the chunk size (rather than dividing `n_samples` by the thread
-/// count) is what makes the estimate independent of how many threads run it.
+/// Monte-Carlo samples drawn per RNG stream in [`EipvScorer::eipv_mc_seeded`].
+/// The chunks define the draws: chunk `k` always samples from stream `k`,
+/// whatever runs it.
 const MC_CHUNK: usize = 32;
-
-/// Seeded, parallel variant of [`eipv_correlated_mc`].
-///
-/// The `n_samples` draws are split into fixed-size chunks of `MC_CHUNK`;
-/// chunk `k` samples from its own `StdRng` seeded with
-/// `derive_stream_seed(seed, &[k])`. Chunks are evaluated in parallel but
-/// their partial sums are combined in chunk order, so the result is
-/// **bit-identical for any thread count** — including the serial
-/// single-chunk-at-a-time schedule. Note the estimate differs from
-/// [`eipv_correlated_mc`] with a single sequential stream (different draws,
-/// same distribution); the seeded version is the one the optimizer uses.
-pub fn eipv_correlated_mc_seeded(
-    pred: &MultiTaskPrediction,
-    front: &[Vec<f64>],
-    reference: &[f64],
-    n_samples: usize,
-    seed: u64,
-) -> f64 {
-    assert_eq!(
-        pred.mean.len(),
-        reference.len(),
-        "prediction/reference dimension mismatch"
-    );
-    let chol = Cholesky::new(&pred.cov).ok();
-    let contribution = |y: &[f64]| hypervolume_contribution(y, front, reference);
-    mc_seeded(pred, chol.as_ref(), &contribution, n_samples, seed)
-}
 
 /// The EIPV acquisition with the front-dependent work hoisted out of the
 /// Monte-Carlo loop: the Eq. 7–8 grid-cell decomposition of the front
@@ -99,9 +34,8 @@ pub fn eipv_correlated_mc_seeded(
 /// `O(m·log F)` oracle query instead of a from-scratch hypervolume.
 ///
 /// Build one scorer per (step, fidelity, fantasy front); rebuild only when
-/// the front changes. Agrees with the naive path to float rounding (the two
-/// sum the same cell volumes in different orders) and is bit-identical across
-/// thread counts for a fixed seed, like [`eipv_correlated_mc_seeded`].
+/// the front changes. Agrees with the from-scratch estimator to float
+/// rounding (the two sum the same cell volumes in different orders).
 #[derive(Debug, Clone)]
 pub struct EipvScorer {
     index: FrontIndex,
@@ -125,20 +59,32 @@ impl EipvScorer {
         &self.index
     }
 
-    /// Exact hypervolume contribution of a single outcome `y` — the indexed
-    /// equivalent of [`pareto::hypervolume_contribution`] against this front.
-    pub fn contribution(&self, y: &[f64]) -> f64 {
-        self.index.contribution(y)
+    /// Monte-Carlo EIPV of `pred` against this front, averaged over
+    /// `n_samples` posterior draws from the caller's RNG, so fixing its seed
+    /// fixes the estimate. The covariance is factored here; if it is
+    /// numerically singular the draws fall back to independent marginals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions are inconsistent or `n_samples == 0`.
+    pub fn eipv_mc(&self, pred: &MultiTaskPrediction, n_samples: usize, rng: &mut impl Rng) -> f64 {
+        self.check(pred, n_samples);
+        let chol = Cholesky::new(&pred.cov).ok();
+        let contribution = |y: &[f64]| self.index.contribution(y);
+        mc_improvement_sum(pred, chol.as_ref(), &contribution, n_samples, rng) / n_samples as f64
     }
 
-    /// Seeded parallel Monte-Carlo EIPV through the oracle: identical chunking,
-    /// RNG streams, and draws as [`eipv_correlated_mc_seeded`], with each
-    /// draw's contribution answered by the precomputed index.
+    /// Seeded Monte-Carlo EIPV: the `n_samples` draws are split into
+    /// fixed-size chunks of `MC_CHUNK`, chunk `k` sampling from its own
+    /// `StdRng` seeded with `derive_stream_seed(seed, &[k])`, and the partial
+    /// sums combine in chunk order. The estimate depends on `seed` alone,
+    /// never on the thread count or the caller's RNG state; it differs from
+    /// [`EipvScorer::eipv_mc`]'s single stream (different draws, same
+    /// distribution).
     ///
     /// `chol` is the factor of `pred.cov` (`Cholesky::new(&pred.cov).ok()`),
     /// passed in so callers scoring one candidate against several fronts can
-    /// factor once; `None` falls back to independent marginals exactly like
-    /// the naive path does when the covariance is numerically singular.
+    /// factor once; `None` falls back to independent marginals.
     ///
     /// # Panics
     ///
@@ -150,35 +96,32 @@ impl EipvScorer {
         n_samples: usize,
         seed: u64,
     ) -> f64 {
+        self.check(pred, n_samples);
+        let contribution = |y: &[f64]| self.index.contribution(y);
+        mc_seeded(pred, chol, &contribution, n_samples, seed)
+    }
+
+    fn check(&self, pred: &MultiTaskPrediction, n_samples: usize) {
+        assert!(n_samples > 0, "need at least one sample");
         assert_eq!(
             pred.mean.len(),
             self.index.dim(),
             "prediction/reference dimension mismatch"
         );
-        let contribution = |y: &[f64]| self.index.contribution(y);
-        mc_seeded(pred, chol, &contribution, n_samples, seed)
     }
 }
 
-/// Chunked, seeded parallel Monte-Carlo average of `contribution` over the
-/// posterior. Chunk `k` draws from `derive_stream_seed(seed, &[k])`; partial
-/// sums combine in chunk order, so the estimate is bit-identical for any
-/// thread count. Shared driver of the naive and indexed seeded estimators.
+/// Chunked, seeded Monte-Carlo average of `contribution` over the posterior.
+/// Chunk `k` draws from `derive_stream_seed(seed, &[k])`; partial sums
+/// combine in chunk order.
 fn mc_seeded(
     pred: &MultiTaskPrediction,
     chol: Option<&Cholesky>,
-    contribution: &(impl Fn(&[f64]) -> f64 + Sync),
+    contribution: &impl Fn(&[f64]) -> f64,
     n_samples: usize,
     seed: u64,
 ) -> f64 {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rayon::prelude::*;
-
-    assert!(n_samples > 0, "need at least one sample");
-    let n_chunks = n_samples.div_ceil(MC_CHUNK);
-    let total: f64 = (0..n_chunks)
-        .into_par_iter()
+    let total: f64 = (0..n_samples.div_ceil(MC_CHUNK))
         .map(|k| {
             let mut rng = StdRng::seed_from_u64(rand::derive_stream_seed(seed, &[k as u64]));
             let take = MC_CHUNK.min(n_samples - k * MC_CHUNK);
@@ -189,9 +132,9 @@ fn mc_seeded(
 }
 
 /// Sums `n_samples` improvement draws from the posterior using the caller's
-/// RNG and contribution oracle. Shared core of every MC estimator here; the
-/// draw sequence depends only on the RNG and the posterior, never on the
-/// oracle, so the naive and indexed paths see identical samples.
+/// RNG and contribution oracle. The draw sequence depends only on the RNG and
+/// the posterior, never on the oracle, so the scorer and the test oracles see
+/// identical samples.
 fn mc_improvement_sum(
     pred: &MultiTaskPrediction,
     chol: Option<&Cholesky>,
@@ -222,64 +165,6 @@ fn mc_improvement_sum(
     total
 }
 
-/// Standard-normal `ψ(t) = t·Φ(t) + φ(t)`, the antiderivative of the CDF:
-/// `∫_a^b Φ(t) dt = ψ(b) − ψ(a)`, with `ψ(−∞) = 0`.
-fn psi(t: f64) -> f64 {
-    t * norm_cdf(t) + norm_pdf(t)
-}
-
-/// Exact per-cell EIPV for **independent** marginals — the Eq. 8
-/// decomposition integrated in closed form over each non-dominated grid cell
-/// of `index`.
-///
-/// Writing the expected contribution as `∫ p(y)·vol([y, v_ref) ∩ ND) dy` and
-/// swapping the integrals (Fubini), EIPV = `∫_{ND} Π_d Φ((z_d − μ_d)/σ_d) dz`,
-/// which factorizes per cell into `Π_d σ_d·(ψ(β_d) − ψ(α_d))` with
-/// `α, β` the standardized cell bounds and `ψ(t) = t·Φ(t) + φ(t)`. This
-/// replaces the former midpoint-gain approximation: the only remaining error
-/// is the `norm_cdf` polynomial's (~1e-7 absolute). Available only when
-/// objectives are modeled independently (the FPL18 baseline).
-///
-/// # Panics
-///
-/// Panics if dimensions are inconsistent.
-pub fn eipv_independent_cells(mean: &[f64], vars: &[f64], index: &FrontIndex) -> f64 {
-    assert_eq!(mean.len(), vars.len(), "mean/variance dimension mismatch");
-    assert_eq!(mean.len(), index.dim(), "mean/index dimension mismatch");
-    let m = index.dim();
-    // Per-axis, per-interval one-sided integrals σ·(ψ(β) − ψ(α)); interval 0
-    // is unbounded below, where ψ(α) → 0.
-    let parts: Vec<Vec<f64>> = (0..m)
-        .map(|d| {
-            let sd = vars[d].max(1e-18).sqrt();
-            (0..index.n_intervals(d))
-                .map(|j| {
-                    let (lo, hi) = index.interval(d, j);
-                    let upper = psi((hi - mean[d]) / sd);
-                    let lower = if lo.is_finite() {
-                        psi((lo - mean[d]) / sd)
-                    } else {
-                        0.0
-                    };
-                    (sd * (upper - lower)).max(0.0)
-                })
-                .collect()
-        })
-        .collect();
-    let mut total = 0.0;
-    for flat in 0..index.cell_count() {
-        if index.is_cell_dominated(flat) {
-            continue;
-        }
-        let mut v = 1.0;
-        for (d, p) in parts.iter().enumerate() {
-            v *= p[index.cell_coord(flat, d)];
-        }
-        total += v;
-    }
-    total
-}
-
 /// The Eq. 10 cost penalty: scales a fidelity's EIPV by `(T_impl / T_i)^γ` so
 /// that cheap stages win ties (their information costs less).
 ///
@@ -306,74 +191,125 @@ fn sample_standard_normal(rng: &mut impl Rng) -> f64 {
     }
 }
 
-/// Builds a normalized reference point `v_ref` a margin beyond the worst
-/// observed value in each objective ("extremely large values" in Sec. IV-B).
-pub fn reference_point(observations: &[Vec<f64>], margin: f64) -> Vec<f64> {
-    assert!(!observations.is_empty(), "need observations");
-    let m = observations[0].len();
-    let mut r = vec![f64::NEG_INFINITY; m];
-    for y in observations {
-        for (ri, yi) in r.iter_mut().zip(y) {
-            *ri = ri.max(*yi);
-        }
-    }
-    for ri in r.iter_mut() {
-        *ri += margin * ri.abs().max(1.0);
-    }
-    r
-}
-
-/// The covariance-aware prediction type re-exported for acquisition users.
-pub type Posterior = MultiTaskPrediction;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linalg::stats::{norm_cdf, norm_pdf};
     use linalg::Matrix;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use pareto::hypervolume_contribution;
 
     fn pred(mean: Vec<f64>, cov: Matrix) -> MultiTaskPrediction {
         MultiTaskPrediction { mean, cov }
     }
 
+    /// Oracle: the from-scratch estimator on the caller's RNG, each draw's
+    /// contribution recomputed by [`pareto::hypervolume_contribution`].
+    fn naive_mc(
+        pred: &MultiTaskPrediction,
+        front: &[Vec<f64>],
+        reference: &[f64],
+        n_samples: usize,
+        rng: &mut impl Rng,
+    ) -> f64 {
+        let chol = Cholesky::new(&pred.cov).ok();
+        let contribution = |y: &[f64]| hypervolume_contribution(y, front, reference);
+        mc_improvement_sum(pred, chol.as_ref(), &contribution, n_samples, rng) / n_samples as f64
+    }
+
+    /// Oracle: the from-scratch estimator on the scorer's seeded chunk
+    /// streams.
+    fn naive_mc_seeded(
+        pred: &MultiTaskPrediction,
+        front: &[Vec<f64>],
+        reference: &[f64],
+        n_samples: usize,
+        seed: u64,
+    ) -> f64 {
+        let chol = Cholesky::new(&pred.cov).ok();
+        let contribution = |y: &[f64]| hypervolume_contribution(y, front, reference);
+        mc_seeded(pred, chol.as_ref(), &contribution, n_samples, seed)
+    }
+
+    /// Standard-normal `ψ(t) = t·Φ(t) + φ(t)`, the antiderivative of the CDF:
+    /// `∫_a^b Φ(t) dt = ψ(b) − ψ(a)`, with `ψ(−∞) = 0`.
+    fn psi(t: f64) -> f64 {
+        t * norm_cdf(t) + norm_pdf(t)
+    }
+
+    /// Oracle: exact EIPV for **independent** marginals — the Eq. 8
+    /// decomposition integrated in closed form over each non-dominated grid
+    /// cell of `index`.
+    ///
+    /// Writing the expected contribution as `∫ p(y)·vol([y, v_ref) ∩ ND) dy`
+    /// and swapping the integrals (Fubini), EIPV = `∫_{ND} Π_d Φ((z_d −
+    /// μ_d)/σ_d) dz`, which factorizes per cell into `Π_d σ_d·(ψ(β_d) −
+    /// ψ(α_d))` with `α, β` the standardized cell bounds. The only error is
+    /// the `norm_cdf` polynomial's (~1e-7 absolute).
+    fn eipv_independent_cells(mean: &[f64], vars: &[f64], index: &FrontIndex) -> f64 {
+        let m = index.dim();
+        // Per-axis, per-interval one-sided integrals σ·(ψ(β) − ψ(α)); interval
+        // 0 is unbounded below, where ψ(α) → 0.
+        let parts: Vec<Vec<f64>> = (0..m)
+            .map(|d| {
+                let sd = vars[d].max(1e-18).sqrt();
+                (0..index.n_intervals(d))
+                    .map(|j| {
+                        let (lo, hi) = index.interval(d, j);
+                        let upper = psi((hi - mean[d]) / sd);
+                        let lower = if lo.is_finite() {
+                            psi((lo - mean[d]) / sd)
+                        } else {
+                            0.0
+                        };
+                        (sd * (upper - lower)).max(0.0)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut total = 0.0;
+        for flat in 0..index.cell_count() {
+            if index.is_cell_dominated(flat) {
+                continue;
+            }
+            let mut v = 1.0;
+            for (d, p) in parts.iter().enumerate() {
+                v *= p[index.cell_coord(flat, d)];
+            }
+            total += v;
+        }
+        total
+    }
+
     #[test]
     fn dominated_mean_with_tiny_variance_has_near_zero_eipv() {
-        let front = vec![vec![0.2, 0.2]];
-        let reference = vec![1.0, 1.0];
+        let scorer = EipvScorer::new(&[vec![0.2, 0.2]], &[1.0, 1.0]);
         let p = pred(vec![0.8, 0.8], Matrix::from_diag(&[1e-8, 1e-8]));
         let mut rng = StdRng::seed_from_u64(1);
-        let v = eipv_correlated_mc(&p, &front, &reference, 64, &mut rng);
+        let v = scorer.eipv_mc(&p, 64, &mut rng);
         assert!(v < 1e-6, "v={v}");
     }
 
     #[test]
     fn improving_mean_has_positive_eipv() {
-        let front = vec![vec![0.5, 0.5]];
-        let reference = vec![1.0, 1.0];
+        let scorer = EipvScorer::new(&[vec![0.5, 0.5]], &[1.0, 1.0]);
         let p = pred(vec![0.2, 0.2], Matrix::from_diag(&[1e-4, 1e-4]));
         let mut rng = StdRng::seed_from_u64(2);
-        let v = eipv_correlated_mc(&p, &front, &reference, 64, &mut rng);
+        let v = scorer.eipv_mc(&p, 64, &mut rng);
         // Deterministic gain would be hv(0.2,0.2) - hv(0.5,0.5) = .64 - .25
         assert!((v - 0.39).abs() < 0.02, "v={v}");
     }
 
     #[test]
     fn higher_uncertainty_gives_higher_eipv_for_dominated_mean() {
-        let front = vec![vec![0.3, 0.3]];
-        let reference = vec![1.0, 1.0];
+        let scorer = EipvScorer::new(&[vec![0.3, 0.3]], &[1.0, 1.0]);
         let mut rng = StdRng::seed_from_u64(3);
-        let low = eipv_correlated_mc(
+        let low = scorer.eipv_mc(
             &pred(vec![0.5, 0.5], Matrix::from_diag(&[1e-6, 1e-6])),
-            &front,
-            &reference,
             256,
             &mut rng,
         );
-        let high = eipv_correlated_mc(
+        let high = scorer.eipv_mc(
             &pred(vec![0.5, 0.5], Matrix::from_diag(&[0.09, 0.09])),
-            &front,
-            &reference,
             256,
             &mut rng,
         );
@@ -385,27 +321,18 @@ mod tests {
         // With strongly negative correlation, samples land on the off-diagonal
         // (one objective good, one bad) — different improvement mass than the
         // independent case near a single-point front.
-        let front = vec![vec![0.5, 0.5]];
-        let reference = vec![1.0, 1.0];
+        let scorer = EipvScorer::new(&[vec![0.5, 0.5]], &[1.0, 1.0]);
         let var = 0.04;
         let mut rng = StdRng::seed_from_u64(4);
-        let indep = eipv_correlated_mc(
+        let indep = scorer.eipv_mc(
             &pred(vec![0.55, 0.55], Matrix::from_diag(&[var, var])),
-            &front,
-            &reference,
             4096,
             &mut rng,
         );
         let mut cov = Matrix::from_diag(&[var, var]);
         cov[(0, 1)] = -0.95 * var;
         cov[(1, 0)] = -0.95 * var;
-        let anti = eipv_correlated_mc(
-            &pred(vec![0.55, 0.55], cov),
-            &front,
-            &reference,
-            4096,
-            &mut rng,
-        );
+        let anti = scorer.eipv_mc(&pred(vec![0.55, 0.55], cov), 4096, &mut rng);
         assert!(
             (indep - anti).abs() > 0.002,
             "correlation had no effect: {indep} vs {anti}"
@@ -418,20 +345,17 @@ mod tests {
         let reference = vec![1.0, 1.0];
         let mean = vec![0.4, 0.4];
         let vars = vec![0.01, 0.01];
-        let index = FrontIndex::new(&front, &reference);
-        let analytic = eipv_independent_cells(&mean, &vars, &index);
+        let scorer = EipvScorer::new(&front, &reference);
+        let analytic = eipv_independent_cells(&mean, &vars, scorer.index());
         let mut rng = StdRng::seed_from_u64(5);
-        let mc = eipv_correlated_mc(
+        let mc = scorer.eipv_mc(
             &pred(mean.clone(), Matrix::from_diag(&vars)),
-            &front,
-            &reference,
             8192,
             &mut rng,
         );
         // The per-cell integration is exact, so the only gap to the MC
         // estimate is its own sampling error: ~1% relative at 8k samples,
-        // asserted at 3% for slack (the former midpoint approximation only
-        // managed a factor of [0.1, 2.0]).
+        // asserted at 3% for slack.
         assert!(analytic > 0.0 && mc > 0.0);
         assert!(
             (analytic - mc).abs() <= 0.03 * mc,
@@ -443,9 +367,7 @@ mod tests {
     fn independent_cells_is_exact_in_the_small_variance_limit() {
         // As σ → 0 the expected contribution collapses onto the deterministic
         // contribution of the mean: hv(0.2,0.2) − hv(0.5,0.5) = 0.64 − 0.25.
-        let front = vec![vec![0.5, 0.5]];
-        let reference = vec![1.0, 1.0];
-        let index = FrontIndex::new(&front, &reference);
+        let index = FrontIndex::new(&[vec![0.5, 0.5]], &[1.0, 1.0]);
         let v = eipv_independent_cells(&[0.2, 0.2], &[1e-10, 1e-10], &index);
         assert!((v - 0.39).abs() < 1e-5, "v={v}");
         // And a dominated mean contributes (essentially) nothing.
@@ -459,13 +381,11 @@ mod tests {
         let reference = vec![1.0, 1.0, 1.0];
         let mean = vec![0.45, 0.45, 0.45];
         let vars = vec![0.02, 0.01, 0.015];
-        let index = FrontIndex::new(&front, &reference);
-        let analytic = eipv_independent_cells(&mean, &vars, &index);
+        let scorer = EipvScorer::new(&front, &reference);
+        let analytic = eipv_independent_cells(&mean, &vars, scorer.index());
         let mut rng = StdRng::seed_from_u64(15);
-        let mc = eipv_correlated_mc(
+        let mc = scorer.eipv_mc(
             &pred(mean.clone(), Matrix::from_diag(&vars)),
-            &front,
-            &reference,
             16384,
             &mut rng,
         );
@@ -477,8 +397,8 @@ mod tests {
     }
 
     #[test]
-    fn scorer_matches_naive_seeded_mc() {
-        // Same seed ⇒ same draws; the only difference is the contribution
+    fn scorer_matches_naive_mc_on_the_same_draws() {
+        // Same RNG ⇒ same draws; the only difference is the contribution
         // oracle, which agrees with the from-scratch path to float rounding.
         let front = vec![vec![0.3, 0.7], vec![0.5, 0.5], vec![0.7, 0.3]];
         let reference = vec![1.0, 1.0];
@@ -489,12 +409,22 @@ mod tests {
         let scorer = EipvScorer::new(&front, &reference);
         let chol = Cholesky::new(&p.cov).ok();
         for seed in [1u64, 7, 42] {
-            let naive = eipv_correlated_mc_seeded(&p, &front, &reference, 200, seed);
+            let naive = naive_mc_seeded(&p, &front, &reference, 200, seed);
             let fast = scorer.eipv_mc_seeded(&p, chol.as_ref(), 200, seed);
             assert!(
                 (naive - fast).abs() <= 1e-12,
                 "seed={seed}: naive={naive} fast={fast}"
             );
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = a.clone();
+            let naive = naive_mc(&p, &front, &reference, 200, &mut a);
+            let fast = scorer.eipv_mc(&p, 200, &mut b);
+            assert!(
+                (naive - fast).abs() <= 1e-12,
+                "seed={seed}: naive={naive} fast={fast}"
+            );
+            // Both consumed the same draws.
+            assert_eq!(a.random::<u64>(), b.random::<u64>());
         }
 
         // The optimizer's shape: three objectives, fronts of 8 to 128
@@ -529,7 +459,7 @@ mod tests {
                 let p = pred(mean, cov);
                 let chol = Cholesky::new(&p.cov).ok();
                 let seed = 1000 + i;
-                let naive = eipv_correlated_mc_seeded(&p, &front, &reference, 24, seed);
+                let naive = naive_mc_seeded(&p, &front, &reference, 24, seed);
                 let fast = scorer.eipv_mc_seeded(&p, chol.as_ref(), 24, seed);
                 assert!(
                     (naive - fast).abs() <= 1e-9 * naive.abs().max(1e-12),
@@ -606,47 +536,13 @@ mod tests {
     }
 
     #[test]
-    fn reference_point_exceeds_all_observations() {
-        let obs = vec![vec![1.0, 5.0], vec![2.0, 3.0]];
-        let r = reference_point(&obs, 0.1);
-        assert!(r[0] > 2.0 && r[1] > 5.0);
-    }
-
-    #[test]
-    fn seeded_mc_is_identical_across_thread_counts() {
-        let front = vec![vec![0.3, 0.7], vec![0.7, 0.3]];
-        let reference = vec![1.0, 1.0];
-        let mut cov = Matrix::from_diag(&[0.02, 0.02]);
-        cov[(0, 1)] = 0.01;
-        cov[(1, 0)] = 0.01;
-        let p = pred(vec![0.4, 0.4], cov);
-        let eval = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| eipv_correlated_mc_seeded(&p, &front, &reference, 100, 42))
-        };
-        let serial = eval(1);
-        for threads in [2, 4, 7] {
-            let parallel = eval(threads);
-            assert_eq!(
-                serial.to_bits(),
-                parallel.to_bits(),
-                "threads={threads}: {serial} vs {parallel}"
-            );
-        }
-        assert!(serial > 0.0);
-    }
-
-    #[test]
     fn seeded_mc_agrees_with_sequential_mc_in_distribution() {
-        let front = vec![vec![0.5, 0.5]];
-        let reference = vec![1.0, 1.0];
+        let scorer = EipvScorer::new(&[vec![0.5, 0.5]], &[1.0, 1.0]);
         let p = pred(vec![0.45, 0.45], Matrix::from_diag(&[0.01, 0.01]));
+        let chol = Cholesky::new(&p.cov).ok();
         let mut rng = StdRng::seed_from_u64(9);
-        let sequential = eipv_correlated_mc(&p, &front, &reference, 8192, &mut rng);
-        let seeded = eipv_correlated_mc_seeded(&p, &front, &reference, 8192, 9);
+        let sequential = scorer.eipv_mc(&p, 8192, &mut rng);
+        let seeded = scorer.eipv_mc_seeded(&p, chol.as_ref(), 8192, 9);
         assert!(
             (sequential - seeded).abs() < 0.01,
             "sequential={sequential} seeded={seeded}"

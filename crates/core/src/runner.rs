@@ -4,7 +4,7 @@
 use crate::{CmmfConfig, CmmfError, Optimizer};
 use fidelity_sim::{FlowSimulator, N_OBJECTIVES};
 use hls_model::DesignSpace;
-use pareto::{adrs, pareto_front, DistanceMetric};
+use pareto::{adrs, pareto_front};
 use rand::derive_stream_seed;
 use trace::TraceEvent;
 
@@ -95,7 +95,7 @@ impl TrueFront {
             return (N_OBJECTIVES as f64).sqrt();
         }
         let normalized: Vec<Vec<f64>> = learned.iter().map(|y| self.normalize(y)).collect();
-        adrs(&self.points, &normalized, DistanceMetric::Euclidean)
+        adrs(&self.points, &normalized)
     }
 }
 
@@ -155,22 +155,6 @@ pub fn repeat_optimizer_runs(
         mean_seconds: linalg::stats::mean(&seconds),
         adrs_values,
     })
-}
-
-/// Aggregates externally produced per-repeat (ADRS, seconds) pairs — used for
-/// the regression baselines, which do not run through [`Optimizer`].
-///
-/// Well-defined on short inputs: zero runs yield all-zero statistics, and a
-/// single run yields its own value with a standard deviation of 0.0 (the
-/// sample standard deviation is undefined at n ≤ 1; 0.0 keeps Table-I cells
-/// printable without NaN special-casing).
-pub fn stats_from_runs(adrs_values: Vec<f64>, seconds: Vec<f64>) -> MethodStats {
-    MethodStats {
-        mean_adrs: linalg::stats::mean(&adrs_values),
-        std_adrs: linalg::stats::std_dev(&adrs_values),
-        mean_seconds: linalg::stats::mean(&seconds),
-        adrs_values,
-    }
 }
 
 #[cfg(test)]
@@ -284,20 +268,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stats_on_short_inputs_are_defined() {
-        // Zero runs: all-zero statistics, no NaN.
-        let empty = stats_from_runs(vec![], vec![]);
-        assert_eq!(empty.mean_adrs, 0.0);
-        assert_eq!(empty.std_adrs, 0.0);
-        assert_eq!(empty.mean_seconds, 0.0);
-        // One run: its own value, std 0.0 (sample std is undefined at n = 1).
-        let single = stats_from_runs(vec![0.25], vec![10.0]);
-        assert_eq!(single.mean_adrs, 0.25);
-        assert_eq!(single.std_adrs, 0.0);
-        assert_eq!(single.mean_seconds, 10.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use crate::kernel::{DistanceCache, Matern52};
 use crate::optimize::{multi_start_nelder_mead_par, NelderMeadOptions};
 use crate::GpError;
-use linalg::{Cholesky, CholeskyWorkspace, Matrix};
+use linalg::{Cholesky, CholeskyWorkspace};
 
 /// Posterior mean and (latent) variance at a query point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,60 +204,6 @@ impl Gp {
         })
     }
 
-    /// Posterior predictions at many points.
-    ///
-    /// Queries are processed in fixed chunks: each chunk stacks its
-    /// cross-covariance vectors into one `n × chunk` matrix and runs a single
-    /// batched forward substitution ([`Cholesky::solve_lower_mat`]) instead
-    /// of one triangular solve per point. The per-column operations are
-    /// exactly those of [`Gp::predict`], so the results are bit-identical to
-    /// the per-point path; chunks run in parallel and are re-assembled in
-    /// input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpError::DimensionMismatch`] under the same conditions as
-    /// [`Gp::predict`].
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, GpError> {
-        use rayon::prelude::*;
-        const CHUNK: usize = 16;
-        let chunks: Vec<Vec<Prediction>> = xs
-            .par_chunks(CHUNK)
-            .map(|chunk| self.predict_chunk(chunk))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(chunks.into_iter().flatten().collect())
-    }
-
-    /// One chunk of [`Gp::predict_batch`]: a single stacked triangular solve
-    /// for every query in `chunk`, column-for-column identical to
-    /// [`Gp::predict`].
-    fn predict_chunk(&self, chunk: &[Vec<f64>]) -> Result<Vec<Prediction>, GpError> {
-        for x in chunk {
-            if x.len() != self.kernel.dim() {
-                return Err(GpError::DimensionMismatch {
-                    expected: self.kernel.dim(),
-                    got: x.len(),
-                });
-            }
-        }
-        let n = self.xs.len();
-        let mut kstar = Matrix::zeros(n, chunk.len());
-        self.kernel.cross_into(&self.xs, chunk, &mut kstar);
-        let v = self.chol.solve_lower_mat(&kstar)?;
-        let preds = (0..chunk.len())
-            .map(|j| {
-                let mean_std: f64 = (0..n).map(|i| kstar[(i, j)] * self.alpha[i]).sum();
-                let var_std = self.kernel.eval(&chunk[j], &chunk[j])
-                    - (0..n).map(|i| v[(i, j)] * v[(i, j)]).sum::<f64>();
-                Prediction {
-                    mean: self.y_mean + self.y_scale * mean_std,
-                    var: (var_std.max(0.0)) * self.y_scale * self.y_scale,
-                }
-            })
-            .collect();
-        Ok(preds)
-    }
-
     /// The fitted kernel.
     pub fn kernel(&self) -> &Matern52 {
         &self.kernel
@@ -419,24 +365,6 @@ mod tests {
         for (x, y) in xs.iter().zip(&ys) {
             let p = gp.predict(x).unwrap();
             assert!((p.mean - y).abs() < 0.05, "at {x:?}: {} vs {y}", p.mean);
-        }
-    }
-
-    #[test]
-    fn predict_batch_matches_predict_bitwise() {
-        // The batched path stacks the triangular solves but runs the same
-        // per-column operations, so it must agree exactly — including across
-        // a chunk boundary (the batch here spans more than one chunk of 16).
-        let xs = grid_1d(12);
-        let ys: Vec<f64> = xs.iter().map(|x| (5.0 * x[0]).sin()).collect();
-        let gp = Gp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
-        let queries: Vec<Vec<f64>> = (0..37).map(|i| vec![i as f64 / 36.0 - 0.1]).collect();
-        let batched = gp.predict_batch(&queries).unwrap();
-        assert_eq!(batched.len(), queries.len());
-        for (q, b) in queries.iter().zip(&batched) {
-            let p = gp.predict(q).unwrap();
-            assert_eq!(p.mean.to_bits(), b.mean.to_bits(), "mean differs at {q:?}");
-            assert_eq!(p.var.to_bits(), b.var.to_bits(), "var differs at {q:?}");
         }
     }
 

@@ -13,16 +13,12 @@
 //! The kernel precomputes per-dimension inverse-squared lengthscales
 //! (`1/ℓ_{g(d)}²`) once per hyperparameter update, so the per-pair distance
 //! loops are division-free: `s += (a_d - b_d)² · w_d`. [`Matern52::eval`],
-//! the batched [`Matern52::gram_into`] / [`Matern52::cross_into`] assembly
-//! paths and the cached [`Matern52::gram_from_cache`] share the same
+//! the batched [`Matern52::gram_into`] assembly and the cached
+//! [`Matern52::gram_from_cache`] share the same
 //! precomputed weights and the same per-pair operations, keeping every
 //! covariance path bit-consistent by construction.
 
 use linalg::Matrix;
-
-/// Entry count above which the Gram and cross-covariance assembly paths
-/// assemble rows in parallel.
-const ASSEMBLY_PAR_THRESHOLD: usize = 4096;
 
 /// Per-fit cache of the parameter-*independent* pairwise structure of the
 /// kernel: the per-dimension squared differences
@@ -226,9 +222,7 @@ impl Matern52 {
     /// and leaves the upper triangle as it was: every consumer (the Cholesky
     /// factorization, Eq. 9's joint covariance) reads the lower triangle
     /// only, and [`Matern52::eval`] is bitwise symmetric, so half the
-    /// evaluations give the whole matrix. Large matrices assemble rows on the
-    /// parallel execution layer with source-order placement (bit-identical
-    /// at any thread count).
+    /// evaluations give the whole matrix.
     ///
     /// # Panics
     ///
@@ -236,21 +230,9 @@ impl Matern52 {
     pub fn gram_into(&self, xs: &[Vec<f64>], out: &mut Matrix) {
         let n = xs.len();
         assert_eq!(out.shape(), (n, n), "gram_into: buffer must be n x n");
-        if n * n < ASSEMBLY_PAR_THRESHOLD {
-            for (i, x) in xs.iter().enumerate() {
-                for (o, other) in out.row_mut(i).iter_mut().zip(&xs[..=i]) {
-                    *o = self.eval(x, other);
-                }
-            }
-        } else {
-            use rayon::prelude::*;
-            let rows: Vec<Vec<f64>> = (0..n)
-                .into_par_iter()
-                .with_min_len(4)
-                .map(|i| (0..=i).map(|j| self.eval(&xs[i], &xs[j])).collect())
-                .collect();
-            for (i, r) in rows.iter().enumerate() {
-                out.row_mut(i)[..=i].copy_from_slice(r);
+        for (i, x) in xs.iter().enumerate() {
+            for (o, other) in out.row_mut(i).iter_mut().zip(&xs[..=i]) {
+                *o = self.eval(x, other);
             }
         }
     }
@@ -287,44 +269,6 @@ impl Matern52 {
                     s += d2 * w;
                 }
                 *o = matern52_tail(self.signal_var, s);
-            }
-        }
-    }
-
-    /// Fills `out[(i, j)] = k(xs[i], queries[j])` — the cross-covariance
-    /// between the training inputs and a query chunk — into the caller's
-    /// buffer. Entry values are identical to per-entry evaluation; rows
-    /// assemble in parallel above the same threshold as
-    /// [`Matern52::gram_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not `xs.len() x queries.len()`.
-    pub fn cross_into(&self, xs: &[Vec<f64>], queries: &[Vec<f64>], out: &mut Matrix) {
-        let n = xs.len();
-        let q = queries.len();
-        assert_eq!(out.shape(), (n, q), "cross_into: buffer must be n x q");
-        if n * q < ASSEMBLY_PAR_THRESHOLD {
-            for (i, x) in xs.iter().enumerate() {
-                let row = out.row_mut(i);
-                for (o, query) in row.iter_mut().zip(queries) {
-                    *o = self.eval(x, query);
-                }
-            }
-        } else {
-            use rayon::prelude::*;
-            let rows: Vec<Vec<f64>> = (0..n)
-                .into_par_iter()
-                .with_min_len(4)
-                .map(|i| {
-                    queries
-                        .iter()
-                        .map(|query| self.eval(&xs[i], query))
-                        .collect()
-                })
-                .collect();
-            for (i, r) in rows.iter().enumerate() {
-                out.row_mut(i).copy_from_slice(r);
             }
         }
     }
@@ -471,8 +415,7 @@ mod tests {
 
     #[test]
     fn gram_into_writes_the_lower_triangle_bitwise() {
-        // n=70 crosses the parallel-assembly threshold (70² > 4096); n=150
-        // is a realistic surrogate size. The buffer starts dirty.
+        // n=150 is a realistic surrogate size. The buffer starts dirty.
         for n in [1, 6, 70, 150] {
             let mut k = Matern52::ard(3);
             k.set_log_params(&[0.3, -0.4, 0.1, 0.2]);
@@ -484,27 +427,11 @@ mod tests {
     }
 
     #[test]
-    fn cross_into_matches_per_entry_eval_bitwise() {
-        for (n, q) in [(4, 3), (80, 60)] {
-            let k = ard_with(&[0.7, 1.3], 1.2);
-            let xs = wavy_inputs(n, 2);
-            let queries = wavy_inputs(q, 2);
-            let mut out = Matrix::zeros(n, q);
-            k.cross_into(&xs, &queries, &mut out);
-            let full = Matrix::from_fn(n, q, |i, j| k.eval(&xs[i], &queries[j]));
-            for (idx, (a, b)) in out.as_slice().iter().zip(full.as_slice()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "n={n} q={q} entry {idx}");
-            }
-        }
-    }
-
-    #[test]
     fn gram_from_cache_matches_gram_into_bitwise() {
         // The cache contract: cached per-dimension squared differences fused
         // with the current weights must reproduce from-scratch assembly bit
-        // for bit, for one group per dimension and for shared groups, below
-        // and above the parallel-assembly threshold, and across parameter
-        // updates on the same cache.
+        // for bit, for one group per dimension and for shared groups, at
+        // several sizes, and across parameter updates on the same cache.
         for n in [1usize, 7, 70] {
             let xs = wavy_inputs(n, 3);
             let cache = DistanceCache::new(&xs);

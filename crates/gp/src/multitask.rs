@@ -284,11 +284,6 @@ impl MultiTaskGp {
         Ok(out)
     }
 
-    /// Learned task-covariance matrix `B` (Eq. 9's `K_{i,j}`).
-    pub fn task_covariance(&self) -> &Matrix {
-        &self.b
-    }
-
     /// Learned correlation between tasks `i` and `j`,
     /// `B_{ij} / sqrt(B_{ii} B_{jj})`.
     ///
@@ -316,11 +311,6 @@ impl MultiTaskGp {
     /// Input dimension.
     pub fn dim(&self) -> usize {
         self.kernel.dim()
-    }
-
-    /// Per-task observation-noise variances (standardized units).
-    pub fn noise_vars(&self) -> &[f64] {
-        &self.noise
     }
 
     /// Negative log marginal likelihood at the fitted hyperparameters.

@@ -215,28 +215,6 @@ pub fn multi_start_nelder_mead_par<F: FnMut(&[f64]) -> f64>(
     select_best(results)
 }
 
-/// Serial reference twin of [`multi_start_nelder_mead_par`]: same derived
-/// start points, same per-start objectives, same source-order selection, one
-/// search at a time on the calling thread. **Bit-identical** to the parallel
-/// entry point; it is the oracle
-/// `parallel_multistart_matches_serial_reference_bitwise` pins the parallel
-/// search against.
-pub fn multi_start_nelder_mead_seq<F: FnMut(&[f64]) -> f64>(
-    new_objective: impl Fn() -> F,
-    x0: &[f64],
-    spread: f64,
-    restarts: usize,
-    opts: &NelderMeadOptions,
-    seed: u64,
-) -> OptimResult {
-    let starts = seeded_starts(x0, spread, restarts, seed);
-    let results: Vec<OptimResult> = starts
-        .iter()
-        .map(|start| nelder_mead(new_objective(), start, opts))
-        .collect();
-    select_best(results)
-}
-
 /// `x0` followed by `restarts` perturbations, restart `r` drawn from its own
 /// [`derive_stream_seed`] stream `(seed, r)` — independent of execution order.
 fn seeded_starts(x0: &[f64], spread: f64, restarts: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -255,7 +233,7 @@ fn seeded_starts(x0: &[f64], spread: f64, restarts: usize, seed: u64) -> Vec<Vec
 
 /// Serial first-min scan in source order: strict `<` resolves ties to the
 /// earliest run, exactly as the sequential loop would; evals are summed.
-pub(crate) fn select_best(results: Vec<OptimResult>) -> OptimResult {
+fn select_best(results: Vec<OptimResult>) -> OptimResult {
     let mut iter = results.into_iter();
     let mut best = iter
         .next()
@@ -275,6 +253,25 @@ pub(crate) fn select_best(results: Vec<OptimResult>) -> OptimResult {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Serial reference twin of [`multi_start_nelder_mead_par`]: same derived
+    /// start points, same per-start objectives, same source-order selection,
+    /// one search at a time on the calling thread.
+    fn multi_start_nelder_mead_seq<F: FnMut(&[f64]) -> f64>(
+        new_objective: impl Fn() -> F,
+        x0: &[f64],
+        spread: f64,
+        restarts: usize,
+        opts: &NelderMeadOptions,
+        seed: u64,
+    ) -> OptimResult {
+        let starts = seeded_starts(x0, spread, restarts, seed);
+        let results: Vec<OptimResult> = starts
+            .iter()
+            .map(|start| nelder_mead(new_objective(), start, opts))
+            .collect();
+        select_best(results)
+    }
 
     #[test]
     fn minimizes_quadratic() {

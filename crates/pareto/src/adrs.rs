@@ -2,20 +2,10 @@
 //! metric of the experimental section: how far the learned Pareto set `Ω` is
 //! from the true Pareto set `Γ`, averaged over the true set.
 
-/// Point-to-point distance used inside [`adrs`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DistanceMetric {
-    /// Euclidean distance in objective space. Use with objectives normalized to
-    /// comparable scales.
-    #[default]
-    Euclidean,
-    /// `max_j (ω_j - γ_j) / |γ_j|` clamped at 0 — the worst relative regression
-    /// across objectives, as used by the DAC19 ADRS definition.
-    MaxRelative,
-}
-
 /// Average distance from the reference (true) Pareto set `gamma` to the learned
-/// set `omega` (Eq. 11): `ADRS(Γ, Ω) = (1/|Γ|) Σ_{γ∈Γ} min_{ω∈Ω} f(γ, ω)`.
+/// set `omega` (Eq. 11): `ADRS(Γ, Ω) = (1/|Γ|) Σ_{γ∈Γ} min_{ω∈Ω} f(γ, ω)`,
+/// with `f` the Euclidean distance in objective space. Normalize the
+/// objectives to comparable scales first.
 ///
 /// Lower is better; 0 means every true Pareto point is matched exactly.
 ///
@@ -26,14 +16,14 @@ pub enum DistanceMetric {
 /// # Examples
 ///
 /// ```
-/// use cmmf_pareto::{adrs, DistanceMetric};
+/// use cmmf_pareto::adrs;
 ///
 /// let truth = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
-/// assert_eq!(adrs(&truth, &truth, DistanceMetric::Euclidean), 0.0);
+/// assert_eq!(adrs(&truth, &truth), 0.0);
 /// let learned = vec![vec![0.5, 1.0], vec![1.0, 0.5]];
-/// assert!(adrs(&truth, &learned, DistanceMetric::Euclidean) > 0.0);
+/// assert!(adrs(&truth, &learned) > 0.0);
 /// ```
-pub fn adrs(gamma: &[Vec<f64>], omega: &[Vec<f64>], metric: DistanceMetric) -> f64 {
+pub fn adrs(gamma: &[Vec<f64>], omega: &[Vec<f64>]) -> f64 {
     assert!(!gamma.is_empty(), "reference Pareto set is empty");
     assert!(!omega.is_empty(), "learned Pareto set is empty");
     let m = gamma[0].len();
@@ -45,30 +35,19 @@ pub fn adrs(gamma: &[Vec<f64>], omega: &[Vec<f64>], metric: DistanceMetric) -> f
         .map(|g| {
             omega
                 .iter()
-                .map(|w| distance(g, w, metric))
+                .map(|w| distance(g, w))
                 .fold(f64::INFINITY, f64::min)
         })
         .sum();
     total / gamma.len() as f64
 }
 
-fn distance(g: &[f64], w: &[f64], metric: DistanceMetric) -> f64 {
-    match metric {
-        DistanceMetric::Euclidean => g
-            .iter()
-            .zip(w)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt(),
-        DistanceMetric::MaxRelative => g
-            .iter()
-            .zip(w)
-            .map(|(a, b)| {
-                let denom = a.abs().max(1e-12);
-                ((b - a) / denom).max(0.0)
-            })
-            .fold(0.0, f64::max),
-    }
+fn distance(g: &[f64], w: &[f64]) -> f64 {
+    g.iter()
+        .zip(w)
+        .map(|(a, b)| (a - b) * (a - b))
+        .sum::<f64>()
+        .sqrt()
 }
 
 #[cfg(test)]
@@ -78,38 +57,21 @@ mod tests {
     #[test]
     fn identical_sets_have_zero_adrs() {
         let s = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
-        assert_eq!(adrs(&s, &s, DistanceMetric::Euclidean), 0.0);
-        assert_eq!(adrs(&s, &s, DistanceMetric::MaxRelative), 0.0);
+        assert_eq!(adrs(&s, &s), 0.0);
     }
 
     #[test]
     fn superset_learned_set_has_zero_adrs() {
         let truth = vec![vec![0.0, 1.0]];
         let learned = vec![vec![0.0, 1.0], vec![5.0, 5.0]];
-        assert_eq!(adrs(&truth, &learned, DistanceMetric::Euclidean), 0.0);
+        assert_eq!(adrs(&truth, &learned), 0.0);
     }
 
     #[test]
     fn euclidean_known_value() {
         let truth = vec![vec![0.0, 0.0]];
         let learned = vec![vec![3.0, 4.0]];
-        assert!((adrs(&truth, &learned, DistanceMetric::Euclidean) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_relative_ignores_improvements() {
-        // Learned point better in both objectives: relative regression is 0.
-        let truth = vec![vec![2.0, 2.0]];
-        let learned = vec![vec![1.0, 1.0]];
-        assert_eq!(adrs(&truth, &learned, DistanceMetric::MaxRelative), 0.0);
-    }
-
-    #[test]
-    fn max_relative_known_value() {
-        let truth = vec![vec![2.0, 4.0]];
-        let learned = vec![vec![3.0, 4.4]];
-        // relative regressions: 0.5 and 0.1 -> max 0.5
-        assert!((adrs(&truth, &learned, DistanceMetric::MaxRelative) - 0.5).abs() < 1e-12);
+        assert!((adrs(&truth, &learned) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -117,16 +79,13 @@ mod tests {
         let truth = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
         let close = vec![vec![0.1, 1.0], vec![1.0, 0.1]];
         let far = vec![vec![0.8, 1.0], vec![1.0, 0.8]];
-        assert!(
-            adrs(&truth, &close, DistanceMetric::Euclidean)
-                < adrs(&truth, &far, DistanceMetric::Euclidean)
-        );
+        assert!(adrs(&truth, &close) < adrs(&truth, &far));
     }
 
     #[test]
     #[should_panic(expected = "learned Pareto set is empty")]
     fn empty_learned_set_panics() {
         let truth = vec![vec![0.0]];
-        let _ = adrs(&truth, &[], DistanceMetric::Euclidean);
+        let _ = adrs(&truth, &[]);
     }
 }

@@ -50,23 +50,19 @@ pub fn pareto_front_indices(points: &[Vec<f64>]) -> Vec<usize> {
     // near each other in the input tend to share one, so most dominated
     // points are rejected without a scan of every point. A point the hint
     // does not dominate still gets the full scan, so the result is the
-    // exhaustive one.
+    // exhaustive one. No point dominates itself, so neither test skips `i`.
+    let mut front = Vec::new();
     let mut last = None;
-    (0..points.len())
-        .filter(|&i| {
-            let dominated_by = |j: usize| j != i && dominates(&points[j], &points[i]);
-            if last.is_some_and(dominated_by) {
-                return false;
-            }
-            match (0..points.len()).find(|&j| dominated_by(j)) {
-                Some(j) => {
-                    last = Some(j);
-                    false
-                }
-                None => true,
-            }
-        })
-        .collect()
+    for (i, p) in points.iter().enumerate() {
+        if last.is_some_and(|j: usize| dominates(&points[j], p)) {
+            continue;
+        }
+        match points.iter().position(|q| dominates(q, p)) {
+            Some(j) => last = Some(j),
+            None => front.push(i),
+        }
+    }
+    front
 }
 
 /// The non-dominated subset of `points`, cloned, in input order.

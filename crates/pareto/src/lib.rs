@@ -4,7 +4,8 @@
 //! IV-B of the paper): dominance tests, Pareto-front extraction, exact
 //! hypervolume (any dimension, fast paths for 2D/3D), the grid-cell
 //! decomposition of the non-dominated region used by the EIPV acquisition
-//! (Fig. 6), and the ADRS quality metric of the experiments (Eq. 11).
+//! (Fig. 6, [`FrontIndex`]), and the ADRS quality metric of the experiments
+//! (Eq. 11).
 //!
 //! All routines assume **minimization** of every objective, matching the paper
 //! (Power, Delay, LUT are all minimized).
@@ -27,14 +28,12 @@
 //! ```
 
 mod adrs;
-mod cells;
 mod dominance;
 mod front_index;
 mod hypervolume;
 pub mod metrics;
 
-pub use adrs::{adrs, DistanceMetric};
-pub use cells::{CellDecomposition, GridCell};
+pub use adrs::adrs;
 pub use dominance::{dominates, pareto_front, pareto_front_indices, weakly_dominates};
 pub use front_index::FrontIndex;
 pub use hypervolume::{hypervolume, hypervolume_contribution};

@@ -1,74 +1,7 @@
-//! Additional Pareto-front quality indicators beyond the paper's ADRS:
-//! inverted generational distance (IGD), the additive epsilon indicator, and
-//! NSGA-II's crowding distance. These are the standard companions of ADRS in
-//! design-space-exploration evaluations and are used by the extended harnesses
-//! and the NSGA-II baseline.
+//! NSGA-II's selection measures: crowding distance and non-dominated
+//! ranks, used by the NSGA-II baseline.
 
 use crate::dominance::pareto_front;
-
-/// Inverted generational distance: the mean Euclidean distance from each
-/// reference-front point to its nearest approximation point. Identical in
-/// spirit to ADRS-with-Euclidean-distance; kept as a separate named metric
-/// because DSE papers report both.
-///
-/// # Panics
-///
-/// Panics if either set is empty or dimensions disagree.
-pub fn igd(reference: &[Vec<f64>], approximation: &[Vec<f64>]) -> f64 {
-    assert!(!reference.is_empty(), "reference front is empty");
-    assert!(!approximation.is_empty(), "approximation front is empty");
-    let m = reference[0].len();
-    for p in reference.iter().chain(approximation) {
-        assert_eq!(p.len(), m, "objective dimension mismatch");
-    }
-    reference
-        .iter()
-        .map(|r| {
-            approximation
-                .iter()
-                .map(|a| {
-                    r.iter()
-                        .zip(a)
-                        .map(|(x, y)| (x - y) * (x - y))
-                        .sum::<f64>()
-                        .sqrt()
-                })
-                .fold(f64::INFINITY, f64::min)
-        })
-        .sum::<f64>()
-        / reference.len() as f64
-}
-
-/// Additive epsilon indicator `I_ε+(A, R)`: the smallest ε such that every
-/// reference point is weakly dominated by some approximation point shifted by
-/// ε in every objective. 0 means the approximation covers the reference.
-///
-/// # Panics
-///
-/// Panics if either set is empty or dimensions disagree.
-pub fn epsilon_indicator(reference: &[Vec<f64>], approximation: &[Vec<f64>]) -> f64 {
-    assert!(!reference.is_empty(), "reference front is empty");
-    assert!(!approximation.is_empty(), "approximation front is empty");
-    let m = reference[0].len();
-    for p in reference.iter().chain(approximation) {
-        assert_eq!(p.len(), m, "objective dimension mismatch");
-    }
-    reference
-        .iter()
-        .map(|r| {
-            approximation
-                .iter()
-                .map(|a| {
-                    a.iter()
-                        .zip(r)
-                        .map(|(av, rv)| av - rv)
-                        .fold(f64::NEG_INFINITY, f64::max)
-                })
-                .fold(f64::INFINITY, f64::min)
-        })
-        .fold(f64::NEG_INFINITY, f64::max)
-        .max(0.0)
-}
 
 /// NSGA-II crowding distance of every point in `points` (not just the front):
 /// the sum over objectives of the normalized gap between each point's
@@ -144,34 +77,6 @@ pub fn non_dominated_ranks(points: &[Vec<f64>]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn igd_zero_for_identical_sets() {
-        let s = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
-        assert_eq!(igd(&s, &s), 0.0);
-    }
-
-    #[test]
-    fn igd_known_value() {
-        let r = vec![vec![0.0, 0.0]];
-        let a = vec![vec![1.0, 0.0]];
-        assert!((igd(&r, &a) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn epsilon_zero_when_covered() {
-        let r = vec![vec![0.5, 0.5]];
-        let a = vec![vec![0.5, 0.5], vec![0.2, 0.9]];
-        assert_eq!(epsilon_indicator(&r, &a), 0.0);
-    }
-
-    #[test]
-    fn epsilon_measures_worst_shift() {
-        let r = vec![vec![0.0, 0.0], vec![1.0, 1.0]];
-        let a = vec![vec![0.3, 0.2]];
-        // For r1: needs eps 0.3; for r2: a already dominates (negative) -> 0.
-        assert!((epsilon_indicator(&r, &a) - 0.3).abs() < 1e-12);
-    }
 
     #[test]
     fn crowding_boundaries_are_infinite() {

@@ -1,14 +1,30 @@
 //! Property-based tests of dominance, hypervolume, cells, and ADRS.
 
-use cmmf_pareto::metrics::{crowding_distance, epsilon_indicator, igd, non_dominated_ranks};
+use cmmf_pareto::metrics::{crowding_distance, non_dominated_ranks};
 use cmmf_pareto::{
     adrs, dominates, hypervolume, hypervolume_contribution, pareto_front, pareto_front_indices,
-    CellDecomposition, DistanceMetric, FrontIndex,
+    FrontIndex,
 };
 use proptest::prelude::*;
 
 fn points(n: usize, m: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, m), 1..=n)
+}
+
+/// Total volume of `index`'s non-dominated cells inside the box
+/// `[0, reference)`: interval 0 is open below, so it is clipped at 0.
+fn free_volume(index: &FrontIndex) -> f64 {
+    (0..index.cell_count())
+        .filter(|&c| !index.is_cell_dominated(c))
+        .map(|c| {
+            (0..index.dim())
+                .map(|d| {
+                    let (lo, hi) = index.interval(d, index.cell_coord(c, d));
+                    hi - lo.max(0.0)
+                })
+                .product::<f64>()
+        })
+        .sum()
 }
 
 proptest! {
@@ -103,26 +119,21 @@ proptest! {
         }
     }
 
+    // The Eq. 7 grid's non-dominated cells fill exactly what the front leaves
+    // of the unit box (Fig. 6).
     #[test]
-    fn nondominated_cells_complement_hypervolume(pts in points(8, 2)) {
-        let front = pareto_front(&pts);
-        let d = CellDecomposition::new(&front, &[0.0, 0.0], &[1.0, 1.0]);
-        let free: f64 = d.non_dominated_cells().iter().map(|c| c.volume()).sum();
-        // The dominated region inside the unit box equals the hypervolume of
-        // front points clipped to the box.
-        let clipped: Vec<Vec<f64>> = front
-            .iter()
-            .map(|p| p.iter().map(|v| v.clamp(0.0, 1.0)).collect())
-            .collect();
-        let hv = hypervolume(&clipped, &[1.0, 1.0]);
-        prop_assert!((free + hv - 1.0).abs() < 1e-9, "free={free} hv={hv}");
+    fn nondominated_cells_complement_hypervolume(pts in points(8, 2), pts3 in points(6, 3)) {
+        for (front, r) in [(pareto_front(&pts), vec![1.0; 2]), (pareto_front(&pts3), vec![1.0; 3])] {
+            let free = free_volume(&FrontIndex::new(&front, &r));
+            let hv = hypervolume(&front, &r);
+            prop_assert!((free + hv - 1.0).abs() < 1e-9, "free={free} hv={hv}");
+        }
     }
 
     #[test]
     fn adrs_is_zero_iff_learned_covers_truth(pts in points(10, 3)) {
         let truth = pareto_front(&pts);
-        prop_assert!(adrs(&truth, &truth, DistanceMetric::Euclidean) < 1e-12);
-        prop_assert!(adrs(&truth, &truth, DistanceMetric::MaxRelative) < 1e-12);
+        prop_assert!(adrs(&truth, &truth) < 1e-12);
     }
 
     #[test]
@@ -131,8 +142,8 @@ proptest! {
         prop_assume!(truth.len() >= 2);
         let partial = vec![truth[0].clone()];
         let fuller = truth[..truth.len() - 1].to_vec();
-        let a_partial = adrs(&truth, &partial, DistanceMetric::Euclidean);
-        let a_fuller = adrs(&truth, &fuller, DistanceMetric::Euclidean);
+        let a_partial = adrs(&truth, &partial);
+        let a_fuller = adrs(&truth, &fuller);
         prop_assert!(a_fuller <= a_partial + 1e-12);
     }
 
@@ -143,23 +154,6 @@ proptest! {
             .filter(|&i| !pts.iter().any(|other| dominates(other, &pts[i])))
             .collect();
         prop_assert_eq!(pareto_front_indices(&pts), brute);
-    }
-
-    #[test]
-    fn igd_equals_euclidean_adrs(pts in points(10, 3), learned in points(6, 3)) {
-        let truth = pareto_front(&pts);
-        let a = adrs(&truth, &learned, DistanceMetric::Euclidean);
-        let g = igd(&truth, &learned);
-        prop_assert!((a - g).abs() < 1e-12);
-    }
-
-    #[test]
-    fn epsilon_indicator_is_nonnegative_and_zero_on_self(pts in points(8, 2)) {
-        let f = pareto_front(&pts);
-        prop_assert!(epsilon_indicator(&f, &f).abs() < 1e-12);
-        let shifted: Vec<Vec<f64>> = f.iter().map(|p| p.iter().map(|v| v + 0.1).collect()).collect();
-        let e = epsilon_indicator(&f, &shifted);
-        prop_assert!((e - 0.1).abs() < 1e-9);
     }
 
     #[test]

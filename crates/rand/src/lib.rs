@@ -19,7 +19,7 @@
 //! (see `ARCHITECTURE.md`, "Determinism & parallelism").
 
 /// A source of random 64-bit words. The minimal trait bound used by generic
-/// samplers in this workspace (e.g. `eipv_correlated_mc`).
+/// samplers in this workspace (e.g. `EipvScorer::eipv_mc`).
 pub trait Rng {
     /// The next 64 random bits.
     fn next_u64(&mut self) -> u64;

@@ -5,8 +5,8 @@
 //!
 //! The build environment has no crates.io access, so this crate provides the
 //! `rayon` call-site API the optimization stack uses (`par_iter`,
-//! `into_par_iter`, `map`, `collect`, `sum`, `max_by`, `ThreadPoolBuilder`,
-//! `ThreadPool::install`, `current_num_threads`) on top of
+//! `into_par_iter`, `par_chunks`, `with_min_len`, `map`, `collect`, `sum`,
+//! `ThreadPoolBuilder`, `ThreadPool::install`, `current_num_threads`) on top of
 //! `std::thread::scope`. Swapping the real `rayon` back in later is a
 //! one-line `Cargo.toml` change at unchanged call sites.
 //!
@@ -21,13 +21,12 @@
 //! 1. **Determinism by construction** — because the combine step is a serial
 //!    left-to-right pass over results in source order, every terminal
 //!    operation returns *bit-identical* values for any thread count
-//!    (including 1). Floating-point sums, argmax tie-breaks, and collected
-//!    vectors cannot depend on scheduling. This is the contract behind
+//!    (including 1). Floating-point sums and collected vectors cannot depend
+//!    on scheduling. This is the contract behind
 //!    `CmmfConfig::threads` and the `deterministic_given_seed` tests.
 //! 2. **No nested oversubscription** — a parallel call made from inside a
 //!    worker chunk runs serially (a thread-local flag marks pool workers), so
-//!    e.g. per-candidate Monte-Carlo loops do not spawn threads under the
-//!    per-step candidate fan-out.
+//!    a parallel map nested in another never multiplies the thread count.
 //!
 //! Threads are spawned per terminal operation rather than kept in a
 //! work-stealing pool. A spawning call costs about 40–50 µs on a 2-vCPU
@@ -442,29 +441,6 @@ impl<S: Source + Sync, R: Send, F: Fn(S::Item) -> R + Sync> MapIter<S, F> {
     {
         self.run().into_iter().sum()
     }
-
-    /// The maximum item under `cmp`; ties resolve to the **first** maximal
-    /// item in source order (bit-identical for any thread count).
-    pub fn max_by(self, cmp: impl Fn(&R, &R) -> std::cmp::Ordering) -> Option<R> {
-        let mut best: Option<R> = None;
-        for item in self.run() {
-            match &best {
-                Some(b) if cmp(&item, b) != std::cmp::Ordering::Greater => {}
-                _ => best = Some(item),
-            }
-        }
-        best
-    }
-
-    /// Left fold over mapped items in source order.
-    pub fn fold_ordered<A>(self, init: A, fold: impl FnMut(A, R) -> A) -> A {
-        self.run().into_iter().fold(init, fold)
-    }
-
-    /// Runs `f` for its effect on every item.
-    pub fn for_each(self) {
-        let _ = self.run();
-    }
 }
 
 /// Collection targets for [`MapIter::collect`].
@@ -524,23 +500,6 @@ mod tests {
                 .unwrap()
                 .install(|| v.par_iter().map(|&x| x.sin()).sum());
             assert_eq!(serial.to_bits(), parallel.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn max_by_breaks_ties_by_first_index() {
-        let v = [1.0f64, 5.0, 5.0, 2.0];
-        for n in [1, 2, 4] {
-            let got = ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .unwrap()
-                .install(|| {
-                    v.par_iter()
-                        .map(|&x| (x, x as usize))
-                        .max_by(|a, b| a.0.total_cmp(&b.0))
-                });
-            assert_eq!(got, Some((5.0, 5)), "n={n}");
         }
     }
 

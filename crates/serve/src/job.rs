@@ -188,7 +188,9 @@ impl JobSpec {
         }
     }
 
-    /// Validates names, budget, and ranges, including the ranges the
+    /// Validates names, budget, the variant (one [`variant_name`] can name,
+    /// so `job.json` and the `submit` request spell the job that runs), and
+    /// ranges, including the ranges the
     /// optimizer itself checks ([`CmmfConfig::validate`]) on the knobs with
     /// the overrides applied, so a degenerate job is refused at admission
     /// rather than failing in a worker. It also bounds what one job may cost
@@ -207,6 +209,12 @@ impl JobSpec {
         }
         if self.batch == 0 {
             return Err(ServeError::invalid("batch must be at least 1"));
+        }
+        if variant_name(&self.variant).is_none() {
+            return Err(ServeError::invalid(format!(
+                "variant {} has no protocol name (ours|fpl18)",
+                self.variant.name()
+            )));
         }
         let cfg = self.to_config();
         cfg.validate()
@@ -336,7 +344,10 @@ impl JobSpec {
         };
         w.key("iters").usize(self.iters);
         w.key("seed").u64(self.seed);
-        w.key("variant").str(variant_name(&self.variant));
+        // A variant without a protocol name is written by its display name,
+        // which no parser accepts: the job is refused, never run as another.
+        w.key("variant")
+            .str(variant_name(&self.variant).unwrap_or(self.variant.name()));
         w.key("batch").usize(self.batch);
         w.key("async_slots").usize(self.async_slots);
         if let Some(d) = self.divergence {
@@ -485,22 +496,31 @@ impl JobSpec {
     }
 }
 
-/// The protocol name of a surrogate variant.
-pub fn variant_name(v: &ModelVariant) -> &'static str {
-    if *v == ModelVariant::fpl18() {
-        "fpl18"
-    } else {
-        "ours"
-    }
+/// The surrogate variants a job may run, by protocol name: the one table
+/// behind [`variant_name`], [`variant_by_name`] and the command line's
+/// `--variant`.
+fn named_variants() -> [(&'static str, ModelVariant); 2] {
+    [
+        ("ours", ModelVariant::paper()),
+        ("fpl18", ModelVariant::fpl18()),
+    ]
+}
+
+/// The protocol name of a surrogate variant; `None` for the ablation
+/// variants, which the protocol cannot name.
+pub fn variant_name(v: &ModelVariant) -> Option<&'static str> {
+    named_variants()
+        .into_iter()
+        .find(|(_, named)| named == v)
+        .map(|(name, _)| name)
 }
 
 /// Looks up a surrogate variant by protocol name.
 pub fn variant_by_name(name: &str) -> Option<ModelVariant> {
-    match name {
-        "ours" => Some(ModelVariant::paper()),
-        "fpl18" => Some(ModelVariant::fpl18()),
-        _ => None,
-    }
+    named_variants()
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| v)
 }
 
 #[cfg(test)]
@@ -557,6 +577,20 @@ mod tests {
         let mut bad = sample();
         bad.batch = 0;
         assert!(bad.validate().is_err());
+        // The ablation variants have no protocol name: refused, never stored
+        // or sent as the paper's variant.
+        for correlated_objectives in [true, false] {
+            let mut bad = sample();
+            bad.variant = ModelVariant {
+                correlated_objectives,
+                nonlinear_fidelity: !correlated_objectives,
+            };
+            assert!(matches!(bad.validate(), Err(ServeError::InvalidJob { .. })));
+            assert!(matches!(
+                JobSpec::parse(&bad.to_json()),
+                Err(ServeError::InvalidJob { .. })
+            ));
+        }
         // Overrides the optimizer would reject (or panic on) are refused at
         // admission, and a stored job carrying one does not load.
         let degenerate: [fn(&mut Overrides); 8] = [

@@ -1,7 +1,7 @@
 //! Fuzzing of the daemon's parsers of untrusted bytes — `trace::json::parse`,
-//! `protocol::parse_request`, `JobSpec::from_json` and the journal reader
-//! `trace::read_journal` — and exact round trips through the one JSON writer
-//! (`trace::json::JsonWriter`).
+//! `protocol::parse_request`, `JobSpec::from_json`, `SessionResult::parse`
+//! and the journal reader `trace::read_journal` — and exact round trips
+//! through the one JSON writer (`trace::json::JsonWriter`).
 //!
 //! Every input yields a value or a typed error, never a panic: random bytes,
 //! every truncation of a valid document, and random byte overwrites of one.
@@ -176,6 +176,14 @@ fn parses_or_is_typed(text: &str) -> Result<(), String> {
             }
         }
     }
+    match SessionResult::parse(text) {
+        Ok(_) | Err(ServeError::Protocol { .. }) => {}
+        Err(other) => {
+            return Err(format!(
+                "SessionResult::parse: untyped {other:?} for {text:?}"
+            ))
+        }
+    }
     Ok(())
 }
 
@@ -245,6 +253,10 @@ proptest! {
         let text = job(&mut rng).to_json();
         if let Err(e) = damaged_copies_are_typed(&text, &mut rng, 24) {
             prop_assert!(false, "job {text}: {e}");
+        }
+        let text = session_result(&mut rng).to_json();
+        if let Err(e) = damaged_copies_are_typed(&text, &mut rng, 24) {
+            prop_assert!(false, "result {text}: {e}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! surface of the engine.
 
 use cmmf::checkpoint::CHECKPOINT_VERSION;
-use cmmf::Optimizer;
+use cmmf::{CmmfError, Optimizer};
 use cmmf_serve::engine::{Engine, EngineConfig};
 use cmmf_serve::job::{JobSpec, Overrides, Problem};
 use cmmf_serve::session::{persist_job, SessionPaths, SessionResult, SessionState};
@@ -156,6 +156,45 @@ fn a_job_with_more_slots_than_memory_finishes_and_the_engine_serves_on() {
             .expect("session finishes");
         assert_eq!(result, expected_result(&job), "{}", job.session);
     }
+    engine.shutdown();
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn unbounded_iters_and_pool_fail_typed_or_finish_without_aborting() {
+    // `iters` and `candidate_pool` have no upper bound at admission. A
+    // budget past the space fails its own session with the typed
+    // space-too-small error (`n_init + iters` overflows, and nothing is
+    // sized by it first); a pool past the space is clamped to the unsampled
+    // configurations, so the job finishes equal to one whose pool is the
+    // whole space. The engine serves on after both.
+    let root = scratch_root("unbounded");
+    let engine = Engine::start(EngineConfig {
+        root: root.clone(),
+        workers: 1,
+        capacity: 4,
+    })
+    .expect("engine starts");
+    let mut endless = quick_job("acme", "endless", 5, 0);
+    endless.iters = usize::MAX;
+    let (space, _) = endless.build_problem().expect("problem builds");
+    engine.submit(endless, None).expect("job admitted");
+    let too_small = ServeError::Run(CmmfError::SpaceTooSmall {
+        required: usize::MAX,
+        available: space.len(),
+    });
+    match engine.wait("acme", "endless") {
+        Err(ServeError::SessionFailed { message }) => assert_eq!(message, too_small.to_string()),
+        other => panic!("expected the space-too-small failure, got {other:?}"),
+    }
+
+    let mut whole = quick_job("acme", "pool", 6, 0);
+    whole.overrides.candidate_pool = Some(space.len());
+    let mut huge = whole.clone();
+    huge.overrides.candidate_pool = Some(usize::MAX);
+    engine.submit(huge, None).expect("job admitted");
+    let result = engine.wait("acme", "pool").expect("session finishes");
+    assert_eq!(result, expected_result(&whole));
     engine.shutdown();
     fs::remove_dir_all(&root).ok();
 }

@@ -59,11 +59,6 @@ impl ArgStream {
         }
     }
 
-    /// Reads the process arguments, skipping `argv[0]`.
-    pub fn from_env() -> Self {
-        Self::new(std::env::args().skip(1).collect())
-    }
-
     /// The next raw token, if any.
     pub fn next_arg(&mut self) -> Option<String> {
         self.tokens.pop_front()
@@ -146,17 +141,15 @@ pub fn in_unit_interval(v: f64, flag: &str) -> Result<f64, CliError> {
     }
 }
 
-/// Parses a `--variant` value.
+/// Parses a `--variant` value: a protocol name of
+/// [`serve::job::variant_by_name`].
 ///
 /// # Errors
 ///
 /// [`CliError`] on anything but `ours` or `fpl18`.
 pub fn parse_variant(raw: &str) -> Result<ModelVariant, CliError> {
-    match raw {
-        "ours" => Ok(ModelVariant::paper()),
-        "fpl18" => Ok(ModelVariant::fpl18()),
-        other => Err(err(format!("unknown variant `{other}` (ours|fpl18)"))),
-    }
+    serve::job::variant_by_name(raw)
+        .ok_or_else(|| err(format!("unknown variant `{raw}` (ours|fpl18)")))
 }
 
 /// The job-shaping flags shared by `cmmf-dse` and `cmmf-serve submit`:
