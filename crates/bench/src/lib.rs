@@ -244,19 +244,40 @@ pub fn repeat_method_checkpointed(
     }
 }
 
-/// Parses a `--repeats N` / `--quick` style CLI for the harness binaries.
-/// Returns the repeat count (default 10, `--quick` = 3).
+/// The repeat count `table1` and `ablation` run (see [`repeats_in`]);
+/// exits with status 2 on a usage error.
 pub fn repeats_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--quick") {
-        return 3;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--repeats") {
-        if let Some(v) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            return v;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    repeats_in(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The repeat count a harness's arguments ask for (program name excluded):
+/// 10 by default, `N` with `--repeats N`, 3 with `--quick`, which wins.
+/// `--threads N` and `--checkpoint-dir DIR` are skipped with their values.
+///
+/// # Errors
+///
+/// A message for a `--repeats` value that is missing or not a positive
+/// integer, and for any other argument: an ignored typo such as `--repeat 2`
+/// would start the default sweep.
+pub fn repeats_in(args: &[String]) -> Result<usize, String> {
+    let (mut repeats, mut quick) = (10, false);
+    let mut tokens = args.iter();
+    while let Some(arg) = tokens.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--repeats" => match tokens.next().map(|v| v.parse()) {
+                Some(Ok(n)) if n > 0 => repeats = n,
+                _ => return Err("--repeats requires a positive integer".into()),
+            },
+            "--threads" | "--checkpoint-dir" => _ = tokens.next(),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    10
+    Ok(if quick { 3 } else { repeats })
 }
 
 /// Parses `--threads N` and installs it as the process-wide parallelism
@@ -301,6 +322,28 @@ mod tests {
             let r = run_method(&setup, method, 1);
             assert!(r.adrs.is_finite() && r.seconds > 0.0);
             assert!(!r.pareto.is_empty());
+        }
+    }
+
+    #[test]
+    fn repeats_parse_or_are_usage_errors() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            repeats_in(&args)
+        };
+        assert_eq!(parse(""), Ok(10));
+        assert_eq!(parse("--quick"), Ok(3));
+        assert_eq!(parse("--repeats 4 --quick"), Ok(3));
+        assert_eq!(parse("--threads 2 --repeats 4"), Ok(4));
+        assert_eq!(parse("--checkpoint-dir ckpt --repeats 1"), Ok(1));
+        for bad in [
+            "--repeats abc",
+            "--repeats",
+            "--repeat 2",
+            "--repeats 0",
+            "--repeats -1",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} was accepted");
         }
     }
 

@@ -1,15 +1,19 @@
 //! Versioned JSON checkpoints for the Algorithm-2 loop.
 //!
-//! A checkpoint records the *decisions* of a run — the initialization draw,
-//! every dispatch decision's picks, the interleaved dispatch/completion
-//! event log, the candidate-ordering state, and the RNG stream position —
-//! not the derived state (observations, surrogates). Because the flow
-//! simulator and the GP fits are deterministic, [`Optimizer::resume`]
-//! replays those decisions to reconstruct the observation sets, the
-//! surrogate stack, the virtual clock and the runs in flight bit-for-bit,
-//! then continues the loop as if it had never stopped; the resumed
-//! [`RunResult`] is bit-identical to an uninterrupted run (pinned by
-//! `resume_is_bit_identical`).
+//! A checkpoint records the *decisions* of a run — every dispatch
+//! decision's picks and the interleaved dispatch/completion event log — plus
+//! the values a replay is verified against (the runs in flight, the virtual
+//! clock, the completed steps). Nothing the seed and the decisions determine
+//! is stored: the initialization draw, the candidate order and the master
+//! RNG's position are shuffles of one seeded RNG, and the hypervolume history
+//! is a function of the observations. Because the flow simulator and the GP
+//! fits are deterministic, [`Optimizer::resume`] redoes those shuffles and
+//! replays the decisions to reconstruct the observation sets, the surrogate
+//! stack, the virtual clock and the runs in flight bit-for-bit, then
+//! continues the loop as if it had never stopped; the resumed [`RunResult`]
+//! is bit-identical to an uninterrupted run (pinned by
+//! `resume_is_bit_identical`). A recorded pick that is not a fresh candidate
+//! of its decision's pool is a [`CmmfError::Checkpoint`].
 //!
 //! Floating-point state is stored as `u64` bit patterns (`_bits` fields), so
 //! the round-trip is exact; the JSON layer keeps raw number tokens precisely
@@ -30,9 +34,12 @@ use trace::json::{self, JsonValue, JsonWriter};
 /// Current checkpoint schema version. Bumped on any incompatible change;
 /// loading a different version is a [`CmmfError::Checkpoint`] naming both.
 /// Version 3 has one layout for every run: per-decision `picks`, the
-/// `schedule` log and the `in_flight` set. Version 2 kept a sequential and an
-/// asynchronous layout apart (`is_async`, `dispatches`) and fingerprinted
-/// the since-removed `batch_parallel_tools`, so it has no upgrade path.
+/// `schedule` log and the `in_flight` set. Earlier version-3 writers also
+/// stored `init`, `unsampled`, `rng_state` and `hv_history_bits`, which a
+/// replay re-derives; the reader ignores those keys like any unknown key, so
+/// those files still resume. Version 2 kept a sequential and an asynchronous
+/// layout apart (`is_async`, `dispatches`) and fingerprinted the
+/// since-removed `batch_parallel_tools`, so it has no upgrade path.
 pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// One recorded pick of a dispatch decision.
@@ -105,14 +112,11 @@ pub struct RunCheckpoint {
     pub fingerprint: String,
     /// Optimization steps completed: groups dispatched and observed.
     pub completed_steps: usize,
-    /// The initialization draw, in observation order (rank decides each
-    /// configuration's top stage).
-    pub init: Vec<usize>,
     /// Per dispatch decision, its picks in pick order — completed groups and
     /// groups still in flight alike.
     pub picks: Vec<Vec<PickRecord>>,
     /// The interleaved dispatch/completion event log of the BO phase
-    /// (initialization runs replay implicitly from `init`).
+    /// (initialization runs replay implicitly from the seed).
     pub schedule: Vec<ScheduleEvent>,
     /// The in-flight set — groups dispatched but not complete at the
     /// snapshot, as `[decision index, finish-time f64 bits]` in dispatch
@@ -120,16 +124,9 @@ pub struct RunCheckpoint {
     /// the replayed schedule against the recorded one (a mismatched simulator
     /// or space fails loudly instead of diverging).
     pub in_flight: Vec<[u64; 2]>,
-    /// The not-yet-sampled configuration indices, in the exact (shuffled)
-    /// order the interrupted run held them.
-    pub unsampled: Vec<usize>,
-    /// The master RNG's xoshiro256++ state at the end of the last step.
-    pub rng_state: [u64; 4],
-    /// The virtual-clock reading (simulated tool seconds) as `f64` bits.
+    /// The virtual-clock reading (simulated tool seconds) as `f64` bits,
+    /// verified against the replayed clock.
     pub sim_seconds_bits: u64,
-    /// Per completed step, the observed-front hypervolume per fidelity, as
-    /// `f64` bits.
-    pub hv_history_bits: Vec<[u64; 3]>,
 }
 
 impl RunCheckpoint {
@@ -180,15 +177,13 @@ impl RunCheckpoint {
         let picks: usize = self.picks.iter().map(Vec::len).sum();
         let mut w = JsonWriter::with_capacity(
             256 + self.fingerprint.len()
-                + 8 * (self.init.len() + self.unsampled.len() + self.schedule.len())
-                + 32 * (picks + self.in_flight.len())
-                + 64 * self.hv_history_bits.len(),
+                + 8 * self.schedule.len()
+                + 32 * (picks + self.in_flight.len()),
         );
         w.begin_object();
         w.key("version").u64(self.version);
         w.key("fingerprint").str(&self.fingerprint);
         w.key("completed_steps").usize(self.completed_steps);
-        w.key("init").usizes(&self.init);
         w.key("picks").begin_array();
         for group in &self.picks {
             w.begin_array();
@@ -212,19 +207,14 @@ impl RunCheckpoint {
             w.u64s(run);
         }
         w.end_array();
-        w.key("unsampled").usizes(&self.unsampled);
-        w.key("rng_state").u64s(&self.rng_state);
         w.key("sim_seconds_bits").u64(self.sim_seconds_bits);
-        w.key("hv_history_bits").begin_array();
-        for hv in &self.hv_history_bits {
-            w.u64s(hv);
-        }
-        w.end_array();
         w.end_object();
         w.finish()
     }
 
-    /// Parses a checkpoint from its JSON document.
+    /// Parses a checkpoint from its JSON document. Keys it does not read are
+    /// ignored, among them the four derived fields earlier version-3 writers
+    /// stored (see [`CHECKPOINT_VERSION`]).
     ///
     /// # Errors
     ///
@@ -250,8 +240,6 @@ impl RunCheckpoint {
             .to_string();
         let completed_steps = usize::try_from(req_u64(&doc, "completed_steps")?)
             .map_err(|_| malformed("completed_steps"))?;
-        let init = usizes(&doc, "init")?;
-        let unsampled = usizes(&doc, "unsampled")?;
         let picks_raw = doc
             .get("picks")
             .and_then(JsonValue::as_array)
@@ -272,55 +260,15 @@ impl RunCheckpoint {
             })
             .collect::<Result<_, _>>()?;
         let in_flight = pairs(&doc, "in_flight")?;
-        let rng_raw = doc
-            .get("rng_state")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("rng_state"))?;
-        if rng_raw.len() != 4 {
-            return Err(malformed("rng_state"));
-        }
-        let mut rng_state = [0u64; 4];
-        for (d, v) in rng_state.iter_mut().zip(rng_raw) {
-            *d = v.as_u64().ok_or_else(|| malformed("rng_state"))?;
-        }
         let sim_seconds_bits = req_u64(&doc, "sim_seconds_bits")?;
-        let hv_raw = doc
-            .get("hv_history_bits")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("hv_history_bits"))?;
-        let mut hv_history_bits = Vec::with_capacity(hv_raw.len());
-        for row in hv_raw {
-            let row = row.as_array().ok_or_else(|| malformed("hv_history_bits"))?;
-            if row.len() != 3 {
-                return Err(malformed("hv_history_bits"));
-            }
-            let mut hv = [0u64; 3];
-            for (d, v) in hv.iter_mut().zip(row) {
-                *d = v.as_u64().ok_or_else(|| malformed("hv_history_bits"))?;
-            }
-            hv_history_bits.push(hv);
-        }
-        if hv_history_bits.len() != completed_steps {
-            return Err(CmmfError::Checkpoint {
-                reason: format!(
-                    "inconsistent checkpoint: {} steps but {} hv rows",
-                    completed_steps,
-                    hv_history_bits.len()
-                ),
-            });
-        }
         let ckpt = RunCheckpoint {
             version,
             fingerprint,
             completed_steps,
-            init,
             picks,
             schedule,
             in_flight,
-            unsampled,
-            rng_state,
             sim_seconds_bits,
-            hv_history_bits,
         };
         ckpt.check_schedule()?;
         Ok(ckpt)
@@ -456,15 +404,6 @@ fn req_u64(doc: &JsonValue, field: &str) -> Result<u64, CmmfError> {
         .ok_or_else(|| missing(field))
 }
 
-fn usizes(doc: &JsonValue, field: &str) -> Result<Vec<usize>, CmmfError> {
-    doc.get(field)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| missing(field))?
-        .iter()
-        .map(|v| v.as_usize().ok_or_else(|| malformed(field)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,7 +423,6 @@ mod tests {
             version: CHECKPOINT_VERSION,
             fingerprint: RunCheckpoint::fingerprint_of(&CmmfConfig::default()),
             completed_steps: 2,
-            init: vec![5, 9, 1, 0, 12, 3, 7, 2],
             picks: vec![
                 vec![pick(42, 1, 0.125)],
                 vec![pick(17, 0, f64::MAX), pick(18, 2, 0.0)],
@@ -499,13 +437,7 @@ mod tests {
                 ScheduleEvent::Complete(0),
             ],
             in_flight: vec![[2, 3100.25f64.to_bits()]],
-            unsampled: vec![11, 4, 6, 8, 10],
-            rng_state: [u64::MAX, 1, 0x9E37_79B9_7F4A_7C15, 7],
             sim_seconds_bits: 1234.5f64.to_bits(),
-            hv_history_bits: vec![
-                [1.0f64.to_bits(), 2.0f64.to_bits(), 3.0f64.to_bits()],
-                [1.5f64.to_bits(), 2.5f64.to_bits(), 3.5f64.to_bits()],
-            ],
         }
     }
 
@@ -537,7 +469,8 @@ mod tests {
     #[test]
     fn checkpoints_in_the_old_indented_layout_still_load() {
         // `sample().to_json()` as written before checkpoints took the compact
-        // layout, byte for byte: the same document, only with whitespace.
+        // layout, byte for byte, when they also stored four fields a replay
+        // now re-derives: the same document with whitespace and those keys.
         let old = r#"{
   "version": 3,
   "fingerprint": "v3;n_init=8;n_init_syn=5;n_init_impl=3;n_iter=40;variant=ModelVariant { correlated_objectives: true, nonlinear_fidelity: true };use_cost_penalty=true;cost_exponent=0x3fd3333333333333;candidate_pool=200;mc_samples=24;batch_size=1;final_prediction_pool=4000;escalate_threshold=0x3fa999999999999a;refit_every=5;async_slots=0;gp=GpConfig { optimize: true, restarts: 2, max_evals: 450, init_noise_var: 0.01, noise_floor: 1e-8, seed: 12648430 };seed=2021",
@@ -554,11 +487,17 @@ mod tests {
 "#;
         let new = sample().to_json();
         assert_ne!(old, new);
-        assert_eq!(json::parse(old).unwrap(), json::parse(&new).unwrap());
         assert_eq!(RunCheckpoint::from_json(old).unwrap(), sample());
-        // Indentation, line breaks and the space after each colon; `save`
-        // still ends the file with a newline.
-        assert_eq!(old.len() - new.len(), 46);
+        // Without the four re-derived keys, the old document is the new one
+        // key for key and value for value.
+        let Ok(JsonValue::Object(mut kv)) = json::parse(old) else {
+            panic!("the old document is not an object");
+        };
+        kv.retain(|(key, _)| {
+            !["init", "unsampled", "rng_state", "hv_history_bits"].contains(&key.as_str())
+        });
+        assert_eq!(kv.len(), 7);
+        assert_eq!(JsonValue::Object(kv), json::parse(&new).unwrap());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The overall optimization flow of Algorithm 2.
 
-use crate::checkpoint::{PickRecord, RunCheckpoint, ScheduleEvent};
+use crate::checkpoint::{RunCheckpoint, ScheduleEvent};
 use crate::eipv::{peipv, EipvScorer};
 use crate::models::{FidelityDataSet, FidelityModelStack, ModelVariant, N_OBJECTIVES};
 use crate::scheduler::Group;
@@ -13,6 +13,7 @@ use pareto::{hypervolume, pareto_front};
 use rand::derive_stream_seed;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use rayon::prelude::*;
 use std::path::Path;
 use trace::{Stopwatch, TraceEvent, TracerHandle, VirtualClock};
@@ -249,15 +250,13 @@ pub(crate) struct LoopState<'a> {
     pub(crate) init: Vec<usize>,
     /// Observations per fidelity: (config, outcome).
     pub(crate) obs: [Vec<(usize, Observation)>; 3],
-    /// Every BO pick so far, in dispatch order.
-    pub(crate) candidate_set: Vec<CandidateChoice>,
     /// Per dispatch decision, its picks in pick order (decisions can end
-    /// early, so the partition is not implied by `batch_size`).
-    pub(crate) picks: Vec<Vec<PickRecord>>,
+    /// early, so the partition is not implied by `batch_size`). Flattened,
+    /// it is the run's candidate set.
+    pub(crate) picks: Vec<Vec<CandidateChoice>>,
     pub(crate) stack: Option<FidelityModelStack>,
+    /// One row per completed step, so its length is the steps completed.
     pub(crate) hv_history: Vec<[f64; 3]>,
-    /// Groups completed so far (the run's completed steps).
-    pub(crate) steps_done: usize,
     /// Simulated time; its reading is the run's `sim_seconds`.
     pub(crate) clock: VirtualClock,
     /// Groups dispatched but not complete, in dispatch order.
@@ -332,16 +331,16 @@ impl<'a> LoopState<'a> {
         }
     }
 
-    /// A state holding the seeded decisions `rng`, `unsampled` and `init` and
-    /// nothing observed, fitted or dispatched yet.
-    pub(crate) fn new(
-        cfg: &'a CmmfConfig,
-        space: &'a DesignSpace,
-        sim: &'a FlowSimulator,
-        rng: StdRng,
-        unsampled: Vec<usize>,
-        init: Vec<usize>,
-    ) -> Self {
+    /// A state at the seeded initialization draw (Algorithm 2, lines 3-5):
+    /// the master RNG shuffles the whole space and the last `n_init`
+    /// configurations are the draw. Nothing is observed, fitted or dispatched
+    /// yet. Fresh starts and checkpoint replays both begin here, so a replay
+    /// re-derives the draw and the RNG position instead of reading them back.
+    pub(crate) fn new(cfg: &'a CmmfConfig, space: &'a DesignSpace, sim: &'a FlowSimulator) -> Self {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut unsampled: Vec<usize> = (0..space.len()).collect();
+        unsampled.shuffle(&mut rng);
+        let init = unsampled.split_off(unsampled.len() - cfg.n_init);
         LoopState {
             cfg,
             space,
@@ -350,11 +349,9 @@ impl<'a> LoopState<'a> {
             unsampled,
             init,
             obs: Default::default(),
-            candidate_set: Vec::new(),
             picks: Vec::new(),
             stack: None,
             hv_history: Vec::new(),
-            steps_done: 0,
             clock: VirtualClock::new(),
             in_flight: Vec::new(),
             schedule: Vec::new(),
@@ -432,24 +429,30 @@ impl<'a> LoopState<'a> {
         fits.saturating_sub(1) / cfg.refit_every * cfg.refit_every
     }
 
-    /// Draws the decision's candidate pool (one RNG shuffle per dispatch
-    /// decision) and precomputes the per-(candidate, fidelity) posterior
-    /// caches shared by every scoring slot. Returns
-    /// `None` when the pool is empty (space exhausted). Ordered parallel
-    /// collects keep the values bit-identical to the serial path for any
-    /// thread count.
+    /// One dispatch decision's candidate draw, made live and in a checkpoint
+    /// replay alike: shuffles the not-yet-sampled list with the master RNG
+    /// and returns where the pool, its last `candidate_pool` entries (or all
+    /// of them), starts.
+    pub(crate) fn draw_pool(&mut self) -> usize {
+        self.unsampled.shuffle(&mut self.rng);
+        self.unsampled.len() - self.cfg.candidate_pool.min(self.unsampled.len())
+    }
+
+    /// Draws the decision's candidate pool ([`LoopState::draw_pool`]) and
+    /// precomputes the per-(candidate, fidelity) posterior caches shared by
+    /// every scoring slot. Returns `None` when the pool is empty (space
+    /// exhausted). Ordered parallel collects keep the values bit-identical to
+    /// the serial path for any thread count.
     pub(crate) fn prepare_candidates(
         &mut self,
         stack: &FidelityModelStack,
     ) -> Result<Option<CandidatePrep>, CmmfError> {
-        let cfg = self.cfg;
         let space = self.space;
-        self.unsampled.shuffle(&mut self.rng);
-        let pool_len = cfg.candidate_pool.min(self.unsampled.len());
-        if pool_len == 0 {
+        let pool_start = self.draw_pool();
+        if pool_start == self.unsampled.len() {
             return Ok(None);
         }
-        let pool: Vec<usize> = self.unsampled[self.unsampled.len() - pool_len..].to_vec();
+        let pool: Vec<usize> = self.unsampled[pool_start..].to_vec();
 
         // Candidate encodings and posterior predictions are invariant across
         // a decision's picks (only the fantasy fronts change between them), so
@@ -593,7 +596,8 @@ impl<'a> LoopState<'a> {
     }
 
     /// Convergence trace: hypervolume of each fidelity's observed front,
-    /// appended to the history and emitted as `FrontUpdated` for `step`.
+    /// appended to the history and, outside a checkpoint replay, emitted as
+    /// `FrontUpdated` for `step`.
     pub(crate) fn record_front(&mut self, step: usize) {
         let (data_after, _, _) = self.training_data();
         let mut hv = [0.0f64; 3];
@@ -604,11 +608,13 @@ impl<'a> LoopState<'a> {
             *h = hypervolume(&front, &[2.5; N_OBJECTIVES]);
         }
         self.hv_history.push(hv);
-        self.cfg.tracer.emit(|| TraceEvent::FrontUpdated {
-            step,
-            hv,
-            front_sizes,
-        });
+        if !self.replaying {
+            self.cfg.tracer.emit(|| TraceEvent::FrontUpdated {
+                step,
+                hv,
+                front_sizes,
+            });
+        }
     }
 
     /// Final Pareto identification (after the loop).
@@ -618,8 +624,9 @@ impl<'a> LoopState<'a> {
         let sim = self.sim;
         let stack = self.stack.take();
 
+        let candidate_set: Vec<CandidateChoice> = self.picks.concat();
         let mut evaluated: Vec<usize> = self.init.clone();
-        evaluated.extend(self.candidate_set.iter().map(|c| c.config));
+        evaluated.extend(candidate_set.iter().map(|c| c.config));
 
         // Model-based identification: predict the top fidelity over a random
         // subsample of the un-evaluated space and keep the predicted-Pareto
@@ -673,12 +680,12 @@ impl<'a> LoopState<'a> {
 
         let sim_seconds = self.clock.now();
         cfg.tracer.emit(|| TraceEvent::RunFinished {
-            steps: self.steps_done,
+            steps: self.hv_history.len(),
             sim_seconds,
             pareto_points: measured_pareto.len(),
         });
         Ok(RunResult {
-            candidate_set: self.candidate_set,
+            candidate_set,
             evaluated_configs: evaluated,
             measured_pareto,
             sim_seconds,
@@ -857,8 +864,10 @@ impl Optimizer {
     /// bit-identical to the uninterrupted run that would have produced the
     /// same checkpoint, even one killed with runs in flight (pinned by
     /// `resume_is_bit_identical`): the recorded event log is replayed through
-    /// the deterministic simulator and GP fits, then the loop continues from
-    /// the recorded RNG position.
+    /// the deterministic simulator and GP fits — the seeded initialization
+    /// draw and each decision's candidate shuffle included, so the master RNG
+    /// reaches the position the interrupted run left it at — then the loop
+    /// continues.
     ///
     /// The configuration must match the one that wrote the checkpoint
     /// (fingerprinted; `threads` and `tracer` may differ), and `space`/`sim`
@@ -867,7 +876,8 @@ impl Optimizer {
     /// # Errors
     ///
     /// * [`CmmfError::Checkpoint`] if the checkpoint's version, fingerprint
-    ///   or shape does not match this configuration and space, or if the
+    ///   or shape does not match this configuration and space, if a recorded
+    ///   pick is not an unsampled candidate of its decision's pool, or if the
     ///   replayed schedule diverges from the recorded in-flight set (a
     ///   different simulator or space).
     /// * Everything [`Optimizer::run`] can return.
@@ -1143,6 +1153,40 @@ pub(crate) mod tests {
             let resumed = opt.resume(&reparsed, &space, &sim).unwrap();
             let label = format!("slots={slots} batch={batch} json round trip");
             assert_same_result(&full, &resumed, &label);
+        }
+    }
+
+    #[test]
+    fn stored_sessions_resume_bit_identically() {
+        // `run_until` checkpoints of the four schedules
+        // `resume_is_bit_identical` covers, saved when a checkpoint also
+        // stored the initialization draw, the unsampled order, the RNG state
+        // and the hypervolume history. The reader ignores those keys and the
+        // replay re-derives them, so each still resumes to the uninterrupted
+        // run's bits, journaling only its live steps, and a checkpoint
+        // written now holds the same decisions and verification values.
+        let (space, sim) = setup(Benchmark::SpmvCrs);
+        for (slots, batch, kill) in [(0, 1, 4), (3, 1, 3), (0, 3, 2), (2, 2, 3)] {
+            let mut cfg = quick_cfg(31);
+            cfg.async_slots = slots;
+            cfg.batch_size = batch;
+            let opt = Optimizer::new(cfg.clone());
+            let label = format!("slots{slots}_batch{batch}_kill{kill}");
+            let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/stored_sessions");
+            let stored = RunCheckpoint::load(&dir.join(format!("{label}.json"))).unwrap();
+            assert_eq!(stored.completed_steps, kill, "{label}");
+            let sink = Arc::new(MemoryTracer::new());
+            cfg.tracer = TracerHandle::new(sink.clone());
+            let resumed = Optimizer::new(cfg).resume(&stored, &space, &sim).unwrap();
+            assert_same_result(&opt.run(&space, &sim).unwrap(), &resumed, &label);
+            let events = sink.events();
+            let fronts = events.iter().filter(|e| e.kind() == "front_updated");
+            assert_eq!(fronts.count(), opt.config().n_iter - kill, "{label}");
+            assert_eq!(
+                opt.run_until(&space, &sim, kill).unwrap(),
+                stored,
+                "{label}"
+            );
         }
     }
 

@@ -49,21 +49,17 @@ use fidelity_sim::{FlowSimulator, Stage};
 use hls_model::DesignSpace;
 use pareto::pareto_front;
 use rand::derive_stream_seed;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::path::Path;
 use trace::{Stopwatch, TraceEvent};
 
-/// One dispatch decision's picks, in flight together.
+/// One dispatch decision in flight; its picks are `LoopState::picks[seq]`.
+#[derive(Clone, Copy)]
 pub(crate) struct Group {
-    /// The decision index (0-based; also the index into the recorded picks).
+    /// The decision index (0-based; also the index into the picks).
     seq: usize,
     /// The first member's index among all BO runs (its journal sequence
     /// number is `n_init` past it).
     first_run: usize,
-    /// The picks, in pick order.
-    members: Vec<CandidateChoice>,
     /// Virtual-clock time at which the slowest member finishes.
     finish_at: f64,
 }
@@ -82,11 +78,7 @@ impl<'a> LoopState<'a> {
             n_iter: cfg.n_iter,
             resumed_at: None,
         });
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut unsampled: Vec<usize> = (0..space.len()).collect();
-        unsampled.shuffle(&mut rng);
-        let init: Vec<usize> = unsampled.split_off(unsampled.len() - cfg.n_init);
-        let mut state = Self::new(cfg, space, sim, rng, unsampled, init);
+        let mut state = Self::new(cfg, space, sim);
         state.run_init();
         Ok(state)
     }
@@ -96,7 +88,7 @@ impl<'a> LoopState<'a> {
     /// earliest-finishing run (ties to the lowest rank). Ranks keep their
     /// nested top stages; only their timing overlaps, and observation order
     /// is completion order. Shared by fresh starts and resume replay — the
-    /// initialization schedule is implied by `init` and the cost model, so
+    /// initialization schedule is implied by the seed and the cost model, so
     /// checkpoints don't record it.
     fn run_init(&mut self) {
         let cfg = self.cfg;
@@ -151,17 +143,26 @@ impl<'a> LoopState<'a> {
         }
     }
 
-    /// A group's simulated seconds: its slowest member's stage time (the
-    /// members run on parallel tool instances).
-    fn group_seconds(&self, members: &[CandidateChoice]) -> f64 {
-        members.iter().fold(0.0f64, |slowest, c| {
+    /// Puts the next decision's picks in flight as one group on parallel
+    /// tool instances (Algorithm 2, lines 12-14): it finishes with its
+    /// slowest member.
+    fn launch(&mut self, picked: Vec<CandidateChoice>) -> Group {
+        let slowest = picked.iter().fold(0.0f64, |slowest, c| {
             slowest.max(self.sim.stage_seconds(self.space, c.config, c.stage))
-        })
+        });
+        let group = Group {
+            seq: self.picks.len(),
+            first_run: self.picks.iter().map(Vec::len).sum(),
+            finish_at: self.clock.now() + slowest,
+        };
+        self.picks.push(picked);
+        self.in_flight.push(group);
+        group
     }
 
     /// Tool runs in flight across all groups.
     fn runs_in_flight(&self) -> usize {
-        self.in_flight.iter().map(|g| g.members.len()).sum()
+        self.in_flight.iter().map(|g| self.picks[g.seq].len()).sum()
     }
 
     /// One dispatch decision at the current virtual-clock time (Algorithm 2,
@@ -184,7 +185,7 @@ impl<'a> LoopState<'a> {
         // The in-flight runs' posterior means under the new stack, in
         // dispatch order — the same fantasization the picks below apply to
         // each other.
-        for run in self.in_flight.iter().flat_map(|g| &g.members) {
+        for run in self.in_flight.iter().flat_map(|g| &self.picks[g.seq]) {
             let fi = run.stage.index();
             let pred = new_stack.predict(fi, &self.space.encode(run.config))?;
             fronts[fi] = merge_into_front(&fronts[fi], pred.mean);
@@ -246,44 +247,39 @@ impl<'a> LoopState<'a> {
             });
         }
 
-        // Run the flow for the group (lines 12-14) on parallel tool
-        // instances: it finishes with its slowest member.
-        let clock = self.clock.now();
-        let finish = clock + self.group_seconds(&picked);
-        let first_run = self.candidate_set.len();
+        // The picks leave the pool and run as one group (lines 12-14).
+        for choice in &picked {
+            self.unsampled.retain(|&c| c != choice.config);
+        }
         let running = self.runs_in_flight();
-        for (j, choice) in picked.iter().enumerate() {
+        let clock = self.clock.now();
+        let group = self.launch(picked);
+        for (j, choice) in self.picks[t].iter().enumerate() {
             tracer.emit(|| TraceEvent::RunDispatched {
-                seq: cfg.n_init + first_run + j,
+                seq: cfg.n_init + group.first_run + j,
                 step: Some(t),
                 config: choice.config,
                 fidelity: choice.stage.index(),
                 clock,
-                finish,
+                finish: group.finish_at,
                 in_flight: running + j + 1,
             });
-            self.unsampled.retain(|&c| c != choice.config);
         }
-        self.candidate_set.extend_from_slice(&picked);
-        self.picks.push(picked.iter().map(PickRecord::of).collect());
         self.schedule.push(ScheduleEvent::Dispatch(t));
-        self.in_flight.push(Group {
-            seq: t,
-            first_run,
-            members: picked,
-            finish_at: finish,
-        });
         self.stack = Some(new_stack);
         Ok(())
     }
 
-    /// Advances the clock to `group`'s finish and observes its members in
-    /// pick order (the group is already out of `in_flight`).
+    /// Advances the clock to `group`'s finish, observes its members in pick
+    /// order and records the completed step's fronts (the group is already
+    /// out of `in_flight`).
     fn land(&mut self, group: &Group) {
         let cfg = self.cfg;
         self.clock.advance_to(group.finish_at);
-        let running = self.runs_in_flight() + group.members.len();
-        for (j, run) in group.members.iter().enumerate() {
+        let members = self.picks[group.seq].len();
+        let running = self.runs_in_flight() + members;
+        for j in 0..members {
+            let run = self.picks[group.seq][j];
             self.observe(run.config, run.stage, Some(group.seq));
             if !self.replaying {
                 let clock = self.clock.now();
@@ -297,10 +293,11 @@ impl<'a> LoopState<'a> {
                 });
             }
         }
+        self.record_front(group.seq);
     }
 
     /// Completes the earliest-finishing group in flight (ties to the lowest
-    /// decision index): observes its true outcomes and records the step.
+    /// decision index): observes its true outcomes and logs the completion.
     fn complete_earliest(&mut self) -> Result<(), CmmfError> {
         let Some(k) = earliest_by(&self.in_flight, |g| (g.finish_at, g.seq)) else {
             return Err(CmmfError::Internal {
@@ -310,8 +307,6 @@ impl<'a> LoopState<'a> {
         let group = self.in_flight.remove(k);
         self.land(&group);
         self.schedule.push(ScheduleEvent::Complete(group.seq));
-        self.steps_done += 1;
-        self.record_front(group.seq);
         Ok(())
     }
 
@@ -328,7 +323,7 @@ impl<'a> LoopState<'a> {
     ) -> Result<(), CmmfError> {
         let cfg = self.cfg;
         let slots = cfg.async_slots.max(1);
-        while self.steps_done < max_steps.min(cfg.n_iter) {
+        while self.hv_history.len() < max_steps.min(cfg.n_iter) {
             while !self.exhausted && self.in_flight.len() < slots && self.picks.len() < cfg.n_iter {
                 self.dispatch()?;
             }
@@ -339,7 +334,7 @@ impl<'a> LoopState<'a> {
             if let Some(path) = ckpt_path {
                 let bytes = self.checkpoint().save(path)?;
                 cfg.tracer.emit(|| TraceEvent::CheckpointWritten {
-                    step: self.steps_done,
+                    step: self.hv_history.len(),
                     bytes,
                 });
             }
@@ -348,37 +343,37 @@ impl<'a> LoopState<'a> {
     }
 
     /// Snapshots the run after the last completed step (possibly
-    /// mid-overlap).
+    /// mid-overlap): its decisions, plus the values a replay is verified
+    /// against.
     pub(crate) fn checkpoint(&self) -> RunCheckpoint {
         RunCheckpoint {
             version: CHECKPOINT_VERSION,
             fingerprint: RunCheckpoint::fingerprint_of(self.cfg),
-            completed_steps: self.steps_done,
-            init: self.init.clone(),
-            picks: self.picks.clone(),
+            completed_steps: self.hv_history.len(),
+            picks: self
+                .picks
+                .iter()
+                .map(|group| group.iter().map(PickRecord::of).collect())
+                .collect(),
             schedule: self.schedule.clone(),
             in_flight: self.in_flight_records(),
-            unsampled: self.unsampled.clone(),
-            rng_state: self.rng.state(),
             sim_seconds_bits: self.clock.now().to_bits(),
-            hv_history_bits: self
-                .hv_history
-                .iter()
-                .map(|hv| [0, 1, 2].map(|d| hv[d].to_bits()))
-                .collect(),
         }
     }
 
     /// Reconstructs the state a checkpoint describes, bit-identically to the
-    /// run that wrote it: restores the recorded decisions (initialization,
-    /// picks, candidate order, RNG position), replays the initialization
-    /// through the virtual clock, then walks the recorded event log —
-    /// re-fitting the surrogate at each dispatch from the last
-    /// hyperparameter-optimization attempt on (GP fits seed their own RNG per
-    /// call, so the replayed chain is exact) and re-observing each group at
-    /// its recorded completion — and finally verifies the rebuilt in-flight
-    /// set and clock against the checkpoint's copies, so a mismatched
-    /// simulator or design space fails loudly instead of diverging.
+    /// run that wrote it. The checkpoint holds the run's decisions only;
+    /// everything else is rebuilt the way the live loop built it: the seeded
+    /// initialization draw ([`LoopState::new`]) and its runs through the
+    /// virtual clock, then the recorded event log. Each `Dispatch` redoes the
+    /// decision's candidate shuffle and takes its recorded picks out of that
+    /// pool ([`LoopState::replay_dispatch`]), re-fitting the surrogate from
+    /// the last hyperparameter-optimization attempt on (GP fits seed their
+    /// own RNG per call, so the replayed chain is exact); each `Complete`
+    /// re-observes its group and recomputes the step's hypervolume. Finally
+    /// the rebuilt in-flight set and clock are verified against the
+    /// checkpoint's copies, so a mismatched simulator or design space fails
+    /// loudly instead of diverging.
     pub(crate) fn restore(
         cfg: &'a CmmfConfig,
         space: &'a DesignSpace,
@@ -404,79 +399,21 @@ impl<'a> LoopState<'a> {
             });
         }
         let nd = ckpt.picks.len();
-        let completed = ckpt.completed_steps;
         let batch = cfg.batch_size.max(1);
-        if ckpt.init.len() != cfg.n_init
-            || nd > cfg.n_iter
-            || completed > nd
-            || ckpt.hv_history_bits.len() != completed
-            || ckpt.picks.iter().any(|g| g.is_empty() || g.len() > batch)
-        {
+        // `check_schedule` below bounds the completed steps by the decisions.
+        if nd > cfg.n_iter || ckpt.picks.iter().any(|g| g.is_empty() || g.len() > batch) {
             return Err(CmmfError::Checkpoint {
                 reason: "inconsistent checkpoint shape".into(),
             });
         }
-        let in_range = |c: usize| c < space.len();
-        if !ckpt.init.iter().all(|&c| in_range(c))
-            || !ckpt.unsampled.iter().all(|&c| in_range(c))
-            || !ckpt.picks.iter().flatten().all(|p| in_range(p.config))
-        {
-            return Err(CmmfError::Checkpoint {
-                reason: "configuration index out of range — was this checkpoint \
-                         written for a different design space?"
-                    .into(),
-            });
-        }
         ckpt.check_schedule()?;
-        let mut groups: Vec<Group> = Vec::with_capacity(nd);
-        let mut first_run = 0;
-        for (i, picks) in ckpt.picks.iter().enumerate() {
-            let members = picks
-                .iter()
-                .map(|p| {
-                    Stage::from_index(p.stage_index)
-                        .map(|stage| CandidateChoice {
-                            config: p.config,
-                            stage,
-                            acquisition: f64::from_bits(p.acquisition_bits),
-                        })
-                        .ok_or_else(|| CmmfError::Checkpoint {
-                            reason: format!(
-                                "invalid stage index {} in decision {i}",
-                                p.stage_index
-                            ),
-                        })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            groups.push(Group {
-                seq: i,
-                first_run,
-                finish_at: 0.0,
-                members,
-            });
-            first_run += picks.len();
-        }
         cfg.tracer.emit(|| TraceEvent::RunStarted {
             seed: cfg.seed,
             n_iter: cfg.n_iter,
-            resumed_at: Some(completed),
+            resumed_at: Some(ckpt.completed_steps),
         });
 
-        let mut state = Self::new(
-            cfg,
-            space,
-            sim,
-            StdRng::from_state(ckpt.rng_state),
-            ckpt.unsampled.clone(),
-            ckpt.init.clone(),
-        );
-        state.picks = ckpt.picks.clone();
-        state.hv_history = ckpt
-            .hv_history_bits
-            .iter()
-            .map(|hv| [0, 1, 2].map(|d| f64::from_bits(hv[d])))
-            .collect();
-        state.steps_done = completed;
+        let mut state = Self::new(cfg, space, sim);
         state.schedule = ckpt.schedule.clone();
         state.exhausted = ckpt.schedule.contains(&ScheduleEvent::Exhausted);
         state.replaying = true;
@@ -486,29 +423,36 @@ impl<'a> LoopState<'a> {
         // i fitted at step i, and an `Exhausted` attempt fitted at step nd.
         // Observations replay in full (they feed every later fit).
         let refit_from = Self::replay_from(cfg, nd + usize::from(state.exhausted));
-        let mut done = vec![false; nd];
         for event in &ckpt.schedule {
             match *event {
                 ScheduleEvent::Dispatch(i) => {
                     if i >= refit_from {
                         state.replay_fit(i)?;
                     }
-                    let group = &mut groups[i];
-                    group.finish_at = state.clock.now() + state.group_seconds(&group.members);
-                    state.candidate_set.extend_from_slice(&group.members);
+                    state.replay_dispatch(i, &ckpt.picks[i])?;
                 }
                 ScheduleEvent::Complete(i) => {
-                    state.land(&groups[i]);
-                    done[i] = true;
+                    // `check_schedule` puts every completion after its
+                    // dispatch, so the group is in flight.
+                    if let Some(k) = state.in_flight.iter().position(|g| g.seq == i) {
+                        let group = state.in_flight.remove(k);
+                        state.land(&group);
+                    }
                 }
                 ScheduleEvent::Exhausted => {
+                    // The live attempt shuffled an empty list, which draws
+                    // nothing; only its fit replays.
+                    if !state.unsampled.is_empty() {
+                        return Err(CmmfError::Checkpoint {
+                            reason: "pool exhaustion recorded with candidates left".into(),
+                        });
+                    }
                     if nd >= refit_from {
                         state.replay_fit(nd)?;
                     }
                 }
             }
         }
-        state.in_flight = groups.into_iter().filter(|g| !done[g.seq]).collect();
         if state.in_flight_records() != ckpt.in_flight
             || state.clock.now().to_bits() != ckpt.sim_seconds_bits
         {
@@ -521,6 +465,43 @@ impl<'a> LoopState<'a> {
         }
         state.replaying = false;
         Ok(state)
+    }
+
+    /// Redoes dispatch decision `i` during a replay: its candidate draw
+    /// ([`LoopState::draw_pool`]), then, as [`LoopState::dispatch`] did, the
+    /// recorded picks taken out of the not-yet-sampled list in pick order and
+    /// put in flight as one group.
+    /// Each pick must be a distinct member of the pool that shuffle drew —
+    /// the last `candidate_pool` entries of the list — so a pick of an
+    /// evaluated configuration, a repeat, or one from outside the pool is a
+    /// damaged checkpoint, not a run that evaluates a configuration twice.
+    fn replay_dispatch(&mut self, i: usize, records: &[PickRecord]) -> Result<(), CmmfError> {
+        let pool_start = self.draw_pool();
+        let mut picked = Vec::with_capacity(records.len());
+        for (j, p) in records.iter().enumerate() {
+            let damaged = |what: String| CmmfError::Checkpoint {
+                reason: format!("decision {i}, pick {j}: {what}"),
+            };
+            let stage = Stage::from_index(p.stage_index)
+                .ok_or_else(|| damaged(format!("invalid stage index {}", p.stage_index)))?;
+            let k = self.unsampled[pool_start..]
+                .iter()
+                .position(|&c| c == p.config)
+                .ok_or_else(|| {
+                    damaged(format!(
+                        "configuration {} is not an unsampled candidate of its pool",
+                        p.config
+                    ))
+                })?;
+            self.unsampled.remove(pool_start + k);
+            picked.push(CandidateChoice {
+                config: p.config,
+                stage,
+                acquisition: f64::from_bits(p.acquisition_bits),
+            });
+        }
+        self.launch(picked);
+        Ok(())
     }
 
     /// The in-flight set as the checkpoint records it.
@@ -570,8 +551,10 @@ fn earliest_by<T>(items: &[T], key: impl Fn(&T) -> (f64, usize)) -> Option<usize
 
 #[cfg(test)]
 mod tests {
+    use crate::checkpoint::ScheduleEvent;
     use crate::optimizer::tests::{assert_same_result, quick_cfg, setup};
-    use crate::optimizer::{Optimizer, RunResult};
+    use crate::optimizer::{LoopState, Optimizer, RunResult};
+    use crate::CmmfError;
     use hls_model::benchmarks::Benchmark;
 
     fn slots_cfg(seed: u64, slots: usize) -> crate::CmmfConfig {
@@ -612,6 +595,51 @@ mod tests {
             k4.sim_seconds,
             k1.sim_seconds
         );
+    }
+
+    /// A recorded pick that is not a fresh candidate of its decision's pool
+    /// — an initialization configuration, an earlier pick, or an unsampled
+    /// configuration outside the pool the decision's shuffle drew — marks a
+    /// damaged checkpoint, and so does a pool exhaustion recorded with
+    /// candidates left. Resuming one is a typed error, never a run that
+    /// evaluates a configuration twice.
+    #[test]
+    fn damaged_decisions_are_typed_errors() {
+        let (space, sim) = setup(Benchmark::SpmvCrs);
+        for slots in [0, 2] {
+            let cfg = slots_cfg(43, slots);
+            let opt = Optimizer::new(cfg.clone());
+            let ckpt = opt.run_until(&space, &sim, 3).unwrap();
+            assert!(opt.resume(&ckpt, &space, &sim).is_ok(), "slots={slots}");
+            // Decision 1's pool, by the draws the loop makes before it.
+            let mut state = LoopState::new(&cfg, &space, &sim);
+            state.draw_pool();
+            state.unsampled.retain(|&c| c != ckpt.picks[0][0].config);
+            let pool_start = state.draw_pool();
+            assert!(pool_start > 0);
+            assert!(state.unsampled[pool_start..].contains(&ckpt.picks[1][0].config));
+            let repick = |config: usize| {
+                let mut damaged = ckpt.clone();
+                damaged.picks[1][0].config = config;
+                damaged
+            };
+            let mut early_exhaustion = ckpt.clone();
+            early_exhaustion.schedule.push(ScheduleEvent::Exhausted);
+            // Each damage is caught by the check made for it, not only by
+            // the replayed clock it would also move.
+            let in_pool = "candidate of its pool";
+            for (what, damaged, caught_by) in [
+                ("init configuration", repick(state.init[0]), in_pool),
+                ("earlier pick", repick(ckpt.picks[0][0].config), in_pool),
+                ("outside the pool", repick(state.unsampled[0]), in_pool),
+                ("early exhaustion", early_exhaustion, "exhaustion"),
+            ] {
+                match opt.resume(&damaged, &space, &sim) {
+                    Err(CmmfError::Checkpoint { reason }) if reason.contains(caught_by) => {}
+                    other => panic!("slots={slots}, {what}: {other:?}"),
+                }
+            }
+        }
     }
 
     /// The virtual clock is the *only* clock the loop consults: every

@@ -124,28 +124,13 @@ fn generate(shape: Shape, seed: u64) -> RunCheckpoint {
         version: CHECKPOINT_VERSION,
         fingerprint: RunCheckpoint::fingerprint_of(&cfg),
         completed_steps: completed,
-        init: (0..rng.random_range(0..10usize))
-            .map(|_| index(&mut rng))
-            .collect(),
         picks,
         schedule,
         in_flight: in_flight
             .iter()
             .map(|&i| [i as u64, word(&mut rng)])
             .collect(),
-        unsampled: (0..rng.random_range(0..20usize))
-            .map(|_| index(&mut rng))
-            .collect(),
-        rng_state: [
-            word(&mut rng),
-            word(&mut rng),
-            word(&mut rng),
-            word(&mut rng),
-        ],
         sim_seconds_bits: word(&mut rng),
-        hv_history_bits: (0..completed)
-            .map(|_| [word(&mut rng), word(&mut rng), word(&mut rng)])
-            .collect(),
     }
 }
 

@@ -227,11 +227,6 @@ impl Gp {
         self.stats
     }
 
-    /// Number of training points.
-    pub fn train_len(&self) -> usize {
-        self.xs.len()
-    }
-
     /// Input dimension.
     pub fn dim(&self) -> usize {
         self.kernel.dim()

@@ -303,11 +303,6 @@ impl MultiTaskGp {
         self.n_tasks
     }
 
-    /// Number of training points.
-    pub fn train_len(&self) -> usize {
-        self.xs.len()
-    }
-
     /// Input dimension.
     pub fn dim(&self) -> usize {
         self.kernel.dim()

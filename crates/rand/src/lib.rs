@@ -8,7 +8,11 @@
 //! [`RngExt`] convenience extension (`random`, `random_range`), and
 //! [`seq::SliceRandom`] (`shuffle`, `choose`) — with the same names and call
 //! signatures, so swapping the real `rand` back in later is a one-line
-//! `Cargo.toml` change.
+//! `Cargo.toml` change. Apart from the two seed-derivation functions
+//! [`split_mix64`] and [`derive_stream_seed`], plain arithmetic on `u64`
+//! that needs no generator, it adds nothing the real crate lacks. In
+//! particular a generator's state can be neither read nor set: a resumed
+//! optimizer run reaches its RNG position by replaying its seeded draws.
 //!
 //! The generator behind [`rngs::StdRng`] is xoshiro256++ seeded through
 //! SplitMix64: a small, fast, well-tested PRNG whose statistical quality is
@@ -86,28 +90,6 @@ pub mod rngs {
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct StdRng {
         s: [u64; 4],
-    }
-
-    impl StdRng {
-        /// The raw 256-bit xoshiro256++ state, for checkpointing. Feeding it
-        /// back through [`StdRng::from_state`] resumes the stream at exactly
-        /// this position.
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Reconstructs a generator at a checkpointed [`StdRng::state`]
-        /// position. An all-zero state (a xoshiro fixed point, never produced
-        /// by a healthy generator) is nudged the same way as
-        /// [`SeedableRng::from_seed`].
-        pub fn from_state(s: [u64; 4]) -> Self {
-            if s == [0; 4] {
-                return StdRng {
-                    s: [0x9E37_79B9_7F4A_7C15, 1, 2, 3],
-                };
-            }
-            StdRng { s }
-        }
     }
 
     impl Rng for StdRng {
@@ -389,22 +371,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input sorted");
-    }
-
-    #[test]
-    fn state_round_trip_resumes_the_stream() {
-        let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..17 {
-            rng.next_u64();
-        }
-        let saved = rng.state();
-        let ahead: Vec<u64> = (0..32).map(|_| rng.next_u64()).collect();
-        let mut resumed = StdRng::from_state(saved);
-        let replayed: Vec<u64> = (0..32).map(|_| resumed.next_u64()).collect();
-        assert_eq!(ahead, replayed);
-        // The all-zero fixed point is rejected, matching from_seed.
-        let mut z = StdRng::from_state([0; 4]);
-        assert_ne!(z.next_u64(), 0);
     }
 
     #[test]
