@@ -1,11 +1,14 @@
-//! The combined surrogate stack of Fig. 7: one multi-objective model per
-//! fidelity, composed across fidelities, with the paper's choices and the
-//! baseline/ablation alternatives selectable through [`ModelVariant`].
+//! The combined surrogate stack of Fig. 7: one chain of models up the
+//! fidelities, lowest first, where each fidelity's model is built on the one
+//! below it (Eq. 5). [`ModelVariant`] picks the paper's chain or one of the
+//! baseline/ablation chains: the objectives are modelled jointly (Eq. 9) or
+//! by one GP each, and each link up the chain is non-linear (Eq. 5), linear
+//! (FPL18's AR(1)) or absent. One loop fits every variant and one pass up
+//! the chain predicts it.
 
 use crate::CmmfError;
 use gp::kernel::Matern52;
-use gp::multifidelity::{FidelityData, LinearMultiFidelityGp, NonLinearMultiFidelityGp};
-use gp::{FitStats, GpConfig, GpError, MultiTaskGp, MultiTaskPrediction, Prediction};
+use gp::{FitStats, Gp, GpConfig, GpError, MultiTaskGp, MultiTaskPrediction, Prediction};
 use linalg::Matrix;
 
 /// Number of fidelities (hls, syn, impl).
@@ -24,8 +27,7 @@ pub struct ModelVariant {
     /// is an *input feature* of the next fidelity's GP, on top of a linear
     /// backbone). When `false`, independent objectives use the linear AR(1)
     /// chain of FPL18, and correlated objectives get no cross-fidelity
-    /// transfer at all: each fidelity's model fits its own data
-    /// ([`FidelityModelStack::CorrelatedPlain`]).
+    /// transfer at all: each fidelity's model fits its own data.
     pub nonlinear_fidelity: bool,
 }
 
@@ -86,58 +88,94 @@ impl FidelityDataSet {
     }
 }
 
-/// One upper fidelity of the correlated non-linear stack:
-/// `y_f = ρ ⊙ μ_{f-1}(x) + z([x, μ_{f-1}(x)])` with `z` a correlated
-/// multi-task GP over the grouped kernel ([`Matern52::iso_plus_tail`]).
-#[derive(Debug, Clone)]
-pub struct CorrelatedLevel {
-    rhos: Vec<f64>,
-    gp: MultiTaskGp,
-}
-
-/// The fitted surrogate stack for all fidelities.
+/// The objective model of one level: the correlated multi-task GP of Eq. 9,
+/// or one independent GP per objective.
 ///
-/// The variants differ in size because the correlated variants own full
-/// multi-task GPs; a handful of stacks exist per run, so boxing the large
-/// variant would buy nothing and churn every match site.
+/// The joint model is far larger than a vector of GPs, but a stack holds
+/// three levels and a run a handful of stacks, so boxing it would buy
+/// nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-pub enum FidelityModelStack {
-    /// The paper's stack: a correlated GP at the base fidelity, and for every
-    /// higher fidelity a per-objective linear backbone `ρ` plus a correlated
-    /// GP over `[x, μ_{f-1,1}(x), …, μ_{f-1,M}(x)]` capturing the non-linear
-    /// part of Eq. 5 (Fig. 7's orange arrows). Lower-fidelity posterior
-    /// uncertainty is pushed through each level by an unscented transform.
-    CorrelatedNonlinear {
-        /// The lowest-fidelity correlated model.
-        base: MultiTaskGp,
-        /// One level per higher fidelity, lowest first.
-        uppers: Vec<CorrelatedLevel>,
+enum Objectives {
+    Joint(MultiTaskGp),
+    PerObjective(Vec<Gp>),
+}
+
+/// One fidelity of the chain, and how it uses the fidelity below. Both links
+/// scale the lower posterior mean `μ_{f−1}(x)` by a least-squares backbone
+/// `ρ` per objective (see [`backbone`]) and fit a GP to the residuals
+/// `y − ρ ⊙ μ_{f−1}(x)`.
+#[derive(Debug, Clone)]
+enum Level {
+    /// No link: the model fits the fidelity's own data on `x` (every base,
+    /// and every level of Corr+NoTransfer).
+    Own(Objectives),
+    /// FPL18's Kennedy–O'Hagan AR(1) link, `y = ρ ⊙ μ_{f−1}(x) + δ(x)`:
+    /// one residual GP per objective on `x`.
+    Linear { rhos: Vec<f64>, residual: Vec<Gp> },
+    /// Eq. 5's non-linear link, `y = ρ ⊙ μ_{f−1}(x) + z([x, μ_{f−1}(x)])`
+    /// over the grouped kernel ([`Matern52::iso_plus_tail`]): a joint `z`
+    /// sees all `M` lower means, a per-objective `z` its own objective's.
+    /// The lower posterior's uncertainty is pushed through `z` by an
+    /// unscented transform (joint) or Gauss–Hermite quadrature
+    /// (per objective).
+    Nonlinear {
+        rhos: Vec<f64>,
+        residual: Objectives,
     },
-    /// Ablation: correlated objectives but no cross-fidelity transfer (each
-    /// fidelity fits its own data on plain `x`).
-    CorrelatedPlain(Vec<MultiTaskGp>),
-    /// FPL18: per-objective linear AR(1) chains, independent across
-    /// objectives.
-    IndependentLinear(Vec<LinearMultiFidelityGp>),
-    /// Ablation: per-objective *non-linear* chains, independent across
-    /// objectives.
-    IndependentNonlinear(Vec<NonLinearMultiFidelityGp>),
+}
+
+impl Level {
+    /// The level's joint model, if it has one.
+    fn joint(&self) -> Option<&MultiTaskGp> {
+        match self {
+            Level::Own(Objectives::Joint(gp))
+            | Level::Nonlinear {
+                residual: Objectives::Joint(gp),
+                ..
+            } => Some(gp),
+            _ => None,
+        }
+    }
+
+    /// The level's per-objective GPs (none for a joint level).
+    fn per_objective(&self) -> &[Gp] {
+        match self {
+            Level::Own(Objectives::PerObjective(gps))
+            | Level::Linear { residual: gps, .. }
+            | Level::Nonlinear {
+                residual: Objectives::PerObjective(gps),
+                ..
+            } => gps,
+            _ => &[],
+        }
+    }
+}
+
+/// The fitted surrogate stack for all fidelities: one [`ModelVariant`]'s
+/// chain of levels, lowest fidelity first.
+#[derive(Debug, Clone)]
+pub struct FidelityModelStack {
+    variant: ModelVariant,
+    levels: Vec<Level>,
 }
 
 impl FidelityModelStack {
-    /// Fits the stack selected by `variant` on `data`. With `previous` (the
-    /// stack from the last iteration), every sub-model re-uses that stack's
-    /// hyperparameters and is rebuilt on `data` from scratch (linear
-    /// backbones are recomputed — they are closed-form) instead of re-running
-    /// the marginal-likelihood search; this is the cheap per-iteration update
-    /// of the BO loop, with full searches every `CmmfConfig::refit_every`
-    /// steps. Every sub-model runs the search when `previous` is `None` or
-    /// another variant, and so does a correlated sub-model whose previous
-    /// model has another input dimension.
+    /// Fits the stack selected by `variant` on `data`, one fidelity at a time
+    /// from the lowest: a linked level's backbone and residual GP are fitted
+    /// to the posterior of the levels below it at its own inputs. With
+    /// `previous` (the stack from the last iteration), every level re-uses
+    /// that stack's hyperparameters and is rebuilt on `data` from scratch
+    /// (linear backbones are recomputed — they are closed-form) instead of
+    /// re-running the marginal-likelihood search; this is the cheap
+    /// per-iteration update of the BO loop, with full searches every
+    /// `CmmfConfig::refit_every` steps. Every model runs the search when
+    /// `previous` is `None` or another variant, and so does a model whose
+    /// previous one takes another input dimension.
     ///
     /// # Errors
     ///
+    /// [`CmmfError::Internal`] if any fidelity has no data, or
     /// [`CmmfError::Model`] if any underlying GP fit fails.
     pub fn fit(
         variant: ModelVariant,
@@ -150,151 +188,70 @@ impl FidelityModelStack {
                 reason: "fit called with an empty fidelity".into(),
             });
         }
-        match (variant.correlated_objectives, variant.nonlinear_fidelity) {
-            (true, true) => Self::fit_correlated_nonlinear(data, gp_cfg, previous),
-            (true, false) => Self::fit_correlated_plain(data, gp_cfg, previous),
-            (false, nonlinear) => Self::fit_independent(data, gp_cfg, nonlinear, previous),
-        }
-    }
-
-    fn fit_correlated_nonlinear(
-        data: &FidelityDataSet,
-        gp_cfg: &GpConfig,
-        previous: Option<&FidelityModelStack>,
-    ) -> Result<Self, CmmfError> {
         let x_dim = data.xs[0][0].len();
-        let (prev_base, prev_uppers) = match previous {
-            Some(FidelityModelStack::CorrelatedNonlinear { base, uppers }) => {
-                (Some(base), uppers.as_slice())
-            }
-            _ => (None, &[][..]),
-        };
-        let base = match prev_base {
-            Some(b) if b.dim() == x_dim => b.refit(&data.xs[0], &data.ys[0])?,
-            _ => MultiTaskGp::fit(Matern52::ard(x_dim), &data.xs[0], &data.ys[0], gp_cfg)?,
-        };
-        let mut uppers: Vec<CorrelatedLevel> = Vec::with_capacity(N_FIDELITIES - 1);
-        for f in 1..N_FIDELITIES {
-            // Lower-fidelity posterior means at this fidelity's inputs: one
-            // batched pass through the levels fitted so far.
-            let prevs = chain_batch(&base, &uppers, &data.xs[f])?
-                .pop()
-                .ok_or_else(no_chain_level)?;
-            // Per-objective linear backbone.
-            let mut rhos = vec![1.0; N_OBJECTIVES];
-            for (obj, rho) in rhos.iter_mut().enumerate() {
-                let num: f64 = prevs
-                    .iter()
-                    .zip(&data.ys[f])
-                    .map(|(p, y)| p.mean[obj] * y[obj])
-                    .sum();
-                let den: f64 = prevs.iter().map(|p| p.mean[obj] * p.mean[obj]).sum();
-                if den > 1e-12 {
-                    *rho = num / den;
-                }
-            }
-            // Correlated residual GP on augmented inputs.
-            let aug: Vec<Vec<f64>> = data.xs[f]
-                .iter()
-                .zip(&prevs)
-                .map(|(x, p)| {
-                    let mut a = x.clone();
-                    a.extend(p.mean.iter().copied());
-                    a
-                })
-                .collect();
-            let residuals: Vec<Vec<f64>> = data.ys[f]
-                .iter()
-                .zip(&prevs)
-                .map(|(y, p)| {
-                    (0..N_OBJECTIVES)
-                        .map(|o| y[o] - rhos[o] * p.mean[o])
-                        .collect()
-                })
-                .collect();
-            let gp = match prev_uppers.get(f - 1) {
-                Some(level) if level.gp.dim() == x_dim + N_OBJECTIVES => {
-                    level.gp.refit(&aug, &residuals)?
-                }
-                _ => MultiTaskGp::fit(
-                    Matern52::iso_plus_tail(x_dim, N_OBJECTIVES),
-                    &aug,
-                    &residuals,
-                    gp_cfg,
-                )?,
-            };
-            uppers.push(CorrelatedLevel { rhos, gp });
-        }
-        Ok(FidelityModelStack::CorrelatedNonlinear { base, uppers })
-    }
-
-    fn fit_correlated_plain(
-        data: &FidelityDataSet,
-        gp_cfg: &GpConfig,
-        previous: Option<&FidelityModelStack>,
-    ) -> Result<Self, CmmfError> {
-        let x_dim = data.xs[0][0].len();
-        let prev_models = match previous {
-            Some(FidelityModelStack::CorrelatedPlain(v)) => v.as_slice(),
+        let prev_levels = match previous {
+            Some(p) if p.variant == variant => p.levels.as_slice(),
             _ => &[],
         };
-        let mut fitted = Vec::with_capacity(N_FIDELITIES);
-        for f in 0..N_FIDELITIES {
-            let model = match prev_models.get(f) {
-                Some(m) if m.dim() == x_dim => m.refit(&data.xs[f], &data.ys[f])?,
-                _ => MultiTaskGp::fit(Matern52::ard(x_dim), &data.xs[f], &data.ys[f], gp_cfg)?,
-            };
-            fitted.push(model);
-        }
-        Ok(FidelityModelStack::CorrelatedPlain(fitted))
-    }
-
-    fn fit_independent(
-        data: &FidelityDataSet,
-        gp_cfg: &GpConfig,
-        nonlinear: bool,
-        previous: Option<&FidelityModelStack>,
-    ) -> Result<Self, CmmfError> {
-        let mut per_obj_linear = Vec::new();
-        let mut per_obj_nonlinear = Vec::new();
-        for obj in 0..N_OBJECTIVES {
-            let levels: Vec<FidelityData> = (0..N_FIDELITIES)
-                .map(|f| {
-                    FidelityData::new(
-                        data.xs[f].clone(),
-                        data.ys[f].iter().map(|row| row[obj]).collect(),
-                    )
-                })
-                .collect();
-            if nonlinear {
-                let prev = match previous {
-                    Some(FidelityModelStack::IndependentNonlinear(v)) => v.get(obj),
-                    _ => None,
-                };
-                per_obj_nonlinear.push(match prev {
-                    Some(m) => m.refit(&levels)?,
-                    None => NonLinearMultiFidelityGp::fit(&levels, gp_cfg)?,
-                });
-            } else {
-                let prev = match previous {
-                    Some(FidelityModelStack::IndependentLinear(v)) => v.get(obj),
-                    _ => None,
-                };
-                per_obj_linear.push(match prev {
-                    Some(m) => m.refit(&levels)?,
-                    None => LinearMultiFidelityGp::fit(&levels, gp_cfg)?,
-                });
+        let transfers = variant.nonlinear_fidelity || !variant.correlated_objectives;
+        let mut levels: Vec<Level> = Vec::with_capacity(N_FIDELITIES);
+        for (f, (xs, ys)) in data.xs.iter().zip(&data.ys).enumerate() {
+            let prev = prev_levels.get(f);
+            let prev_joint = prev.and_then(Level::joint);
+            let prev_gps = prev.map_or(&[][..], Level::per_objective);
+            if f == 0 || !transfers {
+                let ard = Matern52::ard(x_dim);
+                levels.push(Level::Own(if variant.correlated_objectives {
+                    Objectives::Joint(fit_joint(prev_joint, ard, xs, ys, gp_cfg)?)
+                } else {
+                    Objectives::PerObjective(fit_each(prev_gps, &ard, |_| xs, ys, gp_cfg)?)
+                }));
+                continue;
             }
+            // The lower fidelity's posterior at this fidelity's inputs: one
+            // pass through the levels fitted so far.
+            let lower = chain_batch(&levels, xs)?.pop().ok_or_else(no_chain_level)?;
+            let rhos = backbone(&lower, ys);
+            let residuals = residuals(&lower, ys, &rhos);
+            levels.push(if !variant.nonlinear_fidelity {
+                let residual =
+                    fit_each(prev_gps, &Matern52::ard(x_dim), |_| xs, &residuals, gp_cfg)?;
+                Level::Linear { rhos, residual }
+            } else if variant.correlated_objectives {
+                let kernel = Matern52::iso_plus_tail(x_dim, N_OBJECTIVES);
+                let aug: Vec<Vec<f64>> = xs
+                    .iter()
+                    .zip(&lower)
+                    .map(|(x, p)| augmented(x, &p.mean))
+                    .collect();
+                let gp = fit_joint(prev_joint, kernel, &aug, &residuals, gp_cfg)?;
+                Level::Nonlinear {
+                    rhos,
+                    residual: Objectives::Joint(gp),
+                }
+            } else {
+                let kernel = Matern52::iso_plus_tail(x_dim, 1);
+                let augs: Vec<Vec<Vec<f64>>> = (0..N_OBJECTIVES)
+                    .map(|o| {
+                        xs.iter()
+                            .zip(&lower)
+                            .map(|(x, p)| augmented(x, &p.mean[o..=o]))
+                            .collect()
+                    })
+                    .collect();
+                let gps = fit_each(prev_gps, &kernel, |o| &augs[o], &residuals, gp_cfg)?;
+                Level::Nonlinear {
+                    rhos,
+                    residual: Objectives::PerObjective(gps),
+                }
+            });
         }
-        Ok(if nonlinear {
-            FidelityModelStack::IndependentNonlinear(per_obj_nonlinear)
-        } else {
-            FidelityModelStack::IndependentLinear(per_obj_linear)
-        })
+        Ok(FidelityModelStack { variant, levels })
     }
 
     /// Joint posterior over the objectives at fidelity `f` for encoded input
-    /// `x`. Independent variants return a diagonal covariance.
+    /// `x`: [`FidelityModelStack::predict_batch`] on a batch of one.
+    /// Independent variants return a diagonal covariance.
     ///
     /// # Errors
     ///
@@ -308,17 +265,19 @@ impl FidelityModelStack {
             })
     }
 
-    /// Joint posteriors at fidelity `f` for many encoded inputs at once.
+    /// Joint posteriors at fidelity `f` for many encoded inputs at once: the
+    /// chain pass up to `f`. A level without a link reads nothing below it,
+    /// so the pass starts at the highest such level at or below `f`.
     /// Bit-identical to mapping [`FidelityModelStack::predict`] over `xs`.
     ///
-    /// The correlated variants batch for real: the plain stack runs one
-    /// chunked [`MultiTaskGp::predict_batch`], and the non-linear chain
-    /// propagates level-synchronously — all points' sigma points are stacked
-    /// into a single level-GP batch per level, so each traversal of a level's
-    /// `nM × nM` factor serves a wide column block instead of one sigma point
-    /// (see `propagate_unscented_batch`). The independent variants predict
-    /// point by point. Every chunk and level prediction is bitwise-pinned to
-    /// its single-query form, so a point's posterior does not depend on the
+    /// A joint level batches for real: a level on `x` runs one chunked
+    /// [`MultiTaskGp::predict_batch`], and the non-linear link propagates
+    /// level-synchronously — all points' sigma points are stacked into a
+    /// single level-GP batch, so each traversal of the level's `nM × nM`
+    /// factor serves a wide column block instead of one sigma point (see
+    /// `propagate_unscented_batch`). Per-objective levels predict point by
+    /// point. Every chunk and level prediction is bitwise-pinned to its
+    /// single-query form, so a point's posterior does not depend on the
     /// batch it arrives in.
     ///
     /// # Errors
@@ -329,35 +288,23 @@ impl FidelityModelStack {
         f: usize,
         xs: &[Vec<f64>],
     ) -> Result<Vec<MultiTaskPrediction>, CmmfError> {
-        if f >= N_FIDELITIES {
-            return Err(CmmfError::Internal {
-                reason: format!("fidelity {f} out of range"),
-            });
-        }
-        match self {
-            FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
-                chain_batch(base, &uppers[..f.min(uppers.len())], xs)?
-                    .pop()
-                    .ok_or_else(no_chain_level)
-            }
-            FidelityModelStack::CorrelatedPlain(models) => Ok(models[f].predict_batch(xs)?),
-            FidelityModelStack::IndependentLinear(per_obj) => Ok(xs
-                .iter()
-                .map(|x| diagonal(per_obj.iter().map(|m| m.predict(f, x))))
-                .collect::<Result<_, _>>()?),
-            FidelityModelStack::IndependentNonlinear(per_obj) => Ok(xs
-                .iter()
-                .map(|x| diagonal(per_obj.iter().map(|m| m.predict(f, x))))
-                .collect::<Result<_, _>>()?),
-        }
+        let chain = self.levels.get(..=f).ok_or_else(|| CmmfError::Internal {
+            reason: format!("fidelity {f} out of range"),
+        })?;
+        let start = chain
+            .iter()
+            .rposition(|level| matches!(level, Level::Own(_)))
+            .unwrap_or(0);
+        chain_batch(&chain[start..], xs)?
+            .pop()
+            .ok_or_else(no_chain_level)
     }
 
     /// Joint posteriors at *every* fidelity for many encoded inputs:
-    /// `out[i][f]` is the fidelity-`f` posterior at `xs[i]`. The paper's
-    /// stack answers all fidelities from one pass up its chain — the base
-    /// batch once, then each level's unscented propagation of the fidelity
-    /// below — instead of recomputing the lower fidelities per fidelity; the
-    /// other variants predict each fidelity in turn. Bit-identical to
+    /// `out[i][f]` is the fidelity-`f` posterior at `xs[i]`. One pass up the
+    /// whole chain answers all fidelities — each level's batch once, the
+    /// linked ones propagating the batch below — instead of recomputing the
+    /// lower fidelities per fidelity. Bit-identical to
     /// [`FidelityModelStack::predict`] at every `(f, x)` — the acquisition
     /// step's candidate caches are built through it.
     ///
@@ -365,15 +312,7 @@ impl FidelityModelStack {
     ///
     /// Same conditions as [`FidelityModelStack::predict`].
     pub fn predict_all(&self, xs: &[Vec<f64>]) -> Result<Vec<Vec<MultiTaskPrediction>>, CmmfError> {
-        let levels = match self {
-            FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
-                chain_batch(base, uppers, xs)?
-            }
-            _ => (0..N_FIDELITIES)
-                .map(|f| self.predict_batch(f, xs))
-                .collect::<Result<_, _>>()?,
-        };
-        Ok(per_point(levels, xs.len()))
+        Ok(per_point(chain_batch(&self.levels, xs)?, xs.len()))
     }
 
     /// Learned objective-correlation matrix at fidelity `f`, if this stack is
@@ -381,26 +320,14 @@ impl FidelityModelStack {
     /// variants). For upper fidelities of the non-linear stack, this is the
     /// residual model's correlation.
     pub fn task_correlations(&self, f: usize) -> Option<Matrix> {
-        fn corr(m: &MultiTaskGp) -> Matrix {
-            let mut c = Matrix::zeros(m.n_tasks(), m.n_tasks());
-            for i in 0..m.n_tasks() {
-                for j in 0..m.n_tasks() {
-                    c[(i, j)] = m.task_correlation(i, j);
-                }
+        let m = self.levels.get(f)?.joint()?;
+        let mut c = Matrix::zeros(m.n_tasks(), m.n_tasks());
+        for i in 0..m.n_tasks() {
+            for j in 0..m.n_tasks() {
+                c[(i, j)] = m.task_correlation(i, j);
             }
-            c
         }
-        match self {
-            FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
-                if f == 0 {
-                    Some(corr(base))
-                } else {
-                    uppers.get(f - 1).map(|l| corr(&l.gp))
-                }
-            }
-            FidelityModelStack::CorrelatedPlain(models) => models.get(f).map(corr),
-            _ => None,
-        }
+        Some(c)
     }
 
     /// Summed hyperparameter-search telemetry over every sub-model fit that
@@ -408,56 +335,147 @@ impl FidelityModelStack {
     /// a stack fitted from a previous one, which runs no search.
     pub fn fit_stats(&self) -> FitStats {
         let mut s = FitStats::default();
-        match self {
-            FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
-                s.absorb(base.fit_stats());
-                for level in uppers {
-                    s.absorb(level.gp.fit_stats());
-                }
+        for level in &self.levels {
+            if let Some(gp) = level.joint() {
+                s.absorb(gp.fit_stats());
             }
-            FidelityModelStack::CorrelatedPlain(models) => {
-                for m in models {
-                    s.absorb(m.fit_stats());
-                }
-            }
-            FidelityModelStack::IndependentLinear(per_obj) => {
-                for m in per_obj {
-                    s.absorb(m.fit_stats());
-                }
-            }
-            FidelityModelStack::IndependentNonlinear(per_obj) => {
-                for m in per_obj {
-                    s.absorb(m.fit_stats());
-                }
+            for gp in level.per_objective() {
+                s.absorb(gp.fit_stats());
             }
         }
         s
     }
 }
 
-/// Posteriors of the correlated non-linear chain for many encoded inputs at
-/// once, one batch per fidelity (lowest first): the base GP's batch, then
-/// each level's unscented propagation of the fidelity below. Shared by
-/// prediction (the whole chain or a prefix of it) and the fit loop, which
-/// predicts through the levels fitted so far while fitting the next and so
-/// cannot hold a complete stack yet.
+/// Rebuilds `previous` on `(xs, ys)` with its hyperparameters when it takes
+/// the kernel's input dimension; otherwise runs the search from `kernel`.
+fn fit_joint(
+    previous: Option<&MultiTaskGp>,
+    kernel: Matern52,
+    xs: &[Vec<f64>],
+    ys: &[Vec<f64>],
+    cfg: &GpConfig,
+) -> Result<MultiTaskGp, GpError> {
+    match previous {
+        Some(m) if m.dim() == kernel.dim() => m.refit(xs, ys),
+        _ => MultiTaskGp::fit(kernel, xs, ys, cfg),
+    }
+}
+
+/// One GP per objective `o`, on the inputs `inputs(o)` and column `o` of the
+/// rows `ys`, each rebuilt from `previous[o]` or searched as in
+/// [`fit_joint`].
+fn fit_each<'a>(
+    previous: &[Gp],
+    kernel: &Matern52,
+    inputs: impl Fn(usize) -> &'a [Vec<f64>],
+    ys: &[Vec<f64>],
+    cfg: &GpConfig,
+) -> Result<Vec<Gp>, GpError> {
+    (0..N_OBJECTIVES)
+        .map(|o| {
+            let column: Vec<f64> = ys.iter().map(|row| row[o]).collect();
+            match previous.get(o) {
+                Some(m) if m.dim() == kernel.dim() => m.refit(inputs(o), &column),
+                _ => Gp::fit(kernel.clone(), inputs(o), &column, cfg),
+            }
+        })
+        .collect()
+}
+
+/// The least-squares scale `ρ = Σ m·y / Σ m²` of each objective's
+/// observations `ys` onto the lower fidelity's posterior means `m` (1 where
+/// the means vanish): the linear backbone of both links.
+fn backbone(lower: &[MultiTaskPrediction], ys: &[Vec<f64>]) -> Vec<f64> {
+    (0..N_OBJECTIVES)
+        .map(|o| {
+            let num: f64 = lower.iter().zip(ys).map(|(p, y)| p.mean[o] * y[o]).sum();
+            let den: f64 = lower.iter().map(|p| p.mean[o] * p.mean[o]).sum();
+            if den > 1e-12 {
+                num / den
+            } else {
+                1.0
+            }
+        })
+        .collect()
+}
+
+/// The residuals `y − ρ·m` a link's GP is trained on, one row per input.
+fn residuals(lower: &[MultiTaskPrediction], ys: &[Vec<f64>], rhos: &[f64]) -> Vec<Vec<f64>> {
+    ys.iter()
+        .zip(lower)
+        .map(|(y, p)| {
+            (0..N_OBJECTIVES)
+                .map(|o| y[o] - rhos[o] * p.mean[o])
+                .collect()
+        })
+        .collect()
+}
+
+/// A non-linear link's input: `x` followed by lower-fidelity values.
+fn augmented(x: &[f64], lower: &[f64]) -> Vec<f64> {
+    let mut a = Vec::with_capacity(x.len() + lower.len());
+    a.extend_from_slice(x);
+    a.extend_from_slice(lower);
+    a
+}
+
+/// One pass up `levels` (lowest first; the first has no link) for many
+/// encoded inputs: each level's posteriors at `xs`, lowest first. A level
+/// without a link predicts its own batch; a linked level propagates the
+/// batch below it. Shared by prediction (the whole chain or a prefix of it)
+/// and the fit loop, which predicts through the levels fitted so far while
+/// fitting the next.
 fn chain_batch(
-    base: &MultiTaskGp,
-    uppers: &[CorrelatedLevel],
+    levels: &[Level],
     xs: &[Vec<f64>],
 ) -> Result<Vec<Vec<MultiTaskPrediction>>, CmmfError> {
-    let mut levels = Vec::with_capacity(uppers.len() + 1);
-    let mut preds = base.predict_batch(xs)?;
-    for level in uppers {
-        let next = propagate_unscented_batch(level, xs, &preds)?;
-        levels.push(std::mem::replace(&mut preds, next));
+    let mut batches: Vec<Vec<MultiTaskPrediction>> = Vec::with_capacity(levels.len());
+    for level in levels {
+        let batch = match (level, batches.last()) {
+            (Level::Own(Objectives::Joint(gp)), _) => gp.predict_batch(xs)?,
+            (Level::Own(Objectives::PerObjective(gps)), _) => xs
+                .iter()
+                .map(|x| diagonal(gps.iter().map(|gp| gp.predict(x))))
+                .collect::<Result<_, _>>()?,
+            (Level::Linear { rhos, residual }, Some(lower)) => {
+                per_objective_link(xs, lower, |o, x, below| {
+                    let d = residual[o].predict(x)?;
+                    Ok(Prediction {
+                        mean: rhos[o] * below.mean + d.mean,
+                        var: rhos[o] * rhos[o] * below.var + d.var,
+                    })
+                })?
+            }
+            (
+                Level::Nonlinear {
+                    rhos,
+                    residual: Objectives::Joint(gp),
+                },
+                Some(lower),
+            ) => propagate_unscented_batch(rhos, gp, xs, lower)?,
+            (
+                Level::Nonlinear {
+                    rhos,
+                    residual: Objectives::PerObjective(gps),
+                },
+                Some(lower),
+            ) => per_objective_link(xs, lower, |o, x, below| {
+                gauss_hermite(rhos[o], &gps[o], x, below)
+            })?,
+            (_, None) => {
+                return Err(CmmfError::Internal {
+                    reason: "a linked fidelity level has no level below it".into(),
+                })
+            }
+        };
+        batches.push(batch);
     }
-    levels.push(preds);
-    Ok(levels)
+    Ok(batches)
 }
 
 /// The error for a [`chain_batch`] pass without levels, which cannot happen:
-/// every pass yields at least the base batch.
+/// every stack has a level per fidelity.
 fn no_chain_level() -> CmmfError {
     CmmfError::Internal {
         reason: "fidelity chain pass returned no level".into(),
@@ -495,12 +513,79 @@ fn diagonal(
     })
 }
 
-/// Pushes a Gaussian belief about the lower fidelity's objectives through one
-/// [`CorrelatedLevel`] with the unscented transform (λ = 1), for many query
-/// points at once: sigma points of each lower posterior are mapped through
-/// `ρ ⊙ v + z([x, v])` and moment-matched. Without this, the chain's
-/// high-fidelity variance collapses and the acquisition stops escalating
-/// fidelities.
+/// A per-objective link applied at every input: `link(o, x, below)` maps
+/// objective `o`'s lower posterior at `x` (its mean, and its variance read
+/// back from the diagonal) to this level's, and the objectives' results form
+/// a diagonal posterior.
+fn per_objective_link(
+    xs: &[Vec<f64>],
+    lower: &[MultiTaskPrediction],
+    link: impl Fn(usize, &[f64], Prediction) -> Result<Prediction, GpError>,
+) -> Result<Vec<MultiTaskPrediction>, GpError> {
+    xs.iter()
+        .zip(lower)
+        .map(|(x, below)| {
+            diagonal((0..N_OBJECTIVES).map(|o| {
+                let below = Prediction {
+                    mean: below.mean[o],
+                    var: below.cov[(o, o)],
+                };
+                link(o, x, below)
+            }))
+        })
+        .collect()
+}
+
+/// 5-node Gauss–Hermite nodes/weights for integrals against a standard normal.
+const GH_NODES: [f64; 5] = [
+    -2.8569700138728056,
+    -1.355_626_179_974_266,
+    0.0,
+    1.355_626_179_974_266,
+    2.8569700138728056,
+];
+const GH_WEIGHTS: [f64; 5] = [
+    0.011257411327720682,
+    0.2220759220056126,
+    0.5333333333333333,
+    0.2220759220056126,
+    0.011257411327720682,
+];
+
+/// Eq. 5's per-objective link at one input: the lower posterior `below` is
+/// integrated out of `ρ·v + z([x, v])` by Gauss–Hermite quadrature; where its
+/// variance is ~0 its mean is plugged in directly.
+fn gauss_hermite(rho: f64, z: &Gp, x: &[f64], below: Prediction) -> Result<Prediction, GpError> {
+    if below.var > 1e-16 {
+        let sd = below.var.sqrt();
+        let mut mean = 0.0;
+        let mut second = 0.0;
+        for (&node, &w) in GH_NODES.iter().zip(&GH_WEIGHTS) {
+            let v = below.mean + sd * node;
+            let q = z.predict(&augmented(x, &[v]))?;
+            let m = rho * v + q.mean;
+            mean += w * m;
+            second += w * (q.var + m * m);
+        }
+        Ok(Prediction {
+            mean,
+            var: (second - mean * mean).max(0.0),
+        })
+    } else {
+        let q = z.predict(&augmented(x, &[below.mean]))?;
+        Ok(Prediction {
+            mean: rho * below.mean + q.mean,
+            var: q.var,
+        })
+    }
+}
+
+/// Pushes a Gaussian belief about the lower fidelity's objectives through
+/// Eq. 5's joint link `ρ ⊙ v + z([x, v])` with the unscented transform
+/// (λ = 1), for many query points at once: sigma points of each lower
+/// posterior are mapped through the link and moment-matched. Without this,
+/// the chain's high-fidelity variance collapses and the acquisition stops
+/// escalating fidelities.
 ///
 /// Every query point's sigma points are stacked into one level-GP query
 /// list, so the expensive triangular solves against the level's `nM × nM`
@@ -510,7 +595,8 @@ fn diagonal(
 /// per-point form, so a point's result does not depend on the batch it
 /// arrives in.
 fn propagate_unscented_batch(
-    level: &CorrelatedLevel,
+    rhos: &[f64],
+    z: &MultiTaskGp,
     xs: &[Vec<f64>],
     lowers: &[MultiTaskPrediction],
 ) -> Result<Vec<MultiTaskPrediction>, CmmfError> {
@@ -539,9 +625,7 @@ fn propagate_unscented_batch(
             }
         }
         for s in &sigma_points {
-            let mut a = x.clone();
-            a.extend(s.iter().copied());
-            aug.push(a);
+            aug.push(augmented(x, s));
         }
         sigma_sets.push(sigma_points);
     }
@@ -550,7 +634,7 @@ fn propagate_unscented_batch(
         mean: Vec<f64>,
         cov: Matrix,
     }
-    let mut qs = level.gp.predict_batch(&aug)?.into_iter();
+    let mut qs = z.predict_batch(&aug)?.into_iter();
 
     let mut out = Vec::with_capacity(lowers.len());
     for (lower, sigma_points) in lowers.iter().zip(&sigma_sets) {
@@ -570,7 +654,7 @@ fn propagate_unscented_batch(
             let q = qs.next().ok_or_else(|| CmmfError::Internal {
                 reason: "level GP returned fewer predictions than sigma points".into(),
             })?;
-            let mean = (0..m).map(|o| level.rhos[o] * s[o] + q.mean[o]).collect();
+            let mean = (0..m).map(|o| rhos[o] * s[o] + q.mean[o]).collect();
             mapped.push(Mapped { mean, cov: q.cov });
         }
 
@@ -782,9 +866,134 @@ mod tests {
     #[test]
     fn out_of_range_fidelity_errors() {
         let data = synthetic();
-        let stack =
-            FidelityModelStack::fit(ModelVariant::paper(), &data, &quick_cfg(), None).unwrap();
-        assert!(stack.predict(7, &[0.5]).is_err());
+        for variant in all_variants() {
+            let stack = FidelityModelStack::fit(variant, &data, &quick_cfg(), None)
+                .unwrap_or_else(|e| panic!("{}: {e}", variant.name()));
+            assert!(
+                stack.predict(N_FIDELITIES, &[0.5]).is_err(),
+                "{}",
+                variant.name()
+            );
+            assert!(
+                stack.predict_batch(7, &[vec![0.5]]).is_err(),
+                "{}",
+                variant.name()
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_fidelity_is_rejected() {
+        for f in 0..N_FIDELITIES {
+            let mut data = synthetic();
+            data.xs[f].clear();
+            data.ys[f].clear();
+            assert!(data.any_empty());
+            for variant in all_variants() {
+                assert!(
+                    FidelityModelStack::fit(variant, &data, &quick_cfg(), None).is_err(),
+                    "{} fitted with fidelity {f} empty",
+                    variant.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gh_weights_sum_to_one() {
+        let s: f64 = GH_WEIGHTS.iter().sum();
+        assert!((s - 1.0).abs() < 1e-12);
+        // Quadrature integrates z^2 to 1 under the standard normal.
+        let m2: f64 = GH_NODES
+            .iter()
+            .zip(&GH_WEIGHTS)
+            .map(|(z, w)| w * z * z)
+            .sum();
+        assert!((m2 - 1.0).abs() < 1e-9);
+    }
+
+    fn grid(n: usize) -> Vec<Vec<f64>> {
+        (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect()
+    }
+
+    /// The objectives' scales in the data of [`scaled_objectives`].
+    const SCALES: [f64; N_OBJECTIVES] = [1.0, -1.0, 0.5];
+
+    /// Three fidelities on `grid(sizes[f])`, where objective `o` at fidelity
+    /// `f` observes `SCALES[o] · signal(f, x)`.
+    fn scaled_objectives(
+        sizes: [usize; N_FIDELITIES],
+        signal: impl Fn(usize, f64) -> f64,
+    ) -> FidelityDataSet {
+        let mut data = FidelityDataSet::default();
+        for (f, &n) in sizes.iter().enumerate() {
+            for x in grid(n) {
+                data.ys[f].push(SCALES.iter().map(|s| s * signal(f, x[0])).collect());
+                data.xs[f].push(x);
+            }
+        }
+        data
+    }
+
+    /// Root-mean-square error of `predict(o, x)` against `SCALES[o] ·
+    /// truth(x)` over 41 points and every objective.
+    fn rmse(predict: impl Fn(usize, &[f64]) -> f64, truth: impl Fn(f64) -> f64) -> f64 {
+        let test = grid(41);
+        let mut se = 0.0;
+        for x in &test {
+            for (o, s) in SCALES.iter().enumerate() {
+                let d = predict(o, x) - s * truth(x[0]);
+                se += d * d;
+            }
+        }
+        (se / (test.len() * N_OBJECTIVES) as f64).sqrt()
+    }
+
+    #[test]
+    fn linear_chain_exploits_linear_relation() {
+        // Forrester's function at the top fidelity; the fidelities below are
+        // linear transforms of it plus a linear drift in x. FPL18's chain
+        // must predict the top fidelity better than one GP per objective
+        // fitted on the 5 top-fidelity points alone.
+        let forrester = |x: f64| (6.0 * x - 2.0).powi(2) * (12.0 * x - 4.0).sin();
+        let data = scaled_objectives([15, 9, 5], |f, x| match f {
+            0 => 0.5 * forrester(x) + 10.0 * (x - 0.5) - 5.0,
+            1 => 0.75 * forrester(x) + 5.0 * (x - 0.5) - 2.5,
+            _ => forrester(x),
+        });
+        let cfg = GpConfig::default();
+        let stack = FidelityModelStack::fit(ModelVariant::fpl18(), &data, &cfg, None).unwrap();
+        let single: Vec<Gp> = (0..N_OBJECTIVES)
+            .map(|o| {
+                let ys: Vec<f64> = data.ys[2].iter().map(|row| row[o]).collect();
+                Gp::fit(Matern52::ard(1), &data.xs[2], &ys, &cfg).unwrap()
+            })
+            .collect();
+        let chain_err = rmse(|o, x| stack.predict(2, x).unwrap().mean[o], forrester);
+        let single_err = rmse(|o, x| single[o].predict(x).unwrap().mean, forrester);
+        assert!(
+            chain_err < single_err,
+            "multi-fidelity {chain_err} !< single {single_err}"
+        );
+    }
+
+    #[test]
+    fn nonlinear_chain_beats_linear_on_nonlinear_relation() {
+        // The top fidelity is the square of the signal below it, which the
+        // AR(1) link cannot capture with a constant rho.
+        let lo = |x: f64| (8.0 * std::f64::consts::PI * x).sin();
+        let hi = |x: f64| lo(x) * lo(x);
+        let data = scaled_objectives([40, 24, 12], |f, x| if f < 2 { lo(x) } else { hi(x) });
+        let cfg = GpConfig::default();
+        let fit = |variant| FidelityModelStack::fit(variant, &data, &cfg, None).unwrap();
+        let nonlinear = fit(ModelVariant {
+            correlated_objectives: false,
+            nonlinear_fidelity: true,
+        });
+        let linear = fit(ModelVariant::fpl18());
+        let nl_err = rmse(|o, x| nonlinear.predict(2, x).unwrap().mean[o], hi);
+        let lin_err = rmse(|o, x| linear.predict(2, x).unwrap().mean[o], hi);
+        assert!(nl_err < lin_err, "nonlinear {nl_err} !< linear {lin_err}");
     }
 
     #[test]

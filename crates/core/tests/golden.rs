@@ -1,7 +1,9 @@
 //! Cross-commit golden pin: digests of the `RunResult` of one small campaign
 //! each of the paper's method (at zero and one slot, which are the same
-//! schedule), the FPL18 baseline, a synchronous batch of three, and two
-//! slots in flight.
+//! schedule), the FPL18 baseline, the two ablation variants (correlated
+//! objectives without cross-fidelity transfer, and independent objectives
+//! with the non-linear chain), a synchronous batch of three, and two slots
+//! in flight.
 //!
 //! Every other bit-identity contract in the workspace compares two paths of
 //! the *same* build (serial vs. parallel, searched fit vs. refit, resumed vs.
@@ -133,6 +135,54 @@ fn fpl18_campaign_matches_the_recorded_digest() {
             measured_pareto: 13_461_442_890_603_049_723,
             sim_seconds_bits: 4_668_676_578_076_774_348,
             hv_history: 9_716_376_439_266_149_859,
+        }
+    );
+}
+
+#[test]
+fn corr_no_transfer_campaign_matches_the_recorded_digest() {
+    let (space, sim) = problem();
+    let variant = ModelVariant {
+        correlated_objectives: true,
+        nonlinear_fidelity: false,
+    };
+    // Seed 47's campaign runs one pick at the synthesis fidelity, so the
+    // digest depends on the upper levels, not only on the base model.
+    let r = Optimizer::new(small_cfg(variant, 47, 0))
+        .run(&space, &sim)
+        .expect("campaign runs");
+    assert_eq!(
+        digest(&r),
+        Digest {
+            candidate_set: 5_910_875_184_374_455_369,
+            evaluated_configs: 13_207_690_277_897_790_529,
+            measured_pareto: 6_499_195_537_007_215_573,
+            sim_seconds_bits: 4_667_148_156_967_113_969,
+            hv_history: 3_480_243_847_525_417_294,
+        }
+    );
+}
+
+#[test]
+fn indep_nonlinear_campaign_matches_the_recorded_digest() {
+    let (space, sim) = problem();
+    let variant = ModelVariant {
+        correlated_objectives: false,
+        nonlinear_fidelity: true,
+    };
+    // Seed 50's campaign runs picks at both upper fidelities, so the digest
+    // depends on both Gauss–Hermite links.
+    let r = Optimizer::new(small_cfg(variant, 50, 0))
+        .run(&space, &sim)
+        .expect("campaign runs");
+    assert_eq!(
+        digest(&r),
+        Digest {
+            candidate_set: 3_322_273_559_074_960_888,
+            evaluated_configs: 2_770_791_344_569_206_006,
+            measured_pareto: 3_732_503_657_595_506_520,
+            sim_seconds_bits: 4_670_493_887_430_456_093,
+            hv_history: 3_149_101_484_171_765_914,
         }
     );
 }

@@ -2,7 +2,7 @@
 #![warn(missing_docs)]
 //! Gaussian-process regression substrate for the `cmmf-hls` workspace.
 //!
-//! The paper's method needs four modelling ingredients, all provided here from
+//! The paper's method needs three modelling ingredients, all provided here from
 //! scratch (no GP/BO crates exist in the offline registry):
 //!
 //! * one Matérn-5/2 kernel ([`kernel::Matern52`]) with one lengthscale per
@@ -17,11 +17,11 @@
 //!   start owns, and factor it there; each search's effort is recorded in
 //!   a [`FitStats`],
 //! * the correlated multi-objective (multi-task / intrinsic-coregionalization)
-//!   GP of Eq. 9 ([`MultiTaskGp`]), with covariance `Σ_{ij} = K_{ij} · k_C(x,x')`,
-//! * multi-fidelity composition: the paper's non-linear model of Eq. 5
-//!   ([`multifidelity::NonLinearMultiFidelityGp`]) and the linear AR(1)
-//!   Kennedy–O'Hagan model used by the FPL18 baseline
-//!   ([`multifidelity::LinearMultiFidelityGp`]).
+//!   GP of Eq. 9 ([`MultiTaskGp`]), with covariance `Σ_{ij} = K_{ij} · k_C(x,x')`.
+//!
+//! The multi-fidelity chain of Eq. 5 that composes these models across
+//! fidelities (and its linear AR(1) form for the FPL18 baseline) lives with
+//! the optimizer, in `cmmf::FidelityModelStack`.
 //!
 //! Every model is either fitted with a hyperparameter search (`fit`) or
 //! rebuilt on new data from an earlier model's hyperparameters (`refit`),
@@ -46,7 +46,6 @@
 mod error;
 mod gp;
 pub mod kernel;
-pub mod multifidelity;
 mod multitask;
 pub mod optimize;
 #[cfg(test)]

@@ -181,7 +181,7 @@ fn run(args: &Args) -> Result<(), String> {
         "evaluated {} configurations in {:.1} simulated {}tool-hours",
         result.evaluated_configs.len(),
         result.sim_seconds / 3600.0,
-        if args.job.async_slots > 1 {
+        if reports_makespan(&args.job) {
             "(makespan) "
         } else {
             ""
@@ -217,6 +217,13 @@ fn run(args: &Args) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Whether the run's simulated time is a schedule's makespan rather than a
+/// sum of tool runs: a batch counts each group as its slowest member, and
+/// slots in flight overlap groups.
+fn reports_makespan(job: &JobFlags) -> bool {
+    job.batch > 1 || job.async_slots > 1
 }
 
 #[cfg(test)]
@@ -283,6 +290,22 @@ mod tests {
             args.journal.as_deref(),
             Some(std::path::Path::new("j.jsonl"))
         );
+    }
+
+    #[test]
+    fn a_batched_or_overlapped_run_reports_a_makespan() {
+        for (line, makespan) in [
+            (&["spec.k"][..], false),
+            (&["spec.k", "--batch", "1", "--async-slots", "1"], false),
+            (&["spec.k", "--batch", "3"], true),
+            (&["spec.k", "--async-slots", "2"], true),
+            (&["spec.k", "--batch", "2", "--async-slots", "4"], true),
+        ] {
+            let Ok(Parsed::Run(args)) = parse(line) else {
+                panic!("{line:?} should parse");
+            };
+            assert_eq!(reports_makespan(&args.job), makespan, "{line:?}");
+        }
     }
 
     #[test]

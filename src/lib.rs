@@ -8,16 +8,16 @@
 //! users can depend on a single package:
 //!
 //! * [`linalg`] — dense matrices, Cholesky, normal-distribution utilities,
-//! * [`gp`] — Gaussian-process regression, multi-task (correlated) GPs, and
-//!   multi-fidelity GP compositions,
+//! * [`gp`] — Gaussian-process regression and multi-task (correlated) GPs,
 //! * [`pareto`] — dominance, hypervolume, cell decomposition, ADRS,
 //! * [`hls_model`] — HLS directives, kernel IR, feature encoding, and the
 //!   tree-based design-space pruner,
 //! * [`fidelity_sim`] — the three-stage FPGA design-flow simulator standing in
 //!   for Vivado HLS + a VC707 board,
 //! * [`baselines`] — ANN, gradient-boosting, FPL18, and DAC19 baselines,
-//! * [`cmmf`] — the paper's optimizer: correlated multi-objective models per
-//!   fidelity, EIPV/PEIPV acquisition, and the Algorithm-2 BO loop,
+//! * [`cmmf`] — the paper's optimizer: the multi-fidelity chain of correlated
+//!   multi-objective models, EIPV/PEIPV acquisition, and the Algorithm-2 BO
+//!   loop,
 //! * [`serve`] — the multi-tenant DSE session daemon (worker pool,
 //!   admission control, checkpoint/resume persistence, event streaming),
 //! * [`cli`] — shared validating argument parsing for the `cmmf-dse` and
