@@ -14,13 +14,14 @@
 //! Usage: `cargo run --release -p cmmf-bench --bin ablation [--quick | --repeats N]`
 
 use cmmf::{CmmfConfig, ModelVariant, Optimizer};
-use cmmf_bench::{install_threads_from_args, repeats_from_args, BenchmarkSetup};
+use cmmf_bench::{harness_args, BenchmarkSetup};
 use fidelity_sim::Stage;
 use hls_model::benchmarks::Benchmark;
 
 fn main() {
-    install_threads_from_args();
-    let repeats = repeats_from_args().min(6);
+    let repeats = harness_args(&["--threads", "--quick", "--repeats"])
+        .repeats
+        .min(6);
     let setups = [Benchmark::Gemm, Benchmark::SpmvEllpack].map(BenchmarkSetup::new);
     // The shipped configuration is section A's `Ours`, B's `calibrated 0.3`
     // and C's `threshold 0.05`: its campaigns run once per benchmark and

@@ -141,8 +141,9 @@ fn write_report(rows: &[Row]) {
 }
 
 fn main() {
+    let smoke = cmmf_bench::harness_args(&["--smoke"]).smoke;
     assert_makespan_contract();
-    if std::env::args().any(|a| a == "--smoke") {
+    if smoke {
         println!("smoke ok");
         return;
     }

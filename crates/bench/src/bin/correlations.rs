@@ -8,11 +8,11 @@
 //! Usage: `cargo run --release -p cmmf-bench --bin correlations`
 
 use cmmf::{CmmfConfig, Optimizer};
-use cmmf_bench::{install_threads_from_args, BenchmarkSetup};
+use cmmf_bench::{harness_args, BenchmarkSetup};
 use hls_model::benchmarks::Benchmark;
 
 fn main() {
-    install_threads_from_args();
+    harness_args(&["--threads"]);
     println!(
         "{:<14} {:>18} {:>18} {:>18}",
         "benchmark", "corr(P,D)", "corr(P,LUT)", "corr(D,LUT)"

@@ -10,6 +10,7 @@ use hls_model::tree::merged_trees;
 use hls_model::{DesignSpaceBuilder, PartitionKind};
 
 fn main() {
+    cmmf_bench::harness_args(&[]);
     // --- The paper's Fig. 3 toy: 3 loops, arrays A and B -------------------
     println!("# Fig. 3 — tree-based pruning example");
     let mut k = KernelIr::new("fig3");

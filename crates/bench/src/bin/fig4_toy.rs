@@ -25,10 +25,10 @@ fn truth(x: f64, fid: usize) -> f64 {
     }
 }
 
-use cmmf_bench::install_threads_from_args;
+use cmmf_bench::harness_args;
 
 fn main() {
-    install_threads_from_args();
+    harness_args(&["--threads"]);
     // Nested observation sets: 9 hls, 5 syn, 3 impl.
     let counts = [9usize, 5, 3];
     let times = [30.0, 300.0, 1500.0];

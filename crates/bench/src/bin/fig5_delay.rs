@@ -13,6 +13,7 @@ use fidelity_sim::{FlowSimulator, RunOutcome, SimParams, Stage};
 use hls_model::benchmarks::{self, Benchmark};
 
 fn main() {
+    cmmf_bench::harness_args(&[]);
     println!("benchmark,config,delay_hls,delay_syn,delay_impl");
     for b in [Benchmark::Gemm, Benchmark::SpmvEllpack] {
         let space = benchmarks::build(b)

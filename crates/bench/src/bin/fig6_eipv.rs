@@ -16,10 +16,10 @@ use pareto::pareto_front;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use cmmf_bench::install_threads_from_args;
+use cmmf_bench::harness_args;
 
 fn main() {
-    install_threads_from_args();
+    harness_args(&["--threads"]);
     let b = Benchmark::Gemm;
     let space = benchmarks::build(b)
         .unwrap()

@@ -8,11 +8,11 @@
 //!
 //! Usage: `cargo run --release -p cmmf-bench --bin fig8_pareto`
 
-use cmmf_bench::{install_threads_from_args, run_method, BenchmarkSetup, Method};
+use cmmf_bench::{harness_args, run_method, BenchmarkSetup, Method};
 use hls_model::benchmarks::Benchmark;
 
 fn main() {
-    install_threads_from_args();
+    harness_args(&["--threads"]);
     println!("benchmark,series,power,delay,lut");
     for b in [Benchmark::Gemm, Benchmark::SpmvEllpack] {
         let setup = BenchmarkSetup::new(b);

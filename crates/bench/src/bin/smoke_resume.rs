@@ -19,7 +19,6 @@
 use cmmf::{CmmfConfig, JsonlTracer, Optimizer, RunResult, TracerHandle};
 use fidelity_sim::{FlowSimulator, SimParams};
 use hls_model::benchmarks::{self, Benchmark};
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use trace::json;
@@ -165,15 +164,8 @@ fn run(dir: &std::path::Path) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let (dir, keep) = match args.iter().position(|a| a == "--keep") {
-        Some(pos) => match args.get(pos + 1) {
-            Some(d) => (PathBuf::from(d), true),
-            None => {
-                eprintln!("error: --keep requires a directory");
-                return ExitCode::from(2);
-            }
-        },
+    let (dir, keep) = match cmmf_bench::harness_args(&["--keep"]).keep {
+        Some(dir) => (dir, true),
         None => (
             std::env::temp_dir().join(format!("cmmf-smoke-resume-{}", std::process::id())),
             false,

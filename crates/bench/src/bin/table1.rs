@@ -14,39 +14,21 @@
 //! baselines are driven by their hyperparameter sweeps. We repeat every method
 //! `repeats` times with distinct seeds.
 
-use cmmf_bench::{
-    install_threads_from_args, repeat_method_checkpointed, repeats_from_args, BenchmarkSetup,
-    Method, MethodCell,
-};
+use cmmf_bench::{harness_args, repeat_method_checkpointed, BenchmarkSetup, Method, MethodCell};
 use hls_model::benchmarks::Benchmark;
-use std::path::PathBuf;
 
-fn checkpoint_dir_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let pos = args.iter().position(|a| a == "--checkpoint-dir")?;
-    match args.get(pos + 1) {
-        Some(dir) => {
-            let dir = PathBuf::from(dir);
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                eprintln!(
-                    "error: cannot create --checkpoint-dir {}: {e}",
-                    dir.display()
-                );
-                std::process::exit(2);
-            }
-            Some(dir)
-        }
-        None => {
-            eprintln!("error: --checkpoint-dir requires a directory path");
+fn main() {
+    let args = harness_args(&["--threads", "--quick", "--repeats", "--checkpoint-dir"]);
+    let (repeats, ckpt_dir) = (args.repeats, args.checkpoint_dir);
+    if let Some(dir) = &ckpt_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!(
+                "error: cannot create --checkpoint-dir {}: {e}",
+                dir.display()
+            );
             std::process::exit(2);
         }
     }
-}
-
-fn main() {
-    install_threads_from_args();
-    let repeats = repeats_from_args();
-    let ckpt_dir = checkpoint_dir_from_args();
     println!("# Table I — Normalized Experimental Results ({repeats} repeats/method)");
     println!("# All values are ratios to the ANN column of the same benchmark.");
     println!();

@@ -28,7 +28,7 @@ use fidelity_sim::{FlowSimulator, SimParams, N_OBJECTIVES};
 use hls_model::benchmarks::{self, Benchmark};
 use hls_model::DesignSpace;
 use rand::derive_stream_seed;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Everything needed to run one benchmark's experiments.
 #[derive(Debug)]
@@ -244,71 +244,96 @@ pub fn repeat_method_checkpointed(
     }
 }
 
-/// The repeat count `table1` and `ablation` run (see [`repeats_in`]);
-/// exits with status 2 on a usage error.
-pub fn repeats_from_args() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    repeats_in(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
+/// A harness binary's command line. Every field has its default unless the
+/// binary accepts the flag that sets it (see [`parse_args`]).
+#[derive(Debug)]
+pub struct HarnessArgs {
+    /// `--threads N`: the process-wide parallelism default (0 = all hardware
+    /// threads).
+    pub threads: usize,
+    /// `--repeats N` (10 by default); `--quick` sets 3 and wins.
+    pub repeats: usize,
+    /// `--checkpoint-dir DIR`: where GP-method runs checkpoint and resume.
+    pub checkpoint_dir: Option<PathBuf>,
+    /// `--smoke`: run the quick check only.
+    pub smoke: bool,
+    /// `--keep DIR`: work in `DIR` and leave it behind.
+    pub keep: Option<PathBuf>,
 }
 
-/// The repeat count a harness's arguments ask for (program name excluded):
-/// 10 by default, `N` with `--repeats N`, 3 with `--quick`, which wins.
-/// `--threads N` and `--checkpoint-dir DIR` are skipped with their values.
+/// Parses a harness's arguments (program name excluded) against the flags
+/// the binary `accepts`.
 ///
 /// # Errors
 ///
-/// A message for a `--repeats` value that is missing or not a positive
-/// integer, and for any other argument: an ignored typo such as `--repeat 2`
-/// would start the default sweep.
-pub fn repeats_in(args: &[String]) -> Result<usize, String> {
-    let (mut repeats, mut quick) = (10, false);
+/// A message for an argument the binary does not accept, a flag given twice,
+/// or a missing or malformed value: an ignored typo such as `--thread 1` or
+/// `--repeat 2` would run with the defaults without any sign of it.
+pub fn parse_args(args: &[String], accepts: &[&str]) -> Result<HarnessArgs, String> {
+    let mut parsed = HarnessArgs {
+        threads: 0,
+        repeats: 10,
+        checkpoint_dir: None,
+        smoke: false,
+        keep: None,
+    };
+    let mut quick = false;
+    let mut seen: Vec<&str> = Vec::new();
     let mut tokens = args.iter();
     while let Some(arg) = tokens.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--repeats" => match tokens.next().map(|v| v.parse()) {
-                Some(Ok(n)) if n > 0 => repeats = n,
+        let flag = arg.as_str();
+        if !accepts.contains(&flag) {
+            return Err(format!("unknown argument `{flag}`"));
+        }
+        if seen.contains(&flag) {
+            return Err(format!("`{flag}` is given more than once"));
+        }
+        seen.push(flag);
+        let mut value = || {
+            tokens
+                .next()
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        match flag {
+            "--threads" => {
+                parsed.threads = value()?.parse().map_err(|_| {
+                    "--threads requires a non-negative integer (0 = all cores)".to_string()
+                })?;
+            }
+            "--repeats" => match value()?.parse() {
+                Ok(n) if n > 0 => parsed.repeats = n,
                 _ => return Err("--repeats requires a positive integer".into()),
             },
-            "--threads" | "--checkpoint-dir" => _ = tokens.next(),
+            "--quick" => quick = true,
+            "--checkpoint-dir" => parsed.checkpoint_dir = Some(PathBuf::from(value()?)),
+            "--smoke" => parsed.smoke = true,
+            "--keep" => parsed.keep = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(if quick { 3 } else { repeats })
+    if quick {
+        parsed.repeats = 3;
+    }
+    Ok(parsed)
 }
 
-/// Parses `--threads N` and installs it as the process-wide parallelism
-/// default (0 or absent = all hardware threads). Harness binaries call this
-/// once at startup; `CmmfConfig::threads = 0` then inherits the value.
-/// Returns the effective thread count.
-///
-/// Exits with status 2 on a malformed value: results are thread-count
-/// independent, but a silently ignored `--threads` would break wall-clock
-/// expectations without any sign of it.
-pub fn install_threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let n = match args.iter().position(|a| a == "--threads") {
-        Some(pos) => match args.get(pos + 1).map(|s| s.parse::<usize>()) {
-            Some(Ok(v)) => v,
-            _ => {
-                eprintln!("error: --threads requires a non-negative integer (0 = all cores)");
-                std::process::exit(2);
-            }
-        },
-        None => 0,
-    };
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("global thread pool");
-    if n == 0 {
-        rayon::hardware_threads()
-    } else {
-        n
+/// This process's arguments parsed by [`parse_args`]; exits with status 2
+/// on a usage error. When the binary accepts `--threads`, its value is
+/// installed as the process-wide parallelism default, which
+/// `CmmfConfig::threads = 0` inherits.
+pub fn harness_args(accepts: &[&str]) -> HarnessArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = parse_args(&args, accepts).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    if accepts.contains(&"--threads") {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(parsed.threads)
+            .build_global()
+            .expect("global thread pool");
     }
+    parsed
 }
 
 #[cfg(test)]
@@ -326,24 +351,52 @@ mod tests {
     }
 
     #[test]
-    fn repeats_parse_or_are_usage_errors() {
-        let parse = |line: &str| {
+    fn arguments_parse_or_are_usage_errors() {
+        const TABLE1: &[&str] = &["--threads", "--quick", "--repeats", "--checkpoint-dir"];
+        let parse = |line: &str, accepts: &[&str]| {
             let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-            repeats_in(&args)
+            parse_args(&args, accepts)
         };
-        assert_eq!(parse(""), Ok(10));
-        assert_eq!(parse("--quick"), Ok(3));
-        assert_eq!(parse("--repeats 4 --quick"), Ok(3));
-        assert_eq!(parse("--threads 2 --repeats 4"), Ok(4));
-        assert_eq!(parse("--checkpoint-dir ckpt --repeats 1"), Ok(1));
-        for bad in [
-            "--repeats abc",
-            "--repeats",
-            "--repeat 2",
-            "--repeats 0",
-            "--repeats -1",
+        let repeats = |line: &str| parse(line, TABLE1).map(|a| a.repeats);
+        assert_eq!(repeats(""), Ok(10));
+        assert_eq!(repeats("--quick"), Ok(3));
+        assert_eq!(repeats("--repeats 4 --quick"), Ok(3));
+        assert_eq!(repeats("--threads 2 --repeats 4"), Ok(4));
+        let table1 = parse("--checkpoint-dir ckpt --repeats 1 --threads 2", TABLE1).unwrap();
+        assert_eq!(table1.checkpoint_dir, Some(PathBuf::from("ckpt")));
+        assert_eq!((table1.threads, table1.repeats), (2, 1));
+        assert_eq!(
+            parse("--threads 0", &["--threads"]).map(|a| a.threads),
+            Ok(0)
+        );
+        assert_eq!(parse("--smoke", &["--smoke"]).map(|a| a.smoke), Ok(true));
+        assert_eq!(
+            parse("--keep out", &["--keep"]).map(|a| a.keep),
+            Ok(Some(PathBuf::from("out")))
+        );
+        for (bad, accepts) in [
+            ("--repeats abc", TABLE1),
+            ("--repeats", TABLE1),
+            ("--repeat 2", TABLE1),
+            ("--repeats 0", TABLE1),
+            ("--repeats -1", TABLE1),
+            ("--quick --quick", TABLE1),
+            ("--repeats 2 --repeats 3", TABLE1),
+            ("--threads 1 --threads 2", &["--threads"]),
+            ("--thread 1", &["--threads"]),
+            ("--threads -1", &["--threads"]),
+            ("--threads", &["--threads"]),
+            ("--checkpoint-dir", TABLE1),
+            (
+                "--checkpoint-dir ckpt",
+                &["--threads", "--quick", "--repeats"],
+            ),
+            ("--full", &["--smoke"]),
+            ("--smoke extra", &["--smoke"]),
+            ("--keep", &["--keep"]),
+            ("--threads 1", &[]),
         ] {
-            assert!(parse(bad).is_err(), "{bad:?} was accepted");
+            assert!(parse(bad, accepts).is_err(), "{bad:?} was accepted");
         }
     }
 

@@ -1,19 +1,21 @@
 //! Versioned JSON checkpoints for the Algorithm-2 loop.
 //!
 //! A checkpoint records the *decisions* of a run — every dispatch
-//! decision's picks and the interleaved dispatch/completion event log — plus
-//! the values a replay is verified against (the runs in flight, the virtual
-//! clock, the completed steps). Nothing the seed and the decisions determine
-//! is stored: the initialization draw, the candidate order and the master
-//! RNG's position are shuffles of one seeded RNG, and the hypervolume history
-//! is a function of the observations. Because the flow simulator and the GP
-//! fits are deterministic, [`Optimizer::resume`] redoes those shuffles and
-//! replays the decisions to reconstruct the observation sets, the surrogate
-//! stack, the virtual clock and the runs in flight bit-for-bit, then
-//! continues the loop as if it had never stopped; the resumed [`RunResult`]
-//! is bit-identical to an uninterrupted run (pinned by
-//! `resume_is_bit_identical`). A recorded pick that is not a fresh candidate
-//! of its decision's pool is a [`CmmfError::Checkpoint`].
+//! decision's picks — plus the completed steps and the values a replay is
+//! verified against (the runs in flight, the virtual clock). Nothing the seed
+//! and the decisions determine is stored: the initialization draw, the
+//! candidate order and the master RNG's position are shuffles of one seeded
+//! RNG, the interleaving of dispatches and completions follows from the
+//! picks and the simulator's cost model, and the hypervolume history is a
+//! function of the observations. Because the flow simulator and the GP fits
+//! are deterministic, [`Optimizer::resume`] runs the event loop again up to
+//! the completed steps with the recorded picks in place of the acquisition,
+//! reconstructing the observation sets, the surrogate stack, the virtual
+//! clock and the runs in flight bit-for-bit, then continues the loop as if it
+//! had never stopped; the resumed [`RunResult`] is bit-identical to an
+//! uninterrupted run (pinned by `resume_is_bit_identical`). A recorded pick
+//! that is not a fresh candidate of its decision's pool, or decisions that do
+//! not match the steps the replay completes, are a [`CmmfError::Checkpoint`].
 //!
 //! Floating-point state is stored as `u64` bit patterns (`_bits` fields), so
 //! the round-trip is exact; the JSON layer keeps raw number tokens precisely
@@ -33,13 +35,14 @@ use trace::json::{self, JsonValue, JsonWriter};
 
 /// Current checkpoint schema version. Bumped on any incompatible change;
 /// loading a different version is a [`CmmfError::Checkpoint`] naming both.
-/// Version 3 has one layout for every run: per-decision `picks`, the
-/// `schedule` log and the `in_flight` set. Earlier version-3 writers also
-/// stored `init`, `unsampled`, `rng_state` and `hv_history_bits`, which a
-/// replay re-derives; the reader ignores those keys like any unknown key, so
-/// those files still resume. Version 2 kept a sequential and an asynchronous
-/// layout apart (`is_async`, `dispatches`) and fingerprinted the
-/// since-removed `batch_parallel_tools`, so it has no upgrade path.
+/// Version 3 has one layout for every run: per-decision `picks` and the
+/// `in_flight` set. Earlier version-3 writers also stored `init`,
+/// `unsampled`, `rng_state`, `hv_history_bits` and the dispatch/completion
+/// event log `schedule`, which a replay re-derives; the reader ignores those
+/// keys like any unknown key, so those files still resume. Version 2 kept a
+/// sequential and an asynchronous layout apart (`is_async`, `dispatches`) and
+/// fingerprinted the since-removed `batch_parallel_tools`, so it has no
+/// upgrade path.
 pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// One recorded pick of a dispatch decision.
@@ -64,45 +67,6 @@ impl PickRecord {
     }
 }
 
-/// One event of a run's BO phase, in virtual-clock order. The event log is
-/// what makes a mid-overlap kill resumable: replaying it interleaves the
-/// recorded dispatch decisions and completions exactly as the interrupted
-/// run did, reconstructing the surrogate-fit chain and the virtual clock
-/// bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleEvent {
-    /// The `i`-th entry of `picks` (one decision's group) was dispatched.
-    Dispatch(usize),
-    /// The `i`-th group finished its simulated flows and was observed.
-    Complete(usize),
-    /// The candidate pool was found empty at a dispatch attempt (the loop
-    /// stops dispatching but keeps draining in-flight runs). Records the
-    /// surrogate fit the attempt performed.
-    Exhausted,
-}
-
-impl ScheduleEvent {
-    /// The `[kind, index]` encoding used by the JSON schema.
-    fn encode(self) -> [u64; 2] {
-        match self {
-            ScheduleEvent::Dispatch(i) => [0, i as u64],
-            ScheduleEvent::Complete(i) => [1, i as u64],
-            ScheduleEvent::Exhausted => [2, 0],
-        }
-    }
-
-    fn decode(kind: u64, index: u64) -> Option<Self> {
-        // `index` comes from untrusted on-disk JSON: a value past the
-        // platform's usize range is corruption, not a valid event.
-        match kind {
-            0 => Some(ScheduleEvent::Dispatch(usize::try_from(index).ok()?)),
-            1 => Some(ScheduleEvent::Complete(usize::try_from(index).ok()?)),
-            2 => Some(ScheduleEvent::Exhausted),
-            _ => None,
-        }
-    }
-}
-
 /// A serializable snapshot of the loop after `completed_steps` steps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunCheckpoint {
@@ -115,14 +79,11 @@ pub struct RunCheckpoint {
     /// Per dispatch decision, its picks in pick order — completed groups and
     /// groups still in flight alike.
     pub picks: Vec<Vec<PickRecord>>,
-    /// The interleaved dispatch/completion event log of the BO phase
-    /// (initialization runs replay implicitly from the seed).
-    pub schedule: Vec<ScheduleEvent>,
     /// The in-flight set — groups dispatched but not complete at the
     /// snapshot, as `[decision index, finish-time f64 bits]` in dispatch
-    /// order. Redundant with a `schedule` replay; stored so resume can verify
-    /// the replayed schedule against the recorded one (a mismatched simulator
-    /// or space fails loudly instead of diverging).
+    /// order. Redundant with the replay of the picks; stored so resume can
+    /// verify the replayed schedule against the recorded one (a mismatched
+    /// simulator or space fails loudly instead of diverging).
     pub in_flight: Vec<[u64; 2]>,
     /// The virtual-clock reading (simulated tool seconds) as `f64` bits,
     /// verified against the replayed clock.
@@ -176,9 +137,7 @@ impl RunCheckpoint {
         // allocated once.
         let picks: usize = self.picks.iter().map(Vec::len).sum();
         let mut w = JsonWriter::with_capacity(
-            256 + self.fingerprint.len()
-                + 8 * self.schedule.len()
-                + 32 * (picks + self.in_flight.len()),
+            256 + self.fingerprint.len() + 32 * (picks + self.in_flight.len()),
         );
         w.begin_object();
         w.key("version").u64(self.version);
@@ -197,11 +156,6 @@ impl RunCheckpoint {
             w.end_array();
         }
         w.end_array();
-        w.key("schedule").begin_array();
-        for event in &self.schedule {
-            w.u64s(&event.encode());
-        }
-        w.end_array();
         w.key("in_flight").begin_array();
         for run in &self.in_flight {
             w.u64s(run);
@@ -213,14 +167,16 @@ impl RunCheckpoint {
     }
 
     /// Parses a checkpoint from its JSON document. Keys it does not read are
-    /// ignored, among them the four derived fields earlier version-3 writers
-    /// stored (see [`CHECKPOINT_VERSION`]).
+    /// ignored, among them the five derived fields earlier version-3 writers
+    /// stored (see [`CHECKPOINT_VERSION`]). Whether the picks agree with the
+    /// completed steps is checked by the replay ([`Optimizer::resume`]).
     ///
     /// # Errors
     ///
-    /// [`CmmfError::Checkpoint`] on malformed JSON, missing fields, an
-    /// inconsistent event log, or a version other than
-    /// [`CHECKPOINT_VERSION`].
+    /// [`CmmfError::Checkpoint`] on malformed JSON, missing fields, or a
+    /// version other than [`CHECKPOINT_VERSION`].
+    ///
+    /// [`Optimizer::resume`]: crate::Optimizer::resume
     pub fn from_json(text: &str) -> Result<Self, CmmfError> {
         let doc = json::parse(text).map_err(|e| CmmfError::Checkpoint {
             reason: format!("malformed checkpoint: {e}"),
@@ -253,76 +209,16 @@ impl RunCheckpoint {
             }
             picks.push(recs);
         }
-        let schedule: Vec<ScheduleEvent> = pairs(&doc, "schedule")?
-            .into_iter()
-            .map(|[kind, index]| {
-                ScheduleEvent::decode(kind, index).ok_or_else(|| malformed("schedule"))
-            })
-            .collect::<Result<_, _>>()?;
         let in_flight = pairs(&doc, "in_flight")?;
         let sim_seconds_bits = req_u64(&doc, "sim_seconds_bits")?;
-        let ckpt = RunCheckpoint {
+        Ok(RunCheckpoint {
             version,
             fingerprint,
             completed_steps,
             picks,
-            schedule,
             in_flight,
             sim_seconds_bits,
-        };
-        ckpt.check_schedule()?;
-        Ok(ckpt)
-    }
-
-    /// Structural validation of the event log against `picks` and
-    /// `completed_steps`: decisions are dispatched once each, in order;
-    /// completions follow their dispatches and number `completed_steps`;
-    /// nothing is dispatched after pool exhaustion.
-    ///
-    /// # Errors
-    ///
-    /// [`CmmfError::Checkpoint`] naming the first violation.
-    pub(crate) fn check_schedule(&self) -> Result<(), CmmfError> {
-        let nd = self.picks.len();
-        let mut next_dispatch = 0usize;
-        let mut done = vec![false; nd];
-        let mut n_complete = 0usize;
-        let mut exhausted = false;
-        let malformed = |reason: &str| CmmfError::Checkpoint {
-            reason: format!("malformed schedule: {reason}"),
-        };
-        for event in &self.schedule {
-            match *event {
-                ScheduleEvent::Dispatch(i) => {
-                    if exhausted {
-                        return Err(malformed("dispatch after pool exhaustion"));
-                    }
-                    if i != next_dispatch || i >= nd {
-                        return Err(malformed("dispatch indices out of order"));
-                    }
-                    next_dispatch += 1;
-                }
-                ScheduleEvent::Complete(i) => {
-                    if i >= next_dispatch || done[i] {
-                        return Err(malformed("completion without a matching dispatch"));
-                    }
-                    done[i] = true;
-                    n_complete += 1;
-                }
-                ScheduleEvent::Exhausted => {
-                    if exhausted {
-                        return Err(malformed("repeated pool exhaustion"));
-                    }
-                    exhausted = true;
-                }
-            }
-        }
-        if next_dispatch != nd || n_complete != self.completed_steps {
-            return Err(malformed(
-                "event counts disagree with the picks and completed_steps",
-            ));
-        }
-        Ok(())
+        })
     }
 
     /// Writes the checkpoint to `path` atomically with [`trace::write_atomic`]
@@ -417,7 +313,7 @@ mod tests {
     }
 
     /// A mid-overlap snapshot: two groups dispatched and completed (one of
-    /// two picks), one still in flight, and a pool-exhaustion event.
+    /// two picks) and one still in flight.
     fn sample() -> RunCheckpoint {
         RunCheckpoint {
             version: CHECKPOINT_VERSION,
@@ -427,14 +323,6 @@ mod tests {
                 vec![pick(42, 1, 0.125)],
                 vec![pick(17, 0, f64::MAX), pick(18, 2, 0.0)],
                 vec![pick(19, 2, -0.0)],
-            ],
-            schedule: vec![
-                ScheduleEvent::Dispatch(0),
-                ScheduleEvent::Dispatch(1),
-                ScheduleEvent::Complete(1),
-                ScheduleEvent::Dispatch(2),
-                ScheduleEvent::Exhausted,
-                ScheduleEvent::Complete(0),
             ],
             in_flight: vec![[2, 3100.25f64.to_bits()]],
             sim_seconds_bits: 1234.5f64.to_bits(),
@@ -469,7 +357,7 @@ mod tests {
     #[test]
     fn checkpoints_in_the_old_indented_layout_still_load() {
         // `sample().to_json()` as written before checkpoints took the compact
-        // layout, byte for byte, when they also stored four fields a replay
+        // layout, byte for byte, when they also stored five fields a replay
         // now re-derives: the same document with whitespace and those keys.
         let old = r#"{
   "version": 3,
@@ -488,15 +376,20 @@ mod tests {
         let new = sample().to_json();
         assert_ne!(old, new);
         assert_eq!(RunCheckpoint::from_json(old).unwrap(), sample());
-        // Without the four re-derived keys, the old document is the new one
+        // Without the five re-derived keys, the old document is the new one
         // key for key and value for value.
         let Ok(JsonValue::Object(mut kv)) = json::parse(old) else {
             panic!("the old document is not an object");
         };
-        kv.retain(|(key, _)| {
-            !["init", "unsampled", "rng_state", "hv_history_bits"].contains(&key.as_str())
-        });
-        assert_eq!(kv.len(), 7);
+        let derived = [
+            "init",
+            "unsampled",
+            "rng_state",
+            "hv_history_bits",
+            "schedule",
+        ];
+        kv.retain(|(key, _)| !derived.contains(&key.as_str()));
+        assert_eq!(kv.len(), 6);
         assert_eq!(JsonValue::Object(kv), json::parse(&new).unwrap());
     }
 
@@ -527,29 +420,6 @@ mod tests {
                     Err(CmmfError::Checkpoint { .. })
                 ),
                 "accepted {text:?}"
-            );
-        }
-        // The event log must agree with the picks and the completed steps.
-        let mut dispatch_without_picks = sample();
-        dispatch_without_picks.picks.pop();
-        let mut completions_disagree = sample();
-        completions_disagree.schedule.pop();
-        let mut complete_before_dispatch = sample();
-        complete_before_dispatch.schedule.swap(1, 2);
-        let mut dispatch_after_exhaustion = sample();
-        dispatch_after_exhaustion.schedule.swap(3, 4);
-        for (label, ckpt) in [
-            ("dispatch without picks", dispatch_without_picks),
-            ("completions disagree", completions_disagree),
-            ("complete before dispatch", complete_before_dispatch),
-            ("dispatch after exhaustion", dispatch_after_exhaustion),
-        ] {
-            assert!(
-                matches!(
-                    RunCheckpoint::from_json(&ckpt.to_json()),
-                    Err(CmmfError::Checkpoint { .. })
-                ),
-                "{label}"
             );
         }
     }
@@ -634,14 +504,10 @@ mod tests {
             Err(CmmfError::Checkpoint { .. })
         ));
 
-        // Out-of-range indices in the schedule section are corruption, not
-        // panics: past u64 the number fails to parse as an index, and past
-        // usize (32-bit targets) ScheduleEvent::decode refuses the cast.
-        let big = full.replace(
-            "\"schedule\":[[0,0]",
-            "\"schedule\":[[0,99999999999999999999]",
-        );
-        assert_ne!(big, full, "sample schedule shape changed");
+        // An out-of-range configuration index is corruption, not a panic:
+        // past u64 the number fails to parse as an index.
+        let big = full.replace("\"picks\":[[[42,", "\"picks\":[[[99999999999999999999,");
+        assert_ne!(big, full, "sample picks shape changed");
         assert!(matches!(
             RunCheckpoint::from_json(&big),
             Err(CmmfError::Checkpoint { .. })

@@ -57,7 +57,7 @@ mod optimizer;
 pub mod runner;
 pub mod scheduler;
 
-pub use checkpoint::{RunCheckpoint, ScheduleEvent};
+pub use checkpoint::RunCheckpoint;
 pub use error::CmmfError;
 pub use models::{FidelityDataSet, FidelityModelStack, ModelVariant};
 pub use optimizer::{AsyncOptimizer, CandidateChoice, CmmfConfig, Optimizer, RunResult};

@@ -77,11 +77,6 @@ pub struct FidelityDataSet {
 }
 
 impl FidelityDataSet {
-    /// Number of observations at fidelity `f`.
-    pub fn len(&self, f: usize) -> usize {
-        self.xs[f].len()
-    }
-
     /// Whether any fidelity has no data.
     pub fn any_empty(&self) -> bool {
         self.xs.iter().any(Vec::is_empty)

@@ -1,9 +1,9 @@
 //! The overall optimization flow of Algorithm 2.
 
-use crate::checkpoint::{RunCheckpoint, ScheduleEvent};
+use crate::checkpoint::RunCheckpoint;
 use crate::eipv::{peipv, EipvScorer};
 use crate::models::{FidelityDataSet, FidelityModelStack, ModelVariant, N_OBJECTIVES};
-use crate::scheduler::Group;
+use crate::scheduler::{Group, Replay};
 use crate::CmmfError;
 use fidelity_sim::{FlowSimulator, RunOutcome, Stage};
 use gp::{GpConfig, MultiTaskPrediction};
@@ -261,14 +261,13 @@ pub(crate) struct LoopState<'a> {
     pub(crate) clock: VirtualClock,
     /// Groups dispatched but not complete, in dispatch order.
     pub(crate) in_flight: Vec<Group>,
-    /// The interleaved dispatch/completion event log of the BO phase.
-    pub(crate) schedule: Vec<ScheduleEvent>,
     /// The candidate pool came up empty at a dispatch attempt: dispatch no
     /// more, drain the groups in flight.
     pub(crate) exhausted: bool,
-    /// True while [`LoopState::restore`] replays checkpointed decisions:
-    /// suppresses the journal events of runs that already happened.
-    pub(crate) replaying: bool,
+    /// Set while [`LoopState::restore`] replays checkpointed decisions: the
+    /// recorded picks stand in for the acquisition, and the journal events
+    /// of runs that already happened are suppressed.
+    pub(crate) replay: Option<Replay>,
 }
 
 /// Per-fidelity Pareto fronts of the normalized observations: `fronts[f]` is
@@ -354,9 +353,8 @@ impl<'a> LoopState<'a> {
             hv_history: Vec::new(),
             clock: VirtualClock::new(),
             in_flight: Vec::new(),
-            schedule: Vec::new(),
             exhausted: false,
-            replaying: false,
+            replay: None,
         }
     }
 
@@ -371,7 +369,7 @@ impl<'a> LoopState<'a> {
     ) -> Result<(FidelityModelStack, FidelityFronts), CmmfError> {
         let cfg = self.cfg;
         let tracer = &cfg.tracer;
-        let (data, _, _) = self.training_data();
+        let data = self.training_data();
         let fit_started = tracer.enabled().then(Stopwatch::start);
         let new_stack = self.fit_stack(&data, t)?;
         tracer.emit(|| {
@@ -599,7 +597,7 @@ impl<'a> LoopState<'a> {
     /// appended to the history and, outside a checkpoint replay, emitted as
     /// `FrontUpdated` for `step`.
     pub(crate) fn record_front(&mut self, step: usize) {
-        let (data_after, _, _) = self.training_data();
+        let data_after = self.training_data();
         let mut hv = [0.0f64; 3];
         let mut front_sizes = [0usize; 3];
         for (f, h) in hv.iter_mut().enumerate() {
@@ -608,7 +606,7 @@ impl<'a> LoopState<'a> {
             *h = hypervolume(&front, &[2.5; N_OBJECTIVES]);
         }
         self.hv_history.push(hv);
-        if !self.replaying {
+        if self.replay.is_none() {
             self.cfg.tracer.emit(|| TraceEvent::FrontUpdated {
                 step,
                 hv,
@@ -700,7 +698,7 @@ impl<'a> LoopState<'a> {
     /// during initialization); the virtual clock accounts the time.
     pub(crate) fn observe(&mut self, config: usize, top_stage: Stage, step: Option<usize>) {
         let cfg = self.cfg;
-        let trace_runs = cfg.tracer.enabled() && !self.replaying;
+        let trace_runs = cfg.tracer.enabled() && self.replay.is_none();
         for stage in Stage::all() {
             if stage > top_stage {
                 break;
@@ -730,9 +728,7 @@ impl<'a> LoopState<'a> {
     /// designs are materialized at 2.0 — far beyond the worst valid value
     /// (the paper's "10x worse than the current worst" in spirit, clamped so
     /// the GP stays well-conditioned).
-    pub(crate) fn training_data(
-        &self,
-    ) -> (FidelityDataSet, [f64; N_OBJECTIVES], [f64; N_OBJECTIVES]) {
+    pub(crate) fn training_data(&self) -> FidelityDataSet {
         let mut mins = [f64::INFINITY; N_OBJECTIVES];
         let mut maxs = [f64::NEG_INFINITY; N_OBJECTIVES];
         for fid in &self.obs {
@@ -765,7 +761,7 @@ impl<'a> LoopState<'a> {
                 });
             }
         }
-        (data, mins, spans)
+        data
     }
 }
 
@@ -863,11 +859,12 @@ impl Optimizer {
     /// Resumes a checkpointed run and drives it to completion. The result is
     /// bit-identical to the uninterrupted run that would have produced the
     /// same checkpoint, even one killed with runs in flight (pinned by
-    /// `resume_is_bit_identical`): the recorded event log is replayed through
-    /// the deterministic simulator and GP fits — the seeded initialization
-    /// draw and each decision's candidate shuffle included, so the master RNG
-    /// reaches the position the interrupted run left it at — then the loop
-    /// continues.
+    /// `resume_is_bit_identical`): the event loop runs again up to the
+    /// checkpoint's completed steps with the recorded picks in place of the
+    /// acquisition, through the deterministic simulator and GP fits — the
+    /// seeded initialization draw and each decision's candidate shuffle
+    /// included, so the master RNG reaches the position the interrupted run
+    /// left it at — then the loop continues live.
     ///
     /// The configuration must match the one that wrote the checkpoint
     /// (fingerprinted; `threads` and `tracer` may differ), and `space`/`sim`
@@ -877,9 +874,10 @@ impl Optimizer {
     ///
     /// * [`CmmfError::Checkpoint`] if the checkpoint's version, fingerprint
     ///   or shape does not match this configuration and space, if a recorded
-    ///   pick is not an unsampled candidate of its decision's pool, or if the
-    ///   replayed schedule diverges from the recorded in-flight set (a
-    ///   different simulator or space).
+    ///   pick is not an unsampled candidate of its decision's pool, if the
+    ///   replay needs more decisions than are recorded or leaves some
+    ///   undispatched, or if the replayed schedule diverges from the recorded
+    ///   in-flight set (a different simulator or space).
     /// * Everything [`Optimizer::run`] can return.
     pub fn resume(
         &self,
@@ -987,6 +985,48 @@ pub(crate) mod tests {
             "{label}: sim_seconds"
         );
         assert_eq!(a.hv_history, b.hv_history, "{label}: hv_history");
+    }
+
+    /// A 12-configuration space on the default simulator. With [`tiny_cfg`]
+    /// the initialization and seven picks in four decisions cover it, so the
+    /// fifth dispatch attempt finds its candidate pool empty.
+    fn tiny_setup() -> (DesignSpace, FlowSimulator) {
+        let spec = "kernel tiny\n\
+                    loop l trip=8 ops=1 mem=1\n\
+                    array a size=8 access=l\n\
+                    unroll l factors=1,2,4\n\
+                    partition a factors=1,2,4 schemes=cyclic\n\
+                    pipeline l ii=0,1\n\
+                    inline\n";
+        let space = hls_model::spec::parse(spec)
+            .unwrap()
+            .build_pruned()
+            .unwrap();
+        (space, FlowSimulator::new(SimParams::default()))
+    }
+
+    /// Groups of two at `slots` slots on [`tiny_setup`]'s space.
+    fn tiny_cfg(slots: usize) -> CmmfConfig {
+        CmmfConfig {
+            n_init: 5,
+            n_init_syn: 3,
+            n_init_impl: 2,
+            async_slots: slots,
+            batch_size: 2,
+            ..quick_cfg(31)
+        }
+    }
+
+    /// Runs `f` on an optimizer of `cfg` that journals to memory, and counts
+    /// the dispatch attempts it journaled (`step_started` events).
+    fn with_attempts<T>(cfg: &CmmfConfig, f: impl FnOnce(&Optimizer) -> T) -> (T, usize) {
+        let sink = Arc::new(MemoryTracer::new());
+        let mut cfg = cfg.clone();
+        cfg.tracer = TracerHandle::new(sink.clone());
+        let value = f(&Optimizer::new(cfg));
+        let events = sink.events();
+        let attempts = events.iter().filter(|e| e.kind() == "step_started");
+        (value, attempts.count())
     }
 
     #[test]
@@ -1187,6 +1227,62 @@ pub(crate) mod tests {
                 stored,
                 "{label}"
             );
+        }
+    }
+
+    #[test]
+    fn stored_sessions_resume_past_pool_exhaustion() {
+        // A `run_until(3)` checkpoint of the three-slot campaign on the tiny
+        // space, saved when a checkpoint also stored the dispatch/completion
+        // event log: its log recorded the empty pool found at the fifth
+        // dispatch attempt, with one group still in flight. The resume
+        // re-derives that attempt from the picks, so it journals no dispatch
+        // attempt of its own and finishes with the uninterrupted run's bits.
+        let (space, sim) = tiny_setup();
+        let cfg = tiny_cfg(3);
+        let opt = Optimizer::new(cfg.clone());
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/stored_sessions");
+        let stored = RunCheckpoint::load(&dir.join("tiny_slots3_batch2_kill3.json")).unwrap();
+        assert_eq!((stored.completed_steps, stored.in_flight.len()), (3, 1));
+        let (resumed, attempts) =
+            with_attempts(&cfg, |opt| opt.resume(&stored, &space, &sim).unwrap());
+        assert_same_result(&opt.run(&space, &sim).unwrap(), &resumed, "tiny stored");
+        assert_eq!(attempts, 0);
+        assert_eq!(opt.run_until(&space, &sim, 3).unwrap(), stored);
+    }
+
+    #[test]
+    fn an_exhausted_pool_resumes_bit_identically_from_every_kill() {
+        // Five initial configurations and seven picks in four decisions
+        // evaluate all 12 configurations; the fifth dispatch attempt starts
+        // a step, fits the surrogate and finds its pool empty, and the loop
+        // drains. At three slots the attempt comes between the second and
+        // third completions, so kills from step 3 on record it; at one slot
+        // it comes after the fourth, past the last kill point, and the
+        // resumed run makes it. Either way every attempt is journaled once
+        // across the interrupted and the resumed run.
+        let (space, sim) = tiny_setup();
+        assert_eq!(space.len(), 12);
+        for (slots, exhausted_from) in [(3, 3), (1, 5)] {
+            let cfg = tiny_cfg(slots);
+            let (full, attempts) = with_attempts(&cfg, |opt| opt.run(&space, &sim).unwrap());
+            assert_eq!(full.evaluated_configs.len(), space.len(), "slots={slots}");
+            assert_eq!(full.candidate_set.len(), 7, "slots={slots}");
+            assert_eq!(full.hv_history.len(), 4, "slots={slots}");
+            assert_eq!(attempts, 5, "slots={slots}");
+            for k in 1..=4 {
+                let label = format!("slots={slots} k={k}");
+                let (ckpt, before) =
+                    with_attempts(&cfg, |opt| opt.run_until(&space, &sim, k).unwrap());
+                assert_eq!(before == attempts, k >= exhausted_from, "{label}");
+                if slots == 3 && k == 3 {
+                    assert_eq!(ckpt.in_flight.len(), 1, "{label}");
+                }
+                let (resumed, after) =
+                    with_attempts(&cfg, |opt| opt.resume(&ckpt, &space, &sim).unwrap());
+                assert_same_result(&full, &resumed, &label);
+                assert_eq!(before + after, attempts, "{label}");
+            }
         }
     }
 

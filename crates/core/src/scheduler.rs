@@ -33,14 +33,14 @@
 //! pinned by `disabled_tracer_reads_no_host_clock`), and any thread count
 //! yields the same schedule (pinned by `schedule_is_deterministic`).
 //!
-//! Checkpoints record the *decisions* — the per-decision picks plus the
-//! interleaved dispatch/completion event log — so a kill mid-overlap resumes
-//! bit-identically: the event log replays the interrupted run's exact
-//! interleaving of surrogate fits and observations, reconstructing the
-//! virtual clock and the in-flight set, which are then verified against the
-//! checkpoint's redundant copy (see [`RunCheckpoint::in_flight`]).
+//! Checkpoints record the *decisions* — each dispatch decision's picks — so
+//! a kill mid-overlap resumes bit-identically: a resume runs this same loop
+//! with the recorded picks standing in for the acquisition, which repeats the
+//! interrupted run's interleaving of surrogate fits and observations and
+//! rebuilds the virtual clock and the in-flight set; those are then verified
+//! against the checkpoint's copies (see [`RunCheckpoint::in_flight`]).
 
-use crate::checkpoint::{PickRecord, RunCheckpoint, ScheduleEvent, CHECKPOINT_VERSION};
+use crate::checkpoint::{PickRecord, RunCheckpoint, CHECKPOINT_VERSION};
 use crate::eipv::EipvScorer;
 use crate::models::N_OBJECTIVES;
 use crate::optimizer::{CandidateChoice, CmmfConfig, LoopState};
@@ -62,6 +62,16 @@ pub(crate) struct Group {
     first_run: usize,
     /// Virtual-clock time at which the slowest member finishes.
     finish_at: f64,
+}
+
+/// A checkpoint replay in progress ([`LoopState::restore`]): the recorded
+/// decisions the loop takes instead of scoring candidates.
+pub(crate) struct Replay {
+    /// Per dispatch decision, its recorded picks.
+    picks: Vec<Vec<PickRecord>>,
+    /// The first decision whose surrogate fit the replay redoes
+    /// ([`LoopState::replay_from`]).
+    refit_from: usize,
 }
 
 impl<'a> LoopState<'a> {
@@ -104,7 +114,7 @@ impl<'a> LoopState<'a> {
                 let stage = Self::init_top_stage(cfg, rank);
                 let clock = self.clock.now();
                 let finish = clock + self.sim.stage_seconds(self.space, config, stage);
-                if !self.replaying {
+                if self.replay.is_none() {
                     let in_flight = pending.len() + 1;
                     cfg.tracer.emit(|| TraceEvent::RunDispatched {
                         seq: rank,
@@ -128,7 +138,7 @@ impl<'a> LoopState<'a> {
             let config = self.init[rank];
             let stage = Self::init_top_stage(cfg, rank);
             self.observe(config, stage, None);
-            if !self.replaying {
+            if self.replay.is_none() {
                 let clock = self.clock.now();
                 let in_flight = pending.len();
                 cfg.tracer.emit(|| TraceEvent::RunCompleted {
@@ -170,12 +180,34 @@ impl<'a> LoopState<'a> {
     /// fantasize the in-flight runs' posterior means into the fronts, draw
     /// one candidate pool, greedily pick up to `batch_size` configurations,
     /// and put them in flight as one group. An empty pool sets `exhausted`
-    /// instead (recorded as [`ScheduleEvent::Exhausted`]; the attempt's
-    /// surrogate fit still counts for resume).
+    /// instead; the attempt's surrogate fit is still the run's latest.
+    ///
+    /// During a checkpoint replay the decision scores nothing and journals
+    /// nothing: it redoes its fit (from the replay's `refit_from` on) and
+    /// takes its recorded picks out of its pool draw
+    /// ([`LoopState::replay_dispatch`]). An attempt past the recorded
+    /// decisions is where the interrupted run found its pool empty.
     fn dispatch(&mut self) -> Result<(), CmmfError> {
         let cfg = self.cfg;
         let tracer = &cfg.tracer;
         let t = self.picks.len();
+        if let Some(replay) = &self.replay {
+            let records = replay.picks.get(t).cloned();
+            if t >= replay.refit_from {
+                let data = self.training_data();
+                self.stack = Some(self.fit_stack(&data, t)?);
+            }
+            match records {
+                Some(records) => self.replay_dispatch(t, &records)?,
+                None if self.draw_pool() == self.unsampled.len() => self.exhausted = true,
+                None => {
+                    return Err(CmmfError::Checkpoint {
+                        reason: format!("decision {t} is missing although its pool has candidates"),
+                    })
+                }
+            }
+            return Ok(());
+        }
         tracer.emit(|| TraceEvent::StepStarted {
             step: t,
             observed: [self.obs[0].len(), self.obs[1].len(), self.obs[2].len()],
@@ -193,7 +225,6 @@ impl<'a> LoopState<'a> {
 
         let Some(prep) = self.prepare_candidates(&new_stack)? else {
             self.stack = Some(new_stack);
-            self.schedule.push(ScheduleEvent::Exhausted);
             self.exhausted = true;
             return Ok(());
         };
@@ -265,7 +296,6 @@ impl<'a> LoopState<'a> {
                 in_flight: running + j + 1,
             });
         }
-        self.schedule.push(ScheduleEvent::Dispatch(t));
         self.stack = Some(new_stack);
         Ok(())
     }
@@ -281,7 +311,7 @@ impl<'a> LoopState<'a> {
         for j in 0..members {
             let run = self.picks[group.seq][j];
             self.observe(run.config, run.stage, Some(group.seq));
-            if !self.replaying {
+            if self.replay.is_none() {
                 let clock = self.clock.now();
                 cfg.tracer.emit(|| TraceEvent::RunCompleted {
                     seq: cfg.n_init + group.first_run + j,
@@ -297,7 +327,7 @@ impl<'a> LoopState<'a> {
     }
 
     /// Completes the earliest-finishing group in flight (ties to the lowest
-    /// decision index): observes its true outcomes and logs the completion.
+    /// decision index) and observes its true outcomes.
     fn complete_earliest(&mut self) -> Result<(), CmmfError> {
         let Some(k) = earliest_by(&self.in_flight, |g| (g.finish_at, g.seq)) else {
             return Err(CmmfError::Internal {
@@ -306,16 +336,16 @@ impl<'a> LoopState<'a> {
         };
         let group = self.in_flight.remove(k);
         self.land(&group);
-        self.schedule.push(ScheduleEvent::Complete(group.seq));
         Ok(())
     }
 
     /// The event loop: keep the slots full, then advance the clock to the
     /// next completion; checkpoint after each completion when `ckpt_path` is
     /// set; stop after `max_steps` completed steps (the "kill after step k"
-    /// primitive behind the resume tests). The run-started announcement is
-    /// emitted by [`LoopState::start`]/[`LoopState::restore`] so it precedes
-    /// the initialization or replay tool runs.
+    /// primitive behind the resume tests, and where a checkpoint replay
+    /// stops). The run-started announcement is emitted by
+    /// [`LoopState::start`]/[`LoopState::restore`] so it precedes the
+    /// initialization or replay tool runs.
     pub(crate) fn drive(
         &mut self,
         ckpt_path: Option<&Path>,
@@ -355,7 +385,6 @@ impl<'a> LoopState<'a> {
                 .iter()
                 .map(|group| group.iter().map(PickRecord::of).collect())
                 .collect(),
-            schedule: self.schedule.clone(),
             in_flight: self.in_flight_records(),
             sim_seconds_bits: self.clock.now().to_bits(),
         }
@@ -363,17 +392,16 @@ impl<'a> LoopState<'a> {
 
     /// Reconstructs the state a checkpoint describes, bit-identically to the
     /// run that wrote it. The checkpoint holds the run's decisions only;
-    /// everything else is rebuilt the way the live loop built it: the seeded
+    /// everything else is rebuilt by the loop that built it live: the seeded
     /// initialization draw ([`LoopState::new`]) and its runs through the
-    /// virtual clock, then the recorded event log. Each `Dispatch` redoes the
-    /// decision's candidate shuffle and takes its recorded picks out of that
-    /// pool ([`LoopState::replay_dispatch`]), re-fitting the surrogate from
-    /// the last hyperparameter-optimization attempt on (GP fits seed their
-    /// own RNG per call, so the replayed chain is exact); each `Complete`
-    /// re-observes its group and recomputes the step's hypervolume. Finally
-    /// the rebuilt in-flight set and clock are verified against the
-    /// checkpoint's copies, so a mismatched simulator or design space fails
-    /// loudly instead of diverging.
+    /// virtual clock, then [`LoopState::drive`] up to the recorded completed
+    /// steps with the recorded picks standing in for the acquisition (see
+    /// [`LoopState::dispatch`]). Surrogate fits are redone from the last
+    /// hyperparameter search on (GP fits seed their own RNG per call, so the
+    /// replayed chain is exact). Finally the replay must have dispatched
+    /// every recorded decision, and the rebuilt in-flight set and clock must
+    /// match the checkpoint's copies, so a damaged checkpoint or a mismatched
+    /// simulator or design space fails loudly instead of diverging.
     pub(crate) fn restore(
         cfg: &'a CmmfConfig,
         space: &'a DesignSpace,
@@ -400,58 +428,46 @@ impl<'a> LoopState<'a> {
         }
         let nd = ckpt.picks.len();
         let batch = cfg.batch_size.max(1);
-        // `check_schedule` below bounds the completed steps by the decisions.
         if nd > cfg.n_iter || ckpt.picks.iter().any(|g| g.is_empty() || g.len() > batch) {
             return Err(CmmfError::Checkpoint {
                 reason: "inconsistent checkpoint shape".into(),
             });
         }
-        ckpt.check_schedule()?;
+        if ckpt.completed_steps > nd {
+            return Err(CmmfError::Checkpoint {
+                reason: format!(
+                    "{} completed steps exceed the {nd} recorded decisions",
+                    ckpt.completed_steps
+                ),
+            });
+        }
         cfg.tracer.emit(|| TraceEvent::RunStarted {
             seed: cfg.seed,
             n_iter: cfg.n_iter,
             resumed_at: Some(ckpt.completed_steps),
         });
 
+        // Once the initialization and the picks cover the space, a run with
+        // decisions to spare finds its pool empty at its next attempt, before
+        // or after the kill, and that attempt's fit is the run's last.
+        let picked: usize = ckpt.picks.iter().map(Vec::len).sum();
+        let exhausts = nd < cfg.n_iter && cfg.n_init + picked >= space.len();
         let mut state = Self::new(cfg, space, sim);
-        state.schedule = ckpt.schedule.clone();
-        state.exhausted = ckpt.schedule.contains(&ScheduleEvent::Exhausted);
-        state.replaying = true;
+        state.replay = Some(Replay {
+            picks: ckpt.picks.clone(),
+            refit_from: Self::replay_from(cfg, nd + usize::from(exhausts)),
+        });
         state.run_init();
-
-        // Surrogate fits replay from `replay_from` on; the decision at index
-        // i fitted at step i, and an `Exhausted` attempt fitted at step nd.
-        // Observations replay in full (they feed every later fit).
-        let refit_from = Self::replay_from(cfg, nd + usize::from(state.exhausted));
-        for event in &ckpt.schedule {
-            match *event {
-                ScheduleEvent::Dispatch(i) => {
-                    if i >= refit_from {
-                        state.replay_fit(i)?;
-                    }
-                    state.replay_dispatch(i, &ckpt.picks[i])?;
-                }
-                ScheduleEvent::Complete(i) => {
-                    // `check_schedule` puts every completion after its
-                    // dispatch, so the group is in flight.
-                    if let Some(k) = state.in_flight.iter().position(|g| g.seq == i) {
-                        let group = state.in_flight.remove(k);
-                        state.land(&group);
-                    }
-                }
-                ScheduleEvent::Exhausted => {
-                    // The live attempt shuffled an empty list, which draws
-                    // nothing; only its fit replays.
-                    if !state.unsampled.is_empty() {
-                        return Err(CmmfError::Checkpoint {
-                            reason: "pool exhaustion recorded with candidates left".into(),
-                        });
-                    }
-                    if nd >= refit_from {
-                        state.replay_fit(nd)?;
-                    }
-                }
-            }
+        state.drive(None, ckpt.completed_steps)?;
+        state.replay = None;
+        if state.hv_history.len() != ckpt.completed_steps || state.picks.len() != nd {
+            return Err(CmmfError::Checkpoint {
+                reason: format!(
+                    "the replay completes {} steps with {} of the {nd} recorded decisions dispatched",
+                    state.hv_history.len(),
+                    state.picks.len()
+                ),
+            });
         }
         if state.in_flight_records() != ckpt.in_flight
             || state.clock.now().to_bits() != ckpt.sim_seconds_bits
@@ -463,7 +479,6 @@ impl<'a> LoopState<'a> {
                     .into(),
             });
         }
-        state.replaying = false;
         Ok(state)
     }
 
@@ -511,13 +526,6 @@ impl<'a> LoopState<'a> {
             .map(|g| [g.seq as u64, g.finish_at.to_bits()])
             .collect()
     }
-
-    /// Redoes decision `t`'s surrogate fit during a replay, without events.
-    fn replay_fit(&mut self, t: usize) -> Result<(), CmmfError> {
-        let (data, _, _) = self.training_data();
-        self.stack = Some(self.fit_stack(&data, t)?);
-        Ok(())
-    }
 }
 
 /// `front` with `point` added, reduced to its Pareto front.
@@ -551,7 +559,6 @@ fn earliest_by<T>(items: &[T], key: impl Fn(&T) -> (f64, usize)) -> Option<usize
 
 #[cfg(test)]
 mod tests {
-    use crate::checkpoint::ScheduleEvent;
     use crate::optimizer::tests::{assert_same_result, quick_cfg, setup};
     use crate::optimizer::{LoopState, Optimizer, RunResult};
     use crate::CmmfError;
@@ -600,9 +607,12 @@ mod tests {
     /// A recorded pick that is not a fresh candidate of its decision's pool
     /// — an initialization configuration, an earlier pick, or an unsampled
     /// configuration outside the pool the decision's shuffle drew — marks a
-    /// damaged checkpoint, and so does a pool exhaustion recorded with
-    /// candidates left. Resuming one is a typed error, never a run that
-    /// evaluates a configuration twice.
+    /// damaged checkpoint, and so do more completed steps than recorded
+    /// decisions, a decision missing where the replay's pool still has
+    /// candidates, a recorded decision the replay never dispatches, and a
+    /// recorded clock or in-flight set the replay does not reach. Resuming
+    /// one is a typed error, never a run that evaluates a configuration
+    /// twice.
     #[test]
     fn damaged_decisions_are_typed_errors() {
         let (space, sim) = setup(Benchmark::SpmvCrs);
@@ -623,16 +633,43 @@ mod tests {
                 damaged.picks[1][0].config = config;
                 damaged
             };
-            let mut early_exhaustion = ckpt.clone();
-            early_exhaustion.schedule.push(ScheduleEvent::Exhausted);
+            let mut overcounted = ckpt.clone();
+            overcounted.completed_steps = ckpt.picks.len() + 1;
+            let mut missing = ckpt.clone();
+            missing.picks.pop();
+            let mut undispatched = ckpt.clone();
+            undispatched.picks.push(ckpt.picks[0].clone());
+            let mut clock = ckpt.clone();
+            clock.sim_seconds_bits ^= 1;
+            let mut pending = ckpt.clone();
+            pending.in_flight.push([0, 0]);
             // Each damage is caught by the check made for it, not only by
-            // the replayed clock it would also move.
+            // the replayed clock it would also move. At one slot every
+            // decision completes before the next, so a missing decision
+            // leaves more completed steps than decisions.
             let in_pool = "candidate of its pool";
+            let steps_exceed = "steps exceed the";
             for (what, damaged, caught_by) in [
                 ("init configuration", repick(state.init[0]), in_pool),
                 ("earlier pick", repick(ckpt.picks[0][0].config), in_pool),
                 ("outside the pool", repick(state.unsampled[0]), in_pool),
-                ("early exhaustion", early_exhaustion, "exhaustion"),
+                ("more steps than decisions", overcounted, steps_exceed),
+                (
+                    "missing decision",
+                    missing,
+                    if slots > 1 {
+                        "missing although its pool has candidates"
+                    } else {
+                        steps_exceed
+                    },
+                ),
+                (
+                    "undispatched decision",
+                    undispatched,
+                    "decisions dispatched",
+                ),
+                ("clock", clock, "diverges"),
+                ("in-flight set", pending, "diverges"),
             ] {
                 match opt.resume(&damaged, &space, &sim) {
                     Err(CmmfError::Checkpoint { reason }) if reason.contains(caught_by) => {}

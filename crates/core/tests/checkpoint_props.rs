@@ -4,7 +4,7 @@
 //! either as a value or as a typed `CmmfError::Checkpoint`, never a panic.
 
 use cmmf::checkpoint::{PickRecord, CHECKPOINT_VERSION};
-use cmmf::{CmmfConfig, CmmfError, RunCheckpoint, ScheduleEvent};
+use cmmf::{CmmfConfig, CmmfError, RunCheckpoint};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -18,7 +18,7 @@ enum Shape {
     Batched,
     /// Several slots, killed with groups still in flight.
     MidOverlap,
-    /// The candidate pool ran out: an `Exhausted` event, then draining.
+    /// The candidate pool ran out: no more dispatches, every group drains.
     Exhausted,
 }
 
@@ -81,33 +81,24 @@ fn generate(shape: Shape, seed: u64) -> RunCheckpoint {
         })
         .collect();
 
-    // Replay the loop's slot discipline: fill the free slots, mark pool
-    // exhaustion once every decision is out, complete a random group in
-    // flight; stop at a random completion count (a kill).
-    let exhaust = matches!(shape, Shape::Exhausted);
-    let mut schedule = Vec::new();
+    // Follow the loop's slot discipline: fill the free slots, complete a
+    // random group in flight; stop at a random completion count (a kill).
     let mut in_flight: Vec<usize> = Vec::new();
-    let (mut dispatched, mut completed, mut exhausted) = (0, 0, false);
+    let (mut dispatched, mut completed) = (0, 0);
     loop {
-        while !exhausted && in_flight.len() < slots && dispatched < decisions {
-            schedule.push(ScheduleEvent::Dispatch(dispatched));
+        while in_flight.len() < slots && dispatched < decisions {
             in_flight.push(dispatched);
             dispatched += 1;
-        }
-        if exhaust && !exhausted && dispatched == decisions && in_flight.len() < slots {
-            schedule.push(ScheduleEvent::Exhausted);
-            exhausted = true;
         }
         if completed == stop_after || in_flight.is_empty() {
             break;
         }
-        let done = in_flight.remove(rng.random_range(0..in_flight.len()));
-        schedule.push(ScheduleEvent::Complete(done));
+        in_flight.remove(rng.random_range(0..in_flight.len()));
         completed += 1;
     }
     match shape {
         Shape::MidOverlap => assert!(!in_flight.is_empty(), "{seed}: nothing in flight"),
-        Shape::Exhausted => assert!(exhausted, "{seed}: no exhaustion"),
+        Shape::Exhausted => assert!(in_flight.is_empty(), "{seed}: not drained"),
         Shape::Sequential | Shape::Batched => {}
     }
     // A kill leaves the decisions not yet dispatched unrecorded.
@@ -125,7 +116,6 @@ fn generate(shape: Shape, seed: u64) -> RunCheckpoint {
         fingerprint: RunCheckpoint::fingerprint_of(&cfg),
         completed_steps: completed,
         picks,
-        schedule,
         in_flight: in_flight
             .iter()
             .map(|&i| [i as u64, word(&mut rng)])

@@ -1,6 +1,7 @@
 //! Cross-commit golden pin: digests of the `RunResult` of one small campaign
 //! each of the paper's method (at zero and one slot, which are the same
-//! schedule), the FPL18 baseline, the two ablation variants (correlated
+//! schedule, and once more picking upper fidelities at refit steps), the
+//! FPL18 baseline, the two ablation variants (correlated
 //! objectives without cross-fidelity transfer, and independent objectives
 //! with the non-linear chain), a synchronous batch of three, and two slots
 //! in flight.
@@ -117,6 +118,28 @@ fn ours_campaign_matches_the_recorded_digest() {
             measured_pareto: 13_302_378_008_049_169_802,
             sim_seconds_bits: 4_667_337_975_347_068_439,
             hv_history: 9_621_827_326_053_574_464,
+        }
+    );
+}
+
+#[test]
+fn ours_upper_level_refit_campaign_matches_the_recorded_digest() {
+    let (space, sim) = problem();
+    // Seed 65's campaign picks the synthesis fidelity at step 4 and the
+    // implementation fidelity at step 5, both steps that refit the stack
+    // with its hyperparameters (`refit_every` 3), so the digest depends on
+    // each upper level being refitted from its own previous model.
+    let r = Optimizer::new(small_cfg(ModelVariant::paper(), 65, 0))
+        .run(&space, &sim)
+        .expect("campaign runs");
+    assert_eq!(
+        digest(&r),
+        Digest {
+            candidate_set: 17_124_618_250_203_026_293,
+            evaluated_configs: 13_593_711_572_108_969_124,
+            measured_pareto: 16_339_361_492_515_009_616,
+            sim_seconds_bits: 4_668_026_271_865_781_720,
+            hv_history: 2_226_262_889_077_019_544,
         }
     );
 }
