@@ -145,21 +145,20 @@ fn mc_improvement_sum(
     let m = pred.mean.len();
     let mut total = 0.0;
     let mut z = vec![0.0; m];
+    let mut y = vec![0.0; m];
     for _ in 0..n_samples {
         for zi in z.iter_mut() {
             *zi = sample_standard_normal(rng);
         }
-        let y: Vec<f64> = match chol {
-            Some(c) => {
-                let l = c.l();
-                (0..m)
-                    .map(|i| pred.mean[i] + (0..=i).map(|j| l[(i, j)] * z[j]).sum::<f64>())
-                    .collect()
-            }
-            None => (0..m)
-                .map(|i| pred.mean[i] + pred.cov[(i, i)].max(0.0).sqrt() * z[i])
-                .collect(),
-        };
+        for (i, yi) in y.iter_mut().enumerate() {
+            *yi = match chol {
+                Some(c) => {
+                    let l = c.l();
+                    pred.mean[i] + (0..=i).map(|j| l[(i, j)] * z[j]).sum::<f64>()
+                }
+                None => pred.mean[i] + pred.cov[(i, i)].max(0.0).sqrt() * z[i],
+            };
+        }
         total += contribution(&y);
     }
     total

@@ -205,7 +205,7 @@ impl FidelityModelStack {
             }
             // The lower fidelity's posterior at this fidelity's inputs: one
             // pass through the levels fitted so far.
-            let lower = chain_batch(&levels, xs)?.pop().ok_or_else(no_chain_level)?;
+            let lower = chain_batch(&levels, xs, top_level)?;
             let rhos = backbone(&lower, ys);
             let residuals = residuals(&lower, ys, &rhos);
             levels.push(if !variant.nonlinear_fidelity {
@@ -265,15 +265,18 @@ impl FidelityModelStack {
     /// so the pass starts at the highest such level at or below `f`.
     /// Bit-identical to mapping [`FidelityModelStack::predict`] over `xs`.
     ///
-    /// A joint level batches for real: a level on `x` runs one chunked
-    /// [`MultiTaskGp::predict_batch`], and the non-linear link propagates
-    /// level-synchronously — all points' sigma points are stacked into a
-    /// single level-GP batch, so each traversal of the level's `nM × nM`
-    /// factor serves a wide column block instead of one sigma point (see
-    /// `propagate_unscented_batch`). Per-objective levels predict point by
-    /// point. Every chunk and level prediction is bitwise-pinned to its
+    /// The pass walks `xs` up the levels in blocks of 256 and keeps, across
+    /// blocks, only fidelity `f`'s posteriors, so besides its result it holds
+    /// one block's level posteriors and sigma points at a time, for any
+    /// number of inputs. A joint level batches for real: a level on `x` runs
+    /// one chunked [`MultiTaskGp::predict_batch`], and the non-linear link
+    /// propagates level-synchronously — the block's sigma points are stacked
+    /// into a single level-GP batch, so each traversal of the level's
+    /// `nM × nM` factor serves a wide column block instead of one sigma point
+    /// (see `propagate_unscented_batch`). Per-objective levels predict point
+    /// by point. Every chunk and level prediction is bitwise-pinned to its
     /// single-query form, so a point's posterior does not depend on the
-    /// batch it arrives in.
+    /// batch or block it arrives in. An empty `xs` predicts nothing.
     ///
     /// # Errors
     ///
@@ -290,16 +293,16 @@ impl FidelityModelStack {
             .iter()
             .rposition(|level| matches!(level, Level::Own(_)))
             .unwrap_or(0);
-        chain_batch(&chain[start..], xs)?
-            .pop()
-            .ok_or_else(no_chain_level)
+        chain_batch(&chain[start..], xs, top_level)
     }
 
     /// Joint posteriors at *every* fidelity for many encoded inputs:
     /// `out[i][f]` is the fidelity-`f` posterior at `xs[i]`. One pass up the
     /// whole chain answers all fidelities — each level's batch once, the
     /// linked ones propagating the batch below — instead of recomputing the
-    /// lower fidelities per fidelity. Bit-identical to
+    /// lower fidelities per fidelity. The pass walks `xs` in blocks of 256,
+    /// as [`FidelityModelStack::predict_batch`] does, and keeps only the
+    /// per-point rows it returns. Bit-identical to
     /// [`FidelityModelStack::predict`] at every `(f, x)` — the acquisition
     /// step's candidate caches are built through it.
     ///
@@ -307,7 +310,7 @@ impl FidelityModelStack {
     ///
     /// Same conditions as [`FidelityModelStack::predict`].
     pub fn predict_all(&self, xs: &[Vec<f64>]) -> Result<Vec<Vec<MultiTaskPrediction>>, CmmfError> {
-        Ok(per_point(chain_batch(&self.levels, xs)?, xs.len()))
+        chain_batch(&self.levels, xs, |levels| Ok(per_point(levels)))
     }
 
     /// Learned objective-correlation matrix at fidelity `f`, if this stack is
@@ -415,71 +418,90 @@ fn augmented(x: &[f64], lower: &[f64]) -> Vec<f64> {
     a
 }
 
+/// Inputs per block of a pass up the chain: the least power of two at or
+/// above the default candidate pool (200), so a default decision's pool is
+/// one block and the final identification's 4000 points are 16.
+const CHAIN_BLOCK: usize = 256;
+
 /// One pass up `levels` (lowest first; the first has no link) for many
-/// encoded inputs: each level's posteriors at `xs`, lowest first. A level
-/// without a link predicts its own batch; a linked level propagates the
-/// batch below it. Shared by prediction (the whole chain or a prefix of it)
-/// and the fit loop, which predicts through the levels fitted so far while
-/// fitting the next.
-fn chain_batch(
+/// encoded inputs, [`CHAIN_BLOCK`] of them at a time. Within a block, each
+/// level's posteriors are computed lowest first: a level without a link
+/// predicts the block, a linked level propagates the block's posteriors from
+/// the level below it. `keep` then takes from the block's levels what the
+/// caller returns, so a pass holds one block's sigma points, augmented
+/// inputs and level posteriors at a time, whatever the number of inputs.
+/// Shared by prediction (the whole chain or a prefix of it) and the fit
+/// loop, which predicts through the levels fitted so far while fitting the
+/// next. Every level prediction is bitwise-pinned to its single-query form,
+/// so the block split does not change a bit.
+fn chain_batch<T>(
     levels: &[Level],
     xs: &[Vec<f64>],
-) -> Result<Vec<Vec<MultiTaskPrediction>>, CmmfError> {
-    let mut batches: Vec<Vec<MultiTaskPrediction>> = Vec::with_capacity(levels.len());
-    for level in levels {
-        let batch = match (level, batches.last()) {
-            (Level::Own(Objectives::Joint(gp)), _) => gp.predict_batch(xs)?,
-            (Level::Own(Objectives::PerObjective(gps)), _) => xs
-                .iter()
-                .map(|x| diagonal(gps.iter().map(|gp| gp.predict(x))))
-                .collect::<Result<_, _>>()?,
-            (Level::Linear { rhos, residual }, Some(lower)) => {
-                per_objective_link(xs, lower, |o, x, below| {
-                    let d = residual[o].predict(x)?;
-                    Ok(Prediction {
-                        mean: rhos[o] * below.mean + d.mean,
-                        var: rhos[o] * rhos[o] * below.var + d.var,
+    keep: impl Fn(Vec<Vec<MultiTaskPrediction>>) -> Result<Vec<T>, CmmfError>,
+) -> Result<Vec<T>, CmmfError> {
+    let mut kept = Vec::with_capacity(xs.len());
+    for block in xs.chunks(CHAIN_BLOCK) {
+        let mut batches: Vec<Vec<MultiTaskPrediction>> = Vec::with_capacity(levels.len());
+        for level in levels {
+            let batch = match (level, batches.last()) {
+                (Level::Own(Objectives::Joint(gp)), _) => gp.predict_batch(block)?,
+                (Level::Own(Objectives::PerObjective(gps)), _) => block
+                    .iter()
+                    .map(|x| diagonal(gps.iter().map(|gp| gp.predict(x))))
+                    .collect::<Result<_, _>>()?,
+                (Level::Linear { rhos, residual }, Some(lower)) => {
+                    per_objective_link(block, lower, |o, x, below| {
+                        let d = residual[o].predict(x)?;
+                        Ok(Prediction {
+                            mean: rhos[o] * below.mean + d.mean,
+                            var: rhos[o] * rhos[o] * below.var + d.var,
+                        })
+                    })?
+                }
+                (
+                    Level::Nonlinear {
+                        rhos,
+                        residual: Objectives::Joint(gp),
+                    },
+                    Some(lower),
+                ) => propagate_unscented_batch(rhos, gp, block, lower)?,
+                (
+                    Level::Nonlinear {
+                        rhos,
+                        residual: Objectives::PerObjective(gps),
+                    },
+                    Some(lower),
+                ) => per_objective_link(block, lower, |o, x, below| {
+                    gauss_hermite(rhos[o], &gps[o], x, below)
+                })?,
+                (_, None) => {
+                    return Err(CmmfError::Internal {
+                        reason: "a linked fidelity level has no level below it".into(),
                     })
-                })?
-            }
-            (
-                Level::Nonlinear {
-                    rhos,
-                    residual: Objectives::Joint(gp),
-                },
-                Some(lower),
-            ) => propagate_unscented_batch(rhos, gp, xs, lower)?,
-            (
-                Level::Nonlinear {
-                    rhos,
-                    residual: Objectives::PerObjective(gps),
-                },
-                Some(lower),
-            ) => per_objective_link(xs, lower, |o, x, below| {
-                gauss_hermite(rhos[o], &gps[o], x, below)
-            })?,
-            (_, None) => {
-                return Err(CmmfError::Internal {
-                    reason: "a linked fidelity level has no level below it".into(),
-                })
-            }
-        };
-        batches.push(batch);
+                }
+            };
+            batches.push(batch);
+        }
+        kept.extend(keep(batches)?);
     }
-    Ok(batches)
+    Ok(kept)
 }
 
-/// The error for a [`chain_batch`] pass without levels, which cannot happen:
-/// every stack has a level per fidelity.
-fn no_chain_level() -> CmmfError {
-    CmmfError::Internal {
+/// What [`chain_batch`] keeps of a block for a caller that wants the
+/// highest level it passed through: that level's posteriors. The chain
+/// never lacks a level, since every stack has one per fidelity.
+fn top_level(
+    mut batches: Vec<Vec<MultiTaskPrediction>>,
+) -> Result<Vec<MultiTaskPrediction>, CmmfError> {
+    batches.pop().ok_or_else(|| CmmfError::Internal {
         reason: "fidelity chain pass returned no level".into(),
-    }
+    })
 }
 
 /// Transposes per-fidelity batches (`levels[f][i]`) into per-point rows
 /// (`out[i][f]`).
-fn per_point(levels: Vec<Vec<MultiTaskPrediction>>, n: usize) -> Vec<Vec<MultiTaskPrediction>> {
+fn per_point(levels: Vec<Vec<MultiTaskPrediction>>) -> Vec<Vec<MultiTaskPrediction>> {
+    let n = levels.first().map_or(0, Vec::len);
     let mut out: Vec<Vec<MultiTaskPrediction>> =
         (0..n).map(|_| Vec::with_capacity(levels.len())).collect();
     for level in levels {
@@ -582,13 +604,15 @@ fn gauss_hermite(rho: f64, z: &Gp, x: &[f64], below: Prediction) -> Result<Predi
 /// the chain's high-fidelity variance collapses and the acquisition stops
 /// escalating fidelities.
 ///
-/// Every query point's sigma points are stacked into one level-GP query
-/// list, so the expensive triangular solves against the level's `nM × nM`
-/// factor run as wide column blocks instead of one sweep per sigma point.
-/// The per-point sigma construction and moment-matching do not look across
-/// points, and the batched level prediction is bitwise-pinned to its
-/// per-point form, so a point's result does not depend on the batch it
-/// arrives in.
+/// [`chain_batch`] hands it one block of at most [`CHAIN_BLOCK`] points, and
+/// every point's sigma points are stacked into one level-GP query list, so
+/// the expensive triangular solves against the level's `nM × nM` factor run
+/// as wide column blocks instead of one sweep per sigma point, while the
+/// sigma sets, augmented inputs and mapped posteriors held at once stay
+/// those of one block. The per-point sigma construction and moment-matching
+/// do not look across points, and the batched level prediction is
+/// bitwise-pinned to its per-point form, so a point's result does not depend
+/// on the batch it arrives in.
 fn propagate_unscented_batch(
     rhos: &[f64],
     z: &MultiTaskGp,
@@ -730,11 +754,11 @@ mod tests {
         // stacking for the non-linear chain, chunked GP batches for the
         // plain one) and the all-fidelity chain pass must both reproduce the
         // per-point path bit for bit — the optimizer's candidate caches are
-        // built through the latter. 19 points span several GP chunks and
-        // split across workers.
+        // built through the latter. 300 points span many GP chunks, split
+        // across workers and cross a block boundary of the chain pass.
         let data = synthetic();
         let cfg = quick_cfg();
-        let xs: Vec<Vec<f64>> = (0..19).map(|i| vec![0.05 + 0.05 * i as f64]).collect();
+        let xs: Vec<Vec<f64>> = (0..300).map(|i| vec![0.05 + 0.003 * i as f64]).collect();
         let same_bits = |a: &MultiTaskPrediction, b: &MultiTaskPrediction, label: &str| {
             assert_eq!(a.mean.len(), b.mean.len(), "{label}: objectives");
             for (am, bm) in a.mean.iter().zip(&b.mean) {
@@ -766,6 +790,25 @@ mod tests {
                     same_bits(&all[i][f], &p, &format!("{label} chain pass"));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn an_empty_input_list_predicts_nothing_in_every_variant() {
+        let data = synthetic();
+        for variant in all_variants() {
+            let stack = FidelityModelStack::fit(variant, &data, &quick_cfg(), None)
+                .unwrap_or_else(|e| panic!("{}: {e}", variant.name()));
+            for f in 0..N_FIDELITIES {
+                let batch = stack
+                    .predict_batch(f, &[])
+                    .expect("an empty batch predicts");
+                assert!(batch.is_empty(), "{} f={f}", variant.name());
+            }
+            let all = stack
+                .predict_all(&[])
+                .expect("an empty chain pass predicts");
+            assert!(all.is_empty(), "{}", variant.name());
         }
     }
 

@@ -189,13 +189,15 @@ impl MultiTaskGp {
 
     /// Joint posteriors at many points.
     ///
-    /// Queries are processed in fixed chunks: each chunk stacks its
-    /// `nM × M` cross-covariance blocks into one matrix and runs a single
-    /// batched forward substitution ([`Cholesky::solve_lower_mat`]) instead
-    /// of one triangular solve per (point, task). The per-column operations
-    /// are exactly those of the per-point path, so the results are
-    /// bit-identical to calling [`MultiTaskGp::predict`] per point; chunks
-    /// run in parallel and are re-assembled in input order.
+    /// Queries are processed in fixed chunks of 8: each chunk stacks its
+    /// `nM × M` cross-covariance blocks into one matrix, runs a single
+    /// column-blocked forward substitution ([`Cholesky::solve_lower_mat`])
+    /// instead of one triangular solve per (point, task), and takes all its
+    /// means and covariance reductions in one sweep down the rows. The
+    /// per-column and per-sum operations are exactly those of the per-point
+    /// path, so the results are bit-identical to calling
+    /// [`MultiTaskGp::predict`] per point; chunks run in parallel and are
+    /// re-assembled in input order.
     ///
     /// # Errors
     ///
@@ -217,7 +219,14 @@ impl MultiTaskGp {
     /// Shared core of [`MultiTaskGp::predict`] and
     /// [`MultiTaskGp::predict_batch`]: the chunk's cross-covariance columns
     /// (query point `j`, task `u` at column `j·M + u`, point-major rows
-    /// matching the factorization layout) are solved in one batched sweep.
+    /// matching the factorization layout) are solved in one column-blocked
+    /// sweep, and one row-major sweep over the `nM` rows of `C` and
+    /// `W = L⁻¹C` updates all `q·M` means and `q·M(M+1)/2` covariance
+    /// reductions of the chunk's `q` queries as independent accumulators,
+    /// where a strided walk down one or two columns per sum would re-read
+    /// the rows `q·M(M+3)/2` times. Each accumulator starts at -0.0 and adds
+    /// in row order, `Iterator::sum`'s chain, so each sum is the strided one
+    /// bit for bit (the oracle in this module's tests keeps that form).
     fn predict_chunk(&self, chunk: &[&[f64]]) -> Result<Vec<MultiTaskPrediction>, GpError> {
         for x in chunk {
             if x.len() != self.kernel.dim() {
@@ -245,22 +254,43 @@ impl MultiTaskGp {
         }
         let w = self.chol.solve_lower_mat(&cmat)?; // L^{-1} C, all columns at once
 
+        // The means `Σ_r C[r][j·M+u]·α[r]` and the reductions
+        // `Σ_r W[r][j·M+u]·W[r][j·M+v]` (u ≤ v, each query's upper triangle
+        // row by row), all in one sweep down the rows.
+        let tri = m * (m + 1) / 2;
+        let mut means = vec![-0.0; chunk.len() * m];
+        let mut reductions = vec![-0.0; chunk.len() * tri];
+        for (r, &a) in self.alpha.iter().enumerate() {
+            for (s, &c) in means.iter_mut().zip(cmat.row(r)) {
+                *s += c * a;
+            }
+            for (mut acc, wj) in reductions
+                .chunks_exact_mut(tri)
+                .zip(w.row(r).chunks_exact(m))
+            {
+                for (u, &wu) in wj.iter().enumerate() {
+                    let (row_u, rest) = acc.split_at_mut(m - u);
+                    for (s, &wv) in row_u.iter_mut().zip(&wj[u..]) {
+                        *s += wu * wv;
+                    }
+                    acc = rest;
+                }
+            }
+        }
+
         let mut out = Vec::with_capacity(chunk.len());
-        for j in 0..chunk.len() {
-            let mut mean: Vec<f64> = (0..m)
-                .map(|u| {
-                    (0..n * m)
-                        .map(|row| cmat[(row, j * m + u)] * self.alpha[row])
-                        .sum()
-                })
-                .collect();
+        for ((mean, reduction), &kxx) in means
+            .chunks_exact(m)
+            .zip(reductions.chunks_exact(tri))
+            .zip(&kxx)
+        {
+            let mut mean = mean.to_vec();
             let mut cov = Matrix::zeros(m, m);
+            let mut k = 0;
             for u in 0..m {
                 for v in u..m {
-                    let reduction: f64 = (0..n * m)
-                        .map(|row| w[(row, j * m + u)] * w[(row, j * m + v)])
-                        .sum();
-                    let c = self.b[(u, v)] * kxx[j] - reduction;
+                    let c = self.b[(u, v)] * kxx - reduction[k];
+                    k += 1;
                     cov[(u, v)] = c;
                     cov[(v, u)] = c;
                 }
@@ -606,6 +636,114 @@ mod tests {
                         b.cov[(t, u)].to_bits(),
                         "cov[({t},{u})] differs at {q:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The oracle of `predict_chunk`: the chunk's cross-covariance columns
+    /// solved one at a time ([`Cholesky::solve_lower`]), and each of the
+    /// chunk's means and covariance reductions its own `Iterator::sum`, a
+    /// strided walk down one or two columns over the `nM` rows.
+    fn strided_chunk_oracle(gp: &MultiTaskGp, chunk: &[&[f64]]) -> Vec<MultiTaskPrediction> {
+        let (n, m) = (gp.xs.len(), gp.n_tasks);
+        let mut cmat = Matrix::zeros(n * m, chunk.len() * m);
+        let mut kxx = Vec::with_capacity(chunk.len());
+        for (j, x) in chunk.iter().enumerate() {
+            let kq: Vec<f64> = gp.xs.iter().map(|xi| gp.kernel.eval(xi, x)).collect();
+            kxx.push(gp.kernel.eval(x, x));
+            for u in 0..m {
+                for t in 0..m {
+                    for (i, k) in kq.iter().enumerate() {
+                        cmat[(i * m + t, j * m + u)] = gp.b[(t, u)] * k;
+                    }
+                }
+            }
+        }
+        let mut w = Matrix::zeros(n * m, chunk.len() * m);
+        for c in 0..chunk.len() * m {
+            let col: Vec<f64> = (0..n * m).map(|row| cmat[(row, c)]).collect();
+            for (row, v) in gp.chol.solve_lower(&col).unwrap().into_iter().enumerate() {
+                w[(row, c)] = v;
+            }
+        }
+        (0..chunk.len())
+            .map(|j| {
+                let mut mean: Vec<f64> = (0..m)
+                    .map(|u| {
+                        (0..n * m)
+                            .map(|row| cmat[(row, j * m + u)] * gp.alpha[row])
+                            .sum()
+                    })
+                    .collect();
+                let mut cov = Matrix::zeros(m, m);
+                for u in 0..m {
+                    for v in u..m {
+                        let reduction: f64 = (0..n * m)
+                            .map(|row| w[(row, j * m + u)] * w[(row, j * m + v)])
+                            .sum();
+                        let c = gp.b[(u, v)] * kxx[j] - reduction;
+                        cov[(u, v)] = c;
+                        cov[(v, u)] = c;
+                    }
+                }
+                for u in 0..m {
+                    mean[u] = gp.y_means[u] + gp.y_scales[u] * mean[u];
+                    for v in 0..m {
+                        cov[(u, v)] *= gp.y_scales[u] * gp.y_scales[v];
+                    }
+                }
+                for u in 0..m {
+                    if cov[(u, u)] < 0.0 {
+                        cov[(u, u)] = 0.0;
+                    }
+                }
+                MultiTaskPrediction { mean, cov }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn predict_chunk_matches_the_strided_sums_bitwise() {
+        // 20 points and 3 tasks give a 60 × 60 factor. A full chunk of 8, a
+        // partial chunk of 5 (one on a training input) and a chunk of one.
+        let xs = grid_1d(20);
+        let ys: Vec<Vec<f64>> = xs
+            .iter()
+            .map(|x| {
+                let f = (4.0 * x[0]).sin();
+                vec![f, -f + 0.05 * x[0], f * f - 0.3]
+            })
+            .collect();
+        let gp = MultiTaskGp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
+        let queries: Vec<Vec<f64>> = (0..14).map(|i| vec![i as f64 / 12.0 - 0.04]).collect();
+        let chunks: [Vec<&[f64]>; 3] = [
+            queries[..8].iter().map(Vec::as_slice).collect(),
+            queries[8..12]
+                .iter()
+                .map(Vec::as_slice)
+                .chain([xs[7].as_slice()])
+                .collect(),
+            vec![queries[13].as_slice()],
+        ];
+        for chunk in &chunks {
+            let swept = gp.predict_chunk(chunk).unwrap();
+            let oracle = strided_chunk_oracle(&gp, chunk);
+            assert_eq!(swept.len(), chunk.len());
+            for ((q, s), o) in chunk.iter().zip(&swept).zip(&oracle) {
+                for t in 0..3 {
+                    assert_eq!(
+                        s.mean[t].to_bits(),
+                        o.mean[t].to_bits(),
+                        "mean[{t}] at {q:?}"
+                    );
+                    for u in 0..3 {
+                        assert_eq!(
+                            s.cov[(t, u)].to_bits(),
+                            o.cov[(t, u)].to_bits(),
+                            "cov[({t},{u})] at {q:?}"
+                        );
+                    }
                 }
             }
         }

@@ -31,9 +31,11 @@ pub const NAME_MAX: usize = 64;
 pub const GP_RESTARTS_MAX: usize = 64;
 
 /// Most EIPV Monte-Carlo samples a job may ask for (`mc_samples`). The
-/// estimate keeps one partial result per sample chunk, so an unbounded count
-/// aborts the worker process on allocation; the repository's own callers use
-/// 4–24.
+/// estimate sums its sample chunks lazily, so the count costs time, not
+/// memory, like `gp_max_evals`: every decision draws `mc_samples` samples per
+/// candidate and fidelity. The bound caps that at 4096, about 170 times the
+/// default of 24, the value admission has always applied; the repository's
+/// own callers use 4–24.
 pub const MC_SAMPLES_MAX: usize = 4096;
 
 /// Validates a tenant/session name: 1–64 chars from `[A-Za-z0-9_-]`.
@@ -193,10 +195,11 @@ impl JobSpec {
     /// ranges, including the ranges the
     /// optimizer itself checks ([`CmmfConfig::validate`]) on the knobs with
     /// the overrides applied, so a degenerate job is refused at admission
-    /// rather than failing in a worker. It also bounds what one job may cost
-    /// ([`GP_RESTARTS_MAX`], [`MC_SAMPLES_MAX`]): an allocation failure
-    /// aborts the daemon instead of failing the session, and recovery would
-    /// re-enqueue the job on every restart.
+    /// rather than failing in a worker. It also bounds what one job may cost:
+    /// past [`GP_RESTARTS_MAX`] the search's allocation fails, which aborts
+    /// the daemon instead of failing the session, and recovery would
+    /// re-enqueue the job on every restart; [`MC_SAMPLES_MAX`] caps the time
+    /// a decision spends on Monte-Carlo scoring.
     ///
     /// # Errors
     ///
@@ -219,8 +222,9 @@ impl JobSpec {
         let cfg = self.to_config();
         cfg.validate()
             .map_err(|e| ServeError::invalid(e.to_string()))?;
-        // What one job may cost: far enough past these bounds the worker's
-        // allocations abort the whole daemon, which `catch_unwind` cannot stop.
+        // What one job may cost: far enough past the restart bound the
+        // worker's allocation aborts the whole daemon, which `catch_unwind`
+        // cannot stop; the sample bound caps a decision's scoring time.
         for (knob, value, max) in [
             ("gp_restarts", cfg.gp.restarts, GP_RESTARTS_MAX),
             ("mc_samples", cfg.mc_samples, MC_SAMPLES_MAX),
@@ -600,7 +604,8 @@ mod tests {
             |o| o.n_init_impl = Some(0),
             |o| o.n_init_syn = Some(1), // below quick()'s n_init_impl of 2
             |o| o.n_init = Some(2),     // below quick()'s n_init_syn of 3
-            // Costs that abort the worker process on allocation.
+            // Costs past their bounds: a restart count whose allocation
+            // aborts the worker process, and a sample count that costs time.
             |o| o.gp_restarts = Some(GP_RESTARTS_MAX + 1),
             |o| o.mc_samples = Some(MC_SAMPLES_MAX + 1),
         ];
