@@ -10,6 +10,7 @@ use crate::CmmfError;
 use gp::kernel::Matern52;
 use gp::{FitStats, Gp, GpConfig, GpError, MultiTaskGp, MultiTaskPrediction, Prediction};
 use linalg::Matrix;
+use rayon::prelude::*;
 
 /// Number of fidelities (hls, syn, impl).
 pub const N_FIDELITIES: usize = 3;
@@ -423,6 +424,12 @@ fn augmented(x: &[f64], lower: &[f64]) -> Vec<f64> {
 /// one block and the final identification's 4000 points are 16.
 const CHAIN_BLOCK: usize = 256;
 
+/// Fewest inputs per thread where a per-objective level (FPL18's, and the
+/// independent ablation's) maps a block point by point in parallel: as the
+/// candidate encodings do, so a handful of inputs (the in-flight runs of
+/// one fidelity) spawns no thread.
+const POINTS_PER_THREAD: usize = 8;
+
 /// One pass up `levels` (lowest first; the first has no link) for many
 /// encoded inputs, [`CHAIN_BLOCK`] of them at a time. Within a block, each
 /// level's posteriors are computed lowest first: a level without a link
@@ -446,7 +453,8 @@ fn chain_batch<T>(
             let batch = match (level, batches.last()) {
                 (Level::Own(Objectives::Joint(gp)), _) => gp.predict_batch(block)?,
                 (Level::Own(Objectives::PerObjective(gps)), _) => block
-                    .iter()
+                    .par_iter()
+                    .with_min_len(POINTS_PER_THREAD)
                     .map(|x| diagonal(gps.iter().map(|gp| gp.predict(x))))
                     .collect::<Result<_, _>>()?,
                 (Level::Linear { rhos, residual }, Some(lower)) => {
@@ -537,17 +545,19 @@ fn diagonal(
 fn per_objective_link(
     xs: &[Vec<f64>],
     lower: &[MultiTaskPrediction],
-    link: impl Fn(usize, &[f64], Prediction) -> Result<Prediction, GpError>,
+    link: impl Fn(usize, &[f64], Prediction) -> Result<Prediction, GpError> + Sync,
 ) -> Result<Vec<MultiTaskPrediction>, GpError> {
-    xs.iter()
-        .zip(lower)
-        .map(|(x, below)| {
+    (0..xs.len().min(lower.len()))
+        .into_par_iter()
+        .with_min_len(POINTS_PER_THREAD)
+        .map(|i| {
+            let below = &lower[i];
             diagonal((0..N_OBJECTIVES).map(|o| {
                 let below = Prediction {
                     mean: below.mean[o],
                     var: below.cov[(o, o)],
                 };
-                link(o, x, below)
+                link(o, &xs[i], below)
             }))
         })
         .collect()

@@ -214,13 +214,18 @@ impl<'a> LoopState<'a> {
         });
         let (new_stack, mut fronts) = self.fit_step_stack(t)?;
 
-        // The in-flight runs' posterior means under the new stack, in
-        // dispatch order — the same fantasization the picks below apply to
-        // each other.
+        // The in-flight runs' posterior means under the new stack — the
+        // same fantasization the picks below apply to each other: one chain
+        // pass per fidelity for its runs, merged into its front in dispatch
+        // order.
+        let mut in_flight: Vec<Vec<Vec<f64>>> = vec![Vec::new(); fronts.len()];
         for run in self.in_flight.iter().flat_map(|g| &self.picks[g.seq]) {
-            let fi = run.stage.index();
-            let pred = new_stack.predict(fi, &self.space.encode(run.config))?;
-            fronts[fi] = merge_into_front(&fronts[fi], pred.mean);
+            in_flight[run.stage.index()].push(self.space.encode(run.config));
+        }
+        for (fi, encoded) in in_flight.iter().enumerate() {
+            for pred in new_stack.predict_batch(fi, encoded)? {
+                fronts[fi] = merge_into_front(&fronts[fi], pred.mean);
+            }
         }
 
         let Some(prep) = self.prepare_candidates(&new_stack)? else {

@@ -3,8 +3,9 @@
 //! schedule, and once more picking upper fidelities at refit steps), the
 //! FPL18 baseline, the two ablation variants (correlated
 //! objectives without cross-fidelity transfer, and independent objectives
-//! with the non-linear chain), a synchronous batch of three, and two slots
-//! in flight.
+//! with the non-linear chain), a synchronous batch of three, two slots in
+//! flight, and four slots in flight (several runs of one fidelity in flight
+//! at once, interleaved with runs of another).
 //!
 //! Every other bit-identity contract in the workspace compares two paths of
 //! the *same* build (serial vs. parallel, searched fit vs. refit, resumed vs.
@@ -245,6 +246,30 @@ fn async_two_slot_campaign_matches_the_recorded_digest() {
             measured_pareto: 4_912_382_816_618_901_049,
             sim_seconds_bits: 4_666_568_866_212_579_039,
             hv_history: 11_442_869_826_828_881_719,
+        }
+    );
+}
+
+#[test]
+fn async_four_slot_campaign_matches_the_recorded_digest() {
+    // Seed 48's campaign dispatches with up to three runs in flight, two
+    // of them at one fidelity with a run of another between them (in
+    // dispatch order: synthesis, HLS, synthesis), so the digest pins the
+    // fantasized fronts however the in-flight runs are batched.
+    let (space, sim) = problem();
+    let mut cfg = small_cfg(ModelVariant::paper(), 48, 4);
+    cfg.n_iter = 10;
+    let r = Optimizer::new(cfg)
+        .run(&space, &sim)
+        .expect("campaign runs");
+    assert_eq!(
+        digest(&r),
+        Digest {
+            candidate_set: 9_758_183_427_520_236_882,
+            evaluated_configs: 12_733_474_139_530_484_284,
+            measured_pareto: 46_281_624_405_982_711,
+            sim_seconds_bits: 4_660_650_319_589_200_789,
+            hv_history: 1_486_812_769_898_665_116,
         }
     );
 }

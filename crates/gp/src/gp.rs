@@ -101,8 +101,10 @@ impl Gp {
     /// lower triangle of `K + σ²I` from the per-fit [`DistanceCache`]
     /// straight into the workspace's buffer (bit-identical to from-scratch
     /// assembly), factors and solves it there, and allocates nothing. The
-    /// starts run in parallel with per-restart derived seeds, bit-identical
-    /// at any thread count (see [`multi_start_nelder_mead_par`]).
+    /// starts share the session's threads through one queue, moving between
+    /// them so that they end together; each keeps its derived seed, its
+    /// objective and its workspace, so the fit is bit-identical at any
+    /// thread count (see [`multi_start_nelder_mead_par`]).
     ///
     /// # Errors
     ///

@@ -26,10 +26,11 @@ use linalg::Matrix;
 /// the current inverse-squared lengthscales on every NLL evaluation (see
 /// [`Matern52::gram_from_cache`]).
 ///
-/// Layout is lower-triangle pair-major: the entry for pair `(i, j)` with
-/// `j ≤ i` starts at `(i·(i+1)/2 + j)·dim` and holds the `dim` squared
-/// differences in ascending-dimension order — the order [`Matern52::eval`]
-/// accumulates them in.
+/// Layout is lower-triangle row by row, dimension-major within a row: row
+/// `i`'s block starts at `i·(i+1)/2·dim` and holds, for each dimension `d`
+/// in ascending order, the `i + 1` squared differences of the pairs
+/// `(i, 0..=i)` side by side, so the assembly adds one dimension's term to
+/// a whole row of the Gram matrix in one contiguous sweep.
 #[derive(Debug)]
 pub struct DistanceCache {
     n: usize,
@@ -46,13 +47,12 @@ impl DistanceCache {
         let n = xs.len();
         let dim = xs.first().map_or(0, |x| x.len());
         let mut d2 = vec![0.0; n * (n + 1) / 2 * dim];
-        for i in 0..n {
-            let row_base = i * (i + 1) / 2;
+        for (i, x_i) in xs.iter().enumerate() {
+            let row = &mut d2[i * (i + 1) / 2 * dim..][..(i + 1) * dim];
             for (j, other) in xs.iter().enumerate().take(i + 1) {
-                let base = (row_base + j) * dim;
-                for (k, (x, y)) in xs[i].iter().zip(other).enumerate() {
+                for (k, (x, y)) in x_i.iter().zip(other).enumerate() {
                     let d = x - y;
-                    d2[base + k] = d * d;
+                    row[k * (i + 1) + j] = d * d;
                 }
             }
         }
@@ -74,10 +74,10 @@ impl DistanceCache {
         self.dim
     }
 
-    /// The cached squared differences of pair `(i, j)`, `j ≤ i`.
-    fn pair(&self, i: usize, j: usize) -> &[f64] {
-        let base = (i * (i + 1) / 2 + j) * self.dim;
-        &self.d2[base..base + self.dim]
+    /// Row `i`'s block: dimension `d`'s squared differences of the pairs
+    /// `(i, 0..=i)` at `d·(i+1)..(d+1)·(i+1)`.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.d2[i * (i + 1) / 2 * self.dim..][..(i + 1) * self.dim]
     }
 }
 
@@ -241,14 +241,17 @@ impl Matern52 {
     /// [`DistanceCache`] instead of the raw inputs, leaving the upper
     /// triangle as it was: each entry combines the cached per-dimension
     /// squared differences with the kernel's *current* inverse-squared
-    /// lengthscales in the same ascending-dimension fused accumulation order
-    /// as [`Matern52::eval`], then applies the same scalar tail — so the
-    /// result is **bit-identical** to [`Matern52::gram_into`] on the inputs
-    /// the cache was built from (pinned by
-    /// `gram_from_cache_matches_gram_into_bitwise`). This is the assembly
-    /// step of every likelihood evaluation in a hyperparameter search: one
-    /// serial sweep over tensors computed once per fit, straight into the
-    /// caller's buffer, allocating nothing.
+    /// lengthscales in the same ascending-dimension accumulation order as
+    /// [`Matern52::eval`] (from `0.0`, `s += D_d·w_d`), then applies the same
+    /// scalar tail — so the result is **bit-identical** to
+    /// [`Matern52::gram_into`] on the inputs the cache was built from (pinned
+    /// by `gram_from_cache_matches_gram_into_bitwise`). The sums accumulate
+    /// in the output row itself, one dimension at a time across the row's
+    /// pairs, which the cache's dimension-major rows make contiguous
+    /// (independent adds that vectorize, where a per-pair sum is one serial
+    /// chain). This is the assembly step of every likelihood evaluation in
+    /// a hyperparameter search: tensors computed once per fit, straight into
+    /// the caller's buffer, allocating nothing.
     ///
     /// # Panics
     ///
@@ -263,12 +266,15 @@ impl Matern52 {
         );
         assert_eq!(out.shape(), (n, n), "gram_from_cache: buffer must be n x n");
         for i in 0..n {
-            for (j, o) in out.row_mut(i)[..=i].iter_mut().enumerate() {
-                let mut s = 0.0;
-                for (d2, w) in cache.pair(i, j).iter().zip(&self.inv_sq_by_dim) {
-                    s += d2 * w;
+            let row = &mut out.row_mut(i)[..=i];
+            row.fill(0.0);
+            for (d2, w) in cache.row(i).chunks_exact(i + 1).zip(&self.inv_sq_by_dim) {
+                for (s, d2) in row.iter_mut().zip(d2) {
+                    *s += d2 * w;
                 }
-                *o = matern52_tail(self.signal_var, s);
+            }
+            for s in row.iter_mut() {
+                *s = matern52_tail(self.signal_var, *s);
             }
         }
     }
@@ -448,6 +454,16 @@ mod tests {
                 check_cached(&m, &xs, &cache, n, "ard");
                 check_cached(&g, &xs, &cache, n, "grouped");
             }
+        }
+        // The data kernels of the shipped benchmarks: ARD over 11 and 16
+        // dimensions, at the sizes a campaign's fits span.
+        for (n, d) in [(16, 11), (33, 16), (101, 11)] {
+            let xs = wavy_inputs(n, d);
+            let cache = DistanceCache::new(&xs);
+            let mut k = Matern52::ard(d);
+            let p: Vec<f64> = (0..=d).map(|i| (i as f64 * 0.7).sin()).collect();
+            k.set_log_params(&p);
+            check_cached(&k, &xs, &cache, n, "ard wide");
         }
     }
 

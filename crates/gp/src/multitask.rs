@@ -77,8 +77,11 @@ impl MultiTaskGp {
     /// per-fit [`DistanceCache`] (bit-identical to from-scratch assembly),
     /// writes Eq. 9's joint covariance from it straight into the
     /// workspace's buffer, and factors and solves it there, allocating
-    /// nothing. The starts run in parallel with per-restart derived seeds
-    /// (bit-identical at any thread count).
+    /// nothing. The starts share the session's threads through one queue,
+    /// moving between them so that they end together; each keeps its
+    /// derived seed, its objective and its workspace, so the fit is
+    /// bit-identical at any thread count (see
+    /// [`multi_start_nelder_mead_par`]).
     ///
     /// # Errors
     ///
