@@ -266,18 +266,20 @@ impl FidelityModelStack {
     /// so the pass starts at the highest such level at or below `f`.
     /// Bit-identical to mapping [`FidelityModelStack::predict`] over `xs`.
     ///
-    /// The pass walks `xs` up the levels in blocks of 256 and keeps, across
-    /// blocks, only fidelity `f`'s posteriors, so besides its result it holds
-    /// one block's level posteriors and sigma points at a time, for any
-    /// number of inputs. A joint level batches for real: a level on `x` runs
-    /// one chunked [`MultiTaskGp::predict_batch`], and the non-linear link
-    /// propagates level-synchronously — the block's sigma points are stacked
-    /// into a single level-GP batch, so each traversal of the level's
-    /// `nM × nM` factor serves a wide column block instead of one sigma point
-    /// (see `propagate_unscented_batch`). Per-objective levels predict point
-    /// by point. Every chunk and level prediction is bitwise-pinned to its
+    /// The pass is one parallel map over pieces of 8 inputs: each piece
+    /// climbs the levels on the thread that claims it and keeps only
+    /// fidelity `f`'s posteriors, so besides its result a thread holds one
+    /// piece's level posteriors and sigma points at a time, for any number of
+    /// inputs. A joint level batches for real: a level on `x` runs one
+    /// chunked [`MultiTaskGp::predict_batch`] over the piece, and the
+    /// non-linear link stacks the piece's sigma points into a single level-GP
+    /// batch, so each traversal of the level's `nM × nM` factor serves a wide
+    /// column block instead of one sigma point (see
+    /// `propagate_unscented_batch`). Per-objective levels predict point by
+    /// point. Every chunk and level prediction is bitwise-pinned to its
     /// single-query form, so a point's posterior does not depend on the
-    /// batch or block it arrives in. An empty `xs` predicts nothing.
+    /// batch, the piece or the thread it arrives in. An empty `xs` predicts
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -301,11 +303,12 @@ impl FidelityModelStack {
     /// `out[i][f]` is the fidelity-`f` posterior at `xs[i]`. One pass up the
     /// whole chain answers all fidelities — each level's batch once, the
     /// linked ones propagating the batch below — instead of recomputing the
-    /// lower fidelities per fidelity. The pass walks `xs` in blocks of 256,
-    /// as [`FidelityModelStack::predict_batch`] does, and keeps only the
-    /// per-point rows it returns. Bit-identical to
+    /// lower fidelities per fidelity. The pass climbs in pieces of 8 inputs
+    /// claimed by the threads, as [`FidelityModelStack::predict_batch`]'s
+    /// does, and keeps only the per-point rows it returns. Bit-identical to
     /// [`FidelityModelStack::predict`] at every `(f, x)` — the acquisition
-    /// step's candidate caches are built through it.
+    /// step's candidate caches are built through it. Called from inside a
+    /// parallel map (the optimizer's own pieces), it runs on that thread.
     ///
     /// # Errors
     ///
@@ -419,83 +422,82 @@ fn augmented(x: &[f64], lower: &[f64]) -> Vec<f64> {
     a
 }
 
-/// Inputs per block of a pass up the chain: the least power of two at or
-/// above the default candidate pool (200), so a default decision's pool is
-/// one block and the final identification's 4000 points are 16.
-const CHAIN_BLOCK: usize = 256;
-
-/// Fewest inputs per thread where a per-objective level (FPL18's, and the
-/// independent ablation's) maps a block point by point in parallel: as the
-/// candidate encodings do, so a handful of inputs (the in-flight runs of
-/// one fidelity) spawns no thread.
-const POINTS_PER_THREAD: usize = 8;
+/// Inputs per piece of a pass up the chain: the pieces are what the threads
+/// of one parallel pass claim, so a handful of inputs (the in-flight runs of
+/// one fidelity) is one piece and spawns no thread, and a decision's default
+/// pool of 200 candidates is 25. The optimizer cuts its candidate pools into
+/// the same pieces.
+pub(crate) const CHAIN_PIECE: usize = 8;
 
 /// One pass up `levels` (lowest first; the first has no link) for many
-/// encoded inputs, [`CHAIN_BLOCK`] of them at a time. Within a block, each
-/// level's posteriors are computed lowest first: a level without a link
-/// predicts the block, a linked level propagates the block's posteriors from
-/// the level below it. `keep` then takes from the block's levels what the
-/// caller returns, so a pass holds one block's sigma points, augmented
-/// inputs and level posteriors at a time, whatever the number of inputs.
-/// Shared by prediction (the whole chain or a prefix of it) and the fit
-/// loop, which predicts through the levels fitted so far while fitting the
-/// next. Every level prediction is bitwise-pinned to its single-query form,
-/// so the block split does not change a bit.
-fn chain_batch<T>(
+/// encoded inputs, in one parallel map over pieces of [`CHAIN_PIECE`]
+/// inputs. A piece climbs every level on the thread that claimed it, since
+/// an input's posterior at a level reads only its own posterior at the level
+/// below: a level without a link predicts the piece, a linked level
+/// propagates the piece's posteriors from the level below it. `keep` then
+/// takes from the piece's levels what the caller returns, so each thread
+/// holds one piece's sigma points, augmented inputs and level posteriors at
+/// a time, whatever the number of inputs. Shared by prediction (the whole
+/// chain or a prefix of it) and the fit loop, which predicts through the
+/// levels fitted so far while fitting the next. Every level prediction is
+/// bitwise-pinned to its single-query form, so neither the pieces nor the
+/// threads that claim them change a bit.
+fn chain_batch<T: Send>(
     levels: &[Level],
     xs: &[Vec<f64>],
-    keep: impl Fn(Vec<Vec<MultiTaskPrediction>>) -> Result<Vec<T>, CmmfError>,
+    keep: impl Fn(Vec<Vec<MultiTaskPrediction>>) -> Result<Vec<T>, CmmfError> + Sync,
 ) -> Result<Vec<T>, CmmfError> {
-    let mut kept = Vec::with_capacity(xs.len());
-    for block in xs.chunks(CHAIN_BLOCK) {
-        let mut batches: Vec<Vec<MultiTaskPrediction>> = Vec::with_capacity(levels.len());
-        for level in levels {
-            let batch = match (level, batches.last()) {
-                (Level::Own(Objectives::Joint(gp)), _) => gp.predict_batch(block)?,
-                (Level::Own(Objectives::PerObjective(gps)), _) => block
-                    .par_iter()
-                    .with_min_len(POINTS_PER_THREAD)
-                    .map(|x| diagonal(gps.iter().map(|gp| gp.predict(x))))
-                    .collect::<Result<_, _>>()?,
-                (Level::Linear { rhos, residual }, Some(lower)) => {
-                    per_objective_link(block, lower, |o, x, below| {
-                        let d = residual[o].predict(x)?;
-                        Ok(Prediction {
-                            mean: rhos[o] * below.mean + d.mean,
-                            var: rhos[o] * rhos[o] * below.var + d.var,
+    let pieces = xs
+        .par_chunks(CHAIN_PIECE)
+        .map(|piece| -> Result<Vec<T>, CmmfError> {
+            let mut batches: Vec<Vec<MultiTaskPrediction>> = Vec::with_capacity(levels.len());
+            for level in levels {
+                let batch = match (level, batches.last()) {
+                    (Level::Own(Objectives::Joint(gp)), _) => gp.predict_batch(piece)?,
+                    (Level::Own(Objectives::PerObjective(gps)), _) => piece
+                        .iter()
+                        .map(|x| diagonal(gps.iter().map(|gp| gp.predict(x))))
+                        .collect::<Result<_, _>>()?,
+                    (Level::Linear { rhos, residual }, Some(lower)) => {
+                        per_objective_link(piece, lower, |o, x, below| {
+                            let d = residual[o].predict(x)?;
+                            Ok(Prediction {
+                                mean: rhos[o] * below.mean + d.mean,
+                                var: rhos[o] * rhos[o] * below.var + d.var,
+                            })
+                        })?
+                    }
+                    (
+                        Level::Nonlinear {
+                            rhos,
+                            residual: Objectives::Joint(gp),
+                        },
+                        Some(lower),
+                    ) => propagate_unscented_batch(rhos, gp, piece, lower)?,
+                    (
+                        Level::Nonlinear {
+                            rhos,
+                            residual: Objectives::PerObjective(gps),
+                        },
+                        Some(lower),
+                    ) => per_objective_link(piece, lower, |o, x, below| {
+                        gauss_hermite(rhos[o], &gps[o], x, below)
+                    })?,
+                    (_, None) => {
+                        return Err(CmmfError::Internal {
+                            reason: "a linked fidelity level has no level below it".into(),
                         })
-                    })?
-                }
-                (
-                    Level::Nonlinear {
-                        rhos,
-                        residual: Objectives::Joint(gp),
-                    },
-                    Some(lower),
-                ) => propagate_unscented_batch(rhos, gp, block, lower)?,
-                (
-                    Level::Nonlinear {
-                        rhos,
-                        residual: Objectives::PerObjective(gps),
-                    },
-                    Some(lower),
-                ) => per_objective_link(block, lower, |o, x, below| {
-                    gauss_hermite(rhos[o], &gps[o], x, below)
-                })?,
-                (_, None) => {
-                    return Err(CmmfError::Internal {
-                        reason: "a linked fidelity level has no level below it".into(),
-                    })
-                }
-            };
-            batches.push(batch);
-        }
-        kept.extend(keep(batches)?);
-    }
-    Ok(kept)
+                    }
+                };
+                batches.push(batch);
+            }
+            keep(batches)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(pieces.into_iter().flatten().collect())
 }
 
-/// What [`chain_batch`] keeps of a block for a caller that wants the
+/// What [`chain_batch`] keeps of a piece for a caller that wants the
 /// highest level it passed through: that level's posteriors. The chain
 /// never lacks a level, since every stack has one per fidelity.
 fn top_level(
@@ -545,19 +547,17 @@ fn diagonal(
 fn per_objective_link(
     xs: &[Vec<f64>],
     lower: &[MultiTaskPrediction],
-    link: impl Fn(usize, &[f64], Prediction) -> Result<Prediction, GpError> + Sync,
+    link: impl Fn(usize, &[f64], Prediction) -> Result<Prediction, GpError>,
 ) -> Result<Vec<MultiTaskPrediction>, GpError> {
-    (0..xs.len().min(lower.len()))
-        .into_par_iter()
-        .with_min_len(POINTS_PER_THREAD)
-        .map(|i| {
-            let below = &lower[i];
+    xs.iter()
+        .zip(lower)
+        .map(|(x, below)| {
             diagonal((0..N_OBJECTIVES).map(|o| {
                 let below = Prediction {
                     mean: below.mean[o],
                     var: below.cov[(o, o)],
                 };
-                link(o, &xs[i], below)
+                link(o, x, below)
             }))
         })
         .collect()
@@ -614,15 +614,15 @@ fn gauss_hermite(rho: f64, z: &Gp, x: &[f64], below: Prediction) -> Result<Predi
 /// the chain's high-fidelity variance collapses and the acquisition stops
 /// escalating fidelities.
 ///
-/// [`chain_batch`] hands it one block of at most [`CHAIN_BLOCK`] points, and
-/// every point's sigma points are stacked into one level-GP query list, so
-/// the expensive triangular solves against the level's `nM × nM` factor run
-/// as wide column blocks instead of one sweep per sigma point, while the
-/// sigma sets, augmented inputs and mapped posteriors held at once stay
-/// those of one block. The per-point sigma construction and moment-matching
-/// do not look across points, and the batched level prediction is
-/// bitwise-pinned to its per-point form, so a point's result does not depend
-/// on the batch it arrives in.
+/// [`chain_batch`] hands it one piece of at most [`CHAIN_PIECE`] points on
+/// one thread, and every point's sigma points are stacked into one level-GP
+/// query list, so the expensive triangular solves against the level's
+/// `nM × nM` factor run as wide column blocks instead of one sweep per sigma
+/// point, while the sigma sets, augmented inputs and mapped posteriors held
+/// at once stay those of one piece. The per-point sigma construction and
+/// moment-matching do not look across points, and the batched level
+/// prediction is bitwise-pinned to its per-point form, so a point's result
+/// does not depend on the piece it arrives in.
 fn propagate_unscented_batch(
     rhos: &[f64],
     z: &MultiTaskGp,
@@ -760,15 +760,36 @@ mod tests {
 
     #[test]
     fn predict_batch_matches_predict_bitwise_in_every_variant() {
-        // The batched stack prediction (level-synchronous sigma-point
-        // stacking for the non-linear chain, chunked GP batches for the
+        // The batched stack prediction (sigma points stacked into one level
+        // GP batch for the non-linear chain, chunked GP batches for the
         // plain one) and the all-fidelity chain pass must both reproduce the
         // per-point path bit for bit — the optimizer's candidate caches are
-        // built through the latter. 300 points span many GP chunks, split
-        // across workers and cross a block boundary of the chain pass.
+        // built through the latter. The batch lengths fill a piece of the
+        // pass, miss or overrun one by a point, and span many pieces; at 1,
+        // 2 and 3 threads the pieces are claimed in different splits.
         let data = synthetic();
         let cfg = quick_cfg();
-        let xs: Vec<Vec<f64>> = (0..300).map(|i| vec![0.05 + 0.003 * i as f64]).collect();
+        let stacks: Vec<FidelityModelStack> = all_variants()
+            .into_iter()
+            .map(|variant| {
+                FidelityModelStack::fit(variant, &data, &cfg, None)
+                    .unwrap_or_else(|e| panic!("{}: {e}", variant.name()))
+            })
+            .collect();
+        let all: Vec<Vec<f64>> = (0..300).map(|i| vec![0.05 + 0.003 * i as f64]).collect();
+        // Per-point posteriors, computed once: `single[s][f][i]`.
+        let single: Vec<Vec<Vec<MultiTaskPrediction>>> = stacks
+            .iter()
+            .map(|stack| {
+                (0..N_FIDELITIES)
+                    .map(|f| {
+                        all.iter()
+                            .map(|x| stack.predict(f, x).expect("predicts"))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
         let same_bits = |a: &MultiTaskPrediction, b: &MultiTaskPrediction, label: &str| {
             assert_eq!(a.mean.len(), b.mean.len(), "{label}: objectives");
             for (am, bm) in a.mean.iter().zip(&b.mean) {
@@ -784,20 +805,31 @@ mod tests {
                 }
             }
         };
-        for variant in all_variants() {
-            let stack = FidelityModelStack::fit(variant, &data, &cfg, None)
-                .unwrap_or_else(|e| panic!("{}: {e}", variant.name()));
-            let all = stack.predict_all(&xs).expect("chain pass predicts");
-            assert_eq!(all.len(), xs.len(), "{}", variant.name());
-            for f in 0..N_FIDELITIES {
-                let batch = stack.predict_batch(f, &xs).expect("batch predicts");
-                assert_eq!(batch.len(), xs.len());
-                for (i, x) in xs.iter().enumerate() {
-                    let p = stack.predict(f, x).expect("predicts");
-                    let label = format!("{} f={f} x={x:?}", variant.name());
-                    same_bits(&batch[i], &p, &format!("{label} batch"));
-                    assert_eq!(all[i].len(), N_FIDELITIES, "{label}");
-                    same_bits(&all[i][f], &p, &format!("{label} chain pass"));
+        for threads in 1..=3 {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("the shim's builder cannot fail");
+            for len in [1, 7, 8, 9, 17, 300] {
+                let xs = &all[..len];
+                for (stack, single) in stacks.iter().zip(&single) {
+                    let name = stack.variant.name();
+                    let chain = pool
+                        .install(|| stack.predict_all(xs))
+                        .expect("chain pass predicts");
+                    assert_eq!(chain.len(), len, "{name}");
+                    for (f, single) in single.iter().enumerate() {
+                        let batch = pool
+                            .install(|| stack.predict_batch(f, xs))
+                            .expect("batch predicts");
+                        assert_eq!(batch.len(), len);
+                        for (i, p) in single[..len].iter().enumerate() {
+                            let label = format!("{name} threads={threads} len={len} f={f} i={i}");
+                            same_bits(&batch[i], p, &format!("{label} batch"));
+                            assert_eq!(chain[i].len(), N_FIDELITIES, "{label}");
+                            same_bits(&chain[i][f], p, &format!("{label} chain pass"));
+                        }
+                    }
                 }
             }
         }

@@ -2,7 +2,7 @@
 
 use crate::checkpoint::RunCheckpoint;
 use crate::eipv::{peipv, EipvScorer};
-use crate::models::{FidelityDataSet, FidelityModelStack, ModelVariant, N_OBJECTIVES};
+use crate::models::{FidelityDataSet, FidelityModelStack, ModelVariant, CHAIN_PIECE, N_OBJECTIVES};
 use crate::scheduler::{Group, Replay};
 use crate::CmmfError;
 use fidelity_sim::{FlowSimulator, RunOutcome, Stage};
@@ -439,8 +439,9 @@ impl<'a> LoopState<'a> {
     /// Draws the decision's candidate pool ([`LoopState::draw_pool`]) and
     /// precomputes the per-(candidate, fidelity) posterior caches shared by
     /// every scoring slot. Returns `None` when the pool is empty (space
-    /// exhausted). Ordered parallel collects keep the values bit-identical to
-    /// the serial path for any thread count.
+    /// exhausted). One parallel map over pieces of the pool does all of it,
+    /// and its ordered collect keeps the values bit-identical to the serial
+    /// path for any thread count.
     pub(crate) fn prepare_candidates(
         &mut self,
         stack: &FidelityModelStack,
@@ -452,28 +453,25 @@ impl<'a> LoopState<'a> {
         }
         let pool: Vec<usize> = self.unsampled[pool_start..].to_vec();
 
-        // Candidate encodings and posterior predictions are invariant across
-        // a decision's picks (only the fantasy fronts change between them), so
-        // compute each once per (candidate, stage) here instead of inside the
-        // scoring closures.
-        let encoded: Vec<Vec<f64>> = pool
-            .par_iter()
-            .with_min_len(8)
-            .map(|&c| space.encode(c))
-            .collect();
-        // One batched pass up the fidelity chain answers all three
-        // fidelities (each reuses the one below), in the per-candidate
-        // layout the scorers index. Bit-identical to per-candidate
-        // `predict` calls.
-        let preds = stack.predict_all(&encoded)?;
-        // The predictive-covariance factors are per-decision invariants too:
-        // factor each candidate's M x M covariance once and share it across
-        // scoring slots.
-        let chols: Vec<Vec<Option<Cholesky>>> = preds
-            .par_iter()
-            .with_min_len(8)
-            .map(|preds| preds.iter().map(|p| Cholesky::new(&p.cov).ok()).collect())
-            .collect();
+        // Encodings, posteriors and covariance factors are invariant across a
+        // decision's picks (only the fantasy fronts change between them), so
+        // each is computed once here, a piece of the pool per thread: one pass
+        // up the chain answers all three fidelities in the per-candidate
+        // layout the scorers index, bit-identical to per-candidate `predict`
+        // calls, and each M x M covariance is factored once for the scoring
+        // slots to share.
+        let pieces: Vec<Vec<_>> = pool
+            .par_chunks(CHAIN_PIECE)
+            .map(|piece| -> Result<_, CmmfError> {
+                let encoded: Vec<Vec<f64>> = piece.iter().map(|&c| space.encode(c)).collect();
+                let rows = stack.predict_all(&encoded)?.into_iter().map(|preds| {
+                    let chols = preds.iter().map(|p| Cholesky::new(&p.cov).ok()).collect();
+                    (preds, chols)
+                });
+                Ok(rows.collect())
+            })
+            .collect::<Result<_, _>>()?;
+        let (preds, chols) = pieces.into_iter().flatten().unzip();
         Ok(Some(CandidatePrep { pool, preds, chols }))
     }
 
@@ -635,17 +633,19 @@ impl<'a> LoopState<'a> {
                 self.unsampled.shuffle(&mut self.rng);
                 let pool_len = cfg.final_prediction_pool.min(self.unsampled.len());
                 let pool = &self.unsampled[..pool_len];
-                let encoded: Vec<Vec<f64>> = pool
-                    .par_iter()
-                    .with_min_len(16)
-                    .map(|&c| space.encode(c))
-                    .collect();
-                let preds: Vec<Vec<f64>> = stack
-                    .predict_batch(2, &encoded)?
-                    .into_iter()
-                    .map(|p| p.mean)
-                    .collect();
-                for k in pareto::pareto_front_indices(&preds) {
+                // Each piece is encoded and predicted on one thread, and only
+                // its means outlive it.
+                let pieces: Vec<Vec<Vec<f64>>> = pool
+                    .par_chunks(CHAIN_PIECE)
+                    .map(|piece| -> Result<_, CmmfError> {
+                        let encoded: Vec<Vec<f64>> =
+                            piece.iter().map(|&c| space.encode(c)).collect();
+                        let preds = stack.predict_batch(2, &encoded)?;
+                        Ok(preds.into_iter().map(|p| p.mean).collect())
+                    })
+                    .collect::<Result<_, _>>()?;
+                let means: Vec<Vec<f64>> = pieces.into_iter().flatten().collect();
+                for k in pareto::pareto_front_indices(&means) {
                     proposed.push(pool[k]);
                 }
             }
@@ -943,6 +943,7 @@ impl Optimizer {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::models::N_FIDELITIES;
     use fidelity_sim::SimParams;
     use hls_model::benchmarks::{self, Benchmark};
     use std::sync::Arc;
@@ -1076,6 +1077,66 @@ pub(crate) mod tests {
         for threads in [2, rayon::hardware_threads().max(3)] {
             let parallel = run_with(threads);
             assert_same_result(&serial, &parallel, &format!("threads={threads}"));
+        }
+    }
+
+    #[test]
+    fn candidate_preparation_is_thread_invariant() {
+        // A decision's pool is encoded, predicted and factored in pieces that
+        // any thread may take: at 1, 2 and 3 threads the caches must hold
+        // the same bits, in pool order (each candidate's row is its own
+        // single-query posterior).
+        let (space, sim) = setup(Benchmark::SpmvCrs);
+        let cfg = CmmfConfig {
+            candidate_pool: 45,
+            ..quick_cfg(5)
+        };
+        let prepare = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("the shim's builder cannot fail");
+            pool.install(|| {
+                let mut state = LoopState::start(&cfg, &space, &sim).expect("starts");
+                let (stack, _) = state.fit_step_stack(0).expect("fits");
+                let prep = state.prepare_candidates(&stack).expect("prepares");
+                (stack, prep.expect("the pool is not empty"))
+            })
+        };
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let same = |a: &MultiTaskPrediction, b: &MultiTaskPrediction, label: &str| {
+            assert_eq!(bits(&a.mean), bits(&b.mean), "{label}: mean");
+            assert_eq!(
+                bits(a.cov.as_slice()),
+                bits(b.cov.as_slice()),
+                "{label}: cov"
+            );
+        };
+        let (stack, serial) = prepare(1);
+        assert_eq!(serial.pool.len(), 45);
+        for (i, &c) in serial.pool.iter().enumerate() {
+            for f in 0..N_FIDELITIES {
+                let p = stack.predict(f, &space.encode(c)).expect("predicts");
+                same(&serial.preds[i][f], &p, &format!("candidate {i} f={f}"));
+            }
+        }
+        let factors = |c: &[Option<Cholesky>]| {
+            c.iter()
+                .map(|c| c.as_ref().map(|c| bits(c.l().as_slice())))
+                .collect::<Vec<_>>()
+        };
+        for threads in [2, 3] {
+            let (_, prep) = prepare(threads);
+            assert_eq!(prep.pool, serial.pool, "threads={threads}");
+            assert_eq!(prep.preds.len(), serial.preds.len(), "threads={threads}");
+            for (i, (a, b)) in prep.preds.iter().zip(&serial.preds).enumerate() {
+                for (f, (a, b)) in a.iter().zip(b).enumerate() {
+                    same(a, b, &format!("threads={threads} candidate {i} f={f}"));
+                }
+            }
+            for (i, (a, b)) in prep.chols.iter().zip(&serial.chols).enumerate() {
+                assert_eq!(factors(a), factors(b), "threads={threads} candidate {i}");
+            }
         }
     }
 

@@ -192,31 +192,29 @@ impl MultiTaskGp {
 
     /// Joint posteriors at many points.
     ///
-    /// Queries are processed in fixed chunks of 8: each chunk stacks its
-    /// `nM × M` cross-covariance blocks into one matrix, runs a single
-    /// column-blocked forward substitution ([`Cholesky::solve_lower_mat`])
-    /// instead of one triangular solve per (point, task), and takes all its
-    /// means and covariance reductions in one sweep down the rows. The
-    /// per-column and per-sum operations are exactly those of the per-point
-    /// path, so the results are bit-identical to calling
-    /// [`MultiTaskGp::predict`] per point; chunks run in parallel and are
-    /// re-assembled in input order.
+    /// Queries are processed in fixed chunks of 8 on the calling thread:
+    /// each chunk stacks its `nM × M` cross-covariance blocks into one
+    /// matrix, runs a single column-blocked forward substitution
+    /// ([`Cholesky::solve_lower_mat`]) instead of one triangular solve per
+    /// (point, task), and takes all its means and covariance reductions in
+    /// one sweep down the rows. The per-column and per-sum operations are
+    /// exactly those of the per-point path, so the results are bit-identical
+    /// to calling [`MultiTaskGp::predict`] per point. Parallelism belongs to
+    /// the caller: the fidelity chain calls this on one piece of its inputs
+    /// per thread.
     ///
     /// # Errors
     ///
     /// Returns [`GpError::DimensionMismatch`] under the same conditions as
     /// [`MultiTaskGp::predict`].
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<MultiTaskPrediction>, GpError> {
-        use rayon::prelude::*;
         const CHUNK: usize = 8;
-        let chunks: Vec<Vec<MultiTaskPrediction>> = xs
-            .par_chunks(CHUNK)
-            .map(|chunk| {
-                let refs: Vec<&[f64]> = chunk.iter().map(|x| x.as_slice()).collect();
-                self.predict_chunk(&refs)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(chunks.into_iter().flatten().collect())
+        let mut out = Vec::with_capacity(xs.len());
+        for chunk in xs.chunks(CHUNK) {
+            let refs: Vec<&[f64]> = chunk.iter().map(Vec::as_slice).collect();
+            out.extend(self.predict_chunk(&refs)?);
+        }
+        Ok(out)
     }
 
     /// Shared core of [`MultiTaskGp::predict`] and

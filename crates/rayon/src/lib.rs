@@ -13,36 +13,49 @@
 //! # Execution model
 //!
 //! Every parallel pipeline is **index-based over a fixed-length source**
-//! (a slice or a `Range<usize>`). A terminal operation splits the index range
-//! into at most `current_num_threads()` contiguous chunks, maps them on
-//! scoped threads, and then combines the **order-preserved** per-element
-//! results serially. Two consequences the optimizer relies on:
+//! (a slice or a `Range<usize>`). A terminal operation runs on at most
+//! `current_num_threads()` scoped threads, the caller among them, which
+//! **claim runs of indices from one shared cursor** until none is left:
+//! about eight claims per thread, none shorter than `with_min_len`. A thread
+//! that starts late or runs on a slower core simply takes fewer claims. The
+//! claims are then put back in index order and the **order-preserved**
+//! per-element results combined serially. Two consequences the optimizer
+//! relies on:
 //!
-//! 1. **Determinism by construction** — because the combine step is a serial
-//!    left-to-right pass over results in source order, every terminal
-//!    operation returns *bit-identical* values for any thread count
-//!    (including 1). Floating-point sums and collected vectors cannot depend
-//!    on scheduling. This is the contract behind
-//!    `CmmfConfig::threads` and the `deterministic_given_seed` tests.
+//! 1. **Determinism by construction** — which thread maps which claim
+//!    depends on timing, but the combine step is a serial left-to-right pass
+//!    over results in source order, so every terminal operation returns
+//!    *bit-identical* values for any thread count (including 1).
+//!    Floating-point sums and collected vectors cannot depend on scheduling.
+//!    This is the contract behind `CmmfConfig::threads` and the
+//!    `deterministic_given_seed` tests.
 //! 2. **No nested oversubscription** — a parallel call made from inside a
-//!    worker chunk runs serially (a thread-local flag marks pool workers), so
-//!    a parallel map nested in another never multiplies the thread count.
+//!    worker runs serially (a thread-local flag marks pool workers), so a
+//!    parallel map nested in another never multiplies the thread count.
 //!
-//! Threads are spawned per terminal operation rather than kept in a
-//! work-stealing pool. A spawning call costs about 40–50 µs on a 2-vCPU
-//! x86-64 host, more when the cores are busy. A Table-I optimizer step
-//! (10–25 ms of GP fitting, prediction and Monte-Carlo scoring) makes about
-//! ten such calls, so there spawns cost a few percent. They matter when the
-//! work per call is small or every core is already busy: a quick daemon
-//! session makes about 70 spawning calls, and with several sessions running
-//! at once a spawn buys no parallelism, only contention. Callers in that
-//! position run at fewer threads (the `cmmf-serve` daemon divides the cores
-//! among the sessions running when a session starts); `with_min_len` guards
-//! the fine-grained calls.
+//! Both thread-locals (that flag and [`ThreadPool::install`]'s count) are
+//! restored when a panic unwinds through a parallel call or `install`, so a
+//! thread that catches the panic goes on at its own thread count; a worker's
+//! panic is re-raised on the caller.
+//!
+//! Threads are spawned per terminal operation: a pool that outlives the call
+//! would have to run borrowed closures on `'static` threads, which needs
+//! `unsafe`. On a 2-vCPU x86-64 host a call with about 1 ms of work costs its
+//! caller 29–43 µs to spawn the helper, which starts 75–99 µs after the call
+//! and whose exit takes 54–90 µs more to reach the join; with a fixed share
+//! per thread the caller then waited 130–160 µs for it, longer when the two
+//! vCPUs ran at different speeds. Claims take the uneven start and speed out
+//! of that wait, and callers make few, large calls: the fidelity chain and
+//! the optimizer's candidate pools take one map per pass, over pieces that
+//! each climb the whole chain on one thread. When every core is already busy
+//! a spawn buys only contention, so such callers run at fewer threads (the
+//! `cmmf-serve` daemon divides the cores among the sessions running when a
+//! session starts); `with_min_len` guards the fine-grained calls.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::LocalKey;
 
 /// Everything needed at a `rayon` call site.
 pub mod prelude {
@@ -59,13 +72,13 @@ static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// Per-thread override installed by [`ThreadPool::install`] (0 = unset).
     static LOCAL_THREADS: Cell<usize> = const { Cell::new(0) };
-    /// Set while this thread is executing a chunk of a parallel operation;
+    /// Set while this thread is mapping claims of a parallel operation;
     /// nested parallel calls then run serially.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Number of threads a parallel operation started *now* on this thread would
-/// use: 1 inside a worker chunk, otherwise the innermost
+/// use: 1 inside a worker, otherwise the innermost
 /// [`ThreadPool::install`] override, the [`ThreadPoolBuilder::build_global`]
 /// default, or the hardware parallelism.
 pub fn current_num_threads() -> usize {
@@ -157,10 +170,8 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Runs `f` with parallel operations capped at this pool's thread count.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        let prev = LOCAL_THREADS.with(|c| c.replace(self.n));
-        let out = f();
-        LOCAL_THREADS.with(|c| c.set(prev));
-        out
+        let _count = Restore::set(&LOCAL_THREADS, self.n);
+        f()
     }
 
     /// This pool's thread count.
@@ -173,59 +184,68 @@ impl ThreadPool {
 // The executor
 // --------------------------------------------------------------------------
 
-/// Maps `0..len` through `f` into a `Vec` in index order, splitting across at
-/// most `current_num_threads()` scoped threads with at least `min_len` indices
-/// per chunk. The building block for every adapter below.
+/// Sets a thread-local to a value until dropped, then puts back what it
+/// held: on a normal return and when a panic unwinds through the scope alike.
+struct Restore<T: Copy + 'static>(&'static LocalKey<Cell<T>>, T);
+
+impl<T: Copy + 'static> Restore<T> {
+    fn set(key: &'static LocalKey<Cell<T>>, value: T) -> Self {
+        Restore(key, key.with(|c| c.replace(value)))
+    }
+}
+
+impl<T: Copy + 'static> Drop for Restore<T> {
+    fn drop(&mut self) {
+        // `try_with` fails only while the thread's locals are being torn
+        // down, when there is nothing left to restore.
+        let _ = self.0.try_with(|c| c.set(self.1));
+    }
+}
+
+/// Maps `0..len` through `f` into a `Vec` in index order on at most
+/// `current_num_threads()` scoped threads, each with at least `min_len`
+/// indices of work: every thread, the caller included, claims the next run of
+/// indices from one cursor until none is left, and the claims are put back in
+/// index order. The building block for every adapter below.
 fn par_map_indices<R: Send>(len: usize, min_len: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let threads = current_num_threads().min(len / min_len.max(1)).max(1);
     if threads == 1 || len <= 1 {
-        let was = IN_WORKER.with(|c| c.replace(true));
-        let out = (0..len).map(f).collect();
-        IN_WORKER.with(|c| c.set(was));
-        return out;
+        let _worker = Restore::set(&IN_WORKER, true);
+        return (0..len).map(f).collect();
     }
 
-    // Contiguous chunk per thread, sized within one index of each other.
-    let base = len / threads;
-    let extra = len % threads;
-    let mut bounds = Vec::with_capacity(threads + 1);
-    let mut acc = 0;
-    bounds.push(0);
-    for t in 0..threads {
-        acc += base + usize::from(t < extra);
-        bounds.push(acc);
-    }
-
-    let run_chunk = |range: Range<usize>| -> Vec<R> {
-        let was = IN_WORKER.with(|c| c.replace(true));
-        let out = range.map(&f).collect();
-        IN_WORKER.with(|c| c.set(was));
-        out
+    // About eight claims per thread, so the threads finish within a claim of
+    // one another, and none shorter than `min_len`.
+    let claim = min_len.max(len.div_ceil(8 * threads));
+    let n_claims = len.div_ceil(claim);
+    // The cursor publishes no data (each claim's results travel back through
+    // the join), so `Relaxed` suffices: the read-modify-write alone makes
+    // every claim number unique.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let _worker = Restore::set(&IN_WORKER, true);
+        let mut claimed = Vec::new();
+        loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= n_claims {
+                return claimed;
+            }
+            let lo = k * claim;
+            claimed.push((lo, (lo..len.min(lo + claim)).map(&f).collect::<Vec<R>>()));
+        }
     };
 
-    let mut chunks: Vec<Vec<R>> = Vec::with_capacity(threads);
-    let run_chunk = &run_chunk;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .windows(2)
-            .skip(1)
-            .map(|w| {
-                let (lo, hi) = (w[0], w[1]);
-                scope.spawn(move || run_chunk(lo..hi))
-            })
-            .collect();
-        // The calling thread takes the first chunk.
-        chunks.push(run_chunk(bounds[0]..bounds[1]));
-        for h in handles {
+    let mut claims = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut claims = work();
+        for h in helpers {
             // cmmf-lint: allow(P1) -- re-raising a worker's panic on the calling thread is join's contract; swallowing it would silently drop a chunk of results
-            chunks.push(h.join().expect("parallel worker panicked"));
+            claims.extend(h.join().expect("parallel worker panicked"));
         }
+        claims
     });
-    let mut out = Vec::with_capacity(len);
-    for c in chunks {
-        out.extend(c);
-    }
-    out
+    claims.sort_unstable_by_key(|&(lo, _)| lo);
+    claims.into_iter().flat_map(|(_, c)| c).collect()
 }
 
 // --------------------------------------------------------------------------
@@ -395,8 +415,8 @@ impl<S: Source + Sync> ParIter<S>
 where
     S::Item: Send,
 {
-    /// Requires at least `n` items per worker chunk (caps the fan-out for
-    /// fine-grained work).
+    /// Requires at least `n` items per claim, and per thread (caps the
+    /// fan-out for fine-grained work).
     pub fn with_min_len(mut self, n: usize) -> Self {
         self.min_len = n.max(1);
         self
@@ -413,7 +433,7 @@ where
 }
 
 impl<S: Source + Sync, R: Send, F: Fn(S::Item) -> R + Sync> MapIter<S, F> {
-    /// Requires at least `n` items per worker chunk.
+    /// Requires at least `n` items per claim, and per thread.
     pub fn with_min_len(mut self, n: usize) -> Self {
         self.min_len = n.max(1);
         self
@@ -471,6 +491,8 @@ impl<S, F> ParallelIterator for MapIter<S, F> {}
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn map_collect_preserves_order() {
@@ -550,5 +572,137 @@ mod tests {
         let a: Vec<usize> = v.par_iter().map(|&x| x + 1).collect();
         let b: Vec<usize> = v.par_iter().with_min_len(64).map(|&x| x + 1).collect();
         assert_eq!(a, b);
+    }
+
+    fn pool(threads: usize) -> ThreadPool {
+        ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("the shim's builder cannot fail")
+    }
+
+    #[test]
+    fn every_index_is_mapped_once_in_source_order() {
+        // Every fan-out and claim size a small map can get: each index is
+        // mapped exactly once, results come back in source order, and an
+        // ordered sum keeps the serial sum's bits.
+        let term = |i: usize| 1.0 / (i as f64 + 1.0);
+        for threads in 1..=7 {
+            pool(threads).install(|| {
+                for len in 0..=70 {
+                    let serial: f64 = (0..len).map(term).sum();
+                    for min_len in 1..=9 {
+                        let label = format!("threads={threads} len={len} min_len={min_len}");
+                        let calls: Vec<AtomicUsize> =
+                            (0..len).map(|_| AtomicUsize::new(0)).collect();
+                        let out: Vec<usize> = (0..len)
+                            .into_par_iter()
+                            .with_min_len(min_len)
+                            .map(|i| {
+                                calls[i].fetch_add(1, Ordering::Relaxed);
+                                i
+                            })
+                            .collect();
+                        assert_eq!(out, (0..len).collect::<Vec<_>>(), "{label}");
+                        for (i, c) in calls.iter().enumerate() {
+                            assert_eq!(c.load(Ordering::Relaxed), 1, "{label} index {i}");
+                        }
+                        let sum: f64 = (0..len)
+                            .into_par_iter()
+                            .with_min_len(min_len)
+                            .map(term)
+                            .sum();
+                        assert_eq!(sum.to_bits(), serial.to_bits(), "{label}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn a_stalled_claim_does_not_hold_back_the_others() {
+        // Index 0 waits until every other index has run. A thread holding a
+        // fixed half of the range would hold indices 1–7 behind it and the
+        // wait would time out; the other thread must be able to take them.
+        const LEN: usize = 16;
+        let others_done = AtomicUsize::new(0);
+        let timed_out = AtomicBool::new(false);
+        pool(2).install(|| {
+            (0..LEN)
+                .into_par_iter()
+                .with_min_len(1)
+                .map(|i| {
+                    if i > 0 {
+                        others_done.fetch_add(1, Ordering::SeqCst);
+                        return;
+                    }
+                    // A test's timeout, off every result path (cmmf-lint D2
+                    // spares tests).
+                    #[allow(clippy::disallowed_methods)]
+                    let waiting = Instant::now();
+                    while others_done.load(Ordering::SeqCst) < LEN - 1 {
+                        if waiting.elapsed() > Duration::from_secs(10) {
+                            timed_out.store(true, Ordering::SeqCst);
+                            return;
+                        }
+                        std::thread::yield_now();
+                    }
+                })
+                .collect::<Vec<()>>()
+        });
+        assert!(
+            !timed_out.load(Ordering::SeqCst),
+            "index 0 waited 10 s for indices it held back"
+        );
+        assert_eq!(others_done.load(Ordering::SeqCst), LEN - 1);
+    }
+
+    #[test]
+    fn a_panicking_index_re_raises_on_the_caller() {
+        for threads in [1, 3] {
+            let result = std::panic::catch_unwind(|| {
+                pool(threads).install(|| {
+                    (0..64)
+                        .into_par_iter()
+                        .map(|i| {
+                            if i == 37 {
+                                panic!("index 37 panics")
+                            } else {
+                                i
+                            }
+                        })
+                        .collect::<Vec<usize>>()
+                })
+            });
+            assert!(result.is_err(), "threads={threads}: the panic was lost");
+        }
+    }
+
+    #[test]
+    fn a_caught_panic_leaves_the_thread_counts_as_they_were() {
+        // A daemon worker catches a session's panic and runs the next
+        // session on the same thread, which must still see its thread count.
+        let before = current_num_threads();
+        for threads in [1, 2] {
+            let result = std::panic::catch_unwind(|| {
+                pool(threads).install(|| {
+                    (0..16)
+                        .into_par_iter()
+                        .map(|_| -> usize { panic!("every index panics") })
+                        .collect::<Vec<usize>>()
+                })
+            });
+            assert!(result.is_err(), "threads={threads}: the panic was lost");
+            assert_eq!(current_num_threads(), before, "after a map at {threads}");
+            assert_eq!(
+                pool(2).install(current_num_threads),
+                2,
+                "after a map at {threads}"
+            );
+        }
+        let result = std::panic::catch_unwind(|| pool(3).install(|| panic!("install panics")));
+        assert!(result.is_err(), "the panic in install was lost");
+        assert_eq!(current_num_threads(), before, "after install");
+        assert_eq!(pool(2).install(current_num_threads), 2, "after install");
     }
 }
