@@ -98,9 +98,10 @@ impl Gp {
     ///
     /// Each start of the search owns one kernel and one `n × n`
     /// [`CholeskyWorkspace`] for its lifetime: an NLL evaluation writes the
-    /// lower triangle of `K + σ²I` from the per-fit [`DistanceCache`]
+    /// upper triangle of `K + σ²I` from the per-fit [`DistanceCache`]
     /// straight into the workspace's buffer (bit-identical to from-scratch
-    /// assembly), factors and solves it there, and allocates nothing. The
+    /// assembly), factors it there into `U = Lᵀ`, solves against `U` row by
+    /// row, and allocates nothing. The
     /// starts share the session's threads through one queue, moving between
     /// them so that they end together; each keeps its derived seed, its
     /// objective and its workspace, so the fit is bit-identical at any
@@ -277,9 +278,10 @@ fn standardize(ys: &[f64]) -> (Vec<f64>, f64, f64) {
 
 /// One start of [`Gp::fit`]'s search: it owns one kernel, an `n × n`
 /// [`CholeskyWorkspace`] and the solve vector for the start's lifetime, so
-/// an evaluation writes `K + σ²I` from the per-fit [`DistanceCache`] into
-/// the workspace's buffer, factors and solves it there, and allocates
-/// nothing.
+/// an evaluation writes the upper triangle of `K + σ²I` from the per-fit
+/// [`DistanceCache`] into the workspace's buffer row by row, factors it
+/// there into `U = Lᵀ`, solves against `U` with contiguous row walks only,
+/// and allocates nothing.
 pub(crate) struct SearchObjective<'a> {
     cache: &'a DistanceCache,
     y_std: &'a [f64],
@@ -306,13 +308,13 @@ impl<'a> SearchObjective<'a> {
         self.kernel.set_log_params(kp);
         let nv = log_nv[0].exp().max(NOISE_FLOOR);
         let (kernel, cache) = (&self.kernel, self.cache);
-        let factored = self.ws.factor(|l| {
-            kernel.gram_from_cache(cache, l);
-            l.add_diag(nv);
+        let factored = self.ws.factor(|u| {
+            kernel.gram_from_cache(cache, u);
+            u.add_diag(nv);
         });
         match factored {
             Ok(chol) if chol.solve_into(self.y_std, &mut self.alpha).is_ok() => {
-                nlml_from(chol, self.y_std, &self.alpha)
+                nlml_from(chol.log_det(), self.y_std, &self.alpha)
             }
             _ => f64::INFINITY,
         }
@@ -320,7 +322,7 @@ impl<'a> SearchObjective<'a> {
 }
 
 /// Builds and factorizes `K + σ²I` for a final fit or a refit, writing its
-/// lower triangle straight into the factor's storage; returns
+/// upper triangle straight into the factor's storage; returns
 /// `(chol, α = K⁻¹y, NLML)`.
 fn factorize(
     kernel: &Matern52,
@@ -328,22 +330,20 @@ fn factorize(
     y_std: &[f64],
     noise_var: f64,
 ) -> Result<(Cholesky, Vec<f64>, f64), GpError> {
-    let chol = Cholesky::from_lower(xs.len(), |l| {
-        kernel.gram_into(xs, l);
-        l.add_diag(noise_var);
+    let chol = Cholesky::from_upper(xs.len(), |u| {
+        kernel.gram_into(xs, u);
+        u.add_diag(noise_var);
     })?;
     let alpha = chol.solve_vec(y_std)?;
-    let nlml = nlml_from(&chol, y_std, &alpha);
+    let nlml = nlml_from(chol.log_det(), y_std, &alpha);
     Ok((chol, alpha, nlml))
 }
 
 /// `NLML = ½ yᵀα + ½ log|K| + ½ n log 2π` — one expression shared by the
 /// final factorization and the search objective.
-pub(crate) fn nlml_from(chol: &Cholesky, y_std: &[f64], alpha: &[f64]) -> f64 {
+pub(crate) fn nlml_from(log_det: f64, y_std: &[f64], alpha: &[f64]) -> f64 {
     let fit_term: f64 = y_std.iter().zip(alpha).map(|(y, a)| y * a).sum();
-    0.5 * fit_term
-        + 0.5 * chol.log_det()
-        + 0.5 * y_std.len() as f64 * (2.0 * std::f64::consts::PI).ln()
+    0.5 * fit_term + 0.5 * log_det + 0.5 * y_std.len() as f64 * (2.0 * std::f64::consts::PI).ln()
 }
 
 #[cfg(test)]

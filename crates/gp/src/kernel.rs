@@ -20,17 +20,22 @@
 
 use linalg::Matrix;
 
+/// Pairs per block of a [`DistanceCache`]: the distance sums of one block
+/// stay in registers across all dimensions.
+const PAIRS: usize = 8;
+
 /// Per-fit cache of the parameter-*independent* pairwise structure of the
 /// kernel: the per-dimension squared differences
-/// `D_d[i][j] = (x_i,d − x_j,d)²`, computed once per `fit` and combined with
+/// `D_d[j][i] = (x_j,d − x_i,d)²`, computed once per `fit` and combined with
 /// the current inverse-squared lengthscales on every NLL evaluation (see
 /// [`Matern52::gram_from_cache`]).
 ///
-/// Layout is lower-triangle row by row, dimension-major within a row: row
-/// `i`'s block starts at `i·(i+1)/2·dim` and holds, for each dimension `d`
-/// in ascending order, the `i + 1` squared differences of the pairs
-/// `(i, 0..=i)` side by side, so the assembly adds one dimension's term to
-/// a whole row of the Gram matrix in one contiguous sweep.
+/// Layout: the pairs `(j, i)`, `i ≥ j`, of the Gram matrix's upper triangle
+/// in row order (row `j`'s pairs `(j, j..n)`, then row `j + 1`'s), cut into
+/// blocks of 8 pairs, dimension-major within a block: block `b` starts at
+/// `8·b·dim` and holds, for each dimension `d` in ascending order, the 8
+/// squared differences of its pairs side by side. The last block is padded
+/// with zeros.
 #[derive(Debug)]
 pub struct DistanceCache {
     n: usize,
@@ -46,14 +51,17 @@ impl DistanceCache {
     pub fn new(xs: &[Vec<f64>]) -> Self {
         let n = xs.len();
         let dim = xs.first().map_or(0, |x| x.len());
-        let mut d2 = vec![0.0; n * (n + 1) / 2 * dim];
-        for (i, x_i) in xs.iter().enumerate() {
-            let row = &mut d2[i * (i + 1) / 2 * dim..][..(i + 1) * dim];
-            for (j, other) in xs.iter().enumerate().take(i + 1) {
-                for (k, (x, y)) in x_i.iter().zip(other).enumerate() {
+        let blocks = (n * (n + 1) / 2).div_ceil(PAIRS);
+        let mut d2 = vec![0.0; blocks * PAIRS * dim];
+        let mut pair = 0;
+        for (j, x_j) in xs.iter().enumerate() {
+            for x_i in &xs[j..] {
+                let block = &mut d2[pair / PAIRS * PAIRS * dim..][..PAIRS * dim];
+                for (k, (x, y)) in x_j.iter().zip(x_i).enumerate() {
                     let d = x - y;
-                    row[k * (i + 1) + j] = d * d;
+                    block[k * PAIRS + pair % PAIRS] = d * d;
                 }
+                pair += 1;
             }
         }
         DistanceCache { n, dim, d2 }
@@ -72,12 +80,6 @@ impl DistanceCache {
     /// Input dimension the cache was built for.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Row `i`'s block: dimension `d`'s squared differences of the pairs
-    /// `(i, 0..=i)` at `d·(i+1)..(d+1)·(i+1)`.
-    fn row(&self, i: usize) -> &[f64] {
-        &self.d2[i * (i + 1) / 2 * self.dim..][..(i + 1) * self.dim]
     }
 }
 
@@ -217,12 +219,12 @@ impl Matern52 {
         matern52_tail(self.signal_var, s)
     }
 
-    /// Writes the lower triangle of the Gram matrix,
-    /// `out[(i, j)] = k(xs[i], xs[j])` for `j ≤ i`, into the caller's buffer
-    /// and leaves the upper triangle as it was: every consumer (the Cholesky
-    /// factorization, Eq. 9's joint covariance) reads the lower triangle
-    /// only, and [`Matern52::eval`] is bitwise symmetric, so half the
-    /// evaluations give the whole matrix.
+    /// Writes the upper triangle of the Gram matrix,
+    /// `out[(j, i)] = k(xs[j], xs[i])` for `i ≥ j`, into the caller's buffer
+    /// row by row and leaves the strict lower triangle as it was: every
+    /// consumer (the Cholesky factorization, Eq. 9's joint covariance) reads
+    /// the upper triangle only, and [`Matern52::eval`] is bitwise symmetric,
+    /// so half the evaluations give the whole matrix.
     ///
     /// # Panics
     ///
@@ -230,51 +232,60 @@ impl Matern52 {
     pub fn gram_into(&self, xs: &[Vec<f64>], out: &mut Matrix) {
         let n = xs.len();
         assert_eq!(out.shape(), (n, n), "gram_into: buffer must be n x n");
-        for (i, x) in xs.iter().enumerate() {
-            for (o, other) in out.row_mut(i).iter_mut().zip(&xs[..=i]) {
+        for (j, x) in xs.iter().enumerate() {
+            for (o, other) in out.row_mut(j)[j..].iter_mut().zip(&xs[j..]) {
                 *o = self.eval(x, other);
             }
         }
     }
 
-    /// Writes the lower triangle of the Gram matrix from a precomputed
-    /// [`DistanceCache`] instead of the raw inputs, leaving the upper
+    /// Writes the upper triangle of the Gram matrix from a precomputed
+    /// [`DistanceCache`] instead of the raw inputs, leaving the strict lower
     /// triangle as it was: each entry combines the cached per-dimension
     /// squared differences with the kernel's *current* inverse-squared
     /// lengthscales in the same ascending-dimension accumulation order as
     /// [`Matern52::eval`] (from `0.0`, `s += D_d·w_d`), then applies the same
     /// scalar tail — so the result is **bit-identical** to
     /// [`Matern52::gram_into`] on the inputs the cache was built from (pinned
-    /// by `gram_from_cache_matches_gram_into_bitwise`). The sums accumulate
-    /// in the output row itself, one dimension at a time across the row's
-    /// pairs, which the cache's dimension-major rows make contiguous
+    /// by `gram_from_cache_matches_gram_into_bitwise`). The cache's blocks
+    /// of 8 pairs keep a block's 8 sums in registers across all dimensions
     /// (independent adds that vectorize, where a per-pair sum is one serial
-    /// chain). This is the assembly step of every likelihood evaluation in
-    /// a hyperparameter search: tensors computed once per fit, straight into
-    /// the caller's buffer, allocating nothing.
+    /// chain, with no per-row loop overhead), and each pair's tail then goes
+    /// to its place in row `j`. This is the assembly step of every
+    /// likelihood evaluation in a hyperparameter search: tensors computed
+    /// once per fit, straight into the caller's buffer, allocating nothing.
     ///
     /// # Panics
     ///
     /// Panics if the cache was built for a different input dimension, or if
     /// `out` is not `n x n`.
     pub fn gram_from_cache(&self, cache: &DistanceCache, out: &mut Matrix) {
-        let n = cache.n;
+        let (n, dim) = (cache.n, cache.dim);
         assert_eq!(
             self.inv_sq_by_dim.len(),
-            cache.dim,
+            dim,
             "gram_from_cache: cache dimension mismatch"
         );
         assert_eq!(out.shape(), (n, n), "gram_from_cache: buffer must be n x n");
-        for i in 0..n {
-            let row = &mut out.row_mut(i)[..=i];
-            row.fill(0.0);
-            for (d2, w) in cache.row(i).chunks_exact(i + 1).zip(&self.inv_sq_by_dim) {
-                for (s, d2) in row.iter_mut().zip(d2) {
+        let out = out.as_mut_slice();
+        let pairs = n * (n + 1) / 2;
+        // The pair (j, i) the next tail goes to, in upper-row order.
+        let (mut j, mut i) = (0, 0);
+        for first in (0..pairs).step_by(PAIRS) {
+            let block = &cache.d2[first * dim..][..PAIRS * dim];
+            let mut s = [0.0; PAIRS];
+            for (d2, w) in block.chunks_exact(PAIRS).zip(&self.inv_sq_by_dim) {
+                for (s, d2) in s.iter_mut().zip(d2) {
                     *s += d2 * w;
                 }
             }
-            for s in row.iter_mut() {
-                *s = matern52_tail(self.signal_var, *s);
+            for &s in &s[..PAIRS.min(pairs - first)] {
+                out[j * n + i] = matern52_tail(self.signal_var, s);
+                i += 1;
+                if i == n {
+                    j += 1;
+                    i = j;
+                }
             }
         }
     }
@@ -403,24 +414,24 @@ mod tests {
         assert_eq!(g.eval(&a, &b).to_bits(), g.eval(&b, &a).to_bits());
     }
 
-    /// Asserts that the lower triangle of `got` equals `entry(i, j)` bit for
-    /// bit and that its strict upper triangle is still NaN (untouched).
-    fn assert_lower_only(got: &Matrix, entry: impl Fn(usize, usize) -> f64, tag: &str) {
+    /// Asserts that the upper triangle of `got` equals `entry(j, i)` bit for
+    /// bit and that its strict lower triangle is still NaN (untouched).
+    fn assert_upper_only(got: &Matrix, entry: impl Fn(usize, usize) -> f64, tag: &str) {
         let n = got.rows();
-        for i in 0..n {
-            for j in 0..n {
-                if j <= i {
-                    let want = entry(i, j).to_bits();
-                    assert_eq!(got[(i, j)].to_bits(), want, "{tag} n={n} ({i},{j})");
+        for j in 0..n {
+            for i in 0..n {
+                if i >= j {
+                    let want = entry(j, i).to_bits();
+                    assert_eq!(got[(j, i)].to_bits(), want, "{tag} n={n} ({j},{i})");
                 } else {
-                    assert!(got[(i, j)].is_nan(), "{tag} n={n} wrote ({i},{j})");
+                    assert!(got[(j, i)].is_nan(), "{tag} n={n} wrote ({j},{i})");
                 }
             }
         }
     }
 
     #[test]
-    fn gram_into_writes_the_lower_triangle_bitwise() {
+    fn gram_into_writes_the_upper_triangle_bitwise() {
         // n=150 is a realistic surrogate size. The buffer starts dirty.
         for n in [1, 6, 70, 150] {
             let mut k = Matern52::ard(3);
@@ -428,7 +439,7 @@ mod tests {
             let xs = wavy_inputs(n, 3);
             let mut out = Matrix::from_fn(n, n, |_, _| f64::NAN);
             k.gram_into(&xs, &mut out);
-            assert_lower_only(&out, |i, j| k.eval(&xs[i], &xs[j]), "gram_into");
+            assert_upper_only(&out, |j, i| k.eval(&xs[j], &xs[i]), "gram_into");
         }
     }
 
@@ -437,8 +448,10 @@ mod tests {
         // The cache contract: cached per-dimension squared differences fused
         // with the current weights must reproduce from-scratch assembly bit
         // for bit, for one group per dimension and for shared groups, at
-        // several sizes, and across parameter updates on the same cache.
-        for n in [1usize, 7, 70] {
+        // several sizes, and across parameter updates on the same cache. The
+        // sizes put the last of the n(n+1)/2 pairs at every place in a block
+        // of 8: 1, 3, 6, 10, 15, 36, 45, 136 (whole blocks), 153 and 2485.
+        for n in [1usize, 2, 3, 4, 5, 8, 9, 16, 17, 70] {
             let xs = wavy_inputs(n, 3);
             let cache = DistanceCache::new(&xs);
             assert_eq!((cache.len(), cache.dim(), cache.is_empty()), (n, 3, false));
@@ -472,6 +485,6 @@ mod tests {
         k.gram_from_cache(cache, &mut fast);
         let mut naive = Matrix::zeros(n, n);
         k.gram_into(xs, &mut naive);
-        assert_lower_only(&fast, |i, j| naive[(i, j)], tag);
+        assert_upper_only(&fast, |j, i| naive[(j, i)], tag);
     }
 }

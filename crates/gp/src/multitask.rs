@@ -72,16 +72,16 @@ impl MultiTaskGp {
     /// negative log marginal likelihood, starting from the supplied kernel's
     /// parameters, `B = I` and noise variance 1e-2 per task. Each start owns
     /// its workspace for its lifetime: one kernel, the `n × n` data-kernel
-    /// Gram lower triangle, `B` and the noises, and an `nM × nM`
+    /// Gram upper triangle, `B` and the noises, and an `nM × nM`
     /// [`CholeskyWorkspace`]. An NLL evaluation writes the Gram from the
     /// per-fit [`DistanceCache`] (bit-identical to from-scratch assembly),
-    /// writes Eq. 9's joint covariance from it straight into the
-    /// workspace's buffer, and factors and solves it there, allocating
-    /// nothing. The starts share the session's threads through one queue,
-    /// moving between them so that they end together; each keeps its
-    /// derived seed, its objective and its workspace, so the fit is
-    /// bit-identical at any thread count (see
-    /// [`multi_start_nelder_mead_par`]).
+    /// writes the upper triangle of Eq. 9's joint covariance from it
+    /// straight into the workspace's buffer, factors it there into
+    /// `U = Lᵀ` and solves against `U` row by row, allocating nothing. The
+    /// starts share the session's threads through one queue, moving between
+    /// them so that they end together; each keeps its derived seed, its
+    /// objective and its workspace, so the fit is bit-identical at any
+    /// thread count (see [`multi_start_nelder_mead_par`]).
     ///
     /// # Errors
     ///
@@ -353,12 +353,13 @@ impl MultiTaskGp {
 }
 
 /// One start of [`MultiTaskGp::fit`]'s search. It owns, for the start's
-/// lifetime, one kernel, the `n × n` data-kernel Gram (lower triangle), the
+/// lifetime, one kernel, the `n × n` data-kernel Gram (upper triangle), the
 /// task covariance, the noises, an `nM × nM` [`CholeskyWorkspace`] and the
 /// solve vector, so an evaluation writes the Gram from the per-fit
-/// [`DistanceCache`], writes Eq. 9's joint covariance from it straight into
-/// the workspace's buffer, factors and solves it there, and allocates
-/// nothing.
+/// [`DistanceCache`], writes the upper triangle of Eq. 9's joint covariance
+/// from it straight into the workspace's buffer row by row, factors it
+/// there into `U = Lᵀ`, solves against `U` with contiguous row walks only,
+/// and allocates nothing.
 pub(crate) struct SearchObjective<'a> {
     cache: &'a DistanceCache,
     y_std: &'a [f64],
@@ -403,9 +404,9 @@ impl<'a> SearchObjective<'a> {
         self.b.set_params(lp);
         noise_into(log_noise, &mut self.noise);
         let (kx, b, noise) = (&self.kx, self.b.matrix(), &self.noise);
-        match self.ws.factor(|l| write_joint_lower(kx, b, noise, l)) {
+        match self.ws.factor(|u| write_joint_upper(kx, b, noise, u)) {
             Ok(chol) if chol.solve_into(self.y_std, &mut self.alpha).is_ok() => {
-                nlml_from(chol, self.y_std, &self.alpha)
+                nlml_from(chol.log_det(), self.y_std, &self.alpha)
             }
             _ => f64::INFINITY,
         }
@@ -540,34 +541,39 @@ fn standardize_multi(ys: &[Vec<f64>], n_tasks: usize) -> (Vec<f64>, Vec<f64>, Ve
     (y_std, y_means, y_scales)
 }
 
-/// Writes the lower triangle of Eq. 9's joint `nM × nM` covariance
-/// `k_C ⊗ B + diag(σ_t²)` into `out`, point-major (row `i·M + t` is point
-/// `i`, task `t`), reading only the lower triangle of the Gram matrix `kx`.
-/// Each entry is the single product `k_C[i][j]·B[t][u]`, or zero where the
-/// Gram entry is zero, and the diagonal then adds its task's noise. Every
+/// Writes the upper triangle of Eq. 9's joint `nM × nM` covariance
+/// `k_C ⊗ B + diag(σ_t²)` into `out`, point-major (row `j·M + u` is point
+/// `j`, task `u`), reading only the upper triangle of the Gram matrix `kx`.
+/// Entry `(j·M + u, i·M + t)`, `i ≥ j`, is the single product
+/// `k_C[j][i]·B[t][u]`, or `+0.0` where the Gram entry is zero, and the
+/// diagonal then adds its task's noise. `B` is read as `B[t][u]` and never
+/// assumed symmetric: its mirrored entries can differ in the sign of a
+/// zero. Each row is written from point `j`'s block on as `M` long runs,
+/// one per task `t`, over the points `i ≥ j` (the first block's entries
+/// left of the diagonal land below it, where nothing reads them). Every
 /// factorization of the model — each search evaluation, the final fit and
 /// each refit — assembles through here.
-fn write_joint_lower(kx: &Matrix, b: &Matrix, noise: &[f64], out: &mut Matrix) {
+fn write_joint_upper(kx: &Matrix, b: &Matrix, noise: &[f64], out: &mut Matrix) {
     let m = b.rows();
-    for i in 0..kx.rows() {
-        let kx_row = &kx.row(i)[..=i];
-        for (t, &noise_t) in noise.iter().enumerate() {
-            let r = i * m + t;
-            let b_row = b.row(t);
-            let row = &mut out.row_mut(r)[..=r];
-            for (block, &a) in row.chunks_mut(m).zip(kx_row) {
-                for (o, &btu) in block.iter_mut().zip(b_row) {
+    for j in 0..kx.rows() {
+        let kx_row = &kx.row(j)[j..];
+        for (u, &noise_u) in noise.iter().enumerate() {
+            let row = &mut out.row_mut(j * m + u)[j * m..];
+            for t in 0..m {
+                let btu = b[(t, u)];
+                for (o, &a) in row[t..].iter_mut().step_by(m).zip(kx_row) {
                     *o = if a == 0.0 { 0.0 } else { a * btu };
                 }
             }
-            row[r] += noise_t;
+            row[u] += noise_u;
         }
     }
 }
 
-/// Assembles the shared data-kernel Gram matrix (Eq. 9's `k_C`) through
-/// [`Matern52::gram_into`], then writes the joint covariance from it into
-/// the factor's storage and factorizes it; returns `(chol, α, NLML)`.
+/// Assembles the upper triangle of the shared data-kernel Gram matrix
+/// (Eq. 9's `k_C`) through [`Matern52::gram_into`], then writes the joint
+/// covariance's upper triangle from it into the factor's storage and
+/// factorizes it; returns `(chol, α, NLML)`.
 fn joint_factorize(
     kernel: &Matern52,
     xs: &[Vec<f64>],
@@ -577,9 +583,9 @@ fn joint_factorize(
 ) -> Result<(Cholesky, Vec<f64>, f64), GpError> {
     let mut kx = Matrix::zeros(xs.len(), xs.len());
     kernel.gram_into(xs, &mut kx);
-    let chol = Cholesky::from_lower(y_std.len(), |l| write_joint_lower(&kx, b, noise, l))?;
+    let chol = Cholesky::from_upper(y_std.len(), |u| write_joint_upper(&kx, b, noise, u))?;
     let alpha = chol.solve_vec(y_std)?;
-    let nlml = nlml_from(&chol, y_std, &alpha);
+    let nlml = nlml_from(chol.log_det(), y_std, &alpha);
     Ok((chol, alpha, nlml))
 }
 
@@ -745,6 +751,65 @@ mod tests {
                             "cov[({t},{u})] at {q:?}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The search oracle's Kronecker construction: a zero entry of `a`
+    /// leaves its block `+0.0`, every other entry is the single product
+    /// `a[(i, j)]·b[(p, q)]`.
+    fn kron(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows() * b.rows(), a.cols() * b.cols());
+        for i in 0..a.rows() {
+            for j in 0..a.cols() {
+                let x = a[(i, j)];
+                if x == 0.0 {
+                    continue;
+                }
+                for p in 0..b.rows() {
+                    for q in 0..b.cols() {
+                        out[(i * b.rows() + p, j * b.cols() + q)] = x * b[(p, q)];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn write_joint_upper_matches_the_kronecker_construction_bitwise() {
+        // Each upper entry of the written joint covariance must be the bits
+        // of the entry the oracle's `Cholesky::new` reads in its place: the
+        // mirrored lower entry of `k_C ⊗ B + diag(σ²)` built from the full
+        // Gram. The last input is so far out that its Gram entries underflow
+        // to zero, where a product with a negative `B` entry would be -0.0.
+        // `B` is not bitwise symmetric: one zero pair differs in sign, one
+        // entry is NaN against a finite mirror.
+        let mut xs = grid_1d(6);
+        xs.push(vec![1e3]);
+        let n = xs.len();
+        let mut kernel = Matern52::ard(1);
+        kernel.set_log_params(&[-1.0, 0.3]);
+        let full = Matrix::from_fn(n, n, |i, j| kernel.eval(&xs[i], &xs[j]));
+        assert_eq!(full[(0, n - 1)].to_bits(), 0);
+        let mut kx = Matrix::from_fn(n, n, |_, _| f64::NAN);
+        kernel.gram_into(&xs, &mut kx);
+        let b3 = Matrix::from_rows(&[&[1.5, 0.0, -0.4], &[-0.0, 0.9, f64::NAN], &[-0.4, 0.2, 2.0]]);
+        let b1 = Matrix::from_rows(&[&[0.7]]);
+        for b in [b3.unwrap(), b1.unwrap()] {
+            let m = b.rows();
+            let noise: Vec<f64> = (0..m).map(|t| 0.1 / (t + 1) as f64).collect();
+            let mut want = kron(&full, &b);
+            for r in 0..n * m {
+                want[(r, r)] += noise[r % m];
+            }
+            let mut got = Matrix::from_fn(n * m, n * m, |_, _| f64::NAN);
+            write_joint_upper(&kx, &b, &noise, &mut got);
+            for r in 0..n * m {
+                for c in r..n * m {
+                    let (g, w) = (got[(r, c)], want[(c, r)]);
+                    assert_eq!(g.to_bits(), w.to_bits(), "M={m} ({r},{c}): {g} vs {w}");
                 }
             }
         }

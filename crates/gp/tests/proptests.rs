@@ -2,7 +2,7 @@
 
 use cmmf_gp::kernel::{DistanceCache, Matern52};
 use cmmf_gp::{Gp, GpConfig, MultiTaskGp};
-use linalg::Cholesky;
+use linalg::{Cholesky, CholeskyWorkspace};
 use proptest::prelude::*;
 
 fn data_1d(n: usize) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
@@ -87,43 +87,63 @@ proptest! {
 
     #[test]
     fn cached_distance_nll_equals_naive_nll_bitwise(
-        (pts, ls, ys) in (1usize..5).prop_flat_map(|d| (
-            proptest::collection::vec(proptest::collection::vec(-1.0f64..1.0, d), 3..12),
-            proptest::collection::vec(0.05f64..3.0, d),
-            proptest::collection::vec(-2.0f64..2.0, 12),
-        )),
-        sv in 0.2f64..3.0,
+        (pts, ls, ys, grouped) in (1usize..5, 0usize..9, 0usize..2).prop_flat_map(|(d, size, g)| {
+            // Sizes whose n(n+1)/2 pairs end at every place in a block of 8.
+            let n = [1, 2, 3, 4, 5, 8, 9, 16, 17][size];
+            (
+                proptest::collection::vec(proptest::collection::vec(-1.0f64..1.0, d), n),
+                proptest::collection::vec(-1.5f64..1.5, d + 1),
+                proptest::collection::vec(-2.0f64..2.0, n),
+                Just(g == 1),
+            )
+        }),
         noise in 1e-6f64..1e-1,
     ) {
-        // The tentpole contract at the NLL level: assembling the Gram matrix
-        // from the per-fit distance cache and from scratch must produce the
-        // same floats entry for entry — and therefore the same NLL — at any
-        // dimension and any lengthscales applied to the *same* cache.
-        let d = ls.len();
-        let n = pts.len();
-        let ys = &ys[..n];
+        // The tentpole contract at the NLL level: the upper triangle of the
+        // Gram matrix assembled from the per-fit distance cache's blocks of
+        // 8 pairs and from scratch must be the same floats entry for entry,
+        // for ARD and for the multi-fidelity levels' grouped kernel at any
+        // dimension and lengthscales applied to the *same* cache; and the
+        // search's factor of it in a workspace, solved against `U`, must
+        // give the NLL of a fresh factor of the full from-scratch matrix.
+        let (d, n) = (pts[0].len(), pts.len());
+        let mut k = match (grouped, d) {
+            (false, _) => Matern52::ard(d),
+            (true, 1) => Matern52::iso_plus_tail(1, 0),
+            (true, _) => Matern52::iso_plus_tail(d - 1, 1),
+        };
+        let len = k.log_params().len();
+        k.set_log_params(&ls[ls.len() - len..]);
         let cache = DistanceCache::new(&pts);
-        let k = ard_with(&ls, sv);
-        prop_assert_eq!(k.dim(), d);
-        let mut naive = linalg::Matrix::zeros(n, n);
+        let mut naive = linalg::Matrix::from_fn(n, n, |_, _| f64::NAN);
         k.gram_into(&pts, &mut naive);
-        naive.add_diag(noise);
-        let mut cached = linalg::Matrix::zeros(n, n);
+        let mut cached = linalg::Matrix::from_fn(n, n, |_, _| f64::NAN);
         k.gram_from_cache(&cache, &mut cached);
-        cached.add_diag(noise);
-        for i in 0..n {
-            for j in 0..n {
-                prop_assert_eq!(naive[(i, j)].to_bits(), cached[(i, j)].to_bits());
+        for j in 0..n {
+            for i in j..n {
+                let want = k.eval(&pts[j], &pts[i]).to_bits();
+                prop_assert_eq!(naive[(j, i)].to_bits(), want);
+                prop_assert_eq!(cached[(j, i)].to_bits(), want);
             }
         }
-        let nll = |km: &linalg::Matrix| -> f64 {
-            let chol = Cholesky::new(km).expect("factorizes");
-            let alpha = chol.solve_vec(ys).expect("solves");
-            let fit: f64 = ys.iter().zip(&alpha).map(|(y, a)| y * a).sum();
-            0.5 * fit + 0.5 * chol.log_det()
-                + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
+        let nll = |log_det: f64, alpha: &[f64]| -> f64 {
+            let fit: f64 = ys.iter().zip(alpha).map(|(y, a)| y * a).sum();
+            0.5 * fit + 0.5 * log_det + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
         };
-        prop_assert_eq!(nll(&naive).to_bits(), nll(&cached).to_bits());
+        let mut full = linalg::Matrix::from_fn(n, n, |i, j| k.eval(&pts[i], &pts[j]));
+        full.add_diag(noise);
+        let fresh = Cholesky::new(&full).expect("factorizes");
+        let want = nll(fresh.log_det(), &fresh.solve_vec(&ys).expect("solves"));
+        let mut ws = CholeskyWorkspace::new(n);
+        let upper = ws
+            .factor(|u| {
+                k.gram_from_cache(&cache, u);
+                u.add_diag(noise);
+            })
+            .expect("factorizes");
+        let mut alpha = vec![0.0; n];
+        upper.solve_into(&ys, &mut alpha).expect("solves");
+        prop_assert_eq!(nll(upper.log_det(), &alpha).to_bits(), want.to_bits());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   with triangular solves (per vector, and forward substitution over a
 //!   whole block of right-hand sides) and log-determinant (the workhorse of
 //!   exact GP inference); [`CholeskyWorkspace`] reuses one buffer for many
-//!   factorizations of one size, as the hyperparameter search does,
+//!   factorizations of one size, as the hyperparameter search does, and
+//!   answers with the factor in its upper triangle ([`UpperCholesky`]),
 //! * [`stats`] — scalar standard-normal PDF/CDF built on an `erf`
 //!   implementation, plus small summary-statistics helpers.
 //!
@@ -36,6 +37,6 @@ mod error;
 mod matrix;
 pub mod stats;
 
-pub use cholesky::{Cholesky, CholeskyWorkspace};
+pub use cholesky::{Cholesky, CholeskyWorkspace, UpperCholesky};
 pub use error::LinalgError;
 pub use matrix::Matrix;

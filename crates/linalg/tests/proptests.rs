@@ -1,6 +1,6 @@
 //! Property-based tests of the linear-algebra substrate.
 
-use cmmf_linalg::{Cholesky, LinalgError, Matrix};
+use cmmf_linalg::{Cholesky, CholeskyWorkspace, LinalgError, Matrix};
 use proptest::prelude::*;
 
 /// The scalar `i-j-k` recurrence under the same jitter escalation as
@@ -78,6 +78,59 @@ fn matches_oracle(a: &Matrix) -> Result<(), String> {
     }
 }
 
+/// `Ok(())` when [`CholeskyWorkspace::factor`], fed `a`'s lower triangle
+/// mirrored into its upper one, equals the oracle's transpose to the last
+/// bit — the same `U = Lᵀ` and jitter, or the same failure at the same
+/// jitter — and its `solve_into` and `log_det` give a fresh
+/// [`Cholesky::new`]'s `solve_vec` and `log_det` bits. `ws` may hold any
+/// earlier factor or failure.
+fn workspace_matches_oracle(ws: &mut CholeskyWorkspace, a: &Matrix) -> Result<(), String> {
+    let n = a.rows();
+    let mirror = |u: &mut Matrix| {
+        for i in 0..n {
+            for j in 0..=i {
+                u[(j, i)] = a[(i, j)];
+            }
+        }
+    };
+    match (ws.factor(mirror), scalar_oracle(a)) {
+        (Ok(c), Ok((l, jitter))) => {
+            if c.jitter().to_bits() != jitter.to_bits() {
+                return Err(format!("jitter {} vs {jitter}", c.jitter()));
+            }
+            for i in 0..n {
+                for j in i..n {
+                    if c.u()[(i, j)].to_bits() != l[(j, i)].to_bits() {
+                        return Err(format!("U[{i}][{j}] differs"));
+                    }
+                }
+            }
+            let fresh = Cholesky::new(a).map_err(|e| format!("fresh factor: {e:?}"))?;
+            if c.log_det().to_bits() != fresh.log_det().to_bits() {
+                return Err(format!("log_det {} vs {}", c.log_det(), fresh.log_det()));
+            }
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() * 2.0).collect();
+            let mut x = vec![f64::NAN; n];
+            c.solve_into(&b, &mut x).map_err(|e| format!("{e:?}"))?;
+            let want = fresh.solve_vec(&b).map_err(|e| format!("{e:?}"))?;
+            match x
+                .iter()
+                .zip(&want)
+                .position(|(x, w)| x.to_bits() != w.to_bits())
+            {
+                None => Ok(()),
+                Some(i) => Err(format!("solve entry {i}: {} vs {}", x[i], want[i])),
+            }
+        }
+        (Err(LinalgError::NotPositiveDefinite { max_jitter }), Err(jitter))
+            if max_jitter.to_bits() == jitter.to_bits() =>
+        {
+            Ok(())
+        }
+        (got, want) => Err(format!("{got:?} vs oracle {want:?}")),
+    }
+}
+
 /// The three kinds of input the oracle tests cover, `n × n` from `v`
 /// (`n·n` entries in [-3, 3]): positive definite, rank-deficient (rank
 /// `max(n/4, 1)`, so the jitter escalates), and indefinite (one diagonal
@@ -96,8 +149,9 @@ fn oracle_input(kind: usize, n: usize, v: &[f64]) -> Matrix {
 
 #[test]
 fn cholesky_matches_scalar_oracle_at_the_panel_edges() {
-    // The panel is 32 columns wide: one panel up to 32, a trailing block from
-    // 33, two full panels at 64, and a narrow last panel after each edge.
+    // The panel is 4 columns wide: one panel alone up to 4, a trailing block
+    // from 5, and a last panel of every width (n mod 4 = 0..3) at small and
+    // at realistic sizes, where most of the work is the rank-4 sweeps.
     for n in [1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65, 96, 97, 200] {
         let v: Vec<f64> = (0..n * n).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
         for kind in 0..3 {
@@ -115,6 +169,24 @@ fn cholesky_matches_scalar_oracle_at_the_panel_edges() {
         Cholesky::new(&oracle_input(2, 40, &v)),
         Err(LinalgError::NotPositiveDefinite { .. })
     ));
+}
+
+#[test]
+fn workspace_matches_scalar_oracle_transposed_at_the_panel_edges() {
+    // The factor a likelihood search reads, at the same sizes and kinds as
+    // the fresh factors above. One workspace per size serves all three
+    // kinds, so the jittered and failed factors run on a buffer that still
+    // holds the previous attempt.
+    for n in [1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65, 96, 97, 200] {
+        let v: Vec<f64> = (0..n * n).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
+        let mut ws = CholeskyWorkspace::new(n);
+        for kind in [0, 1, 2, 0] {
+            let a = oracle_input(kind, n, &v);
+            if let Err(msg) = workspace_matches_oracle(&mut ws, &a) {
+                panic!("n={n} kind={kind}: {msg}");
+            }
+        }
+    }
 }
 
 /// Strategy: a random matrix with entries in [-3, 3].
@@ -150,14 +222,16 @@ proptest! {
             proptest::collection::vec(-3.0f64..3.0, n * n),
         )),
     ) {
-        // One blocked routine factors every matrix; its factor, jitter and
-        // failure must be the scalar recurrence's at every size across the
-        // 32- and 64-column panel edges, for positive-definite,
-        // rank-deficient (jitter escalates) and indefinite (fails at the
-        // maximum jitter) inputs alike.
+        // One blocked routine factors every matrix; its factor (fresh, and
+        // transposed in a workspace), jitter and failure must be the scalar
+        // recurrence's at every size up to 200, with every width of the last
+        // panel, for positive-definite, rank-deficient (jitter escalates)
+        // and indefinite (fails at the maximum jitter) inputs alike.
         let a = oracle_input(kind, n, &v);
         let outcome = matches_oracle(&a);
         prop_assert!(outcome.is_ok(), "n={} kind={}: {:?}", n, kind, outcome);
+        let outcome = workspace_matches_oracle(&mut CholeskyWorkspace::new(n), &a);
+        prop_assert!(outcome.is_ok(), "workspace n={} kind={}: {:?}", n, kind, outcome);
     }
 
     #[test]
