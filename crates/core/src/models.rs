@@ -615,95 +615,107 @@ fn gauss_hermite(rho: f64, z: &Gp, x: &[f64], below: Prediction) -> Result<Predi
 /// escalating fidelities.
 ///
 /// [`chain_batch`] hands it one piece of at most [`CHAIN_PIECE`] points on
-/// one thread, and every point's sigma points are stacked into one level-GP
-/// query list, so the expensive triangular solves against the level's
-/// `nM × nM` factor run as wide column blocks instead of one sweep per sigma
-/// point, while the sigma sets, augmented inputs and mapped posteriors held
-/// at once stay those of one piece. The per-point sigma construction and
-/// moment-matching do not look across points, and the batched level
-/// prediction is bitwise-pinned to its per-point form, so a point's result
-/// does not depend on the piece it arrives in.
+/// one thread. Each point's 2M + 1 sigma points are built in fixed-size
+/// arrays (the mean alone where the lower covariance cannot be factored,
+/// e.g. exactly at a training point) and go to the level GP as one group
+/// that shares the point's directive features
+/// ([`MultiTaskGp::predict_tails`]): each kernel row sums the `x`
+/// dimensions once and continues over the M tail dimensions per sigma
+/// point, and the piece's sigma points are solved 8 at a time across the
+/// piece against the level's `nM × nM` factor. The moment matching reads
+/// the flat output, so the only posteriors built are the ones the level
+/// hands up. The per-point sigma construction and moment matching do not
+/// look across points, and the level prediction is bitwise-pinned to its
+/// per-point form, so a point's result does not depend on the piece it
+/// arrives in.
 fn propagate_unscented_batch(
     rhos: &[f64],
     z: &MultiTaskGp,
     xs: &[Vec<f64>],
     lowers: &[MultiTaskPrediction],
 ) -> Result<Vec<MultiTaskPrediction>, CmmfError> {
+    const M: usize = N_OBJECTIVES;
+    const SIGMA: usize = 2 * M + 1;
     let lambda = 1.0;
+    let scale = ((M as f64) + lambda).sqrt();
+    let w0 = lambda / (M as f64 + lambda);
+    let wi = 1.0 / (2.0 * (M as f64 + lambda));
+    let not_m = || CmmfError::Internal {
+        reason: format!("a linked level's posteriors must have {M} objectives"),
+    };
+    if z.n_tasks() != M {
+        return Err(not_m());
+    }
 
-    // Sigma points of each lower posterior; fall back to the mean if the
-    // covariance is numerically singular (e.g. exactly at a training point).
-    let mut sigma_sets: Vec<Vec<Vec<f64>>> = Vec::with_capacity(lowers.len());
-    let mut aug: Vec<Vec<f64>> = Vec::new();
-    for (x, lower) in xs.iter().zip(lowers) {
-        let m = lower.mean.len();
-        let scale = ((m as f64) + lambda).sqrt();
-        let mut sigma_points: Vec<Vec<f64>> = vec![lower.mean.clone()];
-        if let Ok(chol) = linalg::Cholesky::new(&lower.cov) {
-            let l = chol.l();
-            for i in 0..m {
-                let mut plus = lower.mean.clone();
-                let mut minus = lower.mean.clone();
-                for j in 0..m {
-                    let d = scale * l[(j, i)];
-                    plus[j] += d;
-                    minus[j] -= d;
+    // Sigma points of each lower posterior, the mean first, and how many
+    // there are: 2M + 1, or the mean alone if the covariance is
+    // numerically singular.
+    let mut sigma: Vec<([[f64; M]; SIGMA], usize)> = Vec::with_capacity(lowers.len());
+    for lower in lowers {
+        let mean: [f64; M] = lower.mean.as_slice().try_into().map_err(|_| not_m())?;
+        let mut points = [mean; SIGMA];
+        let count = match linalg::Cholesky::new(&lower.cov) {
+            Ok(chol) => {
+                let l = chol.l();
+                for i in 0..M {
+                    let (plus, minus) = points[1 + 2 * i..].split_at_mut(1);
+                    for j in 0..M {
+                        let d = scale * l[(j, i)];
+                        plus[0][j] += d;
+                        minus[0][j] -= d;
+                    }
                 }
-                sigma_points.push(plus);
-                sigma_points.push(minus);
+                SIGMA
+            }
+            Err(_) => 1,
+        };
+        sigma.push((points, count));
+    }
+    let groups: Vec<(&[f64], &[f64])> = xs
+        .iter()
+        .zip(&sigma)
+        .map(|(x, (points, count))| (x.as_slice(), &points.as_flattened()[..count * M]))
+        .collect();
+    let (q_mean, q_cov) = z.predict_tails(&groups)?;
+    let mut q_means = q_mean.chunks_exact(M);
+    let mut q_covs = q_cov.chunks_exact(M * M);
+    let mut out = Vec::with_capacity(lowers.len());
+    for (points, count) in &sigma {
+        let points = &points[..*count];
+        let weight = |k: usize| match (points.len(), k) {
+            (1, _) => 1.0,
+            (_, 0) => w0,
+            _ => wi,
+        };
+        let mut mapped = [[0.0; M]; SIGMA];
+        for ((mapped, s), q) in mapped.iter_mut().zip(points).zip(q_means.by_ref()) {
+            for o in 0..M {
+                mapped[o] = rhos[o] * s[o] + q[o];
             }
         }
-        for s in &sigma_points {
-            aug.push(augmented(x, s));
-        }
-        sigma_sets.push(sigma_points);
-    }
-
-    struct Mapped {
-        mean: Vec<f64>,
-        cov: Matrix,
-    }
-    let mut qs = z.predict_batch(&aug)?.into_iter();
-
-    let mut out = Vec::with_capacity(lowers.len());
-    for (lower, sigma_points) in lowers.iter().zip(&sigma_sets) {
-        let m = lower.mean.len();
-        let w0 = lambda / (m as f64 + lambda);
-        let wi = 1.0 / (2.0 * (m as f64 + lambda));
-        let weights: Vec<f64> = if sigma_points.len() == 1 {
-            vec![1.0]
-        } else {
-            let mut w = vec![w0];
-            w.extend(std::iter::repeat_n(wi, 2 * m));
-            w
-        };
-
-        let mut mapped = Vec::with_capacity(sigma_points.len());
-        for s in sigma_points {
-            let q = qs.next().ok_or_else(|| CmmfError::Internal {
-                reason: "level GP returned fewer predictions than sigma points".into(),
-            })?;
-            let mean = (0..m).map(|o| rhos[o] * s[o] + q.mean[o]).collect();
-            mapped.push(Mapped { mean, cov: q.cov });
-        }
+        let mapped = &mapped[..points.len()];
 
         // Moment-match the mixture.
-        let mut mean = vec![0.0; m];
-        for (w, p) in weights.iter().zip(&mapped) {
-            for (mi, pm) in mean.iter_mut().zip(&p.mean) {
+        let mut mean = [0.0; M];
+        for (k, p) in mapped.iter().enumerate() {
+            let w = weight(k);
+            for (mi, pm) in mean.iter_mut().zip(p) {
                 *mi += w * pm;
             }
         }
-        let mut cov = Matrix::zeros(m, m);
-        for (w, p) in weights.iter().zip(&mapped) {
-            for i in 0..m {
-                for j in 0..m {
-                    cov[(i, j)] +=
-                        w * (p.cov[(i, j)] + (p.mean[i] - mean[i]) * (p.mean[j] - mean[j]));
+        let mut cov = [[0.0; M]; M];
+        for ((k, p), q) in mapped.iter().enumerate().zip(q_covs.by_ref()) {
+            let w = weight(k);
+            for i in 0..M {
+                for j in 0..M {
+                    cov[i][j] += w * (q[i * M + j] + (p[i] - mean[i]) * (p[j] - mean[j]));
                 }
             }
         }
-        out.push(MultiTaskPrediction { mean, cov });
+        out.push(MultiTaskPrediction {
+            mean: mean.to_vec(),
+            cov: Matrix::from_fn(M, M, |i, j| cov[i][j]),
+        });
     }
     Ok(out)
 }
@@ -831,6 +843,166 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The unscented link at one point as the chain computed it before its
+    /// sigma points shared a prefix: each sigma point's augmented input
+    /// predicted on its own, and the mixture moment-matched from vectors.
+    fn unscented_oracle(
+        rhos: &[f64],
+        z: &MultiTaskGp,
+        x: &[f64],
+        lower: &MultiTaskPrediction,
+    ) -> MultiTaskPrediction {
+        let m = lower.mean.len();
+        let scale = (m as f64 + 1.0).sqrt();
+        let mut points = vec![lower.mean.clone()];
+        if let Ok(chol) = linalg::Cholesky::new(&lower.cov) {
+            for i in 0..m {
+                let mut plus = lower.mean.clone();
+                let mut minus = lower.mean.clone();
+                for j in 0..m {
+                    let d = scale * chol.l()[(j, i)];
+                    plus[j] += d;
+                    minus[j] -= d;
+                }
+                points.push(plus);
+                points.push(minus);
+            }
+        }
+        let mut weights = vec![if points.len() == 1 {
+            1.0
+        } else {
+            1.0 / (m as f64 + 1.0)
+        }];
+        weights.resize(points.len(), 1.0 / (2.0 * (m as f64 + 1.0)));
+        let mapped: Vec<MultiTaskPrediction> = points
+            .iter()
+            .map(|s| {
+                let q = z.predict(&augmented(x, s)).unwrap();
+                let mean = (0..m).map(|o| rhos[o] * s[o] + q.mean[o]).collect();
+                MultiTaskPrediction { mean, cov: q.cov }
+            })
+            .collect();
+        let mut mean = vec![0.0; m];
+        for (w, p) in weights.iter().zip(&mapped) {
+            for (mi, pm) in mean.iter_mut().zip(&p.mean) {
+                *mi += w * pm;
+            }
+        }
+        let mut cov = Matrix::zeros(m, m);
+        for (w, p) in weights.iter().zip(&mapped) {
+            for i in 0..m {
+                for j in 0..m {
+                    cov[(i, j)] +=
+                        w * (p.cov[(i, j)] + (p.mean[i] - mean[i]) * (p.mean[j] - mean[j]));
+                }
+            }
+        }
+        MultiTaskPrediction { mean, cov }
+    }
+
+    fn assert_same_bits(a: &MultiTaskPrediction, b: &MultiTaskPrediction, what: &str) {
+        let bits = |p: &MultiTaskPrediction| -> Vec<u64> {
+            p.mean
+                .iter()
+                .chain(p.cov.as_slice())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b), "{what}: {a:?} vs {b:?}");
+    }
+
+    #[test]
+    fn unscented_fallback_points_keep_every_chunk_bitwise() {
+        // A lower covariance that cannot be factored sends its mean alone,
+        // one query where a regular point sends 2M + 1 = 7, which moves every
+        // later chunk boundary of the piece. Pieces of 8 points put a NaN
+        // covariance and one indefinite beyond the largest jitter first,
+        // in the middle and last; each point's posterior must be the
+        // per-point pass's and the per-sigma-point oracle's, bit for bit.
+        let xs: Vec<Vec<f64>> = (0..10)
+            .map(|i| {
+                let s = i as f64 / 9.0;
+                vec![s, (2.0 * s).sin(), s * s - 0.4, (3.0 * s).cos()]
+            })
+            .collect();
+        let ys: Vec<Vec<f64>> = xs
+            .iter()
+            .map(|a| vec![a[1] - 0.5 * a[0], a[2] * a[3], (a[0] + a[3]).sin()])
+            .collect();
+        let z = MultiTaskGp::fit(Matern52::iso_plus_tail(1, 3), &xs, &ys, &quick_cfg()).unwrap();
+        let rhos = [0.8, -0.3, 1.2];
+        let regular = |i: usize| {
+            let t = i as f64;
+            let cov = Matrix::from_rows(&[
+                &[0.04 + 0.001 * t, 0.01, -0.005],
+                &[0.01, 0.03, 0.002 * t],
+                &[-0.005, 0.002 * t, 0.05],
+            ])
+            .unwrap();
+            MultiTaskPrediction {
+                mean: vec![(0.7 * t).sin(), (0.3 * t).cos() - 0.2, 0.1 * t - 0.4],
+                cov,
+            }
+        };
+        let mut nan = regular(20);
+        nan.cov[(1, 0)] = f64::NAN;
+        nan.cov[(0, 1)] = f64::NAN;
+        let mut indefinite = regular(21);
+        indefinite.cov[(1, 1)] = -5.0;
+        for bad in [&nan, &indefinite] {
+            assert!(linalg::Cholesky::new(&bad.cov).is_err());
+        }
+        let inputs: Vec<Vec<f64>> = (0..8).map(|i| vec![0.05 + 0.11 * i as f64]).collect();
+        let layouts: [[Option<&MultiTaskPrediction>; 8]; 3] = [
+            [
+                Some(&nan),
+                None,
+                None,
+                None,
+                None,
+                None,
+                None,
+                Some(&indefinite),
+            ],
+            [
+                None,
+                None,
+                None,
+                Some(&indefinite),
+                Some(&nan),
+                None,
+                None,
+                None,
+            ],
+            [
+                Some(&indefinite),
+                None,
+                None,
+                None,
+                None,
+                None,
+                None,
+                Some(&nan),
+            ],
+        ];
+        for (l, layout) in layouts.iter().enumerate() {
+            let lowers: Vec<MultiTaskPrediction> = layout
+                .iter()
+                .enumerate()
+                .map(|(i, bad)| bad.cloned().unwrap_or_else(|| regular(i)))
+                .collect();
+            let batched = propagate_unscented_batch(&rhos, &z, &inputs, &lowers).unwrap();
+            assert_eq!(batched.len(), 8);
+            for (i, got) in batched.iter().enumerate() {
+                let alone =
+                    propagate_unscented_batch(&rhos, &z, &inputs[i..=i], &lowers[i..=i]).unwrap();
+                assert_same_bits(got, &alone[0], &format!("layout {l}, point {i} alone"));
+                let oracle = unscented_oracle(&rhos, &z, &inputs[i], &lowers[i]);
+                assert_same_bits(got, &oracle, &format!("layout {l}, point {i} oracle"));
             }
         }
     }

@@ -512,7 +512,8 @@ impl<'a> LoopState<'a> {
                 if exclude.iter().any(|p| p.config == c) {
                     return Ok(None);
                 }
-                let t_impl = sim.stage_seconds(space, c, Stage::Impl);
+                let times = sim.stage_times(space, c);
+                let t_impl = times[Stage::Impl.index()];
                 let mut best: Option<(CandidateChoice, f64)> = None;
                 for stage in Stage::all() {
                     let f = stage.index();
@@ -524,12 +525,7 @@ impl<'a> LoopState<'a> {
                         cfg.mc_samples,
                         seed,
                     );
-                    let score = peipv(
-                        raw,
-                        t_impl,
-                        sim.stage_seconds(space, c, stage),
-                        cfg.cost_exponent,
-                    );
+                    let score = peipv(raw, t_impl, times[f], cfg.cost_exponent);
                     if best.map(|(b, _)| score > b.acquisition).unwrap_or(true) {
                         best = Some((
                             CandidateChoice {

@@ -195,29 +195,38 @@ impl FlowSimulator {
         RunOutcome::Valid(self.distort(&truth, &x, config, stage))
     }
 
+    /// Wall-clock seconds of running the flow from scratch up to each stage
+    /// for configuration `config`, indexed by [`Stage::index`]: `T_i` of
+    /// Eq. 10 for all three stages from one ground-truth evaluation. Larger
+    /// designs take longer in the physical stages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config >= space.len()`.
+    pub fn stage_times(&self, space: &DesignSpace, config: usize) -> [f64; 3] {
+        let resolved = space.resolve(config);
+        let truth = self.ground_truth(space.kernel(), &resolved);
+        let size_factor = 1.0 + 1.5 * truth.util.min(1.2);
+        let [hls, syn, imp] = self.params.stage_seconds;
+        [
+            hls,
+            hls + syn * size_factor,
+            hls + (syn + imp) * size_factor,
+        ]
+    }
+
     /// Wall-clock seconds of running the flow from scratch up to `stage` for
-    /// configuration `config` (`T_i` of Eq. 10). Larger designs take longer in
-    /// the physical stages.
+    /// configuration `config`: its entry of [`FlowSimulator::stage_times`].
     ///
     /// # Panics
     ///
     /// Panics if `config >= space.len()`.
     pub fn stage_seconds(&self, space: &DesignSpace, config: usize, stage: Stage) -> f64 {
-        let resolved = space.resolve(config);
-        let truth = self.ground_truth(space.kernel(), &resolved);
-        let size_factor = 1.0 + 1.5 * truth.util.min(1.2);
-        match stage {
-            Stage::Hls => self.params.stage_seconds[0],
-            Stage::Syn => self.params.stage_seconds[0] + self.params.stage_seconds[1] * size_factor,
-            Stage::Impl => {
-                self.params.stage_seconds[0]
-                    + (self.params.stage_seconds[1] + self.params.stage_seconds[2]) * size_factor
-            }
-        }
+        self.stage_times(space, config)[stage.index()]
     }
 
     /// Wall-clock seconds of `stage` *alone* for configuration `config`: the
-    /// marginal share of the cumulative [`FlowSimulator::stage_seconds`]
+    /// marginal share of the cumulative [`FlowSimulator::stage_times`]
     /// attributable to this stage (what a journal `tool_run` line or a
     /// per-stage scheduler slot accounts for). Marginals are strictly
     /// positive, ordered `hls < syn < impl` for any configuration, and sum to
@@ -227,11 +236,11 @@ impl FlowSimulator {
     ///
     /// Panics if `config >= space.len()`.
     pub fn marginal_stage_seconds(&self, space: &DesignSpace, config: usize, stage: Stage) -> f64 {
-        let cum = self.stage_seconds(space, config, stage);
+        let t = self.stage_times(space, config);
         match stage {
-            Stage::Hls => cum,
-            Stage::Syn => cum - self.stage_seconds(space, config, Stage::Hls),
-            Stage::Impl => cum - self.stage_seconds(space, config, Stage::Syn),
+            Stage::Hls => t[0],
+            Stage::Syn => t[1] - t[0],
+            Stage::Impl => t[2] - t[1],
         }
     }
 

@@ -219,6 +219,56 @@ impl Matern52 {
         matern52_tail(self.signal_var, s)
     }
 
+    /// Continues [`Matern52::eval`]'s distance sum `s` over the dimensions
+    /// `first..first + a.len()`: `s += (a_d − b_d)²·w_d` for `d` ascending.
+    /// The sum is one chain in dimension order, so stopping it after a prefix
+    /// of the dimensions and continuing it later over the rest gives `eval`'s
+    /// sum bit for bit.
+    fn sq_dist_from(&self, mut s: f64, first: usize, a: &[f64], b: &[f64]) -> f64 {
+        for ((x, y), w) in a.iter().zip(b).zip(&self.inv_sq_by_dim[first..]) {
+            let d = x - y;
+            s += d * d * w;
+        }
+        s
+    }
+
+    /// Appends to `out` the sums of [`Matern52::eval`]`(xs[i], a)` over the
+    /// first `x.len()` dimensions, for every `i`, where `a` is any input
+    /// that starts with `x`: the prefix that [`Matern52::prefixed_row`]
+    /// continues for each of the inputs sharing it.
+    pub(crate) fn prefix_distances(&self, xs: &[Vec<f64>], x: &[f64], out: &mut Vec<f64>) {
+        out.extend(
+            xs.iter()
+                .map(|xi| self.sq_dist_from(0.0, 0, &xi[..x.len()], x)),
+        );
+    }
+
+    /// Writes `out[i] = k(xs[i], [x, t])` from `prefix`, the
+    /// [`Matern52::prefix_distances`] of `x`: each sum continues over the
+    /// tail dimensions, so each entry is `eval`'s bit for bit while the `x`
+    /// part is summed once for every tail that follows it.
+    pub(crate) fn prefixed_row(&self, xs: &[Vec<f64>], prefix: &[f64], t: &[f64], out: &mut [f64]) {
+        let d = self.dim() - t.len();
+        for ((o, &s), xi) in out.iter_mut().zip(prefix).zip(xs) {
+            *o = matern52_tail(self.signal_var, self.sq_dist_from(s, d, &xi[d..], t));
+        }
+    }
+
+    /// `k(a, a)` for the input `a = [x, t]`, given `at_finite`, the `k(b, b)`
+    /// of any input `b` whose entries are all finite. Every difference of
+    /// such an input with itself is exactly `+0.0`, so its distance sum is
+    /// the same `Σ_d 0·w_d` (`NaN` where a weight is `+∞`) whatever its
+    /// entries, and `at_finite` is its `eval` bit for bit. An input with a
+    /// non-finite entry gets its own sum.
+    pub(crate) fn self_cov(&self, at_finite: f64, x: &[f64], t: &[f64]) -> f64 {
+        if x.iter().chain(t).all(|v| v.is_finite()) {
+            at_finite
+        } else {
+            let s = self.sq_dist_from(0.0, 0, x, x);
+            matern52_tail(self.signal_var, self.sq_dist_from(s, x.len(), t, t))
+        }
+    }
+
     /// Writes the upper triangle of the Gram matrix,
     /// `out[(j, i)] = k(xs[j], xs[i])` for `i ≥ j`, into the caller's buffer
     /// row by row and leaves the strict lower triangle as it was: every
@@ -477,6 +527,75 @@ mod tests {
             let p: Vec<f64> = (0..=d).map(|i| (i as f64 * 0.7).sin()).collect();
             k.set_log_params(&p);
             check_cached(&k, &xs, &cache, n, "ard wide");
+        }
+    }
+
+    #[test]
+    fn prefixed_rows_and_self_cov_match_eval_bitwise() {
+        // The non-linear link's kernel rows: the `x` part of each distance
+        // summed once, continued over every tail. Both layouts at the
+        // benchmarks' 11 and 16 directive features plus 1 or 3 tail
+        // dimensions; kernels whose weight `1/ℓ²` overflows to +∞ in the
+        // prefix or in the tail, where a zero difference gives `0·∞ = NaN`;
+        // a query equal to a training input; non-finite query entries in
+        // the tail and in `x`, which must not take the shared `k(a, a)`.
+        let n = 9;
+        for d in [11, 16] {
+            for td in [1, 3] {
+                let dim = d + td;
+                let xs = wavy_inputs(n, dim);
+                let mut ard = Matern52::ard(dim);
+                let p: Vec<f64> = (0..=dim).map(|i| (i as f64 * 0.3).sin()).collect();
+                ard.set_log_params(&p);
+                let mut ard_inf = ard.clone();
+                let mut p_inf = p.clone();
+                p_inf[2] = -400.0;
+                p_inf[d] = -400.0;
+                ard_inf.set_log_params(&p_inf);
+                let mut grouped = Matern52::iso_plus_tail(d, td);
+                let p: Vec<f64> = (0..td + 2).map(|i| (i as f64 * 0.3).cos()).collect();
+                grouped.set_log_params(&p);
+                let mut grouped_inf = grouped.clone();
+                let mut p_inf = p;
+                p_inf[1] = -400.0;
+                grouped_inf.set_log_params(&p_inf);
+                for k in [&ard_inf, &grouped_inf] {
+                    assert!(k.inv_sq_by_dim.contains(&f64::INFINITY));
+                    assert!(k.eval(&xs[0], &xs[0]).is_nan());
+                }
+                let wavy: Vec<f64> = (0..dim).map(|j| (j as f64 * 1.7 + 0.2).cos()).collect();
+                let mut odd_x = wavy[..d].to_vec();
+                odd_x[d / 2] = f64::NEG_INFINITY;
+                let mut tails = wavy[d..].to_vec();
+                tails.extend_from_slice(&xs[3][d..]);
+                tails.extend((0..td).map(|j| if j == 0 { f64::INFINITY } else { 0.5 }));
+                tails.extend((0..td).map(|j| if j + 1 == td { f64::NAN } else { -0.25 }));
+                let groups = [&wavy[..d], &xs[3][..d], &odd_x[..]];
+                for k in [&ard, &ard_inf, &grouped, &grouped_inf] {
+                    let at_finite = k.eval(&xs[0], &xs[0]);
+                    for x in groups {
+                        let mut prefix = vec![f64::NAN];
+                        k.prefix_distances(&xs, x, &mut prefix);
+                        assert_eq!(prefix.len(), n + 1);
+                        for t in tails.chunks_exact(td) {
+                            let a: Vec<f64> = x.iter().chain(t).copied().collect();
+                            let mut row = vec![f64::NAN; n];
+                            k.prefixed_row(&xs, &prefix[1..], t, &mut row);
+                            for (i, (got, xi)) in row.iter().zip(&xs).enumerate() {
+                                let want = k.eval(xi, &a);
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "d={d} td={td} i={i} {a:?}"
+                                );
+                            }
+                            let want = k.eval(&a, &a).to_bits();
+                            assert_eq!(k.self_cov(at_finite, x, t).to_bits(), want, "{a:?}");
+                            assert_eq!(k.self_cov(at_finite, &a, &[]).to_bits(), want, "{a:?}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -184,135 +184,245 @@ impl MultiTaskGp {
     ///
     /// Returns [`GpError::DimensionMismatch`] if `x.len() != self.dim()`.
     pub fn predict(&self, x: &[f64]) -> Result<MultiTaskPrediction, GpError> {
-        let mut out = self.predict_chunk(&[x])?;
+        let mut out = self.predictions(&[x])?;
         out.pop().ok_or_else(|| GpError::Internal {
-            reason: "predict_chunk returned no prediction for one query".into(),
+            reason: "the chunk sweep returned no prediction for one query".into(),
         })
     }
 
     /// Joint posteriors at many points.
     ///
-    /// Queries are processed in fixed chunks of 8 on the calling thread:
-    /// each chunk stacks its `nM × M` cross-covariance blocks into one
-    /// matrix, runs a single column-blocked forward substitution
-    /// ([`Cholesky::solve_lower_mat`]) instead of one triangular solve per
-    /// (point, task), and takes all its means and covariance reductions in
-    /// one sweep down the rows. The per-column and per-sum operations are
-    /// exactly those of the per-point path, so the results are bit-identical
-    /// to calling [`MultiTaskGp::predict`] per point. Parallelism belongs to
-    /// the caller: the fidelity chain calls this on one piece of its inputs
-    /// per thread.
+    /// Queries are processed in fixed chunks of 8 on the calling thread,
+    /// each chunk in one sweep down the rows of its stacked `nM × 8M`
+    /// cross-covariance (`sweep_chunk`), with one set of buffers for the
+    /// whole batch. The per-column and per-sum operations are exactly those
+    /// of the per-point path, so the results are bit-identical to calling
+    /// [`MultiTaskGp::predict`] per point. Parallelism belongs to the
+    /// caller: the fidelity chain calls this on one piece of its inputs per
+    /// thread.
     ///
     /// # Errors
     ///
     /// Returns [`GpError::DimensionMismatch`] under the same conditions as
     /// [`MultiTaskGp::predict`].
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<MultiTaskPrediction>, GpError> {
-        const CHUNK: usize = 8;
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in xs.chunks(CHUNK) {
-            let refs: Vec<&[f64]> = chunk.iter().map(Vec::as_slice).collect();
-            out.extend(self.predict_chunk(&refs)?);
-        }
-        Ok(out)
+        self.predictions(xs)
     }
 
-    /// Shared core of [`MultiTaskGp::predict`] and
-    /// [`MultiTaskGp::predict_batch`]: the chunk's cross-covariance columns
-    /// (query point `j`, task `u` at column `j·M + u`, point-major rows
-    /// matching the factorization layout) are solved in one column-blocked
-    /// sweep, and one row-major sweep over the `nM` rows of `C` and
-    /// `W = L⁻¹C` updates all `q·M` means and `q·M(M+1)/2` covariance
-    /// reductions of the chunk's `q` queries as independent accumulators,
-    /// where a strided walk down one or two columns per sum would re-read
-    /// the rows `q·M(M+3)/2` times. Each accumulator starts at -0.0 and adds
-    /// in row order, `Iterator::sum`'s chain, so each sum is the strided one
-    /// bit for bit (the oracle in this module's tests keeps that form).
-    fn predict_chunk(&self, chunk: &[&[f64]]) -> Result<Vec<MultiTaskPrediction>, GpError> {
-        for x in chunk {
-            if x.len() != self.kernel.dim() {
+    /// Joint posteriors at inputs that share a prefix, flat: for each
+    /// `(x, tails)` of `groups`, the inputs `[x, t]` for every tail `t` in
+    /// `tails`, which holds whole tails of `dim() − x.len()` values back to
+    /// back. Query `j`, counted across the groups in order, has its means at
+    /// `mean[j·M..(j + 1)·M]` and its `M × M` covariance, row-major, at
+    /// `cov[j·M²..(j + 1)·M²]`, in the units of [`MultiTaskGp::predict`].
+    ///
+    /// This is the non-linear link's query: a candidate's sigma points share
+    /// its directive features. Each kernel row sums the `x` dimensions once
+    /// per (group, training input) and continues that sum over the tail
+    /// dimensions for every tail, and the queries run through the chunk
+    /// sweep of [`MultiTaskGp::predict_batch`], 8 at a time across the
+    /// groups. The results are [`MultiTaskGp::predict`]'s at each `[x, t]`
+    /// bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpError::DimensionMismatch`] if some `x` leaves no tail
+    /// dimension or its `tails` do not split into whole tails.
+    pub fn predict_tails(
+        &self,
+        groups: &[(&[f64], &[f64])],
+    ) -> Result<(Vec<f64>, Vec<f64>), GpError> {
+        let dim = self.kernel.dim();
+        let mut count = 0;
+        for &(x, tails) in groups {
+            let width = dim.saturating_sub(x.len());
+            if width == 0 || tails.len() % width != 0 {
                 return Err(GpError::DimensionMismatch {
-                    expected: self.kernel.dim(),
-                    got: x.len(),
+                    expected: dim,
+                    got: x.len() + tails.len(),
                 });
             }
+            count += tails.len() / width;
         }
         let n = self.xs.len();
+        let mut prefix = Vec::with_capacity(groups.len() * n);
+        for &(x, _) in groups {
+            self.kernel.prefix_distances(&self.xs, x, &mut prefix);
+        }
+        let at_finite = self.kernel.eval(&self.xs[0], &self.xs[0]);
+        let queries = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(g, &(x, tails))| tails.chunks_exact(dim - x.len()).map(move |t| (g, x, t)));
+        Ok(self.sweep(count, queries, |(g, x, t), row| {
+            self.kernel
+                .prefixed_row(&self.xs, &prefix[g * n..(g + 1) * n], t, row);
+            self.kernel.self_cov(at_finite, x, t)
+        }))
+    }
+
+    /// [`MultiTaskGp::predict`] at every point of `xs`, through the chunk
+    /// sweep.
+    fn predictions<X: AsRef<[f64]>>(&self, xs: &[X]) -> Result<Vec<MultiTaskPrediction>, GpError> {
+        let dim = self.kernel.dim();
+        if let Some(x) = xs.iter().find(|x| x.as_ref().len() != dim) {
+            return Err(GpError::DimensionMismatch {
+                expected: dim,
+                got: x.as_ref().len(),
+            });
+        }
+        let at_finite = self.kernel.eval(&self.xs[0], &self.xs[0]);
+        let (mean, cov) = self.sweep(xs.len(), xs.iter().map(AsRef::as_ref), |x, row| {
+            for (k, xi) in row.iter_mut().zip(&self.xs) {
+                *k = self.kernel.eval(xi, x);
+            }
+            self.kernel.self_cov(at_finite, x, &[])
+        });
         let m = self.n_tasks;
-        let mut cmat = Matrix::zeros(n * m, chunk.len() * m);
-        let mut kxx = Vec::with_capacity(chunk.len());
-        for (j, x) in chunk.iter().enumerate() {
-            let kq: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
-            kxx.push(self.kernel.eval(x, x));
-            for u in 0..m {
-                for t in 0..m {
-                    let btu = self.b[(t, u)];
-                    for i in 0..n {
-                        cmat[(i * m + t, j * m + u)] = btu * kq[i];
+        Ok(mean
+            .chunks_exact(m)
+            .zip(cov.chunks_exact(m * m))
+            .map(|(mean, cov)| MultiTaskPrediction {
+                mean: mean.to_vec(),
+                cov: Matrix::from_fn(m, m, |u, v| cov[u * m + v]),
+            })
+            .collect())
+    }
+
+    /// Predicts `count` queries in chunks of [`CHUNK`] taken across the whole
+    /// list, and returns their flat means and covariances in the layout of
+    /// [`MultiTaskGp::predict_tails`]. `row(query, out)` writes the query's
+    /// kernel row, `out[i] = k(x_i, query)`, and returns `k(query, query)`.
+    /// One row buffer and one cross-covariance buffer, each at most a
+    /// chunk wide, serve every chunk.
+    fn sweep<Q>(
+        &self,
+        count: usize,
+        queries: impl Iterator<Item = Q>,
+        mut row: impl FnMut(Q, &mut [f64]) -> f64,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let (n, m) = (self.xs.len(), self.n_tasks);
+        let width = count.min(CHUNK);
+        let mut mean = Vec::with_capacity(count * m);
+        let mut cov = Vec::with_capacity(count * m * m);
+        let mut rows = vec![0.0; width * n];
+        let mut kxx = [0.0; CHUNK];
+        let mut c = vec![0.0; n * m * width * m];
+        let mut q = 0;
+        for query in queries {
+            kxx[q] = row(query, &mut rows[q * n..(q + 1) * n]);
+            q += 1;
+            if q == width {
+                self.sweep_chunk(&rows, &kxx[..q], &mut c, &mut mean, &mut cov);
+                q = 0;
+            }
+        }
+        if q > 0 {
+            self.sweep_chunk(&rows[..q * n], &kxx[..q], &mut c, &mut mean, &mut cov);
+        }
+        (mean, cov)
+    }
+
+    /// Appends the posteriors of one chunk of `q ≤ 8` queries, from their
+    /// kernel rows (`rows[j·n + i] = k(x_i, query_j)`) and self-covariances
+    /// `kxx`, to `mean` and `cov`.
+    ///
+    /// The chunk's cross-covariance `C` (query `j`, task `u` at column
+    /// `j·M + u`; point-major rows `i·M + t` matching the factorization
+    /// layout; entry `B[t][u]·k(x_i, query_j)`) is written once into `c`,
+    /// and one sweep runs down its rows: row `r` first adds `C[r]·α[r]` into
+    /// the chunk's `q·M` means, is then solved in place into row `r` of
+    /// `W = L⁻¹C` against the rows above it, and finally adds its products
+    /// `W[r][j·M+u]·W[r][j·M+v]`, `u ≤ v`, into the `q·M(M+1)/2` covariance
+    /// reductions, held in the upper triangles of the chunk's covariance
+    /// slots. Each column's solve is [`Cholesky::solve_lower`]'s chain
+    /// (seed `C[r][c]`, subtract `L[r][k]·W[k][c]` for `k` ascending,
+    /// divide by `L[r][r]`), and each sum starts at `-0.0` and adds in row
+    /// order, `Iterator::sum`'s chain, so every result is the per-query,
+    /// per-column one bit for bit (the oracle in this module's tests keeps
+    /// that form). Nothing is allocated once `mean` and `cov` have room.
+    fn sweep_chunk(
+        &self,
+        rows: &[f64],
+        kxx: &[f64],
+        c: &mut [f64],
+        mean: &mut Vec<f64>,
+        cov: &mut Vec<f64>,
+    ) {
+        let (n, m) = (self.xs.len(), self.n_tasks);
+        let nm = n * m;
+        let cols = kxx.len() * m;
+        let c = &mut c[..nm * cols];
+        for (i, point) in c.chunks_exact_mut(m * cols).enumerate() {
+            for (t, crow) in point.chunks_exact_mut(cols).enumerate() {
+                for (cj, krow) in crow.chunks_exact_mut(m).zip(rows.chunks_exact(n)) {
+                    let k = krow[i];
+                    for (u, o) in cj.iter_mut().enumerate() {
+                        *o = self.b[(t, u)] * k;
                     }
                 }
             }
         }
-        let w = self.chol.solve_lower_mat(&cmat)?; // L^{-1} C, all columns at once
 
-        // The means `Σ_r C[r][j·M+u]·α[r]` and the reductions
-        // `Σ_r W[r][j·M+u]·W[r][j·M+v]` (u ≤ v, each query's upper triangle
-        // row by row), all in one sweep down the rows.
-        let tri = m * (m + 1) / 2;
-        let mut means = vec![-0.0; chunk.len() * m];
-        let mut reductions = vec![-0.0; chunk.len() * tri];
+        let start = (mean.len(), cov.len());
+        mean.resize(start.0 + cols, -0.0);
+        cov.resize(start.1 + cols * m, -0.0);
+        let (mean, cov) = (&mut mean[start.0..], &mut cov[start.1..]);
+        let l = self.chol.l().as_slice();
         for (r, &a) in self.alpha.iter().enumerate() {
-            for (s, &c) in means.iter_mut().zip(cmat.row(r)) {
-                *s += c * a;
+            let (done, rest) = c.split_at_mut(r * cols);
+            let crow = &mut rest[..cols];
+            for (s, &v) in mean.iter_mut().zip(crow.iter()) {
+                *s += v * a;
             }
-            for (mut acc, wj) in reductions
-                .chunks_exact_mut(tri)
-                .zip(w.row(r).chunks_exact(m))
-            {
-                for (u, &wu) in wj.iter().enumerate() {
-                    let (row_u, rest) = acc.split_at_mut(m - u);
-                    for (s, &wv) in row_u.iter_mut().zip(&wj[u..]) {
+            let (lk, lrr) = (&l[r * nm..r * nm + r], l[r * nm + r]);
+            let mut c0 = 0;
+            while c0 + 8 <= cols {
+                solve_block::<8>(crow, done, lk, lrr, c0);
+                c0 += 8;
+            }
+            if c0 + 4 <= cols {
+                solve_block::<4>(crow, done, lk, lrr, c0);
+                c0 += 4;
+            }
+            for c0 in c0..cols {
+                solve_block::<1>(crow, done, lk, lrr, c0);
+            }
+            for (red, w) in cov.chunks_exact_mut(m * m).zip(crow.chunks_exact(m)) {
+                for (u, &wu) in w.iter().enumerate() {
+                    for (s, &wv) in red[u * m + u..(u + 1) * m].iter_mut().zip(&w[u..]) {
                         *s += wu * wv;
                     }
-                    acc = rest;
                 }
             }
         }
 
-        let mut out = Vec::with_capacity(chunk.len());
-        for ((mean, reduction), &kxx) in means
-            .chunks_exact(m)
-            .zip(reductions.chunks_exact(tri))
-            .zip(&kxx)
+        for ((mean, cov), &kxx) in mean
+            .chunks_exact_mut(m)
+            .zip(cov.chunks_exact_mut(m * m))
+            .zip(kxx)
         {
-            let mut mean = mean.to_vec();
-            let mut cov = Matrix::zeros(m, m);
-            let mut k = 0;
             for u in 0..m {
                 for v in u..m {
-                    let c = self.b[(u, v)] * kxx - reduction[k];
-                    k += 1;
-                    cov[(u, v)] = c;
-                    cov[(v, u)] = c;
+                    let c = self.b[(u, v)] * kxx - cov[u * m + v];
+                    cov[u * m + v] = c;
+                    cov[v * m + u] = c;
                 }
             }
-
             // De-standardize.
             for u in 0..m {
                 mean[u] = self.y_means[u] + self.y_scales[u] * mean[u];
                 for v in 0..m {
-                    cov[(u, v)] *= self.y_scales[u] * self.y_scales[v];
+                    cov[u * m + v] *= self.y_scales[u] * self.y_scales[v];
                 }
             }
             // Clamp tiny negative diagonals from round-off.
             for u in 0..m {
-                if cov[(u, u)] < 0.0 {
-                    cov[(u, u)] = 0.0;
+                if cov[u * m + u] < 0.0 {
+                    cov[u * m + u] = 0.0;
                 }
             }
-            out.push(MultiTaskPrediction { mean, cov });
         }
-        Ok(out)
     }
 
     /// Learned correlation between tasks `i` and `j`,
@@ -349,6 +459,35 @@ impl MultiTaskGp {
     /// hyperparameters and runs no search.
     pub fn fit_stats(&self) -> FitStats {
         self.stats
+    }
+}
+
+/// Queries per chunk of a batched prediction, taken across the caller's
+/// whole query list: at `M = 3`, 8 queries make 24 columns, three full
+/// 8-column blocks of the row solve, whatever the groups' sizes. Chunks
+/// cut at each candidate's 7 sigma points (21 columns, blocks of 8, 8, 4
+/// and 1) measured within 6 % of these per candidate.
+const CHUNK: usize = 8;
+
+/// Solves columns `c0..c0 + W` of one row of `W = L⁻¹C` in place: `row`
+/// holds the row of `C` on entry, `done` the rows of `W` above it (`cols`
+/// wide), `lk` the row of `L` left of its diagonal `lrr`. The `W`
+/// accumulators stay in registers while `L[r][k]·W[k]` is subtracted for
+/// `k` ascending, then each is divided by `L[r][r]`.
+fn solve_block<const W: usize>(row: &mut [f64], done: &[f64], lk: &[f64], lrr: f64, c0: usize) {
+    let cols = row.len();
+    // Lets the compiler drop the per-row range checks below.
+    assert!(c0 + W <= cols, "column block out of range");
+    let out = &mut row[c0..c0 + W];
+    let mut acc = [0.0; W];
+    acc.copy_from_slice(out);
+    for (&lik, wk) in lk.iter().zip(done.chunks_exact(cols)) {
+        for (a, &v) in acc.iter_mut().zip(&wk[c0..c0 + W]) {
+            *a -= lik * v;
+        }
+    }
+    for (o, a) in out.iter_mut().zip(acc) {
+        *o = a / lrr;
     }
 }
 
@@ -648,7 +787,7 @@ mod tests {
         }
     }
 
-    /// The oracle of `predict_chunk`: the chunk's cross-covariance columns
+    /// The oracle of the chunk sweep: the chunk's cross-covariance columns
     /// solved one at a time ([`Cholesky::solve_lower`]), and each of the
     /// chunk's means and covariance reductions its own `Iterator::sum`, a
     /// strided walk down one or two columns over the `nM` rows.
@@ -711,9 +850,10 @@ mod tests {
     }
 
     #[test]
-    fn predict_chunk_matches_the_strided_sums_bitwise() {
+    fn chunk_sweep_matches_the_strided_sums_bitwise() {
         // 20 points and 3 tasks give a 60 × 60 factor. A full chunk of 8, a
-        // partial chunk of 5 (one on a training input) and a chunk of one.
+        // partial chunk of 5 (one on a training input), a chunk of one, and
+        // all 14 queries at once: two chunks through one set of buffers.
         let xs = grid_1d(20);
         let ys: Vec<Vec<f64>> = xs
             .iter()
@@ -724,7 +864,7 @@ mod tests {
             .collect();
         let gp = MultiTaskGp::fit(Matern52::ard(1), &xs, &ys, &GpConfig::default()).unwrap();
         let queries: Vec<Vec<f64>> = (0..14).map(|i| vec![i as f64 / 12.0 - 0.04]).collect();
-        let chunks: [Vec<&[f64]>; 3] = [
+        let chunks: [Vec<&[f64]>; 4] = [
             queries[..8].iter().map(Vec::as_slice).collect(),
             queries[8..12]
                 .iter()
@@ -732,10 +872,14 @@ mod tests {
                 .chain([xs[7].as_slice()])
                 .collect(),
             vec![queries[13].as_slice()],
+            queries.iter().map(Vec::as_slice).collect(),
         ];
         for chunk in &chunks {
-            let swept = gp.predict_chunk(chunk).unwrap();
-            let oracle = strided_chunk_oracle(&gp, chunk);
+            let swept = gp.predictions(chunk).unwrap();
+            let oracle: Vec<MultiTaskPrediction> = chunk
+                .chunks(CHUNK)
+                .flat_map(|chunk| strided_chunk_oracle(&gp, chunk))
+                .collect();
             assert_eq!(swept.len(), chunk.len());
             for ((q, s), o) in chunk.iter().zip(&swept).zip(&oracle) {
                 for t in 0..3 {
@@ -754,6 +898,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn predict_tails_matches_predict_bitwise() {
+        // A link level on 2 directive features plus 3 tail dimensions.
+        // Groups of 7, 1, 7, 7 and 1 tails make 23 queries, so chunks of 8
+        // cut through groups; one query is a training input. Each flat
+        // result must be `predict`'s at the concatenated input.
+        let xs: Vec<Vec<f64>> = (0..12)
+            .map(|i| {
+                let s = i as f64 / 11.0;
+                vec![s, (3.0 * s).cos(), (2.0 * s).sin(), s * s, 0.5 - s]
+            })
+            .collect();
+        let ys: Vec<Vec<f64>> = xs
+            .iter()
+            .map(|x| vec![x[0] + x[2], x[3] - x[1], (x[4] * 3.0).sin()])
+            .collect();
+        let cfg = GpConfig {
+            restarts: 1,
+            max_evals: 80,
+            ..Default::default()
+        };
+        let gp = MultiTaskGp::fit(Matern52::iso_plus_tail(2, 3), &xs, &ys, &cfg).unwrap();
+        let tails = |g: usize, k: usize| -> Vec<f64> {
+            (0..3 * k)
+                .map(|j| ((g * 31 + j) as f64 * 0.37).sin())
+                .collect()
+        };
+        let mut own = xs[5][2..].to_vec();
+        own.extend(tails(9, 6));
+        let xs_g: [Vec<f64>; 5] = [
+            vec![0.1, 0.9],
+            vec![0.7, -0.2],
+            xs[5][..2].to_vec(),
+            vec![0.45, 0.3],
+            vec![1.1, 0.0],
+        ];
+        let tails_g = [tails(0, 7), tails(1, 1), own, tails(3, 7), tails(4, 1)];
+        let groups: Vec<(&[f64], &[f64])> = xs_g
+            .iter()
+            .zip(&tails_g)
+            .map(|(x, t)| (x.as_slice(), t.as_slice()))
+            .collect();
+        let (mean, cov) = gp.predict_tails(&groups).unwrap();
+        let queries: Vec<Vec<f64>> = groups
+            .iter()
+            .flat_map(|&(x, t)| t.chunks_exact(3).map(move |t| [x, t].concat()))
+            .collect();
+        assert_eq!(queries.len(), 23);
+        assert_eq!((mean.len(), cov.len()), (23 * 3, 23 * 9));
+        for (j, q) in queries.iter().enumerate() {
+            let p = gp.predict(q).unwrap();
+            for u in 0..3 {
+                assert_eq!(
+                    p.mean[u].to_bits(),
+                    mean[j * 3 + u].to_bits(),
+                    "mean[{u}] at {q:?}"
+                );
+                for v in 0..3 {
+                    let got = cov[j * 9 + u * 3 + v];
+                    assert_eq!(
+                        p.cov[(u, v)].to_bits(),
+                        got.to_bits(),
+                        "cov[({u},{v})] at {q:?}"
+                    );
+                }
+            }
+        }
+        // An `x` that leaves no tail, and tails that do not split.
+        assert!(gp.predict_tails(&[(&xs[0], &[])]).is_err());
+        assert!(gp.predict_tails(&[(&xs[0][..2], &[0.1; 4])]).is_err());
+        assert_eq!(gp.predict_tails(&[]).unwrap(), (vec![], vec![]));
     }
 
     /// The search oracle's Kronecker construction: a zero entry of `a`

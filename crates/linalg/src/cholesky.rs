@@ -326,75 +326,6 @@ impl Cholesky {
         Ok(y)
     }
 
-    /// Solves `L Y = B` for all columns of `B` at once: forward substitution
-    /// swept over fixed-width column blocks of the stacked right-hand sides,
-    /// 8 columns at a time, then 4, then one for each column left.
-    ///
-    /// A block's row of accumulators is a fixed-size array that stays in
-    /// registers while row `i` subtracts every earlier row of its block, so
-    /// each pass over `L` does one multiply-subtract per column per entry
-    /// with no load or store of the accumulators in between. Per column, the
-    /// chain is [`Cholesky::solve_lower`]'s: seed `b[i][c]`, subtract
-    /// `L[i][k]·y[k][c]` for `k` ascending, divide by `L[i][i]`; so the
-    /// result is **bit-identical** to solving each column separately at any
-    /// block width. This is the hot path of batched GP prediction, where the
-    /// stacked cross-covariance of a whole query chunk is solved at once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_lower_mat(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_lower_mat",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
-        let cols = b.cols();
-        let mut y = b.clone();
-        let mut c0 = 0;
-        while c0 + 8 <= cols {
-            self.forward_block::<8>(&mut y, c0);
-            c0 += 8;
-        }
-        if c0 + 4 <= cols {
-            self.forward_block::<4>(&mut y, c0);
-            c0 += 4;
-        }
-        for c in c0..cols {
-            self.forward_block::<1>(&mut y, c);
-        }
-        Ok(y)
-    }
-
-    /// Forward substitution in place over columns `c0..c0 + W` of `y`, which
-    /// holds `B` on entry: row `i` of the block is `W` accumulators seeded
-    /// from `b[i]`, from which `L[i][k]·y[k]` is subtracted for `k` ascending
-    /// before the division by `L[i][i]`.
-    fn forward_block<const W: usize>(&self, y: &mut Matrix, c0: usize) {
-        let cols = y.cols();
-        // Lets the compiler drop the per-row range checks below.
-        assert!(c0 + W <= cols, "column block out of range");
-        let data = y.as_mut_slice();
-        for (i, lrow) in self.l.as_slice().chunks_exact(self.dim()).enumerate() {
-            let (done, rest) = data.split_at_mut(i * cols);
-            let out = &mut rest[c0..c0 + W];
-            let mut acc = [0.0; W];
-            acc.copy_from_slice(out);
-            for (&lik, yk) in lrow[..i].iter().zip(done.chunks_exact(cols)) {
-                for (a, &v) in acc.iter_mut().zip(&yk[c0..c0 + W]) {
-                    *a -= lik * v;
-                }
-            }
-            let lii = lrow[i];
-            for (o, a) in out.iter_mut().zip(acc) {
-                *o = a / lii;
-            }
-        }
-    }
-
     /// Solves `Lᵀ x = y` (back substitution).
     ///
     /// # Errors
@@ -734,50 +665,6 @@ mod tests {
         assert!(matches!(
             CholeskyWorkspace::new(0).factor(|_| {}),
             Err(LinalgError::Empty { .. })
-        ));
-    }
-
-    #[test]
-    fn solve_lower_mat_matches_per_column_bitwise() {
-        // n = 200 with 24 right-hand sides runs the blocked factor and a
-        // candidate-chunk-wide solve at realistic surrogate size. The widths
-        // run every column-block width alone, with each tail, and a tail on
-        // its own.
-        let small = Matrix::from_rows(&[
-            &[4.0, 1.0, 0.5, 0.2],
-            &[1.0, 3.0, 0.2, 0.1],
-            &[0.5, 0.2, 2.0, 0.3],
-            &[0.2, 0.1, 0.3, 2.5],
-        ])
-        .unwrap();
-        for a in [small, spd(37), spd(200)] {
-            let n = a.rows();
-            let c = Cholesky::new(&a).unwrap();
-            for q in [1, 3, 4, 5, 7, 8, 9, 16, 24, 25] {
-                let b = Matrix::from_fn(n, q, |i, j| ((i * q + j) as f64).sin());
-                let batched = c.solve_lower_mat(&b).unwrap();
-                assert_eq!(batched.shape(), (n, q));
-                for j in 0..q {
-                    let b_j: Vec<f64> = (0..n).map(|i| b[(i, j)]).collect();
-                    let col = c.solve_lower(&b_j).unwrap();
-                    for i in 0..n {
-                        assert_eq!(
-                            batched[(i, j)].to_bits(),
-                            col[i].to_bits(),
-                            "n={n}, {q} columns: entry ({i},{j}) differs from the per-column solve"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn solve_lower_mat_rejects_wrong_row_count() {
-        let c = Cholesky::new(&spd3()).unwrap();
-        assert!(matches!(
-            c.solve_lower_mat(&Matrix::zeros(2, 3)),
-            Err(LinalgError::ShapeMismatch { .. })
         ));
     }
 
